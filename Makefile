@@ -13,7 +13,7 @@ GO ?= go
 # indistinguishable from code regressions.
 BENCH_HEAD ?= BENCH_PR10.json
 
-.PHONY: all build test race race-telemetry bench bench-json bench-smoke benchdiff vet staticcheck fmt check chaos crash-torture examples obs-smoke obs-ingest-smoke load-smoke tables fuzz clean
+.PHONY: all build test race race-telemetry bench bench-json bench-smoke bench-module benchdiff vet staticcheck fmt check chaos crash-torture examples obs-smoke obs-ingest-smoke load-smoke tables fuzz clean
 
 all: build vet test
 
@@ -21,12 +21,19 @@ all: build vet test
 # installed), a race pass over the telemetry-instrumented packages,
 # the observability smoke (cluster trace + leak ledger end to end),
 # the streaming-ingestion smoke (dlaload burst, zero lost acks),
-# the crash-recovery torture suites, the full race-enabled test suite,
-# a single-iteration pass over every benchmark so perf-path regressions
-# that only benchmarks exercise break the gate too, and the
+# the crash-recovery torture suites, the full race-enabled test suite
+# (uncached, so a flaky test cannot hide behind a cached pass), a
+# single-iteration pass over every benchmark so perf-path regressions
+# that only benchmarks exercise break the gate too, the bench/ module
+# (its own go.mod, so ./... never reaches it), and the
 # headline-benchmark diff between the committed artifacts.
-check: bench-smoke vet staticcheck race-telemetry obs-smoke obs-ingest-smoke load-smoke crash-torture benchdiff
-	$(GO) test -race ./...
+check: bench-smoke bench-module vet staticcheck race-telemetry obs-smoke obs-ingest-smoke load-smoke crash-torture benchdiff
+	$(GO) test -race -count=1 ./...
+
+# The end-to-end benchmark harness lives in its own module under
+# bench/; vet it and run its smoke tests against this checkout.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Observability smoke: boot a 3+-node in-memory cluster, run one
 # conjunction query, and assert a merged >=3-node cluster trace plus a

@@ -458,12 +458,7 @@ func (a *Appender) sendNodeBatch(node string, items []batchItem, first logmodel.
 		session := c.nextSession("apstore")
 		msg := transport.NewBinaryMessage(node, MsgLogStoreBatch, session, &body)
 		if c.outbox != nil && c.det != nil && c.det.Status(node) == resilience.StatusDead {
-			// Spooled payloads are always JSON: the outbox may outlive
-			// this build, and replay resends the stored bytes verbatim.
-			if err := msg.EncodePayloadJSON(); err != nil {
-				return err
-			}
-			return c.spool(node, MsgLogStoreBatch, msg.Payload, first)
+			return c.spool(msg, first)
 		}
 		roundStart := time.Now()
 		if err := c.mb.Send(a.ctx, msg); err != nil {
@@ -471,10 +466,7 @@ func (a *Appender) sendNodeBatch(node string, items []batchItem, first logmodel.
 				return err
 			}
 			if c.outbox != nil {
-				if err := msg.EncodePayloadJSON(); err != nil {
-					return err
-				}
-				return c.spool(node, MsgLogStoreBatch, msg.Payload, first)
+				return c.spool(msg, first)
 			}
 			if transient++; transient > a.opts.MaxRetries {
 				return err

@@ -271,17 +271,19 @@ func (c *Client) ReplayOutbox(ctx context.Context, peer string) (int, error) {
 }
 
 // spool journals one store message (single or batch) for later replay
-// to node. Batches replay as the original message type; the node's
-// single MsgLogAck reply keeps ReplayOutbox oblivious to the shape.
-func (c *Client) spool(node, msgType string, payload []byte, g logmodel.GLSN) error {
+// to msg.To, as its binary payload bytes: replay resends them verbatim
+// under the original message type, and the node's single MsgLogAck
+// reply keeps ReplayOutbox oblivious to the shape.
+func (c *Client) spool(msg transport.Message, g logmodel.GLSN) error {
+	msg.EncodePayload()
 	_, err := c.outbox.Append(resilience.OutboxEntry{
-		To:      node,
-		Type:    msgType,
-		Payload: payload,
+		To:      msg.To,
+		Type:    msg.Type,
+		Payload: msg.Payload,
 		Tag:     strconv.FormatUint(uint64(g), 10),
 	})
 	if err != nil {
-		return fmt.Errorf("cluster: spooling fragment for %s: %w", node, err)
+		return fmt.Errorf("cluster: spooling fragment for %s: %w", msg.To, err)
 	}
 	telemetry.M.Counter(telemetry.CtrOutboxSpooled).Add(1)
 	return nil
@@ -435,12 +437,7 @@ func (c *Client) LogBatch(ctx context.Context, records []map[logmodel.Attr]logmo
 		body := storeBatchBody{TicketID: c.tk.ID, Items: items}
 		msg := transport.NewBinaryMessage(node, MsgLogStoreBatch, session, &body)
 		if c.outbox != nil && c.det != nil && c.det.Status(node) == resilience.StatusDead {
-			// Spooled payloads are always JSON: the outbox may outlive
-			// this build, and replay resends the stored bytes verbatim.
-			if err := msg.EncodePayloadJSON(); err != nil {
-				return nil, err
-			}
-			if err := c.spool(node, MsgLogStoreBatch, msg.Payload, first); err != nil {
+			if err := c.spool(msg, first); err != nil {
 				return nil, err
 			}
 			continue
@@ -449,10 +446,7 @@ func (c *Client) LogBatch(ctx context.Context, records []map[logmodel.Attr]logmo
 			if c.outbox == nil || ctx.Err() != nil || errors.Is(err, transport.ErrUnknownNode) {
 				return nil, fmt.Errorf("cluster: storing batch on %s: %w", node, err)
 			}
-			if err := msg.EncodePayloadJSON(); err != nil {
-				return nil, err
-			}
-			if err := c.spool(node, MsgLogStoreBatch, msg.Payload, first); err != nil {
+			if err := c.spool(msg, first); err != nil {
 				return nil, err
 			}
 			continue
@@ -496,12 +490,7 @@ func (c *Client) StoreRecord(ctx context.Context, rec logmodel.Record) error {
 		body := storeBody{TicketID: c.tk.ID, Fragment: frag, Digest: digest, Provenance: prov, WitnessExp: wits[node]}
 		msg := transport.NewBinaryMessage(node, MsgLogStore, session, &body)
 		if c.outbox != nil && c.det != nil && c.det.Status(node) == resilience.StatusDead {
-			// Spooled payloads are always JSON: the outbox may outlive
-			// this build, and replay resends the stored bytes verbatim.
-			if err := msg.EncodePayloadJSON(); err != nil {
-				return err
-			}
-			if err := c.spool(node, MsgLogStore, msg.Payload, rec.GLSN); err != nil {
+			if err := c.spool(msg, rec.GLSN); err != nil {
 				return err
 			}
 			continue
@@ -512,10 +501,7 @@ func (c *Client) StoreRecord(ctx context.Context, rec logmodel.Record) error {
 			if c.outbox == nil || ctx.Err() != nil || errors.Is(err, transport.ErrUnknownNode) {
 				return fmt.Errorf("cluster: storing fragment on %s: %w", node, err)
 			}
-			if err := msg.EncodePayloadJSON(); err != nil {
-				return err
-			}
-			if err := c.spool(node, MsgLogStore, msg.Payload, rec.GLSN); err != nil {
+			if err := c.spool(msg, rec.GLSN); err != nil {
 				return err
 			}
 			continue

@@ -581,7 +581,7 @@ type ackBody struct {
 	Error string `json:"error,omitempty"`
 	// Overloaded marks an admission-control refusal (ErrOverloaded): the
 	// store was shed at the door, not attempted and failed, so the
-	// sender may retry with backoff. Legacy nodes never set it.
+	// sender may retry with backoff.
 	Overloaded bool `json:"overloaded,omitempty"`
 }
 
@@ -1303,9 +1303,8 @@ func (n *Node) TicketAllows(ticketID string, op ticket.Op) error {
 func (n *Node) send(ctx context.Context, to, typ, session string, body any) error {
 	var msg transport.Message
 	var err error
-	// Bodies with a binary encoding ride the bin3 frame path; the
-	// transport falls back to JSON toward peers that never advertised
-	// the capability, so one send site serves every peer generation.
+	// Bodies with a binary encoding ride the zero-copy frame path; the
+	// rest (no BinaryBody) travel as JSON payloads.
 	if bb, ok := body.(transport.BinaryBody); ok {
 		msg = transport.NewBinaryMessage(to, typ, session, bb)
 	} else {

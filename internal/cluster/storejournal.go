@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -52,8 +51,7 @@ func (noopStagedBatch) commit() error { return nil }
 // segments track the extents they hold, and the binary wire encoding as
 // the opaque payload. The segment store frames and checksums records
 // itself, so the payload carries only the magic/version prefix plus the
-// entry bytes — no length or CRC of its own. Stores written by earlier
-// releases hold JSON payloads; replayStore sniffs per record.
+// entry bytes — no length or CRC of its own.
 type storeJournal struct {
 	s storage.Store
 
@@ -225,23 +223,15 @@ func (j *storeJournal) Close() error {
 }
 
 // replayStore streams a store's surviving records back as walEntries.
-// Payloads are sniffed per record: legacy stores hold JSON objects
-// (opening '{'), current ones the binary magic — a store appended to
-// across the upgrade holds both and replays cleanly.
+// Every payload is the magic/version prefix plus a binary entry; any
+// other payload is corruption.
 func replayStore(s storage.Store, fn func(walEntry) error) error {
 	return s.Replay(func(rec storage.Record) error {
-		var e walEntry
-		if len(rec.Data) >= 2 && rec.Data[0] == walBinMagic {
-			if rec.Data[1] != walBinVersion {
-				return fmt.Errorf("cluster: decoding journal record (kind %q): unsupported version %d", rec.Kind, rec.Data[1])
-			}
-			var err error
-			if e, err = decodeWALEntry(rec.Data[2:]); err != nil {
-				return fmt.Errorf("cluster: decoding journal record (kind %q): %w", rec.Kind, err)
-			}
-			return fn(e)
+		if len(rec.Data) < 2 || rec.Data[0] != walBinMagic || rec.Data[1] != walBinVersion {
+			return fmt.Errorf("cluster: decoding journal record (kind %q): not a version-%d binary entry", rec.Kind, walBinVersion)
 		}
-		if err := json.Unmarshal(rec.Data, &e); err != nil {
+		e, err := decodeWALEntry(rec.Data[2:])
+		if err != nil {
 			return fmt.Errorf("cluster: decoding journal record (kind %q): %w", rec.Kind, err)
 		}
 		return fn(e)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -46,7 +45,8 @@ type walEntry struct {
 	WitnessExp *big.Int `json:"wexp,omitempty"`
 }
 
-// WAL is an append-only JSON-lines journal of node state.
+// WAL is an append-only journal of node state in CRC-framed binary
+// records.
 type WAL struct {
 	mu  sync.Mutex
 	dir string
@@ -78,16 +78,10 @@ type WAL struct {
 // walFile names the journal inside a node data directory.
 const walFile = "node.wal"
 
-// Binary WAL record framing. Entries used to travel as JSON lines; the
-// hot path now writes the compact wire encoding from wirecodec.go,
-// framed as
+// Binary WAL record framing. Every entry is the compact wire encoding
+// from wirecodec.go, framed as
 //
 //	0xDA ‖ version ‖ uvarint(len) ‖ payload ‖ crc32(payload) LE
-//
-// The magic byte cannot open a JSON object ('{' is 0x7B), so replay
-// sniffs the first byte of every record and handles mixed journals: a
-// node upgraded in place appends binary records after its legacy JSON
-// lines and restarts cleanly.
 const (
 	walBinMagic   = 0xDA
 	walBinVersion = 1
@@ -450,16 +444,15 @@ func (w *WAL) Close() error {
 }
 
 // ReplayWAL streams the journal in dir (if any) to fn in append order.
-// A missing journal is not an error (fresh node). Records are sniffed
-// one at a time: legacy entries are JSON lines (opening '{'), current
-// ones carry the binary framing from encodeWALRecord, and a journal
-// may mix both — a node upgraded in place appends binary records after
-// its JSON history. A torn final record — the node crashed mid-append,
-// leaving a truncated trailing line or a half-written binary frame —
-// stops the replay at the last intact entry instead of failing the
-// whole recovery; every complete entry was flushed before its mutation
-// was acknowledged, so the torn tail was never promised to anyone.
-// Corruption anywhere before the final record still fails the replay.
+// A missing journal is not an error (fresh node). Every record carries
+// the binary framing from encodeWALRecord; a record that does not open
+// with the magic byte is corruption. A torn final record — the node
+// crashed mid-append, leaving a half-written or zero-filled frame —
+// stops the replay
+// at the last intact entry instead of failing the whole recovery; every
+// complete entry was flushed before its mutation was acknowledged, so
+// the torn tail was never promised to anyone. Corruption anywhere
+// before the final record still fails the replay.
 func ReplayWAL(dir string, fn func(walEntry) error) error {
 	f, err := os.Open(filepath.Join(dir, walFile))
 	if errors.Is(err, os.ErrNotExist) {
@@ -478,38 +471,36 @@ func ReplayWAL(dir string, fn func(walEntry) error) error {
 		if err != nil {
 			return fmt.Errorf("cluster: reading WAL: %w", err)
 		}
-		if first[0] == walBinMagic {
-			e, ok, err := readBinaryWALRecord(br)
-			if err != nil {
-				return err
+		if first[0] != walBinMagic {
+			// A crash after the file grew but before the appended bytes
+			// landed leaves a zero-filled tail: torn, not corrupt.
+			if zeroTail(br) {
+				return nil
 			}
-			if !ok {
-				return nil // torn final append; recover up to here
-			}
-			if err := fn(e); err != nil {
-				return err
-			}
-			continue
+			return fmt.Errorf("cluster: corrupt WAL record: leading byte 0x%02x", first[0])
 		}
-		line, err := br.ReadBytes('\n')
-		atEOF := errors.Is(err, io.EOF)
-		if err != nil && !atEOF {
-			return fmt.Errorf("cluster: reading WAL: %w", err)
+		e, ok, err := readBinaryWALRecord(br)
+		if err != nil {
+			return err
 		}
-		if len(line) > 0 {
-			var e walEntry
-			if jsonErr := json.Unmarshal(line, &e); jsonErr != nil {
-				if atEOF {
-					return nil // torn final append; recover up to here
-				}
-				return fmt.Errorf("cluster: corrupt WAL entry: %w", jsonErr)
-			}
-			if err := fn(e); err != nil {
-				return err
-			}
+		if !ok {
+			return nil // torn final append; recover up to here
 		}
-		if atEOF {
-			return nil
+		if err := fn(e); err != nil {
+			return err
+		}
+	}
+}
+
+// zeroTail reports whether everything left in br is zero bytes.
+func zeroTail(br *bufio.Reader) bool {
+	for {
+		b, err := br.ReadByte()
+		if errors.Is(err, io.EOF) {
+			return true
+		}
+		if err != nil || b != 0 {
+			return false
 		}
 	}
 }
@@ -614,7 +605,7 @@ func (n *Node) CompactStorage() error {
 }
 
 // applyWALEntry applies one journaled mutation to the node's in-memory
-// state. It is shared by every recovery path (JSON-lines WAL replay and
+// state. It is shared by every recovery path (WAL replay and
 // segment-store replay) and tolerates duplicates: a checkpoint snapshot
 // followed by a delta that re-journals the same ticket or grant must
 // converge, not fail, because registration and grants are idempotent

@@ -184,28 +184,40 @@ func TestCompactionShrinksAndPreserves(t *testing.T) {
 	}
 }
 
+// TestWALRejectsCorruptJournal refuses journals that are not binary
+// records: garbage, and a well-formed JSON line — the retired journal
+// format — which is reported as corrupt rather than replayed.
 func TestWALRejectsCorruptJournal(t *testing.T) {
-	root := t.TempDir()
-	dir := filepath.Join(root, "P0")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, walFile), []byte("{not json\n"), 0o600); err != nil {
-		t.Fatal(err)
-	}
 	boot := sharedBootstrap(t)
-	net := transport.NewMemNetwork()
-	defer net.Close() //nolint:errcheck
-	ep, err := net.Endpoint("P0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb := transport.NewMailbox(ep)
-	defer mb.Close() //nolint:errcheck
-	cfg := boot.NodeConfig("P0")
-	cfg.DataDir = dir
-	if _, err := New(cfg, mb); err == nil {
-		t.Fatal("corrupt journal accepted")
+	for name, journal := range map[string]string{
+		"garbage":   "{not json\n",
+		"json line": `{"kind":"grant","ticket_id":"T1","glsn":10}` + "\n",
+	} {
+		dir := filepath.Join(t.TempDir(), "P0")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, walFile), []byte(journal), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		replayed := 0
+		if err := ReplayWAL(dir, func(walEntry) error { replayed++; return nil }); err == nil || replayed != 0 {
+			t.Fatalf("%s: replayed %d entries, err %v", name, replayed, err)
+		}
+		net := transport.NewMemNetwork()
+		ep, err := net.Endpoint("P0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb := transport.NewMailbox(ep)
+		cfg := boot.NodeConfig("P0")
+		cfg.DataDir = dir
+		_, err = New(cfg, mb)
+		mb.Close()  //nolint:errcheck
+		net.Close() //nolint:errcheck
+		if err == nil {
+			t.Fatalf("%s: corrupt journal accepted", name)
+		}
 	}
 }
 

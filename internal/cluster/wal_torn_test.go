@@ -108,18 +108,22 @@ func TestReplayWALTornAtRecordBoundary(t *testing.T) {
 	data, total := writeTornTestWAL(t, dir)
 	ends := walRecordEnds(t, data)
 	for i, end := range ends {
-		if err := os.WriteFile(filepath.Join(dir, walFile), data[:end], 0o600); err != nil {
-			t.Fatal(err)
-		}
-		var got []walEntry
-		if err := ReplayWAL(dir, func(e walEntry) error {
-			got = append(got, e)
-			return nil
-		}); err != nil {
-			t.Fatalf("cut at boundary %d: %v", i+1, err)
-		}
-		if len(got) != i+1 {
-			t.Fatalf("cut at boundary %d: replayed %d entries", i+1, len(got))
+		// A zero-filled tail (the file grew, the appended bytes never
+		// landed) is the same crash window.
+		for _, tail := range [][]byte{nil, make([]byte, 64)} {
+			if err := os.WriteFile(filepath.Join(dir, walFile), append(data[:end:end], tail...), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			var got []walEntry
+			if err := ReplayWAL(dir, func(e walEntry) error {
+				got = append(got, e)
+				return nil
+			}); err != nil {
+				t.Fatalf("cut at boundary %d (+%d zero bytes): %v", i+1, len(tail), err)
+			}
+			if len(got) != i+1 {
+				t.Fatalf("cut at boundary %d (+%d zero bytes): replayed %d entries", i+1, len(tail), len(got))
+			}
 		}
 	}
 	if len(ends) != total {

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"confaudit/internal/logmodel"
-	"confaudit/internal/telemetry"
 	"confaudit/internal/workpool"
 )
 
@@ -22,12 +21,12 @@ import (
 // encoding was paid a second time into the WAL. This file gives the
 // hot bodies — storeBody, storeBatchBody, the glsn round bodies, the
 // agreement round bodies, and the store ack — a compact uvarint
-// encoding implementing transport.BinaryBody, so they ride the bin3
-// zero-copy pooled-frame path toward capable peers while the
-// transport's negotiation falls back to the identical JSON toward
-// legacy peers (same three-generation contract as the packed relay
-// bodies). The WAL record encoding in wal.go reuses the same field
-// layout, so wire decode and journal encode share one code path.
+// encoding implementing transport.BinaryBody, so they ride the
+// zero-copy pooled-frame path on every transport. The WAL record
+// encoding in wal.go reuses the same field layout, so wire decode and
+// journal encode share one code path. The bodies keep their JSON tags
+// only as the reference encoding the differential fuzz tests compare
+// against.
 //
 // Layout conventions (all integers uvarint unless noted):
 //
@@ -317,26 +316,6 @@ func (d *wireDec) done() error {
 	return nil
 }
 
-// --- JSON size estimation (telemetry only) ---
-
-// jsonBigLen approximates the decimal rendering a JSON big.Int costs:
-// bits·log10(2) digits plus field framing. An estimate feeding the
-// codec.store_bytes_saved counter, never a wire quantity.
-func jsonBigLen(v *big.Int) int {
-	if v == nil {
-		return 0
-	}
-	return v.BitLen()*30103/100000 + 12
-}
-
-func jsonFragmentLen(f *logmodel.Fragment) int {
-	n := 40 + len(f.Node)
-	for a, v := range f.Values {
-		n += len(a) + len(v.S) + 24
-	}
-	return n
-}
-
 // --- storeBody ---
 
 func (b *storeBody) BinarySize() int {
@@ -345,19 +324,12 @@ func (b *storeBody) BinarySize() int {
 }
 
 func (b *storeBody) AppendBinary(dst []byte) []byte {
-	start := len(dst)
 	dst = appendString(dst, b.TicketID)
 	dst = appendFragment(dst, &b.Fragment)
 	dst = appendBig(dst, b.Digest)
 	dst = appendBig(dst, b.DigestExp)
 	dst = appendBig(dst, b.Provenance)
-	dst = appendBig(dst, b.WitnessExp)
-	est := 30 + len(b.TicketID) + jsonFragmentLen(&b.Fragment) +
-		jsonBigLen(b.Digest) + jsonBigLen(b.DigestExp) + jsonBigLen(b.Provenance) + jsonBigLen(b.WitnessExp)
-	if saved := est - (len(dst) - start); saved > 0 {
-		telemetry.M.Counter(telemetry.CtrCodecStoreSaved).Add(int64(saved))
-	}
-	return dst
+	return appendBig(dst, b.WitnessExp)
 }
 
 func (b *storeBody) DecodeBinary(src []byte) error {
@@ -440,8 +412,6 @@ func (b *storeBatchBody) BinarySize() int {
 }
 
 func (b *storeBatchBody) AppendBinary(dst []byte) []byte {
-	start := len(dst)
-	est := 30 + len(b.TicketID)
 	dst = appendString(dst, b.TicketID)
 	if b.Items == nil {
 		return append(dst, 0)
@@ -451,11 +421,6 @@ func (b *storeBatchBody) AppendBinary(dst []byte) []byte {
 		it := &b.Items[i]
 		dst = binary.AppendUvarint(dst, uint64(sizeBatchItem(it)))
 		dst = appendBatchItem(dst, it)
-		est += 8 + jsonFragmentLen(&it.Fragment) + jsonBigLen(it.Digest) +
-			jsonBigLen(it.DigestExp) + jsonBigLen(it.Provenance) + jsonBigLen(it.WitnessExp)
-	}
-	if saved := est - (len(dst) - start); saved > 0 {
-		telemetry.M.Counter(telemetry.CtrCodecStoreSaved).Add(int64(saved))
 	}
 	return dst
 }

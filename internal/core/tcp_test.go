@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -35,6 +36,34 @@ func TestDeploymentOverTCP(t *testing.T) {
 	user, err := d.NewUser(ctx, "u0", "T1")
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A batch first, so every peer's first frames carry store-batch,
+	// glsn-range, agreement and ack bodies. The records have no C1 and
+	// no "U1" id, so the query and sum below see only the paper rows.
+	batch := make([]map[logmodel.Attr]logmodel.Value, 16)
+	for i := range batch {
+		batch[i] = map[logmodel.Attr]logmodel.Value{
+			"time":    logmodel.String(fmt.Sprintf("00:00:%02d/01/01/2003", i)),
+			"id":      logmodel.String(fmt.Sprintf("B%d", i)),
+			"protocl": logmodel.String("TCP"),
+			"Tid":     logmodel.String("TB"),
+			"C2":      logmodel.Float(float64(i) + 0.5),
+		}
+	}
+	batchGLSNs, err := user.LogBatch(ctx, batch)
+	if err != nil {
+		t.Fatalf("log batch over TCP: %v", err)
+	}
+	for i, g := range batchGLSNs {
+		rec, err := user.Read(ctx, g)
+		if err != nil {
+			t.Fatalf("read batch record %d over TCP: %v", i, err)
+		}
+		for a, v := range batch[i] {
+			if !rec.Values[a].Equal(v) {
+				t.Fatalf("batch record %d: %s = %v, want %v", i, a, rec.Values[a], v)
+			}
+		}
 	}
 	var glsns []logmodel.GLSN
 	for _, rec := range ex.Records {

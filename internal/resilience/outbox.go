@@ -36,8 +36,10 @@ type OutboxEntry struct {
 	To string `json:"to"`
 	// Type is the message type to replay under.
 	Type string `json:"type"`
-	// Payload is the spooled message body.
-	Payload json.RawMessage `json:"payload"`
+	// Payload is the spooled message payload, replayed byte for byte
+	// (binary payloads are opaque to the JSON line, which carries them
+	// base64-encoded).
+	Payload []byte `json:"payload"`
 	// Tag is caller bookkeeping (e.g. the glsn a fragment belongs to).
 	Tag string `json:"tag,omitempty"`
 }

@@ -8,39 +8,35 @@ import (
 
 // Packed ciphertext-block encoding for relay bodies.
 //
-// A relayed set is a slice of fixed-width group elements. Encoded as a
-// JSON [][]byte it pays per-block base64 framing — for a 96-byte block,
-// 128 base64 characters plus quotes and comma, repeated per element —
-// and per-block allocations on both ends. Packing the blocks into one
-// contiguous byte string amortizes the framing to a single field and
-// one allocation, and gives the binary envelope codec a single raw
-// payload run to carry. Only block COUNT and WIDTH are visible in the
-// encoding — the secondary information Definition 1 already concedes —
-// and the bytes themselves are the same ciphertexts that travelled in
-// the legacy encoding.
+// A relayed set is a slice of fixed-width group elements: every
+// commutative block is FillBytes-fixed at the cipher's BlockSize. The
+// blocks travel as one contiguous byte string plus the common width,
+// which costs one field and one allocation on each end regardless of
+// the set size. Only block COUNT and WIDTH are visible in the encoding
+// — the secondary information Definition 1 already concedes.
 
 // PackBlocks concatenates fixed-width blocks into one byte string.
-// ok is false when the blocks are not uniform (callers then fall back
-// to the element-wise legacy encoding).
-func PackBlocks(blocks [][]byte) (packed []byte, blockLen int, ok bool) {
+// Blocks of differing or zero width are a protocol error: no cipher in
+// this module produces them.
+func PackBlocks(blocks [][]byte) (packed []byte, blockLen int, err error) {
 	if len(blocks) == 0 {
-		return nil, 0, true
+		return nil, 0, nil
 	}
 	blockLen = len(blocks[0])
 	if blockLen == 0 {
-		return nil, 0, false
+		return nil, 0, fmt.Errorf("%w: zero-width block", ErrProtocol)
 	}
 	for _, b := range blocks {
 		if len(b) != blockLen {
-			return nil, 0, false
+			return nil, 0, fmt.Errorf("%w: block of %d bytes in a batch of width %d", ErrProtocol, len(b), blockLen)
 		}
 	}
 	packed = make([]byte, 0, blockLen*len(blocks))
 	for _, b := range blocks {
 		packed = append(packed, b...)
 	}
-	observePack(len(blocks), blockLen)
-	return packed, blockLen, true
+	telemetry.M.Counter(telemetry.CtrCodecBytesSent).Add(int64(len(packed)))
+	return packed, blockLen, nil
 }
 
 // UnpackBlocks splits a packed byte string back into blocks.
@@ -57,19 +53,4 @@ func UnpackBlocks(packed []byte, blockLen int) ([][]byte, error) {
 		out[i] = packed[i*blockLen : (i+1)*blockLen : (i+1)*blockLen]
 	}
 	return out, nil
-}
-
-// observePack records the bytes framed by the packed encoding and the
-// JSON/base64 inflation it avoided versus the element-wise legacy
-// encoding. Both figures derive only from block count and width.
-func observePack(n, blockLen int) {
-	total := n * blockLen
-	b64 := func(m int) int { return (m + 2) / 3 * 4 }
-	// Legacy: per block, a base64 string plus quotes and comma;
-	// packed: one base64 string.
-	legacy := n * (b64(blockLen) + 3)
-	telemetry.M.Counter(telemetry.CtrCodecBytesSent).Add(int64(total))
-	if saved := legacy - (b64(total) + 2); saved > 0 {
-		telemetry.M.Counter(telemetry.CtrCodecBytesSaved).Add(int64(saved))
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"confaudit/internal/mathx"
+	"confaudit/internal/smc"
 	"confaudit/internal/transport"
 )
 
@@ -51,14 +52,11 @@ func TestForgedFinalRejected(t *testing.T) {
 		}
 	}()
 	// Mallory races a forged "final" claiming to be P2's set.
-	forged, err := transport.NewMessage("P1", "intersect.final", "forge", finalBody{
-		Origin: "P2",
-		Blocks: [][]byte{[]byte("forged-block")},
-	})
+	forged, err := smc.NewRelayWire("P2", 0, [][]byte{[]byte("forged-block")}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mbs["M"].Send(ctx, forged); err != nil {
+	if err := mbs["M"].Send(ctx, transport.NewBinaryMessage("P1", "intersect.final", "forge", &forged)); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -99,19 +97,12 @@ func TestWrongHopCountRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var body relayBody
+	var body smc.RelayWire
 	if err := transport.Unmarshal(msg.Payload, &body); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := transport.NewMessage("P1", "intersect.relay", "hops", relayBody{
-		Origin: body.Origin,
-		Hops:   body.Hops, // not incremented: claims full circle too early
-		Blocks: body.Blocks,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mbs["M"].Send(ctx, reply); err != nil {
+	// Hops not incremented: claims full circle too early.
+	if err := mbs["M"].Send(ctx, transport.NewBinaryMessage("P1", "intersect.relay", "hops", &body)); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -7,11 +7,11 @@ import (
 	"confaudit/internal/mathx"
 )
 
-// TestChunkedRelayInterop drives full protocol runs with a chunk size
+// TestChunkedRelay drives full protocol runs with a chunk size
 // small enough that every set spans multiple relay messages, covering
 // multi-chunk reassembly plus the empty- and single-element edge cases
 // that collapse to one (possibly empty) chunk.
-func TestChunkedRelayInterop(t *testing.T) {
+func TestChunkedRelay(t *testing.T) {
 	defer SetRelayChunkSize(2)()
 	cases := []struct {
 		name string
@@ -71,27 +71,5 @@ func TestChunkedRelayInterop(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLegacySingleChunkAccepted verifies wire compatibility: a relay
-// body without chunk framing (Total 0) reassembles as one complete set.
-func TestLegacySingleChunkAccepted(t *testing.T) {
-	r := &reassembly{}
-	body := relayBody{Origin: "P9", Hops: 1, Blocks: [][]byte{[]byte("b0"), []byte("b1")}}
-	blocks, err := body.blockSlice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, err := r.add(&body, blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("legacy single-chunk body did not complete the stream")
-	}
-	got := r.assemble()
-	if len(got) != 2 || string(got[0]) != "b0" || string(got[1]) != "b1" {
-		t.Fatalf("assembled %q", got)
 	}
 }

@@ -119,188 +119,6 @@ type Result struct {
 // treats as permitted secondary information.
 var relayChunkSize = 64
 
-// relayBody is one relayed chunk. Seq/Total are the chunk framing,
-// versioned for wire compatibility: a body without them (Total 0, the
-// pre-chunking encoding) is a complete single-chunk set. Blocks is the
-// legacy element-wise encoding; current senders pack the fixed-width
-// ciphertext blocks into the single Packed run (width BlockLen), and
-// decoders accept either.
-type relayBody struct {
-	Origin   string   `json:"origin"`
-	Hops     int      `json:"hops"`
-	Blocks   [][]byte `json:"blocks,omitempty"`
-	Packed   []byte   `json:"packed,omitempty"`
-	BlockLen int      `json:"block_len,omitempty"`
-	Seq      int      `json:"seq,omitempty"`
-	Total    int      `json:"total,omitempty"`
-}
-
-// newRelayBody builds a chunk body, preferring the packed encoding and
-// falling back to element-wise blocks if they are not uniform width.
-func newRelayBody(origin string, hops int, blocks [][]byte, seq, total int) relayBody {
-	b := relayBody{Origin: origin, Hops: hops, Seq: seq, Total: total}
-	if packed, width, ok := smc.PackBlocks(blocks); ok {
-		b.Packed, b.BlockLen = packed, width
-	} else {
-		b.Blocks = blocks
-	}
-	return b
-}
-
-// relayWire views the body as the shared relay wire shape.
-func (b *relayBody) relayWire() smc.RelayWire {
-	return smc.RelayWire{
-		Origin: b.Origin, Hops: b.Hops, Seq: b.Seq, Total: b.Total,
-		BlockLen: b.BlockLen, Packed: b.Packed, Blocks: b.Blocks,
-	}
-}
-
-// BinarySize, AppendBinary, and DecodeBinary implement
-// transport.BinaryBody, so relay chunks ride the binary payload codec
-// toward capable peers (and its zero-copy TCP frame path).
-func (b *relayBody) BinarySize() int {
-	w := b.relayWire()
-	return w.BinarySize()
-}
-
-func (b *relayBody) AppendBinary(dst []byte) []byte {
-	w := b.relayWire()
-	return w.AppendBinary(dst)
-}
-
-func (b *relayBody) DecodeBinary(src []byte) error {
-	var w smc.RelayWire
-	if err := w.DecodeBinary(src); err != nil {
-		return err
-	}
-	*b = relayBody{
-		Origin: w.Origin, Hops: w.Hops, Seq: w.Seq, Total: w.Total,
-		BlockLen: w.BlockLen, Packed: w.Packed, Blocks: w.Blocks,
-	}
-	return nil
-}
-
-// blockSlice returns the chunk's blocks regardless of which encoding
-// the sender used.
-func (b *relayBody) blockSlice() ([][]byte, error) {
-	if len(b.Packed) > 0 {
-		if len(b.Blocks) > 0 {
-			return nil, fmt.Errorf("%w: origin %s sent both packed and element-wise blocks", smc.ErrProtocol, b.Origin)
-		}
-		return smc.UnpackBlocks(b.Packed, b.BlockLen)
-	}
-	return b.Blocks, nil
-}
-
-// chunkTotal normalizes the legacy encoding.
-func (b *relayBody) chunkTotal() int {
-	if b.Total <= 0 {
-		return 1
-	}
-	return b.Total
-}
-
-// splitChunks cuts blocks into relayChunkSize pieces; an empty set is a
-// single empty chunk so every origin still injects exactly one stream.
-func splitChunks(blocks [][]byte) [][][]byte {
-	if len(blocks) == 0 {
-		return [][][]byte{nil}
-	}
-	out := make([][][]byte, 0, (len(blocks)+relayChunkSize-1)/relayChunkSize)
-	for len(blocks) > relayChunkSize {
-		out = append(out, blocks[:relayChunkSize])
-		blocks = blocks[relayChunkSize:]
-	}
-	return append(out, blocks)
-}
-
-// reassembly accumulates one origin's chunks.
-type reassembly struct {
-	total  int
-	chunks map[int][][]byte
-}
-
-// add records a chunk, validating the framing against what was already
-// seen. It reports whether the origin's set is now complete.
-func (r *reassembly) add(body *relayBody, blocks [][]byte) (bool, error) {
-	total := body.chunkTotal()
-	if r.chunks == nil {
-		r.total = total
-		r.chunks = make(map[int][][]byte, total)
-	}
-	if total != r.total {
-		return false, fmt.Errorf("%w: origin %s changed chunk count %d to %d", smc.ErrProtocol, body.Origin, r.total, total)
-	}
-	if body.Seq < 0 || body.Seq >= total {
-		return false, fmt.Errorf("%w: origin %s chunk %d of %d out of range", smc.ErrProtocol, body.Origin, body.Seq, total)
-	}
-	if _, dup := r.chunks[body.Seq]; dup {
-		return false, fmt.Errorf("%w: origin %s repeated chunk %d", smc.ErrProtocol, body.Origin, body.Seq)
-	}
-	r.chunks[body.Seq] = blocks
-	return len(r.chunks) == r.total, nil
-}
-
-// assemble concatenates the chunks in sequence order.
-func (r *reassembly) assemble() [][]byte {
-	var out [][]byte
-	for i := 0; i < r.total; i++ {
-		out = append(out, r.chunks[i]...)
-	}
-	return out
-}
-
-// finalBody publishes one party's fully-encrypted set, with the same
-// packed/legacy dual encoding as relayBody.
-type finalBody struct {
-	Origin   string   `json:"origin"`
-	Blocks   [][]byte `json:"blocks,omitempty"`
-	Packed   []byte   `json:"packed,omitempty"`
-	BlockLen int      `json:"block_len,omitempty"`
-}
-
-func newFinalBody(origin string, blocks [][]byte) finalBody {
-	b := finalBody{Origin: origin}
-	if packed, width, ok := smc.PackBlocks(blocks); ok {
-		b.Packed, b.BlockLen = packed, width
-	} else {
-		b.Blocks = blocks
-	}
-	return b
-}
-
-func (b *finalBody) blockSlice() ([][]byte, error) {
-	if len(b.Packed) > 0 {
-		if len(b.Blocks) > 0 {
-			return nil, fmt.Errorf("%w: origin %s sent both packed and element-wise blocks", smc.ErrProtocol, b.Origin)
-		}
-		return smc.UnpackBlocks(b.Packed, b.BlockLen)
-	}
-	return b.Blocks, nil
-}
-
-// BinarySize, AppendBinary, and DecodeBinary implement
-// transport.BinaryBody through the shared relay wire shape (the hops
-// and chunk-framing fields encode as zero).
-func (b *finalBody) BinarySize() int {
-	w := smc.RelayWire{Origin: b.Origin, BlockLen: b.BlockLen, Packed: b.Packed, Blocks: b.Blocks}
-	return w.BinarySize()
-}
-
-func (b *finalBody) AppendBinary(dst []byte) []byte {
-	w := smc.RelayWire{Origin: b.Origin, BlockLen: b.BlockLen, Packed: b.Packed, Blocks: b.Blocks}
-	return w.AppendBinary(dst)
-}
-
-func (b *finalBody) DecodeBinary(src []byte) error {
-	var w smc.RelayWire
-	if err := w.DecodeBinary(src); err != nil {
-		return err
-	}
-	*b = finalBody{Origin: w.Origin, BlockLen: w.BlockLen, Packed: w.Packed, Blocks: w.Blocks}
-	return nil
-}
-
 // Run executes one party's role in the protocol. Every ring member must
 // call Run concurrently with its own mailbox and local set.
 func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]byte) (out *Result, err error) {
@@ -336,7 +154,7 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 	// modexp work with its own wire time.
 	runCtx, cancelStream := context.WithCancel(ctx)
 	defer cancelStream()
-	myChunks := splitChunks(blocks)
+	myChunks := smc.SplitChunks(blocks, relayChunkSize)
 	encCh := smc.EncryptStream(runCtx, cfg.Session, self, key, myChunks)
 	for range myChunks {
 		ec, ok := smc.NextEncChunk(encCh)
@@ -350,8 +168,10 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 			ec.Span.End(ec.Err)
 			return nil, fmt.Errorf("intersect: encrypting local set: %w", ec.Err)
 		}
-		body := newRelayBody(self, 1, ec.Blocks, ec.Seq, len(myChunks))
-		err = send(ctx, mb, next, msgRelay, cfg.Session, &body)
+		body, err := smc.NewRelayWire(self, 1, ec.Blocks, ec.Seq, len(myChunks))
+		if err == nil {
+			err = send(ctx, mb, next, msgRelay, cfg.Session, &body)
+		}
 		smc.ObserveRelayChunk(ec.Span, ec.Start, next, ec.Seq, len(myChunks), ec.Blocks, err)
 		if err != nil {
 			return nil, err
@@ -363,17 +183,17 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 	// forward chunk-wise) and its own returning fully-encrypted stream.
 	var myFinal [][]byte
 	myDone := false
-	streams := make(map[string]*reassembly, n)
+	streams := make(map[string]*smc.Reassembly, n)
 	for complete := 0; complete < n; {
 		msg, err := mb.Expect(ctx, msgRelay, cfg.Session)
 		if err != nil {
 			return nil, fmt.Errorf("intersect: awaiting relay: %w", err)
 		}
-		var body relayBody
+		var body smc.RelayWire
 		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
 			return nil, err
 		}
-		chunkBlocks, err := body.blockSlice()
+		chunkBlocks, err := body.Unpack()
 		if err != nil {
 			return nil, err
 		}
@@ -389,26 +209,28 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 				csp.End(err)
 				return nil, fmt.Errorf("intersect: re-encrypting set from %s: %w", body.Origin, err)
 			}
-			fwd := newRelayBody(body.Origin, body.Hops+1, enc, body.Seq, body.Total)
-			err = send(ctx, mb, next, msgRelay, cfg.Session, &fwd)
-			smc.ObserveRelayChunk(csp, chunkStart, next, body.Seq, body.chunkTotal(), enc, err)
+			fwd, err := smc.NewRelayWire(body.Origin, body.Hops+1, enc, body.Seq, body.Total)
+			if err == nil {
+				err = send(ctx, mb, next, msgRelay, cfg.Session, &fwd)
+			}
+			smc.ObserveRelayChunk(csp, chunkStart, next, body.Seq, body.Total, enc, err)
 			if err != nil {
 				return nil, err
 			}
 		}
 		r := streams[body.Origin]
 		if r == nil {
-			r = &reassembly{}
+			r = &smc.Reassembly{}
 			streams[body.Origin] = r
 		}
-		done, err := r.add(&body, chunkBlocks)
+		done, err := r.Add(&body, chunkBlocks)
 		if err != nil {
 			return nil, err
 		}
 		if done {
 			complete++
 			if body.Origin == self {
-				myFinal = r.assemble()
+				myFinal = r.Assemble()
 				myDone = true
 			}
 		}
@@ -418,7 +240,10 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 	}
 
 	// Publish the fully-encrypted set to every receiver and observer.
-	myFinalBody := newFinalBody(self, myFinal)
+	myFinalBody, err := smc.NewRelayWire(self, 0, myFinal, 0, 1)
+	if err != nil {
+		return nil, err
+	}
 	for _, r := range cfg.Receivers {
 		if err := send(ctx, mb, r, msgFinal, cfg.Session, &myFinalBody); err != nil {
 			return nil, err
@@ -441,14 +266,14 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 		if err != nil {
 			return nil, fmt.Errorf("intersect: awaiting final sets: %w", err)
 		}
-		var body finalBody
+		var body smc.RelayWire
 		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
 			return nil, err
 		}
 		if msg.From != body.Origin {
 			return nil, fmt.Errorf("%w: node %s published a set claiming origin %s", smc.ErrProtocol, msg.From, body.Origin)
 		}
-		fb, err := body.blockSlice()
+		fb, err := body.Unpack()
 		if err != nil {
 			return nil, err
 		}
@@ -487,14 +312,14 @@ func Observe(ctx context.Context, mb *transport.Mailbox, cfg Config) (int, error
 		if err != nil {
 			return 0, fmt.Errorf("intersect: observing final sets: %w", err)
 		}
-		var body finalBody
+		var body smc.RelayWire
 		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
 			return 0, err
 		}
 		if msg.From != body.Origin {
 			return 0, fmt.Errorf("%w: node %s published a set claiming origin %s", smc.ErrProtocol, msg.From, body.Origin)
 		}
-		fb, err := body.blockSlice()
+		fb, err := body.Unpack()
 		if err != nil {
 			return 0, err
 		}
@@ -543,9 +368,8 @@ func intersectAll(ring []string, finals map[string][][]byte) map[string]struct{}
 	return common
 }
 
-// send defers the body's payload encoding to the transport (binary
-// toward capable peers — the zero-copy frame path — JSON toward
-// everyone else).
+// send defers the body's binary payload encoding to the transport (the
+// zero-copy frame path on TCP).
 func send(ctx context.Context, mb *transport.Mailbox, to, typ, session string, body transport.BinaryBody) error {
 	msg := transport.NewBinaryMessage(to, typ, session, body)
 	if err := mb.Send(ctx, msg); err != nil {

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
 	"confaudit/internal/mathx"
+	"confaudit/internal/smc/smctest"
 	"confaudit/internal/transport"
 )
 
@@ -16,37 +16,11 @@ func runParties(t *testing.T, cfg Config, sets map[string][][]byte) map[string]*
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	net := transport.NewMemNetwork()
-	defer net.Close() //nolint:errcheck
-
-	results := make(map[string]*Result, len(cfg.Ring))
-	errs := make(map[string]error, len(cfg.Ring))
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	for _, node := range cfg.Ring {
-		ep, err := net.Endpoint(node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mb := transport.NewMailbox(ep)
-		defer mb.Close() //nolint:errcheck
-		wg.Add(1)
-		go func(node string, mb *transport.Mailbox) {
-			defer wg.Done()
-			res, err := Run(ctx, mb, cfg, sets[node])
-			mu.Lock()
-			defer mu.Unlock()
-			results[node] = res
-			errs[node] = err
-		}(node, mb)
-	}
-	wg.Wait()
-	for node, err := range errs {
-		if err != nil {
-			t.Fatalf("party %s: %v", node, err)
-		}
+	results, err := smctest.RunParties(ctx, cfg.Ring, func(ctx context.Context, id string, mb *transport.Mailbox) (*Result, error) {
+		return Run(ctx, mb, cfg, sets[id])
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return results
 }
@@ -272,30 +246,17 @@ func benchIntersect(b *testing.B, parties, setSize int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net := transport.NewMemNetwork()
 		cfg := Config{
 			Group:     mathx.Oakley768,
 			Ring:      ring,
 			Receivers: []string{ring[0]},
 			Session:   fmt.Sprintf("bench-%d", i),
 		}
-		var wg sync.WaitGroup
-		for _, node := range ring {
-			ep, err := net.Endpoint(node)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mb := transport.NewMailbox(ep)
-			wg.Add(1)
-			go func(node string, mb *transport.Mailbox) {
-				defer wg.Done()
-				defer mb.Close() //nolint:errcheck
-				if _, err := Run(ctx, mb, cfg, sets[node]); err != nil {
-					b.Error(err)
-				}
-			}(node, mb)
+		if _, err := smctest.RunParties(ctx, ring, func(ctx context.Context, id string, mb *transport.Mailbox) (struct{}, error) {
+			_, err := Run(ctx, mb, cfg, sets[id])
+			return struct{}{}, err
+		}); err != nil {
+			b.Fatal(err)
 		}
-		wg.Wait()
-		net.Close() //nolint:errcheck
 	}
 }

@@ -2,11 +2,11 @@ package intersect
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
 	"confaudit/internal/mathx"
+	"confaudit/internal/smc/smctest"
 	"confaudit/internal/transport"
 )
 
@@ -15,8 +15,6 @@ import (
 func TestObserveCardinality(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	net := transport.NewMemNetwork()
-	defer net.Close() //nolint:errcheck
 
 	cfg := Config{
 		Group:     mathx.Oakley768,
@@ -30,40 +28,18 @@ func TestObserveCardinality(t *testing.T) {
 		"P2": {[]byte("d"), []byte("e"), []byte("f")},
 		"P3": {[]byte("e"), []byte("f"), []byte("g"), []byte("d")},
 	}
-	mbs := make(map[string]*transport.Mailbox)
-	for _, id := range []string{"P1", "P2", "P3", "O"} {
-		ep, err := net.Endpoint(id)
-		if err != nil {
-			t.Fatal(err)
+	results, err := smctest.RunParties(ctx, []string{"P1", "P2", "P3", "O"}, func(ctx context.Context, id string, mb *transport.Mailbox) (int, error) {
+		if id == "O" {
+			return Observe(ctx, mb, cfg)
 		}
-		mbs[id] = transport.NewMailbox(ep)
-		defer mbs[id].Close() //nolint:errcheck
-	}
-	var (
-		wg    sync.WaitGroup
-		size  int
-		obErr error
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		size, obErr = Observe(ctx, mbs["O"], cfg)
-	}()
-	for _, node := range cfg.Ring {
-		wg.Add(1)
-		go func(node string) {
-			defer wg.Done()
-			if _, err := Run(ctx, mbs[node], cfg, sets[node]); err != nil {
-				t.Errorf("%s: %v", node, err)
-			}
-		}(node)
-	}
-	wg.Wait()
-	if obErr != nil {
-		t.Fatal(obErr)
+		_, err := Run(ctx, mb, cfg, sets[id])
+		return 0, err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// {d, e} is common to all three sets.
-	if size != 2 {
+	if size := results["O"]; size != 2 {
 		t.Fatalf("observed cardinality %d, want 2", size)
 	}
 }

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"confaudit/internal/smc/smctest"
 	"confaudit/internal/transport"
 )
 
@@ -18,37 +18,11 @@ func runParties(t *testing.T, cfg Config, values map[string]*big.Int) map[string
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	net := transport.NewMemNetwork()
-	defer net.Close() //nolint:errcheck
-
-	results := make(map[string]*big.Int, len(cfg.Parties))
-	errs := make(map[string]error, len(cfg.Parties))
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	for _, node := range cfg.Parties {
-		ep, err := net.Endpoint(node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mb := transport.NewMailbox(ep)
-		defer mb.Close() //nolint:errcheck
-		wg.Add(1)
-		go func(node string, mb *transport.Mailbox) {
-			defer wg.Done()
-			res, err := Run(ctx, mb, cfg, values[node])
-			mu.Lock()
-			defer mu.Unlock()
-			results[node] = res
-			errs[node] = err
-		}(node, mb)
-	}
-	wg.Wait()
-	for node, err := range errs {
-		if err != nil {
-			t.Fatalf("party %s: %v", node, err)
-		}
+	results, err := smctest.RunParties(ctx, cfg.Parties, func(ctx context.Context, id string, mb *transport.Mailbox) (*big.Int, error) {
+		return Run(ctx, mb, cfg, values[id])
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return results
 }
@@ -222,7 +196,6 @@ func BenchmarkSum5Party(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net := transport.NewMemNetwork()
 		cfg := Config{
 			P:         testPrime,
 			Parties:   parties,
@@ -230,23 +203,11 @@ func BenchmarkSum5Party(b *testing.B) {
 			Receivers: []string{"P0"},
 			Session:   fmt.Sprintf("b%d", i),
 		}
-		var wg sync.WaitGroup
-		for _, node := range parties {
-			ep, err := net.Endpoint(node)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mb := transport.NewMailbox(ep)
-			wg.Add(1)
-			go func(node string, mb *transport.Mailbox) {
-				defer wg.Done()
-				defer mb.Close() //nolint:errcheck
-				if _, err := Run(ctx, mb, cfg, values[node]); err != nil {
-					b.Error(err)
-				}
-			}(node, mb)
+		if _, err := smctest.RunParties(ctx, parties, func(ctx context.Context, id string, mb *transport.Mailbox) (struct{}, error) {
+			_, err := Run(ctx, mb, cfg, values[id])
+			return struct{}{}, err
+		}); err != nil {
+			b.Fatal(err)
 		}
-		wg.Wait()
-		net.Close() //nolint:errcheck
 	}
 }

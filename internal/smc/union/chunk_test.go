@@ -7,10 +7,10 @@ import (
 	"confaudit/internal/mathx"
 )
 
-// TestChunkedRelayInterop drives full union runs with a chunk size small
+// TestChunkedRelay drives full union runs with a chunk size small
 // enough that phase-1 sets span multiple relay messages, including the
 // empty- and single-element edge cases.
-func TestChunkedRelayInterop(t *testing.T) {
+func TestChunkedRelay(t *testing.T) {
 	defer SetRelayChunkSize(2)()
 	cases := []struct {
 		name string

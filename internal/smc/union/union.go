@@ -127,181 +127,6 @@ func ExtractElement(block []byte) ([]byte, error) {
 // (Definition 1 secondary information).
 var relayChunkSize = 64
 
-// relayBody is one relayed chunk; Total 0 is the pre-chunking encoding
-// (a complete single-chunk set), kept for wire compatibility. Blocks is
-// the legacy element-wise encoding; current senders pack the uniform
-// ciphertext blocks into Packed (width BlockLen), and decoders accept
-// either.
-type relayBody struct {
-	Origin   string   `json:"origin"`
-	Hops     int      `json:"hops"`
-	Blocks   [][]byte `json:"blocks,omitempty"`
-	Packed   []byte   `json:"packed,omitempty"`
-	BlockLen int      `json:"block_len,omitempty"`
-	Seq      int      `json:"seq,omitempty"`
-	Total    int      `json:"total,omitempty"`
-}
-
-// newRelayBody builds a chunk body, preferring the packed encoding.
-func newRelayBody(origin string, hops int, blocks [][]byte, seq, total int) relayBody {
-	b := relayBody{Origin: origin, Hops: hops, Seq: seq, Total: total}
-	if packed, width, ok := smc.PackBlocks(blocks); ok {
-		b.Packed, b.BlockLen = packed, width
-	} else {
-		b.Blocks = blocks
-	}
-	return b
-}
-
-// relayWire views the body as the shared relay wire shape.
-func (b *relayBody) relayWire() smc.RelayWire {
-	return smc.RelayWire{
-		Origin: b.Origin, Hops: b.Hops, Seq: b.Seq, Total: b.Total,
-		BlockLen: b.BlockLen, Packed: b.Packed, Blocks: b.Blocks,
-	}
-}
-
-// BinarySize, AppendBinary, and DecodeBinary implement
-// transport.BinaryBody, so relay chunks ride the binary payload codec
-// toward capable peers (and its zero-copy TCP frame path).
-func (b *relayBody) BinarySize() int {
-	w := b.relayWire()
-	return w.BinarySize()
-}
-
-func (b *relayBody) AppendBinary(dst []byte) []byte {
-	w := b.relayWire()
-	return w.AppendBinary(dst)
-}
-
-func (b *relayBody) DecodeBinary(src []byte) error {
-	var w smc.RelayWire
-	if err := w.DecodeBinary(src); err != nil {
-		return err
-	}
-	*b = relayBody{
-		Origin: w.Origin, Hops: w.Hops, Seq: w.Seq, Total: w.Total,
-		BlockLen: w.BlockLen, Packed: w.Packed, Blocks: w.Blocks,
-	}
-	return nil
-}
-
-// blockSlice returns the chunk's blocks regardless of encoding.
-func (b *relayBody) blockSlice() ([][]byte, error) {
-	if len(b.Packed) > 0 {
-		if len(b.Blocks) > 0 {
-			return nil, fmt.Errorf("%w: origin %s sent both packed and element-wise blocks", smc.ErrProtocol, b.Origin)
-		}
-		return smc.UnpackBlocks(b.Packed, b.BlockLen)
-	}
-	return b.Blocks, nil
-}
-
-func (b *relayBody) chunkTotal() int {
-	if b.Total <= 0 {
-		return 1
-	}
-	return b.Total
-}
-
-func splitChunks(blocks [][]byte) [][][]byte {
-	if len(blocks) == 0 {
-		return [][][]byte{nil}
-	}
-	out := make([][][]byte, 0, (len(blocks)+relayChunkSize-1)/relayChunkSize)
-	for len(blocks) > relayChunkSize {
-		out = append(out, blocks[:relayChunkSize])
-		blocks = blocks[relayChunkSize:]
-	}
-	return append(out, blocks)
-}
-
-// reassembly accumulates one origin's chunks.
-type reassembly struct {
-	total  int
-	chunks map[int][][]byte
-}
-
-func (r *reassembly) add(body *relayBody, blocks [][]byte) (bool, error) {
-	total := body.chunkTotal()
-	if r.chunks == nil {
-		r.total = total
-		r.chunks = make(map[int][][]byte, total)
-	}
-	if total != r.total {
-		return false, fmt.Errorf("%w: origin %s changed chunk count %d to %d", smc.ErrProtocol, body.Origin, r.total, total)
-	}
-	if body.Seq < 0 || body.Seq >= total {
-		return false, fmt.Errorf("%w: origin %s chunk %d of %d out of range", smc.ErrProtocol, body.Origin, body.Seq, total)
-	}
-	if _, dup := r.chunks[body.Seq]; dup {
-		return false, fmt.Errorf("%w: origin %s repeated chunk %d", smc.ErrProtocol, body.Origin, body.Seq)
-	}
-	r.chunks[body.Seq] = blocks
-	return len(r.chunks) == r.total, nil
-}
-
-func (r *reassembly) assemble() [][]byte {
-	out := make([][]byte, 0)
-	for i := 0; i < r.total; i++ {
-		out = append(out, r.chunks[i]...)
-	}
-	return out
-}
-
-// blocksBody carries a whole block batch (collect, decrypt, and result
-// phases), with the same packed/legacy dual encoding as relayBody.
-// Result batches hold variable-length plaintexts and automatically fall
-// back to the element-wise encoding.
-type blocksBody struct {
-	Hops     int      `json:"hops"`
-	Blocks   [][]byte `json:"blocks,omitempty"`
-	Packed   []byte   `json:"packed,omitempty"`
-	BlockLen int      `json:"block_len,omitempty"`
-}
-
-func newBlocksBody(hops int, blocks [][]byte) blocksBody {
-	b := blocksBody{Hops: hops}
-	if packed, width, ok := smc.PackBlocks(blocks); ok {
-		b.Packed, b.BlockLen = packed, width
-	} else {
-		b.Blocks = blocks
-	}
-	return b
-}
-
-func (b *blocksBody) blockSlice() ([][]byte, error) {
-	if len(b.Packed) > 0 {
-		if len(b.Blocks) > 0 {
-			return nil, fmt.Errorf("%w: batch carries both packed and element-wise blocks", smc.ErrProtocol)
-		}
-		return smc.UnpackBlocks(b.Packed, b.BlockLen)
-	}
-	return b.Blocks, nil
-}
-
-// BinarySize, AppendBinary, and DecodeBinary implement
-// transport.BinaryBody through the shared relay wire shape (Origin and
-// the chunk-framing fields encode as zero).
-func (b *blocksBody) BinarySize() int {
-	w := smc.RelayWire{Hops: b.Hops, BlockLen: b.BlockLen, Packed: b.Packed, Blocks: b.Blocks}
-	return w.BinarySize()
-}
-
-func (b *blocksBody) AppendBinary(dst []byte) []byte {
-	w := smc.RelayWire{Hops: b.Hops, BlockLen: b.BlockLen, Packed: b.Packed, Blocks: b.Blocks}
-	return w.AppendBinary(dst)
-}
-
-func (b *blocksBody) DecodeBinary(src []byte) error {
-	var w smc.RelayWire
-	if err := w.DecodeBinary(src); err != nil {
-		return err
-	}
-	*b = blocksBody{Hops: w.Hops, BlockLen: w.BlockLen, Packed: w.Packed, Blocks: w.Blocks}
-	return nil
-}
-
 // Run executes one party's role. Every ring member calls Run
 // concurrently; receivers (and only receivers) obtain the union.
 func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]byte) (out [][]byte, err error) {
@@ -349,7 +174,7 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 	// hop's modexp work with its own wire time.
 	runCtx, cancelStream := context.WithCancel(ctx)
 	defer cancelStream()
-	myChunks := splitChunks(blocks)
+	myChunks := smc.SplitChunks(blocks, relayChunkSize)
 	encCh := smc.EncryptStream(runCtx, cfg.Session, self, key, myChunks)
 	for range myChunks {
 		ec, ok := smc.NextEncChunk(encCh)
@@ -363,25 +188,27 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 			ec.Span.End(ec.Err)
 			return nil, fmt.Errorf("union: encrypting local set: %w", ec.Err)
 		}
-		body := newRelayBody(self, 1, ec.Blocks, ec.Seq, len(myChunks))
-		err = send(ctx, mb, next, msgRelay, cfg.Session, &body)
+		body, err := smc.NewRelayWire(self, 1, ec.Blocks, ec.Seq, len(myChunks))
+		if err == nil {
+			err = send(ctx, mb, next, msgRelay, cfg.Session, &body)
+		}
 		smc.ObserveRelayChunk(ec.Span, ec.Start, next, ec.Seq, len(myChunks), ec.Blocks, err)
 		if err != nil {
 			return nil, err
 		}
 	}
 	var myFinal [][]byte
-	streams := make(map[string]*reassembly, n)
+	streams := make(map[string]*smc.Reassembly, n)
 	for complete := 0; complete < n; {
 		msg, err := mb.Expect(ctx, msgRelay, cfg.Session)
 		if err != nil {
 			return nil, fmt.Errorf("union: awaiting relay: %w", err)
 		}
-		var body relayBody
+		var body smc.RelayWire
 		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
 			return nil, err
 		}
-		chunkBlocks, err := body.blockSlice()
+		chunkBlocks, err := body.Unpack()
 		if err != nil {
 			return nil, err
 		}
@@ -397,26 +224,28 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 				csp.End(err)
 				return nil, fmt.Errorf("union: re-encrypting set from %s: %w", body.Origin, err)
 			}
-			fwd := newRelayBody(body.Origin, body.Hops+1, enc, body.Seq, body.Total)
-			err = send(ctx, mb, next, msgRelay, cfg.Session, &fwd)
-			smc.ObserveRelayChunk(csp, chunkStart, next, body.Seq, body.chunkTotal(), enc, err)
+			fwd, err := smc.NewRelayWire(body.Origin, body.Hops+1, enc, body.Seq, body.Total)
+			if err == nil {
+				err = send(ctx, mb, next, msgRelay, cfg.Session, &fwd)
+			}
+			smc.ObserveRelayChunk(csp, chunkStart, next, body.Seq, body.Total, enc, err)
 			if err != nil {
 				return nil, err
 			}
 		}
 		r := streams[body.Origin]
 		if r == nil {
-			r = &reassembly{}
+			r = &smc.Reassembly{}
 			streams[body.Origin] = r
 		}
-		done, err := r.add(&body, chunkBlocks)
+		done, err := r.Add(&body, chunkBlocks)
 		if err != nil {
 			return nil, err
 		}
 		if done {
 			complete++
 			if body.Origin == self {
-				myFinal = r.assemble()
+				myFinal = r.Assemble()
 			}
 		}
 	}
@@ -424,8 +253,7 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 	// Phase 2: every party ships its fully-encrypted set to the
 	// collector, which dedups and sorts (sorting erases contribution
 	// order, hence ownership).
-	collectBody := newBlocksBody(0, myFinal)
-	if err := send(ctx, mb, collector, msgCollect, cfg.Session, &collectBody); err != nil {
+	if err := sendBatch(ctx, mb, collector, msgCollect, cfg.Session, 0, myFinal); err != nil {
 		return nil, err
 	}
 	if self == collector {
@@ -435,11 +263,11 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 			if err != nil {
 				return nil, fmt.Errorf("union: collecting sets: %w", err)
 			}
-			var body blocksBody
+			var body smc.RelayWire
 			if err := transport.Unmarshal(msg.Payload, &body); err != nil {
 				return nil, err
 			}
-			bs, err := body.blockSlice()
+			bs, err := body.Unpack()
 			if err != nil {
 				return nil, err
 			}
@@ -458,8 +286,7 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 		if err != nil {
 			return nil, fmt.Errorf("union: stripping collector layer: %w", err)
 		}
-		decBody := newBlocksBody(1, dec)
-		if err := send(ctx, mb, next, msgDecrypt, cfg.Session, &decBody); err != nil {
+		if err := sendBatch(ctx, mb, next, msgDecrypt, cfg.Session, 1, dec); err != nil {
 			return nil, err
 		}
 	}
@@ -473,11 +300,11 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 		if err != nil {
 			return nil, fmt.Errorf("union: awaiting decrypt batch: %w", err)
 		}
-		var body blocksBody
+		var body smc.RelayWire
 		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
 			return nil, err
 		}
-		bs, err := body.blockSlice()
+		bs, err := body.Unpack()
 		if err != nil {
 			return nil, err
 		}
@@ -485,8 +312,7 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 		if err != nil {
 			return nil, fmt.Errorf("union: stripping layer: %w", err)
 		}
-		fwdBody := newBlocksBody(body.Hops+1, dec)
-		if err := send(ctx, mb, next, msgDecrypt, cfg.Session, &fwdBody); err != nil {
+		if err := sendBatch(ctx, mb, next, msgDecrypt, cfg.Session, body.Hops+1, dec); err != nil {
 			return nil, err
 		}
 	} else {
@@ -494,33 +320,27 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 		if err != nil {
 			return nil, fmt.Errorf("union: awaiting final batch: %w", err)
 		}
-		var body blocksBody
+		var body smc.RelayWire
 		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
 			return nil, err
 		}
 		if body.Hops != n {
 			return nil, fmt.Errorf("%w: decryption batch returned after %d of %d layers", smc.ErrProtocol, body.Hops, n)
 		}
-		bs, err := body.blockSlice()
+		bs, err := body.Unpack()
 		if err != nil {
 			return nil, err
 		}
-		plain = make([][]byte, 0, len(bs))
-		for _, blk := range bs {
-			el, err := ExtractElement(blk)
-			if err != nil {
-				return nil, fmt.Errorf("union: extracting element: %w", err)
-			}
-			plain = append(plain, el)
+		if plain, err = extractSorted(bs); err != nil {
+			return nil, err
 		}
-		sort.Slice(plain, func(i, j int) bool { return bytes.Compare(plain[i], plain[j]) < 0 })
-		// Distribute to receivers.
-		resultBody := newBlocksBody(0, plain)
+		// Distribute the fixed-width embeddings to receivers, which
+		// extract the plaintexts themselves.
 		for _, r := range cfg.Receivers {
 			if r == self {
 				continue
 			}
-			if err := send(ctx, mb, r, msgResult, cfg.Session, &resultBody); err != nil {
+			if err := sendBatch(ctx, mb, r, msgResult, cfg.Session, 0, bs); err != nil {
 				return nil, err
 			}
 		}
@@ -536,16 +356,44 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 	if err != nil {
 		return nil, fmt.Errorf("union: awaiting result: %w", err)
 	}
-	var body blocksBody
+	var body smc.RelayWire
 	if err := transport.Unmarshal(msg.Payload, &body); err != nil {
 		return nil, err
 	}
-	return body.blockSlice()
+	bs, err := body.Unpack()
+	if err != nil {
+		return nil, err
+	}
+	return extractSorted(bs)
 }
 
-// send defers the body's payload encoding to the transport (binary
-// toward capable peers — the zero-copy frame path — JSON toward
-// everyone else).
+// extractSorted recovers the plaintexts embedded in blocks, in byte
+// order.
+func extractSorted(blocks [][]byte) ([][]byte, error) {
+	plain := make([][]byte, 0, len(blocks))
+	for _, blk := range blocks {
+		el, err := ExtractElement(blk)
+		if err != nil {
+			return nil, fmt.Errorf("union: extracting element: %w", err)
+		}
+		plain = append(plain, el)
+	}
+	sort.Slice(plain, func(i, j int) bool { return bytes.Compare(plain[i], plain[j]) < 0 })
+	return plain, nil
+}
+
+// sendBatch packs a whole block batch (collect, decrypt and result
+// phases) as one single-chunk body after hops layers.
+func sendBatch(ctx context.Context, mb *transport.Mailbox, to, typ, session string, hops int, blocks [][]byte) error {
+	body, err := smc.NewRelayWire("", hops, blocks, 0, 1)
+	if err != nil {
+		return err
+	}
+	return send(ctx, mb, to, typ, session, &body)
+}
+
+// send defers the body's binary payload encoding to the transport (the
+// zero-copy frame path on TCP).
 func send(ctx context.Context, mb *transport.Mailbox, to, typ, session string, body transport.BinaryBody) error {
 	msg := transport.NewBinaryMessage(to, typ, session, body)
 	if err := mb.Send(ctx, msg); err != nil {

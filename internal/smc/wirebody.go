@@ -6,32 +6,27 @@ import (
 	"math/bits"
 )
 
-// Shared binary payload encoding for the ring-relay body shape.
+// The relay body shared by the ring protocols.
 //
 // Every relay-style body in the SMC protocols (intersect/union relay
-// chunks, final-set publications, union collect/decrypt batches) is the
-// same seven fields: an origin, small integer framing (hops, chunk
-// seq/total, block width), and a block batch carried either as one
-// packed run or as an element-wise list. RelayWire is that shape's
-// binary encoding, so each protocol's body type implements
-// transport.BinaryBody by delegating here rather than re-deriving the
-// codec.
+// chunks, final-set publications, union collect/decrypt/result batches)
+// is the same shape: an origin, small integer framing (hops, chunk
+// seq/total, block width), and one packed block run. RelayWire is that
+// body, and implements transport.BinaryBody.
 //
 // Layout (all integers uvarint):
 //
-//	len(Origin) ‖ Origin ‖ Hops ‖ Seq ‖ Total ‖ BlockLen ‖
-//	len(Packed) ‖ Packed ‖ count(Blocks) ‖ { len(block) ‖ block }*
+//	len(Origin) ‖ Origin ‖ Hops ‖ Seq ‖ Total ‖ BlockLen ‖ len(Packed) ‖ Packed
 //
-// The packed run dominates in practice — PackBlocks produces it for
-// uniform-width ciphertext batches — and rides the wire raw: no base64,
-// no per-element framing, and on the TCP fast path it is appended
-// straight into the envelope codec's pooled frame buffer (BinarySize is
-// exact, so the frame length prefix can be written first). Only sizes
-// and counts are visible in the framing, the secondary information
-// Definition 1 permits.
+// The packed run rides the wire raw: no per-element framing, and on the
+// TCP path it is appended straight into the envelope codec's pooled
+// frame buffer (BinarySize is exact, so the frame length prefix can be
+// written first). Only sizes and counts are visible in the framing, the
+// secondary information Definition 1 permits.
 
-// RelayWire is the union of fields the relay-shaped bodies carry.
-// Unused fields encode as zero and cost one byte each.
+// RelayWire is one relayed block batch: chunk Seq of Total of Origin's
+// set, after Hops encryption layers. Bodies that are not part of a
+// chunked stream (final sets, union batches) are chunk 0 of 1.
 type RelayWire struct {
 	Origin   string
 	Hops     int
@@ -39,7 +34,20 @@ type RelayWire struct {
 	Total    int
 	BlockLen int
 	Packed   []byte
-	Blocks   [][]byte
+}
+
+// NewRelayWire packs blocks as chunk seq of total.
+func NewRelayWire(origin string, hops int, blocks [][]byte, seq, total int) (RelayWire, error) {
+	packed, width, err := PackBlocks(blocks)
+	if err != nil {
+		return RelayWire{}, err
+	}
+	return RelayWire{Origin: origin, Hops: hops, Seq: seq, Total: total, BlockLen: width, Packed: packed}, nil
+}
+
+// Unpack returns the batch's blocks, subsliced from Packed.
+func (w *RelayWire) Unpack() ([][]byte, error) {
+	return UnpackBlocks(w.Packed, w.BlockLen)
 }
 
 // uvarintLen is the encoded size of v.
@@ -55,10 +63,6 @@ func (w *RelayWire) BinarySize() int {
 	n += uvarintLen(uint64(w.Total))
 	n += uvarintLen(uint64(w.BlockLen))
 	n += uvarintLen(uint64(len(w.Packed))) + len(w.Packed)
-	n += uvarintLen(uint64(len(w.Blocks)))
-	for _, b := range w.Blocks {
-		n += uvarintLen(uint64(len(b))) + len(b)
-	}
 	return n
 }
 
@@ -72,18 +76,14 @@ func (w *RelayWire) AppendBinary(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(w.Total))
 	dst = binary.AppendUvarint(dst, uint64(w.BlockLen))
 	dst = binary.AppendUvarint(dst, uint64(len(w.Packed)))
-	dst = append(dst, w.Packed...)
-	dst = binary.AppendUvarint(dst, uint64(len(w.Blocks)))
-	for _, b := range w.Blocks {
-		dst = binary.AppendUvarint(dst, uint64(len(b)))
-		dst = append(dst, b...)
-	}
-	return dst
+	return append(dst, w.Packed...)
 }
 
 // DecodeBinary decodes an encoding produced by AppendBinary into w,
 // copying everything it keeps — the source buffer may be recycled by
-// the transport after the call.
+// the transport after the call. A body that is not at least one chunk,
+// or whose packed run does not split into BlockLen-wide blocks, is
+// refused.
 func (w *RelayWire) DecodeBinary(src []byte) error {
 	rest := src
 	num := func() (uint64, error) {
@@ -140,42 +140,70 @@ func (w *RelayWire) DecodeBinary(src []byte) error {
 	if err != nil {
 		return err
 	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after relay wire body", ErrBadWireValue, len(rest))
+	}
+	if w.Total < 1 {
+		return fmt.Errorf("%w: relay wire body of %d chunks", ErrBadWireValue, w.Total)
+	}
+	if len(packed) > 0 && (w.BlockLen == 0 || len(packed)%w.BlockLen != 0) {
+		return fmt.Errorf("%w: packed run of %d bytes is not a multiple of block width %d", ErrBadWireValue, len(packed), w.BlockLen)
+	}
 	w.Packed = nil
 	if len(packed) > 0 {
 		w.Packed = append([]byte(nil), packed...)
 	}
-	count, err := small()
-	if err != nil {
-		return err
-	}
-	w.Blocks = nil
-	if count > 0 {
-		if count > len(rest) {
-			// Each block costs at least its one-byte length prefix.
-			return fmt.Errorf("%w: relay wire claims %d blocks in %d bytes", ErrBadWireValue, count, len(rest))
-		}
-		// Copy the remaining run once and subslice blocks out of the
-		// copy, so the legacy element-wise path costs one allocation
-		// instead of one per block.
-		backing := append([]byte(nil), rest...)
-		w.Blocks = make([][]byte, 0, count)
-		pos := 0
-		for i := 0; i < count; i++ {
-			n, sz := binary.Uvarint(backing[pos:])
-			if sz <= 0 {
-				return fmt.Errorf("%w: truncated relay wire body", ErrBadWireValue)
-			}
-			pos += sz
-			if n > uint64(len(backing)-pos) {
-				return fmt.Errorf("%w: relay wire run of %d bytes exceeds remaining %d", ErrBadWireValue, n, len(backing)-pos)
-			}
-			w.Blocks = append(w.Blocks, backing[pos:pos+int(n):pos+int(n)])
-			pos += int(n)
-		}
-		rest = rest[pos:]
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after relay wire body", ErrBadWireValue, len(rest))
-	}
 	return nil
+}
+
+// SplitChunks cuts blocks into pieces of at most size blocks; an empty
+// set is a single empty chunk so every origin still injects exactly one
+// stream.
+func SplitChunks(blocks [][]byte, size int) [][][]byte {
+	if len(blocks) == 0 {
+		return [][][]byte{nil}
+	}
+	out := make([][][]byte, 0, (len(blocks)+size-1)/size)
+	for len(blocks) > size {
+		out = append(out, blocks[:size])
+		blocks = blocks[size:]
+	}
+	return append(out, blocks)
+}
+
+// Reassembly accumulates one origin's relay chunks.
+type Reassembly struct {
+	total  int
+	chunks map[int][][]byte
+}
+
+// Add records chunk w, whose unpacked blocks are given, validating its
+// framing against what was already seen. It reports whether the
+// origin's set is now complete.
+func (r *Reassembly) Add(w *RelayWire, blocks [][]byte) (bool, error) {
+	if r.chunks == nil {
+		r.total = w.Total
+		// No size hint: Total comes off the wire.
+		r.chunks = make(map[int][][]byte)
+	}
+	if w.Total != r.total {
+		return false, fmt.Errorf("%w: origin %s changed chunk count %d to %d", ErrProtocol, w.Origin, r.total, w.Total)
+	}
+	if w.Seq < 0 || w.Seq >= w.Total {
+		return false, fmt.Errorf("%w: origin %s chunk %d of %d out of range", ErrProtocol, w.Origin, w.Seq, w.Total)
+	}
+	if _, dup := r.chunks[w.Seq]; dup {
+		return false, fmt.Errorf("%w: origin %s repeated chunk %d", ErrProtocol, w.Origin, w.Seq)
+	}
+	r.chunks[w.Seq] = blocks
+	return len(r.chunks) == r.total, nil
+}
+
+// Assemble concatenates the chunks in sequence order.
+func (r *Reassembly) Assemble() [][]byte {
+	var out [][]byte
+	for i := 0; i < r.total; i++ {
+		out = append(out, r.chunks[i]...)
+	}
+	return out
 }

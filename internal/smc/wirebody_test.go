@@ -11,11 +11,10 @@ func TestRelayWireRoundTrip(t *testing.T) {
 		name string
 		w    RelayWire
 	}{
-		{"empty", RelayWire{}},
+		{"empty", RelayWire{Total: 1}},
 		{"packed", RelayWire{Origin: "P1", Hops: 3, Seq: 2, Total: 7, BlockLen: 96, Packed: bytes.Repeat([]byte{0xAB}, 96*4)}},
-		{"element-wise", RelayWire{Origin: "node-with-long-name", Blocks: [][]byte{{1}, {2, 3}, nil, {4, 5, 6, 7}}}},
-		{"final-shaped", RelayWire{Origin: "P2", BlockLen: 8, Packed: []byte{1, 2, 3, 4, 5, 6, 7, 8}}},
-		{"blocks-shaped", RelayWire{Hops: 2, Blocks: [][]byte{[]byte("plain"), []byte("texts")}}},
+		{"final-shaped", RelayWire{Origin: "node-with-long-name", Total: 1, BlockLen: 8, Packed: []byte{1, 2, 3, 4, 5, 6, 7, 8}}},
+		{"blocks-shaped", RelayWire{Hops: 2, Total: 1, BlockLen: 5, Packed: []byte("plaintexts")}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -34,14 +33,6 @@ func TestRelayWireRoundTrip(t *testing.T) {
 			if !bytes.Equal(got.Packed, tc.w.Packed) {
 				t.Fatalf("packed mismatch: % x != % x", got.Packed, tc.w.Packed)
 			}
-			if len(got.Blocks) != len(tc.w.Blocks) {
-				t.Fatalf("block count %d != %d", len(got.Blocks), len(tc.w.Blocks))
-			}
-			for i := range got.Blocks {
-				if !bytes.Equal(got.Blocks[i], tc.w.Blocks[i]) {
-					t.Fatalf("block %d mismatch", i)
-				}
-			}
 		})
 	}
 }
@@ -49,7 +40,7 @@ func TestRelayWireRoundTrip(t *testing.T) {
 // TestRelayWireDecodeCopies pins the recycled-buffer contract: mutating
 // the source after decode must not change the decoded body.
 func TestRelayWireDecodeCopies(t *testing.T) {
-	w := RelayWire{Origin: "P1", Packed: []byte{1, 2, 3, 4}, Blocks: nil}
+	w := RelayWire{Origin: "P1", Total: 1, BlockLen: 2, Packed: []byte{1, 2, 3, 4}}
 	enc := w.AppendBinary(nil)
 	var got RelayWire
 	if err := got.DecodeBinary(enc); err != nil {
@@ -61,29 +52,27 @@ func TestRelayWireDecodeCopies(t *testing.T) {
 	if !bytes.Equal(got.Packed, []byte{1, 2, 3, 4}) {
 		t.Fatalf("decode aliased the source buffer: % x", got.Packed)
 	}
-
-	w = RelayWire{Blocks: [][]byte{{9, 8}, {7}}}
-	enc = w.AppendBinary(nil)
-	if err := got.DecodeBinary(enc); err != nil {
+	blocks, err := got.Unpack()
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range enc {
-		enc[i] = 0xFF
-	}
-	if !bytes.Equal(got.Blocks[0], []byte{9, 8}) || !bytes.Equal(got.Blocks[1], []byte{7}) {
-		t.Fatalf("decode aliased the source buffer: %v", got.Blocks)
+	if len(blocks) != 2 || !bytes.Equal(blocks[0], []byte{1, 2}) || !bytes.Equal(blocks[1], []byte{3, 4}) {
+		t.Fatalf("unpacked %v", blocks)
 	}
 }
 
 func TestRelayWireDecodeRejectsMalformed(t *testing.T) {
-	good := (&RelayWire{Origin: "P1", Packed: []byte{1, 2, 3}, BlockLen: 3}).AppendBinary(nil)
+	good := (&RelayWire{Origin: "P1", Total: 1, Packed: []byte{1, 2, 3}, BlockLen: 3}).AppendBinary(nil)
+	enc := func(w RelayWire) []byte { return w.AppendBinary(nil) }
 	cases := map[string][]byte{
 		"empty":             {},
 		"truncated origin":  good[:1],
 		"truncated packed":  good[:len(good)-2],
 		"trailing garbage":  append(append([]byte(nil), good...), 0x00),
-		"block count lies":  append(append([]byte(nil), good[:len(good)-1]...), good[len(good)-1]|0x7F),
 		"oversized uvarint": bytes.Repeat([]byte{0xFF}, 12),
+		"zero chunks":       enc(RelayWire{Origin: "P1", Total: 0, BlockLen: 3, Packed: []byte{1, 2, 3}}),
+		"ragged packed run": enc(RelayWire{Origin: "P1", Total: 1, BlockLen: 2, Packed: []byte{1, 2, 3}}),
+		"zero block width":  enc(RelayWire{Origin: "P1", Total: 1, BlockLen: 0, Packed: []byte{1, 2, 3}}),
 	}
 	for name, src := range cases {
 		var w RelayWire
@@ -91,6 +80,20 @@ func TestRelayWireDecodeRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: decoded", name)
 		} else if !errors.Is(err, ErrBadWireValue) {
 			t.Errorf("%s: error %v is not ErrBadWireValue", name, err)
+		}
+	}
+}
+
+// TestPackBlocksRejectsRagged pins the single framing: a batch that is
+// not uniformly wide cannot be packed, and there is no other encoding
+// to fall back to.
+func TestPackBlocksRejectsRagged(t *testing.T) {
+	for name, blocks := range map[string][][]byte{
+		"ragged":     {{1, 2}, {3}},
+		"zero width": {{}, {}},
+	} {
+		if _, err := NewRelayWire("P1", 1, blocks, 0, 1); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: err %v, want ErrProtocol", name, err)
 		}
 	}
 }

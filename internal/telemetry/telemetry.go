@@ -417,24 +417,17 @@ const (
 	CtrRecv      = "transport.recv"
 	CtrRecvBytes = "transport.recv_bytes"
 
-	// Wire codec. codec_bytes_sent counts bytes framed by the compact
-	// binary encodings (binary envelopes on TCP, packed relay blocks on
-	// any transport); codec_bytes_saved is the JSON/base64 inflation
-	// those encodings avoided, computed from the deterministic base64
-	// expansion of the same bytes — sizes only, Definition 1 secondary
-	// information.
-	CtrCodecBytesSent  = "transport.codec_bytes_sent"
-	CtrCodecBytesSaved = "transport.codec_bytes_saved"
+	// Wire codec. codec_bytes_sent counts bytes framed by the binary
+	// encodings (envelopes on TCP, packed relay blocks on any
+	// transport) — sizes only, Definition 1 secondary information.
+	CtrCodecBytesSent = "transport.codec_bytes_sent"
 
-	// Binary ingest plane. store_bytes_saved estimates the JSON bytes the
-	// binary store-body payload codec avoided (decimal big-int rendering
-	// plus field framing); ingest_fanout_batches counts node-side store
+	// Binary ingest plane. ingest_fanout_batches counts node-side store
 	// batches whose decode/encode work fanned over the shared worker pool
 	// with the WAL group commit pipelined against the in-memory apply;
 	// binary_records counts length-prefixed binary journal records
 	// encoded for the WAL or segment store. Sizes and counts only —
 	// Definition 1 secondary information.
-	CtrCodecStoreSaved  = "codec.store_bytes_saved"
 	CtrIngestFanout     = "cluster.ingest_fanout_batches"
 	CtrWALBinaryRecords = "wal.binary_records"
 
@@ -472,7 +465,7 @@ const (
 	// seal wait (staging open → batch sealed), glsn-range reservation
 	// round, store-round RTT (aggregate plus per-peer via the
 	// ".<node>" suffix — node IDs are Definition 1 peer identities),
-	// node-side fan-out decode of a bin3 store-batch frame, node ack
+	// node-side fan-out decode of a binary store-batch frame, node ack
 	// turnaround (frame receipt → ack sent), and the WAL group-commit
 	// phases: record encode, in-order stage, and the fsync itself.
 	HistIngestSealWait = "ingest.seal_wait"

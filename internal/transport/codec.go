@@ -4,126 +4,43 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-
-	"confaudit/internal/telemetry"
 )
 
 // Binary envelope codec.
 //
-// The legacy TCP frame body is the JSON-encoded Message, which base64s
-// the payload (4/3 inflation on ciphertext traffic) and re-parses field
-// names on every hop. The binary codec keeps the same 4-byte length
-// prefix but encodes the envelope as uvarint-length-prefixed field
-// runs with the payload carried raw. The first body byte discriminates:
-// JSON bodies always start with '{' (0x7B), binary bodies with the
-// magic 0xD1, so both codecs coexist on one connection and a receiver
-// needs no prior negotiation to decode.
+// Every TCP frame is a 4-byte length prefix followed by the envelope:
 //
-// Senders advertise the capability in Message.Codec; a node switches to
-// binary toward a peer only after seeing the peer advertise it
-// (trust-on-first-use, like ReplyAddr learning), so JSON-only legacy
-// peers are never sent frames they cannot parse.
+//	binMagic ‖ frameVersion ‖ { uvarint(len) ‖ field }* ‖ uvarint(len) ‖ payload
 //
-// Version 2 adds the trace-context fields (TraceSession, TraceSpan) as
-// two more string runs before the payload. A v1 decoder rejects unknown
-// versions, so v2 frames ride a NEW capability name, "bin2": peers that
-// advertise only "bin" get v1 frames (trace context dropped toward
-// them), peers advertising "bin2" get v2, and peers advertising nothing
-// get JSON — which always carries the trace fields, since JSON decoding
-// tolerates unknown fields on legacy nodes.
-// The "bin3" capability does not change the frame format — bin3 peers
-// still exchange v2 frames — it advertises that the receiver's PAYLOAD
-// decoder understands the binary payload codec (payload.go), so senders
-// may defer body encoding and append it raw into the frame buffer.
-// Peers at bin2 or below receive JSON payloads inside whatever frames
-// their level allows, byte-identical to a pre-payload-codec build.
+// with the string fields From, To, Type, Session, ReplyAddr,
+// TraceSession and TraceSpan in that order, and the payload carried
+// raw. There is one layout and one version: a frame with any other
+// magic or version is refused and the connection dropped.
 const (
-	// CodecBinary is the v1 capability name advertised in Message.Codec.
-	CodecBinary = "bin"
-	// CodecBinaryV2 is the v2 (trace-context) capability name.
-	CodecBinaryV2 = "bin2"
-	// CodecBinaryV3 advertises binary-payload decoding on top of v2
-	// frames.
-	CodecBinaryV3 = "bin3"
-
-	binMagic    = 0xD1
-	binVersion  = 1
-	binVersion2 = 2
+	binMagic = 0xD1
+	// frameVersion is the only envelope layout. Versions 1 and 2 carried
+	// a codec advertisement this layout no longer has.
+	frameVersion = 3
 )
-
-// Codec negotiation levels: what a peer can decode / this node may send.
-const (
-	codecJSON = iota
-	codecBin
-	codecBin2
-	codecBin3
-)
-
-// maxFrameVersion caps the binary frame version a negotiation level
-// implies (bin3 changes payload encoding, not frame format).
-func maxFrameVersion(level int) byte {
-	if level > codecBin2 {
-		level = codecBin2
-	}
-	if level < 0 {
-		level = 0
-	}
-	return byte(level)
-}
-
-// codecLevel maps a Message.Codec advertisement to a negotiation level.
-func codecLevel(advert string) int {
-	switch advert {
-	case CodecBinaryV3:
-		return codecBin3
-	case CodecBinaryV2:
-		return codecBin2
-	case CodecBinary:
-		return codecBin
-	default:
-		return codecJSON
-	}
-}
-
-// codecAdvert is the capability string a node at the given level sends.
-func codecAdvert(level int) string {
-	switch level {
-	case codecBin3:
-		return CodecBinaryV3
-	case codecBin2:
-		return CodecBinaryV2
-	case codecBin:
-		return CodecBinary
-	default:
-		return ""
-	}
-}
 
 // encBufPool recycles encode buffers across frames.
 var encBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// binFields returns the ordered envelope string fields for a frame
-// version. v1 carries 6 strings, v2 appends the trace context.
-func binFields(msg *Message, version byte) []*string {
-	fields := []*string{&msg.From, &msg.To, &msg.Type, &msg.Session, &msg.ReplyAddr, &msg.Codec}
-	if version >= binVersion2 {
-		fields = append(fields, &msg.TraceSession, &msg.TraceSpan)
-	}
-	return fields
+// envelopeFields returns the ordered envelope string fields.
+func envelopeFields(msg *Message) [7]*string {
+	return [7]*string{&msg.From, &msg.To, &msg.Type, &msg.Session, &msg.ReplyAddr, &msg.TraceSession, &msg.TraceSpan}
 }
 
-// appendBinaryMessage appends the binary encoding of msg to dst at the
-// given frame version. Encoding at v1 silently drops the trace-context
-// fields — the compatibility cost of talking to a v1-only peer.
+// appendBinaryMessage appends the binary encoding of msg to dst.
 //
 // A message still carrying a deferred binary body (payload.go) has it
 // encoded DIRECTLY into dst — the zero-copy path: the exact payload
 // length is known up front from BinarySize, so the length prefix is
 // written first and the packed blocks land straight in the pooled frame
-// buffer. Callers take this path only toward bin3 peers.
-func appendBinaryMessage(dst []byte, msg *Message, version byte) []byte {
-	dst = append(dst, binMagic, version)
-	for _, f := range binFields(msg, version) {
+// buffer.
+func appendBinaryMessage(dst []byte, msg *Message) []byte {
+	dst = append(dst, binMagic, frameVersion)
+	for _, f := range envelopeFields(msg) {
 		dst = binary.AppendUvarint(dst, uint64(len(*f)))
 		dst = append(dst, *f...)
 	}
@@ -136,16 +53,13 @@ func appendBinaryMessage(dst []byte, msg *Message, version byte) []byte {
 	return dst
 }
 
-// decodeBinaryMessage parses a binary frame body, accepting versions up
-// to maxVersion — a node pinned to v1 (legacy emulation) rejects v2
-// frames exactly as a pre-trace-context build would.
-func decodeBinaryMessage(body []byte, maxVersion byte) (Message, error) {
+// decodeBinaryMessage parses a binary frame body.
+func decodeBinaryMessage(body []byte) (Message, error) {
 	if len(body) < 2 || body[0] != binMagic {
 		return Message{}, fmt.Errorf("transport: not a binary frame")
 	}
-	version := body[1]
-	if version < binVersion || version > maxVersion {
-		return Message{}, fmt.Errorf("transport: unsupported binary frame version %d", version)
+	if body[1] != frameVersion {
+		return Message{}, fmt.Errorf("transport: unsupported binary frame version %d", body[1])
 	}
 	rest := body[2:]
 	next := func() ([]byte, error) {
@@ -158,7 +72,7 @@ func decodeBinaryMessage(body []byte, maxVersion byte) (Message, error) {
 		return f, nil
 	}
 	var msg Message
-	for _, dst := range binFields(&msg, version) {
+	for _, dst := range envelopeFields(&msg) {
 		f, err := next()
 		if err != nil {
 			return Message{}, err
@@ -176,15 +90,4 @@ func decodeBinaryMessage(body []byte, maxVersion byte) (Message, error) {
 		return Message{}, fmt.Errorf("transport: %d trailing bytes after binary frame", len(rest))
 	}
 	return msg, nil
-}
-
-// observeBinaryFrame records codec telemetry for one encoded frame:
-// the bytes actually framed, and an estimate of what the JSON codec
-// would have added — the base64 inflation of the raw payload, the
-// dominant term for ciphertext traffic. Sizes only; no message content.
-func observeBinaryFrame(bodyLen, payloadLen int) {
-	telemetry.M.Counter(telemetry.CtrCodecBytesSent).Add(int64(bodyLen))
-	if saved := (payloadLen+2)/3*4 - payloadLen; saved > 0 {
-		telemetry.M.Counter(telemetry.CtrCodecBytesSaved).Add(int64(saved))
-	}
 }

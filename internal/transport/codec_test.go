@@ -3,15 +3,13 @@ package transport
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"testing"
-	"time"
 )
 
 func sameEnvelope(got, want Message) bool {
 	return got.From == want.From && got.To == want.To && got.Type == want.Type &&
 		got.Session == want.Session && got.ReplyAddr == want.ReplyAddr &&
-		got.Codec == want.Codec && got.TraceSession == want.TraceSession &&
+		got.TraceSession == want.TraceSession &&
 		got.TraceSpan == want.TraceSpan && bytes.Equal(got.Payload, want.Payload)
 }
 
@@ -19,271 +17,105 @@ func TestBinaryEnvelopeRoundTrip(t *testing.T) {
 	cases := []Message{
 		{},
 		{From: "A", To: "B", Type: "intersect.relay", Session: "s1", Payload: []byte(`{"x":1}`)},
-		{From: "P1", To: "P2", Type: "t", Session: "s", ReplyAddr: "127.0.0.1:9000", Codec: CodecBinary, Payload: bytes.Repeat([]byte{0x00, 0xFF, 0x7B, 0xD1}, 64)},
+		{From: "P1", To: "P2", Type: "t", Session: "s", ReplyAddr: "127.0.0.1:9000", Payload: bytes.Repeat([]byte{0x00, 0xFF, 0x7B, 0xD1}, 64)},
 		{Type: "only-type"},
 		{Payload: []byte{binMagic}},
 		{From: "A", To: "B", Type: "audit.exec", Session: "q1", TraceSession: "q1", TraceSpan: "A:7"},
 	}
 	for i, want := range cases {
-		for _, version := range []byte{binVersion, binVersion2} {
-			body := appendBinaryMessage(nil, &want, version)
-			got, err := decodeBinaryMessage(body, binVersion2)
-			if err != nil {
-				t.Fatalf("case %d v%d: %v", i, version, err)
-			}
-			expect := want
-			if version < binVersion2 {
-				// v1 frames cannot carry trace context.
-				expect.TraceSession, expect.TraceSpan = "", ""
-			}
-			if !sameEnvelope(got, expect) {
-				t.Fatalf("case %d v%d: round trip %+v != %+v", i, version, got, expect)
-			}
+		body := appendBinaryMessage(nil, &want)
+		got, err := decodeBinaryMessage(body)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if !sameEnvelope(got, want) {
+			t.Fatalf("case %d: round trip %+v != %+v", i, got, want)
 		}
 	}
 }
 
-// TestBinaryV2RejectedByV1Decoder pins legacy behavior: a decoder capped
-// at v1 (a pre-trace-context build) rejects v2 frames rather than
-// misparsing them.
-func TestBinaryV2RejectedByV1Decoder(t *testing.T) {
-	body := appendBinaryMessage(nil, &Message{From: "A", To: "B", Type: "t", TraceSpan: "A:1"}, binVersion2)
-	if _, err := decodeBinaryMessage(body, binVersion); err == nil {
-		t.Fatal("v1 decoder accepted a v2 frame")
-	}
-}
-
 func TestBinaryEnvelopeRejectsMalformed(t *testing.T) {
-	good := appendBinaryMessage(nil, &Message{From: "A", To: "B", Type: "t", Session: "s", Payload: []byte("p")}, binVersion2)
+	good := appendBinaryMessage(nil, &Message{From: "A", To: "B", Type: "t", Session: "s", Payload: []byte("p")})
 	cases := map[string][]byte{
 		"empty":          {},
 		"magic only":     {binMagic},
-		"wrong magic":    {0x7B, binVersion},
+		"wrong magic":    {0x7B, frameVersion},
 		"wrong version":  {binMagic, 99},
+		"retired v2":     {binMagic, 2},
 		"truncated":      good[:len(good)-1],
 		"trailing bytes": append(append([]byte{}, good...), 0x00),
-		"length overrun": {binMagic, binVersion, 0xFF},
+		"length overrun": {binMagic, frameVersion, 0xFF},
 	}
 	for name, body := range cases {
-		if _, err := decodeBinaryMessage(body, binVersion2); err == nil {
+		if _, err := decodeBinaryMessage(body); err == nil {
 			t.Errorf("%s: malformed frame accepted", name)
 		}
 	}
 }
 
+// TestBinaryFrameWireRoundTrip frames a deferred binary body through
+// the socket codec: the body is appended straight into the frame, and
+// the receiver decodes it from the payload.
 func TestBinaryFrameWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	msg := Message{From: "A", To: "B", Type: "t", Session: "s", TraceSession: "s", TraceSpan: "A:3", Payload: []byte("raw \x00 bytes")}
-	if err := writeBinaryFrame(bw, &msg, binVersion2); err != nil {
+	msg := NewBinaryMessage("B", "t", "s", &testBody{Origin: "A", Packed: []byte("raw \x00 bytes")})
+	msg.From, msg.TraceSession, msg.TraceSpan = "A", "s", "A:3"
+	if err := writeFrame(bw, &msg); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(bufio.NewReader(&buf), binVersion2)
+	got, err := readFrame(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.From != "A" || string(got.Payload) != "raw \x00 bytes" || got.TraceSpan != "A:3" {
-		t.Fatalf("round trip %+v", got)
-	}
-}
-
-func TestBinaryFrameRejectedOnJSONOnlyReader(t *testing.T) {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	msg := Message{From: "A", To: "B", Type: "t"}
-	if err := writeBinaryFrame(bw, &msg, binVersion); err != nil {
+	var out testBody
+	if err := Unmarshal(got.Payload, &out); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(bufio.NewReader(&buf), 0); err == nil {
-		t.Fatal("JSON-only reader accepted a binary frame")
+	if got.From != "A" || got.TraceSpan != "A:3" || out.Origin != "A" || string(out.Packed) != "raw \x00 bytes" {
+		t.Fatalf("round trip %+v / %+v", got, out)
 	}
 }
 
+// TestBinaryFrameTooLargeOnWrite refuses a deferred body whose encoding
+// would exceed the frame bound.
 func TestBinaryFrameTooLargeOnWrite(t *testing.T) {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	msg := Message{To: "B", Payload: make([]byte, maxFrame+1)}
-	if err := writeBinaryFrame(bw, &msg, binVersion2); err == nil {
+	msg := NewBinaryMessage("B", "t", "s", &bigBody{n: maxFrame + 1})
+	if err := writeFrame(bw, &msg); err == nil {
 		t.Fatal("oversized binary frame written")
 	}
-}
-
-// TestTCPCodecNegotiation verifies the per-peer upgrade: the first
-// frame toward a peer is JSON (capability unknown), and once the peer's
-// advertisement arrives, subsequent frames switch to binary v2 — and
-// the trace context survives the v2 frames.
-func TestTCPCodecNegotiation(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	addrs := map[string]string{"A": "127.0.0.1:0", "B": "127.0.0.1:0"}
-	netA := NewTCPNetwork(addrs)
-	epA, err := netA.Endpoint("A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer epA.Close()
-	netB := NewTCPNetwork(map[string]string{"A": netA.addrs["A"], "B": "127.0.0.1:0"})
-	epB, err := netB.Endpoint("B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer epB.Close()
-	netA.Register("B", netB.addrs["B"])
-
-	a, b := epA.(*tcpEndpoint), epB.(*tcpEndpoint)
-	ping := func(from, to Endpoint, typ string) Message {
-		t.Helper()
-		if err := from.Send(ctx, Message{To: to.ID(), Type: typ, Session: "s", TraceSession: "s", TraceSpan: from.ID() + ":1", Payload: []byte(`{}`)}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := to.Recv(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-
-	if a.binPeer("B") || b.binPeer("A") {
-		t.Fatal("capability known before any traffic")
-	}
-	got := ping(epA, epB, "t1") // JSON toward B; B learns A speaks v2
-	if got.TraceSpan != "A:1" {
-		t.Fatalf("JSON frame lost trace context: %+v", got)
-	}
-	if b.peerLevel("A") != codecBin3 {
-		t.Fatal("B did not learn A's codec capability")
-	}
-	got = ping(epB, epA, "t2") // binary v2 toward A; A learns B speaks v2
-	if got.TraceSpan != "B:1" {
-		t.Fatalf("v2 frame lost trace context: %+v", got)
-	}
-	if a.peerLevel("B") != codecBin3 {
-		t.Fatal("A did not learn B's codec capability")
-	}
-	ping(epA, epB, "t3") // now binary both ways
-}
-
-// TestTCPLegacyPeerStaysOnJSON pins the fallback: a JSON-only peer
-// never advertises, so a binary-capable node keeps sending it JSON and
-// the exchange completes.
-func TestTCPLegacyPeerStaysOnJSON(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	netA := NewTCPNetwork(map[string]string{"A": "127.0.0.1:0", "L": "127.0.0.1:0"})
-	epA, err := netA.Endpoint("A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer epA.Close()
-	netL := NewTCPNetwork(map[string]string{"A": netA.addrs["A"], "L": "127.0.0.1:0"})
-	netL.SetJSONOnly(true)
-	epL, err := netL.Endpoint("L")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer epL.Close()
-	netA.Register("L", netL.addrs["L"])
-
-	for i := 0; i < 3; i++ {
-		if err := epL.Send(ctx, Message{To: "A", Type: "t", Session: "s", Payload: []byte(`{}`)}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := epA.Recv(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Codec != "" {
-			t.Fatal("legacy peer advertised a codec")
-		}
-		if err := epA.Send(ctx, Message{To: "L", Type: "t", Session: "s", TraceSession: "s", TraceSpan: "A:9", Payload: []byte(`{}`)}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := epL.Recv(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if epA.(*tcpEndpoint).binPeer("L") {
-		t.Fatal("binary node marked the legacy peer binary-capable")
+	if buf.Len() != 0 {
+		t.Fatalf("%d bytes reached the wire", buf.Len())
 	}
 }
 
-// TestTCPLegacyBinaryPeerStaysOnV1 pins the mixed-cluster interop path:
-// a peer that advertises only "bin" (a pre-trace-context build capped at
-// frame v1) exchanges traffic with a v2 node in both directions. The v2
-// node downgrades to v1 frames toward it — dropping trace context, which
-// the legacy build could not parse — while the legacy peer's own frames
-// still stitch into traces via the JSON/v1 fields it does carry.
-func TestTCPLegacyBinaryPeerStaysOnV1(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	netA := NewTCPNetwork(map[string]string{"A": "127.0.0.1:0", "V1": "127.0.0.1:0"})
-	epA, err := netA.Endpoint("A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer epA.Close()
-	netV1 := NewTCPNetwork(map[string]string{"A": netA.addrs["A"], "V1": "127.0.0.1:0"})
-	netV1.SetCodecCap(CodecBinary) // pre-trace-context build
-	epV1, err := netV1.Endpoint("V1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer epV1.Close()
-	netA.Register("V1", netV1.addrs["V1"])
+// bigBody is a BinaryBody of n zero bytes.
+type bigBody struct{ n int }
 
-	for i := 0; i < 3; i++ {
-		// Legacy → v2: arrives, advertises "bin" only.
-		if err := epV1.Send(ctx, Message{To: "A", Type: "t", Session: "s", Payload: []byte(`{}`)}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := epA.Recv(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Codec != CodecBinary {
-			t.Fatalf("legacy binary peer advertised %q", got.Codec)
-		}
-		// v2 → legacy: downgraded to a v1 frame the peer can decode.
-		if err := epA.Send(ctx, Message{To: "V1", Type: "t", Session: "s", TraceSession: "s", TraceSpan: "A:4", Payload: []byte(`{}`)}); err != nil {
-			t.Fatal(err)
-		}
-		got, err = epV1.Recv(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i > 0 && (got.TraceSession != "" || got.TraceSpan != "") {
-			t.Fatalf("v1 frame carried trace context: %+v", got)
-		}
-	}
-	if lvl := epA.(*tcpEndpoint).peerLevel("V1"); lvl != codecBin {
-		t.Fatalf("v2 node negotiated level %d toward the v1 peer", lvl)
-	}
-}
+func (b *bigBody) BinarySize() int                { return b.n }
+func (b *bigBody) AppendBinary(dst []byte) []byte { return append(dst, make([]byte, b.n)...) }
+func (b *bigBody) DecodeBinary([]byte) error      { return nil }
 
 // FuzzEnvelopeRoundTrip fuzzes both directions of the binary codec:
-// arbitrary envelopes must round-trip bit-exactly at both frame
-// versions, and arbitrary bytes must never panic the decoder.
+// arbitrary envelopes must round-trip bit-exactly, and arbitrary bytes
+// must never panic the decoder.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
-	f.Add("A", "B", "intersect.relay", "s1", "127.0.0.1:9", CodecBinary, "s1", "A:1", []byte(`{"x":1}`), []byte{})
-	f.Add("", "", "", "", "", "", "", "", []byte(nil), []byte{binMagic, binVersion})
-	f.Add("P1", "P2", "union.collect", "s", "", "", "", "", bytes.Repeat([]byte{0xD1}, 33), []byte{binMagic, binVersion2, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, from, to, typ, session, replyAddr, codec, traceSession, traceSpan string, payload, raw []byte) {
-		want := Message{From: from, To: to, Type: typ, Session: session, ReplyAddr: replyAddr, Codec: codec, TraceSession: traceSession, TraceSpan: traceSpan, Payload: payload}
-		for _, version := range []byte{binVersion, binVersion2} {
-			body := appendBinaryMessage(nil, &want, version)
-			got, err := decodeBinaryMessage(body, binVersion2)
-			if err != nil {
-				t.Fatalf("decoding own v%d encoding: %v", version, err)
-			}
-			expect := want
-			if version < binVersion2 {
-				expect.TraceSession, expect.TraceSpan = "", ""
-			}
-			if !sameEnvelope(got, expect) {
-				t.Fatalf("v%d round trip %+v != %+v", version, got, expect)
-			}
+	f.Add("A", "B", "intersect.relay", "s1", "127.0.0.1:9", "s1", "A:1", []byte(`{"x":1}`), []byte{})
+	f.Add("", "", "", "", "", "", "", []byte(nil), []byte{binMagic, frameVersion})
+	f.Add("P1", "P2", "union.collect", "s", "", "", "", bytes.Repeat([]byte{0xD1}, 33), []byte{binMagic, frameVersion, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, from, to, typ, session, replyAddr, traceSession, traceSpan string, payload, raw []byte) {
+		want := Message{From: from, To: to, Type: typ, Session: session, ReplyAddr: replyAddr, TraceSession: traceSession, TraceSpan: traceSpan, Payload: payload}
+		body := appendBinaryMessage(nil, &want)
+		got, err := decodeBinaryMessage(body)
+		if err != nil {
+			t.Fatalf("decoding own encoding: %v", err)
+		}
+		if !sameEnvelope(got, want) {
+			t.Fatalf("round trip %+v != %+v", got, want)
 		}
 		// Decoder must not panic on arbitrary input; errors are fine.
-		decodeBinaryMessage(raw, binVersion2) //nolint:errcheck
+		decodeBinaryMessage(raw) //nolint:errcheck
 	})
 }

@@ -8,33 +8,23 @@ import (
 
 // Binary payload codec.
 //
-// The envelope codec (codec.go) carries Message.Payload raw, but the
-// payload itself was still always JSON: relay bodies base64 their
-// packed ciphertext blocks, re-inflating exactly the bytes the binary
-// envelope stopped inflating. This file closes that gap: a protocol
-// body that implements BinaryBody can ride the wire in a compact
-// binary payload encoding, and — on the TCP fast path — is appended
-// STRAIGHT into the envelope codec's pooled frame buffer, so a packed
-// relay block goes from smc.PackBlocks to the socket without an
-// intermediate payload allocation or copy.
+// A protocol body that implements BinaryBody rides the wire in a
+// compact binary payload encoding on every transport. On TCP it is
+// appended STRAIGHT into the envelope codec's pooled frame buffer, so a
+// packed relay block goes from smc.PackBlocks to the socket without an
+// intermediate payload allocation or copy; the in-memory network and
+// the client outbox materialize it with EncodePayload.
 //
-// Encoding is deferred until the transport knows the receiver:
-// NewBinaryMessage stores the body un-encoded on the Message; the
-// in-memory network encodes binary at delivery (both ends are the same
-// build), while the TCP endpoint consults the peer's advertised codec
-// level — only peers advertising "bin3" (this build) receive binary
-// payloads, everyone else gets the body's JSON encoding, byte-identical
-// to what a pre-payload-codec build would have sent.
-//
-// The first payload byte discriminates, mirroring the envelope codec:
-// JSON payloads always start with '{' (0x7B), binary payloads with
-// payloadMagic. Unmarshal sniffs and dispatches, so receivers need no
-// negotiation to decode. After Send returns the caller may freely reuse
-// the buffers backing the body: every encode path copies into memory
-// the sender does not retain (the aliasing regression test pins this).
+// Bodies without a BinaryBody (audit exec, sum, compare, ot, garbled)
+// keep JSON payloads: the choice is made per message type, never per
+// peer, so Unmarshal picks the codec from the target type and refuses
+// the other one. Binary payloads open with payloadMagic, which no JSON
+// value starts with. After Send returns the caller may freely reuse the
+// buffers backing the body: every encode path copies into memory the
+// sender does not retain (the aliasing regression test pins this).
 
 // BinaryBody is implemented by protocol bodies with a compact binary
-// payload encoding alongside their JSON tags. AppendBinary must append
+// payload encoding. AppendBinary must append
 // exactly BinarySize bytes and must not retain dst; DecodeBinary must
 // copy what it keeps, since the source buffer is recycled.
 type BinaryBody interface {
@@ -58,9 +48,8 @@ const (
 )
 
 // NewBinaryMessage builds a message whose payload encoding is deferred
-// to the transport: binary toward capable receivers, the body's JSON
-// encoding toward everyone else. The body must not be mutated until
-// Send returns.
+// to the transport, which appends it straight into its frame buffer.
+// The body must not be mutated until Send returns.
 func NewBinaryMessage(to, typ, session string, body BinaryBody) Message {
 	return Message{To: to, Type: typ, Session: session, body: body}
 }
@@ -73,8 +62,8 @@ func appendBinaryPayload(dst []byte, body BinaryBody) []byte {
 }
 
 // EncodePayload materializes a deferred body into Payload as a binary
-// payload (used by in-process transports, where the receiver is by
-// construction this build). No-op when no body is pending.
+// payload (used by the in-process transport and by callers that store
+// the bytes, such as the outbox spool). No-op when no body is pending.
 func (m *Message) EncodePayload() {
 	if m.body == nil {
 		return
@@ -82,23 +71,6 @@ func (m *Message) EncodePayload() {
 	buf := make([]byte, 0, payloadHdrLen+m.body.BinarySize())
 	m.Payload = appendBinaryPayload(buf, m.body)
 	m.body = nil
-}
-
-// EncodePayloadJSON materializes a deferred body into Payload as JSON —
-// the fallback toward receivers that predate the payload codec, and the
-// encoding any Message-level JSON marshal (legacy frames, spooling)
-// must see. No-op when no body is pending.
-func (m *Message) EncodePayloadJSON() error {
-	if m.body == nil {
-		return nil
-	}
-	p, err := json.Marshal(m.body)
-	if err != nil {
-		return fmt.Errorf("transport: encoding payload: %w", err)
-	}
-	m.Payload = p
-	m.body = nil
-	return nil
 }
 
 // pendingBody reports whether the message still carries an un-encoded
@@ -113,17 +85,20 @@ func IsBinaryPayload(payload []byte) bool {
 	return len(payload) >= payloadHdrLen && payload[0] == payloadMagic
 }
 
-// Unmarshal decodes a message payload into a protocol body, sniffing
-// the payload codec: binary payloads require v to implement BinaryBody;
-// JSON payloads decode as before.
+// Unmarshal decodes a message payload into a protocol body. The
+// target's type picks the codec: a BinaryBody accepts only a binary
+// payload, anything else only JSON.
 func Unmarshal(payload []byte, v any) error {
-	if IsBinaryPayload(payload) {
+	bb, isBinary := v.(BinaryBody)
+	if isBinary != IsBinaryPayload(payload) {
+		if isBinary {
+			return fmt.Errorf("transport: non-binary payload for %T", v)
+		}
+		return fmt.Errorf("transport: binary payload for %T, which has no binary decoding", v)
+	}
+	if isBinary {
 		if payload[1] != payloadVersion {
 			return fmt.Errorf("transport: unsupported binary payload version %d", payload[1])
-		}
-		bb, ok := v.(BinaryBody)
-		if !ok {
-			return fmt.Errorf("transport: binary payload for %T, which has no binary decoding", v)
 		}
 		if err := bb.DecodeBinary(payload[payloadHdrLen:]); err != nil {
 			return fmt.Errorf("transport: decoding binary payload: %w", err)

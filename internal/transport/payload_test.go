@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,8 +10,7 @@ import (
 )
 
 // testBody is a minimal BinaryBody mirroring the relay-body shape: a
-// string field plus a packed byte run, with JSON tags for the fallback
-// encoding.
+// string field plus a packed byte run.
 type testBody struct {
 	Origin string `json:"origin"`
 	Packed []byte `json:"packed,omitempty"`
@@ -66,32 +64,6 @@ func TestBinaryPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryPayloadJSONFallback(t *testing.T) {
-	in := &testBody{Origin: "N1", Packed: []byte{9, 8}}
-	msg := NewBinaryMessage("B", "t", "s", in)
-	if err := msg.EncodePayloadJSON(); err != nil {
-		t.Fatal(err)
-	}
-	if IsBinaryPayload(msg.Payload) {
-		t.Fatal("JSON fallback produced a binary payload")
-	}
-	// Byte-identical to what a pre-payload-codec sender marshals.
-	legacy, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(msg.Payload, legacy) {
-		t.Fatalf("fallback %s != legacy %s", msg.Payload, legacy)
-	}
-	var out testBody
-	if err := Unmarshal(msg.Payload, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Origin != in.Origin || !bytes.Equal(out.Packed, in.Packed) {
-		t.Fatalf("round trip mismatch: %+v", out)
-	}
-}
-
 func TestBinaryPayloadVersionRejected(t *testing.T) {
 	msg := NewBinaryMessage("B", "t", "s", &testBody{Origin: "x"})
 	msg.EncodePayload()
@@ -110,6 +82,11 @@ func TestBinaryPayloadNeedsBinaryBody(t *testing.T) {
 	}
 	if err := Unmarshal(msg.Payload, &plain); err == nil {
 		t.Fatal("binary payload decoded into a JSON-only target")
+	}
+	// And the converse: a BinaryBody has no JSON decoding to fall back on.
+	var out testBody
+	if err := Unmarshal([]byte(`{"Origin":"x"}`), &out); err == nil {
+		t.Fatal("JSON payload decoded into a binary body")
 	}
 }
 
@@ -147,91 +124,4 @@ func TestMemNetNoAliasingAfterSend(t *testing.T) {
 	if !bytes.Equal(out.Packed, []byte{10, 20, 30, 40}) {
 		t.Fatalf("receiver saw mutated buffer: % x", out.Packed)
 	}
-}
-
-// TestTCPMixedClusterPayloads drives one bin3 sender against three
-// receiver generations — current (bin3), pre-payload-codec (bin2), and
-// JSON-only — and checks each decodes what it was sent: binary payloads
-// toward bin3, JSON payloads (inside the frames its level allows)
-// toward everyone older. It also pins the no-aliasing contract on the
-// TCP path.
-func TestTCPMixedClusterPayloads(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	mk := func(id, cap string, peers map[string]string) (*TCPNetwork, Endpoint) {
-		t.Helper()
-		book := map[string]string{id: "127.0.0.1:0"}
-		for p, a := range peers {
-			book[p] = a
-		}
-		n := NewTCPNetwork(book)
-		n.SetCodecCap(cap)
-		ep, err := n.Endpoint(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n, ep
-	}
-
-	netA, epA := mk("A", CodecBinaryV3, nil)
-	defer epA.Close()
-	netC, epC := mk("C", CodecBinaryV3, map[string]string{"A": netA.addrs["A"]})
-	defer epC.Close()
-	netL2, epL2 := mk("L2", CodecBinaryV2, map[string]string{"A": netA.addrs["A"]})
-	defer epL2.Close()
-	netLJ, epLJ := mk("LJ", "", map[string]string{"A": netA.addrs["A"]})
-	defer epLJ.Close()
-	netA.Register("C", netC.addrs["C"])
-	netA.Register("L2", netL2.addrs["L2"])
-	netA.Register("LJ", netLJ.addrs["LJ"])
-
-	// Each peer introduces itself so A learns its codec level.
-	for _, ep := range []Endpoint{epC, epL2, epLJ} {
-		if err := ep.Send(ctx, Message{To: "A", Type: "hello", Session: "s", Payload: []byte(`{}`)}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := epA.Recv(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a := epA.(*tcpEndpoint)
-	if a.peerLevel("C") != codecBin3 || a.peerLevel("L2") != codecBin2 || a.peerLevel("LJ") != codecJSON {
-		t.Fatalf("negotiation: C=%d L2=%d LJ=%d", a.peerLevel("C"), a.peerLevel("L2"), a.peerLevel("LJ"))
-	}
-
-	packed := []byte{1, 2, 3, 4, 5, 6}
-	want := append([]byte(nil), packed...)
-	body := &testBody{Origin: "A", Packed: packed}
-	for _, to := range []string{"C", "L2", "LJ"} {
-		if err := SendBody(ctx, epA, to, "t", "s", body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Sender reuses the packed buffer as soon as the sends return; no
-	// receiver may observe the mutation.
-	for i := range packed {
-		packed[i] = 0xEE
-	}
-
-	check := func(ep Endpoint, wantBinary bool) {
-		t.Helper()
-		got, err := ep.Recv(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if IsBinaryPayload(got.Payload) != wantBinary {
-			t.Fatalf("payload codec toward %s: binary=%v, want %v", ep.ID(), !wantBinary, wantBinary)
-		}
-		var out testBody
-		if err := Unmarshal(got.Payload, &out); err != nil {
-			t.Fatal(err)
-		}
-		if out.Origin != "A" || !bytes.Equal(out.Packed, want) {
-			t.Fatalf("receiver %s saw %+v", ep.ID(), out)
-		}
-	}
-	check(epC, true)   // current peer: binary payload
-	check(epL2, false) // pre-payload-codec build: JSON payload
-	check(epLJ, false) // JSON-only build: JSON payload in a JSON frame
 }

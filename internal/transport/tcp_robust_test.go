@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -44,9 +45,11 @@ func TestTCPRejectsOversizedFrame(t *testing.T) {
 	}
 }
 
-// TestTCPDropsGarbageFrame sends a well-sized frame with non-JSON
-// content; the read loop must drop the connection and keep serving
-// others.
+// TestTCPDropsGarbageFrame sends well-sized frames that are not binary
+// envelopes — arbitrary bytes, a JSON-encoded Message (the retired JSON
+// frame path), and a binary envelope under an unknown version byte. For
+// each, the read loop must drop the connection without delivering
+// anything, and keep serving others.
 func TestTCPDropsGarbageFrame(t *testing.T) {
 	tn := NewTCPNetwork(map[string]string{"A": "127.0.0.1:0", "B": "127.0.0.1:0"})
 	a, err := tn.Endpoint("A")
@@ -60,20 +63,32 @@ func TestTCPDropsGarbageFrame(t *testing.T) {
 	}
 	defer b.Close() //nolint:errcheck
 
-	// Hostile raw connection.
-	conn, err := net.Dial("tcp", a.(*tcpEndpoint).Addr())
-	if err != nil {
-		t.Fatal(err)
+	unknownVersion := appendBinaryMessage(nil, &Message{From: "X", To: "A", Type: "evil"})
+	unknownVersion[1] = frameVersion + 1
+	garbage := map[string][]byte{
+		"not a frame":     []byte("this is not json"),
+		"json frame":      []byte(`{"from":"X","to":"A","type":"evil","session":"s"}`),
+		"unknown version": unknownVersion,
 	}
-	defer conn.Close() //nolint:errcheck
-	garbage := []byte("this is not json")
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(garbage)))
-	if _, err := conn.Write(append(hdr[:], garbage...)); err != nil {
-		t.Fatal(err)
+	for name, body := range garbage {
+		conn, err := net.Dial("tcp", a.(*tcpEndpoint).Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+		if _, err := conn.Write(append(hdr[:], body...)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		if _, err := conn.Read(make([]byte, 1)); err == nil || isTimeout(err) {
+			t.Errorf("%s: connection not dropped: %v", name, err)
+		}
+		conn.Close() //nolint:errcheck
 	}
 
-	// A legitimate peer still gets through.
+	// A legitimate peer still gets through, and is the first thing
+	// delivered: none of the garbage frames reached the inbox.
 	ctx := testCtx(t)
 	if err := b.Send(ctx, Message{To: "A", Type: "ok"}); err != nil {
 		t.Fatal(err)
@@ -87,15 +102,20 @@ func TestTCPDropsGarbageFrame(t *testing.T) {
 	}
 }
 
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
 // TestFrameRoundTripUnit exercises the codec directly.
 func TestFrameRoundTripUnit(t *testing.T) {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	msg := Message{From: "A", To: "B", Type: "t", Session: "s", Payload: []byte(`{"x":1}`)}
-	if err := writeFrame(bw, msg); err != nil {
+	if err := writeFrame(bw, &msg); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(bufio.NewReader(&buf), binVersion2)
+	got, err := readFrame(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +128,7 @@ func TestFrameTooLargeOnWrite(t *testing.T) {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	msg := Message{To: "B", Payload: make([]byte, maxFrame+1)}
-	if err := writeFrame(bw, msg); err == nil {
+	if err := writeFrame(bw, &msg); err == nil {
 		t.Fatal("oversized frame written")
 	}
 }

@@ -4,11 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+
+	"confaudit/internal/telemetry"
 )
 
 // maxFrame bounds a single wire frame (16 MiB), protecting nodes from
@@ -18,19 +19,10 @@ const maxFrame = 16 << 20
 // TCPNetwork implements Network over real TCP connections. Node IDs are
 // resolved through a static address book, mirroring the paper's
 // assumption of a known DLA cluster roster. Frames are 4-byte big-endian
-// length prefixes followed by either the JSON-encoded Message or its
-// binary envelope encoding (see codec.go); the codec is negotiated per
-// peer via the Message.Codec advertisement, with JSON as the universal
-// fallback.
+// length prefixes followed by the binary envelope encoding (codec.go).
 type TCPNetwork struct {
 	mu    sync.RWMutex
 	addrs map[string]string // node ID -> host:port
-	// capLevel pins the maximum codec this network's endpoints speak:
-	// codecJSON emulates a peer built before the binary codec existed,
-	// codecBin a pre-trace-context build (binary v1 only, v2 frames
-	// rejected), codecBin2 a pre-payload-codec build, codecBin3 (the
-	// default) the current build.
-	capLevel int
 }
 
 // NewTCPNetwork creates a network with the given address book. The map
@@ -40,7 +32,7 @@ func NewTCPNetwork(addrs map[string]string) *TCPNetwork {
 	for id, a := range addrs {
 		book[id] = a
 	}
-	return &TCPNetwork{addrs: book, capLevel: codecBin3}
+	return &TCPNetwork{addrs: book}
 }
 
 var _ Network = (*TCPNetwork)(nil)
@@ -50,35 +42,6 @@ func (n *TCPNetwork) Register(id, addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.addrs[id] = addr
-}
-
-// SetJSONOnly pins endpoints of this network to the legacy JSON codec,
-// simulating a peer that predates the binary envelope encoding. Call
-// before creating endpoints.
-func (n *TCPNetwork) SetJSONOnly(v bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if v {
-		n.capLevel = codecJSON
-	} else {
-		n.capLevel = codecBin3
-	}
-}
-
-// SetCodecCap pins the maximum codec this network's endpoints speak, by
-// capability name: "" for legacy JSON, CodecBinary for binary v1 (a
-// pre-trace-context build), CodecBinaryV2 for a pre-payload-codec
-// build, CodecBinaryV3 for current. Call before creating endpoints.
-func (n *TCPNetwork) SetCodecCap(codec string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.capLevel = codecLevel(codec)
-}
-
-func (n *TCPNetwork) maxLevel() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.capLevel
 }
 
 func (n *TCPNetwork) lookup(id string) (string, error) {
@@ -104,13 +67,12 @@ func (n *TCPNetwork) Endpoint(id string) (Endpoint, error) {
 		return nil, fmt.Errorf("transport: listening on %s: %w", addr, err)
 	}
 	ep := &tcpEndpoint{
-		id:        id,
-		net:       n,
-		ln:        ln,
-		inbox:     make(chan Message, 1024),
-		done:      make(chan struct{}),
-		conns:     make(map[string]*sendConn),
-		peerCodec: make(map[string]int),
+		id:    id,
+		net:   n,
+		ln:    ln,
+		inbox: make(chan Message, 1024),
+		done:  make(chan struct{}),
+		conns: make(map[string]*sendConn),
 	}
 	// Record the actual address (supports ":0" ephemeral ports).
 	n.Register(id, ln.Addr().String())
@@ -142,11 +104,6 @@ type tcpEndpoint struct {
 
 	connMu sync.Mutex
 	conns  map[string]*sendConn
-
-	// peerCodec records the highest codec level each peer has
-	// advertised; frames to anyone else go as JSON.
-	peerMu    sync.RWMutex
-	peerCodec map[string]int
 }
 
 var _ Endpoint = (*tcpEndpoint)(nil)
@@ -182,9 +139,8 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		}
 	}()
 	br := bufio.NewReader(conn)
-	maxVer := maxFrameVersion(e.net.maxLevel())
 	for {
-		msg, err := readFrame(br, maxVer)
+		msg, err := readFrame(br)
 		if err != nil {
 			return
 		}
@@ -193,14 +149,6 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		// sender's signature; the address book is trust-on-first-use).
 		if msg.ReplyAddr != "" && msg.From != "" {
 			e.net.Register(msg.From, msg.ReplyAddr)
-		}
-		// Learn the sender's codec capability the same way.
-		if level := codecLevel(msg.Codec); level > codecJSON && msg.From != "" {
-			e.peerMu.Lock()
-			if level > e.peerCodec[msg.From] {
-				e.peerCodec[msg.From] = level
-			}
-			e.peerMu.Unlock()
 		}
 		select {
 		case e.inbox <- msg:
@@ -216,29 +164,11 @@ func (e *tcpEndpoint) Send(ctx context.Context, msg Message) error {
 	}
 	msg.From = e.id
 	msg.ReplyAddr = e.ln.Addr().String()
-	level := codecJSON
-	if own := e.net.maxLevel(); own > codecJSON {
-		msg.Codec = codecAdvert(own)
-		e.peerMu.RLock()
-		level = e.peerCodec[msg.To]
-		e.peerMu.RUnlock()
-		if level > own {
-			level = own
-		}
-	}
-	// Peers below bin3 cannot decode binary payloads: materialize any
-	// deferred body as JSON before framing, exactly what a
-	// pre-payload-codec build would have sent.
-	if level < codecBin3 {
-		if err := msg.EncodePayloadJSON(); err != nil {
-			return err
-		}
-	}
 	sc, cached, err := e.dial(ctx, msg.To)
 	if err != nil {
 		return err
 	}
-	if err := e.writeTo(ctx, sc, msg, level); err != nil {
+	if err := e.writeTo(ctx, sc, &msg); err != nil {
 		// Connection is broken; drop it so later sends redial.
 		e.dropConn(msg.To, sc)
 		if !cached || ctx.Err() != nil {
@@ -251,7 +181,7 @@ func (e *tcpEndpoint) Send(ctx context.Context, msg Message) error {
 		if err != nil {
 			return err
 		}
-		if err := e.writeTo(ctx, sc, msg, level); err != nil {
+		if err := e.writeTo(ctx, sc, &msg); err != nil {
 			e.dropConn(msg.To, sc)
 			return fmt.Errorf("transport: sending to %q: %w", msg.To, err)
 		}
@@ -260,8 +190,8 @@ func (e *tcpEndpoint) Send(ctx context.Context, msg Message) error {
 }
 
 // writeTo frames msg onto the connection under its write lock, bounded
-// by the context deadline, at the negotiated codec level.
-func (e *tcpEndpoint) writeTo(ctx context.Context, sc *sendConn, msg Message, level int) error {
+// by the context deadline.
+func (e *tcpEndpoint) writeTo(ctx context.Context, sc *sendConn, msg *Message) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if deadline, ok := ctx.Deadline(); ok {
@@ -269,16 +199,7 @@ func (e *tcpEndpoint) writeTo(ctx context.Context, sc *sendConn, msg Message, le
 	} else {
 		sc.conn.SetWriteDeadline(noDeadline()) //nolint:errcheck
 	}
-	switch level {
-	case codecBin3, codecBin2:
-		// bin3 differs from bin2 only in payload encoding (a deferred
-		// body rides the frame buffer raw); the frame format is v2.
-		return writeBinaryFrame(sc.bw, &msg, binVersion2)
-	case codecBin:
-		return writeBinaryFrame(sc.bw, &msg, binVersion)
-	default:
-		return writeFrame(sc.bw, msg)
-	}
+	return writeFrame(sc.bw, msg)
 }
 
 // dial returns a connection to the peer and whether it was served from
@@ -327,18 +248,6 @@ func (e *tcpEndpoint) dial(ctx context.Context, to string) (*sendConn, bool, err
 		e.dropConn(to, sc)
 	}()
 	return sc, false, nil
-}
-
-// binPeer reports whether the peer has advertised a binary codec.
-func (e *tcpEndpoint) binPeer(id string) bool {
-	return e.peerLevel(id) >= codecBin
-}
-
-// peerLevel returns the highest codec level the peer has advertised.
-func (e *tcpEndpoint) peerLevel(id string) int {
-	e.peerMu.RLock()
-	defer e.peerMu.RUnlock()
-	return e.peerCodec[id]
 }
 
 func (e *tcpEndpoint) dropConn(to string, sc *sendConn) {
@@ -390,37 +299,11 @@ func (e *tcpEndpoint) isClosed() bool {
 	}
 }
 
-func writeFrame(bw *bufio.Writer, msg Message) error {
-	if err := msg.EncodePayloadJSON(); err != nil {
-		return err
-	}
-	body, err := json.Marshal(msg)
-	if err != nil {
-		return fmt.Errorf("encoding frame: %w", err)
-	}
-	if len(body) > maxFrame {
-		return fmt.Errorf("frame of %d bytes exceeds limit %d", len(body), maxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(body); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// writeBinaryFrame frames msg with the binary envelope codec at the
-// given frame version, reusing pooled encode buffers.
-func writeBinaryFrame(bw *bufio.Writer, msg *Message, version byte) error {
-	payloadLen := len(msg.Payload)
-	if body, ok := msg.pendingBody(); ok {
-		payloadLen = payloadHdrLen + body.BinarySize()
-	}
+// writeFrame frames msg with the binary envelope codec, reusing pooled
+// encode buffers.
+func writeFrame(bw *bufio.Writer, msg *Message) error {
 	bufp := encBufPool.Get().(*[]byte)
-	body := appendBinaryMessage((*bufp)[:0], msg, version)
+	body := appendBinaryMessage((*bufp)[:0], msg)
 	*bufp = body
 	defer encBufPool.Put(bufp)
 	if len(body) > maxFrame {
@@ -434,15 +317,13 @@ func writeBinaryFrame(bw *bufio.Writer, msg *Message, version byte) error {
 	if _, err := bw.Write(body); err != nil {
 		return err
 	}
-	observeBinaryFrame(len(body), payloadLen)
+	telemetry.M.Counter(telemetry.CtrCodecBytesSent).Add(int64(len(body)))
 	return bw.Flush()
 }
 
-// readFrame decodes one frame, dispatching on the first body byte: JSON
-// bodies start with '{', binary bodies with the codec magic. maxVer
-// caps the accepted binary frame version; 0 (a JSON-only legacy
-// endpoint) rejects binary frames outright.
-func readFrame(br *bufio.Reader, maxVer byte) (Message, error) {
+// readFrame decodes one frame. Anything but a binary envelope at
+// frameVersion is an error, and the caller drops the connection.
+func readFrame(br *bufio.Reader) (Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return Message{}, err
@@ -455,15 +336,5 @@ func readFrame(br *bufio.Reader, maxVer byte) (Message, error) {
 	if _, err := io.ReadFull(br, body); err != nil {
 		return Message{}, err
 	}
-	if len(body) > 0 && body[0] == binMagic {
-		if maxVer == 0 {
-			return Message{}, fmt.Errorf("transport: binary frame on a JSON-only endpoint")
-		}
-		return decodeBinaryMessage(body, maxVer)
-	}
-	var msg Message
-	if err := json.Unmarshal(body, &msg); err != nil {
-		return Message{}, fmt.Errorf("transport: decoding frame: %w", err)
-	}
-	return msg, nil
+	return decodeBinaryMessage(body)
 }

@@ -9,8 +9,8 @@
 //     construction, plus the runtime SetDropFn and Partition hooks for
 //     scripted loss and partitions — used by tests, examples,
 //     benchmarks, and the chaos suite;
-//   - TCPNetwork: real TCP with length-prefixed JSON frames, used by the
-//     cmd/dlad daemon.
+//   - TCPNetwork: real TCP with length-prefixed binary frames (codec.go),
+//     used by the cmd/dlad daemon.
 //
 // Protocols built on top use Mailbox, which demultiplexes incoming
 // messages by (type, session) so that independent protocol rounds can
@@ -45,35 +45,26 @@ type Message struct {
 	Type string `json:"type"`
 	// Session identifies one protocol run so concurrent runs do not mix.
 	Session string `json:"session"`
-	// Payload is the JSON-encoded protocol body.
+	// Payload is the encoded protocol body: a binary payload for
+	// BinaryBody types, JSON for the rest (see payload.go).
 	Payload []byte `json:"payload,omitempty"`
 	// ReplyAddr optionally advertises the sender's listen address so
 	// receivers on address-book transports (TCP) can dial back to
 	// senders they did not know in advance — e.g. a client that joined
 	// with an ephemeral port. In-memory transport ignores it.
 	ReplyAddr string `json:"reply_addr,omitempty"`
-	// Codec optionally advertises the sender's preferred wire codec
-	// (CodecBinary or CodecBinaryV2). Receivers on codec-aware
-	// transports use it to learn, per peer, that frames may be sent
-	// back in that encoding; legacy peers leave it empty and keep
-	// getting JSON.
-	Codec string `json:"codec,omitempty"`
 	// TraceSession and TraceSpan carry distributed-tracing context: the
 	// root trace session and the sender's active span ID, so the
 	// receiver's spans stitch under the sender's in a cluster-wide
 	// trace. Both are redaction-safe identifiers (session keys and
 	// "<node>:<seq>" span IDs — secondary information only, never query
-	// or record content). Legacy peers ignore the unknown JSON fields;
-	// the binary codec carries them only in version-2 frames, which are
-	// negotiated (see codec.go), so legacy binary peers never see them.
+	// or record content).
 	TraceSession string `json:"trace_session,omitempty"`
 	TraceSpan    string `json:"trace_span,omitempty"`
 
-	// body is a protocol body whose payload encoding is deferred until
-	// the transport knows what the receiver can decode (see payload.go).
-	// Unexported: a Message-level JSON marshal never sees it, so every
-	// encode path must materialize it via EncodePayload or
-	// EncodePayloadJSON before framing.
+	// body is a protocol body whose binary payload encoding is deferred
+	// to the transport (see payload.go). Unexported: every path that
+	// stores or copies Payload must materialize it via EncodePayload.
 	body BinaryBody
 }
 

@@ -13,13 +13,12 @@ GO ?= go
 # indistinguishable from code regressions.
 BENCH_HEAD ?= BENCH_PR10.json
 
-.PHONY: all build test race race-telemetry bench bench-json bench-smoke bench-module benchdiff vet staticcheck fmt check chaos crash-torture examples obs-smoke obs-ingest-smoke load-smoke tables fuzz clean
+.PHONY: all build test race bench bench-json bench-smoke bench-module benchdiff vet staticcheck fmt check chaos crash-torture examples obs-smoke obs-ingest-smoke load-smoke tables fuzz clean
 
 all: build vet test
 
 # Pre-merge gate: static checks (vet always, staticcheck when
-# installed), a race pass over the telemetry-instrumented packages,
-# the observability smoke (cluster trace + leak ledger end to end),
+# installed), the observability smoke (cluster trace + leak ledger end to end),
 # the streaming-ingestion smoke (dlaload burst, zero lost acks),
 # the crash-recovery torture suites, the full race-enabled test suite
 # (uncached, so a flaky test cannot hide behind a cached pass), a
@@ -27,7 +26,7 @@ all: build vet test
 # that only benchmarks exercise break the gate too, the bench/ module
 # (its own go.mod, so ./... never reaches it), and the
 # headline-benchmark diff between the committed artifacts.
-check: bench-smoke bench-module vet staticcheck race-telemetry obs-smoke obs-ingest-smoke load-smoke crash-torture benchdiff
+check: bench-smoke bench-module vet staticcheck obs-smoke obs-ingest-smoke load-smoke crash-torture benchdiff
 	$(GO) test -race -count=1 ./...
 
 # The end-to-end benchmark harness lives in its own module under
@@ -63,19 +62,8 @@ staticcheck:
 		echo "staticcheck not installed; skipping"; \
 	fi
 
-# The packages the telemetry layer instruments, plus the concurrency
-# machinery under them (worker pool, batch crypto engine, wire codec):
-# spans and counters are recorded from every protocol goroutine, so
-# these must stay race-clean even when the full suite is trimmed.
-race-telemetry:
-	$(GO) test -race ./internal/telemetry/ ./internal/transport/ \
-		./internal/resilience/ ./internal/cluster/ ./internal/audit/ \
-		./internal/smc/intersect/ ./internal/smc/union/ ./pkg/dla/ \
-		./internal/workpool/ ./internal/crypto/commutative/ \
-		./internal/integrity/ ./internal/mathx/ ./internal/loadgen/ \
-		./cmd/dlactl/
-
-# Fault-schedule suite: crash/restart, seeded loss, degraded auditing.
+# Fault-schedule suite: crash/restart, seeded loss, degraded auditing,
+# with every node journaling to its segment store.
 chaos:
 	$(GO) test -run Chaos -tags chaos -count=1 ./internal/chaos/
 

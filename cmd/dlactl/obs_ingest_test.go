@@ -45,8 +45,8 @@ func TestObsIngestSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// DataDir makes the nodes journal through the WAL, so the fsync and
-	// encode/stage phase histograms record real work.
+	// DataDir makes the nodes journal to the segment store, so the fsync
+	// and encode/stage phase histograms record real work.
 	cl, err := dla.Deploy(dla.ClusterOptions{Partition: part, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -59,8 +59,16 @@ func TestObsIngestSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close() //nolint:errcheck
-	// Followers ask the leader once at start-up; count from here.
-	syncBase := telemetry.M.Counter(telemetry.CtrSyncRequests).Value()
+	// Followers ask the leader once at start-up, possibly after Connect
+	// returns; count from once every ask has landed.
+	syncs := telemetry.M.Counter(telemetry.CtrSyncRequests)
+	for deadline := time.Now().Add(5 * time.Second); syncs.Value() < int64(len(part.Nodes())-1); {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d start-up syncs counted", syncs.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	syncBase := syncs.Value()
 
 	// A burst through the streaming path: small batches so several seal
 	// / reserve / store rounds run, with sentinel content throughout.
@@ -98,7 +106,7 @@ func TestObsIngestSmoke(t *testing.T) {
 
 	// Every pipeline stage must have recorded observations: client-side
 	// seal wait, glsn-range reservation, and per-round store RTT; node-
-	// side fan-out decode and ack turnaround; WAL encode/stage/fsync.
+	// side fan-out decode and ack turnaround; journal encode/stage/fsync.
 	snap := telemetry.M.Snapshot()
 	for _, h := range []string{
 		telemetry.HistIngestSealWait,

@@ -6,15 +6,15 @@
 //		partition, and the TCP address book, writing one common file,
 //		one private file per node, and the ticket-issuer key.
 //
-//	dlad run -dir <dir> -id P0 [-data <dir>] [-backend memory|wal|disk]
+//	dlad run -dir <dir> -id P0 [-data <dir>]
 //	    [-sync always|interval|never] [-segment-bytes N]
 //	    [-checkpoint-every N] [-pprof 127.0.0.1:6060]
 //	    [-ingest-rate N] [-ingest-burst N] [-ingest-inflight-bytes N]
 //		start one DLA node: fragment store, glsn sequencer/voter,
 //		audit executor, and integrity responder, serving over TCP
-//		until interrupted. -backend selects durability: the JSON-lines
-//		WAL (default when -data is set) or the crash-safe segment
-//		store; -sync and the segment flags tune it. The -ingest-*
+//		until interrupted. -data makes the node durable: it journals
+//		to the crash-safe segment store in that directory, tuned by
+//		-sync and the segment flags. The -ingest-*
 //		flags bound ingest admission (token-bucket rate and inflight
 //		bytes); refused stores answer ERR_OVERLOADED and streaming
 //		writers back off. With -pprof, an HTTP server exposes
@@ -142,13 +142,12 @@ func run(args []string) error {
 	var (
 		dir        = fs.String("dir", "provision", "provisioning directory")
 		id         = fs.String("id", "", "this node's ID (required)")
-		data       = fs.String("data", "", "data directory for durable state (empty = in-memory only)")
-		backend    = fs.String("backend", "", "durability backend: memory, wal, or disk (empty = wal when -data is set, else memory)")
+		data       = fs.String("data", "", "segment-store directory for durable state (empty = in-memory only)")
 		sync       = fs.String("sync", string(storage.SyncAlways), "fsync policy for acked appends: always, interval, or never")
 		syncEvery  = fs.Duration("sync-every", 0, "fsync interval under -sync interval (0 = 50ms)")
-		segBytes   = fs.Int64("segment-bytes", 0, "disk backend: seal the active segment at this size (0 = 4MiB)")
-		cpEvery    = fs.Int("checkpoint-every", 0, "disk backend: checkpoint after this many sealed segments (0 = 4)")
-		compactAt  = fs.Int("compact-segments", 0, "disk backend: sealed-segment count that triggers compaction (0 = 8)")
+		segBytes   = fs.Int64("segment-bytes", 0, "seal the active segment at this size (0 = 4MiB)")
+		cpEvery    = fs.Int("checkpoint-every", 0, "checkpoint after this many sealed segments (0 = 4)")
+		compactAt  = fs.Int("compact-segments", 0, "sealed-segment count that triggers compaction (0 = 8)")
 		pprof      = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (empty = disabled)")
 		leakBudget = fs.Float64("leak-budget", 0, "default per-querier leak budget (sum of 1-C_query); 0 disables the alarm")
 		ingestRPS  = fs.Float64("ingest-rate", 0, "ingest admission: records/sec token-bucket refill (0 = unbounded)")
@@ -161,36 +160,11 @@ func run(args []string) error {
 	if *id == "" {
 		return fmt.Errorf("-id is required")
 	}
-	// Resolve the durability backend up front, through the validated
-	// options struct, so a typo dies here instead of after the node has
-	// joined the cluster.
-	if *backend == "" {
-		if *data != "" {
-			*backend = storage.BackendWAL
-		} else {
-			*backend = storage.BackendMemory
-		}
-	}
-	sOpts := storage.Options{
-		Backend:         *backend,
-		Dir:             *data,
-		Sync:            storage.SyncPolicy(*sync),
-		SyncEvery:       *syncEvery,
-		SegmentBytes:    *segBytes,
-		CheckpointEvery: *cpEvery,
-		CompactSegments: *compactAt,
-	}
-	if err := sOpts.Validate(); err != nil {
-		return err
-	}
-	if *backend != storage.BackendMemory && *data == "" {
-		return fmt.Errorf("-backend %s requires -data", *backend)
-	}
 	if *leakBudget > 0 {
 		telemetry.L.SetDefaultBudget(*leakBudget)
 	}
 	// One node per dlad process: stamp its ID on flight events recorded
-	// deep in the pipeline (WAL, breaker) that don't know who owns them.
+	// deep in the pipeline (journal, breaker) that don't know who owns them.
 	telemetry.F.SetDefaultNode(*id)
 	common, err := cluster.LoadCommon(*dir)
 	if err != nil {
@@ -220,21 +194,28 @@ func run(args []string) error {
 		Burst:            *ingestBst,
 		MaxInflightBytes: *ingestInfl,
 	}
-	switch *backend {
-	case storage.BackendDisk:
+	if *data != "" {
+		sOpts := storage.Options{
+			Backend:         storage.BackendDisk,
+			Dir:             *data,
+			Sync:            storage.SyncPolicy(*sync),
+			SyncEvery:       *syncEvery,
+			SegmentBytes:    *segBytes,
+			CheckpointEvery: *cpEvery,
+			CompactSegments: *compactAt,
+		}
 		st, err := storage.Open(sOpts, boot.AccParams, nil)
 		if err != nil {
 			return err
 		}
 		cfg.Storage = st // node takes ownership; CloseStorage releases it
-		log.Printf("segment store open in %s (sync=%s)", *data, sOpts.Sync)
-	case storage.BackendWAL:
-		cfg.DataDir = *data
-		cfg.WALSync = sOpts.Sync
-		cfg.WALSyncEvery = sOpts.SyncEvery
+		log.Printf("segment store open in %s (sync=%s)", *data, *sync)
 	}
 	node, err := cluster.New(cfg, mb)
 	if err != nil {
+		if cfg.Storage != nil {
+			cfg.Storage.Close() //nolint:errcheck // error path
+		}
 		return err
 	}
 	defer node.CloseStorage() //nolint:errcheck

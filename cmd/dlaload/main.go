@@ -56,7 +56,7 @@ func run(args []string) error {
 		admitRPS  = fs.Float64("admit-rps", 0, "per-node admission records/sec (0 = unbounded)")
 		admitMB   = fs.Int64("admit-inflight-bytes", 0, "per-node admission inflight-bytes cap (0 = unbounded)")
 		crash     = fs.String("crash", "", "crash+restart this node mid-run (needs -dataroot)")
-		dataroot  = fs.String("dataroot", "", "per-node WAL root (enables durability)")
+		dataroot  = fs.String("dataroot", "", "per-node segment-store root (enables durability)")
 		timeout   = fs.Duration("timeout", 5*time.Minute, "whole-run timeout")
 		jsonOut   = fs.Bool("json", false, "emit the report as JSON")
 		out       = fs.String("out", "", "also write the JSON report to this file")
@@ -87,7 +87,7 @@ func run(args []string) error {
 		rateList = append(rateList, r)
 	}
 	if *crash != "" && *dataroot == "" {
-		return fmt.Errorf("-crash needs -dataroot so the node can recover its WAL")
+		return fmt.Errorf("-crash needs -dataroot so the node can recover its journal")
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

@@ -3,7 +3,7 @@
 // and integrity-circulation services on every roster node, all speaking
 // through retrying endpoints — over a MemNetwork configured with a
 // seeded drop rate and latency jitter, and scripts node crashes and
-// restarts mid-workload. Nodes journal to per-node WAL directories so a
+// restarts mid-workload. Nodes journal to per-node segment stores so a
 // restarted node recovers the state it held at the crash.
 //
 // The fault-schedule test suite lives behind the `chaos` build tag so
@@ -47,7 +47,7 @@ type Options struct {
 	DropRate float64
 	// Jitter is the maximum extra delivery latency.
 	Jitter time.Duration
-	// DataRoot is where per-node WAL directories (and client outboxes)
+	// DataRoot is where per-node segment stores (and client outboxes)
 	// live; required for nodes to survive a Crash/Restart cycle.
 	DataRoot string
 	// Health tunes every participant's failure detector.
@@ -58,12 +58,8 @@ type Options struct {
 	// Policy is the retry/circuit-breaker policy wrapped around every
 	// endpoint.
 	Policy resilience.Policy
-	// Backend selects node durability: "" or storage.BackendWAL for the
-	// JSON-lines WAL under DataRoot (the pre-PR6 behavior), or
-	// storage.BackendDisk for the crash-safe segment store.
-	Backend string
-	// Disk tunes the segment store when Backend is storage.BackendDisk
-	// (Backend and Dir are filled per node).
+	// Disk tunes each node's segment store (Backend and Dir are filled
+	// per node).
 	Disk storage.Options
 	// NewFS, when set, supplies the filesystem seam for each node's
 	// segment store — the torture suites hand back per-node
@@ -139,8 +135,8 @@ func (c *Cluster) StartAll() error {
 }
 
 // StartNode boots (or, after a Crash, reboots) one roster node: a
-// retrying endpoint, a WAL under DataRoot, and the storage, audit, and
-// integrity services.
+// retrying endpoint, a segment store under DataRoot, and the storage,
+// audit, and integrity services.
 func (c *Cluster) StartNode(id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -158,26 +154,21 @@ func (c *Cluster) StartNode(id string) error {
 	mb := transport.NewMailbox(resilience.Wrap(ep, c.opts.Policy))
 	cfg := c.Boot.NodeConfig(id)
 	if c.opts.DataRoot != "" {
-		if c.opts.Backend == storage.BackendDisk {
-			// The crash-safe segment store: opened (and thereby
-			// recovered) here, handed to the node, closed by the node's
-			// CloseStorage on Crash.
-			sOpts := c.opts.Disk
-			sOpts.Backend = storage.BackendDisk
-			sOpts.Dir = filepath.Join(c.opts.DataRoot, id)
-			var fsys faultfs.FS
-			if c.opts.NewFS != nil {
-				fsys = c.opts.NewFS(id)
-			}
-			st, err := storage.Open(sOpts, c.Boot.AccParams, fsys)
-			if err != nil {
-				mb.Close() //nolint:errcheck
-				return err
-			}
-			cfg.Storage = st
-		} else {
-			cfg.DataDir = filepath.Join(c.opts.DataRoot, id)
+		// The segment store: opened (and thereby recovered) here, handed
+		// to the node, closed by the node's CloseStorage on Crash.
+		sOpts := c.opts.Disk
+		sOpts.Backend = storage.BackendDisk
+		sOpts.Dir = filepath.Join(c.opts.DataRoot, id)
+		var fsys faultfs.FS
+		if c.opts.NewFS != nil {
+			fsys = c.opts.NewFS(id)
 		}
+		st, err := storage.Open(sOpts, c.Boot.AccParams, fsys)
+		if err != nil {
+			mb.Close() //nolint:errcheck
+			return err
+		}
+		cfg.Storage = st
 	}
 	cfg.Health = c.opts.Health
 	cfg.Admission = c.opts.Admission
@@ -225,7 +216,7 @@ func (c *Cluster) Node(id string) *cluster.Node {
 }
 
 // Crash kills one node mid-flight: its context is cancelled and its
-// mailbox (hence endpoint) closed, then its WAL handle is released so a
+// mailbox (hence endpoint) closed, then its store is released so a
 // Restart can reopen the journal. Blocks until every node goroutine has
 // exited.
 func (c *Cluster) Crash(id string) error {
@@ -245,7 +236,7 @@ func (c *Cluster) Crash(id string) error {
 	return nil
 }
 
-// Restart boots a crashed node again; the WAL replays the state it
+// Restart boots a crashed node again; the journal replays the state it
 // held at the crash.
 func (c *Cluster) Restart(id string) error { return c.StartNode(id) }
 

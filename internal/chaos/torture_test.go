@@ -91,7 +91,6 @@ func TestTortureClusterCrashLoop(t *testing.T) {
 			Seed:             seed,
 		},
 	}
-	opts.Backend = storage.BackendDisk
 	opts.Disk = storage.Options{
 		Sync:            storage.SyncAlways,
 		SegmentBytes:    4096,

@@ -94,7 +94,7 @@ func TestLogBatchWALReplay(t *testing.T) {
 	root := t.TempDir()
 	ctx := testCtx(t)
 
-	tc, stop := walCluster(t, root)
+	tc, stop := durableCluster(t, root)
 	c := tc.client(t, "bwal-u", "TBW", ticket.OpWrite, ticket.OpRead)
 	if err := c.RegisterTicket(ctx); err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestLogBatchWALReplay(t *testing.T) {
 	}
 	stop()
 
-	tc2, stop2 := walCluster(t, root)
+	tc2, stop2 := durableCluster(t, root)
 	defer stop2()
 	ep, err := tc2.net.Endpoint("bwal-u")
 	if err != nil {
@@ -145,13 +145,13 @@ func TestLogBatchWALReplay(t *testing.T) {
 }
 
 // TestLogBatchCrashMidBatch simulates a node crashing in the middle of
-// a batch group commit: the WAL's final line is torn. Restart must
+// a batch group commit: the journal's final frame is torn. Restart must
 // recover every intact entry of the batch and drop only the torn tail.
 func TestLogBatchCrashMidBatch(t *testing.T) {
 	root := t.TempDir()
 	ctx := testCtx(t)
 
-	tc, stop := walCluster(t, root)
+	tc, stop := durableCluster(t, root)
 	c := tc.client(t, "crash-u", "TCR", ticket.OpWrite, ticket.OpRead)
 	if err := c.RegisterTicket(ctx); err != nil {
 		t.Fatal(err)
@@ -169,22 +169,23 @@ func TestLogBatchCrashMidBatch(t *testing.T) {
 	}
 	stop()
 
-	// Tear the last WAL record on P3 (owner of C1) mid-record: the crash
-	// happened while the batch's final fragment entry was being written.
-	p3WAL := filepath.Join(root, "P3", walFile)
-	data, err := os.ReadFile(p3WAL)
+	// Tear the last journal frame on P3 (owner of C1) mid-frame: the
+	// crash happened while the batch's final fragment entry was being
+	// written.
+	seg := activeSegment(t, filepath.Join(root, "P3"))
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ends := walRecordEnds(t, data)
+	ends := segmentFrameEnds(t, data)
 	if len(ends) < 2 || len(data)-20 <= ends[len(ends)-2] {
-		t.Fatal("truncation point does not land inside the final record")
+		t.Fatal("truncation point does not land inside the final frame")
 	}
-	if err := os.WriteFile(p3WAL, data[:len(data)-20], 0o600); err != nil {
+	if err := os.WriteFile(seg, data[:len(data)-20], 0o600); err != nil {
 		t.Fatal(err)
 	}
 
-	tc2, stop2 := walCluster(t, root)
+	tc2, stop2 := durableCluster(t, root)
 	defer stop2()
 	p3 := tc2.nodes["P3"]
 	// All batch records but the torn last one survived on P3.
@@ -195,6 +196,9 @@ func TestLogBatchCrashMidBatch(t *testing.T) {
 	}
 	if _, ok := p3.Fragment(gs[len(gs)-1]); ok {
 		t.Fatal("torn final fragment resurrected")
+	}
+	if q := p3.QuarantinedExtents(); len(q) != 0 {
+		t.Fatalf("torn tail must truncate, not quarantine: %v", q)
 	}
 	// The grant range itself was journaled before any fragment, so the
 	// sequencer state is intact and new writes do not collide.

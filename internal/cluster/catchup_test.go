@@ -18,30 +18,33 @@ import (
 func syncRequests() int64 { return telemetry.M.Counter(telemetry.CtrSyncRequests).Value() }
 func syncRanges() int64   { return telemetry.M.Counter(telemetry.CtrSyncRanges).Value() }
 
-// walGrants returns the grant entries journaled in dir's WAL.
-func walGrants(t *testing.T, dir string) []walEntry {
+// startupSynced waits until every follower of tc has finished the sync
+// it asks the leader for from Start; before is the request counter read
+// before tc started. Unless a caller waits, that ask can be counted
+// after the caller's baseline, and its answer, if the leader serves it
+// late, can ship ranges granted after the baseline.
+func startupSynced(t *testing.T, tc *testCluster, before int64) {
 	t.Helper()
-	var out []walEntry
-	if err := ReplayWAL(dir, func(e walEntry) error {
-		if e.Kind == "grant" {
-			out = append(out, e)
+	want := int64(len(tc.boot.Roster) - 1)
+	deadline := time.Now().Add(5 * time.Second)
+	for syncRequests()-before < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d start-up syncs counted", syncRequests()-before, want)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+		time.Sleep(time.Millisecond)
 	}
-	return out
+	// A sync is counted under its node's syncMu, so taking the lock
+	// waits out each answer still being applied.
+	for _, n := range tc.nodes {
+		//lint:ignore SA2001 the empty critical section is the barrier
+		n.syncMu.Lock()
+		n.syncMu.Unlock()
+	}
 }
 
-// segmentGrants returns the grant entries journaled in a closed segment
-// store under dir.
-func segmentGrants(t *testing.T, dir string) []walEntry {
+// grantEntries returns the grant entries a store holds.
+func grantEntries(t *testing.T, st storage.Store) []walEntry {
 	t.Helper()
-	st, err := storage.Open(storage.Options{Backend: storage.BackendDisk, Dir: dir}, sharedBootstrap(t).AccParams, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close() //nolint:errcheck
 	var out []walEntry
 	if err := replayStore(st, func(e walEntry) error {
 		if e.Kind == "grant" {
@@ -68,12 +71,14 @@ func batchRecords(first, n int) []map[logmodel.Attr]logmodel.Value {
 // the next range is proposed while followers may still be applying the
 // previous commits: a gap the commits in flight close, not a loss.
 func TestPipelinedAppendDoesNotSync(t *testing.T) {
+	started := syncRequests()
 	tc := startCluster(t)
 	ctx := testCtx(t)
 	c := tc.client(t, "ap-nosync", "TNOSYNC", ticket.OpWrite)
 	if err := c.RegisterTicket(ctx); err != nil {
 		t.Fatal(err)
 	}
+	startupSynced(t, tc, started)
 	base := syncRequests()
 	ap, err := c.NewAppender(ctx, AppendOptions{MaxBatchRecords: 64, MaxInflight: 4})
 	if err != nil {
@@ -115,12 +120,14 @@ func TestFollowerCatchesUpAfterHeal(t *testing.T) {
 	// answered P1 makes that answer stop short of the round P1 is
 	// applying, which P1 then applies from the commit itself.
 	t.Run("partition", func(t *testing.T) {
+		started := syncRequests()
 		tc := startCluster(t)
 		ctx := testCtx(t)
 		c := tc.client(t, "heal-u", "THEAL", ticket.OpWrite)
 		if err := c.RegisterTicket(ctx); err != nil {
 			t.Fatal(err)
 		}
+		startupSynced(t, tc, started)
 		requests, shipped := syncRequests(), syncRanges()
 		tc.net.Partition("P1")
 		requestGLSNs(ctx, t, c, k)
@@ -155,12 +162,14 @@ func TestFollowerCatchesUpAfterHeal(t *testing.T) {
 	// closing commit, then pulls from the leader. Only such a sync can
 	// give P3 the grants of the first k-1 rounds.
 	t.Run("lost commits", func(t *testing.T) {
+		started := syncRequests()
 		tc := startCluster(t)
 		ctx := testCtx(t)
 		c := tc.client(t, "heal-u", "THEAL", ticket.OpWrite)
 		if err := c.RegisterTicket(ctx); err != nil {
 			t.Fatal(err)
 		}
+		startupSynced(t, tc, started)
 		base := syncRequests()
 		tc.net.SetDropFn(func(m transport.Message) bool {
 			return m.To == "P3" && m.Type == msgAgreeCommit
@@ -183,14 +192,16 @@ func TestFollowerCatchesUpAfterHeal(t *testing.T) {
 	// A durable cluster: P3 is partitioned through k LogBatch rounds
 	// and catch-up costs O(missed): the leader ships k ranges, the
 	// follower journals k grant entries, and its access table converges
-	// to the leader's. The leader, restarted from its DataDir, rebuilds
+	// to the leader's. The leader, restarted from its journal, rebuilds
 	// its grant log and serves the same ranges.
 	t.Run("outbox replay", func(t *testing.T) {
 		const batch = 5
 		root := t.TempDir()
 		ctx := testCtx(t)
-		tc, stop := walCluster(t, root)
+		started := syncRequests()
+		tc, stop := durableCluster(t, root)
 		defer func() { stop() }()
+		startupSynced(t, tc, started)
 
 		// The outbox spools P3's store batches while it is cut off, so the
 		// writes succeed without it.
@@ -215,8 +226,8 @@ func TestFollowerCatchesUpAfterHeal(t *testing.T) {
 		if err := c.RegisterTicket(ctx); err != nil {
 			t.Fatal(err)
 		}
-		p3, p3Dir := tc.nodes["P3"], filepath.Join(root, "P3")
-		journaled := len(walGrants(t, p3Dir))
+		p3 := tc.nodes["P3"]
+		journaled := len(grantEntries(t, p3.journal.s))
 
 		tc.net.Partition("P3")
 		missed := make([]logmodel.GLSN, k)
@@ -245,7 +256,7 @@ func TestFollowerCatchesUpAfterHeal(t *testing.T) {
 		if lead, got := tc.nodes["P0"].AccessTable().Glsns("THEAL"), p3.AccessTable().Glsns("THEAL"); !slices.Equal(lead, got) {
 			t.Fatalf("P3 access table %v, leader %v", got, lead)
 		}
-		gained := walGrants(t, p3Dir)[journaled:]
+		gained := grantEntries(t, p3.journal.s)[journaled:]
 		if len(gained) != k {
 			t.Fatalf("P3 journaled %d grant entries for %d missed ranges", len(gained), k)
 		}
@@ -260,7 +271,7 @@ func TestFollowerCatchesUpAfterHeal(t *testing.T) {
 			t.Fatalf("leader serves %d ranges from %s, want %d", len(want), missed[0], k)
 		}
 		stop()
-		tc2, stop2 := walCluster(t, root)
+		tc2, stop2 := durableCluster(t, root)
 		stop = stop2
 		if got := tc2.nodes["P0"].grantsFrom(missed[0]); !slices.Equal(got, want) {
 			t.Fatalf("restarted leader serves %v, want %v", got, want)
@@ -300,65 +311,78 @@ func waitConverged(t *testing.T, tc *testCluster, follower, ticketID string, wan
 	}
 }
 
-// TestCompactionSnapshotsGrantRanges compacts both durable backends and
+// TestCompactionSnapshotsGrantRanges compacts a durable cluster and
 // checks the snapshot holds one grant entry per range, not per glsn,
 // and that a restart from it rebuilds identical access tables and grant
-// logs.
+// logs. The "wal" rig seals a segment every few frames, so what is
+// compacted is a log of many sealed segments rather than one open tail;
+// it never asks for background compaction, so the test's own compaction
+// is the one that folds them.
 func TestCompactionSnapshotsGrantRanges(t *testing.T) {
 	for _, rig := range []struct {
-		name   string
-		start  func(*testing.T, string) (*testCluster, context.CancelFunc)
-		grants func(*testing.T, string) []walEntry
+		name string
+		opts storage.Options
 	}{
-		{"wal", walCluster, walGrants},
-		{"segment", segCluster, segmentGrants},
+		{"wal", storage.Options{SegmentBytes: 512, CompactSegments: 1 << 20}},
+		{"segment", storage.Options{}},
 	} {
 		t.Run(rig.name, func(t *testing.T) {
-			root := t.TempDir()
-			ctx := testCtx(t)
-			tc, stop := rig.start(t, root)
-			c := tc.client(t, "snap-u", "TSNAP", ticket.OpWrite)
-			if err := c.RegisterTicket(ctx); err != nil {
-				t.Fatal(err)
-			}
-			sizes := []int{4, 1, 6, 3}
-			for i, size := range sizes {
-				if _, err := c.LogBatch(ctx, batchRecords(10*i, size)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			tables := make(map[string][]logmodel.GLSN)
-			logs := make(map[string][]grantRange)
-			for id, node := range tc.nodes {
-				if err := node.CompactStorage(); err != nil {
-					t.Fatal(err)
-				}
-				tables[id] = node.AccessTable().Glsns("TSNAP")
-				logs[id] = node.grantsFrom(0)
-			}
-			stop()
-
-			snap := rig.grants(t, filepath.Join(root, "P0"))
-			if len(snap) != len(sizes) {
-				t.Fatalf("snapshot holds %d grant entries for %d ranges", len(snap), len(sizes))
-			}
-			for i, e := range snap {
-				if e.Count != sizes[i] {
-					t.Fatalf("snapshot grant %d covers %d glsns, want %d", i, e.Count, sizes[i])
-				}
-			}
-
-			tc2, stop2 := rig.start(t, root)
-			defer stop2()
-			for id, node := range tc2.nodes {
-				if got := node.AccessTable().Glsns("TSNAP"); !slices.Equal(got, tables[id]) {
-					t.Fatalf("%s access table after restart %v, before %v", id, got, tables[id])
-				}
-				if got := node.grantsFrom(0); !slices.Equal(got, logs[id]) {
-					t.Fatalf("%s grant log after restart %v, before %v", id, got, logs[id])
-				}
-			}
+			compactionSnapshotsGrantRanges(t, rig.opts)
 		})
+	}
+}
+
+func compactionSnapshotsGrantRanges(t *testing.T, opts storage.Options) {
+	root := t.TempDir()
+	ctx := testCtx(t)
+	tc, stop := durableClusterOpts(t, root, opts)
+	c := tc.client(t, "snap-u", "TSNAP", ticket.OpWrite)
+	if err := c.RegisterTicket(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{4, 1, 6, 3}
+	for i, size := range sizes {
+		if _, err := c.LogBatch(ctx, batchRecords(10*i, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if opts.SegmentBytes > 0 {
+		if n := len(tc.nodes["P0"].journal.s.Status().Segments); n < 3 {
+			t.Fatalf("P0 journal spans %d segments before compaction; the rig wants several", n)
+		}
+	}
+	tables := make(map[string][]logmodel.GLSN)
+	logs := make(map[string][]grantRange)
+	for id, node := range tc.nodes {
+		if err := node.CompactStorage(); err != nil {
+			t.Fatal(err)
+		}
+		tables[id] = node.AccessTable().Glsns("TSNAP")
+		logs[id] = node.grantsFrom(0)
+	}
+	stop()
+
+	st := openStore(t, filepath.Join(root, "P0"))
+	snap := grantEntries(t, st)
+	st.Close() //nolint:errcheck // read-only
+	if len(snap) != len(sizes) {
+		t.Fatalf("snapshot holds %d grant entries for %d ranges", len(snap), len(sizes))
+	}
+	for i, e := range snap {
+		if e.Count != sizes[i] {
+			t.Fatalf("snapshot grant %d covers %d glsns, want %d", i, e.Count, sizes[i])
+		}
+	}
+
+	tc2, stop2 := durableClusterOpts(t, root, opts)
+	defer stop2()
+	for id, node := range tc2.nodes {
+		if got := node.AccessTable().Glsns("TSNAP"); !slices.Equal(got, tables[id]) {
+			t.Fatalf("%s access table after restart %v, before %v", id, got, tables[id])
+		}
+		if got := node.grantsFrom(0); !slices.Equal(got, logs[id]) {
+			t.Fatalf("%s grant log after restart %v, before %v", id, got, logs[id])
+		}
 	}
 }
 

@@ -392,7 +392,7 @@ func (c *Client) Log(ctx context.Context, values map[logmodel.Attr]logmodel.Valu
 // LogBatch writes several event records in one round trip per layer: a
 // single sequencer agreement reserves a contiguous glsn range, and each
 // DLA node receives one message carrying all of its fragments, stores
-// them under one lock with one WAL group commit, and answers one ack.
+// them under one lock with one journal group commit, and answers one ack.
 // With an outbox enabled, a node's whole batch spools for replay when
 // the node is dead or the send fails transiently. Returns the assigned
 // glsns in input order.

@@ -16,6 +16,7 @@ import (
 
 	"confaudit/internal/logmodel"
 	"confaudit/internal/storage"
+	"confaudit/internal/storage/faultfs"
 	"confaudit/internal/telemetry"
 	"confaudit/internal/ticket"
 	"confaudit/internal/transport"
@@ -34,61 +35,51 @@ func stagedFragEntries(n int) []walEntry {
 	return entries
 }
 
-// TestWALStagedBatchOrdersBeforeLaterAppend pins the review scenario at
-// the WAL layer: a batch staged before a delete append must replay
-// before it, even though the batch's commit runs after the delete's
-// append completed.
+// TestWALStagedBatchOrdersBeforeLaterAppend pins the resurrection
+// scenario at the journal: a batch staged before a delete append must
+// replay, after a restart, before it, even though the batch's commit
+// runs after the delete's append completed.
 func TestWALStagedBatchOrdersBeforeLaterAppend(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := &storeJournal{s: openStore(t, dir)}
 	entries := stagedFragEntries(ingestFanoutThreshold)
-	staged, err := w.prepareBatch(entries)
+	staged, err := j.prepareBatch(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	staged.stage()
 	// The conflicting mutator journals while the batch commit is still
-	// pending — pre-fix this delete hit the file first.
-	if err := w.append(walEntry{Kind: "delete", GLSN: 12}); err != nil {
+	// pending — unstaged, this delete would hit the disk first.
+	if err := j.append(walEntry{Kind: "delete", GLSN: 12}); err != nil {
 		t.Fatal(err)
 	}
 	if err := staged.commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	var kinds []string
-	if err := ReplayWAL(dir, func(e walEntry) error {
-		kinds = append(kinds, e.Kind)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(kinds) != len(entries)+1 {
-		t.Fatalf("replayed %d records, want %d", len(kinds), len(entries)+1)
+	got := journalEntries(t, dir)
+	if len(got) != len(entries)+1 {
+		t.Fatalf("replayed %d records, want %d", len(got), len(entries)+1)
 	}
 	for i := range entries {
-		if kinds[i] != "frag" {
-			t.Fatalf("record %d is %q; staged batch did not keep its reserved position (order %v)", i, kinds[i], kinds)
+		if got[i].Kind != "frag" {
+			t.Fatalf("record %d is %q; staged batch did not keep its reserved position", i, got[i].Kind)
 		}
 	}
-	if kinds[len(kinds)-1] != "delete" {
-		t.Fatalf("delete journaled before staged batch: replay order %v would resurrect the fragment", kinds)
+	if got[len(got)-1].Kind != "delete" {
+		t.Fatal("delete journaled before staged batch: replay would resurrect the fragment")
 	}
 }
 
 // TestStoreJournalStagedBatchOrdersBeforeLaterAppend covers the same
-// invariant on the segment-store journal seam.
+// invariant on the live store: replay from the still-open handle, with
+// no restart in between, already sees the staged batch ahead of the
+// delete.
 func TestStoreJournalStagedBatchOrdersBeforeLaterAppend(t *testing.T) {
-	s, err := storage.Open(storage.Options{Backend: storage.BackendMemory}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openStore(t, t.TempDir())
 	j := &storeJournal{s: s}
 	entries := stagedFragEntries(ingestFanoutThreshold)
 	staged, err := j.prepareBatch(entries)
@@ -118,30 +109,36 @@ func TestStoreJournalStagedBatchOrdersBeforeLaterAppend(t *testing.T) {
 	}
 }
 
+// fsyncFailingJournal is a journal over a segment store whose next
+// fsync fails. The store is opened first, so the failure lands on the
+// first append.
+func fsyncFailingJournal(t *testing.T) *storeJournal {
+	t.Helper()
+	inj := faultfs.NewInjector(nil)
+	st, err := storage.Open(storage.Options{Backend: storage.BackendDisk, Dir: t.TempDir()}, sharedBootstrap(t).AccParams, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() }) //nolint:errcheck // poisoned by design
+	inj.ArmFsyncFailure(1)
+	return &storeJournal{s: st}
+}
+
 // TestWALStagedCommitFailurePoisons verifies that a staged batch whose
 // commit cannot reach disk poisons the journal: the batch was already
 // applied in memory, so every later mutation must be refused rather
 // than letting memory silently run ahead of the journal.
 func TestWALStagedCommitFailurePoisons(t *testing.T) {
-	dir := t.TempDir()
-	w, err := OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	staged, err := w.prepareBatch(stagedFragEntries(ingestFanoutThreshold))
+	j := fsyncFailingJournal(t)
+	staged, err := j.prepareBatch(stagedFragEntries(ingestFanoutThreshold))
 	if err != nil {
 		t.Fatal(err)
 	}
 	staged.stage()
-	// Yank the file out from under the buffered writer so the commit's
-	// flush fails.
-	if err := w.f.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if err := staged.commit(); err == nil {
-		t.Fatal("commit over a closed journal file succeeded")
+		t.Fatal("commit with a failed fsync succeeded")
 	}
-	if err := w.append(walEntry{Kind: "delete", GLSN: 12}); !errors.Is(err, storage.ErrFailed) {
+	if err := j.append(walEntry{Kind: "delete", GLSN: 12}); !errors.Is(err, storage.ErrFailed) {
 		t.Fatalf("append after failed staged commit = %v; want poisoned journal (storage.ErrFailed)", err)
 	}
 }
@@ -161,30 +158,24 @@ func countPoisonEvents() int {
 // TestWALPoisonRecordsFlightEvent verifies the incident is in the
 // flight recorder by the time the poisoning commit returns — before
 // the node has refused a single later write — so the recorder shows
-// the cause ahead of the symptoms.
+// the cause ahead of the symptoms, and that it is recorded once.
 func TestWALPoisonRecordsFlightEvent(t *testing.T) {
-	w, err := OpenWAL(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	staged, err := w.prepareBatch(stagedFragEntries(ingestFanoutThreshold))
+	j := fsyncFailingJournal(t)
+	staged, err := j.prepareBatch(stagedFragEntries(ingestFanoutThreshold))
 	if err != nil {
 		t.Fatal(err)
 	}
 	staged.stage()
-	if err := w.f.Close(); err != nil {
-		t.Fatal(err)
-	}
 	before := countPoisonEvents()
 	if err := staged.commit(); err == nil {
-		t.Fatal("commit over a closed journal file succeeded")
+		t.Fatal("commit with a failed fsync succeeded")
 	}
 	// The event must already be retained here, before any later write
 	// observes the poisoned journal.
 	if got := countPoisonEvents(); got != before+1 {
 		t.Fatalf("poison events after failed commit = %d, want %d: event must precede the first refused write", got, before+1)
 	}
-	if err := w.append(walEntry{Kind: "delete", GLSN: 12}); !errors.Is(err, storage.ErrFailed) {
+	if err := j.append(walEntry{Kind: "delete", GLSN: 12}); !errors.Is(err, storage.ErrFailed) {
 		t.Fatalf("append after poisoning = %v; want storage.ErrFailed", err)
 	}
 	if got := countPoisonEvents(); got != before+1 {
@@ -193,7 +184,7 @@ func TestWALPoisonRecordsFlightEvent(t *testing.T) {
 }
 
 // failingStore forces AppendBatch errors to exercise storeJournal's
-// poisoning; everything else delegates to the in-memory backend.
+// own poisoning; everything else delegates to the segment store.
 type failingStore struct {
 	storage.Store
 	fail bool
@@ -207,7 +198,7 @@ func (f *failingStore) AppendBatch(recs []storage.Record) error {
 }
 
 func TestStoreJournalStagedCommitFailurePoisons(t *testing.T) {
-	fs := &failingStore{Store: storage.NewMem(), fail: true}
+	fs := &failingStore{Store: openStore(t, t.TempDir()), fail: true}
 	j := &storeJournal{s: fs}
 	staged, err := j.prepareBatch(stagedFragEntries(ingestFanoutThreshold))
 	if err != nil {
@@ -221,6 +212,9 @@ func TestStoreJournalStagedCommitFailurePoisons(t *testing.T) {
 	if err := j.append(walEntry{Kind: "delete", GLSN: 12}); err == nil {
 		t.Fatal("append after failed staged commit succeeded; journal must stay poisoned")
 	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestPipelinedBatchThenDeleteSurvivesRestart drives the scenario end
@@ -232,7 +226,7 @@ func TestPipelinedBatchThenDeleteSurvivesRestart(t *testing.T) {
 	root := t.TempDir()
 	ctx := testCtx(t)
 
-	tc, stop := walCluster(t, root)
+	tc, stop := durableCluster(t, root)
 	c := tc.client(t, "ord-u", "TORD", ticket.OpWrite, ticket.OpRead, ticket.OpDelete)
 	if err := c.RegisterTicket(ctx); err != nil {
 		t.Fatal(err)
@@ -251,7 +245,7 @@ func TestPipelinedBatchThenDeleteSurvivesRestart(t *testing.T) {
 	}
 	stop()
 
-	tc2, stop2 := walCluster(t, root)
+	tc2, stop2 := durableCluster(t, root)
 	defer stop2()
 	ep, err := tc2.net.Endpoint("ord-u")
 	if err != nil {

@@ -72,21 +72,13 @@ type Config struct {
 	AccParams *accumulator.Params
 	// FirstGLSN is the first sequence number the leader assigns.
 	FirstGLSN logmodel.GLSN
-	// DataDir, when set, enables durable state: every mutation is
-	// journaled to DataDir/node.wal and replayed on restart. Ignored
-	// when Storage is set.
-	DataDir string
-	// WALSync selects the journal fsync policy for the DataDir WAL
-	// (storage.SyncAlways when empty); WALSyncEvery is the interval
-	// under storage.SyncInterval.
-	WALSync      storage.SyncPolicy
-	WALSyncEvery time.Duration
-	// Storage, when set, journals mutations through the given store —
-	// typically the crash-safe segment store — instead of the JSON-lines
-	// WAL. The node takes ownership and closes it in CloseStorage. The
-	// store must already be opened (and thereby recovered): New replays
-	// it into memory and surfaces any quarantined extents via
-	// QuarantinedExtents.
+	// Storage, when set, makes the node durable: every mutation is
+	// journaled through the store (the crash-safe segment store) and
+	// replayed on restart. The node takes ownership and closes it in
+	// CloseStorage. The store must already be opened (and thereby
+	// recovered): New replays it into memory and surfaces any
+	// quarantined extents via QuarantinedExtents. Without it the node
+	// keeps its state in memory only.
 	Storage storage.Store
 	// Health tunes the node's heartbeat failure detector (zero fields
 	// take the resilience package defaults).
@@ -165,8 +157,8 @@ type Node struct {
 	notifyMu sync.Mutex
 	notifyCh chan struct{}
 
-	wal     journal
-	durable bool
+	// journal is nil on a memory-only node; its methods then do nothing.
+	journal *storeJournal
 	// compactMu fences journal compaction off from the pipelined batch
 	// store path. Batched stores stage their journal records under n.mu
 	// but write them (group commit) after releasing it, so a compaction
@@ -219,14 +211,11 @@ func New(cfg Config, mb *transport.Mailbox) (*Node, error) {
 		idx:       make(map[logmodel.Attr]*attrIndex),
 		notifyCh:  make(chan struct{}),
 	}
-	n.wal = (*WAL)(nil) // nil-receiver WAL: journaling into the void
-	switch {
-	case cfg.Storage != nil:
+	if cfg.Storage != nil {
 		if err := replayStore(cfg.Storage, n.applyWALEntry); err != nil {
 			return nil, err
 		}
-		n.wal = &storeJournal{s: cfg.Storage}
-		n.durable = true
+		n.journal = &storeJournal{s: cfg.Storage}
 		for _, q := range cfg.Storage.Status().Quarantined {
 			n.quarantined = append(n.quarantined, cfg.ID+": "+q.Extent())
 		}
@@ -235,16 +224,6 @@ func New(cfg Config, mb *transport.Mailbox) (*Node, error) {
 				Kind: telemetry.FlightQuarantine, Node: cfg.ID, Count: len(n.quarantined),
 			})
 		}
-	case cfg.DataDir != "":
-		if err := n.restore(cfg.DataDir); err != nil {
-			return nil, err
-		}
-		wal, err := OpenWALSync(cfg.DataDir, cfg.WALSync, cfg.WALSyncEvery)
-		if err != nil {
-			return nil, err
-		}
-		n.wal = wal
-		n.durable = true
 	}
 	n.grantLog = orderGrantLog(n.grantLog)
 	n.det = resilience.NewDetector(mb, n.roster, cfg.Health)
@@ -254,7 +233,7 @@ func New(cfg Config, mb *transport.Mailbox) (*Node, error) {
 
 // CloseStorage flushes and closes the node's journal (no-op without
 // durable storage). Call after the node's server loops have stopped.
-func (n *Node) CloseStorage() error { return n.wal.Close() }
+func (n *Node) CloseStorage() error { return n.journal.Close() }
 
 // QuarantinedExtents names the glsn extents this node's recovery
 // refused to serve, each prefixed with the node ID. Empty on a healthy
@@ -263,17 +242,12 @@ func (n *Node) QuarantinedExtents() []string {
 	return append([]string(nil), n.quarantined...)
 }
 
-// StorageStatus snapshots the node's durable storage engine. Memory and
-// WAL-backed nodes synthesize a Status so `dlactl storage status` works
-// against every backend.
+// StorageStatus snapshots the node's durable storage engine. A
+// memory-only node synthesizes a Status so `dlactl storage status` works
+// against every node.
 func (n *Node) StorageStatus() storage.Status {
-	switch j := n.wal.(type) {
-	case *storeJournal:
-		return j.s.Status()
-	case *WAL:
-		if j != nil {
-			return storage.Status{Backend: storage.BackendWAL, Dir: j.dir}
-		}
+	if n.journal != nil {
+		return n.journal.s.Status()
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -348,25 +322,23 @@ func (n *Node) Start(ctx context.Context) {
 	// the node (not the store) because the snapshot needs the node's
 	// state lock; polling NeedsCompaction keeps the lock ordering
 	// n.mu → store.mu in both the append and compaction paths.
-	if j, ok := n.wal.(*storeJournal); ok {
-		if nc, ok := j.s.(interface{ NeedsCompaction() bool }); ok {
-			n.wg.Add(1)
-			go func() {
-				defer n.wg.Done()
-				tick := time.NewTicker(2 * time.Second)
-				defer tick.Stop()
-				for {
-					select {
-					case <-ctx.Done():
-						return
-					case <-tick.C:
-						if nc.NeedsCompaction() {
-							n.CompactStorage() //nolint:errcheck // poisoned stores refuse appends loudly
-						}
+	if n.journal != nil {
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			tick := time.NewTicker(2 * time.Second)
+			defer tick.Stop()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-tick.C:
+					if n.journal.s.NeedsCompaction() {
+						n.CompactStorage() //nolint:errcheck // poisoned stores refuse appends loudly
 					}
 				}
-			}()
-		}
+			}
+		}()
 	}
 	// A restarted follower may have missed sequencer commits while it
 	// was down; pull them eagerly instead of waiting for the next
@@ -389,7 +361,7 @@ func (n *Node) Wait() { n.wg.Wait() }
 // --- statement handling (glsn assignment agreement) ---
 
 // maxGLSNBatch bounds one range assignment, keeping a single agreement
-// round (and the WAL group commit behind it) to a sane size.
+// round (and the journal group commit behind it) to a sane size.
 const maxGLSNBatch = 4096
 
 // glsnStatement renders the sequencer statement "glsn|<seq>|<ticket>".
@@ -526,7 +498,7 @@ func (n *Node) applyStatement(stmt []byte) error {
 }
 
 // applyGrantRange grants [first, first+count) to the ticket, appends it
-// to the grant log and journals one WAL entry for it. Of a partially
+// to the grant log and journals one entry for it. Of a partially
 // applied range (a commit landing after the sync that covered it) only
 // the new tail is granted, logged and journaled.
 func (n *Node) applyGrantRange(first logmodel.GLSN, count int, ticketID string) error {
@@ -548,7 +520,7 @@ func (n *Node) applyGrantRange(first logmodel.GLSN, count int, ticketID string) 
 	n.nextGLSN = end
 	n.grantLog = append(n.grantLog, r)
 	telemetry.M.Gauge(telemetry.GaugeGLSNReserved).Max(int64(end - 1))
-	return n.wal.append(walEntry{Kind: "grant", TicketID: ticketID, GLSN: r.First, Count: r.Count})
+	return n.journal.append(walEntry{Kind: "grant", TicketID: ticketID, GLSN: r.First, Count: r.Count})
 }
 
 // --- ticket registration ---
@@ -599,7 +571,7 @@ func (n *Node) registerTicket(body *ticketRegisterBody) error {
 		n.mu.Unlock()
 		return err
 	}
-	err := n.wal.append(walEntry{Kind: "ticket", Ticket: &body.Ticket})
+	err := n.journal.append(walEntry{Kind: "ticket", Ticket: &body.Ticket})
 	n.mu.Unlock()
 	n.stateChanged() // wake voters waiting on the ticket to appear
 	return err
@@ -714,7 +686,7 @@ func (n *Node) serveGLSNRange(ctx context.Context) {
 // assignGLSNRange reserves a contiguous glsn range for the ticket in a
 // single agreement round — the amortization at the heart of the batched
 // write path: one proposal, one quorum of votes, one commit broadcast,
-// and one WAL entry cover count assignments.
+// and one journal entry cover count assignments.
 func (n *Node) assignGLSNRange(ctx context.Context, session, ticketID string, count int) (logmodel.GLSN, error) {
 	if count < 1 || count > maxGLSNBatch {
 		return 0, fmt.Errorf("cluster: glsn range count %d outside [1, %d]", count, maxGLSNBatch)
@@ -861,7 +833,7 @@ func (n *Node) storeFragment(body storeBody) error {
 	defer n.mu.Unlock()
 	n.storeLocked(body)
 	frag := n.frags[body.Fragment.GLSN]
-	return n.wal.append(walEntry{Kind: "frag", Fragment: &frag, Digest: body.Digest, DigestExp: body.DigestExp, Prov: body.Provenance, WitnessExp: body.WitnessExp})
+	return n.journal.append(walEntry{Kind: "frag", Fragment: &frag, Digest: body.Digest, DigestExp: body.DigestExp, Prov: body.Provenance, WitnessExp: body.WitnessExp})
 }
 
 // storeLocked installs a validated fragment and maintains the attribute
@@ -930,7 +902,7 @@ func (n *Node) serveStoreBatch(ctx context.Context) {
 }
 
 // handleStoreBatch stores a batch of fragments under one lock and one
-// WAL group commit, answering with a single ack — so a spooled batch
+// journal group commit, answering with a single ack — so a spooled batch
 // replays through the client outbox exactly like a single store.
 func (n *Node) handleStoreBatch(ctx context.Context, msg transport.Message) {
 	start := time.Now()
@@ -943,7 +915,7 @@ func (n *Node) handleStoreBatch(ctx context.Context, msg transport.Message) {
 	if err != nil {
 		ack = ackBody{Error: err.Error()}
 	} else if err := n.adm.admit(len(body.Items), bytes); err != nil {
-		// Shed at the door: no grant wait, no lock, no WAL touch. The
+		// Shed at the door: no grant wait, no lock, no journal touch. The
 		// writer retries with backoff or fails its acks with
 		// ErrOverloaded, per its policy.
 		ack = ackBody{Error: overloadedMarker, Overloaded: true}
@@ -970,7 +942,7 @@ func (n *Node) handleStoreBatch(ctx context.Context, msg transport.Message) {
 }
 
 // storeFragmentBatch validates every item, then installs them all under
-// one state-lock acquisition and journals them in one WAL flush. It is
+// one state-lock acquisition and journals them in one group commit. It is
 // all-or-nothing up front: any invalid item refuses the whole batch
 // before state changes, so a client never has to puzzle out a partial
 // ack.
@@ -1028,14 +1000,14 @@ func (n *Node) storeFragmentBatch(body storeBatchBody) error {
 		frag.Node = n.id
 		entries[i] = walEntry{Kind: "frag", Fragment: &frag, Digest: item.Digest, DigestExp: item.DigestExp, Prov: item.Provenance, WitnessExp: item.WitnessExp}
 	}
-	pipeline := n.durable && len(body.Items) >= ingestFanoutThreshold
-	var staged journalBatch
+	pipeline := n.journal != nil && len(body.Items) >= ingestFanoutThreshold
+	var staged *storeStagedBatch
 	if pipeline {
 		telemetry.M.Counter(telemetry.CtrIngestFanout).Add(1)
 		// Encode off every lock; an encode error refuses the batch
 		// before any state changes.
 		var err error
-		if staged, err = n.wal.prepareBatch(entries); err != nil {
+		if staged, err = n.journal.prepareBatch(entries); err != nil {
 			return err
 		}
 		n.compactMu.RLock()
@@ -1053,16 +1025,16 @@ func (n *Node) storeFragmentBatch(body storeBatchBody) error {
 	}
 	if !pipeline {
 		defer n.mu.Unlock()
-		return n.wal.appendBatch(entries)
+		return n.journal.appendBatch(entries)
 	}
 	// Reserve the batch's journal position before releasing the state
 	// lock: a conflicting mutation that applies after this point also
 	// journals after it.
 	staged.stage()
 	n.mu.Unlock()
-	walErr := staged.commit()
+	err := staged.commit()
 	n.compactMu.RUnlock()
-	return walErr
+	return err
 }
 
 // --- fragment reads ---
@@ -1145,7 +1117,7 @@ func (n *Node) deleteFragment(ticketID string, g logmodel.GLSN) error {
 	delete(n.provs, g)
 	delete(n.witExps, g)
 	delete(n.witCache, g)
-	return n.wal.append(walEntry{Kind: "delete", GLSN: g})
+	return n.journal.append(walEntry{Kind: "delete", GLSN: g})
 }
 
 // --- store access for sibling subsystems (integrity, audit) ---

@@ -22,9 +22,9 @@ import (
 // hot bodies — storeBody, storeBatchBody, the glsn round bodies, the
 // agreement round bodies, and the store ack — a compact uvarint
 // encoding implementing transport.BinaryBody, so they ride the
-// zero-copy pooled-frame path on every transport. The WAL record
-// encoding in wal.go reuses the same field layout, so wire decode and
-// journal encode share one code path. The bodies keep their JSON tags
+// zero-copy pooled-frame path on every transport. The journal entry
+// encoding (appendWALEntry) reuses the same field layout, so wire
+// decode and journal encode share one code path. The bodies keep their JSON tags
 // only as the reference encoding the differential fuzz tests compare
 // against.
 //
@@ -394,7 +394,7 @@ func decodeBatchItem(src []byte, it *batchItem) error {
 
 // ingestFanoutThreshold is the batch size at which the node-side store
 // path fans item work over the shared worker pool and pipelines the
-// WAL group commit against the in-memory apply. Below it the serial
+// journal group commit against the in-memory apply. Below it the serial
 // loop is cheaper than the pool handoff.
 const ingestFanoutThreshold = 8
 
@@ -795,8 +795,8 @@ func walEntrySize(e *walEntry) int {
 }
 
 // appendWALEntry appends the binary payload of one journal entry —
-// the same field encodings the wire bodies use, so the WAL shares the
-// wire layout.
+// the same field encodings the wire bodies use, so the journal shares
+// the wire layout.
 func appendWALEntry(dst []byte, e *walEntry) ([]byte, error) {
 	code, ok := walKindCode[e.Kind]
 	if !ok {

@@ -1,55 +1,11 @@
 package cluster
 
 import (
-	"context"
-	"path/filepath"
 	"testing"
 
 	"confaudit/internal/logmodel"
-	"confaudit/internal/storage"
 	"confaudit/internal/ticket"
-	"confaudit/internal/transport"
 )
-
-// segCluster starts a cluster whose nodes journal through the segment
-// storage engine (PR 6) under per-node directories in root.
-func segCluster(t *testing.T, root string) (*testCluster, context.CancelFunc) {
-	t.Helper()
-	boot := sharedBootstrap(t)
-	net := transport.NewMemNetwork()
-	ctx, cancel := context.WithCancel(context.Background())
-	tc := &testCluster{boot: boot, net: net, nodes: make(map[string]*Node), cancel: cancel}
-	for _, id := range boot.Roster {
-		ep, err := net.Endpoint(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mb := transport.NewMailbox(ep)
-		cfg := boot.NodeConfig(id)
-		st, err := storage.Open(storage.Options{
-			Backend: storage.BackendDisk,
-			Dir:     filepath.Join(root, id),
-		}, boot.AccParams, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Storage = st
-		node, err := New(cfg, mb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node.Start(ctx)
-		tc.nodes[id] = node
-	}
-	return tc, func() {
-		cancel()
-		net.Close() //nolint:errcheck
-		for _, n := range tc.nodes {
-			n.Wait()
-			n.CloseStorage() //nolint:errcheck
-		}
-	}
-}
 
 // TestWitnessesSurviveSegmentRestart logs records (whose writers ship
 // per-node membership witnesses), restarts the whole cluster from the
@@ -61,7 +17,7 @@ func TestWitnessesSurviveSegmentRestart(t *testing.T) {
 	root := t.TempDir()
 	ctx := testCtx(t)
 
-	tc, stop := segCluster(t, root)
+	tc, stop := durableCluster(t, root)
 	c := tc.client(t, "wit-u", "TWIT", ticket.OpWrite, ticket.OpRead, ticket.OpDelete)
 	if err := c.RegisterTicket(ctx); err != nil {
 		t.Fatal(err)
@@ -87,7 +43,7 @@ func TestWitnessesSurviveSegmentRestart(t *testing.T) {
 	}
 	stop()
 
-	tc2, stop2 := segCluster(t, root)
+	tc2, stop2 := durableCluster(t, root)
 	defer stop2()
 	boot := tc2.boot
 	for id, node := range tc2.nodes {

@@ -23,6 +23,7 @@ import (
 	"confaudit/internal/integrity"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/mathx"
+	"confaudit/internal/storage"
 	"confaudit/internal/ticket"
 	"confaudit/internal/transport"
 )
@@ -44,7 +45,8 @@ type Options struct {
 	// Network hosts the deployment (default: fresh in-memory network).
 	Network transport.Network
 	// DataDir, when set, makes every node durable: node state is
-	// journaled under DataDir/<nodeID> and replayed on redeploy.
+	// journaled to a segment store under DataDir/<nodeID> and replayed
+	// on redeploy.
 	DataDir string
 	// Admission bounds every node's ingest admission (token-bucket rate
 	// + inflight bytes); the zero value admits everything.
@@ -107,11 +109,20 @@ func Deploy(opts Options) (*Deployment, error) {
 		d.mbs = append(d.mbs, mb)
 		cfg := boot.NodeConfig(id)
 		if opts.DataDir != "" {
-			cfg.DataDir = filepath.Join(opts.DataDir, id)
+			sOpts := storage.Options{Backend: storage.BackendDisk, Dir: filepath.Join(opts.DataDir, id)}
+			st, err := storage.Open(sOpts, boot.AccParams, nil)
+			if err != nil {
+				cancel()
+				return nil, fmt.Errorf("core: node %s: %w", id, err)
+			}
+			cfg.Storage = st
 		}
 		cfg.Admission = opts.Admission
 		node, err := cluster.New(cfg, mb)
 		if err != nil {
+			if cfg.Storage != nil {
+				cfg.Storage.Close() //nolint:errcheck // error path
+			}
 			cancel()
 			return nil, fmt.Errorf("core: node %s: %w", id, err)
 		}

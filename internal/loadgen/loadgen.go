@@ -44,7 +44,8 @@ type Config struct {
 	Admission cluster.AdmissionConfig
 	// Append tunes the producers' appenders.
 	Append cluster.AppendOptions
-	// DataRoot enables per-node WAL durability (required for CrashNode).
+	// DataRoot enables per-node segment-store durability (required for
+	// CrashNode).
 	DataRoot string
 	// CrashNode, when set, crashes that node once the first point is
 	// halfway produced and restarts it after CrashPause — the
@@ -331,7 +332,7 @@ func runPoint(ctx context.Context, cc *chaos.Cluster, cfg Config, events []map[l
 		go func() {
 			defer wg.Done()
 			// Take the node down mid-stream and bring it back; producer
-			// retries ride out the gap and the WAL replays on restart.
+			// retries ride out the gap and the journal replays on restart.
 			time.Sleep(cfg.CrashPause)
 			if err := cc.Crash(cfg.CrashNode); err != nil {
 				mu.Lock()

@@ -13,7 +13,7 @@ import (
 
 // Outbox is a durable spool of messages addressed to peers that were
 // unreachable at send time. Entries are JSON lines appended (and
-// flushed) in order, mirroring the cluster WAL's journaling discipline;
+// flushed) in order, mirroring the cluster journal's discipline;
 // acknowledged entries are removed by atomically rewriting the file
 // (write temp, fsync, rename). A torn final line — a crash mid-append —
 // is tolerated on load: replay stops there instead of failing.

@@ -8,15 +8,13 @@ import (
 	"confaudit/internal/storage/faultfs"
 )
 
-// Backend names, as accepted by dlad's -backend flag.
+// Backend names, as reported in Status.Backend.
 const (
-	// BackendMemory keeps the journal in RAM (the pre-PR6 default when no
-	// data directory is set).
+	// BackendMemory labels a node that journals nothing: its state lives
+	// in RAM and recovery leans on the cluster protocols (leader sync,
+	// client outbox replay). No Store implements it.
 	BackendMemory = "memory"
-	// BackendWAL is the JSON-lines write-ahead log in internal/cluster —
-	// selected there, not constructed by this package.
-	BackendWAL = "wal"
-	// BackendDisk is the crash-safe segment store.
+	// BackendDisk is the crash-safe segment store, the one Store.
 	BackendDisk = "disk"
 )
 
@@ -37,14 +35,13 @@ const (
 	SyncNever SyncPolicy = "never"
 )
 
-// Options configures a storage backend. Build it, Validate it, Open it
+// Options configures the segment store. Build it, Validate it, Open it
 // (the struct carries no hidden state; an all-zero value plus a Backend
 // and Dir validates to sensible defaults via withDefaults).
 type Options struct {
-	// Backend selects the engine: BackendMemory or BackendDisk.
-	// (BackendWAL is handled by the cluster layer.)
+	// Backend must be BackendDisk.
 	Backend string
-	// Dir is the segment directory (disk backend only).
+	// Dir is the segment directory.
 	Dir string
 	// Sync is the fsync policy for acknowledged appends.
 	Sync SyncPolicy
@@ -53,8 +50,7 @@ type Options struct {
 	// SegmentBytes seals the active segment once it reaches this size.
 	SegmentBytes int64
 	// CheckpointEvery writes an accumulator checkpoint after this many
-	// seals (0 disables seal-driven checkpoints; Compact always writes
-	// one).
+	// seals (0 means 4; Compact always writes one).
 	CheckpointEvery int
 	// CompactSegments is the sealed-segment count at which
 	// NeedsCompaction starts reporting true.
@@ -63,9 +59,6 @@ type Options struct {
 
 // withDefaults fills zero fields with production defaults.
 func (o Options) withDefaults() Options {
-	if o.Backend == "" {
-		o.Backend = BackendMemory
-	}
 	if o.Sync == "" {
 		o.Sync = SyncAlways
 	}
@@ -75,10 +68,7 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
-	if o.CheckpointEvery < 0 {
-		o.CheckpointEvery = 0
-	}
-	if o.CheckpointEvery == 0 && o.Backend == BackendDisk {
+	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 4
 	}
 	if o.CompactSegments <= 0 {
@@ -90,12 +80,11 @@ func (o Options) withDefaults() Options {
 // Validate rejects contradictions before any file is touched.
 func (o Options) Validate() error {
 	switch o.Backend {
-	case BackendMemory, BackendWAL, BackendDisk:
+	case BackendDisk:
 	case "":
 		return fmt.Errorf("storage: no backend selected")
 	default:
-		return fmt.Errorf("storage: unknown backend %q (want %s, %s or %s)",
-			o.Backend, BackendMemory, BackendWAL, BackendDisk)
+		return fmt.Errorf("storage: unknown backend %q (want %s)", o.Backend, BackendDisk)
 	}
 	switch o.Sync {
 	case "", SyncAlways, SyncInterval, SyncNever:
@@ -103,7 +92,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("storage: unknown sync policy %q (want %s, %s or %s)",
 			o.Sync, SyncAlways, SyncInterval, SyncNever)
 	}
-	if o.Backend == BackendDisk && o.Dir == "" {
+	if o.Dir == "" {
 		return fmt.Errorf("storage: disk backend requires a directory")
 	}
 	if o.SegmentBytes < 0 {
@@ -115,20 +104,12 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Open validates o and constructs the selected backend. params supplies
-// the accumulator group for checkpoints (disk only); fsys is the
-// filesystem seam, nil meaning the real OS.
+// Open validates o and opens (recovering, or initializing) the segment
+// store in o.Dir. params supplies the accumulator group for checkpoints;
+// fsys is the filesystem seam, nil meaning the real OS.
 func Open(o Options, params *accumulator.Params, fsys faultfs.FS) (Store, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	o = o.withDefaults()
-	switch o.Backend {
-	case BackendMemory:
-		return NewMem(), nil
-	case BackendDisk:
-		return openDisk(o, params, fsys)
-	default:
-		return nil, fmt.Errorf("storage: backend %q is not constructed by storage.Open", o.Backend)
-	}
+	return openDisk(o.withDefaults(), params, fsys)
 }

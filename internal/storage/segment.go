@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -50,6 +52,10 @@ const (
 	segSuffixLive       = ".log"
 	segSuffixSnapshot   = ".snap"
 	segSuffixQuarantine = ".bad"
+
+	// legacyJournal is the single-file journal node data directories
+	// held before the segment store; Open refuses a directory holding it.
+	legacyJournal = "node.wal"
 )
 
 // segName renders a segment file name ("seg-%016x" + suffix), chosen so
@@ -158,6 +164,11 @@ func openDisk(o Options, params *accumulator.Params, fsys faultfs.FS) (*Disk, er
 	var bads []uint64
 	for _, e := range entries {
 		name := e.Name()
+		if name == legacyJournal {
+			// Opening around it would boot an empty node and silently
+			// drop every record the old journal acknowledged.
+			return nil, fmt.Errorf("storage: %s holds %s, a journal this store cannot read; refusing to open it as an empty store", o.Dir, legacyJournal)
+		}
 		if seq, ok := parseSegName(name, segSuffixLive); ok {
 			live[seq] = struct{}{}
 		} else if seq, ok := parseSegName(name, segSuffixSnapshot); ok {
@@ -533,39 +544,56 @@ func (s *segScan) flagOr(def byte) byte {
 
 // scanFile frame-scans a segment, CRC-checking every record and calling
 // fn (when non-nil) on each. It classifies damage: a frame extending
-// past EOF is a torn tail; anything else that fails to parse is
-// corruption.
+// past EOF, or a zero-filled remainder, is a torn tail; anything else
+// that fails to parse is corruption. The file is streamed through one
+// reused payload buffer, so a scan allocates per record, not per
+// segment.
 func (d *Disk) scanFile(path string, fn func(Record) error) (*segScan, error) {
+	name := filepath.Base(path)
 	f, err := d.fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
-		return nil, fmt.Errorf("storage: opening %s: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("storage: opening %s: %w", name, err)
 	}
-	data, err := io.ReadAll(f)
-	f.Close() //nolint:errcheck
+	defer f.Close() //nolint:errcheck // read-only
+	info, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("storage: reading %s: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("storage: reading %s: %w", name, err)
 	}
+	size := info.Size()
 	scan := &segScan{hash: sha256.New()}
-	if len(data) < headerSize {
+	if size < int64(headerSize) {
 		scan.torn = true
-		scan.keep = 0
 		return scan, nil
 	}
-	if string(data[:len(segMagic)]) != segMagic {
+	br := bufio.NewReaderSize(f, 64<<10)
+	readErr := func(err error) (*segScan, error) {
+		return nil, fmt.Errorf("storage: reading %s: %w", name, err)
+	}
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return readErr(err)
+	}
+	if string(hdr[:len(segMagic)]) != segMagic {
 		scan.corrupt = "bad segment magic"
 		return scan, nil
 	}
-	scan.flag = data[len(segMagic)]
+	scan.flag = hdr[len(segMagic)]
+	scan.hash.Write(hdr[:])
+	var frame [8]byte
+	var payload []byte
 	off := int64(headerSize)
-	for off < int64(len(data)) {
-		if off+8 > int64(len(data)) {
+	for off < size {
+		if off+8 > size {
 			scan.torn = true
 			break
 		}
-		length := int64(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
+		if _, err := io.ReadFull(br, frame[:]); err != nil {
+			return readErr(err)
+		}
+		length := int64(binary.LittleEndian.Uint32(frame[0:]))
+		sum := binary.LittleEndian.Uint32(frame[4:])
 		end := off + 8 + length
-		if end > int64(len(data)) {
+		if end > size {
 			scan.torn = true // frame extends past EOF: crash mid-write
 			break
 		}
@@ -573,7 +601,19 @@ func (d *Disk) scanFile(path string, fn func(Record) error) (*segScan, error) {
 			scan.corrupt = fmt.Sprintf("frame length %d exceeds limit at offset %d", length, off)
 			break
 		}
-		payload := data[off+8 : end]
+		if length == 0 && sum == 0 && zeroRest(br) {
+			// No frame is empty. A crash after the file grew but before
+			// the appended bytes landed leaves zeros: torn, not corrupt.
+			scan.torn = true
+			break
+		}
+		if int64(cap(payload)) < length {
+			payload = make([]byte, length)
+		}
+		payload = payload[:length]
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return readErr(err)
+		}
 		if crc32.ChecksumIEEE(payload) != sum {
 			scan.corrupt = fmt.Sprintf("crc mismatch at offset %d", off)
 			break
@@ -584,7 +624,10 @@ func (d *Disk) scanFile(path string, fn func(Record) error) (*segScan, error) {
 			break
 		}
 		scan.meta.observe(rec)
+		scan.hash.Write(frame[:])
+		scan.hash.Write(payload)
 		if fn != nil {
+			rec.Data = bytes.Clone(rec.Data) // payload is reused for the next frame
 			if err := fn(rec); err != nil {
 				return nil, err
 			}
@@ -597,27 +640,47 @@ func (d *Disk) scanFile(path string, fn func(Record) error) (*segScan, error) {
 	}
 	scan.meta.bytes = off
 	scan.meta.flag = scan.flag
-	scan.hash.Write(data[:off])
 	return scan, nil
+}
+
+// zeroRest consumes br and reports whether every remaining byte is zero.
+func zeroRest(br *bufio.Reader) bool {
+	for {
+		b, err := br.ReadByte()
+		if err != nil {
+			return errors.Is(err, io.EOF)
+		}
+		if b != 0 {
+			return false
+		}
+	}
 }
 
 // --- frame codec ---
 
-// appendFrame encodes one record frame onto buf.
-func appendFrame(buf []byte, rec Record) []byte {
-	payload := make([]byte, 0, 16+len(rec.Kind)+len(rec.Data))
-	payload = binary.AppendUvarint(payload, uint64(len(rec.Kind)))
-	payload = append(payload, rec.Kind...)
-	payload = binary.AppendUvarint(payload, rec.GLSN)
-	payload = binary.AppendUvarint(payload, uint64(len(rec.Data)))
-	payload = append(payload, rec.Data...)
-	var frame [8]byte
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	buf = append(buf, frame[:]...)
-	return append(buf, payload...)
+// frameBound is an upper bound on rec's encoded frame size.
+func frameBound(rec *Record) int {
+	return 8 + 3*binary.MaxVarintLen64 + len(rec.Kind) + len(rec.Data)
 }
 
+// appendFrame encodes one record frame onto buf, writing the payload in
+// place and filling the length and CRC header behind it.
+func appendFrame(buf []byte, rec Record) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, 8)...)
+	buf = binary.AppendUvarint(buf, uint64(len(rec.Kind)))
+	buf = append(buf, rec.Kind...)
+	buf = binary.AppendUvarint(buf, rec.GLSN)
+	buf = binary.AppendUvarint(buf, uint64(len(rec.Data)))
+	buf = append(buf, rec.Data...)
+	payload := buf[start+8:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
+}
+
+// decodePayload parses one frame payload. The returned Data aliases
+// payload.
 func decodePayload(payload []byte) (Record, error) {
 	var rec Record
 	kl, n := binary.Uvarint(payload)
@@ -636,17 +699,23 @@ func decodePayload(payload []byte) (Record, error) {
 	if n <= 0 || dl != uint64(len(rest)-n) {
 		return rec, errors.New("bad data length")
 	}
-	rec.Data = append([]byte(nil), rest[n:]...)
+	rec.Data = rest[n:]
 	return rec, nil
 }
 
 // --- Store interface ---
 
 // fail poisons the store: durability can no longer be promised, so
-// every further mutation is refused until the store is reopened.
+// every further mutation is refused until the store is reopened. The
+// poisoning is recorded in the flight recorder once, before any caller
+// observes the failure, so triage finds the cause ahead of the refused
+// writes that follow.
 func (d *Disk) fail(err error) error {
 	if d.failed == nil {
 		d.failed = fmt.Errorf("%w: %v", ErrFailed, err)
+		telemetry.F.Record(telemetry.FlightEvent{
+			Kind: telemetry.FlightJournalPoison, Outcome: telemetry.ErrClass(err),
+		})
 	}
 	return d.failed
 }
@@ -662,7 +731,11 @@ func (d *Disk) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	var buf []byte
+	size := 0
+	for i := range recs {
+		size += frameBound(&recs[i])
+	}
+	buf := make([]byte, 0, size)
 	for i := range recs {
 		buf = appendFrame(buf, recs[i])
 	}
@@ -706,11 +779,27 @@ func (d *Disk) maybeSyncLocked() error {
 	return nil
 }
 
+// fsyncStallThreshold is the fsync duration beyond which a
+// wal.fsync_stall flight event is recorded: a healthy fsync is
+// sub-millisecond on SSDs, and a multi-hundred-ms stall is the usual
+// smoking gun behind a collapsed ingest knee.
+const fsyncStallThreshold = 100 * time.Millisecond
+
 func (d *Disk) syncLocked() error {
 	if !d.unsynced {
 		return nil
 	}
-	if err := d.active.Sync(); err != nil {
+	start := time.Now()
+	err := d.active.Sync()
+	dur := time.Since(start)
+	telemetry.M.Histogram(telemetry.HistWALFsync).Observe(dur)
+	if dur >= fsyncStallThreshold {
+		telemetry.F.Record(telemetry.FlightEvent{
+			Kind: telemetry.FlightFsyncStall, DurMS: float64(dur.Microseconds()) / 1000,
+			Outcome: telemetry.ErrClass(err),
+		})
+	}
+	if err != nil {
 		return d.fail(err)
 	}
 	d.unsynced = false
@@ -804,9 +893,13 @@ func (d *Disk) Compact(snapshot []Record) error {
 	}
 	snapSeq := d.activeSeq + 1
 
-	hdr := append([]byte(segMagic), flagSnapshot)
-	buf := append([]byte(nil), hdr...)
-	meta := segMeta{seq: snapSeq, bytes: int64(len(hdr)), flag: flagSnapshot}
+	size := headerSize
+	for i := range snapshot {
+		size += frameBound(&snapshot[i])
+	}
+	buf := append(make([]byte, 0, size), segMagic...)
+	buf = append(buf, flagSnapshot)
+	meta := segMeta{seq: snapSeq, bytes: int64(len(buf)), flag: flagSnapshot}
 	for i := range snapshot {
 		before := len(buf)
 		buf = appendFrame(buf, snapshot[i])

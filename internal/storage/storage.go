@@ -1,19 +1,16 @@
-// Package storage is the node's durable state engine. A cluster node
-// journals every state mutation — ticket registrations, glsn grants,
-// fragment stores and deletes — as opaque Records through the Store
-// interface, and replays them on restart. Two backends implement it:
+// Package storage is the node's durable state engine. A durable cluster
+// node journals every state mutation — ticket registrations, glsn
+// grants, fragment stores and deletes — as opaque Records through the
+// Store interface, and replays them on restart. Disk implements it: a
+// crash-safe on-disk segment store — append-only glsn-range segments
+// with a per-record CRC, an fsynced tail with a configurable sync
+// policy, atomic segment rotation, compaction, and accumulator
+// checkpoints so restart re-verification folds O(delta) segment digests
+// instead of re-accumulating the full history. A node without a Store
+// keeps its state in RAM only.
 //
-//   - Mem: the in-RAM log the cluster has always had. Nothing survives a
-//     process restart; recovery instead leans on the cluster protocols
-//     (leader sync, client outbox replay).
-//   - Disk: a crash-safe on-disk segment store — append-only glsn-range
-//     segments with a per-record CRC, an fsynced tail with a
-//     configurable sync policy, atomic segment rotation, compaction, and
-//     accumulator checkpoints so restart re-verification folds O(delta)
-//     segment digests instead of re-accumulating the full history.
-//
-// Backend selection follows the validated-config-struct idiom: build an
-// Options, Validate it, Open it.
+// Opening follows the validated-config-struct idiom: build an Options,
+// Validate it, Open it.
 package storage
 
 import (
@@ -42,7 +39,7 @@ type Record struct {
 	// mutation is not glsn-scoped. Segments track the extent of the
 	// glsns they hold so corruption can be reported as a missing range.
 	GLSN uint64
-	// Data is the payload (the cluster layer's JSON-encoded WAL entry).
+	// Data is the payload (the cluster layer's binary journal entry).
 	Data []byte
 }
 
@@ -68,6 +65,9 @@ type Store interface {
 	// Sync forces buffered appends to durable media regardless of the
 	// sync policy.
 	Sync() error
+	// NeedsCompaction reports whether enough sealed history has piled up
+	// that a Compact would bound the next restart's replay.
+	NeedsCompaction() bool
 	// Status snapshots the engine's shape: backend, segments,
 	// checkpoint, quarantined extents, recovery cost.
 	Status() Status

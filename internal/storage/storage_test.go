@@ -63,12 +63,12 @@ func TestOptionsValidate(t *testing.T) {
 		o  Options
 		ok bool
 	}{
-		{Options{Backend: BackendMemory}, true},
+		{Options{Backend: BackendMemory, Dir: "/tmp/x"}, false},
 		{Options{Backend: BackendDisk, Dir: "/tmp/x"}, true},
 		{Options{Backend: BackendDisk}, false},
 		{Options{Backend: "floppy", Dir: "/tmp/x"}, false},
 		{Options{}, false},
-		{Options{Backend: BackendMemory, Sync: "sometimes"}, false},
+		{Options{Backend: BackendDisk, Dir: "/tmp/x", Sync: "sometimes"}, false},
 		{Options{Backend: BackendDisk, Dir: "/tmp/x", SegmentBytes: -1}, false},
 		{Options{Backend: BackendDisk, Dir: "/tmp/x", Sync: SyncInterval}, true},
 	}
@@ -80,32 +80,12 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-func TestMemRoundTrip(t *testing.T) {
-	s := mustOpen(t, Options{Backend: BackendMemory}, nil)
-	for g := uint64(1); g <= 5; g++ {
-		if err := s.Append(rec(g)); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	got := collect(t, s)
-	if len(got) != 5 || got[0].GLSN != 1 || got[4].GLSN != 5 {
-		t.Fatalf("replayed %d records, want 5 in order: %+v", len(got), got)
-	}
-	if err := s.Compact([]Record{rec(9)}); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if got := collect(t, s); len(got) != 1 || got[0].GLSN != 9 {
-		t.Fatalf("post-compact replay = %+v, want just glsn 9", got)
-	}
-	st := s.Status()
-	if st.Backend != BackendMemory || st.Records != 1 {
-		t.Fatalf("Status = %+v", st)
-	}
-}
-
 func TestDiskRoundTripAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "node") // missing: a fresh node
 	s := mustOpen(t, diskOpts(dir), nil)
+	if got := collect(t, s); len(got) != 0 {
+		t.Fatalf("fresh store replayed %d records", len(got))
+	}
 	const n = 60 // enough to force several rotations at 512-byte segments
 	for g := uint64(1); g <= n; g++ {
 		if err := s.Append(rec(g)); err != nil {
@@ -553,5 +533,114 @@ func TestInjectorShortWrite(t *testing.T) {
 	defer s2.Close() //nolint:errcheck
 	if got := collect(t, s2); len(got) != 1 || got[0].GLSN != 1 {
 		t.Fatalf("recovered %+v, want just glsn 1", got)
+	}
+}
+
+// TestOpenRefusesLegacyJournal opens a data directory that holds only
+// the single-file journal of the store's predecessor. Opening it as a
+// fresh store would boot an empty node and silently drop every record
+// that journal acknowledged, so Open must fail and name the file.
+func TestOpenRefusesLegacyJournal(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "node.wal"), []byte{0xDA, 1, 0}, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(diskOpts(dir), testParams, nil)
+	if err == nil {
+		s.Close() //nolint:errcheck
+		t.Fatal("Open accepted a directory holding node.wal")
+	}
+	if !strings.Contains(err.Error(), "node.wal") {
+		t.Fatalf("Open error %q does not name node.wal", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("refused Open left %d files behind, want only node.wal", len(entries))
+	}
+}
+
+// tornFixture journals four records into one segment and returns the
+// segment's path, its bytes, and the offset just past the header and
+// each frame.
+func tornFixture(t *testing.T, dir string) (string, []byte, []int) {
+	t.Helper()
+	o := diskOpts(dir)
+	o.SegmentBytes = 1 << 20
+	s := mustOpen(t, o, nil)
+	ends := []int{headerSize}
+	for g := uint64(1); g <= 4; g++ {
+		if err := s.Append(rec(g)); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, ends[len(ends)-1]+len(appendFrame(nil, rec(g))))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fmt.Sprintf("seg-%016x.log", 1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != ends[len(ends)-1] {
+		t.Fatalf("segment is %d bytes, frames end at %v", len(data), ends)
+	}
+	return path, data, ends
+}
+
+// reopenCut replaces the segment with data, reopens the store, and
+// returns what it replays; the reopened store must take an append and
+// must not quarantine anything.
+func reopenCut(t *testing.T, dir, path string, data []byte) []Record {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, diskOpts(dir), nil)
+	defer s.Close() //nolint:errcheck
+	got := collect(t, s)
+	if q := s.Status().Quarantined; len(q) != 0 {
+		t.Fatalf("%d-byte cut quarantined %+v; a torn tail must truncate", len(data), q)
+	}
+	if err := s.Append(rec(99)); err != nil {
+		t.Fatalf("append after %d-byte cut: %v", len(data), err)
+	}
+	return got
+}
+
+// TestDiskTornTailAtEveryCut truncates the segment at every byte offset
+// inside the final frame — a crash mid-append — and verifies recovery
+// keeps every intact record instead of failing or quarantining.
+func TestDiskTornTailAtEveryCut(t *testing.T) {
+	dir := t.TempDir()
+	path, data, ends := tornFixture(t, dir)
+	for cut := ends[len(ends)-2] + 1; cut < len(data); cut++ {
+		if got := reopenCut(t, dir, path, data[:cut]); len(got) != len(ends)-2 {
+			t.Fatalf("cut at byte %d of %d: replayed %d records, want %d", cut, len(data), len(got), len(ends)-2)
+		}
+	}
+}
+
+// TestDiskTornAtFrameBoundary cuts the segment exactly at each frame
+// boundary — a crash after one append completed and before the next
+// began — and at zero bytes, the crash window inside segment creation.
+// A zero-filled tail past the header (the file grew, the appended bytes
+// never landed) is the same crash window. Recovery yields exactly the
+// frames before the cut.
+func TestDiskTornAtFrameBoundary(t *testing.T) {
+	dir := t.TempDir()
+	path, data, ends := tornFixture(t, dir)
+	if got := reopenCut(t, dir, path, nil); len(got) != 0 {
+		t.Fatalf("empty segment replayed %d records", len(got))
+	}
+	for i, end := range ends {
+		for _, tail := range [][]byte{nil, make([]byte, 64)} {
+			if got := reopenCut(t, dir, path, append(data[:end:end], tail...)); len(got) != i {
+				t.Fatalf("cut at %d (+%d zero bytes): replayed %d records, want %d", end, len(tail), len(got), i)
+			}
+		}
 	}
 }

@@ -90,7 +90,7 @@ func (f *Flight) SetClock(fn func() time.Time) {
 }
 
 // SetDefaultNode sets the Node stamped onto events recorded without
-// one — recording sites deep in the WAL don't know their node ID, but
+// one — recording sites deep in the journal don't know their node ID, but
 // a dlad process does.
 func (f *Flight) SetDefaultNode(node string) {
 	f.mu.Lock()

@@ -21,7 +21,7 @@
 // emitted snapshot.
 //
 // Cost contract. Instrumentation sits on hot paths (per relay chunk,
-// per WAL flush), so every record is a few atomic operations or one
+// per journal commit), so every record is a few atomic operations or one
 // short mutex hold; when telemetry is disabled (SetEnabled(false)) the
 // fast path is a single atomic load and span methods are no-ops on a
 // nil receiver.
@@ -267,7 +267,6 @@ func (r *Registry) Counter(name string) *Counter {
 // per-peer store-round histograms derive from HistIngestStoreRTT by
 // suffixing the peer node ID, so boundsFor also matches that prefix.
 var microHists = map[string]bool{
-	HistWALFlush:       true,
 	HistWALEncode:      true,
 	HistWALStage:       true,
 	HistWALFsync:       true,
@@ -387,7 +386,6 @@ const (
 	HistClientLogBatch = "cluster.client.log_batch"  // client LogBatch round trip
 	HistClientGLSN     = "cluster.client.glsn_round" // sequencer agreement round trip
 	HistQuorumRound    = "cluster.node.quorum_round" // leader propose→commit
-	HistWALFlush       = "cluster.node.wal_flush"    // journal append+flush
 	HistGrantWait      = "cluster.node.grant_wait"   // store waiting on its grant
 	CtrRecordsLogged   = "cluster.client.records"    // records written via Log/LogBatch
 	CtrStoreBatches    = "cluster.node.store_batches"
@@ -432,9 +430,9 @@ const (
 
 	// Binary ingest plane. ingest_fanout_batches counts node-side store
 	// batches whose decode/encode work fanned over the shared worker pool
-	// with the WAL group commit pipelined against the in-memory apply;
-	// binary_records counts length-prefixed binary journal records
-	// encoded for the WAL or segment store. Sizes and counts only —
+	// with the journal group commit pipelined against the in-memory
+	// apply; binary_records counts binary journal records encoded for
+	// the segment store. Sizes and counts only —
 	// Definition 1 secondary information.
 	CtrIngestFanout     = "cluster.ingest_fanout_batches"
 	CtrWALBinaryRecords = "wal.binary_records"
@@ -474,7 +472,7 @@ const (
 	// round, store-round RTT (aggregate plus per-peer via the
 	// ".<node>" suffix — node IDs are Definition 1 peer identities),
 	// node-side fan-out decode of a binary store-batch frame, node ack
-	// turnaround (frame receipt → ack sent), and the WAL group-commit
+	// turnaround (frame receipt → ack sent), and the journal group-commit
 	// phases: record encode, in-order stage, and the fsync itself.
 	HistIngestSealWait = "ingest.seal_wait"
 	HistIngestReserve  = "ingest.reserve_range"

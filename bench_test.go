@@ -28,6 +28,7 @@ import (
 	"confaudit/internal/smc/compare"
 	"confaudit/internal/smc/garbled"
 	"confaudit/internal/smc/intersect"
+	"confaudit/internal/smc/smctest"
 	"confaudit/internal/smc/sum"
 	"confaudit/internal/telemetry"
 	"confaudit/internal/ticket"
@@ -42,6 +43,21 @@ func paperExample(b *testing.B) *logmodel.PaperExample {
 		b.Fatal(err)
 	}
 	return ex
+}
+
+// runParties runs one SMC party per id through smctest.RunParties and
+// fails the benchmark on the first party error. Each party loops over
+// b.N itself, so the network and mailboxes are set up once per
+// benchmark rather than once per iteration.
+func runParties(b *testing.B, ids []string, party func(ctx context.Context, id string, mb *transport.Mailbox) error) {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := smctest.RunParties(context.Background(), ids, func(ctx context.Context, id string, mb *transport.Mailbox) (struct{}, error) {
+		return struct{}{}, party(ctx, id, mb)
+	}); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // --- Tables 1-5: fragmentation ---
@@ -201,88 +217,59 @@ func BenchmarkFigure3NormalizeClassify(b *testing.B) {
 // --- Figure 4: secure set intersection ---
 
 func BenchmarkFigure4Intersection(b *testing.B) {
-	ctx := context.Background()
 	sets := map[string][][]byte{
 		"P1": {[]byte("c"), []byte("d"), []byte("e")},
 		"P2": {[]byte("d"), []byte("e"), []byte("f")},
 		"P3": {[]byte("e"), []byte("f"), []byte("g")},
 	}
-	ring := []string{"P1", "P2", "P3"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net := transport.NewMemNetwork()
-		cfg := intersect.Config{
-			Group:     mathx.Oakley768,
-			Ring:      ring,
-			Receivers: []string{"P1"},
-			Session:   fmt.Sprintf("fig4-%d", i),
-		}
-		var wg sync.WaitGroup
-		for _, node := range ring {
-			ep, err := net.Endpoint(node)
-			if err != nil {
-				b.Fatal(err)
+	benchIntersect(b, []string{"P1", "P2", "P3"}, sets)
+}
+
+// benchIntersect runs b.N secure set intersections over the ring, with
+// ring[0] the only receiver.
+func benchIntersect(b *testing.B, ring []string, sets map[string][][]byte) {
+	runParties(b, ring, func(ctx context.Context, id string, mb *transport.Mailbox) error {
+		for i := 0; i < b.N; i++ {
+			cfg := intersect.Config{
+				Group:     mathx.Oakley768,
+				Ring:      ring,
+				Receivers: []string{ring[0]},
+				Session:   fmt.Sprintf("ip-%d", i),
 			}
-			mb := transport.NewMailbox(ep)
-			wg.Add(1)
-			go func(node string, mb *transport.Mailbox) {
-				defer wg.Done()
-				defer mb.Close() //nolint:errcheck
-				if _, err := intersect.Run(ctx, mb, cfg, sets[node]); err != nil {
-					b.Error(err)
-				}
-			}(node, mb)
+			if _, err := intersect.Run(ctx, mb, cfg, sets[id]); err != nil {
+				return err
+			}
 		}
-		wg.Wait()
-		net.Close() //nolint:errcheck
-	}
+		return nil
+	})
 }
 
 // --- Figure 5 / §3.2: relaxed equality; claim C1 classical baseline ---
 
-func benchEqualityRig(b *testing.B) (map[string]*transport.Mailbox, func()) {
-	b.Helper()
-	net := transport.NewMemNetwork()
-	mbs := make(map[string]*transport.Mailbox, 3)
-	for _, id := range []string{"A", "B", "T"} {
-		ep, err := net.Endpoint(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mbs[id] = transport.NewMailbox(ep)
-	}
-	return mbs, func() {
-		for _, mb := range mbs {
-			mb.Close() //nolint:errcheck
-		}
-		net.Close() //nolint:errcheck
-	}
-}
-
 // BenchmarkClaimC1RelaxedEquality measures the §3.2 randomized-mapping
 // equality through a blind TTP.
 func BenchmarkClaimC1RelaxedEquality(b *testing.B) {
-	mbs, cleanup := benchEqualityRig(b)
-	defer cleanup()
-	ctx := context.Background()
 	v := big.NewInt(123456)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := compare.EqualityConfig{
-			P:       big.NewInt(2305843009213693951),
-			Holders: [2]string{"A", "B"},
-			TTP:     "T",
-			Session: fmt.Sprintf("eq-%d", i),
+	runParties(b, []string{"A", "B", "T"}, func(ctx context.Context, id string, mb *transport.Mailbox) error {
+		for i := 0; i < b.N; i++ {
+			cfg := compare.EqualityConfig{
+				P:       big.NewInt(2305843009213693951),
+				Holders: [2]string{"A", "B"},
+				TTP:     "T",
+				Session: fmt.Sprintf("eq-%d", i),
+			}
+			var err error
+			if id == "T" {
+				err = compare.ServeEqual(ctx, mb, cfg)
+			} else {
+				_, err = compare.Equal(ctx, mb, cfg, v)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		var wg sync.WaitGroup
-		wg.Add(3)
-		go func() { defer wg.Done(); compare.ServeEqual(ctx, mbs["T"], cfg) }() //nolint:errcheck
-		go func() { defer wg.Done(); compare.Equal(ctx, mbs["A"], cfg, v) }()   //nolint:errcheck
-		go func() { defer wg.Done(); compare.Equal(ctx, mbs["B"], cfg, v) }()   //nolint:errcheck
-		wg.Wait()
-	}
+		return nil
+	})
 }
 
 // BenchmarkClaimC1GarbledEquality is the classical zero-disclosure
@@ -290,68 +277,49 @@ func BenchmarkClaimC1RelaxedEquality(b *testing.B) {
 // oblivious transfer. The ratio to the relaxed bench above is the
 // paper's "excessive overheads" claim, measured.
 func BenchmarkClaimC1GarbledEquality(b *testing.B) {
-	net := transport.NewMemNetwork()
-	defer net.Close() //nolint:errcheck
-	gEp, err := net.Endpoint("G")
-	if err != nil {
-		b.Fatal(err)
-	}
-	eEp, err := net.Endpoint("E")
-	if err != nil {
-		b.Fatal(err)
-	}
-	gMB, eMB := transport.NewMailbox(gEp), transport.NewMailbox(eEp)
-	defer gMB.Close() //nolint:errcheck
-	defer eMB.Close() //nolint:errcheck
-	ctx := context.Background()
 	c := circuit.Equality(32)
 	x := circuit.Uint64ToBits(123456, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := garbled.Config{Group: mathx.Oakley768, Garbler: "G", Evaluator: "E", Session: fmt.Sprintf("gc-%d", i)}
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); garbled.Garble(ctx, gMB, cfg, c, x) }()   //nolint:errcheck
-		go func() { defer wg.Done(); garbled.Evaluate(ctx, eMB, cfg, c, x) }() //nolint:errcheck
-		wg.Wait()
-	}
+	runParties(b, []string{"G", "E"}, func(ctx context.Context, id string, mb *transport.Mailbox) error {
+		for i := 0; i < b.N; i++ {
+			cfg := garbled.Config{Group: mathx.Oakley768, Garbler: "G", Evaluator: "E", Session: fmt.Sprintf("gc-%d", i)}
+			var err error
+			if id == "G" {
+				_, err = garbled.Garble(ctx, mb, cfg, c, x)
+			} else {
+				_, err = garbled.Evaluate(ctx, mb, cfg, c, x)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // --- Claim C2: blind-TTP ranking ---
 
 func BenchmarkClaimC2RankTTP(b *testing.B) {
-	net := transport.NewMemNetwork()
-	defer net.Close() //nolint:errcheck
-	ids := []string{"A", "B", "C", "T"}
-	mbs := make(map[string]*transport.Mailbox, len(ids))
-	for _, id := range ids {
-		ep, err := net.Endpoint(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mbs[id] = transport.NewMailbox(ep)
-		defer mbs[id].Close() //nolint:errcheck
-	}
-	ctx := context.Background()
 	values := map[string]*big.Int{"A": big.NewInt(3), "B": big.NewInt(1), "C": big.NewInt(2)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := compare.RankConfig{
-			Holders:  []string{"A", "B", "C"},
-			TTP:      "T",
-			MaxValue: big.NewInt(1000),
-			Session:  fmt.Sprintf("rank-%d", i),
+	runParties(b, []string{"A", "B", "C", "T"}, func(ctx context.Context, id string, mb *transport.Mailbox) error {
+		for i := 0; i < b.N; i++ {
+			cfg := compare.RankConfig{
+				Holders:  []string{"A", "B", "C"},
+				TTP:      "T",
+				MaxValue: big.NewInt(1000),
+				Session:  fmt.Sprintf("rank-%d", i),
+			}
+			var err error
+			if id == "T" {
+				err = compare.ServeRank(ctx, mb, cfg)
+			} else {
+				_, err = compare.Rank(ctx, mb, cfg, values[id])
+			}
+			if err != nil {
+				return err
+			}
 		}
-		var wg sync.WaitGroup
-		wg.Add(4)
-		go func() { defer wg.Done(); compare.ServeRank(ctx, mbs["T"], cfg) }() //nolint:errcheck
-		for _, h := range cfg.Holders {
-			go func(h string) { defer wg.Done(); compare.Rank(ctx, mbs[h], cfg, values[h]) }(h) //nolint:errcheck
-		}
-		wg.Wait()
-	}
+		return nil
+	})
 }
 
 // --- Claim C3: secure sum scaling ---
@@ -359,42 +327,35 @@ func BenchmarkClaimC2RankTTP(b *testing.B) {
 func BenchmarkClaimC3SecureSum(b *testing.B) {
 	for _, parties := range []int{3, 5, 9} {
 		b.Run(fmt.Sprintf("parties=%d", parties), func(b *testing.B) {
-			net := transport.NewMemNetwork()
-			defer net.Close() //nolint:errcheck
-			ids := make([]string, parties)
-			mbs := make(map[string]*transport.Mailbox, parties)
-			for i := range ids {
-				ids[i] = fmt.Sprintf("P%d", i)
-				ep, err := net.Endpoint(ids[i])
-				if err != nil {
-					b.Fatal(err)
-				}
-				mbs[ids[i]] = transport.NewMailbox(ep)
-				defer mbs[ids[i]].Close() //nolint:errcheck
-			}
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg := sum.Config{
-					P:         big.NewInt(2305843009213693951),
-					Parties:   ids,
-					K:         parties/2 + 1,
-					Receivers: []string{ids[0]},
-					Session:   fmt.Sprintf("s-%d", i),
-				}
-				var wg sync.WaitGroup
-				for j, id := range ids {
-					wg.Add(1)
-					go func(j int, id string) {
-						defer wg.Done()
-						sum.Run(ctx, mbs[id], cfg, big.NewInt(int64(j))) //nolint:errcheck
-					}(j, id)
-				}
-				wg.Wait()
-			}
+			benchSecureSum(b, parties, parties/2+1)
 		})
 	}
+}
+
+// benchSecureSum runs b.N secure sums of the party indices over
+// P0..P{parties-1} with threshold k and P0 the only receiver.
+func benchSecureSum(b *testing.B, parties, k int) {
+	ids := make([]string, parties)
+	values := make(map[string]*big.Int, parties)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("P%d", i)
+		values[ids[i]] = big.NewInt(int64(i))
+	}
+	runParties(b, ids, func(ctx context.Context, id string, mb *transport.Mailbox) error {
+		for i := 0; i < b.N; i++ {
+			cfg := sum.Config{
+				P:         big.NewInt(2305843009213693951),
+				Parties:   ids,
+				K:         k,
+				Receivers: []string{ids[0]},
+				Session:   fmt.Sprintf("s-%d", i),
+			}
+			if _, err := sum.Run(ctx, mb, cfg, values[id]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // --- Figures 6 & 7: evidence chain ---
@@ -632,73 +593,6 @@ func BenchmarkClusterLogThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkAppenderThroughput measures the streaming ingest path: b.N
-// records staged through one Appender (batched, pipelined quorum
-// rounds, digest-exponent shipping) including the final drain, so the
-// per-record figure amortizes glsn rounds and store fan-out the way a
-// real producer sees them. Compare with BenchmarkClusterLogThroughput,
-// the synchronous one-round-per-record write.
-func BenchmarkAppenderThroughput(b *testing.B) {
-	ex := paperExample(b)
-	d, err := core.Deploy(core.Options{Partition: ex.Partition})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Close() //nolint:errcheck
-	ctx := context.Background()
-	user, err := d.NewUser(ctx, "ap-user", "TAP1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	values := ex.Records[0].Values
-	b.ReportAllocs()
-	b.ResetTimer()
-	ap, err := user.NewAppender(ctx, cluster.AppendOptions{MaxBatchRecords: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := ap.Append(ctx, values); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := ap.Close(ctx); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// --- Query-shape sweep: cost by criteria structure ---
-
-// BenchmarkQueryShapes measures the end-to-end DLA query cost for the
-// structurally distinct criteria classes the engine supports: a single
-// local predicate, a multi-node conjunction, a cross-node disjunction
-// (secure union), a cross equality (two-party ∩s on glsn|value), and a
-// cross comparison (blind-TTP batch compare).
-func BenchmarkQueryShapes(b *testing.B) {
-	shapes := []struct {
-		name     string
-		criteria string
-	}{
-		{"local", `C1 > 30`},
-		{"conjunction-3-nodes", `Tid = "T1100265" AND C1 < 30 AND id = "U1"`},
-		{"cross-union", `id = "U3" OR C1 = 20`},
-		{"cross-equality", `id = C3`},
-		{"cross-compare", `C1 < C2`},
-	}
-	rig := deployLoaded(b, 25)
-	ctx := context.Background()
-	for _, s := range shapes {
-		b.Run(s.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := rig.auditor.Query(ctx, s.criteria); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Telemetry overhead: observability cost on the query hot path ---
 
 // BenchmarkTelemetryOverhead measures the end-to-end conjunction-query
@@ -742,36 +636,7 @@ func BenchmarkIntersectParties(b *testing.B) {
 				}
 				sets[ring[i]] = s
 			}
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				net := transport.NewMemNetwork()
-				cfg := intersect.Config{
-					Group:     mathx.Oakley768,
-					Ring:      ring,
-					Receivers: []string{ring[0]},
-					Session:   fmt.Sprintf("ip-%d", i),
-				}
-				var wg sync.WaitGroup
-				for _, node := range ring {
-					ep, err := net.Endpoint(node)
-					if err != nil {
-						b.Fatal(err)
-					}
-					mb := transport.NewMailbox(ep)
-					wg.Add(1)
-					go func(node string, mb *transport.Mailbox) {
-						defer wg.Done()
-						defer mb.Close() //nolint:errcheck
-						if _, err := intersect.Run(ctx, mb, cfg, sets[node]); err != nil {
-							b.Error(err)
-						}
-					}(node, mb)
-				}
-				wg.Wait()
-				net.Close() //nolint:errcheck
-			}
+			benchIntersect(b, ring, sets)
 		})
 	}
 }
@@ -822,40 +687,7 @@ func BenchmarkAblationSumThreshold(b *testing.B) {
 	const parties = 8
 	for _, k := range []int{2, 5, 8} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			net := transport.NewMemNetwork()
-			defer net.Close() //nolint:errcheck
-			ids := make([]string, parties)
-			mbs := make(map[string]*transport.Mailbox, parties)
-			for i := range ids {
-				ids[i] = fmt.Sprintf("P%d", i)
-				ep, err := net.Endpoint(ids[i])
-				if err != nil {
-					b.Fatal(err)
-				}
-				mbs[ids[i]] = transport.NewMailbox(ep)
-				defer mbs[ids[i]].Close() //nolint:errcheck
-			}
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg := sum.Config{
-					P:         big.NewInt(2305843009213693951),
-					Parties:   ids,
-					K:         k,
-					Receivers: []string{ids[0]},
-					Session:   fmt.Sprintf("ka-%d", i),
-				}
-				var wg sync.WaitGroup
-				for j, id := range ids {
-					wg.Add(1)
-					go func(j int, id string) {
-						defer wg.Done()
-						sum.Run(ctx, mbs[id], cfg, big.NewInt(int64(j))) //nolint:errcheck
-					}(j, id)
-				}
-				wg.Wait()
-			}
+			benchSecureSum(b, parties, k)
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"sync"
 	"time"
 
 	"confaudit/internal/mathx"
@@ -12,6 +11,7 @@ import (
 	"confaudit/internal/smc/compare"
 	"confaudit/internal/smc/garbled"
 	"confaudit/internal/smc/intersect"
+	"confaudit/internal/smc/smctest"
 	"confaudit/internal/smc/sum"
 	"confaudit/internal/transport"
 )
@@ -56,160 +56,115 @@ func runCompare() error {
 		}
 		fmt.Printf("%-10d %14s\n", n, d)
 	}
-	fmt.Println("\n(see `go test -bench=. ./...` and bench_output.txt for the full suite)")
 	return nil
 }
 
-func mailboxSet(net *transport.MemNetwork, ids ...string) (map[string]*transport.Mailbox, func(), error) {
-	mbs := make(map[string]*transport.Mailbox, len(ids))
-	for _, id := range ids {
-		ep, err := net.Endpoint(id)
-		if err != nil {
-			return nil, nil, err
-		}
-		mbs[id] = transport.NewMailbox(ep)
+// timeParties runs one SMC party per id through smctest.RunParties and
+// returns the slowest party's elapsed time: the protocol's wall time,
+// without the network setup.
+func timeParties(ctx context.Context, ids []string, party func(ctx context.Context, id string, mb *transport.Mailbox) error) (time.Duration, error) {
+	elapsed, err := smctest.RunParties(ctx, ids, func(ctx context.Context, id string, mb *transport.Mailbox) (time.Duration, error) {
+		start := time.Now()
+		err := party(ctx, id, mb)
+		return time.Since(start), err
+	})
+	if err != nil {
+		return 0, err
 	}
-	cleanup := func() {
-		for _, mb := range mbs {
-			mb.Close() //nolint:errcheck
-		}
+	var slowest time.Duration
+	for _, d := range elapsed {
+		slowest = max(slowest, d)
 	}
-	return mbs, cleanup, nil
+	return slowest, nil
 }
 
 func timeRelaxedEquality(iters int) (time.Duration, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	net := transport.NewMemNetwork()
-	defer net.Close() //nolint:errcheck
-	mbs, cleanup, err := mailboxSet(net, "A", "B", "T")
-	if err != nil {
-		return 0, err
-	}
-	defer cleanup()
-	va, vb := big.NewInt(123456), big.NewInt(123456)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		cfg := compare.EqualityConfig{
-			P:       big.NewInt(2305843009213693951),
-			Holders: [2]string{"A", "B"},
-			TTP:     "T",
-			Session: fmt.Sprintf("eq-%d", i),
-		}
-		var wg sync.WaitGroup
-		wg.Add(3)
-		var errA, errB, errT error
-		go func() { defer wg.Done(); errT = compare.ServeEqual(ctx, mbs["T"], cfg) }()
-		go func() { defer wg.Done(); _, errA = compare.Equal(ctx, mbs["A"], cfg, va) }()
-		go func() { defer wg.Done(); _, errB = compare.Equal(ctx, mbs["B"], cfg, vb) }()
-		wg.Wait()
-		for _, err := range []error{errA, errB, errT} {
+	v := big.NewInt(123456)
+	d, err := timeParties(ctx, []string{"A", "B", "T"}, func(ctx context.Context, id string, mb *transport.Mailbox) error {
+		for i := 0; i < iters; i++ {
+			cfg := compare.EqualityConfig{
+				P:       big.NewInt(2305843009213693951),
+				Holders: [2]string{"A", "B"},
+				TTP:     "T",
+				Session: fmt.Sprintf("eq-%d", i),
+			}
+			var err error
+			if id == "T" {
+				err = compare.ServeEqual(ctx, mb, cfg)
+			} else {
+				_, err = compare.Equal(ctx, mb, cfg, v)
+			}
 			if err != nil {
-				return 0, err
+				return err
 			}
 		}
-	}
-	return time.Since(start) / time.Duration(iters), nil
+		return nil
+	})
+	return d / time.Duration(iters), err
 }
 
 func timeGarbledEquality(iters int) (time.Duration, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	net := transport.NewMemNetwork()
-	defer net.Close() //nolint:errcheck
-	mbs, cleanup, err := mailboxSet(net, "G", "E")
-	if err != nil {
-		return 0, err
-	}
-	defer cleanup()
 	c := circuit.Equality(32)
 	x := circuit.Uint64ToBits(123456, 32)
-	y := circuit.Uint64ToBits(123456, 32)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		cfg := garbled.Config{
-			Group:     mathx.Oakley768,
-			Garbler:   "G",
-			Evaluator: "E",
-			Session:   fmt.Sprintf("gc-%d", i),
+	d, err := timeParties(ctx, []string{"G", "E"}, func(ctx context.Context, id string, mb *transport.Mailbox) error {
+		for i := 0; i < iters; i++ {
+			cfg := garbled.Config{
+				Group:     mathx.Oakley768,
+				Garbler:   "G",
+				Evaluator: "E",
+				Session:   fmt.Sprintf("gc-%d", i),
+			}
+			var err error
+			if id == "G" {
+				_, err = garbled.Garble(ctx, mb, cfg, c, x)
+			} else {
+				_, err = garbled.Evaluate(ctx, mb, cfg, c, x)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		var wg sync.WaitGroup
-		wg.Add(2)
-		var errG, errE error
-		go func() { defer wg.Done(); _, errG = garbled.Garble(ctx, mbs["G"], cfg, c, x) }()
-		go func() { defer wg.Done(); _, errE = garbled.Evaluate(ctx, mbs["E"], cfg, c, y) }()
-		wg.Wait()
-		if errG != nil {
-			return 0, errG
-		}
-		if errE != nil {
-			return 0, errE
-		}
-	}
-	return time.Since(start) / time.Duration(iters), nil
+		return nil
+	})
+	return d / time.Duration(iters), err
 }
 
 func timeIntersect(parties, setSize int) (time.Duration, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	net := transport.NewMemNetwork()
-	defer net.Close() //nolint:errcheck
 	ring := make([]string, parties)
 	for i := range ring {
 		ring[i] = fmt.Sprintf("P%d", i)
 	}
-	mbs, cleanup, err := mailboxSet(net, ring...)
-	if err != nil {
-		return 0, err
+	set := make([][]byte, setSize)
+	for j := range set {
+		set[j] = []byte(fmt.Sprintf("element-%05d", j))
 	}
-	defer cleanup()
-	sets := make(map[string][][]byte, parties)
-	for _, node := range ring {
-		s := make([][]byte, setSize)
-		for j := range s {
-			s[j] = []byte(fmt.Sprintf("element-%05d", j))
-		}
-		sets[node] = s
-	}
-	start := time.Now()
 	cfg := intersect.Config{
 		Group:     mathx.Oakley768,
 		Ring:      ring,
 		Receivers: []string{ring[0]},
 		Session:   "bench",
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, parties)
-	for i, node := range ring {
-		wg.Add(1)
-		go func(i int, node string) {
-			defer wg.Done()
-			_, errs[i] = intersect.Run(ctx, mbs[node], cfg, sets[node])
-		}(i, node)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start), nil
+	return timeParties(ctx, ring, func(ctx context.Context, _ string, mb *transport.Mailbox) error {
+		_, err := intersect.Run(ctx, mb, cfg, set)
+		return err
+	})
 }
 
 func timeSecureSum(parties int) (time.Duration, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	net := transport.NewMemNetwork()
-	defer net.Close() //nolint:errcheck
 	ids := make([]string, parties)
+	values := make(map[string]*big.Int, parties)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("P%d", i)
+		values[ids[i]] = big.NewInt(int64(i * 100))
 	}
-	mbs, cleanup, err := mailboxSet(net, ids...)
-	if err != nil {
-		return 0, err
-	}
-	defer cleanup()
 	cfg := sum.Config{
 		P:         big.NewInt(2305843009213693951),
 		Parties:   ids,
@@ -217,21 +172,8 @@ func timeSecureSum(parties int) (time.Duration, error) {
 		Receivers: []string{ids[0]},
 		Session:   "bench",
 	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, parties)
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			_, errs[i] = sum.Run(ctx, mbs[id], cfg, big.NewInt(int64(i*100)))
-		}(i, id)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start), nil
+	return timeParties(ctx, ids, func(ctx context.Context, id string, mb *transport.Mailbox) error {
+		_, err := sum.Run(ctx, mb, cfg, values[id])
+		return err
+	})
 }

@@ -19,6 +19,7 @@ import (
 	"confaudit/internal/query"
 	"confaudit/internal/smc/compare"
 	"confaudit/internal/smc/intersect"
+	"confaudit/internal/smc/smctest"
 	"confaudit/internal/transport"
 )
 
@@ -194,45 +195,30 @@ func figure4() error {
 	// And the full three-party protocol over the simulated network.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	net := transport.NewMemNetwork()
-	defer net.Close() //nolint:errcheck
 	cfg := intersect.Config{
 		Group:     g,
 		Ring:      []string{"P1", "P2", "P3"},
 		Receivers: []string{"P1", "P2", "P3"},
 		Session:   "fig4",
 	}
-	var wg sync.WaitGroup
-	results := make(map[string][]string)
-	var mu sync.Mutex
-	for node, els := range sets {
-		ep, err := net.Endpoint(node)
-		if err != nil {
-			return err
-		}
-		mb := transport.NewMailbox(ep)
-		defer mb.Close() //nolint:errcheck
-		local := make([][]byte, len(els))
-		for i, e := range els {
+	results, err := smctest.RunParties(ctx, cfg.Ring, func(ctx context.Context, id string, mb *transport.Mailbox) ([]string, error) {
+		local := make([][]byte, len(sets[id]))
+		for i, e := range sets[id] {
 			local[i] = []byte(e)
 		}
-		wg.Add(1)
-		go func(node string, mb *transport.Mailbox, local [][]byte) {
-			defer wg.Done()
-			res, err := intersect.Run(ctx, mb, cfg, local)
-			if err != nil {
-				return
-			}
-			var plain []string
-			for _, p := range res.Plaintext {
-				plain = append(plain, string(p))
-			}
-			mu.Lock()
-			results[node] = plain
-			mu.Unlock()
-		}(node, mb, local)
+		res, err := intersect.Run(ctx, mb, cfg, local)
+		if err != nil {
+			return nil, err
+		}
+		var plain []string
+		for _, p := range res.Plaintext {
+			plain = append(plain, string(p))
+		}
+		return plain, nil
+	})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
 	fmt.Printf("protocol run over the network: every receiver computed S1∩S2∩S3 = %v\n", results["P1"])
 	return nil
 }
@@ -243,33 +229,24 @@ func figure5() error {
 	section("§3.2 SECURE EQUALITY CHECKING (the text's 'Figure 5' reference)")
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	net := transport.NewMemNetwork()
-	defer net.Close() //nolint:errcheck
-	mbs := make(map[string]*transport.Mailbox, 3)
-	for _, id := range []string{"R", "M", "TTP"} {
-		ep, err := net.Endpoint(id)
-		if err != nil {
-			return err
-		}
-		mbs[id] = transport.NewMailbox(ep)
-		defer mbs[id].Close() //nolint:errcheck
-	}
 	cfg := compare.EqualityConfig{
 		P:       big.NewInt(2305843009213693951),
 		Holders: [2]string{"R", "M"},
 		TTP:     "TTP",
 		Session: "fig5",
 	}
-	xR, xM := big.NewInt(45002), big.NewInt(45002)
-	var wg sync.WaitGroup
-	var eq bool
-	wg.Add(3)
-	go func() { defer wg.Done(); compare.ServeEqual(ctx, mbs["TTP"], cfg) }() //nolint:errcheck
-	go func() { defer wg.Done(); eq, _ = compare.Equal(ctx, mbs["R"], cfg, xR) }()
-	go func() { defer wg.Done(); compare.Equal(ctx, mbs["M"], cfg, xM) }() //nolint:errcheck
-	wg.Wait()
+	x := big.NewInt(45002) // X_R = X_M
+	verdicts, err := smctest.RunParties(ctx, []string{"R", "M", "TTP"}, func(ctx context.Context, id string, mb *transport.Mailbox) (bool, error) {
+		if id == "TTP" {
+			return false, compare.ServeEqual(ctx, mb, cfg)
+		}
+		return compare.Equal(ctx, mb, cfg, x)
+	})
+	if err != nil {
+		return err
+	}
 	fmt.Printf("X_R = X_M = 45002 held privately; TTP compared W=(aY+b) mod p\n")
-	fmt.Printf("TTP verdict (without learning X): equal = %v\n", eq)
+	fmt.Printf("TTP verdict (without learning X): equal = %v\n", verdicts["R"])
 	return nil
 }
 

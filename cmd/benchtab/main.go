@@ -23,21 +23,14 @@ import (
 func main() {
 	log.SetFlags(0)
 	var (
-		table     = flag.String("table", "", "regenerate a paper table: 1..6 or all")
-		figure    = flag.String("figure", "", "regenerate a paper figure: 1..7 or all")
-		metrics   = flag.Bool("metrics", false, "sweep the confidentiality metrics (eqs. 10-13)")
-		compare   = flag.Bool("compare", false, "measure relaxed vs classical SMC cost (claims C1-C3)")
-		benchdiff = flag.String("benchdiff", "", "compare two bench artifacts (old.json,new.json); fails on headline regression or rows with missing fields")
-		all       = flag.Bool("all", false, "everything")
+		table   = flag.String("table", "", "regenerate a paper table: 1..6 or all")
+		figure  = flag.String("figure", "", "regenerate a paper figure: 1..7 or all")
+		metrics = flag.Bool("metrics", false, "sweep the confidentiality metrics (eqs. 10-13)")
+		compare = flag.Bool("compare", false, "measure relaxed vs classical SMC cost (claims C1-C3)")
+		all     = flag.Bool("all", false, "everything")
 	)
 	flag.Parse()
 
-	if *benchdiff != "" {
-		if err := runBenchDiff(*benchdiff); err != nil {
-			log.Fatalf("benchdiff: %v", err)
-		}
-		return
-	}
 	if *all {
 		*table, *figure, *metrics, *compare = "all", "all", true, true
 	}

@@ -102,10 +102,3 @@ func attrsToStrings(attrs []logmodel.Attr) []string {
 	}
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -6,6 +6,8 @@
 // The implementation lives under internal/ (see DESIGN.md for the
 // system inventory); examples/ holds runnable applications, cmd/ the
 // node daemon (dlad), client (dlactl), and the paper-artifact
-// regenerator (benchtab). The benchmarks in bench_test.go regenerate
-// the measurements recorded in EXPERIMENTS.md.
+// regenerator (benchtab). The benchmarks in bench_test.go measure the
+// paper's tables, figures and cost claims recorded in EXPERIMENTS.md;
+// the end-to-end benchmark of the running cluster is the bench/ module,
+// declared in BENCHMARK.json.
 package confaudit

@@ -3,7 +3,6 @@
 package chaos
 
 import (
-	"context"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -46,13 +45,6 @@ func fastOptions(t *testing.T, seed int64, dropRate float64) Options {
 			Seed:             seed,
 		},
 	}
-}
-
-func testCtx(t *testing.T) context.Context {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-	t.Cleanup(cancel)
-	return ctx
 }
 
 // waitFor polls cond until it holds or the deadline passes.

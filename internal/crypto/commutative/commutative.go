@@ -24,7 +24,6 @@ import (
 	"math/big"
 
 	"confaudit/internal/mathx"
-	"confaudit/internal/telemetry"
 	"confaudit/internal/workpool"
 )
 
@@ -79,25 +78,21 @@ func NewPHKey(rng io.Reader, g *mathx.Group) (*PHKey, error) {
 // Group returns the group the key operates in.
 func (k *PHKey) Group() *mathx.Group { return k.group }
 
-// EncryptInt computes M^e mod p for a group element M in [1, p-1].
-// Bases the group has encrypted repeatedly are served from the
-// fixed-base powers cache (see engine.go); results are identical to a
-// plain modular exponentiation either way.
+// EncryptInt computes M^e mod p for a group element M in [1, p-1]. It
+// never consults the fixed-base cache; only EncryptFirstHop does.
 func (k *PHKey) EncryptInt(m *big.Int) (*big.Int, error) {
 	if err := k.checkElement(m); err != nil {
 		return nil, err
 	}
-	return phExp(k.group, m, k.e, true), nil
+	return new(big.Int).Exp(m, k.e, k.group.P), nil
 }
 
-// DecryptInt computes C^d mod p, inverting EncryptInt. Ciphertext
-// bases are fresh uniform group elements every round, so decryption
-// skips the fixed-base cache rather than churn its counters.
+// DecryptInt computes C^d mod p, inverting EncryptInt.
 func (k *PHKey) DecryptInt(c *big.Int) (*big.Int, error) {
 	if err := k.checkElement(c); err != nil {
 		return nil, err
 	}
-	return phExp(k.group, c, k.d, false), nil
+	return new(big.Int).Exp(c, k.d, k.group.P), nil
 }
 
 func (k *PHKey) checkElement(m *big.Int) error {
@@ -210,37 +205,20 @@ const parallelThreshold = 4
 // the equivalence tests can substitute pools of fixed worker counts.
 var pool = workpool.Shared
 
-// EncryptBlocks encrypts every block under the key, preserving order.
-// Batches above parallelThreshold are fanned out over the shared
-// GOMAXPROCS-sized worker pool; the output is byte-identical to a
-// serial Encrypt loop for any worker count (pinned by the equivalence
-// tests). Batches served while the group's fixed-base engine is live
-// (tables built with Montgomery squaring chains) are counted on
-// crypto.montgomery_batches.
+// EncryptBlocks encrypts every block under the key, preserving order:
+// the relay path, which re-encrypts another party's ciphertexts and so
+// never consults the fixed-base cache. Batches above parallelThreshold
+// are fanned out over the shared GOMAXPROCS-sized worker pool; the
+// output is byte-identical to a serial Encrypt loop for any worker
+// count (pinned by the equivalence tests).
 func (k *PHKey) EncryptBlocks(blocks [][]byte) ([][]byte, error) {
-	out, err := mapBlocks(blocks, k.Encrypt, "encrypting")
-	if err == nil && len(blocks) > 0 && cacheFor(k.group).hasTables() {
-		telemetry.M.Counter(telemetry.CtrMontgomeryBatches).Add(1)
-	}
-	return out, err
+	return mapBlocks(blocks, k.Encrypt, "encrypting")
 }
 
 // DecryptBlocks decrypts every block under the key, preserving order;
 // the batch counterpart of Decrypt.
 func (k *PHKey) DecryptBlocks(blocks [][]byte) ([][]byte, error) {
 	return mapBlocks(blocks, k.Decrypt, "decrypting")
-}
-
-// EncryptAll encrypts every block, preserving order. All protocols that
-// relay whole sets between DLA nodes use this helper; large batches are
-// encrypted in parallel on the shared worker pool.
-func EncryptAll(c Cipher, blocks [][]byte) ([][]byte, error) {
-	return mapBlocks(blocks, c.Encrypt, "encrypting")
-}
-
-// DecryptAll decrypts every block, preserving order.
-func DecryptAll(c Cipher, blocks [][]byte) ([][]byte, error) {
-	return mapBlocks(blocks, c.Decrypt, "decrypting")
 }
 
 func mapBlocks(blocks [][]byte, op func([]byte) ([]byte, error), verb string) ([][]byte, error) {

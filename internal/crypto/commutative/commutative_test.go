@@ -226,7 +226,16 @@ func TestXORKeyValidation(t *testing.T) {
 	}
 }
 
-func TestEncryptAllDecryptAll(t *testing.T) {
+// encryptEntryPoints are the two batch encryptions: the relay path and
+// the first hop through the fixed-base cache.
+func encryptEntryPoints(k *PHKey) map[string]func([][]byte) ([][]byte, error) {
+	return map[string]func([][]byte) ([][]byte, error){
+		"EncryptBlocks":   k.EncryptBlocks,
+		"EncryptFirstHop": k.EncryptFirstHop,
+	}
+}
+
+func TestEncryptBlocksDecryptBlocks(t *testing.T) {
 	g := testGroup()
 	k := mustPHKey(t, g)
 	blocks := [][]byte{
@@ -234,28 +243,30 @@ func TestEncryptAllDecryptAll(t *testing.T) {
 		k.EncodeElement([]byte("d")),
 		k.EncodeElement([]byte("e")),
 	}
-	enc, err := EncryptAll(k, blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(enc) != len(blocks) {
-		t.Fatalf("EncryptAll returned %d blocks, want %d", len(enc), len(blocks))
-	}
-	dec, err := DecryptAll(k, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range blocks {
-		if !bytes.Equal(dec[i], blocks[i]) {
-			t.Fatalf("block %d did not round trip", i)
+	bad := [][]byte{make([]byte, 3)}
+	for name, encrypt := range encryptEntryPoints(k) {
+		enc, err := encrypt(blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(enc) != len(blocks) {
+			t.Fatalf("%s returned %d blocks, want %d", name, len(enc), len(blocks))
+		}
+		dec, err := k.DecryptBlocks(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range blocks {
+			if !bytes.Equal(dec[i], blocks[i]) {
+				t.Fatalf("%s: block %d did not round trip", name, i)
+			}
+		}
+		if _, err := encrypt(bad); err == nil {
+			t.Fatalf("%s accepted invalid block", name)
 		}
 	}
-	bad := [][]byte{make([]byte, 3)}
-	if _, err := EncryptAll(k, bad); err == nil {
-		t.Fatal("EncryptAll accepted invalid block")
-	}
-	if _, err := DecryptAll(k, bad); err == nil {
-		t.Fatal("DecryptAll accepted invalid block")
+	if _, err := k.DecryptBlocks(bad); err == nil {
+		t.Fatal("DecryptBlocks accepted invalid block")
 	}
 }
 
@@ -283,9 +294,10 @@ func TestPHQuickCommutes(t *testing.T) {
 	}
 }
 
-// TestEncryptAllParallelLargeBatch crosses the parallel threshold and
-// checks order preservation and error propagation.
-func TestEncryptAllParallelLargeBatch(t *testing.T) {
+// TestEncryptBlocksParallelLargeBatch crosses the parallel threshold on
+// both encryption entry points and checks order preservation and error
+// propagation.
+func TestEncryptBlocksParallelLargeBatch(t *testing.T) {
 	g := testGroup()
 	k := mustPHKey(t, g)
 	const n = 37 // > parallelThreshold, not a multiple of core counts
@@ -293,26 +305,69 @@ func TestEncryptAllParallelLargeBatch(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = k.EncodeElement([]byte{byte(i), byte(i >> 3)})
 	}
-	enc, err := EncryptAll(k, blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Order preserved: decrypting index i yields block i.
-	dec, err := DecryptAll(k, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range blocks {
-		if !bytes.Equal(dec[i], blocks[i]) {
-			t.Fatalf("block %d out of order after parallel batch", i)
-		}
-	}
 	// An invalid block anywhere in a large batch surfaces as an error.
 	bad := make([][]byte, n)
 	copy(bad, blocks)
 	bad[n-2] = make([]byte, k.BlockSize()) // zero: not a group element
-	if _, err := EncryptAll(k, bad); err == nil {
-		t.Fatal("invalid block in parallel batch accepted")
+	for name, encrypt := range encryptEntryPoints(k) {
+		enc, err := encrypt(blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Order preserved: decrypting index i yields block i.
+		dec, err := k.DecryptBlocks(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range blocks {
+			if !bytes.Equal(dec[i], blocks[i]) {
+				t.Fatalf("%s: block %d out of order after parallel batch", name, i)
+			}
+		}
+		if _, err := encrypt(bad); err == nil {
+			t.Fatalf("%s: invalid block in parallel batch accepted", name)
+		}
+	}
+}
+
+// BenchmarkPHFirstHop768 is one first-hop block with its table hot:
+// the cost a node pays to encrypt an encoding it has encrypted before,
+// under a fresh pooled key each time.
+func BenchmarkPHFirstHop768(b *testing.B) {
+	g := mathx.Oakley768
+	keys := sessionKeys(b, g, 8)
+	blocks := [][]byte{keys[0].EncodeElement([]byte("bench element"))}
+	if _, err := keys[0].EncryptFirstHop(blocks); err != nil { // build the table
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := keys[i%len(keys)].EncryptFirstHop(blocks); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPHRelay768 is one relayed block under a pooled key: a fresh
+// ciphertext from another party, which no table can serve.
+func BenchmarkPHRelay768(b *testing.B) {
+	g := mathx.Oakley768
+	keys := sessionKeys(b, g, 8)
+	peer, err := NewSessionKey(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	relayed, err := peer.EncryptBlocks(prefixedBlocks(peer, "relayed", 64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := keys[i%len(keys)].EncryptBlocks(relayed[i%len(relayed) : i%len(relayed)+1]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

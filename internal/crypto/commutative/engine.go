@@ -3,66 +3,47 @@ package commutative
 import (
 	"math/big"
 	"sync"
+	"sync/atomic"
 
 	"confaudit/internal/mathx"
+	"confaudit/internal/telemetry"
 )
 
-// Fixed-base acceleration for the Pohlig-Hellman hot path.
+// Fixed-base tables for a node's first-hop encryptions.
 //
-// The DLA protocols re-encrypt the SAME group elements over and over:
-// every audit query re-encodes the node's attribute values with
-// HashToQR — a deterministic map — so the bases flowing into M^e mod p
-// repeat across sessions and queries even though the session keys (and
-// thus exponents) are always fresh. A fixed-base powers table
-// T[i] = M^(16^i) is key-independent, so one table serves every future
-// key over the same group.
+// In ∩s and ∪s every node encrypts its own encoded set once — the first
+// hop of the ring — and re-encrypts every peer's set as it passes. The
+// first-hop bases are deterministic encodings (HashToQR of a glsn or of
+// glsn|value, union's EmbedElement), so they recur query after query
+// while the session keys, and thus the exponents, are always fresh. A
+// fixed-base powers table T[i] = M^(16^i) is key-independent, so one
+// table serves every later key over the same group.
 //
-// Each group keeps a bounded cache of per-base hit counters; once a
-// base has been seen tableThreshold times its table is built (costing
-// about one plain exponentiation) and every later encryption of that
-// base, under any key, runs ~1.7x faster. One-shot bases — relayed
-// ciphertexts, which are fresh uniform group elements every round —
-// never reach the threshold and never pay for a table.
-const (
-	// tableThreshold is the sighting count that triggers a table build.
-	tableThreshold = 2
-	// tableExpBits is the exponent coverage of built tables: the widest
-	// pooled encryption exponent. Full-width exponents (the
-	// deterministic NewPHKey test path) exceed it and fall back to
-	// big.Int.Exp.
-	tableExpBits = 256
-	// maxCachedBases bounds the hit-counter map per group; when full,
-	// tableless entries are evicted so ephemeral ciphertext bases
-	// cannot grow the cache without bound.
-	maxCachedBases = 4096
-	// maxTables bounds built tables per group (a 768-bit group table is
-	// ~6 KiB; 768 tables ≈ 4.5 MiB). Sized for the working set of
-	// HashToQR plaintext encodings: session keys are handed out exactly
-	// once (the pool pre-generates but never reuses them), so relayed
-	// ciphertext bases are fresh uniform elements every round and never
-	// reach the build threshold — only deterministic encodings recur.
-	maxTables = 768
-)
+// EncryptFirstHop is the only entry point that consults the cache.
+// Relayed ciphertexts are fresh uniform group elements every round and
+// never recur, so Encrypt, EncryptInt and EncryptBlocks (the relay
+// path) and every decryption run big.Int.Exp without touching it.
+//
+// A base gets its table on first sight (about one plain
+// exponentiation's work) and keeps it for the life of the process;
+// once a group's tables fill tableBudget, bases without a table fall
+// back to big.Int.Exp. Tables cover exactly the pooled exponent width
+// (Group.ShortExpBits), so a full-width key (NewPHKey with a reader)
+// builds none and always takes the plain path.
+
+// tableBudget bounds the bytes of one group's tables: 1,938 tables of
+// 3,456 B on the 768-bit group.
+const tableBudget = 6_700_000
 
 // baseCache is one group's fixed-base state.
 type baseCache struct {
-	mu      sync.Mutex
-	entries map[string]*baseEntry
-	tables  int
-}
+	p       *big.Int
+	expBits int // exponent coverage of every table
 
-// hasTables reports whether any Montgomery-form fixed-base table is
-// live for the group (the batch APIs use it to count batches served by
-// the Montgomery engine).
-func (c *baseCache) hasTables() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tables > 0
-}
-
-type baseEntry struct {
-	hits int
-	fb   *mathx.FixedBase
+	mu     sync.Mutex
+	tables map[string]*mathx.FixedBase // keyed by the encoded block
+	bytes  int                         // sum of the tables' sizes
+	full   bool                        // no room for one more table
 }
 
 // groupCaches maps *mathx.Group to *baseCache. Groups are long-lived
@@ -74,74 +55,75 @@ func cacheFor(g *mathx.Group) *baseCache {
 	if c, ok := groupCaches.Load(g); ok {
 		return c.(*baseCache)
 	}
-	c, _ := groupCaches.LoadOrStore(g, &baseCache{entries: make(map[string]*baseEntry)})
+	c, _ := groupCaches.LoadOrStore(g, &baseCache{
+		p:       g.P,
+		expBits: g.ShortExpBits(),
+		tables:  make(map[string]*mathx.FixedBase),
+	})
 	return c.(*baseCache)
 }
 
-// phExp computes m^e mod p, consulting the group's fixed-base cache
-// when track is set. Results are byte-identical to big.Int.Exp (both
-// return the canonical least non-negative residue; the equivalence
-// test pins this).
-func phExp(g *mathx.Group, m, e *big.Int, track bool) *big.Int {
-	if track {
-		if fb := noteBase(g, m); fb != nil {
-			if r := fb.Exp(e); r != nil {
-				return r
-			}
-		}
-	}
-	return new(big.Int).Exp(m, e, g.P)
-}
-
-// noteBase records a sighting of base m and returns its table if one
-// exists (building it at the threshold). The build runs outside the
-// cache lock; concurrent builders may duplicate the (deterministic)
-// work, and the first store wins.
-func noteBase(g *mathx.Group, m *big.Int) *mathx.FixedBase {
-	c := cacheFor(g)
-	key := string(m.Bytes())
-
+// table returns the table for the encoded block with value m, building
+// it on first sight. Once the budget is spent a new base's table is
+// still returned for this one evaluation but not kept, and later
+// unseen bases get nil. The build runs outside the lock; concurrent
+// builders of one base duplicate the (deterministic) work and the
+// first store wins.
+func (c *baseCache) table(block []byte, m *big.Int) *mathx.FixedBase {
 	c.mu.Lock()
-	ent := c.entries[key]
-	if ent == nil {
-		if len(c.entries) >= maxCachedBases {
-			c.evictLocked()
-		}
-		ent = &baseEntry{}
-		c.entries[key] = ent
-	}
-	ent.hits++
-	fb := ent.fb
-	build := fb == nil && ent.hits >= tableThreshold && c.tables < maxTables
+	fb, full := c.tables[string(block)], c.full
 	c.mu.Unlock()
-	if !build {
+	if fb != nil || full {
 		return fb
 	}
-
-	built := mathx.NewFixedBase(m, g.P, tableExpBits)
+	built := mathx.NewFixedBase(m, c.p, c.expBits)
 	c.mu.Lock()
-	if ent.fb == nil && c.tables < maxTables {
-		ent.fb = built
-		c.tables++
+	defer c.mu.Unlock()
+	if fb := c.tables[string(block)]; fb != nil {
+		return fb
 	}
-	fb = ent.fb
-	c.mu.Unlock()
-	return fb
+	if c.bytes+built.Size() > tableBudget {
+		c.full = true
+		return built
+	}
+	c.tables[string(block)] = built
+	c.bytes += built.Size()
+	return built
 }
 
-// evictLocked drops tableless entries until the counter map is at half
-// capacity. Map iteration order is random, which is exactly the cheap
-// uniform eviction wanted here. Caller holds c.mu.
-func (c *baseCache) evictLocked() {
-	target := maxCachedBases / 2
-	for key, ent := range c.entries {
-		if len(c.entries) <= target {
-			return
+// EncryptFirstHop encrypts a node's own encoded blocks — the first hop
+// of a ring, before any other party has touched them — preserving
+// order. It is EncryptBlocks plus the group's fixed-base cache: the
+// ciphertexts are byte-identical, only the machine work differs.
+// Counts batches a table served on crypto.montgomery_batches and
+// per-block outcomes on crypto.fixedbase_hits / fixedbase_misses.
+func (k *PHKey) EncryptFirstHop(blocks [][]byte) ([][]byte, error) {
+	c := cacheFor(k.group)
+	covered := k.e.BitLen() <= c.expBits
+	var hits atomic.Int64
+	out, err := mapBlocks(blocks, func(block []byte) ([]byte, error) {
+		m, err := k.parseBlock(block)
+		if err != nil {
+			return nil, err
 		}
-		if ent.fb == nil {
-			delete(c.entries, key)
+		if covered {
+			if r := c.table(block, m).Exp(k.e); r != nil {
+				hits.Add(1)
+				return k.marshalBlock(r), nil
+			}
 		}
+		return k.marshalBlock(new(big.Int).Exp(m, k.e, k.group.P)), nil
+	}, "encrypting")
+	if err != nil {
+		return nil, err
 	}
+	served := hits.Load()
+	if served > 0 {
+		telemetry.M.Counter(telemetry.CtrMontgomeryBatches).Add(1)
+	}
+	telemetry.M.Counter(telemetry.CtrFixedBaseHits).Add(served)
+	telemetry.M.Counter(telemetry.CtrFixedBaseMisses).Add(int64(len(blocks)) - served)
+	return out, nil
 }
 
 // resetFixedBaseCaches drops every group's cache (tests).

@@ -18,41 +18,13 @@ type KeySource interface {
 	Key(g *mathx.Group) (*PHKey, error)
 }
 
-// shortExpBitsFor returns the bit length of pooled encryption
-// exponents for a group of the given modulus width. Recovering a short
-// exponent from M and M^e mod p costs ~2^(bits/2) group operations
-// (Pollard lambda over the exponent interval), so the schedule sizes
-// exponents at twice the modulus's index-calculus strength — the same
-// matching rule RFC 7919 applies to DH private exponents. The discrete
-// log of the MODULUS therefore remains the weakest link exactly as
-// with full-width exponents, while modular exponentiation, whose cost
-// is linear in exponent bits, stops paying for security the group
-// cannot deliver (256→144 bits is ~1.7x on the 768-bit group).
-//
-// The decryption exponent d = e^-1 mod p-1 is full width regardless,
-// so only encryption gets cheaper.
-func shortExpBitsFor(groupBits int) int {
-	switch {
-	case groupBits <= 768:
-		return 144 // ~2^72 lambda vs ~2^66 index calculus
-	case groupBits <= 1024:
-		return 160 // ~2^80 vs ~2^80
-	case groupBits <= 1536:
-		return 192 // ~2^96 vs ~2^90
-	case groupBits <= 2048:
-		return 224 // ~2^112 vs ~2^110
-	default:
-		return 256
-	}
-}
-
 // NewSessionKey samples a Pohlig-Hellman key with a short encryption
-// exponent, the form the pool pregenerates. The key is drawn from
-// crypto/rand; use NewPHKey with an explicit reader for deterministic
-// full-width keys.
+// exponent (mathx.Group.ShortExpBits), the form the pool pregenerates.
+// The key is drawn from crypto/rand; use NewPHKey with an explicit
+// reader for deterministic full-width keys.
 func NewSessionKey(g *mathx.Group) (*PHKey, error) {
 	pm1 := new(big.Int).Sub(g.P, big.NewInt(1))
-	e, err := mathx.RandCoprimeBits(rand.Reader, pm1, shortExpBitsFor(g.P.BitLen()))
+	e, err := mathx.RandCoprimeBits(rand.Reader, pm1, g.ShortExpBits())
 	if err != nil {
 		return nil, fmt.Errorf("commutative: sampling pooled exponent: %w", err)
 	}

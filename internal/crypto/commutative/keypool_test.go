@@ -24,7 +24,7 @@ func TestPooledKeyRoundTripAndCommute(t *testing.T) {
 	if k1.e.Cmp(k2.e) == 0 {
 		t.Fatal("pool handed out the same exponent twice")
 	}
-	if want := shortExpBitsFor(g.P.BitLen()); k1.e.BitLen() != want {
+	if want := g.ShortExpBits(); k1.e.BitLen() != want {
 		t.Fatalf("pooled exponent has %d bits, want %d", k1.e.BitLen(), want)
 	}
 	m := k1.EncodeElement([]byte("paper-element-e"))

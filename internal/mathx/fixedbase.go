@@ -13,11 +13,11 @@ import (
 // once; every later base^e then costs only multiplications — one per
 // nonzero radix-16 digit of e plus 2·15 for the digit-value fold —
 // instead of the |e| squarings a general modular exponentiation pays.
-// The table build costs one full-width exponentiation worth of
-// squarings, so a base amortizes after its second use.
+// The table build costs about one exponentiation's worth of squarings
+// at the covered width, so a base amortizes on its second use.
 //
 // This is the standard optimization for the DLA hot paths where the
-// BASE repeats while the exponent varies: re-encrypting the same
+// BASE repeats while the exponent varies: a node encrypting its own
 // HashToQR-encoded elements under fresh session keys query after
 // query, and folding the agreed accumulator base X0 at the start of
 // every integrity circulation.
@@ -34,10 +34,14 @@ import (
 // bit-identical to big.Int.Exp either way, pinned by the differential
 // tests.
 type FixedBase struct {
-	mod    *big.Int
-	window uint
-	// table[i] = base^(16^i) mod m, canonical least non-negative form.
-	table []*big.Int
+	mod *big.Int
+	// words holds every entry back to back, n words each: entry i,
+	// T[i] = base^(16^i) mod m in canonical form, is
+	// words[i*n : (i+1)*n]. One pointer-free array per table, read
+	// through big.Int views at evaluation time.
+	words  []big.Word
+	n      int // words per entry: the modulus width
+	digits int // entries: the radix-16 digits of exponent coverage
 }
 
 const fixedBaseWindow = 4
@@ -49,44 +53,53 @@ func NewFixedBase(base, mod *big.Int, maxExpBits int) *FixedBase {
 		return nil
 	}
 	digits := (maxExpBits + fixedBaseWindow - 1) / fixedBaseWindow
-	fb := &FixedBase{mod: mod, window: fixedBaseWindow, table: make([]*big.Int, digits)}
+	n := len(mod.Bits())
+	fb := &FixedBase{mod: mod, words: make([]big.Word, digits*n), n: n, digits: digits}
 	if mg, err := NewMontgomery(mod); err == nil {
 		// Build in-domain — 4 squarings per digit — then exit each
 		// entry to canonical form for the evaluation fold.
-		sc := mg.getScratch()
+		t := make([]uint64, mg.k+2)
 		cur := make([]uint64, mg.k)
-		natSetBig(sc.b, new(big.Int).Mod(base, mod))
-		mg.enter(cur, sc.b, sc.t)
 		out := make([]uint64, mg.k)
+		natSetBig(out, new(big.Int).Mod(base, mod))
+		mg.enter(cur, out, t)
 		for i := 0; i < digits; i++ {
-			mg.montMulOne(out, cur, sc.t)
-			fb.table[i] = natToBig(out)
+			mg.montMulOne(out, cur, t)
+			natPutWords(fb.entryWords(i), out)
 			if i < digits-1 {
 				for s := 0; s < fixedBaseWindow; s++ {
-					mg.montMul(cur, cur, cur, sc.t)
+					mg.montMul(cur, cur, cur, t)
 				}
 			}
 		}
-		mg.putScratch(sc)
 		return fb
 	}
 	// Even modulus: REDC refuses service; chain big.Int squarings.
 	sixteen := big.NewInt(1 << fixedBaseWindow)
 	cur := new(big.Int).Mod(base, mod)
 	for i := 0; i < digits; i++ {
-		fb.table[i] = cur
+		copy(fb.entryWords(i), cur.Bits())
 		if i < digits-1 {
-			cur = new(big.Int).Exp(cur, sixteen, mod)
+			cur.Exp(cur, sixteen, mod)
 		}
 	}
 	return fb
 }
 
+// entryWords returns entry i's words, capped so nothing appended
+// through a view can reach entry i+1.
+func (fb *FixedBase) entryWords(i int) []big.Word {
+	return fb.words[i*fb.n : (i+1)*fb.n : (i+1)*fb.n]
+}
+
 // Covers reports whether the table spans exponents of e's width.
 func (fb *FixedBase) Covers(e *big.Int) bool {
 	return fb != nil && e != nil && e.Sign() >= 0 &&
-		(e.BitLen()+int(fb.window)-1)/int(fb.window) <= len(fb.table)
+		(e.BitLen()+fixedBaseWindow-1)/fixedBaseWindow <= fb.digits
 }
+
+// Size reports the bytes the table's entries occupy.
+func (fb *FixedBase) Size() int { return len(fb.words) * bitsPerWord / 8 }
 
 // fbScratch holds the per-evaluation temporaries of the Yao fold. The
 // fold performs ~|e|/4 + 15 modular multiplications; routing each
@@ -99,6 +112,7 @@ type fbScratch struct {
 	b      big.Int // digit-v product accumulator
 	prod   big.Int // unreduced multiplication result
 	q      big.Int // discarded quotient of each reduction
+	entry  big.Int // read-only view of one table entry
 }
 
 var fbScratchPool = sync.Pool{New: func() any { return new(fbScratch) }}
@@ -137,7 +151,7 @@ func (fb *FixedBase) Exp(e *big.Int) *big.Int {
 	for v := byte(15); v >= 1; v-- {
 		for i, d := range digits {
 			if d == v {
-				sc.prod.Mul(b, fb.table[i])
+				sc.prod.Mul(b, sc.entry.SetBits(fb.entryWords(i)))
 				sc.q.QuoRem(&sc.prod, fb.mod, b)
 			}
 		}
@@ -146,6 +160,7 @@ func (fb *FixedBase) Exp(e *big.Int) *big.Int {
 	}
 	out := new(big.Int).Set(a)
 	sc.digits = digits
+	sc.entry.SetBits(nil) // drop the view so the pool does not pin the table
 	fbScratchPool.Put(sc)
 	return out
 }

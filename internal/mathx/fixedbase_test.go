@@ -55,6 +55,33 @@ func TestFixedBaseEdgeCases(t *testing.T) {
 	}
 }
 
+// TestFixedBaseCoverageEdge pins the width the commutative cipher
+// builds its tables for: an exponent of exactly ShortExpBits bits is
+// covered and evaluated, one bit more is refused; and the flat table
+// holds exactly one modulus-wide entry per covered digit.
+func TestFixedBaseCoverageEdge(t *testing.T) {
+	for _, g := range []*Group{Oakley768, Oakley1024, MODP1536, MODP2048} {
+		bits := g.ShortExpBits()
+		base := g.HashToQR([]byte("coverage edge"))
+		fb := NewFixedBase(base, g.P, bits)
+		edge := new(big.Int).Lsh(big.NewInt(1), uint(bits))
+		edge.Sub(edge, big.NewInt(1)) // exactly bits bits, every digit 15
+		if !fb.Covers(edge) {
+			t.Fatalf("%d-bit group: %d-bit exponent not covered", g.Bits(), bits)
+		}
+		if got, want := fb.Exp(edge), new(big.Int).Exp(base, edge, g.P); got == nil || got.Cmp(want) != 0 {
+			t.Fatalf("%d-bit group: edge exponent evaluated to %v, want %v", g.Bits(), got, want)
+		}
+		over := new(big.Int).Lsh(big.NewInt(1), uint(bits)) // bits+1 bits
+		if fb.Covers(over) || fb.Exp(over) != nil {
+			t.Fatalf("%d-bit group: %d-bit exponent claimed covered", g.Bits(), bits+1)
+		}
+		if got, want := fb.Size(), bits/4*len(g.P.Bits())*bitsPerWord/8; got != want {
+			t.Fatalf("%d-bit group: table is %d bytes, want %d", g.Bits(), got, want)
+		}
+	}
+}
+
 func TestFixedBaseSmallModulusExhaustive(t *testing.T) {
 	p := big.NewInt(2579) // prime
 	for base := int64(1); base < 40; base += 3 {
@@ -73,6 +100,17 @@ func BenchmarkExpPlain144(b *testing.B)     { benchExp(b, 144, false) }
 func BenchmarkExpFixedBase144(b *testing.B) { benchExp(b, 144, true) }
 func BenchmarkExpPlain768(b *testing.B)     { benchExp(b, 768, false) }
 func BenchmarkExpFixedBase768(b *testing.B) { benchExp(b, 768, true) }
+
+// BenchmarkFixedBaseBuild144 is the one-time cost of a table covering
+// 144-bit exponents on the 768-bit group: what a base pays on its first
+// sighting before the evaluation itself.
+func BenchmarkFixedBaseBuild144(b *testing.B) {
+	g := Oakley768
+	base, _ := rand.Int(rand.Reader, g.P)
+	for i := 0; i < b.N; i++ {
+		NewFixedBase(base, g.P, 144)
+	}
+}
 
 func benchExp(b *testing.B, bits int, fixed bool) {
 	g := Oakley768

@@ -155,6 +155,35 @@ func GenerateGroup(rng io.Reader, bits int) (*Group, error) {
 // Bits reports the bit length of the modulus.
 func (g *Group) Bits() int { return g.P.BitLen() }
 
+// ShortExpBits returns the bit length of pooled encryption exponents
+// for the group. Recovering a short exponent from M and M^e mod p costs
+// ~2^(bits/2) group operations (Pollard lambda over the exponent
+// interval), so the schedule sizes exponents at twice the modulus's
+// index-calculus strength — the same matching rule RFC 7919 applies to
+// DH private exponents. The discrete log of the MODULUS therefore
+// remains the weakest link exactly as with full-width exponents, while
+// modular exponentiation, whose cost is linear in exponent bits, stops
+// paying for security the group cannot deliver (256→144 bits is ~1.7x
+// on the 768-bit group). It is also the exponent coverage of the
+// commutative cipher's fixed-base tables.
+//
+// The decryption exponent d = e^-1 mod p-1 is full width regardless,
+// so only encryption gets cheaper.
+func (g *Group) ShortExpBits() int {
+	switch bits := g.Bits(); {
+	case bits <= 768:
+		return 144 // ~2^72 lambda vs ~2^66 index calculus
+	case bits <= 1024:
+		return 160 // ~2^80 vs ~2^80
+	case bits <= 1536:
+		return 192 // ~2^96 vs ~2^90
+	case bits <= 2048:
+		return 224 // ~2^112 vs ~2^110
+	default:
+		return 256
+	}
+}
+
 // HashToQR deterministically maps arbitrary bytes into the quadratic
 // residue subgroup of the group: h = SHA-256*(data) mod p, squared mod p.
 // Squaring guarantees the result lies in the prime-order-q subgroup, so

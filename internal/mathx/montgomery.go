@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/big"
 	"math/bits"
-	"sync"
 )
 
 // Montgomery-form modular arithmetic.
@@ -13,75 +12,36 @@ import (
 // constants REDC needs — R² mod n (for entering the domain) and
 // n′ = -n⁻¹ mod 2⁶⁴ (the per-word reduction factor) — so that a modular
 // multiplication becomes an interleaved multiply-reduce (CIOS) over raw
-// uint64 limbs with no division and no allocation. The context is what
-// the DLA hot paths share: fixed-base powers tables are constructed by
-// in-domain squarings instead of re-running big.Int.Exp per digit, and
-// batch exponentiation amortizes the domain entry/exit and scratch
-// buffers across a whole relay block.
+// uint64 limbs with no division and no allocation. Its one user is
+// fixed-base table construction: the powers T[i] = base^(16^i) are a
+// single squaring chain, 4 in-domain squarings per digit, instead of a
+// big.Int.Exp (each re-deriving its own context) per entry.
 //
 // Results are bit-identical to math/big: REDC with the trailing
 // conditional subtraction returns the canonical least non-negative
 // residue, exactly like big.Int.Exp and big.Int.Mod. The differential
-// tests and FuzzMontgomeryVsBig pin this for random moduli, bases, and
-// the exponent edge cases (0, 1, group order).
+// tests and FuzzMontgomeryVsBig pin this through FixedBase for random
+// moduli, bases, and the exponent edge cases (0, 1, group order).
 //
 // Scope note, measured on the 1-vCPU reference box: math/big's inner
 // multiply loops are assembly while the CIOS kernel here is portable
 // Go (~600 ns per 768-bit multiply versus ~350 ns inside math/big), so
-// anything math/big can express directly stays on math/big — single
-// general exponentiations use big.Int.Exp, and the Yao fixed-base fold
-// evaluates over big.Int Mul+QuoRem (the in-domain fold measured ~20%
-// slower). The Montgomery context wins where the alternative is many
-// separate big.Int contexts: powers-table construction (64 big.Int.Exp
-// calls, each re-deriving RR, collapse to 4 in-domain squarings per
-// digit) and batched folds that amortize one entry/exit across a relay
-// block. See DESIGN.md §7.3.
+// anything math/big can express directly stays on math/big — general
+// exponentiations use big.Int.Exp, and the Yao fixed-base fold
+// evaluates over big.Int Mul+QuoRem. See DESIGN.md §7.3.
 
 // ErrEvenModulus reports a modulus REDC cannot handle; callers fall
 // back to big.Int arithmetic.
 var ErrEvenModulus = errors.New("mathx: montgomery requires an odd modulus")
 
-// Montgomery is a reusable Montgomery-arithmetic context for one odd
-// modulus. It is safe for concurrent use; per-call scratch comes from
-// an internal pool sized at construction so steady-state operations
-// allocate only their results.
+// Montgomery is a Montgomery-arithmetic context for one odd modulus.
+// It is read-only after construction; callers pass their own scratch.
 type Montgomery struct {
-	mod *big.Int
-	k   int      // limb count of the modulus
-	n   []uint64 // modulus limbs, little-endian
-	n0  uint64   // -mod⁻¹ mod 2⁶⁴
-	rr  []uint64 // R² mod n, R = 2^(64k)
-	one []uint64 // R mod n — the Montgomery form of 1
-
-	scratch sync.Pool // *montScratch
+	k  int      // limb count of the modulus
+	n  []uint64 // modulus limbs, little-endian
+	n0 uint64   // -mod⁻¹ mod 2⁶⁴
+	rr []uint64 // R² mod n, R = 2^(64k)
 }
-
-// montScratch holds every temporary a Montgomery operation needs, sized
-// once for the context's limb count so pooled reuse is allocation-free.
-type montScratch struct {
-	t      []uint64 // k+2-limb CIOS accumulator
-	a, b   []uint64 // k-limb operands
-	pows   []uint64 // 16 k-limb window entries, one backing array
-	digits []byte   // exponent nibbles, low to high
-	powp   [16][]uint64
-}
-
-func (m *Montgomery) newScratch() *montScratch {
-	sc := &montScratch{
-		t:      make([]uint64, m.k+2),
-		a:      make([]uint64, m.k),
-		b:      make([]uint64, m.k),
-		pows:   make([]uint64, 16*m.k),
-		digits: make([]byte, 0, 64),
-	}
-	for i := range sc.powp {
-		sc.powp[i] = sc.pows[i*m.k : (i+1)*m.k]
-	}
-	return sc
-}
-
-func (m *Montgomery) getScratch() *montScratch   { return m.scratch.Get().(*montScratch) }
-func (m *Montgomery) putScratch(sc *montScratch) { m.scratch.Put(sc) }
 
 // NewMontgomery builds a context for the given odd modulus > 1.
 func NewMontgomery(mod *big.Int) (*Montgomery, error) {
@@ -90,9 +50,8 @@ func NewMontgomery(mod *big.Int) (*Montgomery, error) {
 	}
 	k := (mod.BitLen() + 63) / 64
 	m := &Montgomery{
-		mod: new(big.Int).Set(mod),
-		k:   k,
-		n:   natFromBig(mod, k),
+		k: k,
+		n: natFromBig(mod, k),
 	}
 	// n0 = -n⁻¹ mod 2⁶⁴ by Newton iteration (Dussé–Kaliski).
 	y := m.n[0] // n odd ⇒ invertible mod 2⁶⁴
@@ -102,13 +61,8 @@ func NewMontgomery(mod *big.Int) (*Montgomery, error) {
 	m.n0 = -y
 	r := new(big.Int).Lsh(big.NewInt(1), uint(64*k))
 	m.rr = natFromBig(new(big.Int).Mod(new(big.Int).Mul(r, r), mod), k)
-	m.one = natFromBig(new(big.Int).Mod(r, mod), k)
-	m.scratch.New = func() any { return m.newScratch() }
 	return m, nil
 }
-
-// Mod returns the context's modulus. Callers must not modify it.
-func (m *Montgomery) Mod() *big.Int { return m.mod }
 
 // natFromBig spreads x (0 ≤ x, fitting k limbs) into little-endian
 // uint64 limbs.
@@ -133,21 +87,18 @@ func natSetBig(dst []uint64, x *big.Int) {
 	}
 }
 
-// natToBig converts limbs back to a big.Int.
-func natToBig(x []uint64) *big.Int {
+// natPutWords writes the low len(dst) big.Words of the limbs x into
+// dst, the inverse of natSetBig.
+func natPutWords(dst []big.Word, x []uint64) {
 	if bits.UintSize == 64 {
-		words := make([]big.Word, len(x))
-		for i, v := range x {
-			words[i] = big.Word(v)
+		for i := range dst {
+			dst[i] = big.Word(x[i])
 		}
-		return new(big.Int).SetBits(words)
+		return
 	}
-	words := make([]big.Word, 2*len(x))
-	for i, v := range x {
-		words[2*i] = big.Word(uint32(v))
-		words[2*i+1] = big.Word(uint32(v >> 32))
+	for i := range dst {
+		dst[i] = big.Word(uint32(x[i/2] >> (32 * uint(i%2))))
 	}
-	return new(big.Int).SetBits(words)
 }
 
 // montMul computes z = x·y·R⁻¹ mod n with the fused CIOS kernel: the
@@ -257,88 +208,4 @@ func (m *Montgomery) montMulOne(z, x []uint64, t []uint64) {
 		return
 	}
 	copy(z, t[:k])
-}
-
-// expNibbles recodes e into radix-16 digits, low to high, reusing dst.
-func expNibbles(dst []byte, e *big.Int) []byte {
-	dst = dst[:0]
-	for _, w := range e.Bits() {
-		for s := 0; s < bitsPerWord; s += 4 {
-			dst = append(dst, byte((w>>uint(s))&0xF))
-		}
-	}
-	for len(dst) > 0 && dst[len(dst)-1] == 0 {
-		dst = dst[:len(dst)-1]
-	}
-	return dst
-}
-
-// expMont raises base (in Montgomery form, in sc.a) to e, leaving the
-// Montgomery-form result in sc.a. Fixed 4-bit left-to-right windows.
-func (m *Montgomery) expMont(sc *montScratch, e *big.Int) {
-	sc.digits = expNibbles(sc.digits, e)
-	digits := sc.digits
-	if len(digits) == 0 { // e == 0
-		copy(sc.a, m.one)
-		return
-	}
-	// Window table: powp[0] = 1 (Montgomery one), powp[i] = base^i.
-	copy(sc.powp[0], m.one)
-	copy(sc.powp[1], sc.a)
-	for i := 2; i < 16; i++ {
-		m.montMul(sc.powp[i], sc.powp[i-1], sc.powp[1], sc.t)
-	}
-	acc := sc.a
-	copy(acc, sc.powp[digits[len(digits)-1]])
-	for i := len(digits) - 2; i >= 0; i-- {
-		m.montMul(acc, acc, acc, sc.t)
-		m.montMul(acc, acc, acc, sc.t)
-		m.montMul(acc, acc, acc, sc.t)
-		m.montMul(acc, acc, acc, sc.t)
-		if d := digits[i]; d != 0 {
-			m.montMul(acc, acc, sc.powp[d], sc.t)
-		}
-	}
-}
-
-// reduce returns base if already in [0, n), else the canonical residue.
-func (m *Montgomery) reduce(base *big.Int) *big.Int {
-	if base.Sign() < 0 || base.Cmp(m.mod) >= 0 {
-		return new(big.Int).Mod(base, m.mod)
-	}
-	return base
-}
-
-// Exp computes base^e mod n for e ≥ 0, bit-identical to big.Int.Exp's
-// canonical residue.
-func (m *Montgomery) Exp(base, e *big.Int) *big.Int {
-	sc := m.getScratch()
-	natSetBig(sc.b, m.reduce(base))
-	m.enter(sc.a, sc.b, sc.t)
-	m.expMont(sc, e)
-	m.montMulOne(sc.b, sc.a, sc.t)
-	out := natToBig(sc.b)
-	m.putScratch(sc)
-	return out
-}
-
-// ExpBlocks computes base^e mod n for every base, amortizing the
-// exponent recoding, scratch buffers, and domain conversions across
-// the batch — the entry point the commutative cipher's block APIs use
-// when a whole relay block shares one session exponent.
-func (m *Montgomery) ExpBlocks(bases []*big.Int, e *big.Int) []*big.Int {
-	out := make([]*big.Int, len(bases))
-	if len(bases) == 0 {
-		return out
-	}
-	sc := m.getScratch()
-	for i, base := range bases {
-		natSetBig(sc.b, m.reduce(base))
-		m.enter(sc.a, sc.b, sc.t)
-		m.expMont(sc, e)
-		m.montMulOne(sc.b, sc.a, sc.t)
-		out[i] = natToBig(sc.b)
-	}
-	m.putScratch(sc)
-	return out
 }

@@ -3,11 +3,11 @@ package mathx
 import (
 	"math/big"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
-// expRef is the reference the Montgomery engine must match bit for bit.
+// expRef is the reference the Montgomery-built tables must match bit
+// for bit.
 func expRef(base, e, mod *big.Int) *big.Int {
 	return new(big.Int).Exp(base, e, mod)
 }
@@ -27,6 +27,9 @@ func TestMontgomeryRejectsBadModuli(t *testing.T) {
 	}
 }
 
+// TestMontgomeryExpMatchesBig pins the Montgomery squaring chain that
+// builds every odd-modulus FixedBase: a table over each modulus must
+// evaluate every exponent edge case to big.Int.Exp's residue.
 func TestMontgomeryExpMatchesBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	moduli := []*big.Int{
@@ -43,8 +46,7 @@ func TestMontgomeryExpMatchesBig(t *testing.T) {
 	moduli = append(moduli, composite)
 
 	for _, mod := range moduli {
-		mg, err := NewMontgomery(mod)
-		if err != nil {
+		if _, err := NewMontgomery(mod); err != nil {
 			t.Fatalf("NewMontgomery(%v): %v", mod, err)
 		}
 		order := new(big.Int).Sub(mod, big.NewInt(1))
@@ -62,6 +64,10 @@ func TestMontgomeryExpMatchesBig(t *testing.T) {
 			e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 256))
 			exponents = append(exponents, e)
 		}
+		width := 0
+		for _, e := range exponents {
+			width = max(width, e.BitLen())
+		}
 		bases := []*big.Int{
 			big.NewInt(0),
 			big.NewInt(1),
@@ -74,10 +80,11 @@ func TestMontgomeryExpMatchesBig(t *testing.T) {
 			bases = append(bases, b)
 		}
 		for _, base := range bases {
+			fb := NewFixedBase(base, mod, width)
 			for _, e := range exponents {
-				got := mg.Exp(base, e)
+				got := fb.Exp(e)
 				want := expRef(base, e, mod)
-				if got.Cmp(want) != 0 {
+				if got == nil || got.Cmp(want) != 0 {
 					t.Fatalf("mod %d bits: %v^%v: got %v want %v",
 						mod.BitLen(), base, e, got, want)
 				}
@@ -86,65 +93,12 @@ func TestMontgomeryExpMatchesBig(t *testing.T) {
 	}
 }
 
-func TestMontgomeryExpBlocksMatchesBig(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := Oakley768
-	mg, err := NewMontgomery(g.P)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 144))
-	var bases []*big.Int
-	for i := 0; i < 17; i++ {
-		b := new(big.Int).Rand(rng, g.P)
-		bases = append(bases, b)
-	}
-	got := mg.ExpBlocks(bases, e)
-	if len(got) != len(bases) {
-		t.Fatalf("len %d want %d", len(got), len(bases))
-	}
-	for i, b := range bases {
-		if want := expRef(b, e, g.P); got[i].Cmp(want) != 0 {
-			t.Fatalf("block %d mismatch", i)
-		}
-	}
-	if out := mg.ExpBlocks(nil, e); len(out) != 0 {
-		t.Fatalf("empty batch: got %d results", len(out))
-	}
-}
-
-// TestMontgomeryConcurrent hammers one shared context from many
-// goroutines; run under -race this pins the pooled-scratch sharing.
-func TestMontgomeryConcurrent(t *testing.T) {
-	g := Oakley768
-	mg, err := NewMontgomery(g.P)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 20; i++ {
-				base := new(big.Int).Rand(rng, g.P)
-				e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 160))
-				if mg.Exp(base, e).Cmp(expRef(base, e, g.P)) != 0 {
-					t.Errorf("concurrent mismatch (seed %d)", seed)
-					return
-				}
-			}
-		}(int64(w))
-	}
-	wg.Wait()
-}
-
 // FuzzMontgomeryVsBig is the differential fuzzer the acceptance
 // criteria require: random moduli in the DLA range (768–2048 bits,
 // derived from the fuzz input so even candidates exercise the
 // rejection path), random bases, and exponents covering the 0/1/order
-// edge cases. Any divergence from big.Int.Exp fails.
+// edge cases. A Montgomery-built fixed-base table must agree with
+// big.Int.Exp on every one.
 func FuzzMontgomeryVsBig(f *testing.F) {
 	f.Add(int64(1), []byte{2}, []byte{3}, uint(0))
 	f.Add(int64(2), []byte{0xFF, 0x01}, []byte{0}, uint(1))
@@ -156,13 +110,12 @@ func FuzzMontgomeryVsBig(f *testing.F) {
 		bits := 768 + int(sel%5)*320 // 768, 1088, 1408, 1728, 2048
 		mod := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
 		mod.SetBit(mod, bits-1, 1) // full width
-		mg, err := NewMontgomery(mod)
-		if mod.Bit(0) == 0 {
+		if _, err := NewMontgomery(mod); mod.Bit(0) == 0 {
 			if err == nil {
 				t.Fatal("even modulus accepted")
 			}
 			mod.SetBit(mod, 0, 1)
-			if mg, err = NewMontgomery(mod); err != nil {
+			if _, err = NewMontgomery(mod); err != nil {
 				t.Fatalf("odd modulus rejected: %v", err)
 			}
 		} else if err != nil {
@@ -171,43 +124,12 @@ func FuzzMontgomeryVsBig(f *testing.F) {
 		base := new(big.Int).SetBytes(baseBytes)
 		e := new(big.Int).SetBytes(expBytes)
 		order := new(big.Int).Sub(mod, big.NewInt(1))
+		fb := NewFixedBase(base, mod, max(e.BitLen(), order.BitLen()))
 		for _, exp := range []*big.Int{e, big.NewInt(0), big.NewInt(1), order} {
-			if got, want := mg.Exp(base, exp), expRef(base, exp, mod); got.Cmp(want) != 0 {
+			if got, want := fb.Exp(exp), expRef(base, exp, mod); got == nil || got.Cmp(want) != 0 {
 				t.Fatalf("mod %d bits, e %d bits: got %v want %v",
 					mod.BitLen(), exp.BitLen(), got, want)
 			}
 		}
-		// The fixed-base table over the same modulus must agree too.
-		fb := NewFixedBase(base, mod, 256)
-		if fb.Covers(e) {
-			if got, want := fb.Exp(e), expRef(base, e, mod); got.Cmp(want) != 0 {
-				t.Fatalf("fixedbase mod %d bits: got %v want %v", mod.BitLen(), got, want)
-			}
-		}
 	})
-}
-
-func BenchmarkMontgomeryExp768(b *testing.B) {
-	g := Oakley768
-	mg, _ := NewMontgomery(g.P)
-	rng := rand.New(rand.NewSource(1))
-	base := new(big.Int).Rand(rng, g.P)
-	e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 144))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mg.Exp(base, e)
-	}
-}
-
-func BenchmarkBigExp768(b *testing.B) {
-	g := Oakley768
-	rng := rand.New(rand.NewSource(1))
-	base := new(big.Int).Rand(rng, g.P)
-	e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 144))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		new(big.Int).Exp(base, e, g.P)
-	}
 }

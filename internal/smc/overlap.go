@@ -39,15 +39,18 @@ type EncChunk struct {
 }
 
 // BlockEncryptor is the slice of the commutative-cipher key the stream
-// needs.
+// needs: the first-hop entry point, which serves a node's own recurring
+// encodings from fixed-base tables (see commutative.PHKey).
 type BlockEncryptor interface {
-	EncryptBlocks(blocks [][]byte) ([][]byte, error)
+	EncryptFirstHop(blocks [][]byte) ([][]byte, error)
 }
 
 // EncryptStream starts the producer for a session's own-set encryption
-// stream and returns its output channel. The channel is closed after
-// the last chunk (or after delivering an errored chunk). Cancel ctx to
-// stop the producer early; it never blocks past cancellation.
+// stream and returns its output channel. It is the only place a node
+// encrypts its own set; relayed sets go through EncryptBlocks. The
+// channel is closed after the last chunk (or after delivering an
+// errored chunk). Cancel ctx to stop the producer early; it never
+// blocks past cancellation.
 func EncryptStream(ctx context.Context, session, self string, key BlockEncryptor, chunks [][][]byte) <-chan EncChunk {
 	ch := make(chan EncChunk, 1)
 	go func() {
@@ -55,7 +58,7 @@ func EncryptStream(ctx context.Context, session, self string, key BlockEncryptor
 		for seq, chunk := range chunks {
 			sp, _ := telemetry.StartSpan(ctx, session, self, "smc.relay_chunk")
 			start := time.Now()
-			enc, err := key.EncryptBlocks(chunk)
+			enc, err := key.EncryptFirstHop(chunk)
 			ec := EncChunk{Seq: seq, Blocks: enc, Err: err, Start: start, Span: sp}
 			select {
 			case ch <- ec:

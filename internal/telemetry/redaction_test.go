@@ -221,10 +221,17 @@ func TestRedactionFullQuery(t *testing.T) {
 			t.Errorf("ingest counter %s missing from the snapshot", ctr)
 		}
 	}
-	// The crypto hot path must have recorded its work: batched modexps
-	// behind the ring relay, and witness installs behind the batch write.
+	// The crypto hot path must have recorded its work: table-served
+	// first-hop batches and their per-block outcomes behind the ring
+	// relay, and witness installs behind the batch write.
 	if snap.Counters[telemetry.CtrMontgomeryBatches] == 0 {
 		t.Error("montgomery_batches recorded nothing for a ring-relay query")
+	}
+	if snap.Counters[telemetry.CtrFixedBaseHits] == 0 {
+		t.Error("fixedbase_hits recorded nothing for a ring-relay query")
+	}
+	if _, ok := snap.Counters[telemetry.CtrFixedBaseMisses]; !ok {
+		t.Error("fixedbase_misses counter missing from the snapshot")
 	}
 	if snap.Counters[telemetry.CtrWitnessUpdates] == 0 {
 		t.Error("witness_updates recorded nothing for a batch write")

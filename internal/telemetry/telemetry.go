@@ -518,13 +518,18 @@ const (
 	GaugeAdmissionTokens = "ingest.admission_tokens"
 
 	// Montgomery crypto engine and overlapped relay. montgomery_batches
-	// counts block batches served while a group's fixed-base tables
-	// (built with Montgomery squaring chains) are live; overlap_stalls
-	// counts relay sends that had to wait on the crypto producer
-	// (crypto time not hidden by network time); witness_updates counts
-	// witness-exponent installs on the fragment write path.
+	// counts first-hop block batches a fixed-base table (built with
+	// Montgomery squaring chains) served at least one block of;
+	// fixedbase_hits and fixedbase_misses count first-hop blocks served
+	// from a table and blocks that fell back to big.Int.Exp, so the hit
+	// rate is hits/(hits+misses); overlap_stalls counts relay sends
+	// that had to wait on the crypto producer (crypto time not hidden
+	// by network time); witness_updates counts witness-exponent
+	// installs on the fragment write path.
 	// All are counts only — Definition 1 secondary information.
 	CtrMontgomeryBatches = "crypto.montgomery_batches"
+	CtrFixedBaseHits     = "crypto.fixedbase_hits"
+	CtrFixedBaseMisses   = "crypto.fixedbase_misses"
 	CtrOverlapStalls     = "smc.overlap_stalls"
 	CtrWitnessUpdates    = "integrity.witness_updates"
 )

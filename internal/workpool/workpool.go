@@ -1,9 +1,9 @@
 // Package workpool provides the process-wide worker pool the crypto
 // batch APIs fan out over. One GOMAXPROCS-sized set of persistent
 // workers serves every caller, so concurrent protocol rounds share the
-// machine instead of each spawning its own goroutine herd (the pre-pool
-// EncryptAll spawned GOMAXPROCS goroutines per call; under a multi-node
-// in-process deployment that multiplied into hundreds of runnable
+// machine instead of each spawning its own goroutine herd (a batch
+// that spawns GOMAXPROCS goroutines per call multiplies, under a
+// multi-node in-process deployment, into hundreds of runnable
 // goroutines fighting over the same cores).
 //
 // The submitting goroutine always participates in its own batch, so

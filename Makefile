@@ -12,9 +12,10 @@ all: build vet test
 # too, the bench/ module (its own go.mod, so ./... never reaches it),
 # static checks (vet always, staticcheck when installed), the
 # observability smokes (cluster trace + leak ledger, ingest pipeline),
-# the crash-recovery torture suites, and the full race-enabled test
-# suite (uncached, so a flaky test cannot hide behind a cached pass).
-check: bench-smoke bench-module vet staticcheck obs-smoke obs-ingest-smoke crash-torture
+# the build-tagged fault-schedule and crash-recovery torture suites
+# (tier-1 never compiles them), and the full race-enabled test suite
+# (uncached, so a flaky test cannot hide behind a cached pass).
+check: bench-smoke bench-module vet staticcheck obs-smoke obs-ingest-smoke chaos crash-torture
 	$(GO) test -race -count=1 ./...
 
 # The end-to-end benchmark harness lives in its own module under

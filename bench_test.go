@@ -15,7 +15,6 @@ import (
 
 	"confaudit/internal/audit"
 	"confaudit/internal/cluster"
-	"confaudit/internal/core"
 	"confaudit/internal/crypto/blind"
 	"confaudit/internal/crypto/commutative"
 	"confaudit/internal/evidence"
@@ -34,6 +33,7 @@ import (
 	"confaudit/internal/ticket"
 	"confaudit/internal/transport"
 	"confaudit/internal/workload"
+	"confaudit/pkg/dla"
 )
 
 func paperExample(b *testing.B) *logmodel.PaperExample {
@@ -114,35 +114,36 @@ func BenchmarkTable6AccessControl(b *testing.B) {
 // --- Figures 1 & 2: centralized vs DLA query ---
 
 type dlaRig struct {
-	d       *core.Deployment
-	auditor *audit.Auditor
+	auditor *dla.Session
 }
 
 func deployLoaded(b *testing.B, records int) *dlaRig {
 	b.Helper()
 	ex := paperExample(b)
-	d, err := core.Deploy(core.Options{Partition: ex.Partition})
+	cl, err := dla.Deploy(dla.ClusterOptions{Partition: ex.Partition})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { d.Close() }) //nolint:errcheck
+	b.Cleanup(func() { cl.Close() }) //nolint:errcheck
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	user, err := d.NewUser(ctx, "bench-user", "TB")
+	user, err := dla.Connect(ctx, cl, dla.SessionConfig{ID: "bench-user", TicketID: "TB"})
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { user.Close() }) //nolint:errcheck
 	for i := 0; i < records; i++ {
 		rec := ex.Records[i%len(ex.Records)]
 		if _, err := user.Log(ctx, rec.Values); err != nil {
 			b.Fatal(err)
 		}
 	}
-	auditor, err := d.NewAuditor(ctx, "bench-aud", "TBA")
+	auditor, err := dla.Connect(ctx, cl, dla.SessionConfig{ID: "bench-aud", TicketID: "TBA", Ops: []dla.Op{dla.OpRead}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return &dlaRig{d: d, auditor: auditor}
+	b.Cleanup(func() { auditor.Close() }) //nolint:errcheck
+	return &dlaRig{auditor: auditor}
 }
 
 // BenchmarkFigure1CentralizedQuery is the single-trusted-auditor
@@ -573,16 +574,17 @@ func mustPart(b *testing.B, nodes int) *logmodel.Partition {
 // digest, and fragment distribution with acks.
 func BenchmarkClusterLogThroughput(b *testing.B) {
 	ex := paperExample(b)
-	d, err := core.Deploy(core.Options{Partition: ex.Partition})
+	cl, err := dla.Deploy(dla.ClusterOptions{Partition: ex.Partition})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer d.Close() //nolint:errcheck
+	defer cl.Close() //nolint:errcheck
 	ctx := context.Background()
-	user, err := d.NewUser(ctx, "tp-user", "TTP1")
+	user, err := dla.Connect(ctx, cl, dla.SessionConfig{ID: "tp-user", TicketID: "TTP1"})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer user.Close() //nolint:errcheck
 	values := ex.Records[0].Values
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"confaudit/internal/audit"
-	"confaudit/internal/core"
 	"confaudit/internal/crypto/blind"
 	"confaudit/internal/crypto/commutative"
 	"confaudit/internal/evidence"
@@ -21,6 +20,7 @@ import (
 	"confaudit/internal/smc/intersect"
 	"confaudit/internal/smc/smctest"
 	"confaudit/internal/transport"
+	"confaudit/pkg/dla"
 )
 
 func runFigures(which string) error {
@@ -77,31 +77,33 @@ func figure2() error {
 	if err != nil {
 		return err
 	}
-	dla, err := core.Deploy(core.Options{Partition: ex.Partition})
+	cl, err := dla.Deploy(dla.ClusterOptions{Partition: ex.Partition})
 	if err != nil {
 		return err
 	}
-	defer dla.Close() //nolint:errcheck
-	fmt.Printf("DLA subsystem: %v (leader/sequencer: %s)\n", dla.Roster(), dla.Roster()[0])
-	user, err := dla.NewUser(ctx, "u_j", "T1")
+	defer cl.Close() //nolint:errcheck
+	fmt.Printf("DLA subsystem: %v (leader/sequencer: %s)\n", cl.Roster(), cl.Roster()[0])
+	user, err := dla.Connect(ctx, cl, dla.SessionConfig{ID: "u_j", TicketID: "T1"})
 	if err != nil {
 		return err
 	}
+	defer user.Close() //nolint:errcheck
 	for _, rec := range ex.Records {
 		if _, err := user.Log(ctx, rec.Values); err != nil {
 			return err
 		}
 	}
 	fmt.Println("application subsystem logged 5 records; fragments spread over P0..P3")
-	for _, node := range dla.Roster() {
-		n, _ := dla.Node(node)
+	for _, node := range cl.Roster() {
+		n, _ := cl.Deployment().Node(node)
 		frag, _ := n.Fragment(0x139aef78)
 		fmt.Printf("  %s stores %d attribute(s) of glsn 139aef78\n", node, len(frag.Values))
 	}
-	auditor, err := dla.NewAuditor(ctx, "auditor", "TA")
+	auditor, err := dla.Connect(ctx, cl, dla.SessionConfig{ID: "auditor", TicketID: "TA", Ops: []dla.Op{dla.OpRead}})
 	if err != nil {
 		return err
 	}
+	defer auditor.Close() //nolint:errcheck
 	got, err := auditor.Query(ctx, `protocl = "UDP" AND id = "U1"`)
 	if err != nil {
 		return err

@@ -40,12 +40,8 @@ func TestIngestStatus(t *testing.T) {
 	defer cc.StopAll()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	cl, mb, err := cc.NewClient(ctx, "ing-u", "T-ing", ticket.OpWrite)
+	cl, err := cc.NewClient(ctx, "ing-u", "T-ing", ticket.OpWrite)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer mb.Close() //nolint:errcheck
-	if err := cl.RegisterTicket(ctx); err != nil {
 		t.Fatal(err)
 	}
 	events := workload.New(1).Transactions(cc.Schema, 8, 4)

@@ -10,14 +10,17 @@
 //	    [-sync always|interval|never] [-segment-bytes N]
 //	    [-checkpoint-every N] [-pprof 127.0.0.1:6060]
 //	    [-ingest-rate N] [-ingest-burst N] [-ingest-inflight-bytes N]
-//		start one DLA node: fragment store, glsn sequencer/voter,
-//		audit executor, and integrity responder, serving over TCP
-//		until interrupted. -data makes the node durable: it journals
-//		to the crash-safe segment store in that directory, tuned by
-//		-sync and the segment flags. The -ingest-*
-//		flags bound ingest admission (token-bucket rate and inflight
-//		bytes); refused stores answer ERR_OVERLOADED and streaming
-//		writers back off. With -pprof, an HTTP server exposes
+//		start one DLA node (core.StartNode): fragment store, glsn
+//		sequencer/voter, audit executor, and integrity responder,
+//		serving over TCP until SIGINT or SIGTERM. Shutdown cancels
+//		the node, closes its endpoint, waits for every node and
+//		service goroutine to exit, and only then closes the segment
+//		store. -data makes the node durable: it journals to the
+//		crash-safe segment store in that directory, tuned by -sync
+//		and the segment flags. The -ingest-* flags bound ingest
+//		admission (token-bucket rate and inflight bytes); refused
+//		stores answer ERR_OVERLOADED and streaming writers back off.
+//		With -pprof, an HTTP server exposes
 //		net/http/pprof profiles, expvar counters, and the
 //		/debug/dla/storage and /debug/dla/ingest status endpoints for
 //		live diagnosis (`dlactl storage|ingest status`).
@@ -39,9 +42,8 @@ import (
 	"strconv"
 	"syscall"
 
-	"confaudit/internal/audit"
 	"confaudit/internal/cluster"
-	"confaudit/internal/integrity"
+	"confaudit/internal/core"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/mathx"
 	"confaudit/internal/resilience"
@@ -183,20 +185,15 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Retrying sends with a per-peer circuit breaker: transient TCP
-	// failures are retried with backoff, and a down peer fails fast
-	// instead of stalling every protocol round on dial timeouts.
-	mb := transport.NewMailbox(resilience.Wrap(ep, resilience.Policy{}))
-	defer mb.Close() //nolint:errcheck
 	cfg := boot.NodeConfig(*id)
 	cfg.Admission = cluster.AdmissionConfig{
 		RecordsPerSec:    *ingestRPS,
 		Burst:            *ingestBst,
 		MaxInflightBytes: *ingestInfl,
 	}
+	var store *storage.Options
 	if *data != "" {
-		sOpts := storage.Options{
-			Backend:         storage.BackendDisk,
+		store = &storage.Options{
 			Dir:             *data,
 			Sync:            storage.SyncPolicy(*sync),
 			SyncEvery:       *syncEvery,
@@ -204,26 +201,23 @@ func run(args []string) error {
 			CheckpointEvery: *cpEvery,
 			CompactSegments: *compactAt,
 		}
-		st, err := storage.Open(sOpts, boot.AccParams, nil)
-		if err != nil {
-			return err
-		}
-		cfg.Storage = st // node takes ownership; CloseStorage releases it
-		log.Printf("segment store open in %s (sync=%s)", *data, *sync)
-	}
-	node, err := cluster.New(cfg, mb)
-	if err != nil {
-		if cfg.Storage != nil {
-			cfg.Storage.Close() //nolint:errcheck // error path
-		}
-		return err
-	}
-	defer node.CloseStorage() //nolint:errcheck
-	if q := node.QuarantinedExtents(); len(q) > 0 {
-		log.Printf("WARNING: recovered degraded; quarantined extents: %v", q)
 	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
+	// Retrying sends with a per-peer circuit breaker: transient TCP
+	// failures are retried with backoff, and a down peer fails fast
+	// instead of stalling every protocol round on dial timeouts.
+	rn, err := core.StartNode(resilience.Wrap(ep, resilience.Policy{}), cfg, store, nil)
+	if err != nil {
+		return err
+	}
+	node := rn.Node()
+	if store != nil {
+		log.Printf("segment store open in %s (sync=%s)", *data, *sync)
+	}
+	if q := node.QuarantinedExtents(); len(q) > 0 {
+		log.Printf("WARNING: recovered degraded; quarantined extents: %v", q)
+	}
 	if *pprof != "" {
 		expvar.NewString("dlad_node").Set(*id)
 		telemetry.Mount(http.DefaultServeMux)
@@ -255,13 +249,8 @@ func run(args []string) error {
 		}()
 		log.Printf("pprof/expvar on http://%s/debug/pprof/, telemetry on /debug/dla/", *pprof)
 	}
-	node.Start(ctx)
-	go audit.Serve(ctx, node)
-	go integrity.Serve(ctx, mb, boot.Roster, boot.AccParams, node)                     //nolint:errcheck
-	go integrity.ServeRequests(ctx, mb, boot.Roster, boot.AccParams, node, node.GLSNs) //nolint:errcheck
 	log.Printf("node %s serving on %s (roster %v)", *id, common.Addresses[*id], boot.Roster)
 	<-ctx.Done()
 	log.Printf("shutting down")
-	node.Wait()
-	return nil
+	return rn.Stop()
 }

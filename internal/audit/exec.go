@@ -35,40 +35,36 @@ var cmpMaxAbs = new(big.Int).Lsh(big.NewInt(1), 62)
 
 // Serve runs the node-side audit service: a coordinator loop accepting
 // auditor queries and an executor loop joining distributed plans. It
-// blocks until ctx is cancelled or the mailbox closes.
+// blocks until ctx is cancelled or the mailbox closes, and until every
+// query and plan handler it started has returned.
 func Serve(ctx context.Context, node NodeState) {
-	done := make(chan struct{}, 2)
+	var wg sync.WaitGroup
+	wg.Add(2)
 	go func() {
-		defer func() { done <- struct{}{} }()
-		serveQueries(ctx, node)
+		defer wg.Done()
+		serveLoop(ctx, node, MsgQuery, handleQuery, &wg)
 	}()
 	go func() {
-		defer func() { done <- struct{}{} }()
-		serveExec(ctx, node)
+		defer wg.Done()
+		serveLoop(ctx, node, MsgExec, handleExec, &wg)
 	}()
-	<-done
-	<-done
+	wg.Wait()
 }
 
-func serveQueries(ctx context.Context, node NodeState) {
+// serveLoop hands every message of type typ to its own handler
+// goroutine, counted on wg.
+func serveLoop(ctx context.Context, node NodeState, typ string, handle func(context.Context, NodeState, transport.Message), wg *sync.WaitGroup) {
 	mb := node.Mailbox()
 	for {
-		msg, err := mb.ExpectType(ctx, MsgQuery)
+		msg, err := mb.ExpectType(ctx, typ)
 		if err != nil {
 			return
 		}
-		go handleQuery(ctx, node, msg)
-	}
-}
-
-func serveExec(ctx context.Context, node NodeState) {
-	mb := node.Mailbox()
-	for {
-		msg, err := mb.ExpectType(ctx, MsgExec)
-		if err != nil {
-			return
-		}
-		go handleExec(ctx, node, msg)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			handle(ctx, node, msg)
+		}()
 	}
 }
 

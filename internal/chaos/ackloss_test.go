@@ -127,13 +127,8 @@ func streamAppends(t *testing.T, c *Cluster, records int, fault func(appended *a
 	appenders := make([]*cluster.Appender, producers)
 	for p := range appenders {
 		id := fmt.Sprintf("producer%d", p)
-		cl, mb, err := c.NewClient(ctx, id, "T-"+id, ticket.OpWrite, ticket.OpRead)
+		cl, err := c.NewClient(ctx, id, "T-"+id, ticket.OpWrite, ticket.OpRead)
 		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { mb.Close() })       //nolint:errcheck
-		t.Cleanup(func() { cl.CloseOutbox() }) //nolint:errcheck
-		if err := cl.RegisterTicket(ctx); err != nil {
 			t.Fatal(err)
 		}
 		// A store that reached a node just before it went down is never
@@ -142,7 +137,7 @@ func streamAppends(t *testing.T, c *Cluster, records int, fault func(appended *a
 		if appenders[p], err = cl.NewAppender(ctx, cluster.AppendOptions{MaxBatchRecords: 64, AckTimeout: time.Second}); err != nil {
 			t.Fatal(err)
 		}
-		run.clients = append(run.clients, cl)
+		run.clients = append(run.clients, cl.Client)
 	}
 	for p, ap := range appenders {
 		pending := make(chan *cluster.Ack, records)

@@ -1,10 +1,10 @@
 // Package chaos is a deterministic fault-injection harness for the DLA
-// cluster. It assembles a full in-memory deployment — storage, audit,
-// and integrity-circulation services on every roster node, all speaking
-// through retrying endpoints — over a MemNetwork configured with a
-// seeded drop rate and latency jitter, and scripts node crashes and
-// restarts mid-workload. Nodes journal to per-node segment stores so a
-// restarted node recovers the state it held at the crash.
+// cluster. It starts every roster node through core.StartNode — storage,
+// audit, and integrity services, all speaking through retrying
+// endpoints — over a MemNetwork configured with a seeded drop rate and
+// latency jitter, and scripts node crashes and restarts mid-workload.
+// Nodes journal to per-node segment stores so a restarted node recovers
+// the state it held at the crash.
 //
 // The fault-schedule test suite lives behind the `chaos` build tag so
 // the tier-1 run stays fast:
@@ -20,9 +20,8 @@ import (
 	"sync"
 	"time"
 
-	"confaudit/internal/audit"
 	"confaudit/internal/cluster"
-	"confaudit/internal/integrity"
+	"confaudit/internal/core"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/mathx"
 	"confaudit/internal/resilience"
@@ -74,16 +73,9 @@ type Cluster struct {
 	Schema *logmodel.Schema
 	opts   Options
 
-	mu    sync.Mutex
-	procs map[string]*proc
-}
-
-// proc is one running node and its service goroutines.
-type proc struct {
-	node   *cluster.Node
-	mb     *transport.Mailbox
-	cancel context.CancelFunc
-	done   chan struct{}
+	mu      sync.Mutex
+	nodes   map[string]*core.RunningNode // running nodes only
+	clients []*core.Client
 }
 
 // New provisions a chaos cluster: schema, round-robin partition, node
@@ -120,7 +112,7 @@ func New(rng io.Reader, opts Options) (*Cluster, error) {
 		Net:    transport.NewMemNetwork(memOpts...),
 		Schema: schema,
 		opts:   opts,
-		procs:  make(map[string]*proc),
+		nodes:  make(map[string]*core.RunningNode),
 	}, nil
 }
 
@@ -134,68 +126,39 @@ func (c *Cluster) StartAll() error {
 	return nil
 }
 
-// StartNode boots (or, after a Crash, reboots) one roster node: a
-// retrying endpoint, a segment store under DataRoot, and the storage,
-// audit, and integrity services.
+// StartNode boots (or, after a Crash, reboots) one roster node through
+// core.StartNode: a retrying endpoint, a segment store under DataRoot,
+// and the storage, audit, and integrity services.
 func (c *Cluster) StartNode(id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p, ok := c.procs[id]; ok {
-		select {
-		case <-p.done:
-		default:
-			return fmt.Errorf("chaos: node %s already running", id)
-		}
+	if _, ok := c.nodes[id]; ok {
+		return fmt.Errorf("chaos: node %s already running", id)
 	}
 	ep, err := c.Net.Endpoint(id)
 	if err != nil {
 		return err
 	}
-	mb := transport.NewMailbox(resilience.Wrap(ep, c.opts.Policy))
 	cfg := c.Boot.NodeConfig(id)
+	cfg.Health = c.opts.Health
+	cfg.Admission = c.opts.Admission
+	var (
+		store *storage.Options
+		fsys  faultfs.FS
+	)
 	if c.opts.DataRoot != "" {
-		// The segment store: opened (and thereby recovered) here, handed
-		// to the node, closed by the node's CloseStorage on Crash.
 		sOpts := c.opts.Disk
-		sOpts.Backend = storage.BackendDisk
 		sOpts.Dir = filepath.Join(c.opts.DataRoot, id)
-		var fsys faultfs.FS
+		store = &sOpts
 		if c.opts.NewFS != nil {
 			fsys = c.opts.NewFS(id)
 		}
-		st, err := storage.Open(sOpts, c.Boot.AccParams, fsys)
-		if err != nil {
-			mb.Close() //nolint:errcheck
-			return err
-		}
-		cfg.Storage = st
 	}
-	cfg.Health = c.opts.Health
-	cfg.Admission = c.opts.Admission
-	node, err := cluster.New(cfg, mb)
+	n, err := core.StartNode(resilience.Wrap(ep, c.opts.Policy), cfg, store, fsys)
 	if err != nil {
-		if cfg.Storage != nil {
-			cfg.Storage.Close() //nolint:errcheck
-		}
-		mb.Close() //nolint:errcheck
 		return err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	node.Start(ctx)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); audit.Serve(ctx, node) }()
-	go func() {
-		defer wg.Done()
-		integrity.Serve(ctx, node.Mailbox(), c.Boot.Roster, c.Boot.AccParams, node) //nolint:errcheck
-	}()
-	done := make(chan struct{})
-	go func() {
-		node.Wait()
-		wg.Wait()
-		close(done)
-	}()
-	c.procs[id] = &proc{node: node, mb: mb, cancel: cancel, done: done}
+	c.nodes[id] = n
 	return nil
 }
 
@@ -203,36 +166,27 @@ func (c *Cluster) StartNode(id string) error {
 func (c *Cluster) Node(id string) *cluster.Node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.procs[id]
-	if !ok {
-		return nil
+	if n, ok := c.nodes[id]; ok {
+		return n.Node()
 	}
-	select {
-	case <-p.done:
-		return nil
-	default:
-		return p.node
-	}
+	return nil
 }
 
-// Crash kills one node mid-flight: its context is cancelled and its
-// mailbox (hence endpoint) closed, then its store is released so a
-// Restart can reopen the journal. Blocks until every node goroutine has
-// exited.
+// Crash kills one running node mid-flight (RunningNode.Stop) and
+// returns once every node goroutine has exited and its store is
+// released, so a Restart can reopen the journal.
 func (c *Cluster) Crash(id string) error {
 	c.mu.Lock()
-	p, ok := c.procs[id]
+	n, ok := c.nodes[id]
+	delete(c.nodes, id)
 	c.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("chaos: node %s was never started", id)
+		return fmt.Errorf("chaos: node %s is not running", id)
 	}
-	p.cancel()
-	p.mb.Close() //nolint:errcheck
-	<-p.done
 	// A fault-poisoned store errors on close by design; the handle is
 	// released either way and Restart recovers from disk, so the crash
 	// itself still succeeded.
-	p.node.CloseStorage() //nolint:errcheck
+	n.Stop() //nolint:errcheck
 	return nil
 }
 
@@ -240,53 +194,47 @@ func (c *Cluster) Crash(id string) error {
 // held at the crash.
 func (c *Cluster) Restart(id string) error { return c.StartNode(id) }
 
-// StopAll tears the whole deployment down, network included.
+// StopAll tears the whole deployment down: clients, running nodes, and
+// the network.
 func (c *Cluster) StopAll() {
 	c.mu.Lock()
-	ids := make([]string, 0, len(c.procs))
-	for id := range c.procs {
+	clients := c.clients
+	c.clients = nil
+	ids := make([]string, 0, len(c.nodes))
+	for id := range c.nodes {
 		ids = append(ids, id)
 	}
 	c.mu.Unlock()
+	for _, cl := range clients {
+		cl.Close() //nolint:errcheck // teardown
+	}
 	for _, id := range ids {
-		c.Crash(id) //nolint:errcheck // already-crashed nodes are fine
+		c.Crash(id) //nolint:errcheck // a node crashed meanwhile is fine
 	}
 	c.Net.Close() //nolint:errcheck
 }
 
-// NewClient attaches an application client under a fresh ticket, with a
-// retrying endpoint, a durable outbox under DataRoot, and a running
-// failure detector (so fragments for dead nodes spool and replay).
-func (c *Cluster) NewClient(ctx context.Context, clientID, ticketID string, ops ...ticket.Op) (*cluster.Client, *transport.Mailbox, error) {
+// NewClient attaches an application client through core.Connect under a
+// fresh, registered ticket, with a retrying endpoint, a durable outbox
+// under DataRoot, and a running failure detector (so fragments for dead
+// nodes spool and replay). StopAll closes it.
+func (c *Cluster) NewClient(ctx context.Context, clientID, ticketID string, ops ...ticket.Op) (*core.Client, error) {
 	ep, err := c.Net.Endpoint(clientID)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	mb := transport.NewMailbox(resilience.Wrap(ep, c.opts.Policy))
-	tk, err := c.Boot.Issuer.Issue(ticketID, clientID, ops...)
-	if err != nil {
-		mb.Close() //nolint:errcheck
-		return nil, nil, err
-	}
-	cfg := cluster.ClientConfig{
-		Roster:      c.Boot.Roster,
-		Partition:   c.Boot.Partition,
-		Accumulator: c.Boot.AccParams,
-		Ticket:      tk,
-	}
+	cfg := cluster.ClientConfig{Health: &c.opts.Health}
 	if c.opts.DataRoot != "" {
 		cfg.OutboxPath = filepath.Join(c.opts.DataRoot, clientID+".outbox")
 	}
-	cl, err := cluster.OpenClient(mb, cfg)
+	cl, err := core.Connect(ctx, resilience.Wrap(ep, c.opts.Policy), c.Boot, cfg, ticketID, ops...)
 	if err != nil {
-		mb.Close() //nolint:errcheck
-		return nil, nil, err
+		return nil, err
 	}
-	if err := cl.StartHealth(ctx, c.opts.Health); err != nil {
-		mb.Close() //nolint:errcheck
-		return nil, nil, err
-	}
-	return cl, mb, nil
+	c.mu.Lock()
+	c.clients = append(c.clients, cl)
+	c.mu.Unlock()
+	return cl, nil
 }
 
 // Event is one step of a scripted fault schedule.

@@ -96,12 +96,8 @@ func TestChaosCrashedNodeDegradedAuditAndRecovery(t *testing.T) {
 	}
 	t.Cleanup(c.StopAll)
 
-	cl, _, err := c.NewClient(ctx, "u0", "T1", ticket.OpWrite, ticket.OpRead)
+	cl, err := c.NewClient(ctx, "u0", "T1", ticket.OpWrite, ticket.OpRead)
 	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.CloseOutbox() }) //nolint:errcheck
-	if err := cl.RegisterTicket(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -251,12 +247,8 @@ func TestChaosScheduledCrashDuringStores(t *testing.T) {
 	}
 	t.Cleanup(c.StopAll)
 
-	cl, _, err := c.NewClient(ctx, "u1", "T2", ticket.OpWrite, ticket.OpRead)
+	cl, err := c.NewClient(ctx, "u1", "T2", ticket.OpWrite, ticket.OpRead)
 	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.CloseOutbox() }) //nolint:errcheck
-	if err := cl.RegisterTicket(ctx); err != nil {
 		t.Fatal(err)
 	}
 

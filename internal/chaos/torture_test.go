@@ -108,12 +108,8 @@ func TestTortureClusterCrashLoop(t *testing.T) {
 	}
 	t.Cleanup(c.StopAll)
 
-	cl, _, err := c.NewClient(ctx, "u0", "T1", ticket.OpWrite, ticket.OpRead)
+	cl, err := c.NewClient(ctx, "u0", "T1", ticket.OpWrite, ticket.OpRead)
 	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.CloseOutbox() }) //nolint:errcheck
-	if err := cl.RegisterTicket(ctx); err != nil {
 		t.Fatal(err)
 	}
 	gen := workload.New(uint64(seed))

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"confaudit/internal/audit"
+	"confaudit/internal/cluster"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/ticket"
 	"confaudit/internal/workload"
@@ -31,6 +32,22 @@ func testCtx(t *testing.T) context.Context {
 	return ctx
 }
 
+// connect attaches a client to d under a fresh ticket (read and write
+// unless ops say otherwise) and closes it when the test ends.
+func connect(t *testing.T, d *Deployment, id, ticketID string, ops ...ticket.Op) *Client {
+	t.Helper()
+	ep, err := d.Network().Endpoint(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Connect(testCtx(t), ep, d.Bootstrap(), cluster.ClientConfig{}, ticketID, ops...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() }) //nolint:errcheck
+	return c
+}
+
 // TestFullSystemEndToEnd is the headline integration test: deploy the
 // Figure 2 architecture, log the Table 1 records, run a confidential
 // audit, verify integrity, detect tampering.
@@ -41,10 +58,7 @@ func TestFullSystemEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	user, err := d.NewUser(ctx, "u0", "T1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	user := connect(t, d, "u0", "T1")
 	var glsns []logmodel.GLSN
 	for _, rec := range ex.Records {
 		g, err := user.Log(ctx, rec.Values)
@@ -54,10 +68,7 @@ func TestFullSystemEndToEnd(t *testing.T) {
 		glsns = append(glsns, g)
 	}
 
-	auditor, err := d.NewAuditor(ctx, "aud", "TA")
-	if err != nil {
-		t.Fatal(err)
-	}
+	auditor := connect(t, d, "aud", "TA", ticket.OpRead).Auditor()
 	got, err := auditor.Query(ctx, `protocl = "UDP" AND id = "U1"`)
 	if err != nil {
 		t.Fatal(err)
@@ -107,10 +118,7 @@ func TestNewUserCustomOps(t *testing.T) {
 	d := deploy(t)
 	ctx := testCtx(t)
 	// Read-only user cannot obtain a glsn.
-	ro, err := d.NewUser(ctx, "ro", "TRO", ticket.OpRead)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ro := connect(t, d, "ro", "TRO", ticket.OpRead)
 	if _, err := ro.RequestGLSN(ctx); err == nil {
 		t.Fatal("read-only user obtained a glsn")
 	}
@@ -158,20 +166,14 @@ func TestGeneratedWorkloadDeployment(t *testing.T) {
 	}
 	defer d.Close() //nolint:errcheck
 	ctx := testCtx(t)
-	user, err := d.NewUser(ctx, "gen-user", "TG")
-	if err != nil {
-		t.Fatal(err)
-	}
+	user := connect(t, d, "gen-user", "TG")
 	recs := workload.New(11).Transactions(schema, 20, 4)
 	for _, vals := range recs {
 		if _, err := user.Log(ctx, vals); err != nil {
 			t.Fatal(err)
 		}
 	}
-	auditor, err := d.NewAuditor(ctx, "gen-aud", "TGA")
-	if err != nil {
-		t.Fatal(err)
-	}
+	auditor := connect(t, d, "gen-aud", "TGA", ticket.OpRead).Auditor()
 	n, err := auditor.Aggregate(ctx, "*", audit.AggCount, "")
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"confaudit/internal/logmodel"
+	"confaudit/internal/ticket"
 )
 
 // TestDurableRedeploy deploys with a data directory, logs records,
@@ -22,10 +23,7 @@ func TestDurableRedeploy(t *testing.T) {
 		t.Fatal(err)
 	}
 	material := d1.Bootstrap()
-	user, err := d1.NewUser(ctx, "u-dur", "TDUR")
-	if err != nil {
-		t.Fatal(err)
-	}
+	user := connect(t, d1, "u-dur", "TDUR")
 	for _, rec := range ex.Records {
 		if _, err := user.Log(ctx, rec.Values); err != nil {
 			t.Fatal(err)
@@ -41,10 +39,7 @@ func TestDurableRedeploy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close() //nolint:errcheck
-	auditor, err := d2.NewAuditor(ctx, "aud-dur", "TAD")
-	if err != nil {
-		t.Fatal(err)
-	}
+	auditor := connect(t, d2, "aud-dur", "TAD", ticket.OpRead).Auditor()
 	got, err := auditor.Query(ctx, `protocl = "UDP" AND id = "U1"`)
 	if err != nil {
 		t.Fatal(err)

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"confaudit/internal/audit"
-	"confaudit/internal/cluster"
 	"confaudit/internal/logmodel"
+	"confaudit/internal/ticket"
 	"confaudit/internal/workload"
 )
 
@@ -42,14 +42,11 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	var wg sync.WaitGroup
 	// Writers.
 	for w := 0; w < writers; w++ {
-		user, err := d.NewUser(ctx, fmt.Sprintf("soak-u%d", w), fmt.Sprintf("TSOAK%d", w))
-		if err != nil {
-			t.Fatal(err)
-		}
+		user := connect(t, d, fmt.Sprintf("soak-u%d", w), fmt.Sprintf("TSOAK%d", w))
 		gen := workload.New(uint64(100 + w))
 		recs := gen.Transactions(schema, recordsPer, 4)
 		wg.Add(1)
-		go func(user *cluster.Client, recs []map[logmodel.Attr]logmodel.Value) {
+		go func(user *Client, recs []map[logmodel.Attr]logmodel.Value) {
 			defer wg.Done()
 			for _, vals := range recs {
 				if _, err := user.Log(ctx, vals); err != nil {
@@ -61,10 +58,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	}
 	// Auditors run while writes are in flight; result sizes only grow
 	// between observations of the same query.
-	auditor, err := d.NewAuditor(ctx, "soak-aud", "TSOAKA")
-	if err != nil {
-		t.Fatal(err)
-	}
+	auditor := connect(t, d, "soak-aud", "TSOAKA", ticket.OpRead).Auditor()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

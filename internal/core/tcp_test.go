@@ -8,6 +8,7 @@ import (
 
 	"confaudit/internal/audit"
 	"confaudit/internal/logmodel"
+	"confaudit/internal/ticket"
 	"confaudit/internal/transport"
 )
 
@@ -33,10 +34,7 @@ func TestDeploymentOverTCP(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	user, err := d.NewUser(ctx, "u0", "T1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	user := connect(t, d, "u0", "T1")
 	// A batch first, so every peer's first frames carry store-batch,
 	// glsn-range, agreement and ack bodies. The records have no C1 and
 	// no "U1" id, so the query and sum below see only the paper rows.
@@ -81,10 +79,7 @@ func TestDeploymentOverTCP(t *testing.T) {
 		t.Fatalf("read back %d attrs", len(rec.Values))
 	}
 
-	auditor, err := d.NewAuditor(ctx, "aud", "TA")
-	if err != nil {
-		t.Fatal(err)
-	}
+	auditor := connect(t, d, "aud", "TA", ticket.OpRead).Auditor()
 	got, err := auditor.Query(ctx, `protocl = "UDP" AND id = "U1"`)
 	if err != nil {
 		t.Fatalf("query over TCP: %v", err)

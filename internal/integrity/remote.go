@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"confaudit/internal/crypto/accumulator"
 	"confaudit/internal/logmodel"
@@ -33,8 +34,12 @@ type checkReportBody struct {
 }
 
 // ServeRequests answers remote check requests on the node. list
-// enumerates the node's stored glsns for whole-store sweeps.
+// enumerates the node's stored glsns for whole-store sweeps. It returns
+// once ctx is cancelled or the mailbox closes and every sweep it
+// started has finished.
 func ServeRequests(ctx context.Context, mb *transport.Mailbox, ring []string, params *accumulator.Params, store Store, list func() []logmodel.GLSN) error {
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	for {
 		msg, err := mb.ExpectType(ctx, MsgCheckRequest)
 		if err != nil {
@@ -43,7 +48,9 @@ func ServeRequests(ctx context.Context, mb *transport.Mailbox, ring []string, pa
 			}
 			return err
 		}
+		wg.Add(1)
 		go func(msg transport.Message) {
+			defer wg.Done()
 			var req checkRequestBody
 			var resp checkReportBody
 			if err := transport.Unmarshal(msg.Payload, &req); err != nil {

@@ -42,7 +42,6 @@ import (
 	"confaudit/internal/logmodel"
 	"confaudit/internal/resilience"
 	"confaudit/internal/ticket"
-	"confaudit/internal/transport"
 )
 
 // Vocabulary types re-exported from the internal packages. Aliases keep
@@ -208,10 +207,7 @@ type SessionConfig struct {
 // Session is a connected client: it logs records under its ticket and
 // runs confidential auditing queries against the cluster.
 type Session struct {
-	mb      *transport.Mailbox
-	client  *cluster.Client
-	auditor *audit.Auditor
-	cancel  context.CancelFunc
+	c *core.Client
 }
 
 // Connect attaches a session to the cluster: it opens an endpoint,
@@ -224,58 +220,28 @@ func Connect(ctx context.Context, cl *Cluster, cfg SessionConfig) (*Session, err
 	if cfg.ID == "" || cfg.TicketID == "" {
 		return nil, errors.New("dla: SessionConfig.ID and TicketID are required")
 	}
-	ops := cfg.Ops
-	if len(ops) == 0 {
-		ops = []Op{OpRead, OpWrite}
-	}
-	boot := cl.d.Bootstrap()
 	ep, err := cl.d.Network().Endpoint(cfg.ID)
 	if err != nil {
 		return nil, fmt.Errorf("dla: attaching %s: %w", cfg.ID, err)
 	}
-	mb := transport.NewMailbox(ep)
-	tk, err := boot.Issuer.Issue(cfg.TicketID, cfg.ID, ops...)
+	c, err := core.Connect(ctx, ep, cl.d.Bootstrap(), cluster.ClientConfig{OutboxPath: cfg.OutboxPath, Health: cfg.Health}, cfg.TicketID, cfg.Ops...)
 	if err != nil {
-		mb.Close() //nolint:errcheck
 		return nil, err
 	}
-	c, err := cluster.OpenClient(mb, cluster.ClientConfig{
-		Roster:      boot.Roster,
-		Partition:   boot.Partition,
-		Accumulator: boot.AccParams,
-		Ticket:      tk,
-		OutboxPath:  cfg.OutboxPath,
-		Health:      cfg.Health,
-	})
-	if err != nil {
-		mb.Close() //nolint:errcheck
-		return nil, err
-	}
-	s := &Session{mb: mb, client: c, auditor: audit.NewAuditor(mb, boot.Roster[0], tk.ID)}
-	hctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
-	if err := c.StartHealthIfConfigured(hctx); err != nil {
-		s.Close() //nolint:errcheck
-		return nil, err
-	}
-	if err := c.RegisterTicket(ctx); err != nil {
-		s.Close() //nolint:errcheck
-		return nil, err
-	}
-	return s, nil
+	return &Session{c: c}, nil
 }
 
 // Log writes one record; the record is fragmented across the cluster
 // so no single DLA node sees it whole.
 func (s *Session) Log(ctx context.Context, values map[Attr]Value) (GLSN, error) {
-	return s.client.Log(ctx, values)
+	return s.c.Log(ctx, values)
 }
 
 // LogBatch writes records under one glsn reservation and one store
 // round per node — the right call when a slice of records is already in
 // hand. For continuous streams, use Appender.
 func (s *Session) LogBatch(ctx context.Context, records []map[Attr]Value) ([]GLSN, error) {
-	return s.client.LogBatch(ctx, records)
+	return s.c.LogBatch(ctx, records)
 }
 
 // Appender opens the streaming write path: concurrent Appends batch
@@ -285,54 +251,46 @@ func (s *Session) LogBatch(ctx context.Context, records []map[Attr]Value) ([]GLS
 // overload becomes backpressure per AppendOptions.OnOverload. The
 // context bounds the appender's lifetime; Close drains it.
 func (s *Session) Appender(ctx context.Context, opts AppendOptions) (*Appender, error) {
-	return s.client.NewAppender(ctx, opts)
+	return s.c.NewAppender(ctx, opts)
 }
 
 // Read reassembles a record this session's ticket grants access to.
 func (s *Session) Read(ctx context.Context, g GLSN) (Record, error) {
-	return s.client.Read(ctx, g)
+	return s.c.Read(ctx, g)
 }
 
 // Query runs a confidential auditing criterion and returns the
 // matching glsns; the session never sees non-matching fragments.
 func (s *Session) Query(ctx context.Context, criteria string) ([]GLSN, error) {
-	return s.auditor.Query(ctx, criteria)
+	return s.c.Auditor().Query(ctx, criteria)
 }
 
 // QueryCertified runs a criterion and additionally returns the result
 // certificate and the session it binds; check with VerifyResult.
 func (s *Session) QueryCertified(ctx context.Context, criteria string) ([]GLSN, string, *ResultCert, error) {
-	return s.auditor.QueryCertified(ctx, criteria)
+	return s.c.Auditor().QueryCertified(ctx, criteria)
 }
 
 // Aggregate computes an aggregate over the records matching the
 // criterion without revealing the matching records themselves.
 func (s *Session) Aggregate(ctx context.Context, criteria string, kind AggKind, attr Attr) (float64, error) {
-	return s.auditor.Aggregate(ctx, criteria, kind, attr)
+	return s.c.Auditor().Aggregate(ctx, criteria, kind, attr)
 }
 
 // CheckTransaction audits a transaction's events against its
 // specification rule set R_T (paper eq. 2).
 func (s *Session) CheckTransaction(ctx context.Context, tidAttr Attr, tidValue string, rules []string) (*TransactionReport, error) {
-	return s.auditor.CheckTransaction(ctx, tidAttr, tidValue, rules)
+	return s.c.Auditor().CheckTransaction(ctx, tidAttr, tidValue, rules)
 }
 
 // Health reports the failure detector's view of the cluster, or nil
 // when the session was connected without a HealthConfig.
-func (s *Session) Health() HealthView { return s.client.HealthView() }
+func (s *Session) Health() HealthView { return s.c.HealthView() }
 
 // Client exposes the underlying cluster client for advanced use
 // (outbox inspection, deletes). Application code should not need it.
-func (s *Session) Client() *cluster.Client { return s.client }
+func (s *Session) Client() *cluster.Client { return s.c.Client }
 
 // Close stops the health detector, flushes the outbox, and releases
 // the session's endpoint.
-func (s *Session) Close() error {
-	s.cancel()
-	s.client.HealthWait()
-	err := s.client.CloseOutbox()
-	if cerr := s.mb.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+func (s *Session) Close() error { return s.c.Close() }

@@ -167,8 +167,8 @@ func (r grantRange) end() logmodel.GLSN { return r.First + logmodel.GLSN(r.Count
 // syncRespBody carries every grant at or past the requested glsn as
 // ranges, one per missed commit. It has no cap: a range encodes in ~50
 // bytes of JSON, so a response outgrows the 16 MiB TCP frame after
-// ~300k missed commits. For single-record writers (Log, RequestGLSN)
-// that is ~300k records; for Appender batches of 128, ~40M.
+// ~300k missed commits. For single-record writers (Log) that is ~300k
+// records; for Appender batches of 128, ~40M.
 type syncRespBody struct {
 	Ranges []grantRange `json:"ranges"`
 }

@@ -3,15 +3,11 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math/big"
 	"sync"
 	"time"
 
 	"confaudit/internal/logmodel"
-	"confaudit/internal/resilience"
 	"confaudit/internal/telemetry"
-	"confaudit/internal/transport"
 )
 
 // ErrAppenderClosed is returned by Append after Close has begun.
@@ -35,7 +31,7 @@ const (
 
 // AppendOptions tune an Appender. The zero value gives a small,
 // low-latency configuration; raise the batch bounds for firehose
-// ingest.
+// ingest. Client.LogBatch stores under the zero value's retry policy.
 type AppendOptions struct {
 	// MaxBatchRecords seals a staged batch at this many records
 	// (default 128, capped at the sequencer's per-round maximum).
@@ -355,181 +351,23 @@ func (a *Appender) failBatch(bt *stagedBatch, err error) {
 	a.finishBatch()
 }
 
-// storeBatch runs one batch's store round: split, digest, sign, fan out
-// one message per node (concurrently, with per-node retry), and resolve
-// the acks. Reused glsns make resends idempotent — a node that already
-// stored the items overwrites them with identical content — so a lost
-// ack never double-assigns or double-counts a record
-// (at-most-once-per-glsn).
+// storeBatch runs one batch's store round (Client.storeRange) and
+// resolves its acks.
 func (a *Appender) storeBatch(bt *stagedBatch, first logmodel.GLSN) {
-	defer a.finishBatch()
-	c := a.c
-	glsns := make([]logmodel.GLSN, len(bt.recs))
-	perNode := make(map[string][]batchItem, len(c.roster))
+	records := make([]map[logmodel.Attr]logmodel.Value, len(bt.recs))
 	for i, r := range bt.recs {
-		g := first + logmodel.GLSN(i)
-		glsns[i] = g
-		rec := logmodel.Record{GLSN: g, Values: r.values}
-		frags := c.part.Split(rec)
-		var digest, dexp, prov *big.Int
-		var wits map[string]*big.Int
-		if c.signer != nil {
-			// Provenance signs the digest group element, so it has to be
-			// materialized eagerly on the writer.
-			digest, wits = c.digestAndWitnesses(frags)
-			var err error
-			if prov, err = c.signer.Sign(ProvenanceStatement(g, digest)); err != nil {
-				a.failBatch2(bt, fmt.Errorf("cluster: signing provenance: %w", err))
-				return
-			}
-		} else {
-			// Ship the digest exponent instead; each node materializes the
-			// group element lazily the first time an integrity check needs
-			// it, keeping the fixed-base evaluation off the streaming path.
-			dexp, wits = c.witnessExponents(frags)
-		}
-		for node, frag := range frags {
-			perNode[node] = append(perNode[node], batchItem{Fragment: frag, Digest: digest, DigestExp: dexp, Provenance: prov, WitnessExp: wits[node]})
-		}
+		records[i] = r.values
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for node, items := range perNode {
-		wg.Add(1)
-		go func(node string, items []batchItem) {
-			defer wg.Done()
-			if err := a.sendNodeBatch(node, items, first); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("cluster: storing batch on %s: %w", node, err)
-				}
-				mu.Unlock()
-			}
-		}(node, items)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		a.failBatch2(bt, firstErr)
+	glsns, err := a.c.storeRange(a.ctx, first, records, a.opts)
+	if err != nil {
+		telemetry.M.Counter(telemetry.CtrIngestDropped).Add(int64(len(bt.recs)))
+		a.failBatch(bt, err)
 		return
 	}
 	for i, r := range bt.recs {
 		r.ack.resolve(glsns[i], nil)
 	}
-	telemetry.M.Gauge(telemetry.GaugeGLSNAcked).Max(int64(glsns[len(glsns)-1]))
-	telemetry.M.Counter(telemetry.CtrRecordsLogged).Add(int64(len(bt.recs)))
-}
-
-// failBatch2 is failBatch without the finishBatch (the storeBatch defer
-// owns that).
-func (a *Appender) failBatch2(bt *stagedBatch, err error) {
-	telemetry.M.Counter(telemetry.CtrIngestDropped).Add(int64(len(bt.recs)))
-	for _, r := range bt.recs {
-		r.ack.resolve(0, err)
-	}
-}
-
-// sendNodeBatch delivers one node's slice of a batch, absorbing
-// admission refusals and transient failures:
-//
-//   - ErrOverloaded + OverloadBlock: exponential backoff, retry without
-//     bound (the context is the only stop);
-//   - ErrOverloaded + OverloadDrop: return ErrOverloaded;
-//   - transient send/ack failures: retry up to MaxRetries, spooling to
-//     the outbox instead when one is enabled (eventual delivery, same
-//     semantics as LogBatch);
-//   - every retry reuses the reserved glsns under a fresh session, so a
-//     duplicate store is an idempotent overwrite and a stale ack can
-//     never be credited to a newer attempt.
-func (a *Appender) sendNodeBatch(node string, items []batchItem, first logmodel.GLSN) error {
-	c := a.c
-	body := storeBatchBody{TicketID: c.tk.ID, Items: items}
-	backoff := a.opts.RetryBackoff
-	transient := 0
-	resend := func(outcome string) {
-		telemetry.F.Record(telemetry.FlightEvent{
-			Kind: telemetry.FlightResend, Peer: node,
-			GLSN: uint64(first), Count: len(items), Outcome: outcome,
-		})
-	}
-	for {
-		session := c.nextSession("apstore")
-		msg := transport.NewBinaryMessage(node, MsgLogStoreBatch, session, &body)
-		if c.outbox != nil && c.det != nil && c.det.Status(node) == resilience.StatusDead {
-			return c.spool(msg, first)
-		}
-		roundStart := time.Now()
-		if err := c.mb.Send(a.ctx, msg); err != nil {
-			if a.ctx.Err() != nil || errors.Is(err, transport.ErrUnknownNode) {
-				return err
-			}
-			if c.outbox != nil {
-				return c.spool(msg, first)
-			}
-			if transient++; transient > a.opts.MaxRetries {
-				return err
-			}
-			resend(telemetry.ErrClass(err))
-			if err := a.sleep(&backoff); err != nil {
-				return err
-			}
-			continue
-		}
-		actx, cancel := context.WithTimeout(a.ctx, a.opts.AckTimeout)
-		resp, err := c.mb.Expect(actx, MsgLogAck, session)
-		cancel()
-		if err != nil {
-			if a.ctx.Err() != nil {
-				return a.ctx.Err()
-			}
-			if transient++; transient > a.opts.MaxRetries {
-				return fmt.Errorf("cluster: awaiting batch ack: %w", err)
-			}
-			resend(telemetry.ErrClass(err))
-			if err := a.sleep(&backoff); err != nil {
-				return err
-			}
-			continue
-		}
-		var ack ackBody
-		if err := transport.Unmarshal(resp.Payload, &ack); err != nil {
-			return err
-		}
-		rtt := time.Since(roundStart)
-		telemetry.M.Histogram(telemetry.HistIngestStoreRTT).Observe(rtt)
-		telemetry.M.Histogram(telemetry.HistIngestStoreRTT + "." + node).Observe(rtt)
-		switch {
-		case ack.OK:
-			return nil
-		case ack.Overloaded:
-			if a.opts.OnOverload == OverloadDrop {
-				return ErrOverloaded
-			}
-			telemetry.M.Counter(telemetry.CtrIngestRetries).Add(1)
-			resend("overloaded")
-			if err := a.sleep(&backoff); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("node refused batch: %s", ack.Error)
-		}
-	}
-}
-
-// sleep waits one backoff step (doubling, capped at 250ms) or until the
-// appender context ends.
-func (a *Appender) sleep(backoff *time.Duration) error {
-	select {
-	case <-a.ctx.Done():
-		return a.ctx.Err()
-	case <-time.After(*backoff):
-	}
-	if *backoff *= 2; *backoff > 250*time.Millisecond {
-		*backoff = 250 * time.Millisecond
-	}
-	return nil
+	a.finishBatch()
 }
 
 // Flush seals the staged batch and blocks until every batch sealed so

@@ -279,12 +279,12 @@ func TestFollowerCatchesUpAfterHeal(t *testing.T) {
 	})
 }
 
-// requestGLSNs runs n single-glsn sequencer rounds.
+// requestGLSNs runs n single-glsn sequencer rounds (ranges of one).
 func requestGLSNs(ctx context.Context, t *testing.T, c *Client, n int) []logmodel.GLSN {
 	t.Helper()
 	gs := make([]logmodel.GLSN, n)
 	for i := range gs {
-		g, err := c.RequestGLSN(ctx)
+		g, err := c.RequestGLSNRange(ctx, 1)
 		if err != nil {
 			t.Fatalf("glsn round %d: %v", i, err)
 		}

@@ -4,7 +4,7 @@ package cluster
 // store path. The invariant under test: once a batch's journal position
 // is STAGED (which storeFragmentBatch does while still holding n.mu,
 // right after the in-memory install), every later journal append — a
-// delete tombstone, a single-store overwrite — lands AFTER the batch's
+// delete tombstone, an overwriting batch — lands AFTER the batch's
 // records, even though the batch's bytes reach the journal only in the
 // off-lock commit. Without that ordering, crash replay could apply
 // delete-then-frag and resurrect a fragment whose deletion was

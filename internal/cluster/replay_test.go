@@ -1,0 +1,174 @@
+package cluster
+
+import (
+	"crypto/rand"
+	"fmt"
+	"testing"
+	"time"
+
+	"confaudit/internal/crypto/blind"
+	"confaudit/internal/logmodel"
+	"confaudit/internal/ticket"
+)
+
+// indexProbe is one attribute value whose index lookup a snapshot
+// records.
+type indexProbe struct {
+	attr logmodel.Attr
+	val  logmodel.Value
+}
+
+// stateSnapshot renders what every node answers about each glsn — its
+// fragment, digest, witness, provenance, and whether the digest is held
+// as a writer-shipped exponent — plus the index lookup of every probe.
+// The exponent flag is read before Digest, which memoizes the element.
+func stateSnapshot(tc *testCluster, gs []logmodel.GLSN, probes []indexProbe) map[string]string {
+	out := make(map[string]string)
+	for id, n := range tc.nodes {
+		for _, g := range gs {
+			key := id + "/" + g.String() + "/"
+			n.mu.RLock()
+			_, deferred := n.digExps[g]
+			n.mu.RUnlock()
+			out[key+"dexp"] = fmt.Sprint(deferred)
+			if f, ok := n.Fragment(g); ok {
+				out[key+"frag"] = fmt.Sprint(f)
+			}
+			if d, ok := n.Digest(g); ok {
+				out[key+"digest"] = d.String()
+			}
+			if w, ok := n.Witness(g); ok {
+				out[key+"witness"] = w.String()
+			}
+			if p, ok := n.Provenance(g); ok {
+				out[key+"prov"] = p.String()
+			}
+		}
+		for _, p := range probes {
+			hits, ok := n.IndexLookup(p.attr, p.val)
+			out[fmt.Sprintf("%s/index/%s=%v", id, p.attr, p.val)] = fmt.Sprint(ok, hits)
+		}
+	}
+	return out
+}
+
+// TestReplayMatchesLiveState writes every kind of fragment mutation to a
+// durable cluster: unsigned Appender records (digest exponent only),
+// signed overwrites and a signed LogBatch (digest element and
+// provenance), an unsigned overwrite of a signed record, and deletes.
+// Live, every node's digest must match the record content it holds. A
+// restart from the segment stores must then reproduce every node's
+// answers exactly.
+func TestReplayMatchesLiveState(t *testing.T) {
+	root := t.TempDir()
+	ctx := testCtx(t)
+	tc, stop := durableCluster(t, root)
+	c := tc.client(t, "replay-u", "TRPL", ticket.OpWrite, ticket.OpRead, ticket.OpDelete)
+	if err := c.RegisterTicket(ctx); err != nil {
+		t.Fatal(err)
+	}
+	current := make(map[logmodel.GLSN]map[logmodel.Attr]logmodel.Value)
+	var probes []indexProbe
+	wrote := func(g logmodel.GLSN, values map[logmodel.Attr]logmodel.Value) {
+		current[g] = values
+		for a, v := range values {
+			probes = append(probes, indexProbe{a, v})
+		}
+	}
+
+	ap, err := c.NewAppender(ctx, AppendOptions{MaxBatchRecords: 4, Linger: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 12
+	acks := make([]*Ack, n)
+	for i := range acks {
+		if acks[i], err = ap.Append(ctx, appendRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ap.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	gs := make([]logmodel.GLSN, n)
+	for i, ack := range acks {
+		if gs[i], err = ack.GLSN(); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		wrote(gs[i], appendRecord(i))
+	}
+	// Materialize some lazy elements live, so an overwrite has cached
+	// state to invalidate.
+	for _, node := range tc.nodes {
+		node.Digest(gs[2])
+		node.Witness(gs[2])
+		node.Digest(gs[6])
+	}
+
+	signer, err := blind.NewAuthority(rand.Reader, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetSigner(signer)
+	over := []map[logmodel.Attr]logmodel.Value{appendRecord(100), appendRecord(101), appendRecord(102), appendRecord(103)}
+	if _, err := c.storeRange(ctx, gs[0], over, AppendOptions{}.withDefaults()); err != nil {
+		t.Fatalf("signed overwrite: %v", err)
+	}
+	for i, values := range over {
+		wrote(gs[i], values)
+	}
+	signedNew := []map[logmodel.Attr]logmodel.Value{appendRecord(300), appendRecord(301)}
+	sgs, err := c.LogBatch(ctx, signedNew)
+	if err != nil {
+		t.Fatalf("signed LogBatch: %v", err)
+	}
+	for i, g := range sgs {
+		wrote(g, signedNew[i])
+	}
+	all := append(append([]logmodel.GLSN(nil), gs...), sgs...)
+
+	// An unsigned overwrite of a signed record: the digest element of the
+	// old content must not survive the new exponent.
+	c.SetSigner(nil)
+	if _, err := c.storeRange(ctx, gs[2], []map[logmodel.Attr]logmodel.Value{appendRecord(200)}, AppendOptions{}.withDefaults()); err != nil {
+		t.Fatalf("unsigned overwrite: %v", err)
+	}
+	wrote(gs[2], appendRecord(200))
+	for _, g := range []logmodel.GLSN{gs[1], gs[5]} {
+		if err := c.Delete(ctx, g); err != nil {
+			t.Fatal(err)
+		}
+		delete(current, g)
+	}
+
+	for g, values := range current {
+		want := c.RecordDigest(logmodel.Record{GLSN: g, Values: values})
+		for id, node := range tc.nodes {
+			if d, ok := node.Digest(g); !ok || d.Cmp(want) != 0 {
+				t.Fatalf("%s: live digest of %s does not match its content", id, g)
+			}
+		}
+	}
+	live := stateSnapshot(tc, all, probes)
+	stop()
+
+	tc2, stop2 := durableCluster(t, root)
+	defer stop2()
+	replayed := stateSnapshot(tc2, all, probes)
+	bad := 0
+	for k, v := range live {
+		if replayed[k] != v {
+			t.Errorf("%s: live %q, replayed %q", k, v, replayed[k])
+			bad++
+		}
+	}
+	for k, v := range replayed {
+		if _, ok := live[k]; !ok {
+			t.Errorf("%s: absent live, replayed %q", k, v)
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d answers differ after replay", bad, len(live))
+	}
+}

@@ -319,7 +319,10 @@ func (n *Node) CompactStorage() error {
 }
 
 // applyWALEntry applies one journaled mutation to the node's in-memory
-// state during recovery. It tolerates duplicates: a checkpoint snapshot
+// state during recovery. Fragments install and remove through
+// storeLocked and removeLocked, the helpers the live path uses, so a
+// replayed node holds exactly the state its live self held. It
+// tolerates duplicates: a checkpoint snapshot
 // followed by a delta that re-journals the same ticket or grant must
 // converge, not fail, because registration and grants are idempotent
 // facts, not counters.
@@ -359,37 +362,9 @@ func (n *Node) applyWALEntry(e walEntry) error {
 		if e.Fragment == nil {
 			return errors.New("cluster: journal frag entry without fragment")
 		}
-		if old, ok := n.frags[e.Fragment.GLSN]; ok {
-			n.indexRemove(old)
-		}
-		n.frags[e.Fragment.GLSN] = *e.Fragment
-		n.indexAdd(*e.Fragment)
-		if e.Digest != nil {
-			n.digests[e.Fragment.GLSN] = e.Digest
-			delete(n.digExps, e.Fragment.GLSN)
-		} else if e.DigestExp != nil {
-			n.digExps[e.Fragment.GLSN] = e.DigestExp
-			delete(n.digests, e.Fragment.GLSN)
-		}
-		if e.Prov != nil {
-			n.provs[e.Fragment.GLSN] = e.Prov
-		}
-		delete(n.witCache, e.Fragment.GLSN)
-		if e.WitnessExp != nil {
-			n.witExps[e.Fragment.GLSN] = e.WitnessExp
-		} else {
-			delete(n.witExps, e.Fragment.GLSN)
-		}
+		n.storeLocked(&batchItem{Fragment: *e.Fragment, Digest: e.Digest, DigestExp: e.DigestExp, Provenance: e.Prov, WitnessExp: e.WitnessExp})
 	case "delete":
-		if old, ok := n.frags[e.GLSN]; ok {
-			n.indexRemove(old)
-		}
-		delete(n.frags, e.GLSN)
-		delete(n.digests, e.GLSN)
-		delete(n.digExps, e.GLSN)
-		delete(n.provs, e.GLSN)
-		delete(n.witExps, e.GLSN)
-		delete(n.witCache, e.GLSN)
+		n.removeLocked(e.GLSN)
 	default:
 		return fmt.Errorf("cluster: unknown journal entry kind %q", e.Kind)
 	}

@@ -13,20 +13,18 @@ import (
 	"confaudit/internal/workpool"
 )
 
-// Binary payload encodings for the ingest-round protocol bodies.
+// Binary payload encodings for the write-path protocol bodies.
 //
-// The streaming profile after PR 8 was dominated by JSON: every store
-// batch rendered its accumulator big-integers in decimal (quadratic in
-// the operand size) and re-parsed them on the node, and the same
-// encoding was paid a second time into the WAL. This file gives the
-// hot bodies — storeBody, storeBatchBody, the glsn round bodies, the
-// agreement round bodies, and the store ack — a compact uvarint
-// encoding implementing transport.BinaryBody, so they ride the
-// zero-copy pooled-frame path on every transport. The journal entry
-// encoding (appendWALEntry) reuses the same field layout, so wire
-// decode and journal encode share one code path. The bodies keep their JSON tags
-// only as the reference encoding the differential fuzz tests compare
-// against.
+// Every write crosses the same bodies: the glsn range request and
+// response (MsgGLSNRange), the agreement round bodies behind it, the
+// one store message (storeBatchBody, MsgLogStoreBatch) and its ack.
+// Each implements transport.BinaryBody with a compact uvarint encoding,
+// so accumulator big-integers travel as raw bytes rather than decimal
+// text and the bodies ride the zero-copy pooled-frame path on every
+// transport. The journal entry encoding (appendWALEntry) reuses the
+// same field layout, so wire decode and journal encode share one code
+// path. The bodies keep their JSON tags only as the reference encoding
+// the differential fuzz tests compare against.
 //
 // Layout conventions (all integers uvarint unless noted):
 //
@@ -316,46 +314,6 @@ func (d *wireDec) done() error {
 	return nil
 }
 
-// --- storeBody ---
-
-func (b *storeBody) BinarySize() int {
-	return sizeString(b.TicketID) + sizeFragment(&b.Fragment) +
-		sizeBig(b.Digest) + sizeBig(b.DigestExp) + sizeBig(b.Provenance) + sizeBig(b.WitnessExp)
-}
-
-func (b *storeBody) AppendBinary(dst []byte) []byte {
-	dst = appendString(dst, b.TicketID)
-	dst = appendFragment(dst, &b.Fragment)
-	dst = appendBig(dst, b.Digest)
-	dst = appendBig(dst, b.DigestExp)
-	dst = appendBig(dst, b.Provenance)
-	return appendBig(dst, b.WitnessExp)
-}
-
-func (b *storeBody) DecodeBinary(src []byte) error {
-	d := wireDec{rest: src}
-	var err error
-	if b.TicketID, err = d.str(); err != nil {
-		return err
-	}
-	if b.Fragment, err = d.fragment(); err != nil {
-		return err
-	}
-	if b.Digest, err = d.big(); err != nil {
-		return err
-	}
-	if b.DigestExp, err = d.big(); err != nil {
-		return err
-	}
-	if b.Provenance, err = d.big(); err != nil {
-		return err
-	}
-	if b.WitnessExp, err = d.big(); err != nil {
-		return err
-	}
-	return d.done()
-}
-
 // --- batchItem / storeBatchBody ---
 
 func sizeBatchItem(it *batchItem) int {
@@ -511,43 +469,6 @@ func (b *ackBody) DecodeBinary(src []byte) error {
 }
 
 // --- glsn round bodies ---
-
-func (b *glsnRequestBody) BinarySize() int { return sizeString(b.TicketID) }
-
-func (b *glsnRequestBody) AppendBinary(dst []byte) []byte {
-	return appendString(dst, b.TicketID)
-}
-
-func (b *glsnRequestBody) DecodeBinary(src []byte) error {
-	d := wireDec{rest: src}
-	var err error
-	if b.TicketID, err = d.str(); err != nil {
-		return err
-	}
-	return d.done()
-}
-
-func (b *glsnResponseBody) BinarySize() int {
-	return uvarintLen(uint64(b.GLSN)) + sizeString(b.Error)
-}
-
-func (b *glsnResponseBody) AppendBinary(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(b.GLSN))
-	return appendString(dst, b.Error)
-}
-
-func (b *glsnResponseBody) DecodeBinary(src []byte) error {
-	d := wireDec{rest: src}
-	g, err := d.num()
-	if err != nil {
-		return err
-	}
-	b.GLSN = logmodel.GLSN(g)
-	if b.Error, err = d.str(); err != nil {
-		return err
-	}
-	return d.done()
-}
 
 func (b *glsnRangeReqBody) BinarySize() int {
 	return sizeString(b.TicketID) + uvarintLen(uint64(b.Count))
@@ -710,7 +631,7 @@ func (b *agreeCommitBody) DecodeBinary(src []byte) error {
 	return d.done()
 }
 
-// --- walEntry (journal record payload, shared with wal.go) ---
+// --- walEntry (journal record payload, see storejournal.go) ---
 
 // walKindCode maps the journal kinds onto one byte. The string forms
 // stay canonical (JSON entries and applyWALEntry use them); the binary

@@ -75,9 +75,11 @@ func checkBinaryJSONAgree[T interface {
 	}
 }
 
-// FuzzStoreBodyRoundTrip differentially fuzzes the single-store body:
-// the binary path and the JSON path must decode to identical bodies,
-// and the decoder must never panic on arbitrary bytes.
+// FuzzStoreBodyRoundTrip differentially fuzzes one store item — every
+// value kind, NaN and ±Inf floats, nil and signed big integers — as a
+// one-item store batch: the binary path and the JSON path must decode
+// to identical bodies, and neither the batch nor the item decoder may
+// panic on arbitrary bytes.
 func FuzzStoreBodyRoundTrip(f *testing.F) {
 	f.Add("T1", "P0", uint64(0x139aef78), false, "user", "U1", uint8(1), int64(-42), 1.5,
 		[]byte{0xDE, 0xAD}, []byte(nil), []byte{0x01}, []byte{}, uint8(0), []byte(nil))
@@ -89,8 +91,7 @@ func FuzzStoreBodyRoundTrip(f *testing.F) {
 		attr, s string, kind uint8, i int64, fv float64,
 		digest, dexp, prov, wexp []byte, signs uint8, raw []byte) {
 		ticketID, node, attr, s = fuzzStr(ticketID), fuzzStr(node), fuzzStr(attr), fuzzStr(s)
-		body := storeBody{
-			TicketID:   ticketID,
+		item := batchItem{
 			Fragment:   logmodel.Fragment{GLSN: logmodel.GLSN(glsn), Node: node},
 			Digest:     fuzzBig(digest, signs&1 != 0),
 			DigestExp:  fuzzBig(dexp, signs&2 != 0),
@@ -98,15 +99,18 @@ func FuzzStoreBodyRoundTrip(f *testing.F) {
 			WitnessExp: fuzzBig(wexp, signs&8 != 0),
 		}
 		if !nilValues {
-			body.Fragment.Values = map[logmodel.Attr]logmodel.Value{}
+			item.Fragment.Values = map[logmodel.Attr]logmodel.Value{}
 			if attr != "" {
-				body.Fragment.Values[logmodel.Attr(attr)] = logmodel.Value{Kind: logmodel.Kind(kind % 4), S: s, I: i, F: fv}
-				body.Fragment.Values[logmodel.Attr(attr+"'")] = logmodel.Value{Kind: logmodel.KindInt, I: i ^ 7}
+				item.Fragment.Values[logmodel.Attr(attr)] = logmodel.Value{Kind: logmodel.Kind(kind % 4), S: s, I: i, F: fv}
+				item.Fragment.Values[logmodel.Attr(attr+"'")] = logmodel.Value{Kind: logmodel.KindInt, I: i ^ 7}
 			}
 		}
-		checkBinaryJSONAgree(t, &body, func() *storeBody { return &storeBody{} })
-		var junk storeBody
+		body := storeBatchBody{TicketID: ticketID, Items: []batchItem{item}}
+		checkBinaryJSONAgree(t, &body, func() *storeBatchBody { return &storeBatchBody{} })
+		var junk storeBatchBody
 		junk.DecodeBinary(raw) //nolint:errcheck // must not panic; errors are fine
+		var junkItem batchItem
+		decodeBatchItem(raw, &junkItem) //nolint:errcheck // must not panic; errors are fine
 	})
 }
 
@@ -164,17 +168,15 @@ func FuzzStoreBatchBodyRoundTrip(f *testing.F) {
 func TestWireBodiesRoundTrip(t *testing.T) {
 	checkBinaryJSONAgree(t, &ackBody{OK: true}, func() *ackBody { return &ackBody{} })
 	checkBinaryJSONAgree(t, &ackBody{Error: "cluster: no", Overloaded: true}, func() *ackBody { return &ackBody{} })
-	checkBinaryJSONAgree(t, &glsnRequestBody{TicketID: "T9"}, func() *glsnRequestBody { return &glsnRequestBody{} })
-	checkBinaryJSONAgree(t, &glsnResponseBody{GLSN: 0x139aef78}, func() *glsnResponseBody { return &glsnResponseBody{} })
-	checkBinaryJSONAgree(t, &glsnResponseBody{Error: "not leader"}, func() *glsnResponseBody { return &glsnResponseBody{} })
 	checkBinaryJSONAgree(t, &glsnRangeReqBody{TicketID: "T", Count: 4096}, func() *glsnRangeReqBody { return &glsnRangeReqBody{} })
 	checkBinaryJSONAgree(t, &glsnRangeRespBody{First: 7, Count: 12}, func() *glsnRangeRespBody { return &glsnRangeRespBody{} })
-	checkBinaryJSONAgree(t, &agreeReqBody{Statement: []byte("glsn|5|T1")}, func() *agreeReqBody { return &agreeReqBody{} })
+	checkBinaryJSONAgree(t, &glsnRangeRespBody{Error: "not leader"}, func() *glsnRangeRespBody { return &glsnRangeRespBody{} })
+	checkBinaryJSONAgree(t, &agreeReqBody{Statement: []byte("glsnrange|5|1|T1")}, func() *agreeReqBody { return &agreeReqBody{} })
 	checkBinaryJSONAgree(t, &agreeReqBody{}, func() *agreeReqBody { return &agreeReqBody{} })
 	checkBinaryJSONAgree(t, &agreeVoteBody{Sig: big.NewInt(987654)}, func() *agreeVoteBody { return &agreeVoteBody{} })
 	checkBinaryJSONAgree(t, &agreeVoteBody{Refused: "stale"}, func() *agreeVoteBody { return &agreeVoteBody{} })
 	checkBinaryJSONAgree(t, &agreeCommitBody{Cert: Certificate{
-		Statement: []byte("glsn|5|T1"),
+		Statement: []byte("glsnrange|5|1|T1"),
 		Votes:     map[string]*big.Int{"P0": big.NewInt(1), "P2": big.NewInt(-3), "P1": nil},
 	}}, func() *agreeCommitBody { return &agreeCommitBody{} })
 	checkBinaryJSONAgree(t, &agreeCommitBody{}, func() *agreeCommitBody { return &agreeCommitBody{} })
@@ -221,13 +223,17 @@ func TestWALEntryBinaryRoundTrip(t *testing.T) {
 // trailing bytes, truncations, wild counts, and bad tags must error,
 // never panic or over-allocate.
 func TestWireDecodeRejectsHostileEncodings(t *testing.T) {
-	good := (&storeBody{TicketID: "T", Digest: big.NewInt(5)}).AppendBinary(nil)
-	var b storeBody
+	one := storeBatchBody{TicketID: "T", Items: []batchItem{{
+		Fragment: logmodel.Fragment{GLSN: 9, Node: "P1", Values: map[logmodel.Attr]logmodel.Value{"a": logmodel.Int(3)}},
+		Digest:   big.NewInt(5),
+	}}}
+	good := one.AppendBinary(nil)
+	var b storeBatchBody
 	if err := b.DecodeBinary(append(good, 0x00)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 	for cut := 0; cut < len(good); cut++ {
-		var tr storeBody
+		var tr storeBatchBody
 		if err := tr.DecodeBinary(good[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}

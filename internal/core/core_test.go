@@ -119,7 +119,7 @@ func TestNewUserCustomOps(t *testing.T) {
 	ctx := testCtx(t)
 	// Read-only user cannot obtain a glsn.
 	ro := connect(t, d, "ro", "TRO", ticket.OpRead)
-	if _, err := ro.RequestGLSN(ctx); err == nil {
+	if _, err := ro.RequestGLSNRange(ctx, 1); err == nil {
 		t.Fatal("read-only user obtained a glsn")
 	}
 }

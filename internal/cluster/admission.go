@@ -15,6 +15,12 @@ import (
 // AppendOptions.OnOverload). Wrap-checked with errors.Is.
 var ErrOverloaded = errors.New("cluster: node overloaded, ingest admission refused")
 
+// errExceedsCapacity refuses a store no amount of waiting could admit:
+// more records than the token bucket holds, or more bytes than the
+// inflight cap. Unlike ErrOverloaded it is permanent, so the node acks it
+// as a plain refusal and the writer fails instead of backing off forever.
+var errExceedsCapacity = errors.New("cluster: batch exceeds ingest admission capacity")
+
 // overloadedMarker is the ack error-class string carried on the wire so
 // a client can recover the typed error without string-matching free
 // prose. It deliberately looks like a protocol constant, not a message.
@@ -72,18 +78,21 @@ func newAdmission(cfg AdmissionConfig) *admission {
 }
 
 // admit asks for records tokens and bytes of inflight budget. On
-// success the bytes are held until release(bytes). A nil receiver
-// admits everything.
+// success the bytes are held until release(bytes). A refusal is
+// ErrOverloaded when the store could pass later, errExceedsCapacity when
+// it never could. A nil receiver admits everything.
 func (a *admission) admit(records int, bytes int64) error {
 	if a == nil {
 		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if (a.cfg.RecordsPerSec > 0 && records > a.cfg.Burst) ||
+		(a.cfg.MaxInflightBytes > 0 && bytes > a.cfg.MaxInflightBytes) {
+		return a.refuse(errExceedsCapacity)
+	}
 	if a.cfg.MaxInflightBytes > 0 && a.inflight+bytes > a.cfg.MaxInflightBytes {
-		a.rejected++
-		telemetry.M.Counter(telemetry.CtrAdmissionRejected).Add(1)
-		return ErrOverloaded
+		return a.refuse(ErrOverloaded)
 	}
 	if a.cfg.RecordsPerSec > 0 {
 		now := time.Now()
@@ -93,9 +102,7 @@ func (a *admission) admit(records int, bytes int64) error {
 			a.tokens = max
 		}
 		if a.tokens < float64(records) {
-			a.rejected++
-			telemetry.M.Counter(telemetry.CtrAdmissionRejected).Add(1)
-			return ErrOverloaded
+			return a.refuse(ErrOverloaded)
 		}
 		a.tokens -= float64(records)
 		telemetry.M.Gauge(telemetry.GaugeAdmissionTokens).Set(int64(a.tokens))
@@ -105,6 +112,13 @@ func (a *admission) admit(records int, bytes int64) error {
 	telemetry.M.Counter(telemetry.CtrAdmissionAdmitted).Add(1)
 	telemetry.M.Gauge(telemetry.GaugeAdmissionBytes).Set(a.inflight)
 	return nil
+}
+
+// refuse counts one refusal and returns err; a.mu is held.
+func (a *admission) refuse(err error) error {
+	a.rejected++
+	telemetry.M.Counter(telemetry.CtrAdmissionRejected).Add(1)
+	return err
 }
 
 // release returns bytes of inflight budget once the admitted store has

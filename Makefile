@@ -60,7 +60,9 @@ crash-torture:
 build:
 	$(GO) build ./...
 
+# Formatting is part of vet: any file gofmt would rewrite fails it.
 vet:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
 
 fmt:

@@ -335,7 +335,7 @@ func TestEncryptBlocksParallelLargeBatch(t *testing.T) {
 // under a fresh pooled key each time.
 func BenchmarkPHFirstHop768(b *testing.B) {
 	g := mathx.Oakley768
-	keys := sessionKeys(b, g, 8)
+	keys := shortKeys(b, g, 8)
 	blocks := [][]byte{keys[0].EncodeElement([]byte("bench element"))}
 	if _, err := keys[0].EncryptFirstHop(blocks); err != nil { // build the table
 		b.Fatal(err)
@@ -353,7 +353,7 @@ func BenchmarkPHFirstHop768(b *testing.B) {
 // ciphertext from another party, which no table can serve.
 func BenchmarkPHRelay768(b *testing.B) {
 	g := mathx.Oakley768
-	keys := sessionKeys(b, g, 8)
+	keys := shortKeys(b, g, 8)
 	peer, err := NewSessionKey(g)
 	if err != nil {
 		b.Fatal(err)

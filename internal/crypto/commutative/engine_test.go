@@ -41,7 +41,7 @@ func prefixedBlocks(key *PHKey, prefix string, n int) [][]byte {
 	return blocks
 }
 
-func sessionKeys(t testing.TB, g *mathx.Group, n int) []*PHKey {
+func shortKeys(t testing.TB, g *mathx.Group, n int) []*PHKey {
 	t.Helper()
 	keys := make([]*PHKey, n)
 	for i := range keys {
@@ -130,7 +130,7 @@ func TestFixedBaseTableMatchesPlainExp(t *testing.T) {
 	resetFixedBaseCaches()
 	defer resetFixedBaseCaches()
 	g := mathx.Oakley768
-	keys := sessionKeys(t, g, 3)
+	keys := shortKeys(t, g, 3)
 	blocks := testBlocks(keys[0], 9)
 	for round := 1; round <= 20; round++ {
 		for _, k := range keys {
@@ -205,7 +205,7 @@ func TestFixedBaseCacheBounded(t *testing.T) {
 	resetFixedBaseCaches()
 	defer resetFixedBaseCaches()
 	g := mathx.Oakley768
-	k := sessionKeys(t, g, 1)[0]
+	k := shortKeys(t, g, 1)[0]
 	perTable := mathx.NewFixedBase(big.NewInt(2), g.P, g.ShortExpBits()).Size()
 	fits := tableBudget / perTable
 	const batch = 64
@@ -254,7 +254,7 @@ func TestRelayLeavesCacheEmpty(t *testing.T) {
 	resetFixedBaseCaches()
 	defer resetFixedBaseCaches()
 	g := mathx.Oakley768
-	keys := sessionKeys(t, g, 2)
+	keys := shortKeys(t, g, 2)
 	relay, peer := keys[0], keys[1]
 	const n = 5000
 	fresh, err := peer.EncryptBlocks(prefixedBlocks(peer, "relayed", n))
@@ -288,7 +288,7 @@ func TestFirstHopConcurrentSameBase(t *testing.T) {
 	resetFixedBaseCaches()
 	defer resetFixedBaseCaches()
 	g := mathx.Oakley768
-	keys := sessionKeys(t, g, 8)
+	keys := shortKeys(t, g, 8)
 	blocks := testBlocks(keys[0], 6)
 	var wg sync.WaitGroup
 	start := make(chan struct{})

@@ -9,15 +9,6 @@ import (
 	"confaudit/internal/mathx"
 )
 
-// KeySource supplies per-session Pohlig-Hellman keys to the SMC
-// protocols. The default source is a shared pool that pregenerates keys
-// off the critical path; tests substitute deterministic sources.
-type KeySource interface {
-	// Key returns a fresh key over the group. Keys must never be
-	// reused across protocol sessions.
-	Key(g *mathx.Group) (*PHKey, error)
-}
-
 // NewSessionKey samples a Pohlig-Hellman key with a short encryption
 // exponent (mathx.Group.ShortExpBits), the form the pool pregenerates.
 // The key is drawn from crypto/rand; use NewPHKey with an explicit
@@ -59,15 +50,14 @@ func NewPool(target int) *Pool {
 	}
 }
 
-// SharedPool is the process-wide default key source, used by the SMC
-// protocols when the caller supplies neither a Rand override nor an
-// explicit KeySource.
+// SharedPool is the process-wide key pool every ring protocol session
+// draws its key from.
 var SharedPool = NewPool(8)
 
-var _ KeySource = (*Pool)(nil)
-
 // Key pops a pregenerated key for the group, generating inline if the
-// pool is empty, and kicks off an asynchronous refill either way.
+// pool is empty, and kicks off an asynchronous refill either way. Keys
+// must never be reused across protocol sessions; each one is handed
+// out once.
 func (p *Pool) Key(g *mathx.Group) (*PHKey, error) {
 	id := g.P.Text(10)
 	p.mu.Lock()

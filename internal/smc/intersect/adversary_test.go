@@ -11,57 +11,62 @@ import (
 	"confaudit/internal/transport"
 )
 
-// TestForgedFinalRejected has a malicious party publish a final set
-// claiming another node's origin; the receiver must reject it instead
-// of folding forged data into the intersection.
+// TestForgedFinalRejected has a malicious non-member publish a final
+// set, claiming either a ring member's origin or its own; the receiver
+// must reject it instead of folding forged data into the intersection
+// (or counting a non-member's set in place of a member's).
 func TestForgedFinalRejected(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	net := transport.NewMemNetwork()
-	defer net.Close() //nolint:errcheck
+	for _, origin := range []string{"P2", "M"} {
+		t.Run("origin "+origin, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			net := transport.NewMemNetwork()
+			defer net.Close() //nolint:errcheck
 
-	cfg := Config{
-		Group:     mathx.Oakley768,
-		Ring:      []string{"P1", "P2"},
-		Receivers: []string{"P1"},
-		Session:   "forge",
-	}
-	mbs := make(map[string]*transport.Mailbox)
-	for _, id := range []string{"P1", "P2", "M"} {
-		ep, err := net.Endpoint(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mbs[id] = transport.NewMailbox(ep)
-		defer mbs[id].Close() //nolint:errcheck
-	}
+			cfg := Config{
+				Group:     mathx.Oakley768,
+				Ring:      []string{"P1", "P2"},
+				Receivers: []string{"P1"},
+				Session:   "forge",
+			}
+			mbs := make(map[string]*transport.Mailbox)
+			for _, id := range []string{"P1", "P2", "M"} {
+				ep, err := net.Endpoint(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mbs[id] = transport.NewMailbox(ep)
+				defer mbs[id].Close() //nolint:errcheck
+			}
 
-	var (
-		wg    sync.WaitGroup
-		p1Err error
-	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		_, p1Err = Run(ctx, mbs["P1"], cfg, [][]byte{[]byte("a")})
-	}()
-	go func() {
-		defer wg.Done()
-		if _, err := Run(ctx, mbs["P2"], cfg, [][]byte{[]byte("a")}); err != nil {
-			t.Errorf("P2: %v", err)
-		}
-	}()
-	// Mallory races a forged "final" claiming to be P2's set.
-	forged, err := smc.NewRelayWire("P2", 0, [][]byte{[]byte("forged-block")}, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mbs["M"].Send(ctx, transport.NewBinaryMessage("P1", "intersect.final", "forge", &forged)); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if p1Err == nil {
-		t.Fatal("receiver accepted a final set whose sender does not match its claimed origin")
+			var (
+				wg    sync.WaitGroup
+				p1Err error
+			)
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				_, p1Err = Run(ctx, mbs["P1"], cfg, [][]byte{[]byte("a")})
+			}()
+			go func() {
+				defer wg.Done()
+				if _, err := Run(ctx, mbs["P2"], cfg, [][]byte{[]byte("a")}); err != nil {
+					t.Errorf("P2: %v", err)
+				}
+			}()
+			// Mallory races a forged "final" set.
+			forged, err := smc.NewRelayWire(origin, 0, [][]byte{[]byte("forged-block")}, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mbs["M"].Send(ctx, transport.NewBinaryMessage("P1", "intersect.final", "forge", &forged)); err != nil {
+				t.Fatal(err)
+			}
+			wg.Wait()
+			if p1Err == nil {
+				t.Fatalf("receiver accepted a final set from M claiming origin %s", origin)
+			}
+		})
 	}
 }
 

@@ -7,12 +7,20 @@ import (
 	"confaudit/internal/mathx"
 )
 
-// TestChunkedRelay drives full protocol runs with a chunk size
-// small enough that every set spans multiple relay messages, covering
-// multi-chunk reassembly plus the empty- and single-element edge cases
-// that collapse to one (possibly empty) chunk.
+// span returns the elements el-lo .. el-(hi-1).
+func span(lo, hi int) [][]byte {
+	out := make([][]byte, 0, hi-lo)
+	for v := lo; v < hi; v++ {
+		out = append(out, []byte(fmt.Sprintf("el-%03d", v)))
+	}
+	return out
+}
+
+// TestChunkedRelay drives full protocol runs with sets on both sides of
+// the 64-block relay chunk boundary (64, 65, 66 and 130 elements), so
+// they span one, two or three relay messages, plus the empty- and
+// single-element edge cases that collapse to one (possibly empty) chunk.
 func TestChunkedRelay(t *testing.T) {
-	defer SetRelayChunkSize(2)()
 	cases := []struct {
 		name string
 		sets map[string][][]byte
@@ -21,18 +29,18 @@ func TestChunkedRelay(t *testing.T) {
 		{
 			name: "multi-chunk overlap",
 			sets: map[string][][]byte{
-				"P1": {[]byte("a"), []byte("b"), []byte("c"), []byte("d"), []byte("e")},
-				"P2": {[]byte("b"), []byte("c"), []byte("d"), []byte("e"), []byte("f")},
-				"P3": {[]byte("c"), []byte("d"), []byte("e"), []byte("f"), []byte("g")},
+				"P1": span(0, 130),
+				"P2": span(40, 170),
+				"P3": span(60, 125),
 			},
-			want: []string{"c", "d", "e"},
+			want: sortedStrings(span(60, 125)),
 		},
 		{
 			name: "one empty set",
 			sets: map[string][][]byte{
-				"P1": {[]byte("a"), []byte("b"), []byte("c")},
+				"P1": span(0, 65),
 				"P2": {},
-				"P3": {[]byte("a"), []byte("c")},
+				"P3": span(0, 64),
 			},
 			want: []string{},
 		},
@@ -48,11 +56,11 @@ func TestChunkedRelay(t *testing.T) {
 		{
 			name: "uneven sizes across chunk boundary",
 			sets: map[string][][]byte{
-				"P1": {[]byte("k1"), []byte("k2"), []byte("k3"), []byte("k4")},
-				"P2": {[]byte("k4")},
-				"P3": {[]byte("k2"), []byte("k4"), []byte("k9")},
+				"P1": span(0, 64),
+				"P2": span(0, 65),
+				"P3": span(63, 129),
 			},
-			want: []string{"k4"},
+			want: []string{"el-063"},
 		},
 	}
 	for _, tc := range cases {

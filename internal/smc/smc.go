@@ -1,7 +1,9 @@
-// Package smc holds shared helpers for the relaxed secure-multiparty
-// computing protocols of paper §3 (Definition 1): ring arithmetic,
-// big-integer wire encoding, and the ring-ordering utilities every
-// protocol uses to route encrypted sets between DLA nodes.
+// Package smc holds what the relaxed secure-multiparty computing
+// protocols of paper §3 (Definition 1) share: the one ring pass
+// (Circulate) through which ∩s and ∪s circulate every node's set until
+// it is encrypted under every key, the one relay body (RelayWire) and
+// its sender (Send), run validation (ValidateRun), big-integer wire
+// encoding, and the ring-ordering utilities.
 //
 // The concrete primitives live in subpackages:
 //
@@ -19,9 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"time"
 
-	"confaudit/internal/telemetry"
+	"confaudit/internal/mathx"
 )
 
 // Errors shared by protocol implementations.
@@ -113,6 +114,30 @@ func ValidateRing(ring []string, min int) error {
 	return nil
 }
 
+// ValidateRun checks the settings every ring protocol run shares: a
+// group, a ring of at least two distinct members, at least one
+// receiver, every receiver a ring member, and a session.
+func ValidateRun(g *mathx.Group, ring, receivers []string, session string) error {
+	if g == nil {
+		return fmt.Errorf("%w: nil group", ErrProtocol)
+	}
+	if err := ValidateRing(ring, 2); err != nil {
+		return err
+	}
+	if len(receivers) == 0 {
+		return fmt.Errorf("%w: no receivers", ErrProtocol)
+	}
+	for _, r := range receivers {
+		if !Contains(ring, r) {
+			return fmt.Errorf("%w: receiver %q is not a ring member", ErrProtocol, r)
+		}
+	}
+	if session == "" {
+		return fmt.Errorf("%w: empty session", ErrProtocol)
+	}
+	return nil
+}
+
 // Contains reports whether the node list contains the node.
 func Contains(nodes []string, node string) bool {
 	for _, n := range nodes {
@@ -121,19 +146,4 @@ func Contains(nodes []string, node string) bool {
 		}
 	}
 	return false
-}
-
-// ObserveRelayChunk finishes one ring-relay chunk span with the framing
-// and size facts Definition 1 permits (peer, Seq/Total, byte count) and
-// feeds the shared relay metrics. start is when the hop began work on
-// the chunk; blocks are the re-encrypted payload about to be (or just)
-// forwarded.
-func ObserveRelayChunk(sp *telemetry.Span, start time.Time, peer string, seq, total int, blocks [][]byte, err error) {
-	n := 0
-	for _, b := range blocks {
-		n += len(b)
-	}
-	sp.SetPeer(peer).SetChunk(seq, total).AddBytes(n).End(err)
-	telemetry.M.Histogram(telemetry.HistRelayChunk).Observe(time.Since(start))
-	telemetry.M.Counter(telemetry.CtrRelayBytes).Add(int64(n))
 }

@@ -7,11 +7,20 @@ import (
 	"confaudit/internal/mathx"
 )
 
-// TestChunkedRelay drives full union runs with a chunk size small
-// enough that phase-1 sets span multiple relay messages, including the
-// empty- and single-element edge cases.
+// span returns the elements el-lo .. el-(hi-1).
+func span(lo, hi int) [][]byte {
+	out := make([][]byte, 0, hi-lo)
+	for v := lo; v < hi; v++ {
+		out = append(out, []byte(fmt.Sprintf("el-%03d", v)))
+	}
+	return out
+}
+
+// TestChunkedRelay drives full union runs with phase-1 sets on both
+// sides of the 64-block relay chunk boundary (65 and 130 elements span
+// two and three relay messages), including the empty- and
+// single-element edge cases.
 func TestChunkedRelay(t *testing.T) {
-	defer SetRelayChunkSize(2)()
 	cases := []struct {
 		name string
 		sets map[string][][]byte
@@ -20,11 +29,11 @@ func TestChunkedRelay(t *testing.T) {
 		{
 			name: "multi-chunk",
 			sets: map[string][][]byte{
-				"P1": {[]byte("a"), []byte("b"), []byte("c"), []byte("d"), []byte("e")},
-				"P2": {[]byte("d"), []byte("e"), []byte("f")},
+				"P1": span(0, 130),
+				"P2": span(100, 165),
 				"P3": {[]byte("g")},
 			},
-			want: []string{"a", "b", "c", "d", "e", "f", "g"},
+			want: asStrings(append(span(0, 165), []byte("g"))),
 		},
 		{
 			name: "empty and single",

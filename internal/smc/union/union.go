@@ -25,7 +25,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -51,45 +50,11 @@ type Config struct {
 	// Ring lists the participating node IDs in ring order. Ring[0]
 	// doubles as the collector that deduplicates encrypted elements.
 	Ring []string
-	// Receivers are the nodes that learn the union.
+	// Receivers are the nodes that learn the union; they must be ring
+	// members.
 	Receivers []string
 	// Session disambiguates concurrent runs.
 	Session string
-	// Rand is the entropy source. When set, the session key is sampled
-	// from it directly (full-width exponents, deterministic under a
-	// seeded reader — the test path). When nil, Keys supplies the key.
-	Rand io.Reader
-	// Keys overrides the session key source. Nil (and Rand nil) means
-	// the shared pregenerated pool, which is the production fast path.
-	Keys commutative.KeySource
-}
-
-// sessionKey resolves the party's session key: an explicit Rand wins,
-// then an explicit KeySource, then the shared pool.
-func sessionKey(cfg *Config) (*commutative.PHKey, error) {
-	if cfg.Rand != nil {
-		return commutative.NewPHKey(cfg.Rand, cfg.Group)
-	}
-	if cfg.Keys != nil {
-		return cfg.Keys.Key(cfg.Group)
-	}
-	return commutative.SharedPool.Key(cfg.Group)
-}
-
-func (c *Config) validate() error {
-	if c.Group == nil {
-		return fmt.Errorf("%w: nil group", smc.ErrProtocol)
-	}
-	if err := smc.ValidateRing(c.Ring, 2); err != nil {
-		return err
-	}
-	if len(c.Receivers) == 0 {
-		return fmt.Errorf("%w: no receivers", smc.ErrProtocol)
-	}
-	if c.Session == "" {
-		return fmt.Errorf("%w: empty session", smc.ErrProtocol)
-	}
-	return nil
 }
 
 // EmbedElement reversibly encodes element bytes as a group element:
@@ -121,20 +86,15 @@ func ExtractElement(block []byte) ([]byte, error) {
 	return nil, fmt.Errorf("union: empty embedding")
 }
 
-// relayChunkSize bounds the number of blocks per phase-1 relay message,
-// mirroring the intersect package: streaming chunks lets hop i+1 start
-// re-encrypting while hop i is still working, and leaks only set sizes
-// (Definition 1 secondary information).
-var relayChunkSize = 64
-
 // Run executes one party's role. Every ring member calls Run
 // concurrently; receivers (and only receivers) obtain the union.
 func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]byte) (out [][]byte, err error) {
-	if err := cfg.validate(); err != nil {
+	if err := smc.ValidateRun(cfg.Group, cfg.Ring, cfg.Receivers, cfg.Session); err != nil {
 		return nil, err
 	}
 	self := mb.ID()
-	if _, err := smc.IndexOf(cfg.Ring, self); err != nil {
+	next, err := smc.NextInRing(cfg.Ring, self)
+	if err != nil {
 		return nil, err
 	}
 	defer telemetry.M.Histogram(telemetry.HistUnionRun).Since(time.Now())
@@ -142,12 +102,8 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 	sp.SetCount(len(localSet))
 	defer func() { sp.End(err) }()
 	n := len(cfg.Ring)
-	next, err := smc.NextInRing(cfg.Ring, self)
-	if err != nil {
-		return nil, err
-	}
 	collector := cfg.Ring[0]
-	key, err := sessionKey(&cfg)
+	key, err := commutative.SharedPool.Key(cfg.Group)
 	if err != nil {
 		return nil, fmt.Errorf("union: generating key: %w", err)
 	}
@@ -168,86 +124,10 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 		blocks = append(blocks, blk)
 	}
 
-	// Phase 1: ring circulation, as in intersection, streamed chunk by
-	// chunk so hops overlap. The encryption stream runs ahead of the
-	// sends (double-buffered; see smc.EncryptStream), overlapping this
-	// hop's modexp work with its own wire time.
-	runCtx, cancelStream := context.WithCancel(ctx)
-	defer cancelStream()
-	myChunks := smc.SplitChunks(blocks, relayChunkSize)
-	encCh := smc.EncryptStream(runCtx, cfg.Session, self, key, myChunks)
-	for range myChunks {
-		ec, ok := smc.NextEncChunk(encCh)
-		if !ok {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, fmt.Errorf("union: encrypting local set: %w", cerr)
-			}
-			return nil, fmt.Errorf("%w: encryption stream ended early", smc.ErrProtocol)
-		}
-		if ec.Err != nil {
-			ec.Span.End(ec.Err)
-			return nil, fmt.Errorf("union: encrypting local set: %w", ec.Err)
-		}
-		body, err := smc.NewRelayWire(self, 1, ec.Blocks, ec.Seq, len(myChunks))
-		if err == nil {
-			err = send(ctx, mb, next, msgRelay, cfg.Session, &body)
-		}
-		smc.ObserveRelayChunk(ec.Span, ec.Start, next, ec.Seq, len(myChunks), ec.Blocks, err)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var myFinal [][]byte
-	streams := make(map[string]*smc.Reassembly, n)
-	for complete := 0; complete < n; {
-		msg, err := mb.Expect(ctx, msgRelay, cfg.Session)
-		if err != nil {
-			return nil, fmt.Errorf("union: awaiting relay: %w", err)
-		}
-		var body smc.RelayWire
-		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
-			return nil, err
-		}
-		chunkBlocks, err := body.Unpack()
-		if err != nil {
-			return nil, err
-		}
-		if body.Origin == self {
-			if body.Hops != n {
-				return nil, fmt.Errorf("%w: own set returned after %d of %d encryptions", smc.ErrProtocol, body.Hops, n)
-			}
-		} else {
-			csp, _ := telemetry.StartSpan(ctx, cfg.Session, self, "smc.relay_chunk")
-			chunkStart := time.Now()
-			enc, err := key.EncryptBlocks(chunkBlocks)
-			if err != nil {
-				csp.End(err)
-				return nil, fmt.Errorf("union: re-encrypting set from %s: %w", body.Origin, err)
-			}
-			fwd, err := smc.NewRelayWire(body.Origin, body.Hops+1, enc, body.Seq, body.Total)
-			if err == nil {
-				err = send(ctx, mb, next, msgRelay, cfg.Session, &fwd)
-			}
-			smc.ObserveRelayChunk(csp, chunkStart, next, body.Seq, body.Total, enc, err)
-			if err != nil {
-				return nil, err
-			}
-		}
-		r := streams[body.Origin]
-		if r == nil {
-			r = &smc.Reassembly{}
-			streams[body.Origin] = r
-		}
-		done, err := r.Add(&body, chunkBlocks)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			complete++
-			if body.Origin == self {
-				myFinal = r.Assemble()
-			}
-		}
+	// Phase 1: the ring pass, as in intersection.
+	myFinal, err := smc.Circulate(ctx, mb, msgRelay, cfg.Session, cfg.Ring, key, blocks)
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase 2: every party ships its fully-encrypted set to the
@@ -389,15 +269,5 @@ func sendBatch(ctx context.Context, mb *transport.Mailbox, to, typ, session stri
 	if err != nil {
 		return err
 	}
-	return send(ctx, mb, to, typ, session, &body)
-}
-
-// send defers the body's binary payload encoding to the transport (the
-// zero-copy frame path on TCP).
-func send(ctx context.Context, mb *transport.Mailbox, to, typ, session string, body transport.BinaryBody) error {
-	msg := transport.NewBinaryMessage(to, typ, session, body)
-	if err := mb.Send(ctx, msg); err != nil {
-		return fmt.Errorf("union: sending %s to %s: %w", typ, to, err)
-	}
-	return nil
+	return smc.Send(ctx, mb, to, typ, session, &body)
 }

@@ -203,6 +203,7 @@ func TestUnionConfigValidation(t *testing.T) {
 		{Group: mathx.Oakley768, Ring: []string{"A", "B"}, Receivers: []string{"A"}},               // no session
 		{Group: mathx.Oakley768, Ring: []string{"B", "C"}, Receivers: []string{"B"}, Session: "s"}, // self absent
 		{Group: mathx.Oakley768, Ring: []string{"A", "A"}, Receivers: []string{"A"}, Session: "s"}, // dup ring
+		{Group: mathx.Oakley768, Ring: []string{"A", "B"}, Receivers: []string{"Z"}, Session: "s"}, // foreign receiver
 	}
 	for i, cfg := range cases {
 		if _, err := Run(ctx, mb, cfg, nil); err == nil {

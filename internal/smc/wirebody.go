@@ -3,6 +3,7 @@ package smc
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -91,6 +92,11 @@ func (w *RelayWire) DecodeBinary(src []byte) error {
 		if sz <= 0 {
 			return 0, fmt.Errorf("%w: truncated relay wire body", ErrBadWireValue)
 		}
+		// One encoding per body: an overlong uvarint would decode to a
+		// body that re-encodes to different bytes.
+		if sz != uvarintLen(v) {
+			return 0, fmt.Errorf("%w: non-minimal uvarint in relay wire body", ErrBadWireValue)
+		}
 		rest = rest[sz:]
 		return v, nil
 	}
@@ -112,8 +118,9 @@ func (w *RelayWire) DecodeBinary(src []byte) error {
 			return 0, err
 		}
 		// Counts and widths are bounded by the frame they arrived in;
-		// anything wider than 32 bits is a hostile encoding.
-		if v > 1<<31 {
+		// anything past MaxInt32 is a hostile encoding (and 2^31 would
+		// wrap negative in a 32-bit int).
+		if v > math.MaxInt32 {
 			return 0, fmt.Errorf("%w: relay wire field %d out of range", ErrBadWireValue, v)
 		}
 		return int(v), nil
@@ -154,56 +161,4 @@ func (w *RelayWire) DecodeBinary(src []byte) error {
 		w.Packed = append([]byte(nil), packed...)
 	}
 	return nil
-}
-
-// SplitChunks cuts blocks into pieces of at most size blocks; an empty
-// set is a single empty chunk so every origin still injects exactly one
-// stream.
-func SplitChunks(blocks [][]byte, size int) [][][]byte {
-	if len(blocks) == 0 {
-		return [][][]byte{nil}
-	}
-	out := make([][][]byte, 0, (len(blocks)+size-1)/size)
-	for len(blocks) > size {
-		out = append(out, blocks[:size])
-		blocks = blocks[size:]
-	}
-	return append(out, blocks)
-}
-
-// Reassembly accumulates one origin's relay chunks.
-type Reassembly struct {
-	total  int
-	chunks map[int][][]byte
-}
-
-// Add records chunk w, whose unpacked blocks are given, validating its
-// framing against what was already seen. It reports whether the
-// origin's set is now complete.
-func (r *Reassembly) Add(w *RelayWire, blocks [][]byte) (bool, error) {
-	if r.chunks == nil {
-		r.total = w.Total
-		// No size hint: Total comes off the wire.
-		r.chunks = make(map[int][][]byte)
-	}
-	if w.Total != r.total {
-		return false, fmt.Errorf("%w: origin %s changed chunk count %d to %d", ErrProtocol, w.Origin, r.total, w.Total)
-	}
-	if w.Seq < 0 || w.Seq >= w.Total {
-		return false, fmt.Errorf("%w: origin %s chunk %d of %d out of range", ErrProtocol, w.Origin, w.Seq, w.Total)
-	}
-	if _, dup := r.chunks[w.Seq]; dup {
-		return false, fmt.Errorf("%w: origin %s repeated chunk %d", ErrProtocol, w.Origin, w.Seq)
-	}
-	r.chunks[w.Seq] = blocks
-	return len(r.chunks) == r.total, nil
-}
-
-// Assemble concatenates the chunks in sequence order.
-func (r *Reassembly) Assemble() [][]byte {
-	var out [][]byte
-	for i := 0; i < r.total; i++ {
-		out = append(out, r.chunks[i]...)
-	}
-	return out
 }

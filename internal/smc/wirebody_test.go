@@ -3,6 +3,7 @@ package smc
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -73,6 +74,7 @@ func TestRelayWireDecodeRejectsMalformed(t *testing.T) {
 		"zero chunks":       enc(RelayWire{Origin: "P1", Total: 0, BlockLen: 3, Packed: []byte{1, 2, 3}}),
 		"ragged packed run": enc(RelayWire{Origin: "P1", Total: 1, BlockLen: 2, Packed: []byte{1, 2, 3}}),
 		"zero block width":  enc(RelayWire{Origin: "P1", Total: 1, BlockLen: 0, Packed: []byte{1, 2, 3}}),
+		"overlong uvarint":  append([]byte{0x82, 0x00}, good[1:]...),
 	}
 	for name, src := range cases {
 		var w RelayWire
@@ -82,6 +84,55 @@ func TestRelayWireDecodeRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: error %v is not ErrBadWireValue", name, err)
 		}
 	}
+}
+
+// TestRelayWireSmallBoundary pins the 32-bit guard on every framing
+// field: exactly 2^31 must be refused — on a 32-bit platform int(1<<31)
+// wraps negative — while MaxInt32 still decodes.
+func TestRelayWireSmallBoundary(t *testing.T) {
+	fields := map[string]func(*RelayWire) *int{
+		"hops":  func(w *RelayWire) *int { return &w.Hops },
+		"seq":   func(w *RelayWire) *int { return &w.Seq },
+		"total": func(w *RelayWire) *int { return &w.Total },
+		"width": func(w *RelayWire) *int { return &w.BlockLen },
+	}
+	for name, field := range fields {
+		for _, v := range []int{1 << 31, 1<<31 + 1} {
+			w := RelayWire{Origin: "P1", Total: 1}
+			*field(&w) = v
+			var got RelayWire
+			if err := got.DecodeBinary(w.AppendBinary(nil)); !errors.Is(err, ErrBadWireValue) {
+				t.Errorf("%s = %d: err %v, want ErrBadWireValue", name, v, err)
+			}
+		}
+		w := RelayWire{Origin: "P1", Total: 1}
+		*field(&w) = math.MaxInt32
+		var got RelayWire
+		if err := got.DecodeBinary(w.AppendBinary(nil)); err != nil || *field(&got) != math.MaxInt32 {
+			t.Errorf("%s = MaxInt32: decoded %d, %v", name, *field(&got), err)
+		}
+	}
+}
+
+// FuzzRelayWireRoundTrip feeds the relay body decoder — the one every
+// ring peer's bytes reach — arbitrary input. It must never panic, and
+// every body it accepts must re-encode to exactly the input bytes, in
+// BinarySize bytes. The checked-in corpus holds the encodings of
+// TestRelayWireRoundTrip and TestRelayWireDecodeRejectsMalformed.
+func FuzzRelayWireRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src []byte) {
+		var w RelayWire
+		if err := w.DecodeBinary(src); err != nil {
+			return
+		}
+		enc := w.AppendBinary(nil)
+		if !bytes.Equal(enc, src) {
+			t.Fatalf("accepted % x, re-encoded as % x", src, enc)
+		}
+		if n := w.BinarySize(); n != len(enc) {
+			t.Fatalf("BinarySize %d, encoded %d bytes", n, len(enc))
+		}
+	})
 }
 
 // TestPackBlocksRejectsRagged pins the single framing: a batch that is

@@ -13,8 +13,8 @@ import (
 //	│  ├─ audit.parse_plan P0 0.1ms ok
 //	│  └─ audit.dispatch P0 0.3ms n=3 ok
 //	├─ audit.exec P1 13.8ms ok
-//	│  └─ intersect.run P1 [q/aud/7/sq0] 12.9ms n=40 ok
-//	│     └─ intersect.relay_chunk P1→P2 1/2 0.8ms 4.1KB ok
+//	│  └─ smc.intersect.run P1 [q/aud/7/sq0] 12.9ms n=40 ok
+//	│     └─ smc.relay_chunk P1→P2 1/2 0.8ms 4.1KB ok
 //
 // The renderer consumes only the redaction-safe SpanView schema, so
 // its output inherits the zero-plaintext guarantee.

@@ -78,6 +78,18 @@ func NewPHKey(rng io.Reader, g *mathx.Group) (*PHKey, error) {
 // Group returns the group the key operates in.
 func (k *PHKey) Group() *mathx.Group { return k.group }
 
+// Compose returns the key whose encryption applies k and o together
+// (exponent e_k·e_o mod p-1), so its decryption strips both layers in
+// one exponentiation. Both keys must be over the same group.
+func (k *PHKey) Compose(o *PHKey) (*PHKey, error) {
+	if k.group.P.Cmp(o.group.P) != 0 {
+		return nil, errors.New("commutative: composing keys over different groups")
+	}
+	pm1 := new(big.Int).Sub(k.group.P, big.NewInt(1))
+	mulMod := func(a, b *big.Int) *big.Int { return new(big.Int).Mod(new(big.Int).Mul(a, b), pm1) }
+	return &PHKey{group: k.group, e: mulMod(k.e, o.e), d: mulMod(k.d, o.d)}, nil
+}
+
 // EncryptInt computes M^e mod p for a group element M in [1, p-1]. It
 // never consults the fixed-base cache; only EncryptFirstHop does.
 func (k *PHKey) EncryptInt(m *big.Int) (*big.Int, error) {

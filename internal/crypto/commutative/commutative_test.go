@@ -94,6 +94,39 @@ func TestPHDecryptAnyOrder(t *testing.T) {
 	}
 }
 
+// TestPHCompose checks that a composed key encrypts like its two keys
+// applied in turn and strips both layers in one decryption.
+func TestPHCompose(t *testing.T) {
+	g := testGroup()
+	k1 := mustPHKey(t, g)
+	k2, err := NewSessionKey(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	both, err := k1.Compose(k2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := g.HashToQR([]byte("f"))
+	c1, err := k1.EncryptInt(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c12, err := k2.EncryptInt(c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := both.EncryptInt(m); err != nil || c.Cmp(c12) != 0 {
+		t.Fatalf("composed encryption = %v, %v; want the two layers applied in turn", c, err)
+	}
+	if back, err := both.DecryptInt(c12); err != nil || back.Cmp(m) != 0 {
+		t.Fatalf("composed decryption = %v, %v; want the plaintext", back, err)
+	}
+	if _, err := k1.Compose(mustPHKey(t, mathx.Oakley1024)); err == nil {
+		t.Fatal("composing keys over different groups succeeded")
+	}
+}
+
 // TestPHDistinctPlaintextsStayDistinct is the eq. (7) requirement: the
 // multi-key encryptions of distinct messages must not collide.
 func TestPHDistinctPlaintextsStayDistinct(t *testing.T) {

@@ -13,14 +13,14 @@ import (
 // Party runs one node's role on its own mailbox.
 type Party[R any] func(ctx context.Context, id string, mb *transport.Mailbox) (R, error)
 
-// RunParties attaches every id to a fresh in-memory network before any
-// party starts — so no party can send to a peer that is not registered
+// RunParties attaches every id to a fresh in-memory network, built with
+// opts, before any party starts — so no party can send to a peer that is not registered
 // yet — then runs all parties concurrently. The first party error
 // cancels the shared context, so the others fail fast instead of
 // waiting out their deadlines; that error is returned. Otherwise it
 // returns each party's result by id.
-func RunParties[R any](ctx context.Context, ids []string, party Party[R]) (map[string]R, error) {
-	net := transport.NewMemNetwork()
+func RunParties[R any](ctx context.Context, ids []string, party Party[R], opts ...transport.MemOption) (map[string]R, error) {
+	net := transport.NewMemNetwork(opts...)
 	defer net.Close() //nolint:errcheck
 	mbs := make(map[string]*transport.Mailbox, len(ids))
 	for _, id := range ids {

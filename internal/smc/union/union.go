@@ -4,16 +4,33 @@
 //
 // As in the paper, the computing procedure mirrors secure set
 // intersection: every local set circulates the ring and is encrypted by
-// every node. A collector keeps one copy of each distinct encrypted
+// every node. Every other node then sends its fully encrypted set to a
+// collector (Ring[0]), which keeps one copy of each distinct encrypted
 // element — duplicates across owners collapse because commutative
-// encryption is deterministic — and then the deduplicated encrypted
-// elements are circulated once more for every node to strip its
-// encryption layer, recovering the plaintext union.
+// encryption is deterministic. The collector already holds its own
+// elements in plaintext, so it drops every ciphertext equal to one of
+// its own and circulates only the foreign rest once more for every node
+// to strip its encryption layer: decryption costs n·|∪ \ S_collector|
+// full-width exponentiations rather than n·|∪|. The collector first
+// blinds the batch under a one-time key, so no member can match it
+// against the fully encrypted sets it holds from the ring pass. The
+// batch starts at the collector's successor and the collector strips
+// its layer and the blinding last, in one exponentiation per block, so
+// plaintext exists only at the collector. The union is the collector's
+// own elements plus the decrypted foreign ones.
 //
-// Ownership hiding: because deduplicated ciphertexts are decrypted as
-// one combined batch (and the batch is sorted before decryption), the
-// final plaintexts carry no trace of which node contributed which item.
-// Set sizes leak, which Definition 1's relaxed model permits.
+// Ownership hiding: because the foreign ciphertexts are decrypted as
+// one combined, blinded batch (sorted after blinding), and the union
+// goes to receivers sorted, the final plaintexts carry no trace of
+// which node contributed which item. Set sizes leak, which Definition
+// 1's relaxed model permits; non-collectors see the foreign batch size
+// |∪ \ S_collector| = |∪| − |S_collector|, and every node sees
+// |S_collector| when it relays the collector's set in the ring pass.
+//
+// A phase message is refused with smc.ErrProtocol unless it comes from
+// the member the protocol expects: one collect from each non-collector,
+// decrypt batches from the ring predecessor, the result from the
+// collector.
 //
 // Unlike intersection, union must recover plaintexts, so elements are
 // embedded reversibly in the group (length-prefixed bytes, not hashes).
@@ -93,7 +110,7 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 		return nil, err
 	}
 	self := mb.ID()
-	next, err := smc.NextInRing(cfg.Ring, self)
+	i, err := smc.IndexOf(cfg.Ring, self)
 	if err != nil {
 		return nil, err
 	}
@@ -101,8 +118,6 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 	sp, ctx := telemetry.StartSpan(ctx, cfg.Session, self, "smc.union.run")
 	sp.SetCount(len(localSet))
 	defer func() { sp.End(err) }()
-	n := len(cfg.Ring)
-	collector := cfg.Ring[0]
 	key, err := commutative.SharedPool.Key(cfg.Group)
 	if err != nil {
 		return nil, fmt.Errorf("union: generating key: %w", err)
@@ -129,122 +144,175 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 	if err != nil {
 		return nil, err
 	}
+	n := len(cfg.Ring)
+	p := party{mb: mb, cfg: cfg, key: key, next: cfg.Ring[(i+1)%n], prev: cfg.Ring[(i+n-1)%n]}
+	if i == 0 {
+		return p.collect(ctx, blocks, myFinal)
+	}
+	return p.member(ctx, myFinal)
+}
 
-	// Phase 2: every party ships its fully-encrypted set to the
-	// collector, which dedups and sorts (sorting erases contribution
-	// order, hence ownership).
-	if err := sendBatch(ctx, mb, collector, msgCollect, cfg.Session, 0, myFinal); err != nil {
+// party is one ring member's view of the phases after the ring pass.
+type party struct {
+	mb         *transport.Mailbox
+	cfg        Config
+	key        *commutative.PHKey
+	next, prev string
+}
+
+// collect is the collector's role. Every other member ships its fully
+// encrypted set here. The collector keeps only the ciphertexts that are
+// not among its own (encryption is deterministic, so an element it
+// shares with another owner arrives as one of its own ciphertexts),
+// dedups them, blinds them under a one-time key, sorts them (sorting
+// erases contribution order, hence ownership), and sends the foreign
+// batch round the ring to be decrypted. It strips its own layer and the
+// blinding last, so plaintext exists only here. The union is its own
+// embeddings plus the decrypted foreign ones.
+func (p *party) collect(ctx context.Context, own, myFinal [][]byte) ([][]byte, error) {
+	mine := make(map[string]struct{}, len(myFinal))
+	for _, b := range myFinal {
+		mine[string(b)] = struct{}{}
+	}
+	pending := make(map[string]struct{}, len(p.cfg.Ring)-1)
+	for _, id := range p.cfg.Ring[1:] {
+		pending[id] = struct{}{}
+	}
+	foreign := make(map[string][]byte)
+	for len(pending) > 0 {
+		from, _, bs, err := expectBatch(ctx, p.mb, msgCollect, p.cfg.Session)
+		if err != nil {
+			return nil, fmt.Errorf("union: collecting sets: %w", err)
+		}
+		if _, ok := pending[from]; !ok {
+			return nil, fmt.Errorf("%w: %s from %s, which is not a ring member still owing its set", smc.ErrProtocol, msgCollect, from)
+		}
+		delete(pending, from)
+		for _, b := range bs {
+			if _, ok := mine[string(b)]; !ok {
+				foreign[string(b)] = b
+			}
+		}
+	}
+	batch := make([][]byte, 0, len(foreign))
+	for _, b := range foreign {
+		batch = append(batch, b)
+	}
+	// Blind the batch under a one-time key before it leaves. Every member
+	// holds fully encrypted sets (its own, and its successor's, whose last
+	// layer it applied), and encryption is deterministic, so it could
+	// match them against a bare batch. Sorting the blinded blocks erases
+	// contribution order.
+	blind, err := commutative.SharedPool.Key(p.cfg.Group)
+	if err != nil {
+		return nil, fmt.Errorf("union: generating blinding key: %w", err)
+	}
+	if batch, err = blind.EncryptBlocks(batch); err != nil {
+		return nil, fmt.Errorf("union: blinding foreign batch: %w", err)
+	}
+	sortBlocks(batch)
+	// The batch goes out even when empty, so every member's phase
+	// completes.
+	if err := sendBatch(ctx, p.mb, p.next, msgDecrypt, p.cfg.Session, 0, batch); err != nil {
 		return nil, err
 	}
-	if self == collector {
-		dedup := make(map[string][]byte)
-		for i := 0; i < n; i++ {
-			msg, err := mb.Expect(ctx, msgCollect, cfg.Session)
-			if err != nil {
-				return nil, fmt.Errorf("union: collecting sets: %w", err)
-			}
-			var body smc.RelayWire
-			if err := transport.Unmarshal(msg.Payload, &body); err != nil {
-				return nil, err
-			}
-			bs, err := body.Unpack()
-			if err != nil {
-				return nil, err
-			}
-			for _, b := range bs {
-				dedup[string(b)] = b
-			}
+
+	from, hops, bs, err := expectBatch(ctx, p.mb, msgDecrypt, p.cfg.Session)
+	if err != nil {
+		return nil, fmt.Errorf("union: awaiting final batch: %w", err)
+	}
+	if from != p.prev {
+		return nil, fmt.Errorf("%w: %s batch from %s, not ring predecessor %s", smc.ErrProtocol, msgDecrypt, from, p.prev)
+	}
+	if n := len(p.cfg.Ring); hops != n-1 {
+		return nil, fmt.Errorf("%w: decryption batch returned after %d of %d layers", smc.ErrProtocol, hops, n-1)
+	}
+	// Strip the collector's layer and the blinding together: one
+	// exponentiation per block.
+	strip, err := p.key.Compose(blind)
+	if err != nil {
+		return nil, err
+	}
+	dec, err := strip.DecryptBlocks(bs)
+	if err != nil {
+		return nil, fmt.Errorf("union: stripping collector layer: %w", err)
+	}
+	all := append(append(make([][]byte, 0, len(own)+len(dec)), own...), dec...)
+	sortBlocks(all)
+	// Distribute the fixed-width embeddings, sorted so their order says
+	// nothing about ownership, to receivers, which extract the
+	// plaintexts themselves.
+	self := p.mb.ID()
+	for _, r := range p.cfg.Receivers {
+		if r == self {
+			continue
 		}
-		merged := make([][]byte, 0, len(dedup))
-		for _, b := range dedup {
-			merged = append(merged, b)
-		}
-		sort.Slice(merged, func(i, j int) bool { return bytes.Compare(merged[i], merged[j]) < 0 })
-		// Start the decryption circulation with the collector's own layer
-		// stripped.
-		dec, err := key.DecryptBlocks(merged)
-		if err != nil {
-			return nil, fmt.Errorf("union: stripping collector layer: %w", err)
-		}
-		if err := sendBatch(ctx, mb, next, msgDecrypt, cfg.Session, 1, dec); err != nil {
+		if err := sendBatch(ctx, p.mb, r, msgResult, p.cfg.Session, 0, all); err != nil {
 			return nil, err
 		}
 	}
-
-	// Phase 3: decryption circulation. Every non-collector strips its
-	// layer once and forwards; after n hops the collector holds
-	// plaintext embeddings.
-	var plain [][]byte
-	if self != collector {
-		msg, err := mb.Expect(ctx, msgDecrypt, cfg.Session)
-		if err != nil {
-			return nil, fmt.Errorf("union: awaiting decrypt batch: %w", err)
-		}
-		var body smc.RelayWire
-		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
-			return nil, err
-		}
-		bs, err := body.Unpack()
-		if err != nil {
-			return nil, err
-		}
-		dec, err := key.DecryptBlocks(bs)
-		if err != nil {
-			return nil, fmt.Errorf("union: stripping layer: %w", err)
-		}
-		if err := sendBatch(ctx, mb, next, msgDecrypt, cfg.Session, body.Hops+1, dec); err != nil {
-			return nil, err
-		}
-	} else {
-		msg, err := mb.Expect(ctx, msgDecrypt, cfg.Session)
-		if err != nil {
-			return nil, fmt.Errorf("union: awaiting final batch: %w", err)
-		}
-		var body smc.RelayWire
-		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
-			return nil, err
-		}
-		if body.Hops != n {
-			return nil, fmt.Errorf("%w: decryption batch returned after %d of %d layers", smc.ErrProtocol, body.Hops, n)
-		}
-		bs, err := body.Unpack()
-		if err != nil {
-			return nil, err
-		}
-		if plain, err = extractSorted(bs); err != nil {
-			return nil, err
-		}
-		// Distribute the fixed-width embeddings to receivers, which
-		// extract the plaintexts themselves.
-		for _, r := range cfg.Receivers {
-			if r == self {
-				continue
-			}
-			if err := sendBatch(ctx, mb, r, msgResult, cfg.Session, 0, bs); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	if !smc.Contains(cfg.Receivers, self) {
+	if !smc.Contains(p.cfg.Receivers, self) {
 		return nil, nil
 	}
-	if self == collector {
-		return plain, nil
+	return extractSorted(all)
+}
+
+// member is a non-collector's role: ship the fully encrypted own set to
+// the collector, strip this node's layer from the foreign batch coming
+// from the ring predecessor and forward it, then, as a receiver, take
+// the union from the collector.
+func (p *party) member(ctx context.Context, myFinal [][]byte) ([][]byte, error) {
+	collector := p.cfg.Ring[0]
+	if err := sendBatch(ctx, p.mb, collector, msgCollect, p.cfg.Session, 0, myFinal); err != nil {
+		return nil, err
 	}
-	msg, err := mb.Expect(ctx, msgResult, cfg.Session)
+	from, hops, bs, err := expectBatch(ctx, p.mb, msgDecrypt, p.cfg.Session)
+	if err != nil {
+		return nil, fmt.Errorf("union: awaiting decrypt batch: %w", err)
+	}
+	if from != p.prev {
+		return nil, fmt.Errorf("%w: %s batch from %s, not ring predecessor %s", smc.ErrProtocol, msgDecrypt, from, p.prev)
+	}
+	dec, err := p.key.DecryptBlocks(bs)
+	if err != nil {
+		return nil, fmt.Errorf("union: stripping layer: %w", err)
+	}
+	if err := sendBatch(ctx, p.mb, p.next, msgDecrypt, p.cfg.Session, hops+1, dec); err != nil {
+		return nil, err
+	}
+	if !smc.Contains(p.cfg.Receivers, p.mb.ID()) {
+		return nil, nil
+	}
+	from, _, bs, err = expectBatch(ctx, p.mb, msgResult, p.cfg.Session)
 	if err != nil {
 		return nil, fmt.Errorf("union: awaiting result: %w", err)
 	}
-	var body smc.RelayWire
-	if err := transport.Unmarshal(msg.Payload, &body); err != nil {
-		return nil, err
-	}
-	bs, err := body.Unpack()
-	if err != nil {
-		return nil, err
+	if from != collector {
+		return nil, fmt.Errorf("%w: %s from %s, not collector %s", smc.ErrProtocol, msgResult, from, collector)
 	}
 	return extractSorted(bs)
+}
+
+// expectBatch awaits the session's next typ message and returns its
+// sender, hop count and blocks.
+func expectBatch(ctx context.Context, mb *transport.Mailbox, typ, session string) (from string, hops int, blocks [][]byte, err error) {
+	msg, err := mb.Expect(ctx, typ, session)
+	if err != nil {
+		return "", 0, nil, err
+	}
+	var body smc.RelayWire
+	if err := transport.Unmarshal(msg.Payload, &body); err != nil {
+		return "", 0, nil, err
+	}
+	if blocks, err = body.Unpack(); err != nil {
+		return "", 0, nil, err
+	}
+	return msg.From, body.Hops, blocks, nil
+}
+
+// sortBlocks puts blocks in byte order.
+func sortBlocks(blocks [][]byte) {
+	sort.Slice(blocks, func(i, j int) bool { return bytes.Compare(blocks[i], blocks[j]) < 0 })
 }
 
 // extractSorted recovers the plaintexts embedded in blocks, in byte
@@ -258,7 +326,7 @@ func extractSorted(blocks [][]byte) ([][]byte, error) {
 		}
 		plain = append(plain, el)
 	}
-	sort.Slice(plain, func(i, j int) bool { return bytes.Compare(plain[i], plain[j]) < 0 })
+	sortBlocks(plain)
 	return plain, nil
 }
 

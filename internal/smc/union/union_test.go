@@ -212,8 +212,9 @@ func TestUnionConfigValidation(t *testing.T) {
 	}
 }
 
+// BenchmarkUnion3Party runs disjoint sets, so the collector holds a
+// third of the union.
 func BenchmarkUnion3Party(b *testing.B) {
-	ctx := context.Background()
 	ring := []string{"P0", "P1", "P2"}
 	sets := make(map[string][][]byte, 3)
 	for i, node := range ring {
@@ -223,13 +224,30 @@ func BenchmarkUnion3Party(b *testing.B) {
 		}
 		sets[node] = s
 	}
+	benchUnion(b, ring, sets)
+}
+
+// BenchmarkUnion2PartyOverlap is shaped like the union-small audit
+// query: the collector holds 50 elements, the other party 20, and 10
+// are shared, so the collector already holds 50 of the 60.
+func BenchmarkUnion2PartyOverlap(b *testing.B) {
+	benchUnion(b, []string{"P0", "P1"}, map[string][][]byte{
+		"P0": span(0, 50),
+		"P1": span(40, 60),
+	})
+}
+
+// benchUnion runs one union per iteration with ring[0], the collector,
+// as the only receiver.
+func benchUnion(b *testing.B, ring []string, sets map[string][][]byte) {
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := Config{
 			Group:     mathx.Oakley768,
 			Ring:      ring,
-			Receivers: []string{"P0"},
+			Receivers: ring[:1],
 			Session:   fmt.Sprintf("b%d", i),
 		}
 		if _, err := smctest.RunParties(ctx, ring, func(ctx context.Context, id string, mb *transport.Mailbox) (struct{}, error) {

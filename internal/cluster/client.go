@@ -389,11 +389,13 @@ func (c *Client) LogBatch(ctx context.Context, records []map[logmodel.Attr]logmo
 // storeRange is the write path's one store round, shared by LogBatch and
 // the Appender: it stores records under their already-granted glsns
 // [first, first+len(records)) and returns those glsns once every node
-// has acked (or spooled) its slice. Each record is split and digested.
-// Provenance signs the digest group element, so a signing writer
-// materializes it eagerly; otherwise only the digest exponent ships and
-// each node materializes the element lazily, keeping the fixed-base
-// evaluation off the write path. Each node then receives one
+// has acked (or spooled) its slice. Each record is split, and every node
+// is shipped the digest exponent and its own witness exponent; the node
+// materializes the group elements lazily, keeping the fixed-base
+// evaluation off the write path. Provenance signs the digest group
+// element, so only a signing writer computes it, to sign it; it still
+// ships the exponent, and every node re-derives the element from it.
+// Each node then receives one
 // MsgLogStoreBatch with all of its items, the nodes concurrently (see
 // deliverStore). Reused glsns make resends idempotent — a node that
 // already stored the items overwrites them with identical content — so
@@ -406,19 +408,16 @@ func (c *Client) storeRange(ctx context.Context, first logmodel.GLSN, records []
 		g := first + logmodel.GLSN(i)
 		glsns[i] = g
 		frags := c.part.Split(logmodel.Record{GLSN: g, Values: values})
-		var digest, dexp, prov *big.Int
-		var wits map[string]*big.Int
+		dexp, wits := c.witnessExponents(frags)
+		var prov *big.Int
 		if c.signer != nil {
-			digest, wits = c.digestAndWitnesses(frags)
 			var err error
-			if prov, err = c.signer.Sign(ProvenanceStatement(g, digest)); err != nil {
+			if prov, err = c.signer.Sign(ProvenanceStatement(g, c.acc.PowX0(dexp))); err != nil {
 				return nil, fmt.Errorf("cluster: signing provenance: %w", err)
 			}
-		} else {
-			dexp, wits = c.witnessExponents(frags)
 		}
 		for node, frag := range frags {
-			perNode[node] = append(perNode[node], batchItem{Fragment: frag, Digest: digest, DigestExp: dexp, Provenance: prov, WitnessExp: wits[node]})
+			perNode[node] = append(perNode[node], batchItem{Fragment: frag, DigestExp: dexp, Provenance: prov, WitnessExp: wits[node]})
 		}
 	}
 	var (
@@ -555,46 +554,13 @@ func sleepBackoff(ctx context.Context, backoff *time.Duration) error {
 	return nil
 }
 
-// RecordDigest computes A(x0, Log_0, ..., Log_{n-1}) over the record's
-// fragments — the digest every DLA node receives for later integrity
-// circulation. Accumulation is order independent (eq. 9), so node order
-// does not matter.
-func (c *Client) RecordDigest(rec logmodel.Record) *big.Int {
-	return c.digestOf(c.part.Split(rec))
-}
-
-// digestOf accumulates already-split fragments, letting the write path
-// split a record once instead of once per digest.
-func (c *Client) digestOf(frags map[string]logmodel.Fragment) *big.Int {
-	items := make([][]byte, 0, len(frags))
-	for _, node := range c.part.Nodes() {
-		items = append(items, frags[node].Canonical())
-	}
-	// One wide fixed-base evaluation of X0^(∏ e_i) instead of n chained
-	// exponentiations; identical result by commutativity (eq. 9).
-	_, total := c.acc.WitnessExponents(items)
-	return c.acc.PowX0(total)
-}
-
-// digestAndWitnesses computes the record digest together with every
-// node's membership-witness EXPONENT: ∏ of the other fragments' hash
-// exponents, two multiplication sweeps and one fixed-base evaluation
-// for the digest — no extra modular exponentiation on the write path.
-// Each node materializes the witness group element (X0^wexp) lazily,
-// the first time an integrity check needs it, and from then on verifies
-// with a single local exponentiation instead of recomputing all-but-one
-// accumulations at every check.
-func (c *Client) digestAndWitnesses(frags map[string]logmodel.Fragment) (*big.Int, map[string]*big.Int) {
-	total, wits := c.witnessExponents(frags)
-	return c.acc.PowX0(total), wits
-}
-
-// witnessExponents is digestAndWitnesses without the fixed-base
-// evaluation: it returns the digest EXPONENT (∏ of all fragments' hash
-// exponents) alongside the per-node witness exponents. The streaming
-// path ships the exponent and lets each node materialize the digest
-// group element lazily — the evaluation is the dominant per-record CPU
-// cost, and most records are never individually audited.
+// witnessExponents returns a record's digest EXPONENT (∏ of all
+// fragments' hash exponents) alongside every node's membership-witness
+// exponent (∏ of the OTHER fragments' hash exponents): two
+// multiplication sweeps, no modular exponentiation. The write path ships
+// both and each node materializes the group elements lazily — the
+// fixed-base evaluation is the dominant per-record CPU cost, and most
+// records are never individually audited.
 func (c *Client) witnessExponents(frags map[string]logmodel.Fragment) (*big.Int, map[string]*big.Int) {
 	nodes := c.part.Nodes()
 	items := make([][]byte, 0, len(nodes))

@@ -210,6 +210,38 @@ func TestStoreRejectsForeignGLSN(t *testing.T) {
 	}
 }
 
+// TestStoreRefusesItemWithoutExponents pins the check at the door: a
+// store item missing its digest or its witness exponent refuses the
+// whole batch before any state changes, instead of being installed and
+// then failing every integrity check with ErrNoDigest.
+func TestStoreRefusesItemWithoutExponents(t *testing.T) {
+	tc := startCluster(t)
+	ctx := testCtx(t)
+	c := tc.client(t, "u-door", "TDOOR", ticket.OpWrite, ticket.OpRead)
+	if err := c.RegisterTicket(ctx); err != nil {
+		t.Fatal(err)
+	}
+	g, err := c.RequestGLSNRange(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frags := c.part.Split(logmodel.Record{GLSN: g, Values: map[logmodel.Attr]logmodel.Value{"id": logmodel.String("U1")}})
+	dexp, wits := c.witnessExponents(frags)
+	node := tc.boot.Partition.Owner("id")
+	for name, item := range map[string]batchItem{
+		"no digest exponent":  {Fragment: frags[node], WitnessExp: wits[node]},
+		"no witness exponent": {Fragment: frags[node], DigestExp: dexp},
+	} {
+		msg := transport.NewBinaryMessage(node, MsgLogStoreBatch, "", &storeBatchBody{TicketID: c.tk.ID, Items: []batchItem{item}})
+		if err := c.deliverStore(ctx, msg, g, 1, AppendOptions{}.withDefaults(), false); err == nil {
+			t.Fatalf("%s: store accepted", name)
+		}
+		if _, ok := tc.nodes[node].Fragment(g); ok {
+			t.Fatalf("%s: refused item installed", name)
+		}
+	}
+}
+
 func TestReadRequiresGrant(t *testing.T) {
 	tc := startCluster(t)
 	ctx := testCtx(t)

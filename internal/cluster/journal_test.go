@@ -377,10 +377,10 @@ func writeTornTestJournal(t *testing.T, dir string) ([]byte, int) {
 	entries := []walEntry{
 		{Kind: "grant", TicketID: "T1", GLSN: 10},
 		{Kind: "grant", TicketID: "T1", GLSN: 11},
-		{Kind: "frag", Fragment: &logmodel.Fragment{
+		{Kind: "frag", Item: &batchItem{Fragment: logmodel.Fragment{
 			GLSN: 10, Node: "P1",
 			Values: map[logmodel.Attr]logmodel.Value{"id": logmodel.String("U1")},
-		}},
+		}}},
 		{Kind: "delete", GLSN: 11},
 	}
 	for _, e := range entries {
@@ -447,6 +447,30 @@ func TestReplayWALEmptyFile(t *testing.T) {
 	got, quar := recoverSegment(t, nil)
 	if len(got) != 0 || len(quar) != 0 {
 		t.Fatalf("empty segment replayed %d entries, quarantined %v", len(got), quar)
+	}
+}
+
+// TestReplayRefusesVersion1Journal pins the journal version: a record
+// written in version 1, whose frag entries copied the store item's
+// fields instead of carrying the item, is refused by its version number
+// rather than misread.
+func TestReplayRefusesVersion1Journal(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	// A version-1 grant entry: kind code, no ticket, ticket id "T1",
+	// glsn 5, count 1, no fragment, four absent big integers.
+	v1 := []byte{walBinMagic, 1, 2, 0, 2, 'T', '1', 5, 1, 0, 0, 0, 0, 0}
+	if err := st.Append(storage.Record{Kind: "grant", GLSN: 5, Data: v1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = openStore(t, dir)
+	defer st.Close() //nolint:errcheck
+	err := replayStore(st, func(walEntry) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("replaying a version-1 record: err = %v, want a refusal naming version 1", err)
 	}
 }
 

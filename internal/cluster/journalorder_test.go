@@ -26,11 +26,10 @@ import (
 func stagedFragEntries(n int) []walEntry {
 	entries := make([]walEntry, n)
 	for i := range entries {
-		frag := &logmodel.Fragment{
+		entries[i] = walEntry{Kind: "frag", Item: &batchItem{Fragment: logmodel.Fragment{
 			GLSN: logmodel.GLSN(10 + i), Node: "P1",
 			Values: map[logmodel.Attr]logmodel.Value{"C1": logmodel.Int(int64(i))},
-		}
-		entries[i] = walEntry{Kind: "frag", Fragment: frag}
+		}}}
 	}
 	return entries
 }

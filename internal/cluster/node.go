@@ -120,23 +120,8 @@ type Node struct {
 	accParams *accumulator.Params
 	mb        *transport.Mailbox
 
-	mu      sync.RWMutex
-	frags   map[logmodel.GLSN]logmodel.Fragment
-	digests map[logmodel.GLSN]*big.Int
-	provs   map[logmodel.GLSN]*big.Int
-	// witExps holds the membership-witness EXPONENT of THIS node's
-	// fragment in each record digest — the product of the OTHER
-	// fragments' hash exponents, shipped by the writer — so appends pay
-	// only a big-integer install. witCache holds the materialized group
-	// element X0^wexp, computed lazily the first time an integrity check
-	// needs it and reused thereafter.
-	witExps  map[logmodel.GLSN]*big.Int
-	witCache map[logmodel.GLSN]*big.Int
-	// digExps holds the record-digest EXPONENT for records whose writer
-	// deferred digest materialization (any writer without a provenance
-	// signer). Digest() materializes X0^dexp lazily into
-	// digests on first use, mirroring the witness path.
-	digExps  map[logmodel.GLSN]*big.Int
+	mu       sync.RWMutex
+	recs     map[logmodel.GLSN]*heldRecord
 	acl      *ticket.AccessTable
 	nextGLSN logmodel.GLSN
 	// grantLog holds every applied grant range in glsn order: the
@@ -197,12 +182,7 @@ func New(cfg Config, mb *transport.Mailbox) (*Node, error) {
 		peerKeys:  cfg.PeerKeys,
 		accParams: cfg.AccParams,
 		mb:        mb,
-		frags:     make(map[logmodel.GLSN]logmodel.Fragment),
-		digests:   make(map[logmodel.GLSN]*big.Int),
-		provs:     make(map[logmodel.GLSN]*big.Int),
-		witExps:   make(map[logmodel.GLSN]*big.Int),
-		witCache:  make(map[logmodel.GLSN]*big.Int),
-		digExps:   make(map[logmodel.GLSN]*big.Int),
+		recs:      make(map[logmodel.GLSN]*heldRecord),
 		acl:       ticket.NewAccessTable(cfg.TicketIssuer),
 		nextGLSN:  first,
 		idx:       make(map[logmodel.Attr]*attrIndex),
@@ -248,7 +228,7 @@ func (n *Node) StorageStatus() storage.Status {
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return storage.Status{Backend: storage.BackendMemory, Records: int64(len(n.frags))}
+	return storage.Status{Backend: storage.BackendMemory, Records: int64(len(n.recs))}
 }
 
 // ID returns the node's cluster identity.
@@ -646,14 +626,14 @@ func ProvenanceStatement(g logmodel.GLSN, digest *big.Int) []byte {
 }
 
 // batchItem is one record's slice of a store batch: this node's
-// fragment and the record's accumulator material.
+// fragment and the record's accumulator material. It is the node's unit
+// of record state: the writer ships it, the node holds it (heldRecord),
+// journals it and replays it, all in one codec (appendBatchItem).
 type batchItem struct {
 	Fragment logmodel.Fragment `json:"fragment"`
-	// Digest is the record digest's group element. DigestExp carries its
-	// exponent instead when the writer defers materialization (no
-	// provenance signer); the node then materializes the element lazily
-	// (see Node.Digest). Exactly one of the two is set.
-	Digest    *big.Int `json:"digest,omitempty"`
+	// DigestExp is the record digest's exponent, the product of every
+	// fragment's hash exponent; the node materializes the group element
+	// X0^dexp lazily (see Node.Digest).
 	DigestExp *big.Int `json:"dexp,omitempty"`
 	// Provenance optionally carries the writer's signature over the
 	// record digest (see ProvenanceStatement), making the record
@@ -664,6 +644,16 @@ type batchItem struct {
 	// node materialize X0^wexp once and then verify its slice with one
 	// exponentiation instead of a ring circulation.
 	WitnessExp *big.Int `json:"wexp,omitempty"`
+}
+
+// heldRecord is what a node holds for one glsn: the item it installed
+// plus the two group elements materialized lazily from the item's
+// exponents (nil until first asked for). An (over)write installs a fresh
+// heldRecord, so a cached element never outlives its content.
+type heldRecord struct {
+	item    batchItem
+	digest  *big.Int // X0^item.DigestExp
+	witness *big.Int // X0^item.WitnessExp
 }
 
 // storeBatchBody is the body of MsgLogStoreBatch, the one store
@@ -801,7 +791,7 @@ func (n *Node) storeFragmentBatch(body *storeBatchBody) error {
 	for _, a := range n.part.NodeAttrs(n.id) {
 		allowed[a] = struct{}{}
 	}
-	wits := 0
+	entries := make([]walEntry, len(body.Items))
 	for i := range body.Items {
 		item := &body.Items[i]
 		if err := n.acl.Authorize(body.TicketID, ticket.OpWrite, item.Fragment.GLSN); err != nil {
@@ -815,19 +805,12 @@ func (n *Node) storeFragmentBatch(body *storeBatchBody) error {
 				return fmt.Errorf("cluster: fragment carries attribute %q outside A_%s", a, n.id)
 			}
 		}
-		if item.WitnessExp != nil {
-			wits++
+		if item.DigestExp == nil || item.WitnessExp == nil {
+			return fmt.Errorf("cluster: store item %s lacks its digest or witness exponent", item.Fragment.GLSN)
 		}
-	}
-	// Build the journal entries before any lock: the installed fragment
-	// differs from the shipped one only by Node being stamped with this
-	// node's ID, which storeLocked applies identically.
-	entries := make([]walEntry, len(body.Items))
-	for i := range body.Items {
-		item := &body.Items[i]
-		frag := item.Fragment
-		frag.Node = n.id
-		entries[i] = walEntry{Kind: "frag", Fragment: &frag, Digest: item.Digest, DigestExp: item.DigestExp, Prov: item.Provenance, WitnessExp: item.WitnessExp}
+		// The journal carries the item as shipped; replay installs it
+		// through the same storeLocked.
+		entries[i] = walEntry{Kind: "frag", Item: item}
 	}
 	pipeline := n.journal != nil && len(body.Items) >= ingestFanoutThreshold
 	var staged *storeStagedBatch
@@ -845,9 +828,7 @@ func (n *Node) storeFragmentBatch(body *storeBatchBody) error {
 	for i := range body.Items {
 		n.storeLocked(&body.Items[i])
 	}
-	if wits > 0 {
-		telemetry.M.Counter(telemetry.CtrWitnessUpdates).Add(int64(wits))
-	}
+	telemetry.M.Counter(telemetry.CtrWitnessUpdates).Add(int64(len(body.Items)))
 	if !pipeline {
 		defer n.mu.Unlock()
 		return n.journal.appendBatch(entries)
@@ -862,57 +843,32 @@ func (n *Node) storeFragmentBatch(body *storeBatchBody) error {
 	return err
 }
 
-// storeLocked installs one validated item and maintains the attribute
+// storeLocked installs one validated item as a fresh heldRecord, with
+// the fragment stamped with this node's ID, and maintains the attribute
 // indexes. It is the node's only install: the live store path and
 // journal replay both call it. Caller holds n.mu (replay runs before
 // the node is shared).
 func (n *Node) storeLocked(item *batchItem) {
-	frag := item.Fragment
-	frag.Node = n.id
-	g := frag.GLSN
-	if old, ok := n.frags[g]; ok {
-		n.indexRemove(old)
+	rec := &heldRecord{item: *item}
+	rec.item.Fragment.Node = n.id
+	g := rec.item.Fragment.GLSN
+	if old, ok := n.recs[g]; ok {
+		n.indexRemove(old.item.Fragment)
 	}
-	n.frags[g] = frag
-	n.indexAdd(frag)
-	if item.Digest != nil {
-		n.digests[g] = item.Digest
-		delete(n.digExps, g)
-	} else if item.DigestExp != nil {
-		n.digExps[g] = item.DigestExp
-		// An overwrite with a deferred digest invalidates any eagerly (or
-		// lazily) materialized element for the old content.
-		delete(n.digests, g)
-	}
-	if item.Provenance != nil {
-		n.provs[g] = item.Provenance
-	}
-	// Any (over)write invalidates a previously materialized witness: the
-	// digest changed and the stale element would falsely refute.
-	delete(n.witCache, g)
-	if item.WitnessExp != nil {
-		n.witExps[g] = item.WitnessExp
-	} else {
-		delete(n.witExps, g)
-	}
+	n.recs[g] = rec
+	n.indexAdd(rec.item.Fragment)
 }
 
-// removeLocked drops a record's fragment, index entries, digest,
-// provenance and witness, reporting whether the fragment was present.
-// It is the node's only remove, shared by deleteFragment and journal
-// replay. Caller holds n.mu.
+// removeLocked drops a record and its index entries, reporting whether
+// it was present. It is the node's only remove, shared by
+// deleteFragment and journal replay. Caller holds n.mu.
 func (n *Node) removeLocked(g logmodel.GLSN) bool {
-	frag, ok := n.frags[g]
+	rec, ok := n.recs[g]
 	if !ok {
 		return false
 	}
-	n.indexRemove(frag)
-	delete(n.frags, g)
-	delete(n.digests, g)
-	delete(n.digExps, g)
-	delete(n.provs, g)
-	delete(n.witExps, g)
-	delete(n.witCache, g)
+	n.indexRemove(rec.item.Fragment)
+	delete(n.recs, g)
 	return true
 }
 
@@ -951,9 +907,7 @@ func (n *Node) readFragment(ticketID string, g logmodel.GLSN) (logmodel.Fragment
 	if err := n.acl.Authorize(ticketID, ticket.OpRead, g); err != nil {
 		return logmodel.Fragment{}, err
 	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	frag, ok := n.frags[g]
+	frag, ok := n.Fragment(g)
 	if !ok {
 		return logmodel.Fragment{}, fmt.Errorf("%w: %s", ErrUnknownGLSN, g)
 	}
@@ -997,69 +951,60 @@ func (n *Node) deleteFragment(ticketID string, g logmodel.GLSN) error {
 func (n *Node) Fragment(g logmodel.GLSN) (logmodel.Fragment, bool) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	f, ok := n.frags[g]
-	return f, ok
+	if rec, ok := n.recs[g]; ok {
+		return rec.item.Fragment, true
+	}
+	return logmodel.Fragment{}, false
 }
 
-// Digest returns the record digest for a glsn. A provenance-signing
-// writer ships the group element directly; every other writer ships its
-// exponent and defers materialization to the first reader, in which
-// case this call pays one fixed-base exponentiation (outside the state
-// lock) and memoizes the element.
+// Digest returns the record digest for a glsn: the group element
+// X0^dexp of the writer-shipped digest exponent, materialized on first
+// use (see materialize).
 func (n *Node) Digest(g logmodel.GLSN) (*big.Int, bool) {
-	for {
-		n.mu.RLock()
-		if d, ok := n.digests[g]; ok {
-			n.mu.RUnlock()
-			return d, true
-		}
-		e, ok := n.digExps[g]
-		n.mu.RUnlock()
-		if !ok {
-			return nil, false
-		}
-		d := n.accParams.PowX0(e)
-		n.mu.Lock()
-		if cur, still := n.digExps[g]; still && cur.Cmp(e) == 0 {
-			n.digests[g] = d
-			n.mu.Unlock()
-			return d, true
-		}
-		// The record was overwritten or deleted while materializing;
-		// retry against the current state.
-		n.mu.Unlock()
-	}
+	return n.materialize(g, func(r *heldRecord) (*big.Int, **big.Int) {
+		return r.item.DigestExp, &r.digest
+	})
 }
 
 // Witness returns this node's membership witness for a glsn — the group
-// element X0^wexp — when the writer supplied a witness exponent.
-// Materialization is lazy: the first call pays one fixed-base
-// exponentiation (outside the state lock) and caches the element;
-// integrity checks then verify the local fragment against the record
-// digest without circulating the ring.
+// element X0^wexp of the writer-shipped witness exponent, materialized
+// on first use (see materialize). Integrity checks then verify the local
+// fragment against the record digest without circulating the ring.
 func (n *Node) Witness(g logmodel.GLSN) (*big.Int, bool) {
-	for {
-		n.mu.RLock()
-		if w, ok := n.witCache[g]; ok {
-			n.mu.RUnlock()
-			return w, true
-		}
-		e, ok := n.witExps[g]
-		n.mu.RUnlock()
-		if !ok {
-			return nil, false
-		}
-		w := n.accParams.PowX0(e)
-		n.mu.Lock()
-		if cur, still := n.witExps[g]; still && cur.Cmp(e) == 0 {
-			n.witCache[g] = w
-			n.mu.Unlock()
-			return w, true
-		}
-		// The record was overwritten or deleted while materializing;
-		// retry against the current state.
-		n.mu.Unlock()
+	return n.materialize(g, func(r *heldRecord) (*big.Int, **big.Int) {
+		return r.item.WitnessExp, &r.witness
+	})
+}
+
+// materialize returns X0^e for the exponent e that field picks out of
+// g's held record, with the cache slot it memoizes the element in. The
+// first call pays one fixed-base exponentiation outside the state lock;
+// the element is cached only if g still holds the same record, so an
+// overwrite or delete in between drops it with the old content.
+func (n *Node) materialize(g logmodel.GLSN, field func(*heldRecord) (*big.Int, **big.Int)) (*big.Int, bool) {
+	var exp, elem *big.Int
+	n.mu.RLock()
+	rec, ok := n.recs[g]
+	if ok {
+		var cache **big.Int
+		exp, cache = field(rec)
+		elem = *cache
 	}
+	n.mu.RUnlock()
+	if elem != nil {
+		return elem, true
+	}
+	if exp == nil {
+		return nil, false
+	}
+	elem = n.accParams.PowX0(exp)
+	n.mu.Lock()
+	if n.recs[g] == rec {
+		_, cache := field(rec)
+		*cache = elem
+	}
+	n.mu.Unlock()
+	return elem, true
 }
 
 // Provenance returns the writer's non-repudiation signature for a glsn,
@@ -1067,8 +1012,10 @@ func (n *Node) Witness(g logmodel.GLSN) (*big.Int, bool) {
 func (n *Node) Provenance(g logmodel.GLSN) (*big.Int, bool) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	p, ok := n.provs[g]
-	return p, ok
+	if rec, ok := n.recs[g]; ok && rec.item.Provenance != nil {
+		return rec.item.Provenance, true
+	}
+	return nil, false
 }
 
 // VerifyProvenance checks a writer's non-repudiation signature: the
@@ -1077,9 +1024,7 @@ func (n *Node) Provenance(g logmodel.GLSN) (*big.Int, bool) {
 // the signature does not verify.
 func (n *Node) VerifyProvenance(g logmodel.GLSN, writer blind.PublicKey) error {
 	digest, haveDigest := n.Digest(g)
-	n.mu.RLock()
-	sig, haveSig := n.provs[g]
-	n.mu.RUnlock()
+	sig, haveSig := n.Provenance(g)
 	if !haveDigest {
 		return fmt.Errorf("%w: no digest for %s", ErrUnknownGLSN, g)
 	}
@@ -1096,8 +1041,8 @@ func (n *Node) VerifyProvenance(g logmodel.GLSN, writer blind.PublicKey) error {
 func (n *Node) GLSNs() []logmodel.GLSN {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	out := make([]logmodel.GLSN, 0, len(n.frags))
-	for g := range n.frags {
+	out := make([]logmodel.GLSN, 0, len(n.recs))
+	for g := range n.recs {
 		out = append(out, g)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -1106,20 +1051,21 @@ func (n *Node) GLSNs() []logmodel.GLSN {
 
 // TamperFragment overwrites a stored fragment's attribute value without
 // any authorization — a test-only hook simulating a compromised node
-// (paper §4.1). It returns false if the glsn or attribute is absent.
+// (paper §4.1). The record's digest and witness are left as they were.
+// It returns false if the glsn or attribute is absent.
 func (n *Node) TamperFragment(g logmodel.GLSN, attr logmodel.Attr, v logmodel.Value) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	frag, ok := n.frags[g]
+	rec, ok := n.recs[g]
 	if !ok {
 		return false
 	}
+	frag := rec.item.Fragment
 	if _, ok := frag.Values[attr]; !ok {
 		return false
 	}
 	n.indexRemove(frag)
 	frag.Values[attr] = v
-	n.frags[g] = frag
 	n.indexAdd(frag)
 	return true
 }

@@ -103,7 +103,7 @@ func TestOutboxSpoolReplaysBinaryStoreBatch(t *testing.T) {
 			t.Fatalf("glsn %s: id = %v, want %v", g, frag.Values["id"], want)
 		}
 		node.mu.RLock()
-		exp := node.digExps[g]
+		exp := node.recs[g].item.DigestExp
 		node.mu.RUnlock()
 		if exp == nil {
 			t.Fatalf("glsn %s: digest exponent missing after replay", g)

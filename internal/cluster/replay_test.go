@@ -18,19 +18,27 @@ type indexProbe struct {
 	val  logmodel.Value
 }
 
+// recordItems returns a record's fragments as the accumulator hashes
+// them, in partition node order: AccumulateAll of them is the record
+// digest by definition, and Witness(items, i) the i-th node's witness.
+func recordItems(c *Client, rec logmodel.Record) [][]byte {
+	frags := c.part.Split(rec)
+	nodes := c.part.Nodes()
+	items := make([][]byte, 0, len(nodes))
+	for _, node := range nodes {
+		items = append(items, frags[node].Canonical())
+	}
+	return items
+}
+
 // stateSnapshot renders what every node answers about each glsn — its
-// fragment, digest, witness, provenance, and whether the digest is held
-// as a writer-shipped exponent — plus the index lookup of every probe.
-// The exponent flag is read before Digest, which memoizes the element.
+// fragment, digest, witness and provenance — plus the index lookup of
+// every probe.
 func stateSnapshot(tc *testCluster, gs []logmodel.GLSN, probes []indexProbe) map[string]string {
 	out := make(map[string]string)
 	for id, n := range tc.nodes {
 		for _, g := range gs {
 			key := id + "/" + g.String() + "/"
-			n.mu.RLock()
-			_, deferred := n.digExps[g]
-			n.mu.RUnlock()
-			out[key+"dexp"] = fmt.Sprint(deferred)
 			if f, ok := n.Fragment(g); ok {
 				out[key+"frag"] = fmt.Sprint(f)
 			}
@@ -52,13 +60,36 @@ func stateSnapshot(tc *testCluster, gs []logmodel.GLSN, probes []indexProbe) map
 	return out
 }
 
+// diffSnapshots reports every answer on which got differs from the live
+// snapshot want.
+func diffSnapshots(t *testing.T, label string, want, got map[string]string) {
+	t.Helper()
+	bad := 0
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s: %s: live %q, got %q", label, k, v, got[k])
+			bad++
+		}
+	}
+	for k, v := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("%s: %s: absent live, got %q", label, k, v)
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%s: %d of %d answers differ from live", label, bad, len(want))
+	}
+}
+
 // TestReplayMatchesLiveState writes every kind of fragment mutation to a
-// durable cluster: unsigned Appender records (digest exponent only),
-// signed overwrites and a signed LogBatch (digest element and
-// provenance), an unsigned overwrite of a signed record, and deletes.
-// Live, every node's digest must match the record content it holds. A
-// restart from the segment stores must then reproduce every node's
-// answers exactly.
+// durable cluster: unsigned Appender records, signed overwrites and a
+// signed LogBatch (with provenance), an unsigned overwrite of a signed
+// record, and deletes. Live, every node's digest must match the record
+// content it holds, and the unsigned overwrite must drop the old
+// content's provenance. A restart from the segment stores must then
+// reproduce every node's answers exactly, and so must a second restart
+// after every node compacted its store into a snapshot.
 func TestReplayMatchesLiveState(t *testing.T) {
 	root := t.TempDir()
 	ctx := testCtx(t)
@@ -98,7 +129,7 @@ func TestReplayMatchesLiveState(t *testing.T) {
 		wrote(gs[i], appendRecord(i))
 	}
 	// Materialize some lazy elements live, so an overwrite has cached
-	// state to invalidate.
+	// state to drop.
 	for _, node := range tc.nodes {
 		node.Digest(gs[2])
 		node.Witness(gs[2])
@@ -127,8 +158,8 @@ func TestReplayMatchesLiveState(t *testing.T) {
 	}
 	all := append(append([]logmodel.GLSN(nil), gs...), sgs...)
 
-	// An unsigned overwrite of a signed record: the digest element of the
-	// old content must not survive the new exponent.
+	// An unsigned overwrite of a signed record: neither the digest element
+	// nor the provenance of the old content may survive it.
 	c.SetSigner(nil)
 	if _, err := c.storeRange(ctx, gs[2], []map[logmodel.Attr]logmodel.Value{appendRecord(200)}, AppendOptions{}.withDefaults()); err != nil {
 		t.Fatalf("unsigned overwrite: %v", err)
@@ -142,33 +173,31 @@ func TestReplayMatchesLiveState(t *testing.T) {
 	}
 
 	for g, values := range current {
-		want := c.RecordDigest(logmodel.Record{GLSN: g, Values: values})
+		want := c.acc.AccumulateAll(recordItems(c, logmodel.Record{GLSN: g, Values: values}))
 		for id, node := range tc.nodes {
 			if d, ok := node.Digest(g); !ok || d.Cmp(want) != 0 {
 				t.Fatalf("%s: live digest of %s does not match its content", id, g)
 			}
 		}
 	}
+	for id, node := range tc.nodes {
+		if _, ok := node.Provenance(gs[2]); ok {
+			t.Fatalf("%s: provenance of %s survived an unsigned overwrite", id, gs[2])
+		}
+	}
 	live := stateSnapshot(tc, all, probes)
 	stop()
 
 	tc2, stop2 := durableCluster(t, root)
-	defer stop2()
-	replayed := stateSnapshot(tc2, all, probes)
-	bad := 0
-	for k, v := range live {
-		if replayed[k] != v {
-			t.Errorf("%s: live %q, replayed %q", k, v, replayed[k])
-			bad++
+	diffSnapshots(t, "replayed", live, stateSnapshot(tc2, all, probes))
+	for id, node := range tc2.nodes {
+		if err := node.CompactStorage(); err != nil {
+			t.Errorf("%s: compacting: %v", id, err)
 		}
 	}
-	for k, v := range replayed {
-		if _, ok := live[k]; !ok {
-			t.Errorf("%s: absent live, replayed %q", k, v)
-			bad++
-		}
-	}
-	if bad > 0 {
-		t.Fatalf("%d of %d answers differ after replay", bad, len(live))
-	}
+	stop2()
+
+	tc3, stop3 := durableCluster(t, root)
+	defer stop3()
+	diffSnapshots(t, "replayed after compaction", live, stateSnapshot(tc3, all, probes))
 }

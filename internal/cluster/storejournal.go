@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math/big"
 	"slices"
 	"sync"
 	"time"
@@ -26,27 +25,22 @@ import (
 type walEntry struct {
 	Kind string `json:"kind"` // "ticket" | "grant" | "frag" | "delete"
 
-	Ticket   *wireTicket        `json:"ticket,omitempty"`
-	TicketID string             `json:"ticket_id,omitempty"`
-	GLSN     logmodel.GLSN      `json:"glsn,omitempty"`
-	Count    int                `json:"count,omitempty"` // grant range size; 0/absent means 1
-	Fragment *logmodel.Fragment `json:"fragment,omitempty"`
-	Digest   *big.Int           `json:"digest,omitempty"`
-	// DigestExp is the writer-shipped digest exponent for records whose
-	// digest element is materialized lazily (see Node.Digest).
-	DigestExp *big.Int `json:"dexp,omitempty"`
-	Prov      *big.Int `json:"prov,omitempty"`
-	// WitnessExp is the writer-shipped membership-witness exponent; the
-	// group element is rematerialized lazily after replay, never stored.
-	WitnessExp *big.Int `json:"wexp,omitempty"`
+	Ticket   *wireTicket   `json:"ticket,omitempty"`
+	TicketID string        `json:"ticket_id,omitempty"`
+	GLSN     logmodel.GLSN `json:"glsn,omitempty"`
+	Count    int           `json:"count,omitempty"` // grant range size; 0/absent means 1
+	// Item is the store item a "frag" entry installs, in the wire
+	// codec's item encoding; replay hands it to storeLocked as is.
+	Item *batchItem `json:"item,omitempty"`
 }
 
 // A journal record's payload opens with this magic/version prefix,
 // followed by the entry's compact wire encoding from wirecodec.go. The
-// segment store frames and checksums records itself.
+// segment store frames and checksums records itself. Version 2 carries
+// a "frag" entry's store item whole; replay refuses every other version.
 const (
 	walBinMagic   = 0xDA
-	walBinVersion = 1
+	walBinVersion = 2
 )
 
 // storeJournal is a node's journal: it carries walEntries into a
@@ -78,8 +72,8 @@ func entryRecord(e *walEntry) (storage.Record, error) {
 	}
 	telemetry.M.Counter(telemetry.CtrWALBinaryRecords).Add(1)
 	g := uint64(e.GLSN)
-	if e.Fragment != nil {
-		g = uint64(e.Fragment.GLSN)
+	if e.Item != nil {
+		g = uint64(e.Item.Fragment.GLSN)
 	}
 	return storage.Record{Kind: e.Kind, GLSN: g, Data: data}, nil
 }
@@ -261,11 +255,15 @@ func (j *storeJournal) Close() error {
 
 // replayStore streams a store's surviving records back as walEntries.
 // Every payload is the magic/version prefix plus a binary entry; any
-// other payload is corruption.
+// other payload is corruption, and one of another version is refused
+// by its number: there is no upgrade path between versions.
 func replayStore(s storage.Store, fn func(walEntry) error) error {
 	return s.Replay(func(rec storage.Record) error {
-		if len(rec.Data) < 2 || rec.Data[0] != walBinMagic || rec.Data[1] != walBinVersion {
-			return fmt.Errorf("cluster: decoding journal record (kind %q): not a version-%d binary entry", rec.Kind, walBinVersion)
+		if len(rec.Data) < 2 || rec.Data[0] != walBinMagic {
+			return fmt.Errorf("cluster: decoding journal record (kind %q): not a binary journal entry", rec.Kind)
+		}
+		if v := rec.Data[1]; v != walBinVersion {
+			return fmt.Errorf("cluster: decoding journal record (kind %q): journal version %d, this build reads only version %d", rec.Kind, v, walBinVersion)
 		}
 		e, err := decodeWALEntry(rec.Data[2:])
 		if err != nil {
@@ -290,7 +288,7 @@ func (n *Node) CompactStorage() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ids := n.acl.TicketIDs()
-	entries := make([]walEntry, 0, len(ids)+len(n.grantLog)+len(n.frags))
+	entries := make([]walEntry, 0, len(ids)+len(n.grantLog)+len(n.recs))
 	for _, id := range ids {
 		tk, _ := n.acl.Ticket(id)
 		wt := ToWire(tk)
@@ -299,21 +297,8 @@ func (n *Node) CompactStorage() error {
 	for _, r := range n.grantLog {
 		entries = append(entries, walEntry{Kind: "grant", TicketID: r.TicketID, GLSN: r.First, Count: r.Count})
 	}
-	for g := range n.frags {
-		frag := n.frags[g]
-		e := walEntry{Kind: "frag", Fragment: &frag}
-		if d, ok := n.digests[g]; ok {
-			e.Digest = d
-		} else if x, ok := n.digExps[g]; ok {
-			e.DigestExp = x
-		}
-		if p, ok := n.provs[g]; ok {
-			e.Prov = p
-		}
-		if w, ok := n.witExps[g]; ok {
-			e.WitnessExp = w
-		}
-		entries = append(entries, e)
+	for _, rec := range n.recs {
+		entries = append(entries, walEntry{Kind: "frag", Item: &rec.item})
 	}
 	return n.journal.rewrite(entries)
 }
@@ -359,10 +344,10 @@ func (n *Node) applyWALEntry(e walEntry) error {
 		}
 		n.grantLog = append(n.grantLog, r) // ordered once replay ends (orderGrantLog)
 	case "frag":
-		if e.Fragment == nil {
-			return errors.New("cluster: journal frag entry without fragment")
+		if e.Item == nil {
+			return errors.New("cluster: journal frag entry without store item")
 		}
-		n.storeLocked(&batchItem{Fragment: *e.Fragment, Digest: e.Digest, DigestExp: e.DigestExp, Provenance: e.Prov, WitnessExp: e.WitnessExp})
+		n.storeLocked(e.Item)
 	case "delete":
 		n.removeLocked(e.GLSN)
 	default:

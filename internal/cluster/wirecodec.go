@@ -21,10 +21,10 @@ import (
 // Each implements transport.BinaryBody with a compact uvarint encoding,
 // so accumulator big-integers travel as raw bytes rather than decimal
 // text and the bodies ride the zero-copy pooled-frame path on every
-// transport. The journal entry encoding (appendWALEntry) reuses the
-// same field layout, so wire decode and journal encode share one code
-// path. The bodies keep their JSON tags only as the reference encoding
-// the differential fuzz tests compare against.
+// transport. A journal "frag" entry (appendWALEntry) carries its store
+// item in the item encoding itself, so a store item has one encoding on
+// the wire and on disk. The bodies keep their JSON tags only as the
+// reference encoding the differential fuzz tests compare against.
 //
 // Layout conventions (all integers uvarint unless noted):
 //
@@ -44,6 +44,11 @@ import (
 // Only sizes and counts are visible in the framing — the secondary
 // information Definition 1 permits; attribute values and ciphertext
 // appear exactly as opaque runs.
+//
+// Decoding is canonical: an overlong varint, a big integer with a
+// leading zero byte or a negative zero, and fragment attributes out of
+// order or repeated are refused, so every accepted encoding is the one
+// the encoder writes.
 
 // errBadWire reports a hostile or truncated binary cluster body.
 var errBadWire = errors.New("cluster: bad wire encoding")
@@ -162,6 +167,9 @@ func (d *wireDec) num() (uint64, error) {
 	if sz <= 0 {
 		return 0, fmt.Errorf("%w: truncated varint", errBadWire)
 	}
+	if sz != uvarintLen(v) {
+		return 0, fmt.Errorf("%w: overlong varint", errBadWire)
+	}
 	d.rest = d.rest[sz:]
 	return v, nil
 }
@@ -239,6 +247,12 @@ func (d *wireDec) big() (*big.Int, error) {
 	if err != nil {
 		return nil, err
 	}
+	if n > 0 && b[0] == 0 {
+		return nil, fmt.Errorf("%w: big integer with a leading zero byte", errBadWire)
+	}
+	if n == 0 && tag[0] == 2 {
+		return nil, fmt.Errorf("%w: negative zero", errBadWire)
+	}
 	v := new(big.Int).SetBytes(b)
 	if tag[0] == 2 {
 		v.Neg(v)
@@ -292,11 +306,16 @@ func (d *wireDec) fragment() (logmodel.Fragment, error) {
 		return f, fmt.Errorf("%w: fragment claims %d values in %d bytes", errBadWire, count, len(d.rest))
 	}
 	f.Values = make(map[logmodel.Attr]logmodel.Value, count)
+	prev := ""
 	for i := 0; i < count; i++ {
 		a, err := d.str()
 		if err != nil {
 			return f, err
 		}
+		if i > 0 && a <= prev {
+			return f, fmt.Errorf("%w: fragment attributes out of order", errBadWire)
+		}
+		prev = a
 		v, err := d.value()
 		if err != nil {
 			return f, err
@@ -317,25 +336,22 @@ func (d *wireDec) done() error {
 // --- batchItem / storeBatchBody ---
 
 func sizeBatchItem(it *batchItem) int {
-	return sizeFragment(&it.Fragment) + sizeBig(it.Digest) + sizeBig(it.DigestExp) +
+	return sizeFragment(&it.Fragment) + sizeBig(it.DigestExp) +
 		sizeBig(it.Provenance) + sizeBig(it.WitnessExp)
 }
 
 func appendBatchItem(dst []byte, it *batchItem) []byte {
 	dst = appendFragment(dst, &it.Fragment)
-	dst = appendBig(dst, it.Digest)
 	dst = appendBig(dst, it.DigestExp)
 	dst = appendBig(dst, it.Provenance)
 	return appendBig(dst, it.WitnessExp)
 }
 
-func decodeBatchItem(src []byte, it *batchItem) error {
-	d := wireDec{rest: src}
+// item decodes one store item at the cursor: a store body's item run
+// and the tail of a journal "frag" entry alike.
+func (d *wireDec) item(it *batchItem) error {
 	var err error
 	if it.Fragment, err = d.fragment(); err != nil {
-		return err
-	}
-	if it.Digest, err = d.big(); err != nil {
 		return err
 	}
 	if it.DigestExp, err = d.big(); err != nil {
@@ -344,7 +360,13 @@ func decodeBatchItem(src []byte, it *batchItem) error {
 	if it.Provenance, err = d.big(); err != nil {
 		return err
 	}
-	if it.WitnessExp, err = d.big(); err != nil {
+	it.WitnessExp, err = d.big()
+	return err
+}
+
+func decodeBatchItem(src []byte, it *batchItem) error {
+	d := wireDec{rest: src}
+	if err := d.item(it); err != nil {
 		return err
 	}
 	return d.done()
@@ -708,16 +730,16 @@ func walEntrySize(e *walEntry) int {
 	n += sizeString(e.TicketID)
 	n += uvarintLen(uint64(e.GLSN))
 	n += uvarintLen(uint64(e.Count))
-	n++ // fragment presence flag
-	if e.Fragment != nil {
-		n += sizeFragment(e.Fragment)
+	n++ // item presence flag
+	if e.Item != nil {
+		n += sizeBatchItem(e.Item)
 	}
-	return n + sizeBig(e.Digest) + sizeBig(e.DigestExp) + sizeBig(e.Prov) + sizeBig(e.WitnessExp)
+	return n
 }
 
-// appendWALEntry appends the binary payload of one journal entry —
-// the same field encodings the wire bodies use, so the journal shares
-// the wire layout.
+// appendWALEntry appends the binary payload of one journal entry, in
+// the wire bodies' field encodings; a "frag" entry's store item is the
+// wire item encoding itself.
 func appendWALEntry(dst []byte, e *walEntry) ([]byte, error) {
 	code, ok := walKindCode[e.Kind]
 	if !ok {
@@ -733,17 +755,11 @@ func appendWALEntry(dst []byte, e *walEntry) ([]byte, error) {
 	dst = appendString(dst, e.TicketID)
 	dst = binary.AppendUvarint(dst, uint64(e.GLSN))
 	dst = binary.AppendUvarint(dst, uint64(e.Count))
-	if e.Fragment == nil {
-		dst = append(dst, 0)
-	} else {
-		dst = append(dst, 1)
-		dst = appendFragment(dst, e.Fragment)
+	if e.Item == nil {
+		return append(dst, 0), nil
 	}
-	dst = appendBig(dst, e.Digest)
-	dst = appendBig(dst, e.DigestExp)
-	dst = appendBig(dst, e.Prov)
-	dst = appendBig(dst, e.WitnessExp)
-	return dst, nil
+	dst = append(dst, 1)
+	return appendBatchItem(dst, e.Item), nil
 }
 
 // decodeWALEntry decodes one binary journal payload.
@@ -784,25 +800,12 @@ func decodeWALEntry(src []byte) (walEntry, error) {
 		return e, err
 	}
 	if flag[0] == 1 {
-		frag, err := d.fragment()
-		if err != nil {
+		e.Item = new(batchItem)
+		if err := d.item(e.Item); err != nil {
 			return e, err
 		}
-		e.Fragment = &frag
 	} else if flag[0] != 0 {
-		return e, fmt.Errorf("%w: fragment flag %d", errBadWire, flag[0])
-	}
-	if e.Digest, err = d.big(); err != nil {
-		return e, err
-	}
-	if e.DigestExp, err = d.big(); err != nil {
-		return e, err
-	}
-	if e.Prov, err = d.big(); err != nil {
-		return e, err
-	}
-	if e.WitnessExp, err = d.big(); err != nil {
-		return e, err
+		return e, fmt.Errorf("%w: item flag %d", errBadWire, flag[0])
 	}
 	return e, d.done()
 }

@@ -18,10 +18,11 @@ import (
 // itself is byte-faithful either way.
 func fuzzStr(s string) string { return strings.ToValidUTF8(s, "�") }
 
-// fuzzBig builds a big.Int from fuzz bytes; nil input stays nil so the
-// fuzzer reaches the absent-field encodings.
+// fuzzBig builds a big.Int from fuzz bytes. Empty input is nil, so the
+// fuzzer and the checked-in corpus (which cannot spell a nil slice) reach
+// the absent-field encodings; a present zero is []byte{0}.
 func fuzzBig(b []byte, neg bool) *big.Int {
-	if b == nil {
+	if len(b) == 0 {
 		return nil
 	}
 	v := new(big.Int).SetBytes(b)
@@ -82,18 +83,17 @@ func checkBinaryJSONAgree[T interface {
 // panic on arbitrary bytes.
 func FuzzStoreBodyRoundTrip(f *testing.F) {
 	f.Add("T1", "P0", uint64(0x139aef78), false, "user", "U1", uint8(1), int64(-42), 1.5,
-		[]byte{0xDE, 0xAD}, []byte(nil), []byte{0x01}, []byte{}, uint8(0), []byte(nil))
+		[]byte(nil), []byte{0x01}, []byte{}, uint8(0), []byte(nil))
 	f.Add("", "", uint64(0), true, "", "", uint8(0), int64(0), 0.0,
-		[]byte(nil), []byte{0xFF}, []byte(nil), []byte(nil), uint8(2), []byte{0x00, 0x01})
+		[]byte{0xFF}, []byte(nil), []byte(nil), uint8(2), []byte{0x00, 0x01})
 	f.Add("T-neg", "P2", uint64(1)<<63, false, "amt", "", uint8(3), int64(math.MinInt64), math.Inf(1),
-		[]byte{0x80}, []byte{}, []byte{0x7F, 0xFF}, []byte{0x01, 0x02, 0x03}, uint8(0x0F), []byte{0xB7, 0x01})
+		[]byte{}, []byte{0x7F, 0xFF}, []byte{0x01, 0x02, 0x03}, uint8(0x0F), []byte{0xB7, 0x01})
 	f.Fuzz(func(t *testing.T, ticketID, node string, glsn uint64, nilValues bool,
 		attr, s string, kind uint8, i int64, fv float64,
-		digest, dexp, prov, wexp []byte, signs uint8, raw []byte) {
+		dexp, prov, wexp []byte, signs uint8, raw []byte) {
 		ticketID, node, attr, s = fuzzStr(ticketID), fuzzStr(node), fuzzStr(attr), fuzzStr(s)
 		item := batchItem{
 			Fragment:   logmodel.Fragment{GLSN: logmodel.GLSN(glsn), Node: node},
-			Digest:     fuzzBig(digest, signs&1 != 0),
 			DigestExp:  fuzzBig(dexp, signs&2 != 0),
 			Provenance: fuzzBig(prov, signs&4 != 0),
 			WitnessExp: fuzzBig(wexp, signs&8 != 0),
@@ -141,9 +141,6 @@ func FuzzStoreBatchBodyRoundTrip(f *testing.F) {
 						"k": {Kind: logmodel.KindString, S: fuzzStr(string(seed))},
 					}
 				}
-				if b&2 != 0 {
-					it.Digest = new(big.Int).SetBytes(append(seed, b))
-				}
 				if b&4 != 0 {
 					it.DigestExp = big.NewInt(int64(b) << 20)
 				}
@@ -159,6 +156,70 @@ func FuzzStoreBatchBodyRoundTrip(f *testing.F) {
 		checkBinaryJSONAgree(t, &body, func() *storeBatchBody { return &storeBatchBody{} })
 		var junk storeBatchBody
 		junk.DecodeBinary(raw) //nolint:errcheck // must not panic; errors are fine
+	})
+}
+
+// FuzzWALEntryRoundTrip fuzzes the journal entry codec over every kind,
+// with and without a ticket and a store item, and with nil, zero and
+// signed big integers: every entry must decode from its encoding and
+// re-encode byte-exactly. Arbitrary bytes must never panic the decoder,
+// and any it accepts must re-encode to exactly those bytes: the codec
+// admits one encoding per entry.
+func FuzzWALEntryRoundTrip(f *testing.F) {
+	f.Add(uint8(1), "T1", uint64(0x139aef78), uint16(128), "", "", int64(0),
+		[]byte(nil), []byte(nil), []byte(nil), uint8(0), []byte(nil))
+	f.Add(uint8(2), "", uint64(9), uint16(0), "P2", "C1", int64(-3),
+		[]byte{0x01, 0x00}, []byte{0x05}, []byte{}, uint8(0x37), []byte{0x03, 0x00})
+	for _, e := range []walEntry{
+		{Kind: "grant", TicketID: "T1", GLSN: 42, Count: 128},
+		{Kind: "frag", Item: &batchItem{
+			Fragment:  logmodel.Fragment{GLSN: 9, Node: "P1", Values: map[logmodel.Attr]logmodel.Value{"a": logmodel.Int(3)}},
+			DigestExp: big.NewInt(5), WitnessExp: big.NewInt(7),
+		}},
+	} {
+		raw, err := appendWALEntry(nil, &e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(3), "", uint64(0), uint16(0), "", "", int64(0),
+			[]byte(nil), []byte(nil), []byte(nil), uint8(0), raw)
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, ticketID string, glsn uint64, count uint16,
+		node, attr string, i int64, dexp, prov, wexp []byte, flags uint8, raw []byte) {
+		e := walEntry{Kind: walKindName[1+kind%4], TicketID: ticketID, GLSN: logmodel.GLSN(glsn), Count: int(count)}
+		if flags&0x10 != 0 {
+			e.Ticket = &wireTicket{ID: ticketID, Holder: node, Ops: []int{int(count)}, Sig: fuzzBig(prov, flags&4 != 0)}
+		}
+		if flags&0x20 != 0 {
+			e.Item = &batchItem{
+				Fragment:   logmodel.Fragment{GLSN: logmodel.GLSN(glsn), Node: node},
+				DigestExp:  fuzzBig(dexp, flags&1 != 0),
+				Provenance: fuzzBig(prov, flags&4 != 0),
+				WitnessExp: fuzzBig(wexp, flags&2 != 0),
+			}
+			if flags&0x40 == 0 {
+				e.Item.Fragment.Values = map[logmodel.Attr]logmodel.Value{logmodel.Attr(attr): logmodel.Int(i)}
+			}
+		}
+		enc, err := appendWALEntry(make([]byte, 0, walEntrySize(&e)), &e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(enc) != walEntrySize(&e) {
+			t.Fatalf("wrote %d bytes, size says %d", len(enc), walEntrySize(&e))
+		}
+		got, err := decodeWALEntry(enc)
+		if err != nil {
+			t.Fatalf("decoding own encoding: %v", err)
+		}
+		if re, _ := appendWALEntry(nil, &got); !bytes.Equal(enc, re) {
+			t.Fatalf("re-encode differs:\n %x\n %x", enc, re)
+		}
+		if junk, err := decodeWALEntry(raw); err == nil {
+			if re, _ := appendWALEntry(nil, &junk); !bytes.Equal(raw, re) {
+				t.Fatalf("accepted %x, which re-encodes as %x", raw, re)
+			}
+		}
 	})
 }
 
@@ -189,11 +250,11 @@ func TestWALEntryBinaryRoundTrip(t *testing.T) {
 		{Kind: "ticket", Ticket: &wireTicket{ID: "T1", Holder: "u1", Ops: []int{1, 2, 4}, Sig: big.NewInt(0xBEEF)}},
 		{Kind: "ticket", Ticket: &wireTicket{ID: "", Holder: "u2"}},
 		{Kind: "grant", TicketID: "T1", GLSN: 42, Count: 128},
-		{Kind: "frag", Fragment: &logmodel.Fragment{
+		{Kind: "frag", Item: &batchItem{Fragment: logmodel.Fragment{
 			GLSN: 9, Node: "P1",
 			Values: map[logmodel.Attr]logmodel.Value{"a": logmodel.Int(3), "b": logmodel.Float(2.5)},
-		}, Digest: big.NewInt(123456789), WitnessExp: big.NewInt(77)},
-		{Kind: "frag", Fragment: &logmodel.Fragment{GLSN: 10, Node: "P2"}, DigestExp: big.NewInt(5), Prov: big.NewInt(-9)},
+		}, DigestExp: big.NewInt(123456789), WitnessExp: big.NewInt(77)}},
+		{Kind: "frag", Item: &batchItem{Fragment: logmodel.Fragment{GLSN: 10, Node: "P2"}, DigestExp: big.NewInt(5), Provenance: big.NewInt(-9)}},
 		{Kind: "delete", GLSN: 7},
 	}
 	for i, e := range entries {
@@ -224,8 +285,8 @@ func TestWALEntryBinaryRoundTrip(t *testing.T) {
 // never panic or over-allocate.
 func TestWireDecodeRejectsHostileEncodings(t *testing.T) {
 	one := storeBatchBody{TicketID: "T", Items: []batchItem{{
-		Fragment: logmodel.Fragment{GLSN: 9, Node: "P1", Values: map[logmodel.Attr]logmodel.Value{"a": logmodel.Int(3)}},
-		Digest:   big.NewInt(5),
+		Fragment:  logmodel.Fragment{GLSN: 9, Node: "P1", Values: map[logmodel.Attr]logmodel.Value{"a": logmodel.Int(3)}},
+		DigestExp: big.NewInt(5),
 	}}}
 	good := one.AppendBinary(nil)
 	var b storeBatchBody
@@ -251,6 +312,32 @@ func TestWireDecodeRejectsHostileEncodings(t *testing.T) {
 	}
 	if _, err := decodeWALEntry([]byte{0x09}); err == nil {
 		t.Fatal("bad WAL kind code accepted")
+	}
+	// Non-canonical encodings of valid values: each would give one value
+	// a second encoding.
+	var rq glsnRangeReqBody
+	if err := rq.DecodeBinary([]byte{0x00, 0x81, 0x00}); err == nil {
+		t.Fatal("overlong varint accepted")
+	}
+	for name, enc := range map[string][]byte{
+		"leading zero byte": {0x01, 0x02, 0x00, 0x05, 0x00},
+		"negative zero":     {0x02, 0x00, 0x00},
+	} {
+		var v agreeVoteBody
+		if err := v.DecodeBinary(enc); err == nil {
+			t.Fatalf("big integer with a %s accepted", name)
+		}
+	}
+	for name, attrs := range map[string]string{"out of order": "ba", "repeated": "aa"} {
+		enc := []byte{0x01, 0x00, 0x03} // glsn 1, node "", two values
+		for _, a := range []byte(attrs) {
+			enc = append(enc, 0x01, a, 0x00, 0x00, 0x00, 0x00)
+		}
+		enc = append(enc, 0x00, 0x00, 0x00) // no exponents, no provenance
+		var it batchItem
+		if err := decodeBatchItem(enc, &it); err == nil {
+			t.Fatalf("fragment attributes %s accepted", name)
+		}
 	}
 }
 

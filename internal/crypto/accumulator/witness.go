@@ -1,44 +1,18 @@
 package accumulator
 
-import (
-	"encoding/json"
-	"fmt"
-	"math/big"
-)
+import "math/big"
 
-// Amortized witness maintenance.
+// Membership witnesses.
 //
 // A membership witness for item i is the accumulation of every OTHER
 // item: w_i = x0^(∏_{j≠i} e_j) mod n, so Accumulate(w_i, item_i)
-// reproduces the digest. Computed naively at verification time that is
-// n-1 exponentiations per item — n(n-1) for a full set — and it is
-// recomputed on every verify. Three structures replace that:
-//
-//   - WitnessExponents derives every witness's EXPONENT (∏_{j≠i} e_j)
-//     with two linear multiplication sweeps and no modular
-//     exponentiation at all; the group elements follow lazily via the
-//     fixed-base PowX0. The write path (cluster client) ships these
-//     exponents with each fragment, so appending a record costs one
-//     fixed-base digest evaluation and some big-integer products.
-//
-//   - Witnesses computes ALL witness group elements of a fixed set in
-//     O(n log n) exponentiations with the classic divide-and-conquer
-//     root-factor recurrence: split the set, push the product of each
-//     half's exponents onto the other half's base, recurse. Used where
-//     the elements themselves are wanted eagerly.
-//
-//   - WitnessSet maintains witnesses for a GROWING set: Add folds the
-//     new item into the digest (one exponentiation — O(1) per append,
-//     independent of history size) and hands the new item the digest
-//     that preceded it as its witness. Existing witnesses are NOT
-//     touched on append; each remembers how many items it has absorbed
-//     (Upto) and catches up lazily on first use, folding only the
-//     exponents that arrived since — O(delta), not O(history). The
-//     whole set serializes (MarshalJSON) with the catch-up epochs
-//     intact, so a restart resumes from the checkpoint and re-pins
-//     witnesses by replaying only the post-checkpoint delta.
-//
-// Both are pinned against the O(n²) definition by differential tests.
+// reproduces the digest and a holder checks its own item with one
+// exponentiation. Witness (accumulator.go) computes w_i by that
+// definition, at n−1 exponentiations per item. WitnessExponents instead
+// derives every witness's EXPONENT, and the digest's, from big-integer
+// products alone; the cluster write path ships those exponents with
+// each fragment, and each node materializes its group elements with one
+// fixed-base PowX0 the first time a check needs them.
 
 // WitnessExponents returns each item's witness EXPONENT — the product
 // of every other item's hash exponent — plus the product of all of
@@ -78,174 +52,4 @@ func (p *Params) WitnessExponents(items [][]byte) (wexps []*big.Int, total *big.
 		wexps[i] = new(big.Int).Mul(prefix[i], suffix[i+1])
 	}
 	return wexps, prefix[n]
-}
-
-// Witnesses returns the membership witness of every item:
-// Witnesses(items)[i] equals Witness(items, i), in O(n log n)
-// exponentiations instead of O(n²).
-func (p *Params) Witnesses(items [][]byte) []*big.Int {
-	if len(items) == 0 {
-		return nil
-	}
-	es := make([]*big.Int, len(items))
-	for i, it := range items {
-		es[i] = HashItem(it)
-	}
-	return p.rootFactor(p.X0, es)
-}
-
-// rootFactor returns g raised to every product-of-all-but-one of the
-// exponents: out[i] = g^(∏_{j≠i} es[j]) mod N.
-func (p *Params) rootFactor(g *big.Int, es []*big.Int) []*big.Int {
-	if len(es) == 1 {
-		return []*big.Int{new(big.Int).Set(g)}
-	}
-	mid := len(es) / 2
-	left, right := es[:mid], es[mid:]
-	prodL := big.NewInt(1)
-	for _, e := range left {
-		prodL.Mul(prodL, e)
-	}
-	prodR := big.NewInt(1)
-	for _, e := range right {
-		prodR.Mul(prodR, e)
-	}
-	// Every left witness excludes only left items, so it carries all of
-	// the right exponents (and vice versa).
-	gL := new(big.Int).Exp(g, prodR, p.N)
-	gR := new(big.Int).Exp(g, prodL, p.N)
-	out := p.rootFactor(gL, left)
-	return append(out, p.rootFactor(gR, right)...)
-}
-
-// WitnessSet maintains the digest and per-item witnesses of a growing
-// set with O(1) appends and O(delta) lazy catch-up.
-type WitnessSet struct {
-	p      *Params
-	digest *big.Int
-	// exps logs the exponent of every item in append order; entry i's
-	// catch-up folds exps[Upto:] (skipping its own index).
-	exps    []*big.Int
-	entries []witnessEntry
-	// updates counts catch-up exponentiations, for telemetry and the
-	// flatness benchmark.
-	updates int
-}
-
-type witnessEntry struct {
-	w    *big.Int
-	upto int // exponents [0, upto) are folded in (own index skipped)
-}
-
-// NewWitnessSet starts an empty set at the params' agreed base.
-func NewWitnessSet(p *Params) *WitnessSet {
-	return &WitnessSet{p: p, digest: new(big.Int).Set(p.X0)}
-}
-
-// Len returns the number of items added.
-func (s *WitnessSet) Len() int { return len(s.entries) }
-
-// Digest returns the accumulation of every added item.
-func (s *WitnessSet) Digest() *big.Int { return new(big.Int).Set(s.digest) }
-
-// Add folds one item into the digest and records its witness — the
-// digest as it stood before this item — returning the item's index.
-// Cost is one exponentiation regardless of history size; no existing
-// witness is touched.
-func (s *WitnessSet) Add(item []byte) int {
-	e := HashItem(item)
-	w := new(big.Int).Set(s.digest)
-	s.digest = new(big.Int).Exp(s.digest, e, s.p.N)
-	s.exps = append(s.exps, e)
-	s.entries = append(s.entries, witnessEntry{w: w, upto: len(s.exps)})
-	return len(s.entries) - 1
-}
-
-// Witness returns the up-to-date witness for item i, folding in only
-// the exponents appended since the witness was last touched.
-func (s *WitnessSet) Witness(i int) (*big.Int, error) {
-	if i < 0 || i >= len(s.entries) {
-		return nil, fmt.Errorf("accumulator: witness index %d out of range [0,%d)", i, len(s.entries))
-	}
-	ent := &s.entries[i]
-	for j := ent.upto; j < len(s.exps); j++ {
-		if j == i {
-			continue
-		}
-		ent.w = new(big.Int).Exp(ent.w, s.exps[j], s.p.N)
-		s.updates++
-	}
-	ent.upto = len(s.exps)
-	return new(big.Int).Set(ent.w), nil
-}
-
-// Updates reports the catch-up exponentiations performed so far.
-func (s *WitnessSet) Updates() int { return s.updates }
-
-// Verify checks item against its maintained witness and the current
-// digest.
-func (s *WitnessSet) Verify(i int, item []byte) bool {
-	w, err := s.Witness(i)
-	if err != nil {
-		return false
-	}
-	return s.p.VerifyWitness(s.digest, w, item)
-}
-
-// witnessSetWire is the checkpoint encoding. Witnesses are serialized
-// with their catch-up epochs as they stand — deliberately NOT forced
-// up to date first — so checkpointing stays O(state) and the restart
-// side re-pins each witness in O(delta since its last use).
-type witnessSetWire struct {
-	Digest  *big.Int   `json:"digest"`
-	Exps    []*big.Int `json:"exps"`
-	Witness []*big.Int `json:"witnesses"`
-	Upto    []int      `json:"upto"`
-}
-
-// MarshalJSON encodes the set for a checkpoint.
-func (s *WitnessSet) MarshalJSON() ([]byte, error) {
-	w := witnessSetWire{
-		Digest:  s.digest,
-		Exps:    s.exps,
-		Witness: make([]*big.Int, len(s.entries)),
-		Upto:    make([]int, len(s.entries)),
-	}
-	for i, ent := range s.entries {
-		w.Witness[i], w.Upto[i] = ent.w, ent.upto
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON restores a checkpointed set. The receiver must already
-// carry the Params (use OpenWitnessSet for the common case).
-func (s *WitnessSet) UnmarshalJSON(data []byte) error {
-	var w witnessSetWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return fmt.Errorf("accumulator: decoding witness set: %w", err)
-	}
-	if w.Digest == nil || len(w.Witness) != len(w.Upto) || len(w.Witness) > len(w.Exps) {
-		return fmt.Errorf("%w: inconsistent witness set checkpoint", ErrBadParams)
-	}
-	for i, u := range w.Upto {
-		if w.Witness[i] == nil || u < 0 || u > len(w.Exps) {
-			return fmt.Errorf("%w: witness %d of checkpoint malformed", ErrBadParams, i)
-		}
-	}
-	s.digest = w.Digest
-	s.exps = w.Exps
-	s.entries = make([]witnessEntry, len(w.Witness))
-	for i := range w.Witness {
-		s.entries[i] = witnessEntry{w: w.Witness[i], upto: w.Upto[i]}
-	}
-	return nil
-}
-
-// OpenWitnessSet restores a checkpointed set under the given params.
-func OpenWitnessSet(p *Params, data []byte) (*WitnessSet, error) {
-	s := &WitnessSet{p: p}
-	if err := s.UnmarshalJSON(data); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

@@ -14,36 +14,6 @@ func witnessItems(n int) [][]byte {
 	return items
 }
 
-// TestWitnessesMatchesDefinition pins the O(n log n) batch computation
-// against the O(n²) per-index definition, across sizes that exercise
-// odd splits and the single-item base case.
-func TestWitnessesMatchesDefinition(t *testing.T) {
-	p := testParams(t)
-	for _, n := range []int{1, 2, 3, 5, 8, 13} {
-		items := witnessItems(n)
-		got := p.Witnesses(items)
-		if len(got) != n {
-			t.Fatalf("n=%d: got %d witnesses", n, len(got))
-		}
-		digest := p.AccumulateAll(items)
-		for i := range items {
-			want, err := p.Witness(items, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got[i].Cmp(want) != 0 {
-				t.Fatalf("n=%d: witness %d diverges from definition", n, i)
-			}
-			if !p.VerifyWitness(digest, got[i], items[i]) {
-				t.Fatalf("n=%d: witness %d does not verify", n, i)
-			}
-		}
-	}
-	if p.Witnesses(nil) != nil {
-		t.Fatal("empty set produced witnesses")
-	}
-}
-
 // TestWitnessExponentsMatchesDefinition pins the exponent-product path
 // against the group-element definition: PowX0 of each witness exponent
 // equals the per-index Witness, PowX0 of the total equals the digest,
@@ -83,167 +53,6 @@ func TestWitnessExponentsMatchesDefinition(t *testing.T) {
 	}
 }
 
-// TestWitnessSetIncremental checks that the amortized set tracks the
-// batch definition as items stream in: after every append, each
-// maintained witness (lazily caught up) verifies against the live
-// digest and equals the recompute-from-scratch value.
-func TestWitnessSetIncremental(t *testing.T) {
-	p := testParams(t)
-	items := witnessItems(9)
-	s := NewWitnessSet(p)
-	for k, it := range items {
-		if idx := s.Add(it); idx != k {
-			t.Fatalf("Add returned index %d, want %d", idx, k)
-		}
-		if s.Digest().Cmp(p.AccumulateAll(items[:k+1])) != 0 {
-			t.Fatalf("after %d adds: digest diverges from AccumulateAll", k+1)
-		}
-		// Catch up and cross-check a rotating subset so some entries
-		// stay stale across several appends.
-		for i := k % 3; i <= k; i += 3 {
-			w, err := s.Witness(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := p.Witness(items[:k+1], i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if w.Cmp(want) != 0 {
-				t.Fatalf("after %d adds: witness %d diverges", k+1, i)
-			}
-			if !s.Verify(i, items[i]) {
-				t.Fatalf("after %d adds: witness %d does not verify", k+1, i)
-			}
-		}
-	}
-	// Final full sweep: every entry catches up and verifies.
-	for i, it := range items {
-		if !s.Verify(i, it) {
-			t.Fatalf("final sweep: witness %d does not verify", i)
-		}
-	}
-	if s.Verify(0, []byte("forged")) {
-		t.Fatal("forged item verified")
-	}
-	if _, err := s.Witness(len(items)); err == nil {
-		t.Fatal("out-of-range witness index accepted")
-	}
-}
-
-// TestWitnessSetCatchUpIsDelta pins the amortization contract: catching
-// a witness up performs exactly one exponentiation per item appended
-// since it was last touched, independent of total history.
-func TestWitnessSetCatchUpIsDelta(t *testing.T) {
-	p := testParams(t)
-	s := NewWitnessSet(p)
-	items := witnessItems(20)
-	for _, it := range items[:10] {
-		s.Add(it)
-	}
-	if _, err := s.Witness(3); err != nil {
-		t.Fatal(err)
-	}
-	base := s.Updates()
-	if base != 10-1-3 {
-		t.Fatalf("first catch-up of entry 3 cost %d updates, want %d", base, 10-1-3)
-	}
-	// Re-reading without new appends is free.
-	if _, err := s.Witness(3); err != nil {
-		t.Fatal(err)
-	}
-	if s.Updates() != base {
-		t.Fatalf("idle re-read cost %d updates", s.Updates()-base)
-	}
-	// Five more appends: catch-up costs exactly five.
-	for _, it := range items[10:15] {
-		s.Add(it)
-	}
-	if _, err := s.Witness(3); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Updates() - base; got != 5 {
-		t.Fatalf("delta catch-up cost %d updates, want 5", got)
-	}
-}
-
-// TestWitnessSetCheckpointRoundTrip serializes a half-stale set,
-// restores it, appends more history, and checks every witness still
-// verifies — the segment-store restart path in miniature.
-func TestWitnessSetCheckpointRoundTrip(t *testing.T) {
-	p := testParams(t)
-	items := witnessItems(12)
-	s := NewWitnessSet(p)
-	for _, it := range items[:8] {
-		s.Add(it)
-	}
-	// Touch a few entries so the checkpoint mixes fresh and stale.
-	for _, i := range []int{0, 5} {
-		if _, err := s.Witness(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	blob, err := s.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenWitnessSet(p, blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 8 || r.Digest().Cmp(s.Digest()) != 0 {
-		t.Fatalf("restored set: len %d digest match %v", r.Len(), r.Digest().Cmp(s.Digest()) == 0)
-	}
-	for _, it := range items[8:] {
-		r.Add(it)
-	}
-	for i, it := range items {
-		if !r.Verify(i, it) {
-			t.Fatalf("restored witness %d does not verify", i)
-		}
-	}
-	if _, err := OpenWitnessSet(p, []byte(`{"digest":null}`)); err == nil {
-		t.Fatal("nil-digest checkpoint accepted")
-	}
-	if _, err := OpenWitnessSet(p, []byte(`{"digest":5,"exps":[3],"witnesses":[7],"upto":[2]}`)); err == nil {
-		t.Fatal("out-of-range upto accepted")
-	}
-	if _, err := OpenWitnessSet(p, []byte(`not json`)); err == nil {
-		t.Fatal("garbage checkpoint accepted")
-	}
-}
-
-// BenchmarkWitnessMaintain measures the amortized cost of one append
-// plus the owner's catch-up, at history sizes a decade apart. The
-// acceptance bar for PR 7 is that this row stays flat as history grows
-// 10× — the whole point of incremental witnesses.
-func BenchmarkWitnessMaintain(b *testing.B) {
-	p := testParams(b)
-	for _, hist := range []int{100, 1000} {
-		b.Run(fmt.Sprintf("history=%d", hist), func(b *testing.B) {
-			s := NewWitnessSet(p)
-			items := witnessItems(hist)
-			for _, it := range items {
-				s.Add(it)
-			}
-			// Keep one entry's witness current, the steady state of a
-			// node that verifies its slice after every batch.
-			idx := hist - 1
-			if _, err := s.Witness(idx); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Add([]byte(fmt.Sprintf("a%08d", i)))
-				if _, err := s.Witness(idx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkWitnessExponents measures the cluster write path's witness
 // derivation: exponent products for every fragment plus the fixed-base
 // digest evaluation. The whole point of shipping exponents is that this
@@ -261,20 +70,6 @@ func BenchmarkWitnessExponents(b *testing.B) {
 		}
 		if p.PowX0(total) == nil {
 			b.Fatal("nil digest")
-		}
-	}
-}
-
-// BenchmarkWitnessesBatch measures the O(n log n) all-witnesses pass
-// (eager group elements, root-factor recurrence).
-func BenchmarkWitnessesBatch(b *testing.B) {
-	p := testParams(b)
-	items := witnessItems(4) // fragments of a 4-node record
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ws := p.Witnesses(items); len(ws) != len(items) {
-			b.Fatal("bad witness count")
 		}
 	}
 }

@@ -110,8 +110,9 @@ func newWitRig(t *testing.T, n int) *witRig {
 }
 
 // logWitnessRecord installs fragments, digest, and per-node witnesses —
-// the post-PR7 client write path in miniature — and zeroes the call
-// counters so a test observes only the check it runs.
+// the client write path in miniature: exponents from WitnessExponents,
+// group elements from PowX0 — and zeroes the call counters so a test
+// observes only the check it runs.
 func (w *witRig) logWitnessRecord(t *testing.T, ex *logmodel.PaperExample, rec logmodel.Record) {
 	t.Helper()
 	frags := ex.Partition.Split(rec)
@@ -120,8 +121,8 @@ func (w *witRig) logWitnessRecord(t *testing.T, ex *logmodel.PaperExample, rec l
 	for _, node := range nodes {
 		items = append(items, frags[node].Canonical())
 	}
-	digest := w.params.AccumulateAll(items)
-	wits := w.params.Witnesses(items)
+	wexps, total := w.params.WitnessExponents(items)
+	digest := w.params.PowX0(total)
 	for i, node := range nodes {
 		s := w.stores[node]
 		s.mu.Lock()
@@ -129,7 +130,7 @@ func (w *witRig) logWitnessRecord(t *testing.T, ex *logmodel.PaperExample, rec l
 		s.digests[rec.GLSN] = digest
 		s.mu.Unlock()
 		s.cmu.Lock()
-		s.witnesses[rec.GLSN] = wits[i]
+		s.witnesses[rec.GLSN] = w.params.PowX0(wexps[i])
 		s.cmu.Unlock()
 	}
 	for _, s := range w.stores {

@@ -85,12 +85,14 @@ func BenchmarkTables1to5Fragmentation(b *testing.B) {
 // BenchmarkTable6AccessControl measures the per-glsn grant + authorize
 // path of the replicated access-control table.
 func BenchmarkTable6AccessControl(b *testing.B) {
-	ca, err := blind.NewAuthority(rand.Reader, 1024)
+	iss, err := ticket.NewIssuer(rand.Reader)
 	if err != nil {
 		b.Fatal(err)
 	}
-	iss := ticket.NewIssuer(ca)
-	tbl := ticket.NewAccessTable(iss.Public())
+	tbl, err := ticket.NewAccessTable(iss.Public())
+	if err != nil {
+		b.Fatal(err)
+	}
 	tk, err := iss.Issue("T1", "u0", ticket.OpWrite, ticket.OpRead)
 	if err != nil {
 		b.Fatal(err)

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/big"
 	"net/http"
 	"os"
 	"strconv"
@@ -46,10 +45,10 @@ import (
 
 // wireTicket is dlactl's on-disk ticket form.
 type wireTicket struct {
-	ID     string   `json:"id"`
-	Holder string   `json:"holder"`
-	Ops    []int    `json:"ops"`
-	Sig    *big.Int `json:"sig"`
+	ID     string `json:"id"`
+	Holder string `json:"holder"`
+	Ops    []int  `json:"ops"`
+	Sig    []byte `json:"sig"`
 }
 
 func main() {
@@ -121,7 +120,7 @@ func cmdIssue(args []string) error {
 	if err != nil {
 		return err
 	}
-	issuer, err := ticket.NewIssuerFromKey(ip.Key)
+	issuer, err := ticket.NewIssuerFromSeed(ip.Seed)
 	if err != nil {
 		return err
 	}

@@ -111,7 +111,7 @@ func provision(args []string) error {
 	if err != nil {
 		return err
 	}
-	log.Printf("generating keys for %d nodes (RSA 1024, accumulator 512)...", len(part.Nodes()))
+	log.Printf("generating keys for %d nodes (Ed25519 node and issuer keys, accumulator 512)...", len(part.Nodes()))
 	boot, err := cluster.NewBootstrap(rand.Reader, part, group, cluster.BootstrapOptions{})
 	if err != nil {
 		return err

@@ -24,12 +24,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/big"
 	"sort"
 	"strconv"
 	"sync/atomic"
 
-	"confaudit/internal/crypto/blind"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/mathx"
 	"confaudit/internal/query"
@@ -52,7 +50,7 @@ const (
 // glsn extents its storage recovery quarantined (if any) so the final
 // receiver can mark the result partial.
 type sigBody struct {
-	Sig         *big.Int `json:"sig"`
+	Sig         []byte   `json:"sig"`
 	Quarantined []string `json:"quarantined,omitempty"`
 }
 
@@ -108,9 +106,7 @@ type NodeState interface {
 	Fragment(logmodel.GLSN) (logmodel.Fragment, bool)
 	TicketAllows(ticketID string, op ticket.Op) error
 	// Sign certifies audit results under the node's cluster key.
-	Sign(data []byte) (*big.Int, error)
-	// PeerKeys returns the cluster verification keys.
-	PeerKeys() map[string]blind.PublicKey
+	Sign(data []byte) []byte
 }
 
 // plan kinds.

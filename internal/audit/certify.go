@@ -1,13 +1,12 @@
 package audit
 
 import (
+	"crypto/ed25519"
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"math/big"
 	"strings"
 
-	"confaudit/internal/crypto/blind"
 	"confaudit/internal/logmodel"
 )
 
@@ -28,8 +27,9 @@ type ResultCert struct {
 	// Ring lists the nodes that were responsible for subqueries (and
 	// therefore know the result).
 	Ring []string `json:"ring"`
-	// Sigs maps each ring node to its signature over the result digest.
-	Sigs map[string]*big.Int `json:"sigs"`
+	// Sigs maps each ring node to its Ed25519 signature over the result
+	// digest.
+	Sigs map[string][]byte `json:"sigs"`
 }
 
 // certStatement is the byte string ring nodes sign: a hash of the
@@ -44,8 +44,9 @@ func certStatement(session string, glsns []string) []byte {
 }
 
 // VerifyResult checks a certified query result: every ring node signed
-// the digest of exactly these glsns.
-func VerifyResult(keys map[string]blind.PublicKey, session string, glsns []logmodel.GLSN, cert *ResultCert) error {
+// the digest of exactly these glsns. A key of the wrong length fails
+// with ErrBadResultCert rather than panicking inside ed25519.
+func VerifyResult(keys map[string]ed25519.PublicKey, session string, glsns []logmodel.GLSN, cert *ResultCert) error {
 	if cert == nil || len(cert.Ring) == 0 {
 		return fmt.Errorf("%w: missing certificate", ErrBadResultCert)
 	}
@@ -60,10 +61,10 @@ func VerifyResult(keys map[string]blind.PublicKey, session string, glsns []logmo
 			return fmt.Errorf("%w: node %s did not sign", ErrBadResultCert, node)
 		}
 		pub, ok := keys[node]
-		if !ok {
+		if !ok || len(pub) != ed25519.PublicKeySize {
 			return fmt.Errorf("%w: unknown signer %s", ErrBadResultCert, node)
 		}
-		if err := blind.Verify(pub, stmt, sig); err != nil {
+		if !ed25519.Verify(pub, stmt, sig) {
 			return fmt.Errorf("%w: signature of %s rejected", ErrBadResultCert, node)
 		}
 	}

@@ -1,7 +1,8 @@
 package audit
 
 import (
-	"math/big"
+	"crypto/ed25519"
+	"errors"
 	"testing"
 
 	"confaudit/internal/logmodel"
@@ -76,16 +77,35 @@ func TestVerifyResultRejectsForgery(t *testing.T) {
 		}
 	})
 	t.Run("mauled signature", func(t *testing.T) {
-		bad := &ResultCert{Ring: cert.Ring, Sigs: map[string]*big.Int{}}
+		bad := &ResultCert{Ring: cert.Ring, Sigs: map[string][]byte{}}
 		for n, s := range cert.Sigs {
-			bad.Sigs[n] = new(big.Int).Add(s, big.NewInt(1))
+			bad.Sigs[n] = append([]byte(nil), s...)
+			bad.Sigs[n][5] ^= 0x80
 		}
 		if err := VerifyResult(r.boot.PeerKeys, session, glsns, bad); err == nil {
 			t.Fatal("mauled signatures verified")
 		}
 	})
+	t.Run("short signature", func(t *testing.T) {
+		bad := &ResultCert{Ring: cert.Ring, Sigs: map[string][]byte{}}
+		for n, s := range cert.Sigs {
+			bad.Sigs[n] = s[:ed25519.SignatureSize-1]
+		}
+		if err := VerifyResult(r.boot.PeerKeys, session, glsns, bad); !errors.Is(err, ErrBadResultCert) {
+			t.Fatalf("63-byte signatures: err = %v, want ErrBadResultCert", err)
+		}
+	})
+	t.Run("truncated key", func(t *testing.T) {
+		keys := map[string]ed25519.PublicKey{}
+		for n, k := range r.boot.PeerKeys {
+			keys[n] = k[:ed25519.PublicKeySize-1]
+		}
+		if err := VerifyResult(keys, session, glsns, cert); !errors.Is(err, ErrBadResultCert) {
+			t.Fatalf("31-byte keys: err = %v, want ErrBadResultCert", err)
+		}
+	})
 	t.Run("missing signer", func(t *testing.T) {
-		bad := &ResultCert{Ring: cert.Ring, Sigs: map[string]*big.Int{}}
+		bad := &ResultCert{Ring: cert.Ring, Sigs: map[string][]byte{}}
 		if err := VerifyResult(r.boot.PeerKeys, session, glsns, bad); err == nil {
 			t.Fatal("certificate without signatures verified")
 		}
@@ -96,7 +116,7 @@ func TestVerifyResultRejectsForgery(t *testing.T) {
 		}
 	})
 	t.Run("unknown signer", func(t *testing.T) {
-		bad := &ResultCert{Ring: []string{"mallory"}, Sigs: map[string]*big.Int{"mallory": big.NewInt(7)}}
+		bad := &ResultCert{Ring: []string{"mallory"}, Sigs: map[string][]byte{"mallory": make([]byte, ed25519.SignatureSize)}}
 		if err := VerifyResult(r.boot.PeerKeys, session, glsns, bad); err == nil {
 			t.Fatal("unknown signer verified")
 		}

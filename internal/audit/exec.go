@@ -419,10 +419,7 @@ func execute(ctx context.Context, node NodeState, session string, body *execBody
 	var quar []string
 	if inFinalRing {
 		glsns := sortedKeys(finalSet)
-		sig, err := node.Sign(certStatement(session, glsns))
-		if err != nil {
-			return fmt.Errorf("certifying result: %w", err)
-		}
+		sig := node.Sign(certStatement(session, glsns))
 		if self != body.FinalReceiver {
 			out, err := transport.NewMessage(body.FinalReceiver, MsgSig, session,
 				sigBody{Sig: sig, Quarantined: quarantineOf(node)})
@@ -436,7 +433,7 @@ func execute(ctx context.Context, node NodeState, session string, body *execBody
 			quar = append(quar, quarantineOf(node)...)
 			cert = &ResultCert{
 				Ring: append([]string(nil), body.FinalRing...),
-				Sigs: map[string]*big.Int{self: sig},
+				Sigs: map[string][]byte{self: sig},
 			}
 			// Collect until every ring signature AND every involved
 			// node's quarantine report is in: nodes outside the ring

@@ -6,13 +6,12 @@ package cluster
 
 import (
 	"context"
+	"crypto/ed25519"
 	"errors"
 	"fmt"
-	"math/big"
 	"sort"
 	"time"
 
-	"confaudit/internal/crypto/blind"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/telemetry"
 	"confaudit/internal/transport"
@@ -37,8 +36,15 @@ var (
 type Certificate struct {
 	// Statement is the agreed byte string.
 	Statement []byte `json:"statement"`
-	// Votes maps node ID to its signature over Statement.
-	Votes map[string]*big.Int `json:"votes"`
+	// Votes maps node ID to its Ed25519 signature over Statement.
+	Votes map[string][]byte `json:"votes"`
+}
+
+// verifyStatement checks an Ed25519 statement signature. A key of the
+// wrong length fails here rather than panicking inside ed25519.Verify;
+// a signature of the wrong length fails inside it.
+func verifyStatement(pub ed25519.PublicKey, msg, sig []byte) bool {
+	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, msg, sig)
 }
 
 // Quorum returns the majority threshold for n nodes.
@@ -46,7 +52,7 @@ func Quorum(n int) int { return n/2 + 1 }
 
 // VerifyCertificate checks that at least quorum distinct known nodes
 // signed the statement.
-func VerifyCertificate(keys map[string]blind.PublicKey, quorum int, cert *Certificate) error {
+func VerifyCertificate(keys map[string]ed25519.PublicKey, quorum int, cert *Certificate) error {
 	if cert == nil || len(cert.Statement) == 0 {
 		return fmt.Errorf("%w: empty certificate", ErrBadCertificate)
 	}
@@ -56,7 +62,7 @@ func VerifyCertificate(keys map[string]blind.PublicKey, quorum int, cert *Certif
 		if !known {
 			return fmt.Errorf("%w: vote from unknown node %q", ErrBadCertificate, node)
 		}
-		if err := blind.Verify(pub, cert.Statement, sig); err != nil {
+		if !verifyStatement(pub, cert.Statement, sig) {
 			return fmt.Errorf("%w: bad signature from %q", ErrBadCertificate, node)
 		}
 		valid++
@@ -72,7 +78,7 @@ type agreeReqBody struct {
 }
 
 type agreeVoteBody struct {
-	Sig *big.Int `json:"sig"`
+	Sig []byte `json:"sig"`
 	// Refused is set when the voter rejects the statement.
 	Refused string `json:"refused,omitempty"`
 }
@@ -86,13 +92,9 @@ type agreeCommitBody struct {
 // commit certificate. The coordinator's own signature counts.
 func (n *Node) propose(ctx context.Context, session string, statement []byte) (*Certificate, error) {
 	defer telemetry.M.Histogram(telemetry.HistQuorumRound).Since(time.Now())
-	ownSig, err := n.signer.Sign(statement)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: signing proposal: %w", err)
-	}
 	cert := &Certificate{
 		Statement: statement,
-		Votes:     map[string]*big.Int{n.id: ownSig},
+		Votes:     map[string][]byte{n.id: ed25519.Sign(n.signer, statement)},
 	}
 	req := agreeReqBody{Statement: statement}
 	quorum := Quorum(len(n.roster))
@@ -113,20 +115,18 @@ func (n *Node) propose(ctx context.Context, session string, statement []byte) (*
 		if err != nil {
 			return nil, fmt.Errorf("cluster: awaiting votes: %w", err)
 		}
-		var vote agreeVoteBody
-		if err := transport.Unmarshal(msg.Payload, &vote); err != nil {
-			return nil, err
-		}
-		if vote.Refused != "" {
-			refusals++
-			continue
-		}
 		pub, known := n.peerKeys[msg.From]
 		if !known {
 			continue // ignore votes from strangers
 		}
-		if err := blind.Verify(pub, statement, vote.Sig); err != nil {
-			continue // ignore invalid signatures
+		// A vote that does not decode or verify (a malformed or
+		// 63-byte signature, say) cannot count: it is that peer's
+		// refusal, so a hostile peer cannot wedge the round.
+		var vote agreeVoteBody
+		if transport.Unmarshal(msg.Payload, &vote) != nil || vote.Refused != "" ||
+			!verifyStatement(pub, statement, vote.Sig) {
+			refusals++
+			continue
 		}
 		cert.Votes[msg.From] = vote.Sig
 	}
@@ -270,12 +270,7 @@ func (n *Node) serveAgreement(ctx context.Context) {
 		if err := n.validateStatement(ctx, req.Statement); err != nil {
 			vote.Refused = err.Error()
 		} else {
-			sig, err := n.signer.Sign(req.Statement)
-			if err != nil {
-				vote.Refused = err.Error()
-			} else {
-				vote.Sig = sig
-			}
+			vote.Sig = ed25519.Sign(n.signer, req.Statement)
 		}
 		if err := n.send(ctx, msg.From, msgAgreeVote, msg.Session, &vote); err != nil {
 			continue

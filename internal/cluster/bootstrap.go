@@ -1,11 +1,11 @@
 package cluster
 
 import (
+	"crypto/ed25519"
 	"fmt"
 	"io"
 
 	"confaudit/internal/crypto/accumulator"
-	"confaudit/internal/crypto/blind"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/mathx"
 	"confaudit/internal/ticket"
@@ -29,19 +29,17 @@ type Bootstrap struct {
 	// the private key).
 	Issuer *ticket.Issuer
 	// IssuerPub is the ticket verification key.
-	IssuerPub blind.PublicKey
-	// Signers holds each node's private signing key.
-	Signers map[string]*blind.Authority
+	IssuerPub ed25519.PublicKey
+	// Signers holds each node's private Ed25519 statement key.
+	Signers map[string]ed25519.PrivateKey
 	// PeerKeys holds each node's public verification key.
-	PeerKeys map[string]blind.PublicKey
+	PeerKeys map[string]ed25519.PublicKey
 	// FirstGLSN seeds the sequencer.
 	FirstGLSN logmodel.GLSN
 }
 
 // BootstrapOptions tune provisioning.
 type BootstrapOptions struct {
-	// KeyBits is the RSA modulus size for node/CA keys (default 1024).
-	KeyBits int
 	// AccBits is the accumulator modulus size (default 512).
 	AccBits int
 	// FirstGLSN seeds the sequencer (default 0x139aef78, the paper's
@@ -53,10 +51,6 @@ type BootstrapOptions struct {
 func NewBootstrap(rng io.Reader, part *logmodel.Partition, group *mathx.Group, opts BootstrapOptions) (*Bootstrap, error) {
 	if part == nil || group == nil {
 		return nil, fmt.Errorf("cluster: nil partition or group")
-	}
-	keyBits := opts.KeyBits
-	if keyBits == 0 {
-		keyBits = 1024
 	}
 	accBits := opts.AccBits
 	if accBits == 0 {
@@ -70,7 +64,7 @@ func NewBootstrap(rng io.Reader, part *logmodel.Partition, group *mathx.Group, o
 	if err != nil {
 		return nil, fmt.Errorf("cluster: accumulator params: %w", err)
 	}
-	ca, err := blind.NewAuthority(rng, keyBits)
+	iss, err := ticket.NewIssuer(rng)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: ticket issuer key: %w", err)
 	}
@@ -79,19 +73,19 @@ func NewBootstrap(rng io.Reader, part *logmodel.Partition, group *mathx.Group, o
 		Partition: part,
 		Group:     group,
 		AccParams: acc,
-		Issuer:    ticket.NewIssuer(ca),
-		IssuerPub: ca.Public(),
-		Signers:   make(map[string]*blind.Authority),
-		PeerKeys:  make(map[string]blind.PublicKey),
+		Issuer:    iss,
+		IssuerPub: iss.Public(),
+		Signers:   make(map[string]ed25519.PrivateKey),
+		PeerKeys:  make(map[string]ed25519.PublicKey),
 		FirstGLSN: first,
 	}
 	for _, node := range b.Roster {
-		signer, err := blind.NewAuthority(rng, keyBits)
+		pub, priv, err := ed25519.GenerateKey(rng)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: signing key for %s: %w", node, err)
 		}
-		b.Signers[node] = signer
-		b.PeerKeys[node] = signer.Public()
+		b.Signers[node] = priv
+		b.PeerKeys[node] = pub
 	}
 	return b, nil
 }

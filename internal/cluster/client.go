@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"math/big"
@@ -11,7 +12,6 @@ import (
 	"time"
 
 	"confaudit/internal/crypto/accumulator"
-	"confaudit/internal/crypto/blind"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/resilience"
 	"confaudit/internal/telemetry"
@@ -38,7 +38,7 @@ type Client struct {
 	// signer, when set, signs every stored record's digest so the
 	// record is non-repudiable (paper §2: "non-repudiation of
 	// transactions").
-	signer *blind.Authority
+	signer ed25519.PrivateKey
 
 	outbox    *resilience.Outbox
 	det       *resilience.Detector
@@ -76,9 +76,10 @@ type ClientConfig struct {
 	Accumulator *accumulator.Params
 	// Ticket authorizes this client's operations (required).
 	Ticket *ticket.Ticket
-	// Signer, when set, signs every stored record's digest for
-	// non-repudiation (optional; also settable later via SetSigner).
-	Signer *blind.Authority
+	// Signer, when set, signs every stored record's digest with this
+	// Ed25519 key for non-repudiation (optional; also settable later via
+	// SetSigner).
+	Signer ed25519.PrivateKey
 	// OutboxPath, when non-empty, opens a durable spool at that path so
 	// fragments bound for dead nodes are journaled and replayed instead
 	// of failing the store (optional).
@@ -102,6 +103,9 @@ func (cfg ClientConfig) Validate() error {
 	}
 	if len(cfg.Roster) == 0 {
 		return errors.New("cluster: ClientConfig.Roster must not be empty")
+	}
+	if cfg.Signer != nil && len(cfg.Signer) != ed25519.PrivateKeySize {
+		return fmt.Errorf("cluster: ClientConfig.Signer is %d bytes, want %d", len(cfg.Signer), ed25519.PrivateKeySize)
 	}
 	return nil
 }
@@ -283,7 +287,7 @@ func (c *Client) spool(msg transport.Message, g logmodel.GLSN) error {
 
 // SetSigner installs a non-repudiation signing key; subsequent writes
 // (Log, LogBatch, Appender batches) attach provenance signatures.
-func (c *Client) SetSigner(signer *blind.Authority) { c.signer = signer }
+func (c *Client) SetSigner(signer ed25519.PrivateKey) { c.signer = signer }
 
 // Ticket returns the client's ticket.
 func (c *Client) Ticket() *ticket.Ticket { return c.tk }
@@ -409,12 +413,9 @@ func (c *Client) storeRange(ctx context.Context, first logmodel.GLSN, records []
 		glsns[i] = g
 		frags := c.part.Split(logmodel.Record{GLSN: g, Values: values})
 		dexp, wits := c.witnessExponents(frags)
-		var prov *big.Int
+		var prov []byte
 		if c.signer != nil {
-			var err error
-			if prov, err = c.signer.Sign(ProvenanceStatement(g, c.acc.PowX0(dexp))); err != nil {
-				return nil, fmt.Errorf("cluster: signing provenance: %w", err)
-			}
+			prov = ed25519.Sign(c.signer, ProvenanceStatement(g, c.acc.PowX0(dexp)))
 		}
 		for node, frag := range frags {
 			perNode[node] = append(perNode[node], batchItem{Fragment: frag, DigestExp: dexp, Provenance: prov, WitnessExp: wits[node]})

@@ -33,6 +33,7 @@ func TestClientConfigValidate(t *testing.T) {
 		{"no accumulator", func(c *ClientConfig) { c.Accumulator = nil }, "Accumulator"},
 		{"no ticket", func(c *ClientConfig) { c.Ticket = nil }, "Ticket"},
 		{"empty roster", func(c *ClientConfig) { c.Roster = nil }, "Roster"},
+		{"short signer", func(c *ClientConfig) { c.Signer = boot.Signers["P0"][:63] }, "Signer"},
 	}
 	for _, tc := range cases {
 		cfg := full

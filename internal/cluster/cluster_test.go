@@ -2,8 +2,9 @@ package cluster
 
 import (
 	"context"
+	"crypto/ed25519"
 	"crypto/rand"
-	"math/big"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -29,7 +30,7 @@ var (
 	bootErr  error
 )
 
-// sharedBootstrap amortizes RSA keygen across tests.
+// sharedBootstrap amortizes the accumulator keygen across tests.
 func sharedBootstrap(t testing.TB) *Bootstrap {
 	t.Helper()
 	bootOnce.Do(func() {
@@ -296,7 +297,7 @@ func TestForgedTicketRefusedAtRegistration(t *testing.T) {
 	}
 	mb := transport.NewMailbox(ep)
 	defer mb.Close() //nolint:errcheck
-	forged := &ticket.Ticket{ID: "TF", Holder: "forger", Ops: []ticket.Op{ticket.OpWrite}, Sig: big.NewInt(99)}
+	forged := &ticket.Ticket{ID: "TF", Holder: "forger", Ops: []ticket.Op{ticket.OpWrite}, Sig: make([]byte, ed25519.SignatureSize)}
 	c, err := OpenClient(mb, ClientConfig{Roster: tc.boot.Roster, Partition: tc.boot.Partition, Accumulator: tc.boot.AccParams, Ticket: forged})
 	if err != nil {
 		t.Fatal(err)
@@ -385,21 +386,12 @@ func TestAccessTableConsistencyAcrossNodes(t *testing.T) {
 func TestCertificateVerification(t *testing.T) {
 	boot := sharedBootstrap(t)
 	stmt := glsnRangeStatement(0x139aef78, 1, "T1")
-	sig0, err := boot.Signers[boot.Roster[0]].Sign(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig1, err := boot.Signers[boot.Roster[1]].Sign(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig2, err := boot.Signers[boot.Roster[2]].Sign(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sig0 := ed25519.Sign(boot.Signers[boot.Roster[0]], stmt)
+	sig1 := ed25519.Sign(boot.Signers[boot.Roster[1]], stmt)
+	sig2 := ed25519.Sign(boot.Signers[boot.Roster[2]], stmt)
 	cert := &Certificate{
 		Statement: stmt,
-		Votes: map[string]*big.Int{
+		Votes: map[string][]byte{
 			boot.Roster[0]: sig0,
 			boot.Roster[1]: sig1,
 			boot.Roster[2]: sig2,
@@ -410,12 +402,12 @@ func TestCertificateVerification(t *testing.T) {
 		t.Fatalf("valid certificate rejected: %v", err)
 	}
 	// Too few votes.
-	thin := &Certificate{Statement: stmt, Votes: map[string]*big.Int{boot.Roster[0]: sig0}}
+	thin := &Certificate{Statement: stmt, Votes: map[string][]byte{boot.Roster[0]: sig0}}
 	if err := VerifyCertificate(boot.PeerKeys, quorum, thin); err == nil {
 		t.Fatal("sub-quorum certificate accepted")
 	}
 	// Unknown voter.
-	alien := &Certificate{Statement: stmt, Votes: map[string]*big.Int{"mallory": sig0}}
+	alien := &Certificate{Statement: stmt, Votes: map[string][]byte{"mallory": sig0}}
 	if err := VerifyCertificate(boot.PeerKeys, quorum, alien); err == nil {
 		t.Fatal("certificate with unknown voter accepted")
 	}
@@ -424,12 +416,92 @@ func TestCertificateVerification(t *testing.T) {
 	if err := VerifyCertificate(boot.PeerKeys, quorum, bad); err == nil {
 		t.Fatal("certificate with mismatched statement accepted")
 	}
+	// A bit-flipped signature, and signatures one byte short and long.
+	flipped := append([]byte(nil), sig2...)
+	flipped[17] ^= 0x04
+	for name, sig := range map[string][]byte{
+		"bit-flipped": flipped,
+		"63-byte":     sig2[:ed25519.SignatureSize-1],
+		"65-byte":     append(append([]byte(nil), sig2...), 0),
+		"nil":         nil,
+	} {
+		mauled := &Certificate{Statement: stmt, Votes: map[string][]byte{
+			boot.Roster[0]: sig0, boot.Roster[1]: sig1, boot.Roster[2]: sig,
+		}}
+		if err := VerifyCertificate(boot.PeerKeys, quorum, mauled); err == nil {
+			t.Fatalf("certificate with a %s signature accepted", name)
+		}
+	}
+	// A peer key of the wrong length fails verification; it does not
+	// panic inside ed25519.
+	shortKeys := map[string]ed25519.PublicKey{}
+	for id, pk := range boot.PeerKeys {
+		shortKeys[id] = pk
+	}
+	shortKeys[boot.Roster[1]] = shortKeys[boot.Roster[1]][:ed25519.PublicKeySize-1]
+	if err := VerifyCertificate(shortKeys, quorum, cert); err == nil {
+		t.Fatal("certificate verified under a 31-byte peer key")
+	}
 	// Empty.
 	if err := VerifyCertificate(boot.PeerKeys, quorum, nil); err == nil {
 		t.Fatal("nil certificate accepted")
 	}
 	if Quorum(4) != 3 || Quorum(5) != 3 || Quorum(1) != 1 {
 		t.Fatal("Quorum math wrong")
+	}
+}
+
+// TestShortVoteNotCounted runs a proposal round against scripted peers:
+// P1 answers with a 63-byte signature, P2 with a valid vote and P3
+// refuses. The short vote must not count toward the quorum of three,
+// so the round ends in ErrNoQuorum instead of certifying.
+func TestShortVoteNotCounted(t *testing.T) {
+	boot := sharedBootstrap(t)
+	net := transport.NewMemNetwork()
+	defer net.Close() //nolint:errcheck
+	mbs := map[string]*transport.Mailbox{}
+	for _, id := range boot.Roster {
+		ep, err := net.Endpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mbs[id] = transport.NewMailbox(ep)
+		defer mbs[id].Close() //nolint:errcheck
+	}
+	leader, err := New(boot.NodeConfig(boot.Roster[0]), mbs[boot.Roster[0]])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	stmt := glsnRangeStatement(0x139aef78, 1, "T1")
+	votes := map[string]agreeVoteBody{
+		boot.Roster[1]: {Sig: ed25519.Sign(boot.Signers[boot.Roster[1]], stmt)[:ed25519.SignatureSize-1]},
+		boot.Roster[2]: {Sig: ed25519.Sign(boot.Signers[boot.Roster[2]], stmt)},
+		boot.Roster[3]: {Refused: "no"},
+	}
+	var wg sync.WaitGroup
+	for id, vote := range votes {
+		wg.Add(1)
+		go func(id string, vote agreeVoteBody) {
+			defer wg.Done()
+			msg, err := mbs[id].ExpectType(ctx, msgAgreeReq)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			out, err := transport.NewMessage(msg.From, msgAgreeVote, msg.Session, &vote)
+			if err == nil {
+				err = mbs[id].Send(ctx, out)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}(id, vote)
+	}
+	cert, err := leader.propose(ctx, "short-vote", stmt)
+	wg.Wait()
+	if !errors.Is(err, ErrNoQuorum) {
+		t.Fatalf("propose = %v, %v; want ErrNoQuorum (the 63-byte vote must not count)", cert, err)
 	}
 }
 
@@ -581,5 +653,26 @@ func TestNodeConfigValidation(t *testing.T) {
 	bad.ID = ""
 	if _, err := New(bad, mb); err == nil {
 		t.Fatal("empty ID accepted")
+	}
+	// Keys of the wrong length are refused here, not by a panic inside
+	// ed25519 on the first vote or ticket.
+	bad = good
+	bad.Signer = good.Signer[:ed25519.PrivateKeySize-1]
+	if _, err := New(bad, mb); err == nil {
+		t.Fatal("63-byte signer key accepted")
+	}
+	bad = good
+	bad.PeerKeys = map[string]ed25519.PublicKey{}
+	for id, pk := range good.PeerKeys {
+		bad.PeerKeys[id] = pk
+	}
+	bad.PeerKeys["P3"] = bad.PeerKeys["P3"][:ed25519.PublicKeySize-1]
+	if _, err := New(bad, mb); err == nil {
+		t.Fatal("31-byte peer key accepted")
+	}
+	bad = good
+	bad.TicketIssuer = good.TicketIssuer[:ed25519.PublicKeySize-1]
+	if _, err := New(bad, mb); !errors.Is(err, ticket.ErrBadKey) {
+		t.Fatalf("31-byte ticket issuer key: err = %v, want ticket.ErrBadKey", err)
 	}
 }

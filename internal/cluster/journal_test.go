@@ -474,6 +474,31 @@ func TestReplayRefusesVersion1Journal(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesVersion2Journal pins the version-3 bump: a version-2
+// record carried ticket and provenance signatures as RSA big integers,
+// which the version-3 codec would misread, so replay refuses it by its
+// version number.
+func TestReplayRefusesVersion2Journal(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	// A version-2 ticket entry: kind code 1, ticket present, id "T1",
+	// holder "u0", one op (W), and a 2-byte positive big-integer
+	// signature; then empty ticket id, glsn 0, count 0, no item.
+	v2 := []byte{walBinMagic, 2, 1, 1, 2, 'T', '1', 2, 'u', '0', 2, 2, 1, 2, 0xBE, 0xEF, 0, 0, 0, 0}
+	if err := st.Append(storage.Record{Kind: "ticket", Data: v2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = openStore(t, dir)
+	defer st.Close() //nolint:errcheck
+	err := replayStore(st, func(walEntry) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("replaying a version-2 record: err = %v, want a refusal naming version 2", err)
+	}
+}
+
 // TestReplayWALMissingDirIsFresh opens a data directory that does not
 // exist yet: a first boot, with nothing to replay.
 func TestReplayWALMissingDirIsFresh(t *testing.T) {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"math/big"
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"confaudit/internal/crypto/accumulator"
-	"confaudit/internal/crypto/blind"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/mathx"
 	"confaudit/internal/resilience"
@@ -58,13 +58,14 @@ type Config struct {
 	Partition *logmodel.Partition
 	// Group is the shared commutative-crypto group for SMC protocols.
 	Group *mathx.Group
-	// Signer is the node's signing key for agreement votes.
-	Signer *blind.Authority
+	// Signer is the node's Ed25519 key for agreement votes and result
+	// certificates.
+	Signer ed25519.PrivateKey
 	// PeerKeys maps every roster node (including self) to its
 	// verification key.
-	PeerKeys map[string]blind.PublicKey
+	PeerKeys map[string]ed25519.PublicKey
 	// TicketIssuer is the verification key tickets are checked under.
-	TicketIssuer blind.PublicKey
+	TicketIssuer ed25519.PublicKey
 	// AccParams are the cluster-agreed one-way-accumulator parameters.
 	AccParams *accumulator.Params
 	// FirstGLSN is the first sequence number the leader assigns.
@@ -102,8 +103,13 @@ func (c *Config) validate() error {
 	if c.Partition == nil || c.Group == nil || c.Signer == nil || c.AccParams == nil {
 		return errors.New("cluster: missing partition, group, signer, or accumulator params")
 	}
-	if len(c.PeerKeys) < len(c.Roster) {
-		return errors.New("cluster: missing peer keys")
+	if len(c.Signer) != ed25519.PrivateKeySize {
+		return fmt.Errorf("cluster: signer key is %d bytes, want %d", len(c.Signer), ed25519.PrivateKeySize)
+	}
+	for _, r := range c.Roster {
+		if pk, ok := c.PeerKeys[r]; !ok || len(pk) != ed25519.PublicKeySize {
+			return fmt.Errorf("cluster: peer key of %q is missing or not %d bytes", r, ed25519.PublicKeySize)
+		}
 	}
 	return nil
 }
@@ -115,8 +121,8 @@ type Node struct {
 	roster    []string
 	part      *logmodel.Partition
 	group     *mathx.Group
-	signer    *blind.Authority
-	peerKeys  map[string]blind.PublicKey
+	signer    ed25519.PrivateKey
+	peerKeys  map[string]ed25519.PublicKey
 	accParams *accumulator.Params
 	mb        *transport.Mailbox
 
@@ -169,6 +175,10 @@ func New(cfg Config, mb *transport.Mailbox) (*Node, error) {
 	if mb == nil || mb.ID() != cfg.ID {
 		return nil, fmt.Errorf("cluster: mailbox identity mismatch")
 	}
+	acl, err := ticket.NewAccessTable(cfg.TicketIssuer)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: ticket issuer: %w", err)
+	}
 	first := cfg.FirstGLSN
 	if first == 0 {
 		first = 1
@@ -183,7 +193,7 @@ func New(cfg Config, mb *transport.Mailbox) (*Node, error) {
 		accParams: cfg.AccParams,
 		mb:        mb,
 		recs:      make(map[logmodel.GLSN]*heldRecord),
-		acl:       ticket.NewAccessTable(cfg.TicketIssuer),
+		acl:       acl,
 		nextGLSN:  first,
 		idx:       make(map[logmodel.Attr]*attrIndex),
 		notifyCh:  make(chan struct{}),
@@ -493,10 +503,10 @@ type ticketRegisterBody struct {
 
 // wireTicket is the JSON form of a ticket.
 type wireTicket struct {
-	ID     string   `json:"id"`
-	Holder string   `json:"holder"`
-	Ops    []int    `json:"ops"`
-	Sig    *big.Int `json:"sig"`
+	ID     string `json:"id"`
+	Holder string `json:"holder"`
+	Ops    []int  `json:"ops"`
+	Sig    []byte `json:"sig"`
 }
 
 // ToWire converts a ticket for transmission.
@@ -635,10 +645,10 @@ type batchItem struct {
 	// fragment's hash exponent; the node materializes the group element
 	// X0^dexp lazily (see Node.Digest).
 	DigestExp *big.Int `json:"dexp,omitempty"`
-	// Provenance optionally carries the writer's signature over the
-	// record digest (see ProvenanceStatement), making the record
+	// Provenance optionally carries the writer's Ed25519 signature over
+	// the record digest (see ProvenanceStatement), making the record
 	// non-repudiable: the writer cannot later deny having logged it.
-	Provenance *big.Int `json:"provenance,omitempty"`
+	Provenance []byte `json:"provenance,omitempty"`
 	// WitnessExp is this node's membership-witness exponent in the digest
 	// — the product of every OTHER fragment's hash exponent — letting the
 	// node materialize X0^wexp once and then verify its slice with one
@@ -1009,7 +1019,7 @@ func (n *Node) materialize(g logmodel.GLSN, field func(*heldRecord) (*big.Int, *
 
 // Provenance returns the writer's non-repudiation signature for a glsn,
 // when the writer supplied one.
-func (n *Node) Provenance(g logmodel.GLSN) (*big.Int, bool) {
+func (n *Node) Provenance(g logmodel.GLSN) ([]byte, bool) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if rec, ok := n.recs[g]; ok && rec.item.Provenance != nil {
@@ -1022,7 +1032,7 @@ func (n *Node) Provenance(g logmodel.GLSN) (*big.Int, bool) {
 // digest stored for the record, signed under the writer's public key.
 // Returns an error if the record, digest, or signature is missing or
 // the signature does not verify.
-func (n *Node) VerifyProvenance(g logmodel.GLSN, writer blind.PublicKey) error {
+func (n *Node) VerifyProvenance(g logmodel.GLSN, writer ed25519.PublicKey) error {
 	digest, haveDigest := n.Digest(g)
 	sig, haveSig := n.Provenance(g)
 	if !haveDigest {
@@ -1031,8 +1041,8 @@ func (n *Node) VerifyProvenance(g logmodel.GLSN, writer blind.PublicKey) error {
 	if !haveSig {
 		return fmt.Errorf("cluster: record %s carries no provenance signature", g)
 	}
-	if err := blind.Verify(writer, ProvenanceStatement(g, digest), sig); err != nil {
-		return fmt.Errorf("cluster: provenance of %s does not verify: %w", g, err)
+	if !verifyStatement(writer, ProvenanceStatement(g, digest), sig) {
+		return fmt.Errorf("cluster: provenance of %s does not verify", g)
 	}
 	return nil
 }
@@ -1075,11 +1085,7 @@ func (n *Node) AccessTable() *ticket.AccessTable { return n.acl }
 
 // Sign signs arbitrary bytes under the node's cluster signing key; used
 // by the audit engine to certify query results.
-func (n *Node) Sign(data []byte) (*big.Int, error) { return n.signer.Sign(data) }
-
-// PeerKeys returns the cluster verification keys (shared map; treat as
-// read-only).
-func (n *Node) PeerKeys() map[string]blind.PublicKey { return n.peerKeys }
+func (n *Node) Sign(data []byte) []byte { return ed25519.Sign(n.signer, data) }
 
 // TicketAllows checks that a registered ticket permits the operation
 // class, without reference to a particular glsn. The audit engine uses

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"crypto/rand"
-	"math/big"
+	"crypto/ed25519"
 	"testing"
 
-	"confaudit/internal/crypto/blind"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/ticket"
 )
@@ -16,7 +14,7 @@ import (
 func TestProvenanceNonRepudiation(t *testing.T) {
 	tc := startCluster(t)
 	ctx := testCtx(t)
-	writerKey, err := blind.NewAuthority(rand.Reader, 1024)
+	writerPub, writerKey, err := ed25519.GenerateKey(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,16 +35,20 @@ func TestProvenanceNonRepudiation(t *testing.T) {
 		if _, ok := node.Provenance(g); !ok {
 			t.Fatalf("node %s missing provenance", id)
 		}
-		if err := node.VerifyProvenance(g, writerKey.Public()); err != nil {
+		if err := node.VerifyProvenance(g, writerPub); err != nil {
 			t.Fatalf("node %s: %v", id, err)
 		}
 		// A different key does not verify: the signature pins the writer.
-		other, err := blind.NewAuthority(rand.Reader, 1024)
+		other, _, err := ed25519.GenerateKey(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := node.VerifyProvenance(g, other.Public()); err == nil {
+		if err := node.VerifyProvenance(g, other); err == nil {
 			t.Fatalf("node %s accepted provenance under the wrong key", id)
+		}
+		// Nor does a truncated key, and it does not panic ed25519.
+		if err := node.VerifyProvenance(g, writerPub[:ed25519.PublicKeySize-1]); err == nil {
+			t.Fatalf("node %s accepted provenance under a 31-byte key", id)
 		}
 		break // one node suffices for the wrong-key case
 	}
@@ -67,7 +69,7 @@ func TestProvenanceAbsentWithoutSigner(t *testing.T) {
 	if _, ok := node.Provenance(g); ok {
 		t.Fatal("provenance present without a signer")
 	}
-	if err := node.VerifyProvenance(g, blind.PublicKey{N: big.NewInt(3), E: big.NewInt(3)}); err == nil {
+	if err := node.VerifyProvenance(g, make(ed25519.PublicKey, ed25519.PublicKeySize)); err == nil {
 		t.Fatal("verification succeeded without a signature")
 	}
 }
@@ -75,7 +77,7 @@ func TestProvenanceAbsentWithoutSigner(t *testing.T) {
 func TestVerifyProvenanceUnknownGLSN(t *testing.T) {
 	tc := startCluster(t)
 	node := tc.nodes["P0"]
-	if err := node.VerifyProvenance(0xffff, blind.PublicKey{N: big.NewInt(3), E: big.NewInt(3)}); err == nil {
+	if err := node.VerifyProvenance(0xffff, make(ed25519.PublicKey, ed25519.PublicKeySize)); err == nil {
 		t.Fatal("unknown glsn verified")
 	}
 }

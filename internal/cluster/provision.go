@@ -1,14 +1,15 @@
 package cluster
 
 import (
+	"crypto/ed25519"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/big"
 	"os"
 	"path/filepath"
 
 	"confaudit/internal/crypto/accumulator"
-	"confaudit/internal/crypto/blind"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/mathx"
 	"confaudit/internal/ticket"
@@ -19,28 +20,35 @@ import (
 // file plus one private file per node and one for the ticket issuer;
 // `dlad run` and dlactl load them.
 
-// CommonProvision is the public, cluster-wide material.
+// ErrBadProvision reports provisioning material this build cannot use:
+// undecodable files, or keys and seeds of the wrong length. Files
+// written before node keys moved to Ed25519 (RSA key objects) fail
+// here; re-provision the cluster.
+var ErrBadProvision = errors.New("cluster: malformed provision material")
+
+// CommonProvision is the public, cluster-wide material. Keys are
+// Ed25519, base64 in JSON.
 type CommonProvision struct {
-	Roster    []string                   `json:"roster"`
-	Addresses map[string]string          `json:"addresses"`
-	Partition logmodel.PartitionSpec     `json:"partition"`
-	GroupBits int                        `json:"group_bits"`
-	AccN      *big.Int                   `json:"acc_n"`
-	AccX0     *big.Int                   `json:"acc_x0"`
-	PeerKeys  map[string]blind.PublicKey `json:"peer_keys"`
-	IssuerPub blind.PublicKey            `json:"issuer_pub"`
-	FirstGLSN logmodel.GLSN              `json:"first_glsn"`
+	Roster    []string                     `json:"roster"`
+	Addresses map[string]string            `json:"addresses"`
+	Partition logmodel.PartitionSpec       `json:"partition"`
+	GroupBits int                          `json:"group_bits"`
+	AccN      *big.Int                     `json:"acc_n"`
+	AccX0     *big.Int                     `json:"acc_x0"`
+	PeerKeys  map[string]ed25519.PublicKey `json:"peer_keys"`
+	IssuerPub ed25519.PublicKey            `json:"issuer_pub"`
+	FirstGLSN logmodel.GLSN                `json:"first_glsn"`
 }
 
-// NodeProvision is one node's private key material.
+// NodeProvision is one node's private key: its Ed25519 seed.
 type NodeProvision struct {
-	ID  string            `json:"id"`
-	Key blind.KeyMaterial `json:"key"`
+	ID   string `json:"id"`
+	Seed []byte `json:"seed"`
 }
 
-// IssuerProvision is the ticket issuer's private key material.
+// IssuerProvision is the ticket issuer's private key: its Ed25519 seed.
 type IssuerProvision struct {
-	Key blind.KeyMaterial `json:"key"`
+	Seed []byte `json:"seed"`
 }
 
 // Provision exports the bootstrap into serializable pieces. addrs maps
@@ -53,7 +61,7 @@ func (b *Bootstrap) Provision(addrs map[string]string) (*CommonProvision, map[st
 		GroupBits: b.Group.Bits(),
 		AccN:      b.AccParams.N,
 		AccX0:     b.AccParams.X0,
-		PeerKeys:  make(map[string]blind.PublicKey, len(b.PeerKeys)),
+		PeerKeys:  make(map[string]ed25519.PublicKey, len(b.PeerKeys)),
 		IssuerPub: b.Issuer.Public(),
 		FirstGLSN: b.FirstGLSN,
 	}
@@ -62,14 +70,16 @@ func (b *Bootstrap) Provision(addrs map[string]string) (*CommonProvision, map[st
 	}
 	nodes := make(map[string]*NodeProvision, len(b.Signers))
 	for id, signer := range b.Signers {
-		nodes[id] = &NodeProvision{ID: id, Key: signer.Export()}
+		nodes[id] = &NodeProvision{ID: id, Seed: signer.Seed()}
 	}
-	return common, nodes, &IssuerProvision{Key: b.Issuer.Export()}
+	return common, nodes, &IssuerProvision{Seed: b.Issuer.Seed()}
 }
 
 // RestoreBootstrap rebuilds a Bootstrap from provisioned material. The
 // issuer may be nil (nodes do not need the issuer's private key); then
-// Issuer-dependent operations are unavailable.
+// Issuer-dependent operations are unavailable. Every key and seed is
+// length-checked here, so hostile material fails with ErrBadProvision
+// instead of reaching ed25519 (which panics on a short key).
 func RestoreBootstrap(common *CommonProvision, nodes map[string]*NodeProvision, issuer *IssuerProvision) (*Bootstrap, error) {
 	part, err := logmodel.FromSpec(common.Partition)
 	if err != nil {
@@ -83,30 +93,39 @@ func RestoreBootstrap(common *CommonProvision, nodes map[string]*NodeProvision, 
 	if err := acc.Validate(); err != nil {
 		return nil, err
 	}
+	if len(common.IssuerPub) != ed25519.PublicKeySize {
+		return nil, fmt.Errorf("%w: issuer key is %d bytes, want %d", ErrBadProvision, len(common.IssuerPub), ed25519.PublicKeySize)
+	}
 	b := &Bootstrap{
 		Roster:    append([]string(nil), common.Roster...),
 		Partition: part,
 		Group:     group,
 		AccParams: acc,
 		IssuerPub: common.IssuerPub,
-		Signers:   make(map[string]*blind.Authority),
-		PeerKeys:  make(map[string]blind.PublicKey, len(common.PeerKeys)),
+		Signers:   make(map[string]ed25519.PrivateKey),
+		PeerKeys:  make(map[string]ed25519.PublicKey, len(common.PeerKeys)),
 		FirstGLSN: common.FirstGLSN,
 	}
 	for id, pk := range common.PeerKeys {
+		if len(pk) != ed25519.PublicKeySize {
+			return nil, fmt.Errorf("%w: key of %s is %d bytes, want %d", ErrBadProvision, id, len(pk), ed25519.PublicKeySize)
+		}
 		b.PeerKeys[id] = pk
 	}
 	for id, np := range nodes {
-		signer, err := blind.NewAuthorityFromKey(np.Key)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: restoring key for %s: %w", id, err)
+		if len(np.Seed) != ed25519.SeedSize {
+			return nil, fmt.Errorf("%w: seed of %s is %d bytes, want %d", ErrBadProvision, id, len(np.Seed), ed25519.SeedSize)
+		}
+		signer := ed25519.NewKeyFromSeed(np.Seed)
+		if !b.PeerKeys[id].Equal(signer.Public()) {
+			return nil, fmt.Errorf("%w: seed of %s does not match its roster key", ErrBadProvision, id)
 		}
 		b.Signers[id] = signer
 	}
 	if issuer != nil {
-		iss, err := ticket.NewIssuerFromKey(issuer.Key)
+		iss, err := ticket.NewIssuerFromSeed(issuer.Seed)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: restoring issuer: %w", err)
+			return nil, fmt.Errorf("%w: restoring issuer: %v", ErrBadProvision, err)
 		}
 		b.Issuer = iss
 	}
@@ -183,7 +202,7 @@ func readJSON(path string, v any) error {
 		return fmt.Errorf("cluster: reading %s: %w", path, err)
 	}
 	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("cluster: decoding %s: %w", path, err)
+		return fmt.Errorf("%w: decoding %s: %v", ErrBadProvision, path, err)
 	}
 	return nil
 }

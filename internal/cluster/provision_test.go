@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"context"
-	"math/big"
+	"crypto/ed25519"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -49,16 +52,12 @@ func TestProvisionRoundTrip(t *testing.T) {
 	// The restored bootstrap must produce valid node configs and working
 	// keys: sign with the restored key, verify under the original pub.
 	cfg := restored.NodeConfig("P1")
-	if cfg.Signer == nil || cfg.TicketIssuer.N == nil {
+	if cfg.Signer == nil || cfg.TicketIssuer == nil {
 		t.Fatal("restored config incomplete")
-	}
-	sig, err := restored.Signers["P1"].Sign([]byte("statement"))
-	if err != nil {
-		t.Fatal(err)
 	}
 	cert := &Certificate{
 		Statement: []byte("statement"),
-		Votes:     map[string]*big.Int{"P1": sig},
+		Votes:     map[string][]byte{"P1": ed25519.Sign(restored.Signers["P1"], []byte("statement"))},
 	}
 	if err := VerifyCertificate(boot.PeerKeys, 1, cert); err != nil {
 		t.Fatalf("restored key signature rejected: %v", err)
@@ -83,12 +82,12 @@ func TestRestoreBootstrapWithoutIssuer(t *testing.T) {
 	if restored.Issuer != nil {
 		t.Fatal("issuer should be nil on node-side restore")
 	}
-	if restored.IssuerPub.N == nil {
+	if restored.IssuerPub == nil {
 		t.Fatal("issuer public key missing")
 	}
 	// NodeConfig still works (the dlad crash regression).
 	cfg := restored.NodeConfig("P0")
-	if cfg.TicketIssuer.N == nil {
+	if cfg.TicketIssuer == nil {
 		t.Fatal("NodeConfig lost the issuer public key")
 	}
 }
@@ -111,6 +110,70 @@ func TestRestoreBootstrapErrors(t *testing.T) {
 	bad.AccX0 = nil
 	if _, err := RestoreBootstrap(&bad, nodes, issuer); err == nil {
 		t.Fatal("missing accumulator base accepted")
+	}
+}
+
+// TestRestoreRefusesMalformedKeys pins the hostile-key boundary of
+// provisioning: a common.json carrying a 31-byte peer key, a short
+// issuer key or node seed, a seed that does not match its roster key,
+// and a file still in the RSA key format are each refused with
+// ErrBadProvision, never a panic inside ed25519.
+func TestRestoreRefusesMalformedKeys(t *testing.T) {
+	boot := sharedBootstrap(t)
+	addrs := map[string]string{"P0": "a", "P1": "b", "P2": "c", "P3": "d"}
+	common, nodes, issuer := boot.Provision(addrs)
+
+	dir := t.TempDir()
+	short := *common
+	short.PeerKeys = map[string]ed25519.PublicKey{}
+	for id, pk := range common.PeerKeys {
+		short.PeerKeys[id] = pk
+	}
+	short.PeerKeys["P2"] = short.PeerKeys["P2"][:ed25519.PublicKeySize-1]
+	if err := SaveProvision(dir, &short, nodes, issuer); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadCommon(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreBootstrap(loaded, nodes, issuer); !errors.Is(err, ErrBadProvision) {
+		t.Fatalf("31-byte peer key in common.json: err = %v, want ErrBadProvision", err)
+	}
+
+	bad := *common
+	bad.IssuerPub = bad.IssuerPub[:16]
+	if _, err := RestoreBootstrap(&bad, nodes, issuer); !errors.Is(err, ErrBadProvision) {
+		t.Fatalf("16-byte issuer key: err = %v, want ErrBadProvision", err)
+	}
+	if _, err := RestoreBootstrap(common, map[string]*NodeProvision{"P0": {ID: "P0", Seed: nodes["P0"].Seed[1:]}}, nil); !errors.Is(err, ErrBadProvision) {
+		t.Fatalf("31-byte node seed: err = %v, want ErrBadProvision", err)
+	}
+	if _, err := RestoreBootstrap(common, map[string]*NodeProvision{"P0": {ID: "P0", Seed: nodes["P1"].Seed}}, nil); !errors.Is(err, ErrBadProvision) {
+		t.Fatalf("P1's seed filed as P0's: err = %v, want ErrBadProvision", err)
+	}
+	if _, err := RestoreBootstrap(common, nil, &IssuerProvision{Seed: issuer.Seed[:8]}); !errors.Is(err, ErrBadProvision) {
+		t.Fatalf("8-byte issuer seed: err = %v, want ErrBadProvision", err)
+	}
+
+	// Files written before node keys moved to Ed25519 held RSA key
+	// objects; they are refused by name, not misread.
+	old := t.TempDir()
+	if err := os.WriteFile(filepath.Join(old, CommonFile), []byte(`{"roster":["P0"],"peer_keys":{"P0":{"N":3233,"E":17}},"issuer_pub":{"N":3233,"E":17}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCommon(old); !errors.Is(err, ErrBadProvision) {
+		t.Fatalf("RSA-format common.json: err = %v, want ErrBadProvision", err)
+	}
+	if err := os.WriteFile(filepath.Join(old, NodeFile("P0")), []byte(`{"id":"P0","key":{"n":3233,"e":17,"d":2753}}`), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	np, err := LoadNode(old, "P0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreBootstrap(common, map[string]*NodeProvision{"P0": np}, nil); !errors.Is(err, ErrBadProvision) {
+		t.Fatalf("RSA-format node file: err = %v, want ErrBadProvision", err)
 	}
 }
 
@@ -182,7 +245,7 @@ func TestProvisionedClusterRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iss, err := ticket.NewIssuerFromKey(ip.Key)
+	iss, err := ticket.NewIssuerFromSeed(ip.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

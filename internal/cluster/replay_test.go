@@ -1,12 +1,11 @@
 package cluster
 
 import (
-	"crypto/rand"
+	"crypto/ed25519"
 	"fmt"
 	"testing"
 	"time"
 
-	"confaudit/internal/crypto/blind"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/ticket"
 )
@@ -49,7 +48,7 @@ func stateSnapshot(tc *testCluster, gs []logmodel.GLSN, probes []indexProbe) map
 				out[key+"witness"] = w.String()
 			}
 			if p, ok := n.Provenance(g); ok {
-				out[key+"prov"] = p.String()
+				out[key+"prov"] = fmt.Sprintf("%x", p)
 			}
 		}
 		for _, p := range probes {
@@ -136,7 +135,7 @@ func TestReplayMatchesLiveState(t *testing.T) {
 		node.Digest(gs[6])
 	}
 
-	signer, err := blind.NewAuthority(rand.Reader, 1024)
+	_, signer, err := ed25519.GenerateKey(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,13 @@ type walEntry struct {
 
 // A journal record's payload opens with this magic/version prefix,
 // followed by the entry's compact wire encoding from wirecodec.go. The
-// segment store frames and checksums records itself. Version 2 carries
-// a "frag" entry's store item whole; replay refuses every other version.
+// segment store frames and checksums records itself. Version 3 carries
+// a "frag" entry's store item whole, and ticket and provenance
+// signatures as 64-byte Ed25519 runs; replay refuses every other
+// version.
 const (
 	walBinMagic   = 0xDA
-	walBinVersion = 2
+	walBinVersion = 3
 )
 
 // storeJournal is a node's journal: it carries walEntries into a

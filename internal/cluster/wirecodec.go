@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,6 +34,9 @@ import (
 //     len+1 ‖ bytes.
 //   - big integers: tag 0 for nil, 1 for zero/positive, 2 for
 //     negative; then len ‖ absolute-value bytes.
+//   - signatures (votes, tickets, provenance): an optional byte run
+//     that is either absent or exactly one Ed25519 signature (64
+//     bytes); any other length is refused at decode.
 //   - attribute values: kind ‖ len(S) ‖ S ‖ zigzag(I) ‖ bits(F).
 //   - fragments: glsn ‖ len(node) ‖ node ‖ values flag (0 nil, else
 //     count+1) ‖ { len(attr) ‖ attr ‖ value }* with attributes sorted,
@@ -227,6 +231,23 @@ func (d *wireDec) optBytes() ([]byte, error) {
 	return append([]byte(nil), b...), nil
 }
 
+// sig decodes an optional Ed25519 signature, refusing any present run
+// that is not exactly one signature long.
+func (d *wireDec) sig() ([]byte, error) {
+	n, err := d.small()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	if n-1 != ed25519.SignatureSize {
+		return nil, fmt.Errorf("%w: signature of %d bytes, want %d", errBadWire, n-1, ed25519.SignatureSize)
+	}
+	b, err := d.take(ed25519.SignatureSize)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), b...), nil
+}
+
 func (d *wireDec) big() (*big.Int, error) {
 	tag, err := d.take(1)
 	if err != nil {
@@ -337,13 +358,13 @@ func (d *wireDec) done() error {
 
 func sizeBatchItem(it *batchItem) int {
 	return sizeFragment(&it.Fragment) + sizeBig(it.DigestExp) +
-		sizeBig(it.Provenance) + sizeBig(it.WitnessExp)
+		sizeOptBytes(it.Provenance) + sizeBig(it.WitnessExp)
 }
 
 func appendBatchItem(dst []byte, it *batchItem) []byte {
 	dst = appendFragment(dst, &it.Fragment)
 	dst = appendBig(dst, it.DigestExp)
-	dst = appendBig(dst, it.Provenance)
+	dst = appendOptBytes(dst, it.Provenance)
 	return appendBig(dst, it.WitnessExp)
 }
 
@@ -357,7 +378,7 @@ func (d *wireDec) item(it *batchItem) error {
 	if it.DigestExp, err = d.big(); err != nil {
 		return err
 	}
-	if it.Provenance, err = d.big(); err != nil {
+	if it.Provenance, err = d.sig(); err != nil {
 		return err
 	}
 	it.WitnessExp, err = d.big()
@@ -557,18 +578,18 @@ func (b *agreeReqBody) DecodeBinary(src []byte) error {
 }
 
 func (b *agreeVoteBody) BinarySize() int {
-	return sizeBig(b.Sig) + sizeString(b.Refused)
+	return sizeOptBytes(b.Sig) + sizeString(b.Refused)
 }
 
 func (b *agreeVoteBody) AppendBinary(dst []byte) []byte {
-	dst = appendBig(dst, b.Sig)
+	dst = appendOptBytes(dst, b.Sig)
 	return appendString(dst, b.Refused)
 }
 
 func (b *agreeVoteBody) DecodeBinary(src []byte) error {
 	d := wireDec{rest: src}
 	var err error
-	if b.Sig, err = d.big(); err != nil {
+	if b.Sig, err = d.sig(); err != nil {
 		return err
 	}
 	if b.Refused, err = d.str(); err != nil {
@@ -584,7 +605,7 @@ func sizeCertificate(c *Certificate) int {
 	}
 	n += uvarintLen(uint64(len(c.Votes)) + 1)
 	for node, sig := range c.Votes {
-		n += sizeString(node) + sizeBig(sig)
+		n += sizeString(node) + sizeOptBytes(sig)
 	}
 	return n
 }
@@ -602,7 +623,7 @@ func appendCertificate(dst []byte, c *Certificate) []byte {
 	sort.Strings(nodes)
 	for _, node := range nodes {
 		dst = appendString(dst, node)
-		dst = appendBig(dst, c.Votes[node])
+		dst = appendOptBytes(dst, c.Votes[node])
 	}
 	return dst
 }
@@ -624,13 +645,13 @@ func decodeCertificate(d *wireDec, c *Certificate) error {
 	if count > len(d.rest) {
 		return fmt.Errorf("%w: certificate claims %d votes in %d bytes", errBadWire, count, len(d.rest))
 	}
-	c.Votes = make(map[string]*big.Int, count)
+	c.Votes = make(map[string][]byte, count)
 	for i := 0; i < count; i++ {
 		node, err := d.str()
 		if err != nil {
 			return err
 		}
-		sig, err := d.big()
+		sig, err := d.sig()
 		if err != nil {
 			return err
 		}
@@ -672,7 +693,7 @@ func sizeWireTicket(t *wireTicket) int {
 			n += uvarintLen(uint64(o))
 		}
 	}
-	return n + sizeBig(t.Sig)
+	return n + sizeOptBytes(t.Sig)
 }
 
 func appendWireTicket(dst []byte, t *wireTicket) []byte {
@@ -686,7 +707,7 @@ func appendWireTicket(dst []byte, t *wireTicket) []byte {
 			dst = binary.AppendUvarint(dst, uint64(o))
 		}
 	}
-	return appendBig(dst, t.Sig)
+	return appendOptBytes(dst, t.Sig)
 }
 
 func decodeWireTicket(d *wireDec) (*wireTicket, error) {
@@ -714,7 +735,7 @@ func decodeWireTicket(d *wireDec) (*wireTicket, error) {
 			}
 		}
 	}
-	if t.Sig, err = d.big(); err != nil {
+	if t.Sig, err = d.sig(); err != nil {
 		return nil, err
 	}
 	return &t, nil

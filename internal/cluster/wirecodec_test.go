@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/big"
 	"strings"
@@ -31,6 +33,23 @@ func fuzzBig(b []byte, neg bool) *big.Int {
 	}
 	return v
 }
+
+// fuzzSig builds a signature field from fuzz bytes: empty input is nil
+// (absent); anything else is used as is, so a run that is not 64 bytes
+// long reaches the decoder's refusal.
+func fuzzSig(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return b
+}
+
+// sigOK reports whether the codec admits sig: absent, or exactly one
+// Ed25519 signature.
+func sigOK(sig []byte) bool { return sig == nil || len(sig) == ed25519.SignatureSize }
+
+// testSig is a well-formed 64-byte signature run for codec tests.
+func testSig(b byte) []byte { return bytes.Repeat([]byte{b}, ed25519.SignatureSize) }
 
 // checkBinaryJSONAgree round-trips body through the binary codec and,
 // when the body is JSON-representable, through encoding/json, and
@@ -77,10 +96,11 @@ func checkBinaryJSONAgree[T interface {
 }
 
 // FuzzStoreBodyRoundTrip differentially fuzzes one store item — every
-// value kind, NaN and ±Inf floats, nil and signed big integers — as a
-// one-item store batch: the binary path and the JSON path must decode
-// to identical bodies, and neither the batch nor the item decoder may
-// panic on arbitrary bytes.
+// value kind, NaN and ±Inf floats, nil and signed big integers, absent,
+// 64-byte and mis-sized provenance signatures — as a one-item store
+// batch: the binary path and the JSON path must decode to identical
+// bodies, a mis-sized signature must be refused, and neither the batch
+// nor the item decoder may panic on arbitrary bytes.
 func FuzzStoreBodyRoundTrip(f *testing.F) {
 	f.Add("T1", "P0", uint64(0x139aef78), false, "user", "U1", uint8(1), int64(-42), 1.5,
 		[]byte(nil), []byte{0x01}, []byte{}, uint8(0), []byte(nil))
@@ -95,7 +115,7 @@ func FuzzStoreBodyRoundTrip(f *testing.F) {
 		item := batchItem{
 			Fragment:   logmodel.Fragment{GLSN: logmodel.GLSN(glsn), Node: node},
 			DigestExp:  fuzzBig(dexp, signs&2 != 0),
-			Provenance: fuzzBig(prov, signs&4 != 0),
+			Provenance: fuzzSig(prov),
 			WitnessExp: fuzzBig(wexp, signs&8 != 0),
 		}
 		if !nilValues {
@@ -106,7 +126,11 @@ func FuzzStoreBodyRoundTrip(f *testing.F) {
 			}
 		}
 		body := storeBatchBody{TicketID: ticketID, Items: []batchItem{item}}
-		checkBinaryJSONAgree(t, &body, func() *storeBatchBody { return &storeBatchBody{} })
+		if sigOK(item.Provenance) {
+			checkBinaryJSONAgree(t, &body, func() *storeBatchBody { return &storeBatchBody{} })
+		} else if err := new(storeBatchBody).DecodeBinary(body.AppendBinary(nil)); !errors.Is(err, errBadWire) {
+			t.Fatalf("%d-byte provenance signature: decode err = %v, want errBadWire", len(item.Provenance), err)
+		}
 		var junk storeBatchBody
 		junk.DecodeBinary(raw) //nolint:errcheck // must not panic; errors are fine
 		var junkItem batchItem
@@ -145,7 +169,7 @@ func FuzzStoreBatchBodyRoundTrip(f *testing.F) {
 					it.DigestExp = big.NewInt(int64(b) << 20)
 				}
 				if b&8 != 0 {
-					it.Provenance = big.NewInt(-int64(b))
+					it.Provenance = testSig(b)
 				}
 				if b&16 != 0 {
 					it.WitnessExp = new(big.Int).SetBytes(seed)
@@ -160,9 +184,11 @@ func FuzzStoreBatchBodyRoundTrip(f *testing.F) {
 }
 
 // FuzzWALEntryRoundTrip fuzzes the journal entry codec over every kind,
-// with and without a ticket and a store item, and with nil, zero and
-// signed big integers: every entry must decode from its encoding and
-// re-encode byte-exactly. Arbitrary bytes must never panic the decoder,
+// with and without a ticket and a store item, with nil, zero and signed
+// big integers, and with absent, 64-byte and mis-sized signatures: every
+// entry with well-formed signatures must decode from its encoding and
+// re-encode byte-exactly, and one with a mis-sized signature must be
+// refused. Arbitrary bytes must never panic the decoder,
 // and any it accepts must re-encode to exactly those bytes: the codec
 // admits one encoding per entry.
 func FuzzWALEntryRoundTrip(f *testing.F) {
@@ -188,13 +214,13 @@ func FuzzWALEntryRoundTrip(f *testing.F) {
 		node, attr string, i int64, dexp, prov, wexp []byte, flags uint8, raw []byte) {
 		e := walEntry{Kind: walKindName[1+kind%4], TicketID: ticketID, GLSN: logmodel.GLSN(glsn), Count: int(count)}
 		if flags&0x10 != 0 {
-			e.Ticket = &wireTicket{ID: ticketID, Holder: node, Ops: []int{int(count)}, Sig: fuzzBig(prov, flags&4 != 0)}
+			e.Ticket = &wireTicket{ID: ticketID, Holder: node, Ops: []int{int(count)}, Sig: fuzzSig(prov)}
 		}
 		if flags&0x20 != 0 {
 			e.Item = &batchItem{
 				Fragment:   logmodel.Fragment{GLSN: logmodel.GLSN(glsn), Node: node},
 				DigestExp:  fuzzBig(dexp, flags&1 != 0),
-				Provenance: fuzzBig(prov, flags&4 != 0),
+				Provenance: fuzzSig(prov),
 				WitnessExp: fuzzBig(wexp, flags&2 != 0),
 			}
 			if flags&0x40 == 0 {
@@ -208,17 +234,23 @@ func FuzzWALEntryRoundTrip(f *testing.F) {
 		if len(enc) != walEntrySize(&e) {
 			t.Fatalf("wrote %d bytes, size says %d", len(enc), walEntrySize(&e))
 		}
+		if junk, err := decodeWALEntry(raw); err == nil {
+			if re, _ := appendWALEntry(nil, &junk); !bytes.Equal(raw, re) {
+				t.Fatalf("accepted %x, which re-encodes as %x", raw, re)
+			}
+		}
 		got, err := decodeWALEntry(enc)
+		if !sigOK(fuzzSig(prov)) && (e.Ticket != nil || e.Item != nil) {
+			if !errors.Is(err, errBadWire) {
+				t.Fatalf("%d-byte signature: decode err = %v, want errBadWire", len(prov), err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("decoding own encoding: %v", err)
 		}
 		if re, _ := appendWALEntry(nil, &got); !bytes.Equal(enc, re) {
 			t.Fatalf("re-encode differs:\n %x\n %x", enc, re)
-		}
-		if junk, err := decodeWALEntry(raw); err == nil {
-			if re, _ := appendWALEntry(nil, &junk); !bytes.Equal(raw, re) {
-				t.Fatalf("accepted %x, which re-encodes as %x", raw, re)
-			}
 		}
 	})
 }
@@ -234,11 +266,11 @@ func TestWireBodiesRoundTrip(t *testing.T) {
 	checkBinaryJSONAgree(t, &glsnRangeRespBody{Error: "not leader"}, func() *glsnRangeRespBody { return &glsnRangeRespBody{} })
 	checkBinaryJSONAgree(t, &agreeReqBody{Statement: []byte("glsnrange|5|1|T1")}, func() *agreeReqBody { return &agreeReqBody{} })
 	checkBinaryJSONAgree(t, &agreeReqBody{}, func() *agreeReqBody { return &agreeReqBody{} })
-	checkBinaryJSONAgree(t, &agreeVoteBody{Sig: big.NewInt(987654)}, func() *agreeVoteBody { return &agreeVoteBody{} })
+	checkBinaryJSONAgree(t, &agreeVoteBody{Sig: testSig(0x42)}, func() *agreeVoteBody { return &agreeVoteBody{} })
 	checkBinaryJSONAgree(t, &agreeVoteBody{Refused: "stale"}, func() *agreeVoteBody { return &agreeVoteBody{} })
 	checkBinaryJSONAgree(t, &agreeCommitBody{Cert: Certificate{
 		Statement: []byte("glsnrange|5|1|T1"),
-		Votes:     map[string]*big.Int{"P0": big.NewInt(1), "P2": big.NewInt(-3), "P1": nil},
+		Votes:     map[string][]byte{"P0": testSig(1), "P2": testSig(3), "P1": nil},
 	}}, func() *agreeCommitBody { return &agreeCommitBody{} })
 	checkBinaryJSONAgree(t, &agreeCommitBody{}, func() *agreeCommitBody { return &agreeCommitBody{} })
 }
@@ -247,14 +279,14 @@ func TestWireBodiesRoundTrip(t *testing.T) {
 // every entry kind.
 func TestWALEntryBinaryRoundTrip(t *testing.T) {
 	entries := []walEntry{
-		{Kind: "ticket", Ticket: &wireTicket{ID: "T1", Holder: "u1", Ops: []int{1, 2, 4}, Sig: big.NewInt(0xBEEF)}},
+		{Kind: "ticket", Ticket: &wireTicket{ID: "T1", Holder: "u1", Ops: []int{1, 2, 4}, Sig: testSig(0xBE)}},
 		{Kind: "ticket", Ticket: &wireTicket{ID: "", Holder: "u2"}},
 		{Kind: "grant", TicketID: "T1", GLSN: 42, Count: 128},
 		{Kind: "frag", Item: &batchItem{Fragment: logmodel.Fragment{
 			GLSN: 9, Node: "P1",
 			Values: map[logmodel.Attr]logmodel.Value{"a": logmodel.Int(3), "b": logmodel.Float(2.5)},
 		}, DigestExp: big.NewInt(123456789), WitnessExp: big.NewInt(77)}},
-		{Kind: "frag", Item: &batchItem{Fragment: logmodel.Fragment{GLSN: 10, Node: "P2"}, DigestExp: big.NewInt(5), Provenance: big.NewInt(-9)}},
+		{Kind: "frag", Item: &batchItem{Fragment: logmodel.Fragment{GLSN: 10, Node: "P2"}, DigestExp: big.NewInt(5), Provenance: testSig(9)}},
 		{Kind: "delete", GLSN: 7},
 	}
 	for i, e := range entries {
@@ -305,9 +337,11 @@ func TestWireDecodeRejectsHostileEncodings(t *testing.T) {
 	if err := bb.DecodeBinary(hostile); err == nil {
 		t.Fatal("hostile item count accepted")
 	}
-	// A big.Int with an invalid sign tag.
-	var ab agreeVoteBody
-	if err := ab.DecodeBinary([]byte{0x09, 0x01, 0xAA, 0x00}); err == nil {
+	// A big.Int with an invalid sign tag, as a store item's digest
+	// exponent after the fragment glsn 1, node "", no values.
+	frag := []byte{0x01, 0x00, 0x00}
+	var bt batchItem
+	if err := decodeBatchItem(append(append(frag, 0x09, 0x01, 0xAA), 0x00, 0x00), &bt); err == nil {
 		t.Fatal("bad big-int tag accepted")
 	}
 	if _, err := decodeWALEntry([]byte{0x09}); err == nil {
@@ -319,12 +353,13 @@ func TestWireDecodeRejectsHostileEncodings(t *testing.T) {
 	if err := rq.DecodeBinary([]byte{0x00, 0x81, 0x00}); err == nil {
 		t.Fatal("overlong varint accepted")
 	}
-	for name, enc := range map[string][]byte{
-		"leading zero byte": {0x01, 0x02, 0x00, 0x05, 0x00},
-		"negative zero":     {0x02, 0x00, 0x00},
+	for name, dexp := range map[string][]byte{
+		"leading zero byte": {0x01, 0x02, 0x00, 0x05},
+		"negative zero":     {0x02, 0x00},
 	} {
-		var v agreeVoteBody
-		if err := v.DecodeBinary(enc); err == nil {
+		var it batchItem
+		enc := append(append(append([]byte(nil), frag...), dexp...), 0x00, 0x00)
+		if err := decodeBatchItem(enc, &it); err == nil {
 			t.Fatalf("big integer with a %s accepted", name)
 		}
 	}
@@ -337,6 +372,36 @@ func TestWireDecodeRejectsHostileEncodings(t *testing.T) {
 		var it batchItem
 		if err := decodeBatchItem(enc, &it); err == nil {
 			t.Fatalf("fragment attributes %s accepted", name)
+		}
+	}
+}
+
+// TestWireDecodeRefusesMisSizedSignatures pins the signature boundary in
+// every decoder that carries one — votes, certificates, tickets and
+// provenance: a run of 63 or 65 bytes is refused with errBadWire, so a
+// short signature never reaches ed25519 or a quorum count.
+func TestWireDecodeRefusesMisSizedSignatures(t *testing.T) {
+	for _, n := range []int{0, 1, ed25519.SignatureSize - 1, ed25519.SignatureSize + 1} {
+		sig := make([]byte, n)
+		vote := agreeVoteBody{Sig: sig}
+		if err := new(agreeVoteBody).DecodeBinary(vote.AppendBinary(nil)); !errors.Is(err, errBadWire) {
+			t.Errorf("%d-byte vote: err = %v, want errBadWire", n, err)
+		}
+		commit := agreeCommitBody{Cert: Certificate{Statement: []byte("s"), Votes: map[string][]byte{"P0": testSig(1), "P1": sig}}}
+		if err := new(agreeCommitBody).DecodeBinary(commit.AppendBinary(nil)); !errors.Is(err, errBadWire) {
+			t.Errorf("%d-byte certificate vote: err = %v, want errBadWire", n, err)
+		}
+		tk := walEntry{Kind: "ticket", Ticket: &wireTicket{ID: "T1", Holder: "u0", Ops: []int{1}, Sig: sig}}
+		enc, err := appendWALEntry(nil, &tk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeWALEntry(enc); !errors.Is(err, errBadWire) {
+			t.Errorf("%d-byte ticket signature: err = %v, want errBadWire", n, err)
+		}
+		it := batchItem{Fragment: logmodel.Fragment{GLSN: 1, Node: "P0"}, DigestExp: big.NewInt(5), Provenance: sig}
+		if err := decodeBatchItem(appendBatchItem(nil, &it), new(batchItem)); !errors.Is(err, errBadWire) {
+			t.Errorf("%d-byte provenance: err = %v, want errBadWire", n, err)
 		}
 	}
 }

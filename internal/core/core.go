@@ -165,7 +165,7 @@ type Options struct {
 	Partition *logmodel.Partition
 	// Group is the commutative-crypto group (default mathx.Oakley768).
 	Group *mathx.Group
-	// Bootstrap tunes key sizes and the first glsn.
+	// Bootstrap tunes the accumulator size and the first glsn.
 	Bootstrap cluster.BootstrapOptions
 	// Material optionally reuses existing provisioning material (keys,
 	// accumulator parameters, issuer) instead of generating fresh keys.

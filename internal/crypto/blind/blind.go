@@ -42,17 +42,14 @@ type PublicKey struct {
 	E *big.Int
 }
 
-// Authority holds the credential-authority signing key. When the prime
-// factorization is known (always for freshly generated keys, and for
-// imported material that includes the primes), private-key operations
-// run in CRT form — two half-width exponentiations instead of one
-// full-width one, ~3.5x faster — with results identical to the plain
-// x^d mod N.
+// Authority holds the credential-authority signing key. Private-key
+// operations run in CRT form from the prime factors — two half-width
+// exponentiations instead of one full-width one, ~3.5x faster — with
+// results identical to the plain x^d mod N.
 type Authority struct {
-	pub  PublicKey
-	priv *big.Int // d
-
-	// CRT precomputation; nil fields mean plain exponentiation.
+	pub PublicKey
+	// CRT form of the private exponent d: the primes, d mod (p-1),
+	// d mod (q-1) and q^-1 mod p.
 	p, q, dp, dq, qinv *big.Int
 }
 
@@ -65,40 +62,21 @@ func NewAuthority(rng io.Reader, bits int) (*Authority, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blind: generating CA key: %w", err)
 	}
-	a := &Authority{
-		pub:  PublicKey{N: key.N, E: big.NewInt(int64(key.E))},
-		priv: key.D,
-	}
-	a.precomputeCRT(key.Primes[0], key.Primes[1])
-	return a, nil
-}
-
-// precomputeCRT derives the CRT exponents from the prime factors; it
-// leaves the authority on the plain path if the factors are unusable.
-func (a *Authority) precomputeCRT(p, q *big.Int) {
-	if p == nil || q == nil || p.Sign() <= 0 || q.Sign() <= 0 {
-		return
-	}
-	if new(big.Int).Mul(p, q).Cmp(a.pub.N) != 0 {
-		return
-	}
-	qinv := new(big.Int).ModInverse(q, p)
-	if qinv == nil {
-		return
-	}
+	p, q := key.Primes[0], key.Primes[1]
 	one := big.NewInt(1)
-	a.p, a.q = p, q
-	a.dp = new(big.Int).Mod(a.priv, new(big.Int).Sub(p, one))
-	a.dq = new(big.Int).Mod(a.priv, new(big.Int).Sub(q, one))
-	a.qinv = qinv
+	return &Authority{
+		pub:  PublicKey{N: key.N, E: big.NewInt(int64(key.E))},
+		p:    p,
+		q:    q,
+		dp:   new(big.Int).Mod(key.D, new(big.Int).Sub(p, one)),
+		dq:   new(big.Int).Mod(key.D, new(big.Int).Sub(q, one)),
+		qinv: new(big.Int).ModInverse(q, p),
+	}, nil
 }
 
-// expPriv computes x^d mod N, via CRT when the factorization is known.
+// expPriv computes x^d mod N by Garner recombination:
+// m = m2 + q*((m1 - m2)*qinv mod p).
 func (a *Authority) expPriv(x *big.Int) *big.Int {
-	if a.p == nil {
-		return new(big.Int).Exp(x, a.priv, a.pub.N)
-	}
-	// Garner recombination: m = m2 + q*((m1 - m2)*qinv mod p).
 	m1 := new(big.Int).Exp(x, a.dp, a.p)
 	m2 := new(big.Int).Exp(x, a.dq, a.q)
 	h := m1.Sub(m1, m2)
@@ -111,37 +89,6 @@ func (a *Authority) expPriv(x *big.Int) *big.Int {
 
 // Public returns the CA verification key.
 func (a *Authority) Public() PublicKey { return a.pub }
-
-// KeyMaterial is the serializable form of an Authority's private key,
-// for multi-process deployments that provision keys out of band. The
-// prime factors are optional: material exported by older versions
-// omits them, and an authority rebuilt without them simply signs on
-// the plain (slower) path.
-type KeyMaterial struct {
-	N *big.Int `json:"n"`
-	E *big.Int `json:"e"`
-	D *big.Int `json:"d"`
-	P *big.Int `json:"p,omitempty"`
-	Q *big.Int `json:"q,omitempty"`
-}
-
-// Export returns the authority's key material, including the prime
-// factors when known so re-imported authorities keep the CRT fast path.
-func (a *Authority) Export() KeyMaterial {
-	return KeyMaterial{N: a.pub.N, E: a.pub.E, D: a.priv, P: a.p, Q: a.q}
-}
-
-// NewAuthorityFromKey reconstructs an authority from exported material.
-func NewAuthorityFromKey(km KeyMaterial) (*Authority, error) {
-	if km.N == nil || km.E == nil || km.D == nil {
-		return nil, errors.New("blind: incomplete key material")
-	}
-	a := &Authority{pub: PublicKey{N: km.N, E: km.E}, priv: km.D}
-	if km.P != nil && km.Q != nil {
-		a.precomputeCRT(km.P, km.Q)
-	}
-	return a, nil
-}
 
 // SignBlinded signs a blinded message. The CA cannot tell which token it
 // is issuing; rate limiting / admission policy is the caller's concern.
@@ -231,8 +178,8 @@ func Verify(pub PublicKey, msg []byte, sig *big.Int) error {
 	return nil
 }
 
-// Sign issues a direct (non-blind) signature; used by DLA nodes for
-// ordinary signed votes and evidence pieces where anonymity toward the
+// Sign issues a direct (non-blind) signature; members use it on the
+// evidence pieces of the join protocol, where anonymity toward the
 // signer is not needed.
 func (a *Authority) Sign(msg []byte) (*big.Int, error) {
 	h := hashToModulus(a.pub, msg)

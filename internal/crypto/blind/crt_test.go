@@ -6,20 +6,19 @@ import (
 	"testing"
 )
 
-// TestCRTSignMatchesPlain pins the CRT signing path to plain x^d mod N
-// for fresh keys, exported-and-reimported keys (primes round-trip),
-// and prime-less material (plain fallback).
+// TestCRTSignMatchesPlain pins the CRT signing path to plain x^d mod N,
+// with d recomputed from the authority's primes.
 func TestCRTSignMatchesPlain(t *testing.T) {
 	a, err := NewAuthority(rand.Reader, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.p == nil {
-		t.Fatal("fresh authority did not retain the prime factors")
-	}
+	one := big.NewInt(1)
+	phi := new(big.Int).Mul(new(big.Int).Sub(a.p, one), new(big.Int).Sub(a.q, one))
+	d := new(big.Int).ModInverse(a.pub.E, phi)
 	msg := []byte("crt-equivalence")
 	h := hashToModulus(a.pub, msg)
-	plain := new(big.Int).Exp(h, a.priv, a.pub.N)
+	plain := new(big.Int).Exp(h, d, a.pub.N)
 
 	sig, err := a.Sign(msg)
 	if err != nil {
@@ -30,41 +29,6 @@ func TestCRTSignMatchesPlain(t *testing.T) {
 	}
 	if err := Verify(a.pub, msg, sig); err != nil {
 		t.Fatal(err)
-	}
-
-	// Round trip through exported material keeps the CRT path and the
-	// same signatures.
-	b, err := NewAuthorityFromKey(a.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.p == nil {
-		t.Fatal("reimported authority lost the prime factors")
-	}
-	sig2, err := b.Sign(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sig2.Cmp(sig) != 0 {
-		t.Fatal("reimported authority signs differently")
-	}
-
-	// Prime-less material (the pre-CRT export format) still works.
-	km := a.Export()
-	km.P, km.Q = nil, nil
-	c, err := NewAuthorityFromKey(km)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.p != nil {
-		t.Fatal("authority without primes claims a CRT path")
-	}
-	sig3, err := c.Sign(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sig3.Cmp(sig) != 0 {
-		t.Fatal("plain-path authority signs differently")
 	}
 }
 
@@ -97,21 +61,6 @@ func BenchmarkSignCRT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	msg := []byte("bench")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.Sign(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSignPlain(b *testing.B) {
-	a, err := NewAuthority(rand.Reader, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a.p, a.q, a.dp, a.dq, a.qinv = nil, nil, nil, nil, nil
 	msg := []byte("bench")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

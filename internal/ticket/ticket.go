@@ -7,18 +7,21 @@
 //
 // A ticket here is a digital signature by the cluster's credential
 // authority over the ticket body, the first of the two forms the paper
-// allows ("a digital signature or Kerberos like ticket").
+// allows ("a digital signature or Kerberos like ticket"). The issuer
+// signs in the clear (it knows whom it authorizes), so the signature is
+// Ed25519; blind signatures are reserved for the anonymous membership
+// credentials of §4.2.
 package ticket
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"fmt"
-	"math/big"
+	"io"
 	"sort"
 	"strings"
 	"sync"
 
-	"confaudit/internal/crypto/blind"
 	"confaudit/internal/logmodel"
 )
 
@@ -56,6 +59,8 @@ var (
 	ErrNotAuthorized = errors.New("ticket: operation not authorized")
 	// ErrDuplicateTicket indicates re-registration of a ticket ID.
 	ErrDuplicateTicket = errors.New("ticket: duplicate ticket ID")
+	// ErrBadKey indicates issuer key material of the wrong length.
+	ErrBadKey = errors.New("ticket: malformed issuer key")
 )
 
 // Ticket authorizes a holder for a set of operations. The signature
@@ -67,8 +72,8 @@ type Ticket struct {
 	Holder string
 	// Ops are the allowed operations.
 	Ops []Op
-	// Sig is the issuer's signature over the canonical body.
-	Sig *big.Int
+	// Sig is the issuer's Ed25519 signature over the canonical body.
+	Sig []byte
 }
 
 // OpsString renders the operation set as Table 6 does ("W/R").
@@ -103,26 +108,32 @@ func (t *Ticket) Allows(op Op) bool {
 // Issuer mints signed tickets. In a deployment this is the cluster's
 // credential authority.
 type Issuer struct {
-	ca *blind.Authority
+	key ed25519.PrivateKey
 }
 
-// NewIssuer wraps a credential authority key.
-func NewIssuer(ca *blind.Authority) *Issuer { return &Issuer{ca: ca} }
-
-// Export returns the issuer's private key material for provisioning.
-func (i *Issuer) Export() blind.KeyMaterial { return i.ca.Export() }
-
-// NewIssuerFromKey reconstructs an issuer from exported material.
-func NewIssuerFromKey(km blind.KeyMaterial) (*Issuer, error) {
-	ca, err := blind.NewAuthorityFromKey(km)
+// NewIssuer generates a fresh issuer key from rng (crypto/rand when
+// nil).
+func NewIssuer(rng io.Reader) (*Issuer, error) {
+	_, key, err := ed25519.GenerateKey(rng)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ticket: generating issuer key: %w", err)
 	}
-	return NewIssuer(ca), nil
+	return &Issuer{key: key}, nil
 }
+
+// NewIssuerFromSeed rebuilds an issuer from its provisioned seed.
+func NewIssuerFromSeed(seed []byte) (*Issuer, error) {
+	if len(seed) != ed25519.SeedSize {
+		return nil, fmt.Errorf("%w: seed is %d bytes, want %d", ErrBadKey, len(seed), ed25519.SeedSize)
+	}
+	return &Issuer{key: ed25519.NewKeyFromSeed(seed)}, nil
+}
+
+// Seed returns the issuer's private seed for provisioning.
+func (i *Issuer) Seed() []byte { return i.key.Seed() }
 
 // Public returns the verification key for issued tickets.
-func (i *Issuer) Public() blind.PublicKey { return i.ca.Public() }
+func (i *Issuer) Public() ed25519.PublicKey { return i.key.Public().(ed25519.PublicKey) }
 
 // Issue mints a ticket for the holder with the given operations.
 func (i *Issuer) Issue(id, holder string, ops ...Op) (*Ticket, error) {
@@ -133,21 +144,27 @@ func (i *Issuer) Issue(id, holder string, ops ...Op) (*Ticket, error) {
 		return nil, errors.New("ticket: no operations granted")
 	}
 	t := &Ticket{ID: id, Holder: holder, Ops: append([]Op(nil), ops...)}
-	sig, err := i.ca.Sign(t.canonical())
-	if err != nil {
-		return nil, fmt.Errorf("ticket: signing: %w", err)
-	}
-	t.Sig = sig
+	t.Sig = ed25519.Sign(i.key, t.canonical())
 	return t, nil
 }
 
-// Verify checks the ticket signature under the issuer public key.
-func Verify(pub blind.PublicKey, t *Ticket) error {
-	if t == nil || t.Sig == nil {
+// Verify checks the ticket signature under the issuer public key. A key
+// of the wrong length is refused, never a panic.
+func Verify(pub ed25519.PublicKey, t *Ticket) error {
+	if err := checkIssuerKey(pub); err != nil {
+		return err
+	}
+	if t == nil || !ed25519.Verify(pub, t.canonical(), t.Sig) {
 		return ErrForged
 	}
-	if err := blind.Verify(pub, t.canonical(), t.Sig); err != nil {
-		return fmt.Errorf("%w: %v", ErrForged, err)
+	return nil
+}
+
+// checkIssuerKey refuses a verification key ed25519.Verify would panic
+// on.
+func checkIssuerKey(pub ed25519.PublicKey) error {
+	if len(pub) != ed25519.PublicKeySize {
+		return fmt.Errorf("%w: issuer key is %d bytes, want %d", ErrBadKey, len(pub), ed25519.PublicKeySize)
 	}
 	return nil
 }
@@ -157,18 +174,22 @@ func Verify(pub blind.PublicKey, t *Ticket) error {
 // safe for concurrent use.
 type AccessTable struct {
 	mu      sync.RWMutex
-	issuer  blind.PublicKey
+	issuer  ed25519.PublicKey
 	tickets map[string]*Ticket
 	grants  map[string]map[logmodel.GLSN]struct{}
 }
 
-// NewAccessTable creates an empty table verifying tickets under pub.
-func NewAccessTable(pub blind.PublicKey) *AccessTable {
+// NewAccessTable creates an empty table verifying tickets under pub,
+// refusing a key of the wrong length.
+func NewAccessTable(pub ed25519.PublicKey) (*AccessTable, error) {
+	if err := checkIssuerKey(pub); err != nil {
+		return nil, err
+	}
 	return &AccessTable{
 		issuer:  pub,
 		tickets: make(map[string]*Ticket),
 		grants:  make(map[string]map[logmodel.GLSN]struct{}),
-	}
+	}, nil
 }
 
 // Register admits a ticket after verifying its signature. Forged or

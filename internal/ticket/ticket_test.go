@@ -1,31 +1,30 @@
 package ticket
 
 import (
-	"crypto/rand"
+	"crypto/ed25519"
 	"errors"
-	"math/big"
 	"sync"
 	"testing"
 
-	"confaudit/internal/crypto/blind"
 	"confaudit/internal/logmodel"
-)
-
-var (
-	caOnce sync.Once
-	caKey  *blind.Authority
 )
 
 func issuer(t testing.TB) *Issuer {
 	t.Helper()
-	caOnce.Do(func() {
-		ca, err := blind.NewAuthority(rand.Reader, 1024)
-		if err != nil {
-			t.Fatalf("NewAuthority: %v", err)
-		}
-		caKey = ca
-	})
-	return NewIssuer(caKey)
+	iss, err := NewIssuer(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return iss
+}
+
+func table(t testing.TB, pub ed25519.PublicKey) *AccessTable {
+	t.Helper()
+	tbl, err := NewAccessTable(pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
 }
 
 func TestIssueAndVerify(t *testing.T) {
@@ -72,7 +71,8 @@ func TestVerifyRejectsTampering(t *testing.T) {
 		{"changed ID", func(x *Ticket) { x.ID = "T9" }},
 		{"changed holder", func(x *Ticket) { x.Holder = "attacker" }},
 		{"escalated ops", func(x *Ticket) { x.Ops = append(x.Ops, OpDelete) }},
-		{"mauled sig", func(x *Ticket) { x.Sig = new(big.Int).Add(x.Sig, big.NewInt(1)) }},
+		{"mauled sig", func(x *Ticket) { x.Sig = append([]byte(nil), x.Sig...); x.Sig[0] ^= 1 }},
+		{"short sig", func(x *Ticket) { x.Sig = x.Sig[:ed25519.SignatureSize-1] }},
 		{"nil sig", func(x *Ticket) { x.Sig = nil }},
 	}
 	for _, tc := range cases {
@@ -104,7 +104,7 @@ func TestOpString(t *testing.T) {
 
 func TestAccessTableLifecycle(t *testing.T) {
 	iss := issuer(t)
-	tbl := NewAccessTable(iss.Public())
+	tbl := table(t, iss.Public())
 	tk, err := iss.Issue("T1", "u0", OpWrite, OpRead)
 	if err != nil {
 		t.Fatal(err)
@@ -145,8 +145,8 @@ func TestAccessTableLifecycle(t *testing.T) {
 
 func TestAccessTableRejectsForgedTicket(t *testing.T) {
 	iss := issuer(t)
-	tbl := NewAccessTable(iss.Public())
-	forged := &Ticket{ID: "T9", Holder: "mallory", Ops: []Op{OpRead, OpWrite, OpDelete}, Sig: big.NewInt(12345)}
+	tbl := table(t, iss.Public())
+	forged := &Ticket{ID: "T9", Holder: "mallory", Ops: []Op{OpRead, OpWrite, OpDelete}, Sig: make([]byte, ed25519.SignatureSize)}
 	if err := tbl.Register(forged); !errors.Is(err, ErrForged) {
 		t.Fatalf("err = %v, want ErrForged", err)
 	}
@@ -154,7 +154,7 @@ func TestAccessTableRejectsForgedTicket(t *testing.T) {
 
 func TestGlsnsSortedAndTable6(t *testing.T) {
 	iss := issuer(t)
-	tbl := NewAccessTable(iss.Public())
+	tbl := table(t, iss.Public())
 	ex, err := logmodel.NewPaperExample()
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestGlsnsSortedAndTable6(t *testing.T) {
 func TestConsistencyElements(t *testing.T) {
 	iss := issuer(t)
 	mk := func() *AccessTable {
-		tbl := NewAccessTable(iss.Public())
+		tbl := table(t, iss.Public())
 		tk, err := iss.Issue("T1", "u0", OpWrite)
 		if err != nil {
 			t.Fatal(err)
@@ -231,7 +231,7 @@ func TestConsistencyElements(t *testing.T) {
 
 func TestAccessTableConcurrency(t *testing.T) {
 	iss := issuer(t)
-	tbl := NewAccessTable(iss.Public())
+	tbl := table(t, iss.Public())
 	tk, err := iss.Issue("T1", "u0", OpWrite, OpRead)
 	if err != nil {
 		t.Fatal(err)
@@ -260,5 +260,33 @@ func TestAccessTableConcurrency(t *testing.T) {
 	wg.Wait()
 	if got := len(tbl.Glsns("T1")); got != 800 {
 		t.Fatalf("granted %d glsns, want 800", got)
+	}
+}
+
+// TestIssuerKeyLengths pins the hostile-key boundary: issuer material of
+// the wrong length is refused with ErrBadKey wherever it enters, never a
+// panic inside ed25519, and a seed round trip keeps the issuer's key.
+func TestIssuerKeyLengths(t *testing.T) {
+	iss := issuer(t)
+	tk, err := iss.Issue("T1", "u0", OpRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := iss.Public()[:ed25519.PublicKeySize-1]
+	if err := Verify(short, tk); !errors.Is(err, ErrBadKey) {
+		t.Fatalf("Verify under a 31-byte key: err = %v, want ErrBadKey", err)
+	}
+	if _, err := NewAccessTable(short); !errors.Is(err, ErrBadKey) {
+		t.Fatalf("NewAccessTable with a 31-byte key: err = %v, want ErrBadKey", err)
+	}
+	if _, err := NewIssuerFromSeed(iss.Seed()[1:]); !errors.Is(err, ErrBadKey) {
+		t.Fatalf("NewIssuerFromSeed with a 31-byte seed: err = %v, want ErrBadKey", err)
+	}
+	back, err := NewIssuerFromSeed(iss.Seed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(back.Public(), tk); err != nil {
+		t.Fatalf("ticket rejected under the restored issuer's key: %v", err)
 	}
 }

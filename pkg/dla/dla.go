@@ -31,13 +31,13 @@ package dla
 
 import (
 	"context"
+	"crypto/ed25519"
 	"errors"
 	"fmt"
 
 	"confaudit/internal/audit"
 	"confaudit/internal/cluster"
 	"confaudit/internal/core"
-	"confaudit/internal/crypto/blind"
 	"confaudit/internal/integrity"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/resilience"
@@ -72,8 +72,9 @@ type (
 	HealthView = resilience.HealthView
 	// Op is a ticket capability.
 	Op = ticket.Op
-	// PublicKey verifies node signatures on certified results.
-	PublicKey = blind.PublicKey
+	// PublicKey is a node's Ed25519 key; it verifies node signatures on
+	// certified results.
+	PublicKey = ed25519.PublicKey
 	// Appender is the streaming write path; open one with
 	// Session.Appender.
 	Appender = cluster.Appender

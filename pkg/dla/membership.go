@@ -15,6 +15,8 @@ type (
 	// CredentialAuthority issues blind membership credentials; it meters
 	// admission without learning who joins.
 	CredentialAuthority = blind.Authority
+	// CredentialKey verifies the authority's blind credentials.
+	CredentialKey = blind.PublicKey
 	// Member is a prospective or admitted cluster member holding an
 	// anonymous credential.
 	Member = evidence.Member
@@ -34,7 +36,7 @@ func NewCredentialAuthority(rng io.Reader, bits int) (*CredentialAuthority, erro
 
 // NewMember obtains an anonymous credential from the authority's issue
 // function (typically (*CredentialAuthority).SignBlinded).
-func NewMember(rng io.Reader, bits int, ca PublicKey, issue func(*big.Int) (*big.Int, error)) (*Member, error) {
+func NewMember(rng io.Reader, bits int, ca CredentialKey, issue func(*big.Int) (*big.Int, error)) (*Member, error) {
 	return evidence.NewMember(rng, bits, ca, issue)
 }
 

@@ -61,9 +61,12 @@ build:
 	$(GO) build ./...
 
 # Formatting is part of vet: any file gofmt would rewrite fails it.
+# The tagged fault-schedule and torture suites are vetted too, since
+# tier-1 never compiles them.
 vet:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
+	$(GO) vet -tags 'chaos torture' ./internal/chaos/ ./internal/storage/
 
 fmt:
 	gofmt -l -w .

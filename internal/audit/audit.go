@@ -345,11 +345,7 @@ func (a *Auditor) roundTrip(ctx context.Context, body queryBody) (*resultBody, e
 }
 
 func (a *Auditor) roundTripSession(ctx context.Context, session string, body queryBody) (*resultBody, error) {
-	msg, err := transport.NewMessage(a.coordinator, MsgQuery, session, body)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.mb.Send(ctx, msg); err != nil {
+	if err := a.mb.SendBody(ctx, a.coordinator, MsgQuery, session, body); err != nil {
 		return nil, fmt.Errorf("audit: submitting query: %w", err)
 	}
 	resp, err := a.mb.Expect(ctx, MsgResult, session)

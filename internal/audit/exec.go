@@ -87,11 +87,7 @@ func handleQuery(ctx context.Context, node NodeState, msg transport.Message) {
 			qsp.SetCount(len(res.GLSNs)).End(nil)
 			recordResultDisclosures(msg.From, msg.Session, node.ID(), &res)
 		}
-		out, err := transport.NewMessage(msg.From, MsgResult, msg.Session, res)
-		if err != nil {
-			return
-		}
-		mb.Send(ctx, out) //nolint:errcheck // auditor timeout covers loss
+		mb.SendBody(ctx, msg.From, MsgResult, msg.Session, res) //nolint:errcheck // auditor timeout covers loss
 	}
 
 	var body queryBody
@@ -214,14 +210,9 @@ func handleQuery(ctx context.Context, node NodeState, msg transport.Message) {
 	dispatchErr := make(chan error, len(involved))
 	for n := range involved {
 		go func(n string) {
-			out, err := transport.NewMessage(n, MsgExec, msg.Session, exec)
-			if err != nil {
-				dispatchErr <- err
-				return
-			}
 			// dctx carries the dispatch span, so each executor's exec
 			// tree stitches under it in the merged cluster trace.
-			dispatchErr <- mb.Send(dctx, out)
+			dispatchErr <- mb.SendBody(dctx, n, MsgExec, msg.Session, exec)
 		}(n)
 	}
 	for range involved {
@@ -329,10 +320,7 @@ func handleExec(ctx context.Context, node NodeState, msg transport.Message) {
 		// Report the failure to the coordinator so the auditor gets a
 		// verdict instead of a timeout.
 		fail := finalBody{Error: err.Error()}
-		out, mErr := transport.NewMessage(body.Coordinator, MsgFinal, msg.Session, fail)
-		if mErr == nil {
-			node.Mailbox().Send(ctx, out) //nolint:errcheck
-		}
+		node.Mailbox().SendBody(ctx, body.Coordinator, MsgFinal, msg.Session, fail) //nolint:errcheck
 	}
 }
 
@@ -421,12 +409,7 @@ func execute(ctx context.Context, node NodeState, session string, body *execBody
 		glsns := sortedKeys(finalSet)
 		sig := node.Sign(certStatement(session, glsns))
 		if self != body.FinalReceiver {
-			out, err := transport.NewMessage(body.FinalReceiver, MsgSig, session,
-				sigBody{Sig: sig, Quarantined: quarantineOf(node)})
-			if err != nil {
-				return err
-			}
-			if err := mb.Send(ctx, out); err != nil {
+			if err := mb.SendBody(ctx, body.FinalReceiver, MsgSig, session, sigBody{Sig: sig, Quarantined: quarantineOf(node)}); err != nil {
 				return err
 			}
 		} else {
@@ -468,12 +451,7 @@ func execute(ctx context.Context, node NodeState, session string, body *execBody
 		// Involved but outside the certification ring: report this
 		// node's quarantined extents to the receiver (always, even when
 		// empty — the receiver counts one report per involved node).
-		out, err := transport.NewMessage(body.FinalReceiver, MsgSig, session,
-			sigBody{Quarantined: quarantineOf(node)})
-		if err != nil {
-			return err
-		}
-		if err := mb.Send(ctx, out); err != nil {
+		if err := mb.SendBody(ctx, body.FinalReceiver, MsgSig, session, sigBody{Quarantined: quarantineOf(node)}); err != nil {
 			return err
 		}
 	}
@@ -483,22 +461,18 @@ func execute(ctx context.Context, node NodeState, session string, body *execBody
 		glsns := sortedKeys(finalSet)
 		switch {
 		case body.AggKind == AggCount:
-			return sendFinal(ctx, mb, body.Coordinator, session, finalBody{IsAgg: true, Agg: float64(len(glsns)), Quarantined: quar})
+			return mb.SendBody(ctx, body.Coordinator, MsgFinal, session, finalBody{IsAgg: true, Agg: float64(len(glsns)), Quarantined: quar})
 		case body.AggKind != "":
 			if self == body.AggOwner {
 				val, err := computeAggregate(node, body.AggKind, body.AggAttr, glsns)
 				if err != nil {
 					return err
 				}
-				return sendFinal(ctx, mb, body.Coordinator, session, finalBody{IsAgg: true, Agg: val, Quarantined: quar})
+				return mb.SendBody(ctx, body.Coordinator, MsgFinal, session, finalBody{IsAgg: true, Agg: val, Quarantined: quar})
 			}
-			out, err := transport.NewMessage(body.AggOwner, MsgAggReq, session, finalBody{GLSNs: glsns, Quarantined: quar})
-			if err != nil {
-				return err
-			}
-			return mb.Send(ctx, out)
+			return mb.SendBody(ctx, body.AggOwner, MsgAggReq, session, finalBody{GLSNs: glsns, Quarantined: quar})
 		default:
-			return sendFinal(ctx, mb, body.Coordinator, session, finalBody{GLSNs: glsns, Cert: cert, Quarantined: quar})
+			return mb.SendBody(ctx, body.Coordinator, MsgFinal, session, finalBody{GLSNs: glsns, Cert: cert, Quarantined: quar})
 		}
 	}
 
@@ -520,7 +494,7 @@ func execute(ctx context.Context, node NodeState, session string, body *execBody
 		// The owner folds the aggregate over its own store, so its own
 		// quarantine taints the value alongside whatever the receiver
 		// already collected.
-		return sendFinal(ctx, mb, body.Coordinator, session, finalBody{
+		return mb.SendBody(ctx, body.Coordinator, MsgFinal, session, finalBody{
 			IsAgg: true, Agg: val,
 			Quarantined: mergeQuarantine(req.Quarantined, quarantineOf(node)),
 		})
@@ -556,14 +530,6 @@ func sortedKeys(set map[string]struct{}) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func sendFinal(ctx context.Context, mb *transport.Mailbox, coordinator, session string, body finalBody) error {
-	out, err := transport.NewMessage(coordinator, MsgFinal, session, body)
-	if err != nil {
-		return err
-	}
-	return mb.Send(ctx, out)
 }
 
 // executePlan runs one subquery role. It returns the resulting glsn set
@@ -761,11 +727,7 @@ func executeCrossCmp(ctx context.Context, node NodeState, session string, plan *
 		myKeys = append(myKeys, k)
 	}
 	sort.Strings(myKeys)
-	keysMsg, err := transport.NewMessage(peer, MsgKeys, session, myKeys)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := node.Mailbox().Send(ctx, keysMsg); err != nil {
+	if err := node.Mailbox().SendBody(ctx, peer, MsgKeys, session, myKeys); err != nil {
 		return nil, false, err
 	}
 	peerMsg, err := node.Mailbox().ExpectFrom(ctx, peer, MsgKeys, session)

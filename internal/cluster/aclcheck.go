@@ -65,7 +65,7 @@ func (n *Node) ACLConsistencyCheck(ctx context.Context) (*ACLReport, error) {
 	session := "aclchk/" + n.id + "/" + strconv.FormatUint(aclSeq.Add(1), 10)
 	body := aclExecBody{Initiator: n.id}
 	for _, peer := range n.peers() {
-		if err := n.send(ctx, peer, msgACLExec, session, body); err != nil {
+		if err := n.mb.SendBody(ctx, peer, msgACLExec, session, body); err != nil {
 			return nil, err
 		}
 	}
@@ -109,7 +109,7 @@ func (n *Node) serveACLCheck(ctx context.Context) {
 			defer n.wg.Done()
 			verdict := n.runACLIntersection(ctx, session)
 			out := aclVerdictBody{OK: verdict.OK, OwnSize: verdict.OwnSize, CommonSize: verdict.CommonSize, Error: verdict.Error}
-			n.send(ctx, initiator, msgACLVerdict, session, out) //nolint:errcheck
+			n.mb.SendBody(ctx, initiator, msgACLVerdict, session, out) //nolint:errcheck
 		}(msg.Session, body.Initiator)
 	}
 }
@@ -139,11 +139,7 @@ func (n *Node) serveACLRequests(ctx context.Context) {
 				resp.Consistent = report.Consistent
 				resp.Verdicts = report.Verdicts
 			}
-			out, err := transport.NewMessage(msg.From, MsgACLReport, msg.Session, resp)
-			if err != nil {
-				return
-			}
-			n.mb.Send(ctx, out) //nolint:errcheck
+			n.mb.SendBody(ctx, msg.From, MsgACLReport, msg.Session, resp) //nolint:errcheck
 		}(msg)
 	}
 }
@@ -151,12 +147,8 @@ func (n *Node) serveACLRequests(ctx context.Context) {
 // RequestACLCheck asks a node to run a cluster-wide ACL consistency
 // round and returns its report (client side).
 func RequestACLCheck(ctx context.Context, mb *transport.Mailbox, node, session string) (*ACLReport, error) {
-	msg, err := transport.NewMessage(node, MsgACLRequest, session, struct{}{})
-	if err != nil {
+	if err := mb.SendBody(ctx, node, MsgACLRequest, session, struct{}{}); err != nil {
 		return nil, err
-	}
-	if err := mb.Send(ctx, msg); err != nil {
-		return nil, fmt.Errorf("cluster: requesting ACL check: %w", err)
 	}
 	resp, err := mb.Expect(ctx, MsgACLReport, session)
 	if err != nil {

@@ -100,7 +100,7 @@ func (n *Node) propose(ctx context.Context, session string, statement []byte) (*
 	quorum := Quorum(len(n.roster))
 	refusals := 0
 	for _, peer := range n.peers() {
-		if err := n.send(ctx, peer, msgAgreeReq, session, &req); err != nil {
+		if err := n.mb.SendBody(ctx, peer, msgAgreeReq, session, &req); err != nil {
 			// An unreachable peer cannot vote; treat it as a refusal so
 			// a minority of dead nodes does not block the sequencer.
 			refusals++
@@ -135,7 +135,7 @@ func (n *Node) propose(ctx context.Context, session string, statement []byte) (*
 		// Best effort: a node that misses the commit catches up through
 		// the sync protocol when the next commit lands ahead of its
 		// state, or a proposal or store waits too long on the gap.
-		n.send(ctx, peer, msgAgreeCommit, session, &commit) //nolint:errcheck
+		n.mb.SendBody(ctx, peer, msgAgreeCommit, session, &commit) //nolint:errcheck
 	}
 	return cert, nil
 }
@@ -201,7 +201,7 @@ func (n *Node) serveSync(ctx context.Context) {
 			continue
 		}
 		resp := syncRespBody{Ranges: n.grantsFrom(req.From)}
-		if n.send(ctx, msg.From, msgSyncResp, msg.Session, resp) == nil {
+		if n.mb.SendBody(ctx, msg.From, msgSyncResp, msg.Session, resp) == nil {
 			telemetry.M.Counter(telemetry.CtrSyncRanges).Add(int64(len(resp.Ranges)))
 		}
 	}
@@ -229,7 +229,7 @@ func (n *Node) syncFromLeader(ctx context.Context) (err error) {
 		})
 	}()
 	session := "sync/" + n.id + "/" + from.String()
-	if err := n.send(ctx, n.roster[0], msgSyncReq, session, syncReqBody{From: from}); err != nil {
+	if err := n.mb.SendBody(ctx, n.roster[0], msgSyncReq, session, syncReqBody{From: from}); err != nil {
 		return err
 	}
 	waitCtx, cancel := context.WithTimeout(ctx, time.Second)
@@ -272,7 +272,7 @@ func (n *Node) serveAgreement(ctx context.Context) {
 		} else {
 			vote.Sig = ed25519.Sign(n.signer, req.Statement)
 		}
-		if err := n.send(ctx, msg.From, msgAgreeVote, msg.Session, &vote); err != nil {
+		if err := n.mb.SendBody(ctx, msg.From, msgAgreeVote, msg.Session, &vote); err != nil {
 			continue
 		}
 	}

@@ -24,11 +24,11 @@ import (
 // splits records into per-node fragments, and distributes them together
 // with the one-way-accumulator digest (paper §2, §4.1).
 //
-// A client can optionally run a failure detector (StartHealth) and a
-// durable outbox (EnableOutbox): fragments destined for a node the
-// detector considers dead are spooled instead of erroring, and replayed
-// when the node comes back, so Log degrades to eventual delivery under
-// node loss instead of failing.
+// A client can optionally run a failure detector (ClientConfig.Health)
+// and a durable outbox (ClientConfig.OutboxPath): fragments destined for
+// a node the detector considers dead are spooled instead of erroring,
+// and replayed when the node comes back, so Log degrades to eventual
+// delivery under node loss instead of failing.
 type Client struct {
 	mb     *transport.Mailbox
 	roster []string
@@ -40,31 +40,17 @@ type Client struct {
 	// transactions").
 	signer ed25519.PrivateKey
 
-	outbox    *resilience.Outbox
-	det       *resilience.Detector
-	healthCfg *resilience.DetectorConfig
-	wg        sync.WaitGroup
+	outbox *resilience.Outbox
+	det    *resilience.Detector
+	cancel context.CancelFunc // stops the detector and replay loops; nil without one
+	wg     sync.WaitGroup
 
 	session atomic.Uint64
-	// active flips on the first protocol traffic and latches; the
-	// EnableOutbox/StartHealth ordering contract is enforced against it
-	// (see ClientConfig).
-	active atomic.Bool
 }
 
-// ErrClientActive is returned by EnableOutbox and StartHealth once the
-// client has sent protocol traffic: installing the outbox or detector
-// concurrently with in-flight Log calls is a data race, so setup must
-// finish first. Wrap-checked with errors.Is.
-var ErrClientActive = errors.New("cluster: client already active; EnableOutbox/StartHealth must be called before the first Log/Read/Query use (see ClientConfig ordering contract)")
-
-// ClientConfig configures a cluster client for OpenClient.
-//
-// Ordering contract: all optional facilities are installed at
-// construction time (or, for the health detector, by StartHealth before
-// any protocol call). Once the client has issued its first protocol
-// message the configuration is frozen — EnableOutbox and StartHealth
-// return ErrClientActive instead of racing with concurrent Log calls.
+// ClientConfig configures a cluster client for OpenClient, the only
+// way to build one: every optional facility is installed there, before
+// the client can send anything.
 type ClientConfig struct {
 	// Roster lists the DLA node IDs (required, non-empty). The first
 	// entry is the sequencer leader.
@@ -77,16 +63,15 @@ type ClientConfig struct {
 	// Ticket authorizes this client's operations (required).
 	Ticket *ticket.Ticket
 	// Signer, when set, signs every stored record's digest with this
-	// Ed25519 key for non-repudiation (optional; also settable later via
-	// SetSigner).
+	// Ed25519 key for non-repudiation (optional).
 	Signer ed25519.PrivateKey
 	// OutboxPath, when non-empty, opens a durable spool at that path so
 	// fragments bound for dead nodes are journaled and replayed instead
 	// of failing the store (optional).
 	OutboxPath string
-	// Health, when set, is the failure-detector configuration used by
-	// StartHealth(ctx) — the detector still needs a context, so it is
-	// started explicitly, but before any protocol call (optional).
+	// Health, when set, runs a heartbeat failure detector over the
+	// roster from OpenClient until Close; with an outbox, a peer seen
+	// alive again gets its spooled fragments replayed (optional).
 	Health *resilience.DetectorConfig
 }
 
@@ -111,9 +96,9 @@ func (cfg ClientConfig) Validate() error {
 }
 
 // OpenClient builds a cluster client from a validated configuration,
-// opening the outbox when configured. The health detector, if
-// configured, is started by a subsequent StartHealth(ctx, *cfg.Health)
-// — before the first protocol call (see the ordering contract).
+// opening the outbox and starting the health detector when configured.
+// A client with either must be closed with Close; the caller keeps
+// ownership of mb.
 func OpenClient(mb *transport.Mailbox, cfg ClientConfig) (*Client, error) {
 	if mb == nil {
 		return nil, errors.New("cluster: nil mailbox")
@@ -129,38 +114,37 @@ func OpenClient(mb *transport.Mailbox, cfg ClientConfig) (*Client, error) {
 		tk:     cfg.Ticket,
 		signer: cfg.Signer,
 	}
-	if cfg.Health != nil {
-		h := *cfg.Health
-		c.healthCfg = &h
-	}
 	if cfg.OutboxPath != "" {
-		if err := c.EnableOutbox(cfg.OutboxPath); err != nil {
+		ob, err := resilience.OpenOutbox(cfg.OutboxPath)
+		if err != nil {
 			return nil, err
 		}
+		c.outbox = ob
+	}
+	if cfg.Health != nil {
+		ctx, cancel := context.WithCancel(context.Background())
+		c.cancel = cancel
+		c.det = resilience.NewDetector(c.mb, c.roster, *cfg.Health)
+		trs := c.det.Subscribe(4 * len(c.roster))
+		c.det.Start(ctx)
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			c.replayLoop(ctx, trs)
+		}()
 	}
 	return c, nil
 }
 
-// EnableOutbox opens a durable spool at path: fragments addressed to
-// dead or unreachable nodes are journaled there instead of failing the
-// store, and replayed when the failure detector sees the peer return.
-// Must be called before the client's first protocol call; afterwards it
-// returns ErrClientActive (see the ClientConfig ordering contract).
-func (c *Client) EnableOutbox(path string) error {
-	if c.active.Load() {
-		return fmt.Errorf("%w: EnableOutbox(%q)", ErrClientActive, path)
+// Close stops the health detector and the outbox replay loop, waits for
+// them to exit, and then flushes and closes the outbox. Unacknowledged
+// entries stay on disk for the next client opened on the same path.
+func (c *Client) Close() error {
+	if c.cancel != nil {
+		c.cancel()
+		c.det.Wait()
 	}
-	ob, err := resilience.OpenOutbox(path)
-	if err != nil {
-		return err
-	}
-	c.outbox = ob
-	return nil
-}
-
-// CloseOutbox flushes and closes the spool. Unacknowledged entries stay
-// on disk for the next process.
-func (c *Client) CloseOutbox() error {
+	c.wg.Wait()
 	if c.outbox == nil {
 		return nil
 	}
@@ -176,46 +160,8 @@ func (c *Client) OutboxLen() int {
 	return c.outbox.Len()
 }
 
-// StartHealth runs a heartbeat failure detector over the cluster roster
-// and — when an outbox is enabled — replays spooled fragments whenever
-// a peer transitions back to alive. Must be called before the client's
-// first protocol call; afterwards it returns ErrClientActive (see the
-// ClientConfig ordering contract). Loops exit when ctx is cancelled or
-// the mailbox closes, and HealthWait blocks until they have.
-func (c *Client) StartHealth(ctx context.Context, cfg resilience.DetectorConfig) error {
-	if c.active.Load() {
-		return fmt.Errorf("%w: StartHealth", ErrClientActive)
-	}
-	c.det = resilience.NewDetector(c.mb, c.roster, cfg)
-	trs := c.det.Subscribe(4 * len(c.roster))
-	c.det.Start(ctx)
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.replayLoop(ctx, trs)
-	}()
-	return nil
-}
-
-// StartHealthIfConfigured starts the failure detector with the
-// ClientConfig.Health settings, or does nothing when none were given.
-func (c *Client) StartHealthIfConfigured(ctx context.Context) error {
-	if c.healthCfg == nil {
-		return nil
-	}
-	return c.StartHealth(ctx, *c.healthCfg)
-}
-
-// HealthWait blocks until the detector and replay loops have exited.
-func (c *Client) HealthWait() {
-	if c.det != nil {
-		c.det.Wait()
-	}
-	c.wg.Wait()
-}
-
 // HealthView snapshots the roster's liveness as seen by this client's
-// detector (nil if StartHealth was never called).
+// detector (nil without ClientConfig.Health).
 func (c *Client) HealthView() resilience.HealthView {
 	if c.det == nil {
 		return nil
@@ -285,15 +231,10 @@ func (c *Client) spool(msg transport.Message, g logmodel.GLSN) error {
 	return nil
 }
 
-// SetSigner installs a non-repudiation signing key; subsequent writes
-// (Log, LogBatch, Appender batches) attach provenance signatures.
-func (c *Client) SetSigner(signer ed25519.PrivateKey) { c.signer = signer }
-
 // Ticket returns the client's ticket.
 func (c *Client) Ticket() *ticket.Ticket { return c.tk }
 
 func (c *Client) nextSession(prefix string) string {
-	c.active.Store(true)
 	return prefix + "/" + c.mb.ID() + "/" + strconv.FormatUint(c.session.Add(1), 10)
 }
 
@@ -302,12 +243,8 @@ func (c *Client) RegisterTicket(ctx context.Context) error {
 	session := c.nextSession("reg")
 	body := ticketRegisterBody{Ticket: ToWire(c.tk)}
 	for _, node := range c.roster {
-		msg, err := transport.NewMessage(node, MsgTicketRegister, session, body)
-		if err != nil {
+		if err := c.mb.SendBody(ctx, node, MsgTicketRegister, session, body); err != nil {
 			return err
-		}
-		if err := c.mb.Send(ctx, msg); err != nil {
-			return fmt.Errorf("cluster: registering ticket on %s: %w", node, err)
 		}
 	}
 	for range c.roster {
@@ -332,10 +269,8 @@ func (c *Client) RegisterTicket(ctx context.Context) error {
 func (c *Client) RequestGLSNRange(ctx context.Context, count int) (logmodel.GLSN, error) {
 	defer telemetry.M.Histogram(telemetry.HistClientGLSN).Since(time.Now())
 	session := c.nextSession("glsnrange")
-	msg := transport.NewBinaryMessage(c.roster[0], MsgGLSNRange, session,
-		&glsnRangeReqBody{TicketID: c.tk.ID, Count: count})
-	if err := c.mb.Send(ctx, msg); err != nil {
-		return 0, fmt.Errorf("cluster: requesting glsn range: %w", err)
+	if err := c.mb.SendBody(ctx, c.roster[0], MsgGLSNRange, session, &glsnRangeReqBody{TicketID: c.tk.ID, Count: count}); err != nil {
+		return 0, err
 	}
 	resp, err := c.mb.Expect(ctx, MsgGLSNRangeResp, session)
 	if err != nil {
@@ -581,12 +516,8 @@ func (c *Client) witnessExponents(frags map[string]logmodel.Fragment) (*big.Int,
 func (c *Client) Delete(ctx context.Context, g logmodel.GLSN) error {
 	session := c.nextSession("del")
 	for _, node := range c.roster {
-		msg, err := transport.NewMessage(node, MsgLogDelete, session, readBody{TicketID: c.tk.ID, GLSN: g})
-		if err != nil {
+		if err := c.mb.SendBody(ctx, node, MsgLogDelete, session, readBody{TicketID: c.tk.ID, GLSN: g}); err != nil {
 			return err
-		}
-		if err := c.mb.Send(ctx, msg); err != nil {
-			return fmt.Errorf("cluster: deleting on %s: %w", node, err)
 		}
 	}
 	for range c.roster {
@@ -611,12 +542,8 @@ func (c *Client) Delete(ctx context.Context, g logmodel.GLSN) error {
 func (c *Client) Read(ctx context.Context, g logmodel.GLSN) (logmodel.Record, error) {
 	session := c.nextSession("read")
 	for _, node := range c.roster {
-		msg, err := transport.NewMessage(node, MsgLogRead, session, readBody{TicketID: c.tk.ID, GLSN: g})
-		if err != nil {
+		if err := c.mb.SendBody(ctx, node, MsgLogRead, session, readBody{TicketID: c.tk.ID, GLSN: g}); err != nil {
 			return logmodel.Record{}, err
-		}
-		if err := c.mb.Send(ctx, msg); err != nil {
-			return logmodel.Record{}, fmt.Errorf("cluster: reading from %s: %w", node, err)
 		}
 	}
 	frags := make([]logmodel.Fragment, 0, len(c.roster))

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"context"
-	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -72,17 +70,9 @@ func TestOpenClientWithOutboxAndHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.CloseOutbox() }) //nolint:errcheck
+	t.Cleanup(func() { c.Close() }) //nolint:errcheck
 	if c.OutboxLen() != 0 {
 		t.Fatalf("fresh outbox reports %d entries", c.OutboxLen())
-	}
-	hctx, hcancel := context.WithCancel(ctx)
-	defer func() {
-		hcancel()
-		c.HealthWait()
-	}()
-	if err := c.StartHealthIfConfigured(hctx); err != nil {
-		t.Fatal(err)
 	}
 	if c.HealthView() == nil {
 		t.Fatal("configured health detector did not start")
@@ -92,22 +82,5 @@ func TestOpenClientWithOutboxAndHealth(t *testing.T) {
 	}
 	if _, err := c.Log(ctx, map[logmodel.Attr]logmodel.Value{"name": logmodel.String("n1")}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestClientOrderingGuard(t *testing.T) {
-	tc := startCluster(t)
-	ctx := testCtx(t)
-	c := tc.client(t, "guard-u", "T-guard", ticket.OpWrite, ticket.OpRead)
-	if err := c.RegisterTicket(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// The client is now active: late installs must refuse, not race.
-	err := c.EnableOutbox(filepath.Join(t.TempDir(), "late.outbox"))
-	if !errors.Is(err, ErrClientActive) {
-		t.Fatalf("EnableOutbox after first traffic: %v, want ErrClientActive", err)
-	}
-	if err := c.StartHealth(ctx, resilience.DetectorConfig{}); !errors.Is(err, ErrClientActive) {
-		t.Fatalf("StartHealth after first traffic: %v, want ErrClientActive", err)
 	}
 }

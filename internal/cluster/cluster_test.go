@@ -78,20 +78,29 @@ func startCluster(t *testing.T) *testCluster {
 
 func (tc *testCluster) client(t *testing.T, clientID, ticketID string, ops ...ticket.Op) *Client {
 	t.Helper()
+	tk, err := tc.boot.Issuer.Issue(ticketID, clientID, ops...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tc.openClient(t, clientID, ClientConfig{Ticket: tk})
+}
+
+// openClient attaches a client on a new endpoint clientID, with cfg's
+// roster, partition and accumulator filled from the cluster's bootstrap.
+func (tc *testCluster) openClient(t *testing.T, clientID string, cfg ClientConfig) *Client {
+	t.Helper()
 	ep, err := tc.net.Endpoint(clientID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mb := transport.NewMailbox(ep)
 	t.Cleanup(func() { mb.Close() }) //nolint:errcheck
-	tk, err := tc.boot.Issuer.Issue(ticketID, clientID, ops...)
+	cfg.Roster, cfg.Partition, cfg.Accumulator = tc.boot.Roster, tc.boot.Partition, tc.boot.AccParams
+	c, err := OpenClient(mb, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := OpenClient(mb, ClientConfig{Roster: tc.boot.Roster, Partition: tc.boot.Partition, Accumulator: tc.boot.AccParams, Ticket: tk})
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { c.Close() }) //nolint:errcheck
 	return c
 }
 
@@ -489,11 +498,7 @@ func TestShortVoteNotCounted(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			out, err := transport.NewMessage(msg.From, msgAgreeVote, msg.Session, &vote)
-			if err == nil {
-				err = mbs[id].Send(ctx, out)
-			}
-			if err != nil {
+			if err := mbs[id].SendBody(ctx, msg.From, msgAgreeVote, msg.Session, &vote); err != nil {
 				t.Error(err)
 			}
 		}(id, vote)

@@ -562,7 +562,7 @@ func (n *Node) serveTickets(ctx context.Context) {
 		} else if err := n.registerTicket(&body); err != nil {
 			ack = ackBody{Error: err.Error()}
 		}
-		n.send(ctx, msg.From, MsgTicketAck, msg.Session, &ack) //nolint:errcheck // client timeout handles loss
+		n.mb.SendBody(ctx, msg.From, MsgTicketAck, msg.Session, &ack) //nolint:errcheck // client timeout handles loss
 	}
 }
 
@@ -597,7 +597,7 @@ func (n *Node) serveGLSNRange(ctx context.Context) {
 			resp.First = first
 			resp.Count = body.Count
 		}
-		n.send(ctx, msg.From, MsgGLSNRangeResp, msg.Session, &resp) //nolint:errcheck
+		n.mb.SendBody(ctx, msg.From, MsgGLSNRangeResp, msg.Session, &resp) //nolint:errcheck
 	}
 }
 
@@ -729,7 +729,7 @@ func (n *Node) handleStoreBatch(ctx context.Context, msg transport.Message) {
 		telemetry.M.Gauge(telemetry.GaugeGLSNDurable).Max(maxGLSN)
 	}
 	telemetry.M.Histogram(telemetry.HistIngestAckTurn).Since(start)
-	n.send(ctx, msg.From, MsgLogAck, msg.Session, &ack) //nolint:errcheck
+	n.mb.SendBody(ctx, msg.From, MsgLogAck, msg.Session, &ack) //nolint:errcheck
 }
 
 // storeWhenGranted runs storeFragmentBatch until it stops failing with
@@ -909,7 +909,7 @@ func (n *Node) serveRead(ctx context.Context) {
 		} else {
 			resp.Fragment = frag
 		}
-		n.send(ctx, msg.From, MsgLogFragment, msg.Session, resp) //nolint:errcheck
+		n.mb.SendBody(ctx, msg.From, MsgLogFragment, msg.Session, resp) //nolint:errcheck
 	}
 }
 
@@ -939,7 +939,7 @@ func (n *Node) serveDelete(ctx context.Context) {
 		} else if err := n.deleteFragment(body.TicketID, body.GLSN); err != nil {
 			ack = ackBody{Error: err.Error()}
 		}
-		n.send(ctx, msg.From, MsgLogAck, msg.Session, &ack) //nolint:errcheck
+		n.mb.SendBody(ctx, msg.From, MsgLogAck, msg.Session, &ack) //nolint:errcheck
 	}
 }
 
@@ -1097,25 +1097,6 @@ func (n *Node) TicketAllows(ticketID string, op ticket.Op) error {
 	}
 	if !tk.Allows(op) {
 		return fmt.Errorf("%w: ticket %q lacks %v", ticket.ErrNotAuthorized, ticketID, op)
-	}
-	return nil
-}
-
-func (n *Node) send(ctx context.Context, to, typ, session string, body any) error {
-	var msg transport.Message
-	var err error
-	// Bodies with a binary encoding ride the zero-copy frame path; the
-	// rest (no BinaryBody) travel as JSON payloads.
-	if bb, ok := body.(transport.BinaryBody); ok {
-		msg = transport.NewBinaryMessage(to, typ, session, bb)
-	} else {
-		msg, err = transport.NewMessage(to, typ, session, body)
-		if err != nil {
-			return err
-		}
-	}
-	if err := n.mb.Send(ctx, msg); err != nil {
-		return fmt.Errorf("cluster: sending %s to %s: %w", typ, to, err)
 	}
 	return nil
 }

@@ -41,7 +41,7 @@ func TestOutboxSpoolReplaysBinaryStoreBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.CloseOutbox() //nolint:errcheck
+	defer c.Close() //nolint:errcheck
 	if err := c.RegisterTicket(ctx); err != nil {
 		t.Fatal(err)
 	}

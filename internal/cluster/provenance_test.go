@@ -18,8 +18,11 @@ func TestProvenanceNonRepudiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := tc.client(t, "prov-u", "TPROV", ticket.OpWrite)
-	c.SetSigner(writerKey)
+	tk, err := tc.boot.Issuer.Issue("TPROV", "prov-u", ticket.OpWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tc.openClient(t, "prov-u", ClientConfig{Ticket: tk, Signer: writerKey})
 	if err := c.RegisterTicket(ctx); err != nil {
 		t.Fatal(err)
 	}

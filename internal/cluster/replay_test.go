@@ -83,8 +83,9 @@ func diffSnapshots(t *testing.T, label string, want, got map[string]string) {
 
 // TestReplayMatchesLiveState writes every kind of fragment mutation to a
 // durable cluster: unsigned Appender records, signed overwrites and a
-// signed LogBatch (with provenance), an unsigned overwrite of a signed
-// record, and deletes. Live, every node's digest must match the record
+// signed LogBatch (with provenance) from a second client on the same
+// ticket built with a Signer, an unsigned overwrite of a signed record,
+// and deletes. Live, every node's digest must match the record
 // content it holds, and the unsigned overwrite must drop the old
 // content's provenance. A restart from the segment stores must then
 // reproduce every node's answers exactly, and so must a second restart
@@ -139,16 +140,16 @@ func TestReplayMatchesLiveState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetSigner(signer)
+	sc := tc.openClient(t, "replay-s", ClientConfig{Ticket: c.tk, Signer: signer})
 	over := []map[logmodel.Attr]logmodel.Value{appendRecord(100), appendRecord(101), appendRecord(102), appendRecord(103)}
-	if _, err := c.storeRange(ctx, gs[0], over, AppendOptions{}.withDefaults()); err != nil {
+	if _, err := sc.storeRange(ctx, gs[0], over, AppendOptions{}.withDefaults()); err != nil {
 		t.Fatalf("signed overwrite: %v", err)
 	}
 	for i, values := range over {
 		wrote(gs[i], values)
 	}
 	signedNew := []map[logmodel.Attr]logmodel.Value{appendRecord(300), appendRecord(301)}
-	sgs, err := c.LogBatch(ctx, signedNew)
+	sgs, err := sc.LogBatch(ctx, signedNew)
 	if err != nil {
 		t.Fatalf("signed LogBatch: %v", err)
 	}
@@ -159,7 +160,6 @@ func TestReplayMatchesLiveState(t *testing.T) {
 
 	// An unsigned overwrite of a signed record: neither the digest element
 	// nor the provenance of the old content may survive it.
-	c.SetSigner(nil)
 	if _, err := c.storeRange(ctx, gs[2], []map[logmodel.Attr]logmodel.Value{appendRecord(200)}, AppendOptions{}.withDefaults()); err != nil {
 		t.Fatalf("unsigned overwrite: %v", err)
 	}

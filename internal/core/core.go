@@ -104,16 +104,15 @@ type Client struct {
 	*cluster.Client
 	auditor *audit.Auditor
 	mb      *transport.Mailbox
-	cancel  context.CancelFunc // stops the health detector
 }
 
 // Connect attaches a client over ep. It issues ticket ticketID with ops
 // (read and write when none are given) to ep.ID() under boot's issuer,
 // opens the cluster client with cfg — whose Roster, Partition,
 // Accumulator and Ticket are filled from boot, so callers set only the
-// optional fields — starts the health detector when cfg.Health is set,
-// and registers the ticket on every node. ctx bounds the registration;
-// the detector runs until Close. On error ep is closed again.
+// optional fields — and registers the ticket on every node. ctx bounds
+// the registration; a detector configured by cfg.Health runs until
+// Close. On error ep is closed again.
 func Connect(ctx context.Context, ep transport.Endpoint, boot *cluster.Bootstrap, cfg cluster.ClientConfig, ticketID string, ops ...ticket.Op) (*Client, error) {
 	if len(ops) == 0 {
 		ops = []ticket.Op{ticket.OpRead, ticket.OpWrite}
@@ -130,12 +129,7 @@ func Connect(ctx context.Context, ep transport.Endpoint, boot *cluster.Bootstrap
 		mb.Close() //nolint:errcheck // error path
 		return nil, err
 	}
-	hctx, cancel := context.WithCancel(context.Background())
-	c := &Client{Client: cl, auditor: audit.NewAuditor(mb, boot.Roster[0], tk.ID), mb: mb, cancel: cancel}
-	if err := cl.StartHealthIfConfigured(hctx); err != nil {
-		c.Close() //nolint:errcheck // error path
-		return nil, err
-	}
+	c := &Client{Client: cl, auditor: audit.NewAuditor(mb, boot.Roster[0], tk.ID), mb: mb}
 	if err := cl.RegisterTicket(ctx); err != nil {
 		c.Close() //nolint:errcheck // error path
 		return nil, err
@@ -147,12 +141,10 @@ func Connect(ctx context.Context, ep transport.Endpoint, boot *cluster.Bootstrap
 // under the client's ticket.
 func (c *Client) Auditor() *audit.Auditor { return c.auditor }
 
-// Close stops the health detector, flushes the outbox, and releases the
-// client's endpoint.
+// Close closes the cluster client (stopping its health detector and
+// flushing its outbox) and releases the client's endpoint.
 func (c *Client) Close() error {
-	c.cancel()
-	c.HealthWait()
-	err := c.CloseOutbox()
+	err := c.Client.Close()
 	if cerr := c.mb.Close(); err == nil {
 		err = cerr
 	}

@@ -1,11 +1,9 @@
 // Package commutative implements the commutative encryption schemes the
-// paper builds its relaxed secure-multiparty primitives on (§3):
-//
-//   - the Pohlig-Hellman exponentiation cipher over a safe-prime group
-//     (paper reference [21]), satisfying eq. (6) order independence and
-//     the eq. (7) collision bound; and
-//   - the XOR one-time-pad cipher, which the paper notes is commutative
-//     because XOR commutes.
+// paper builds its relaxed secure-multiparty primitives on (§3): the
+// Pohlig-Hellman exponentiation cipher over a safe-prime group (paper
+// reference [21]), satisfying eq. (6) order independence and the
+// eq. (7) collision bound. The paper's other example, the XOR one-time
+// pad, commutes too but is single-use, so nothing here implements it.
 //
 // A cipher E is commutative when, for keys K1..Kn and any permutations
 // i, j of 1..n:
@@ -17,7 +15,6 @@
 package commutative
 
 import (
-	"crypto/subtle"
 	"errors"
 	"fmt"
 	"io"
@@ -26,18 +23,6 @@ import (
 	"confaudit/internal/mathx"
 	"confaudit/internal/workpool"
 )
-
-// Cipher is a deterministic commutative block cipher. Blocks are
-// fixed-width byte strings; Encrypt and Decrypt are inverse bijections
-// on the block space, and encryptions under independent keys commute.
-type Cipher interface {
-	// Encrypt maps a block to a block of the same size.
-	Encrypt(block []byte) ([]byte, error)
-	// Decrypt inverts Encrypt for the same key.
-	Decrypt(block []byte) ([]byte, error)
-	// BlockSize reports the fixed block width in bytes.
-	BlockSize() int
-}
 
 // Errors reported by cipher operations.
 var (
@@ -56,8 +41,6 @@ type PHKey struct {
 	group *mathx.Group
 	e, d  *big.Int
 }
-
-var _ Cipher = (*PHKey)(nil)
 
 // NewPHKey samples a fresh Pohlig-Hellman key over the group. The
 // encryption exponent is drawn coprime to p-1 so the inverse exponent
@@ -117,7 +100,7 @@ func (k *PHKey) checkElement(m *big.Int) error {
 // BlockSize returns the byte width of a serialized group element.
 func (k *PHKey) BlockSize() int { return (k.group.P.BitLen() + 7) / 8 }
 
-// Encrypt implements Cipher over fixed-width big-endian group elements.
+// Encrypt encrypts one fixed-width big-endian group element.
 func (k *PHKey) Encrypt(block []byte) ([]byte, error) {
 	m, err := k.parseBlock(block)
 	if err != nil {
@@ -130,7 +113,7 @@ func (k *PHKey) Encrypt(block []byte) ([]byte, error) {
 	return k.marshalBlock(c), nil
 }
 
-// Decrypt implements Cipher over fixed-width big-endian group elements.
+// Decrypt inverts Encrypt for the same key.
 func (k *PHKey) Decrypt(block []byte) ([]byte, error) {
 	c, err := k.parseBlock(block)
 	if err != nil {
@@ -164,47 +147,6 @@ func (k *PHKey) marshalBlock(v *big.Int) []byte {
 // secure set-intersection comparison of eq. (6)/(7) sound.
 func (k *PHKey) EncodeElement(data []byte) []byte {
 	return k.marshalBlock(k.group.HashToQR(data))
-}
-
-// XORKey is the XOR one-time-pad commutative cipher the paper cites as
-// the simplest example of commutativity. It is only secure when each
-// key is used for a single message; it is provided as a cheap
-// commutative transport for short-lived protocol rounds and as a
-// baseline in benchmarks.
-type XORKey struct {
-	pad []byte
-}
-
-var _ Cipher = (*XORKey)(nil)
-
-// NewXORKey samples a random pad of the given byte width.
-func NewXORKey(rng io.Reader, size int) (*XORKey, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("commutative: invalid XOR block size %d", size)
-	}
-	pad := make([]byte, size)
-	if _, err := io.ReadFull(rng, pad); err != nil {
-		return nil, fmt.Errorf("commutative: sampling pad: %w", err)
-	}
-	return &XORKey{pad: pad}, nil
-}
-
-// BlockSize reports the pad width.
-func (k *XORKey) BlockSize() int { return len(k.pad) }
-
-// Encrypt XORs the block with the pad.
-func (k *XORKey) Encrypt(block []byte) ([]byte, error) { return k.xor(block) }
-
-// Decrypt XORs the block with the pad (its own inverse).
-func (k *XORKey) Decrypt(block []byte) ([]byte, error) { return k.xor(block) }
-
-func (k *XORKey) xor(block []byte) ([]byte, error) {
-	if len(block) != len(k.pad) {
-		return nil, fmt.Errorf("%w: got %d bytes, want %d", ErrBlockSize, len(block), len(k.pad))
-	}
-	out := make([]byte, len(block))
-	subtle.XORBytes(out, block, k.pad)
-	return out, nil
 }
 
 // parallelThreshold is the batch size above which the batch APIs fan

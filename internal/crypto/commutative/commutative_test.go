@@ -202,63 +202,6 @@ func TestPHEncodeElementDeterministicAcrossKeys(t *testing.T) {
 	}
 }
 
-func TestXORRoundTripAndCommutativity(t *testing.T) {
-	const size = 32
-	k1, err := NewXORKey(rand.Reader, size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := NewXORKey(rand.Reader, size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := bytes.Repeat([]byte{0xAB}, size)
-
-	e1, err := k1.Encrypt(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e12, err := k2.Encrypt(e1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := k2.Encrypt(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e21, err := k1.Encrypt(e2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(e12, e21) {
-		t.Fatal("XOR cipher not commutative")
-	}
-	d, err := k1.Decrypt(e12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err = k2.Decrypt(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(d, m) {
-		t.Fatal("XOR round trip failed")
-	}
-}
-
-func TestXORKeyValidation(t *testing.T) {
-	if _, err := NewXORKey(rand.Reader, 0); err == nil {
-		t.Fatal("zero-size XOR key accepted")
-	}
-	k, err := NewXORKey(rand.Reader, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Encrypt(make([]byte, 8)); err == nil {
-		t.Fatal("wrong-size block accepted")
-	}
-}
-
 // encryptEntryPoints are the two batch encryptions: the relay path and
 // the first hop through the fixed-base cache.
 func encryptEntryPoints(k *PHKey) map[string]func([][]byte) ([][]byte, error) {
@@ -415,20 +358,6 @@ func benchPHEncrypt(b *testing.B, g *mathx.Group) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := k.EncryptInt(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkXOREncrypt(b *testing.B) {
-	k, err := NewXORKey(rand.Reader, 96)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := make([]byte, 96)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := k.Encrypt(m); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -57,7 +57,7 @@ func Invite(ctx context.Context, mb *transport.Mailbox, session string, m *Membe
 		PrevHash:     prevHash,
 		Proposal:     proposal,
 	}
-	if err := send(ctx, mb, candidate, msgPP, session, pp); err != nil {
+	if err := mb.SendBody(ctx, candidate, msgPP, session, pp); err != nil {
 		return nil, err
 	}
 
@@ -88,7 +88,7 @@ func Invite(ctx context.Context, mb *transport.Mailbox, session string, m *Membe
 	if err := piece.Verify(m.ca); err != nil {
 		return nil, fmt.Errorf("evidence: candidate commitment rejected: %w", err)
 	}
-	if err := send(ctx, mb, candidate, msgRE, session, reBody{InviterSig: sig}); err != nil {
+	if err := mb.SendBody(ctx, candidate, msgRE, session, reBody{InviterSig: sig}); err != nil {
 		return nil, err
 	}
 	return &piece, nil
@@ -130,7 +130,7 @@ func Join(ctx context.Context, mb *transport.Mailbox, session string, m *Member,
 		Services:    services,
 		JoinerSig:   sig,
 	}
-	if err := send(ctx, mb, inviter, msgSC, session, sc); err != nil {
+	if err := mb.SendBody(ctx, inviter, msgSC, session, sc); err != nil {
 		return nil, err
 	}
 
@@ -152,17 +152,6 @@ func Join(ctx context.Context, mb *transport.Mailbox, session string, m *Member,
 func verifyToken(ca blind.PublicKey, p Pseudonym, token *big.Int) error {
 	if err := blind.Verify(ca, p.Bytes(), token); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadToken, err)
-	}
-	return nil
-}
-
-func send(ctx context.Context, mb *transport.Mailbox, to, typ, session string, body any) error {
-	msg, err := transport.NewMessage(to, typ, session, body)
-	if err != nil {
-		return err
-	}
-	if err := mb.Send(ctx, msg); err != nil {
-		return fmt.Errorf("evidence: sending %s to %s: %w", typ, to, err)
 	}
 	return nil
 }

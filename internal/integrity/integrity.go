@@ -124,11 +124,7 @@ func serveCirculate(ctx context.Context, mb *transport.Mailbox, ring []string, p
 			// Full circle: hand the result back to the initiator.
 			typ, to = MsgResult, body.Initiator
 		}
-		out, err := transport.NewMessage(to, typ, msg.Session, body)
-		if err != nil {
-			continue
-		}
-		mb.Send(ctx, out) //nolint:errcheck // broken ring surfaces as initiator timeout
+		mb.SendBody(ctx, to, typ, msg.Session, body) //nolint:errcheck // broken ring surfaces as initiator timeout
 	}
 }
 
@@ -162,11 +158,7 @@ func serveAttest(ctx context.Context, mb *transport.Mailbox, params *accumulator
 			continue
 		}
 		resp := attestResult{GLSN: body.GLSN, OK: CheckLocal(params, store, body.GLSN) == nil}
-		out, err := transport.NewMessage(body.Initiator, MsgAttestResult, msg.Session, resp)
-		if err != nil {
-			continue
-		}
-		mb.Send(ctx, out) //nolint:errcheck // lost reply surfaces as initiator timeout
+		mb.SendBody(ctx, body.Initiator, MsgAttestResult, msg.Session, resp) //nolint:errcheck // lost reply surfaces as initiator timeout
 	}
 }
 
@@ -219,8 +211,7 @@ func checkAttest(ctx context.Context, mb *transport.Mailbox, ring []string, para
 		if node == self {
 			continue
 		}
-		out, err := transport.NewMessage(node, MsgAttest, session, attestBody{GLSN: g, Initiator: self})
-		if err != nil || mb.Send(ctx, out) != nil {
+		if mb.SendBody(ctx, node, MsgAttest, session, attestBody{GLSN: g, Initiator: self}) != nil {
 			break
 		}
 		sent++
@@ -280,11 +271,7 @@ func checkCirculate(ctx context.Context, mb *transport.Mailbox, ring []string, p
 		Hops:      1,
 		Value:     params.Accumulate(params.X0, frag.Canonical()),
 	}
-	out, err := transport.NewMessage(next, MsgCirculate, session, body)
-	if err != nil {
-		return err
-	}
-	if err := mb.Send(ctx, out); err != nil {
+	if err := mb.SendBody(ctx, next, MsgCirculate, session, body); err != nil {
 		return fmt.Errorf("integrity: starting circulation: %w", err)
 	}
 	// The full-circle value comes back as MsgResult, which responder

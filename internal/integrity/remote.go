@@ -76,11 +76,7 @@ func ServeRequests(ctx context.Context, mb *transport.Mailbox, ring []string, pa
 					}
 				}
 			}
-			out, err := transport.NewMessage(msg.From, MsgCheckReport, msg.Session, resp)
-			if err != nil {
-				return
-			}
-			mb.Send(ctx, out) //nolint:errcheck
+			mb.SendBody(ctx, msg.From, MsgCheckReport, msg.Session, resp) //nolint:errcheck
 		}(msg)
 	}
 }
@@ -104,12 +100,8 @@ func RequestCheck(ctx context.Context, mb *transport.Mailbox, node, session stri
 	for _, g := range glsns {
 		req.GLSNs = append(req.GLSNs, g.String())
 	}
-	msg, err := transport.NewMessage(node, MsgCheckRequest, session, req)
-	if err != nil {
+	if err := mb.SendBody(ctx, node, MsgCheckRequest, session, req); err != nil {
 		return nil, err
-	}
-	if err := mb.Send(ctx, msg); err != nil {
-		return nil, fmt.Errorf("integrity: requesting check: %w", err)
 	}
 	resp, err := mb.Expect(ctx, MsgCheckReport, session)
 	if err != nil {

@@ -220,9 +220,6 @@ func (s *Schema) Has(a Attr) bool {
 	return false
 }
 
-// UndefinedCount returns |{C_i}|, used by the confidentiality metrics.
-func (s *Schema) UndefinedCount() int { return len(s.Undefined) }
-
 // Fragment is the projection of a record onto one DLA node's attribute
 // set (paper Tables 2-5). Every fragment carries the glsn key.
 type Fragment struct {
@@ -406,28 +403,4 @@ func FromSpec(spec PartitionSpec) (*Partition, error) {
 		return nil, err
 	}
 	return NewPartition(schema, spec.Nodes, spec.NodeAttrs)
-}
-
-// Transaction models paper eq. (1): T = {R_T, E_T, L_T, tsn, ttn}.
-type Transaction struct {
-	// TSN is the unique transaction sequence number.
-	TSN uint64
-	// TTN is the transaction type number.
-	TTN uint64
-	// Rules are the boolean specifications R_T, expressed in the query
-	// language of internal/query and checked by the auditor.
-	Rules []string
-	// Events are the atomic events E_T in execution order.
-	Events []Event
-}
-
-// Event is one atomic event e_j^(i)(T) executed by application node u_i,
-// together with its log record (eq. 3-4).
-type Event struct {
-	// Seq is j, the event's position in the transaction.
-	Seq int
-	// Node is u_i, the application node that executed the event.
-	Node string
-	// Record is the log record the event produced.
-	Record Record
 }

@@ -119,8 +119,8 @@ func TestNewSchemaValidation(t *testing.T) {
 	if !s.Has("a") || s.Has("zz") {
 		t.Fatal("Has misreports membership")
 	}
-	if s.UndefinedCount() != 1 {
-		t.Fatalf("UndefinedCount = %d, want 1", s.UndefinedCount())
+	if len(s.Undefined) != 1 {
+		t.Fatalf("undefined = %d, want 1", len(s.Undefined))
 	}
 }
 

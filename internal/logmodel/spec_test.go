@@ -32,7 +32,7 @@ func TestPartitionSpecRoundTrip(t *testing.T) {
 			t.Fatalf("owner of %q changed: %q vs %q", a, part.Owner(a), ex.Partition.Owner(a))
 		}
 	}
-	if part.Schema().UndefinedCount() != ex.Schema.UndefinedCount() {
+	if len(part.Schema().Undefined) != len(ex.Schema.Undefined) {
 		t.Fatal("undefined attributes lost")
 	}
 	// Fragmentation behaves identically.

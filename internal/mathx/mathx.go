@@ -28,8 +28,6 @@ var (
 
 // Errors returned by parameter validation.
 var (
-	// ErrNotSafePrime indicates a modulus that is not a safe prime.
-	ErrNotSafePrime = errors.New("mathx: modulus is not a safe prime")
 	// ErrBadBitSize indicates an unsupported bit size request.
 	ErrBadBitSize = errors.New("mathx: unsupported bit size")
 )
@@ -44,20 +42,6 @@ type Group struct {
 	P *big.Int
 	// Q is the Sophie Germain prime (P-1)/2, the subgroup order.
 	Q *big.Int
-}
-
-// NewGroup validates that p is a safe prime and returns the group.
-// Primality is checked probabilistically (64 Miller-Rabin rounds), which
-// is the standard bar for crypto parameters.
-func NewGroup(p *big.Int) (*Group, error) {
-	if p == nil || p.Sign() <= 0 {
-		return nil, fmt.Errorf("%w: nil or non-positive", ErrNotSafePrime)
-	}
-	q := new(big.Int).Rsh(new(big.Int).Sub(p, one), 1)
-	if !p.ProbablyPrime(64) || !q.ProbablyPrime(64) {
-		return nil, ErrNotSafePrime
-	}
-	return &Group{P: new(big.Int).Set(p), Q: q}, nil
 }
 
 // mustGroup builds a Group from a known-good hex constant. It panics on
@@ -126,29 +110,6 @@ func StandardGroup(bits int) (*Group, error) {
 		return MODP2048, nil
 	default:
 		return nil, fmt.Errorf("%w: %d (want 768, 1024, 1536, or 2048)", ErrBadBitSize, bits)
-	}
-}
-
-// GenerateGroup generates a fresh safe-prime group with the requested
-// modulus bit length. Intended for tests with small sizes; production
-// callers should use StandardGroup.
-func GenerateGroup(rng io.Reader, bits int) (*Group, error) {
-	if bits < 16 {
-		return nil, fmt.Errorf("%w: %d (minimum 16)", ErrBadBitSize, bits)
-	}
-	if rng == nil {
-		rng = rand.Reader
-	}
-	for {
-		q, err := rand.Prime(rng, bits-1)
-		if err != nil {
-			return nil, fmt.Errorf("mathx: generating Sophie Germain prime: %w", err)
-		}
-		p := new(big.Int).Lsh(q, 1)
-		p.Add(p, one)
-		if p.ProbablyPrime(64) {
-			return &Group{P: p, Q: q}, nil
-		}
 	}
 }
 

@@ -54,51 +54,6 @@ func TestStandardGroupLookup(t *testing.T) {
 	}
 }
 
-func TestNewGroupRejectsNonSafePrimes(t *testing.T) {
-	cases := []struct {
-		name string
-		p    *big.Int
-	}{
-		{"nil", nil},
-		{"zero", big.NewInt(0)},
-		{"composite", big.NewInt(15)},
-		{"prime but not safe", big.NewInt(13)}, // (13-1)/2 = 6 composite
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewGroup(tc.p); err == nil {
-				t.Fatalf("NewGroup(%v) accepted a non-safe prime", tc.p)
-			}
-		})
-	}
-}
-
-func TestNewGroupAcceptsSafePrime(t *testing.T) {
-	g, err := NewGroup(big.NewInt(23)) // 23 = 2*11+1, both prime
-	if err != nil {
-		t.Fatalf("NewGroup(23): %v", err)
-	}
-	if g.Q.Int64() != 11 {
-		t.Fatalf("Q = %v, want 11", g.Q)
-	}
-}
-
-func TestGenerateGroup(t *testing.T) {
-	g, err := GenerateGroup(rand.Reader, 64)
-	if err != nil {
-		t.Fatalf("GenerateGroup: %v", err)
-	}
-	if !g.P.ProbablyPrime(64) || !g.Q.ProbablyPrime(64) {
-		t.Fatal("generated group is not a safe-prime group")
-	}
-	if g.Bits() != 64 {
-		t.Fatalf("generated %d-bit modulus, want 64", g.Bits())
-	}
-	if _, err := GenerateGroup(rand.Reader, 8); err == nil {
-		t.Fatal("GenerateGroup(8) should fail")
-	}
-}
-
 func TestHashToQRDeterministicAndInSubgroup(t *testing.T) {
 	g := Oakley768
 	a := g.HashToQR([]byte("transaction T1100265"))

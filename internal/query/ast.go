@@ -276,12 +276,3 @@ func Attrs(e Expr) []logmodel.Attr {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// FormatAttrs renders an attribute list for diagnostics.
-func FormatAttrs(attrs []logmodel.Attr) string {
-	parts := make([]string, len(attrs))
-	for i, a := range attrs {
-		parts[i] = string(a)
-	}
-	return strings.Join(parts, ", ")
-}

@@ -286,9 +286,6 @@ func TestAttrsHelper(t *testing.T) {
 	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
 		t.Fatalf("Attrs = %v", got)
 	}
-	if FormatAttrs(got) != "a, b, c" {
-		t.Fatalf("FormatAttrs = %q", FormatAttrs(got))
-	}
 }
 
 func TestOpHelpers(t *testing.T) {

@@ -37,11 +37,11 @@ func (s BreakerState) String() string {
 }
 
 // Breaker is a per-peer circuit breaker. The zero value is not usable;
-// create with NewBreaker. Safe for concurrent use.
+// create with NewPeerBreaker. Safe for concurrent use.
 type Breaker struct {
 	threshold int
 	openFor   time.Duration
-	peer      string // flight-recorder attribution; "" when unknown
+	peer      string // flight-recorder attribution
 
 	mu       sync.Mutex
 	state    BreakerState
@@ -50,15 +50,10 @@ type Breaker struct {
 	probing  bool // a half-open probe is in flight
 }
 
-// NewBreaker creates a closed breaker that opens after threshold
-// consecutive failures and admits a probe openFor after opening.
-func NewBreaker(threshold int, openFor time.Duration) *Breaker {
-	return NewPeerBreaker("", threshold, openFor)
-}
-
-// NewPeerBreaker is NewBreaker with the guarded peer's node ID
-// attached, so open/close transitions land in the flight recorder with
-// the peer named.
+// NewPeerBreaker creates a closed breaker guarding the named peer that
+// opens after threshold consecutive failures and admits a probe openFor
+// after opening. Open/close transitions land in the flight recorder
+// with the peer named.
 func NewPeerBreaker(peer string, threshold int, openFor time.Duration) *Breaker {
 	if threshold <= 0 {
 		threshold = 5
@@ -140,15 +135,4 @@ func (b *Breaker) tripLocked() {
 	telemetry.F.Record(telemetry.FlightEvent{
 		Kind: telemetry.FlightBreakerOpen, Peer: b.peer, Count: b.failures, Outcome: "error",
 	})
-}
-
-// State returns the breaker's current position (resolving an elapsed
-// open cool-down to half-open).
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == BreakerOpen && time.Since(b.openedAt) >= b.openFor {
-		return BreakerHalfOpen
-	}
-	return b.state
 }

@@ -49,18 +49,6 @@ func (r *ReliableEndpoint) Recv(ctx context.Context) (transport.Message, error) 
 // Close delegates to the wrapped endpoint.
 func (r *ReliableEndpoint) Close() error { return r.inner.Close() }
 
-// PeerState returns the circuit-breaker position for a peer (closed if
-// the peer has never been sent to).
-func (r *ReliableEndpoint) PeerState(peer string) BreakerState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	br, ok := r.breakers[peer]
-	if !ok {
-		return BreakerClosed
-	}
-	return br.State()
-}
-
 func (r *ReliableEndpoint) breaker(peer string) *Breaker {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -144,21 +144,6 @@ func (o *Outbox) For(peer string) []OutboxEntry {
 	return out
 }
 
-// Peers returns every destination with spooled entries.
-func (o *Outbox) Peers() []string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	seen := make(map[string]struct{})
-	var out []string
-	for _, e := range o.entries {
-		if _, ok := seen[e.To]; !ok {
-			seen[e.To] = struct{}{}
-			out = append(out, e.To)
-		}
-	}
-	return out
-}
-
 // Len returns the number of spooled entries.
 func (o *Outbox) Len() int {
 	o.mu.Lock()

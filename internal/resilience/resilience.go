@@ -9,7 +9,7 @@
 //     circuit breaker, so transient loss is retried and a dead peer
 //     fails fast instead of consuming the retry budget;
 //   - Breaker is the closed/open/half-open circuit breaker state
-//     machine, usable on its own;
+//     machine ReliableEndpoint keeps per peer;
 //   - Detector is a heartbeat failure detector: it pings the roster on
 //     the "health.ping" message type and classifies every peer as
 //     alive, suspect, or dead, publishing transitions to subscribers;

@@ -109,7 +109,7 @@ func BatchCompare(ctx context.Context, mb *transport.Mailbox, cfg BatchConfig, k
 	}); err != nil {
 		return nil, err
 	}
-	if err := send(ctx, mb, cfg.TTP, msgSubmitBatch, cfg.Session, batchSubmitBody{Keys: keys, Ws: ws}); err != nil {
+	if err := mb.SendBody(ctx, cfg.TTP, msgSubmitBatch, cfg.Session, batchSubmitBody{Keys: keys, Ws: ws}); err != nil {
 		return nil, err
 	}
 	msg, err := mb.Expect(ctx, msgVerdictBatch, cfg.Session)
@@ -176,7 +176,7 @@ func ServeBatchCompare(ctx context.Context, mb *transport.Mailbox, cfg BatchConf
 		return err
 	}
 	for _, h := range cfg.Holders {
-		if err := send(ctx, mb, h, msgVerdictBatch, cfg.Session, verdict); err != nil {
+		if err := mb.SendBody(ctx, h, msgVerdictBatch, cfg.Session, verdict); err != nil {
 			return err
 		}
 	}

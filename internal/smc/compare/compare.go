@@ -32,7 +32,6 @@ import (
 
 	"confaudit/internal/mathx"
 	"confaudit/internal/smc"
-	"confaudit/internal/smc/intersect"
 	"confaudit/internal/transport"
 )
 
@@ -118,7 +117,7 @@ func Equal(ctx context.Context, mb *transport.Mailbox, cfg EqualityConfig, value
 	w := new(big.Int).Mul(a, value)
 	w.Add(w, b)
 	w.Mod(w, cfg.P)
-	if err := send(ctx, mb, cfg.TTP, msgSubmitEq, cfg.Session, submitBody{W: smc.EncodeBig(w)}); err != nil {
+	if err := mb.SendBody(ctx, cfg.TTP, msgSubmitEq, cfg.Session, submitBody{W: smc.EncodeBig(w)}); err != nil {
 		return false, err
 	}
 	msg, err := mb.Expect(ctx, msgVerdictEq, cfg.Session)
@@ -159,31 +158,11 @@ func ServeEqual(ctx context.Context, mb *transport.Mailbox, cfg EqualityConfig) 
 	}
 	verdict := eqVerdictBody{Equal: ws[cfg.Holders[0]].Cmp(ws[cfg.Holders[1]]) == 0}
 	for _, h := range cfg.Holders {
-		if err := send(ctx, mb, h, msgVerdictEq, cfg.Session, verdict); err != nil {
+		if err := mb.SendBody(ctx, h, msgVerdictEq, cfg.Session, verdict); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// EqualBySetIntersection is the paper's alternative §3.2 equality
-// route: "when the set size of S_i = 1, the secure set intersection
-// could be used for secure equality comparison." Both holders run a
-// two-party ∩s over their singleton sets; equality holds iff the
-// intersection is non-empty. Unlike the TTP route, no third party is
-// needed, at the cost of commutative exponentiations.
-func EqualBySetIntersection(ctx context.Context, mb *transport.Mailbox, group *mathx.Group, holders [2]string, session string, value []byte) (bool, error) {
-	cfg := intersect.Config{
-		Group:     group,
-		Ring:      holders[:],
-		Receivers: holders[:],
-		Session:   session,
-	}
-	res, err := intersect.Run(ctx, mb, cfg, [][]byte{value})
-	if err != nil {
-		return false, err
-	}
-	return len(res.Plaintext) == 1, nil
 }
 
 // RankConfig describes one Max/Min/Rank run among n holders and a TTP.
@@ -255,7 +234,7 @@ func Rank(ctx context.Context, mb *transport.Mailbox, cfg RankConfig, value *big
 	}
 	w := new(big.Int).Mul(a, value)
 	w.Add(w, b)
-	if err := send(ctx, mb, cfg.TTP, msgSubmitRk, cfg.Session, submitBody{W: smc.EncodeBig(w)}); err != nil {
+	if err := mb.SendBody(ctx, cfg.TTP, msgSubmitRk, cfg.Session, submitBody{W: smc.EncodeBig(w)}); err != nil {
 		return nil, err
 	}
 	msg, err := mb.Expect(ctx, msgVerdictRk, cfg.Session)
@@ -323,7 +302,7 @@ func ServeRank(ctx context.Context, mb *transport.Mailbox, cfg RankConfig) error
 	// Ties at the top/bottom: the canonical extreme is the tied holder
 	// with the smallest ID, which the sort already guarantees.
 	for _, h := range cfg.Holders {
-		if err := send(ctx, mb, h, msgVerdictRk, cfg.Session, res); err != nil {
+		if err := mb.SendBody(ctx, h, msgVerdictRk, cfg.Session, res); err != nil {
 			return err
 		}
 	}
@@ -345,7 +324,7 @@ func jointSecret(ctx context.Context, mb *transport.Mailbox, rng io.Reader, boun
 	}
 	body := seedBody{A: smc.EncodeBig(myA), B: smc.EncodeBig(myB)}
 	for _, p := range peers {
-		if err := send(ctx, mb, p, msgSeed, session, body); err != nil {
+		if err := mb.SendBody(ctx, p, msgSeed, session, body); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -373,15 +352,4 @@ func jointSecret(ctx context.Context, mb *transport.Mailbox, rng io.Reader, boun
 	}
 	// a stays ≥ 1 because every contribution is ≥ 1 (RandScalar range).
 	return a, b, nil
-}
-
-func send(ctx context.Context, mb *transport.Mailbox, to, typ, session string, body any) error {
-	msg, err := transport.NewMessage(to, typ, session, body)
-	if err != nil {
-		return err
-	}
-	if err := mb.Send(ctx, msg); err != nil {
-		return fmt.Errorf("compare: sending %s to %s: %w", typ, to, err)
-	}
-	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"confaudit/internal/mathx"
+	"confaudit/internal/smc/intersect"
 	"confaudit/internal/transport"
 )
 
@@ -311,9 +312,21 @@ func TestRankConfigValidation(t *testing.T) {
 	}
 }
 
-// TestEqualBySetIntersection covers the §3.2 singleton-∩s equality
-// route (no TTP involved).
+// TestEqualBySetIntersection covers the §3.2 alternative equality
+// route, which needs no TTP and no code of its own: "when the set size
+// of S_i = 1, the secure set intersection could be used for secure
+// equality comparison." Both holders run a two-party ∩s over their
+// singleton sets; equality holds iff the intersection is non-empty.
 func TestEqualBySetIntersection(t *testing.T) {
+	equal := func(ctx context.Context, mb *transport.Mailbox, session string, v []byte) (bool, error) {
+		holders := []string{"A", "B"}
+		cfg := intersect.Config{Group: mathx.Oakley768, Ring: holders, Receivers: holders, Session: session}
+		res, err := intersect.Run(ctx, mb, cfg, [][]byte{v})
+		if err != nil {
+			return false, err
+		}
+		return len(res.Plaintext) == 1, nil
+	}
 	run := func(session string, va, vb []byte) bool {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -329,11 +342,11 @@ func TestEqualBySetIntersection(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			eqA, errA = EqualBySetIntersection(ctx, mbs["A"], mathx.Oakley768, [2]string{"A", "B"}, session, va)
+			eqA, errA = equal(ctx, mbs["A"], session, va)
 		}()
 		go func() {
 			defer wg.Done()
-			eqB, errB = EqualBySetIntersection(ctx, mbs["B"], mathx.Oakley768, [2]string{"A", "B"}, session, vb)
+			eqB, errB = equal(ctx, mbs["B"], session, vb)
 		}()
 		wg.Wait()
 		if errA != nil || errB != nil {

@@ -248,7 +248,7 @@ func Garble(ctx context.Context, mb *transport.Mailbox, cfg Config, c *circuit.C
 	for i, o := range c.Outputs {
 		body.OutputColors[i] = labels[o][1].color()
 	}
-	if err := send(ctx, mb, cfg.Evaluator, msgTables, cfg.Session, body); err != nil {
+	if err := mb.SendBody(ctx, cfg.Evaluator, msgTables, cfg.Session, body); err != nil {
 		return nil, err
 	}
 
@@ -346,19 +346,8 @@ func Evaluate(ctx context.Context, mb *transport.Mailbox, cfg Config, c *circuit
 		out[i] = active[o].color() == body.OutputColors[i]
 	}
 	// Share the plaintext with the garbler, per protocol.
-	if err := send(ctx, mb, cfg.Garbler, msgResult, cfg.Session, resultBody{Bits: out}); err != nil {
+	if err := mb.SendBody(ctx, cfg.Garbler, msgResult, cfg.Session, resultBody{Bits: out}); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-func send(ctx context.Context, mb *transport.Mailbox, to, typ, session string, body any) error {
-	msg, err := transport.NewMessage(to, typ, session, body)
-	if err != nil {
-		return err
-	}
-	if err := mb.Send(ctx, msg); err != nil {
-		return fmt.Errorf("garbled: sending %s to %s: %w", typ, to, err)
-	}
-	return nil
 }

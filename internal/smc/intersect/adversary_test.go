@@ -59,7 +59,7 @@ func TestForgedFinalRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := mbs["M"].Send(ctx, transport.NewBinaryMessage("P1", "intersect.final", "forge", &forged)); err != nil {
+			if err := mbs["M"].SendBody(ctx, "P1", "intersect.final", "forge", &forged); err != nil {
 				t.Fatal(err)
 			}
 			wg.Wait()
@@ -107,7 +107,7 @@ func TestWrongHopCountRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Hops not incremented: claims full circle too early.
-	if err := mbs["M"].Send(ctx, transport.NewBinaryMessage("P1", "intersect.relay", "hops", &body)); err != nil {
+	if err := mbs["M"].SendBody(ctx, "P1", "intersect.relay", "hops", &body); err != nil {
 		t.Fatal(err)
 	}
 	select {

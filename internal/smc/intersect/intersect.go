@@ -99,12 +99,12 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 		return nil, err
 	}
 	for _, r := range cfg.Receivers {
-		if err := smc.Send(ctx, mb, r, msgFinal, cfg.Session, &myFinalBody); err != nil {
+		if err := mb.SendBody(ctx, r, msgFinal, cfg.Session, &myFinalBody); err != nil {
 			return nil, err
 		}
 	}
 	for _, o := range cfg.Observers {
-		if err := smc.Send(ctx, mb, o, msgFinal, cfg.Session, &myFinalBody); err != nil {
+		if err := mb.SendBody(ctx, o, msgFinal, cfg.Session, &myFinalBody); err != nil {
 			return nil, err
 		}
 	}

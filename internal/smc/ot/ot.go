@@ -133,7 +133,7 @@ func Send(ctx context.Context, mb *transport.Mailbox, cfg Config, pairs [][2][]b
 		return fmt.Errorf("ot: sampling c exponent: %w", err)
 	}
 	c := new(big.Int).Exp(g, s, grp.P)
-	if err := send(ctx, mb, cfg.Receiver, msgParams, cfg.Session, paramsBody{C: smc.EncodeBig(c)}); err != nil {
+	if err := mb.SendBody(ctx, cfg.Receiver, msgParams, cfg.Session, paramsBody{C: smc.EncodeBig(c)}); err != nil {
 		return err
 	}
 
@@ -189,7 +189,7 @@ func Send(ctx context.Context, mb *transport.Mailbox, cfg Config, pairs [][2][]b
 			}
 		}
 	}
-	return send(ctx, mb, cfg.Receiver, msgEnc, cfg.Session, body)
+	return mb.SendBody(ctx, cfg.Receiver, msgEnc, cfg.Session, body)
 }
 
 // Receive performs the receiver role for a batch: choices[i] selects
@@ -240,7 +240,7 @@ func Receive(ctx context.Context, mb *transport.Mailbox, cfg Config, choices []b
 			pk0s[i] = smc.EncodeBig(pk0)
 		}
 	}
-	if err := send(ctx, mb, cfg.Sender, msgPK, cfg.Session, pkBody{PK0s: pk0s}); err != nil {
+	if err := mb.SendBody(ctx, cfg.Sender, msgPK, cfg.Session, pkBody{PK0s: pk0s}); err != nil {
 		return nil, err
 	}
 
@@ -275,15 +275,4 @@ func Receive(ctx context.Context, mb *transport.Mailbox, cfg Config, choices []b
 		out[i] = m
 	}
 	return out, nil
-}
-
-func send(ctx context.Context, mb *transport.Mailbox, to, typ, session string, body any) error {
-	msg, err := transport.NewMessage(to, typ, session, body)
-	if err != nil {
-		return err
-	}
-	if err := mb.Send(ctx, msg); err != nil {
-		return fmt.Errorf("ot: sending %s to %s: %w", typ, to, err)
-	}
-	return nil
 }

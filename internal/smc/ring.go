@@ -76,7 +76,7 @@ func Circulate(ctx context.Context, mb *transport.Mailbox, typ, session string,
 		}
 		body, err := NewRelayWire(self, 1, ec.blocks, ec.seq, len(mine))
 		if err == nil {
-			err = Send(ctx, mb, next, typ, session, &body)
+			err = mb.SendBody(ctx, next, typ, session, &body)
 		}
 		observeRelayChunk(ec.span, ec.start, next, ec.seq, len(mine), ec.blocks, err)
 		if err != nil {
@@ -123,7 +123,7 @@ func Circulate(ctx context.Context, mb *transport.Mailbox, typ, session string,
 			}
 			fwd, err := NewRelayWire(body.Origin, body.Hops+1, enc, body.Seq, body.Total)
 			if err == nil {
-				err = Send(ctx, mb, next, typ, session, &fwd)
+				err = mb.SendBody(ctx, next, typ, session, &fwd)
 			}
 			observeRelayChunk(csp, chunkStart, next, body.Seq, body.Total, enc, err)
 			if err != nil {
@@ -151,16 +151,6 @@ func Circulate(ctx context.Context, mb *transport.Mailbox, typ, session string,
 		return nil, fmt.Errorf("%w: own set never returned", ErrProtocol)
 	}
 	return myFinal, nil
-}
-
-// Send ships one binary body to a peer, deferring its payload encoding
-// to the transport (the zero-copy frame path on TCP).
-func Send(ctx context.Context, mb *transport.Mailbox, to, typ, session string, body transport.BinaryBody) error {
-	msg := transport.NewBinaryMessage(to, typ, session, body)
-	if err := mb.Send(ctx, msg); err != nil {
-		return fmt.Errorf("smc: sending %s to %s: %w", typ, to, err)
-	}
-	return nil
 }
 
 // encChunk is one precomputed chunk of a session's encryption stream.

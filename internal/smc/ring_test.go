@@ -111,7 +111,7 @@ var ringProtocols = []ringProtocol{
 			if err != nil {
 				return err
 			}
-			return smc.Send(ctx, mb, "P1", "intersect.final", hostileSession, &final)
+			return mb.SendBody(ctx, "P1", "intersect.final", hostileSession, &final)
 		},
 	},
 	{
@@ -126,7 +126,7 @@ var ringProtocols = []ringProtocol{
 			if err != nil {
 				return err
 			}
-			if err := smc.Send(ctx, mb, "P1", "union.collect", hostileSession, &collect); err != nil {
+			if err := mb.SendBody(ctx, "P1", "union.collect", hostileSession, &collect); err != nil {
 				return err
 			}
 			msg, err := mb.Expect(ctx, "union.decrypt", hostileSession)
@@ -138,7 +138,7 @@ var ringProtocols = []ringProtocol{
 				return err
 			}
 			body.Hops++
-			return smc.Send(ctx, mb, "P1", "union.decrypt", hostileSession, &body)
+			return mb.SendBody(ctx, "P1", "union.decrypt", hostileSession, &body)
 		},
 	},
 }
@@ -169,7 +169,7 @@ func sendChunk(ctx context.Context, mb *transport.Mailbox, to, typ, origin strin
 	if err != nil {
 		return err
 	}
-	return smc.Send(ctx, mb, to, typ, hostileSession, &body)
+	return mb.SendBody(ctx, to, typ, hostileSession, &body)
 }
 
 // TestForeignOriginRejected feeds an honest P1 relay chunks it must

@@ -55,28 +55,6 @@ func DecodeBig(s string) (*big.Int, error) {
 	return v, nil
 }
 
-// EncodeBigs renders a slice of big integers.
-func EncodeBigs(vs []*big.Int) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = EncodeBig(v)
-	}
-	return out
-}
-
-// DecodeBigs parses a slice of big integers.
-func DecodeBigs(ss []string) ([]*big.Int, error) {
-	out := make([]*big.Int, len(ss))
-	for i, s := range ss {
-		v, err := DecodeBig(s)
-		if err != nil {
-			return nil, fmt.Errorf("element %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // IndexOf locates a node in the ring.
 func IndexOf(ring []string, node string) (int, error) {
 	for i, n := range ring {

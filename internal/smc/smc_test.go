@@ -26,22 +26,6 @@ func TestEncodeDecodeBig(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeBigs(t *testing.T) {
-	in := []*big.Int{big.NewInt(1), big.NewInt(2), big.NewInt(1 << 40)}
-	out, err := DecodeBigs(EncodeBigs(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range in {
-		if in[i].Cmp(out[i]) != 0 {
-			t.Fatalf("element %d: %v != %v", i, in[i], out[i])
-		}
-	}
-	if _, err := DecodeBigs([]string{"1", ""}); err == nil {
-		t.Fatal("DecodeBigs with bad element should fail")
-	}
-}
-
 func TestRingHelpers(t *testing.T) {
 	ring := []string{"A", "B", "C"}
 	next, err := NextInRing(ring, "A")

@@ -46,11 +46,7 @@ func TestWrongAbscissaShareRejected(t *testing.T) {
 	// Mallory skips the protocol and sends A a share at the wrong x
 	// (A's abscissa is 1; Mallory claims x=7).
 	bad := shareBody{X: smc.EncodeBig(big.NewInt(7)), Y: smc.EncodeBig(big.NewInt(123))}
-	msg, err := transport.NewMessage("A", "sum.share", "adv", bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mMB.Send(ctx, msg); err != nil {
+	if err := mMB.SendBody(ctx, "A", "sum.share", "adv", bad); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -93,11 +89,7 @@ func TestGarbageShareRejected(t *testing.T) {
 		_, err := Run(ctx, aMB, cfg, big.NewInt(5))
 		errc <- err
 	}()
-	msg, err := transport.NewMessage("A", "sum.share", "garbage", shareBody{X: "", Y: "!!"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mMB.Send(ctx, msg); err != nil {
+	if err := mMB.SendBody(ctx, "A", "sum.share", "garbage", shareBody{X: "", Y: "!!"}); err != nil {
 		t.Fatal(err)
 	}
 	select {

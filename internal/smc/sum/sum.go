@@ -133,7 +133,7 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, value *big.Int)
 		if party == self {
 			continue
 		}
-		if err := send(ctx, mb, party, msgShare, cfg.Session, bodies[j]); err != nil {
+		if err := mb.SendBody(ctx, party, msgShare, cfg.Session, bodies[j]); err != nil {
 			return nil, err
 		}
 	}
@@ -173,7 +173,7 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, value *big.Int)
 	reconstructor := cfg.Receivers[0]
 	if selfIdx < cfg.K && self != reconstructor {
 		body := shareBody{X: smc.EncodeBig(agg.X), Y: smc.EncodeBig(agg.Y)}
-		if err := send(ctx, mb, reconstructor, msgAgg, cfg.Session, body); err != nil {
+		if err := mb.SendBody(ctx, reconstructor, msgAgg, cfg.Session, body); err != nil {
 			return nil, err
 		}
 	}
@@ -210,7 +210,7 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, value *big.Int)
 			if r == self {
 				continue
 			}
-			if err := send(ctx, mb, r, msgOut, cfg.Session, resultBody{Sum: smc.EncodeBig(total)}); err != nil {
+			if err := mb.SendBody(ctx, r, msgOut, cfg.Session, resultBody{Sum: smc.EncodeBig(total)}); err != nil {
 				return nil, err
 			}
 		}
@@ -229,15 +229,4 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, value *big.Int)
 		return nil, err
 	}
 	return smc.DecodeBig(body.Sum)
-}
-
-func send(ctx context.Context, mb *transport.Mailbox, to, typ, session string, body any) error {
-	msg, err := transport.NewMessage(to, typ, session, body)
-	if err != nil {
-		return err
-	}
-	if err := mb.Send(ctx, msg); err != nil {
-		return fmt.Errorf("sum: sending %s to %s: %w", typ, to, err)
-	}
-	return nil
 }

@@ -80,7 +80,7 @@ func TestUnionDecryptPhase(t *testing.T) {
 	defer cancel()
 	results, err := smctest.RunParties(ctx, cfg.Ring, func(ctx context.Context, id string, mb *transport.Mailbox) ([][]byte, error) {
 		return Run(ctx, mb, cfg, sets[id])
-	}, transport.WithDropFn(tap))
+	}, func(n *transport.MemNetwork) { n.SetDropFn(tap) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -337,5 +337,5 @@ func sendBatch(ctx context.Context, mb *transport.Mailbox, to, typ, session stri
 	if err != nil {
 		return err
 	}
-	return smc.Send(ctx, mb, to, typ, session, &body)
+	return mb.SendBody(ctx, to, typ, session, &body)
 }

@@ -129,45 +129,41 @@ func writeCheckpoint(fsys faultfs.FS, dir string, cp *checkpointFile) error {
 	return fsys.SyncDir(dir)
 }
 
-// loadCheckpoint reads and self-verifies the checkpoint. A missing file
-// returns (nil, ""). A damaged file — unreadable JSON, or an accumulator
-// digest that does not match its own segment table — returns (nil,
-// note): recovery then falls back to record-level verification of every
+// loadCheckpoint reads and self-verifies the checkpoint. It returns nil
+// for a missing file and for a damaged one (unreadable JSON, or an
+// accumulator digest that does not match its own segment table):
+// recovery then falls back to record-level verification of every
 // segment, which is slower but never trusts a lying checkpoint.
-func loadCheckpoint(fsys faultfs.FS, dir string, params *accumulator.Params) (*checkpointFile, string) {
+func loadCheckpoint(fsys faultfs.FS, dir string, params *accumulator.Params) *checkpointFile {
 	f, err := fsys.OpenFile(filepath.Join(dir, checkpointName), os.O_RDONLY, 0)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, ""
-		}
-		return nil, fmt.Sprintf("checkpoint unreadable: %v", err)
+		return nil
 	}
 	data, err := io.ReadAll(f)
 	f.Close() //nolint:errcheck
 	if err != nil {
-		return nil, fmt.Sprintf("checkpoint unreadable: %v", err)
+		return nil
 	}
 	var cp checkpointFile
 	if err := json.Unmarshal(data, &cp); err != nil {
-		return nil, fmt.Sprintf("checkpoint undecodable: %v", err)
+		return nil
 	}
 	sumWant, err := sumOf(&cp)
 	if err != nil || sumWant != cp.Sum {
-		return nil, "checkpoint self-checksum mismatch"
+		return nil
 	}
 	shas := make([][]byte, 0, len(cp.Segments))
 	for _, s := range cp.Segments {
 		sha, err := hex.DecodeString(s.SHA)
 		if err != nil {
-			return nil, fmt.Sprintf("checkpoint segment %d: bad sha: %v", s.Seq, err)
+			return nil
 		}
 		shas = append(shas, sha)
 	}
-	want := foldAcc(params, shas)
-	if want.Text(16) != cp.Acc {
-		return nil, ErrCorruptCheckpoint.Error()
+	if foldAcc(params, shas).Text(16) != cp.Acc {
+		return nil
 	}
-	return &cp, ""
+	return &cp
 }
 
 // cpLookup indexes a checkpoint's segment table by seq.

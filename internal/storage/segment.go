@@ -114,7 +114,6 @@ type Disk struct {
 
 	sealed []segMeta // ascending seq, surviving (non-quarantined)
 	quar   []QuarantineInfo
-	notes  []string
 	cpInfo *CheckpointInfo
 	cpSet  int // sealed segments covered by the durable checkpoint
 
@@ -151,10 +150,7 @@ func openDisk(o Options, params *accumulator.Params, fsys faultfs.FS) (*Disk, er
 	}
 	d := &Disk{opts: o, fsys: fsys, params: params}
 
-	cp, cpNote := loadCheckpoint(fsys, o.Dir, params)
-	if cpNote != "" {
-		d.notes = append(d.notes, cpNote)
-	}
+	cp := loadCheckpoint(fsys, o.Dir, params)
 	entries, err := fsys.ReadDir(o.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("storage: listing segment dir: %w", err)
@@ -195,8 +191,6 @@ func openDisk(o Options, params *accumulator.Params, fsys faultfs.FS) (*Disk, er
 				}
 				delete(snaps, cp.BaseSeq)
 				live[cp.BaseSeq] = struct{}{}
-			} else if len(cp.Segments) > 0 {
-				d.notes = append(d.notes, fmt.Sprintf("checkpoint base segment %d missing", cp.BaseSeq))
 			}
 		}
 	}
@@ -1056,14 +1050,6 @@ func (d *Disk) Quarantined() []QuarantineInfo {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return append([]QuarantineInfo(nil), d.quar...)
-}
-
-// RecoveryNotes returns non-fatal recovery observations (e.g. a
-// checkpoint that had to be distrusted).
-func (d *Disk) RecoveryNotes() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]string(nil), d.notes...)
 }
 
 // Close seals nothing but flushes and fsyncs the tail.

@@ -24,10 +24,6 @@ var (
 	// the store refuses every further mutation until reopened, so no
 	// acknowledgement can outrun the disk.
 	ErrFailed = errors.New("storage: store failed; reopen required")
-	// ErrCorruptCheckpoint marks a checkpoint whose own accumulator
-	// digest does not match its segment table: the verified-prefix claim
-	// itself is untrustworthy, so recovery refuses to shortcut.
-	ErrCorruptCheckpoint = errors.New("storage: checkpoint accumulator mismatch")
 )
 
 // Record is one journaled mutation, opaque to the engine.

@@ -26,7 +26,7 @@ import (
 //
 // Leak budgets. Each query's leakage is 1 - C_query: a fully
 // confidential query (C_query = 1) spends nothing, a revealing one
-// spends up to 1. A per-querier budget (or the process default) trips
+// spends up to 1. The process-wide budget (dlad -leak-budget) trips
 // the CtrLeakAlarms counter on every query recorded while the
 // querier's cumulative spend exceeds it — the differential-privacy
 // style accounting loop, applied to the paper's confidentiality
@@ -73,7 +73,6 @@ type querierLedger struct {
 	sumCAud    float64
 	sumCQuery  float64
 	leakage    float64
-	budget     float64 // 0 = use the ledger default
 	alarmed    bool
 	entries    []LedgerEntry
 	entryIndex map[string]int // session -> entries index
@@ -129,19 +128,12 @@ func NewLedger() *Ledger {
 // L is the process-wide default ledger, mirroring M and T.
 var L = NewLedger()
 
-// SetDefaultBudget sets the leak budget applied to queriers without an
-// explicit one. Zero disables budget checking.
+// SetDefaultBudget sets the leak budget every querier is held to. Zero
+// disables budget checking.
 func (l *Ledger) SetDefaultBudget(b float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.defaultBudget = b
-}
-
-// SetBudget sets one querier's leak budget (0 = fall back to default).
-func (l *Ledger) SetBudget(querier string, b float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ledger(querier).budget = b
 }
 
 // ledger returns (creating, evicting FIFO if needed) a querier's
@@ -183,7 +175,7 @@ func (q *querierLedger) entry(session string) *LedgerEntry {
 
 // RecordQuery scores one dispatched query: cAud and cQuery are the
 // eq. 11/12 values the coordinator computed for the criterion. The
-// querier's cumulative leakage grows by 1-cQuery; if a budget is set
+// querier's cumulative leakage grows by 1-cQuery; if the budget is set
 // and exceeded, the CtrLeakAlarms counter trips.
 func (l *Ledger) RecordQuery(querier, session string, cAud, cQuery float64) {
 	if l == nil || !enabled.Load() || querier == "" {
@@ -198,11 +190,7 @@ func (l *Ledger) RecordQuery(querier, session string, cAud, cQuery float64) {
 	q.sumCAud += cAud
 	q.sumCQuery += cQuery
 	q.leakage += e.Leakage
-	budget := q.budget
-	if budget == 0 {
-		budget = l.defaultBudget
-	}
-	alarm := budget > 0 && q.leakage > budget
+	alarm := l.defaultBudget > 0 && q.leakage > l.defaultBudget
 	if alarm {
 		q.alarmed = true
 	}
@@ -248,12 +236,9 @@ func (l *Ledger) Snapshot() LedgerSnapshot {
 			Querier: querier,
 			Queries: q.queries,
 			Leakage: q.leakage,
-			Budget:  q.budget,
+			Budget:  l.defaultBudget,
 			Alarmed: q.alarmed,
 			Entries: append([]LedgerEntry(nil), q.entries...),
-		}
-		if v.Budget == 0 {
-			v.Budget = l.defaultBudget
 		}
 		if q.queries > 0 {
 			v.MeanCAud = q.sumCAud / float64(q.queries)

@@ -28,7 +28,6 @@
 package telemetry
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -348,24 +347,6 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 		s.Gauges[name] = g.Value()
 	}
 	return s
-}
-
-// Names returns every registered metric name, sorted (tests).
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.ctrs)+len(r.hists)+len(r.gauges))
-	for n := range r.ctrs {
-		out = append(out, n)
-	}
-	for n := range r.hists {
-		out = append(out, n)
-	}
-	for n := range r.gauges {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Reset drops every metric (tests).

@@ -70,12 +70,6 @@ func WithSeed(seed int64) MemOption {
 	return func(n *MemNetwork) { n.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// WithDropFn installs a predicate that discards matching messages,
-// simulating loss or a partitioned node.
-func WithDropFn(fn func(Message) bool) MemOption {
-	return func(n *MemNetwork) { n.dropFn = fn }
-}
-
 // NewMemNetwork creates an empty in-memory network.
 func NewMemNetwork(opts ...MemOption) *MemNetwork {
 	n := &MemNetwork{endpoints: make(map[string]*memEndpoint)}

@@ -15,13 +15,14 @@ import (
 // intermediate payload allocation or copy; the in-memory network and
 // the client outbox materialize it with EncodePayload.
 //
-// Bodies without a BinaryBody (audit exec, sum, compare, ot, garbled)
-// keep JSON payloads: the choice is made per message type, never per
-// peer, so Unmarshal picks the codec from the target type and refuses
-// the other one. Binary payloads open with payloadMagic, which no JSON
-// value starts with. After Send returns the caller may freely reuse the
-// buffers backing the body: every encode path copies into memory the
-// sender does not retain (the aliasing regression test pins this).
+// Every body without a BinaryBody travels as a JSON payload. The choice
+// is made per message type, never per peer: Mailbox.SendBody picks the
+// codec from the body's type, and Unmarshal from the target's type and
+// refuses the other one. Binary payloads open with payloadMagic, which
+// no JSON value starts with. After SendBody returns the caller may
+// freely reuse the buffers backing the body: every encode path copies
+// into memory the sender does not retain (the aliasing regression test
+// pins this).
 
 // BinaryBody is implemented by protocol bodies with a compact binary
 // payload encoding. AppendBinary must append
@@ -111,8 +112,22 @@ func Unmarshal(payload []byte, v any) error {
 	return nil
 }
 
-// SendBody encodes body for the receiver and sends it on ep: a
-// convenience wrapper protocols use for their per-message sends.
-func SendBody(ctx context.Context, ep Endpoint, to, typ, session string, body BinaryBody) error {
-	return ep.Send(ctx, NewBinaryMessage(to, typ, session, body))
+// SendBody sends body to a peer as one message of type typ in session,
+// picking the codec the way Unmarshal does on the receiving side: a
+// BinaryBody defers its binary payload encoding to the transport (the
+// zero-copy frame path on TCP), and any other body travels as JSON.
+func (m *Mailbox) SendBody(ctx context.Context, to, typ, session string, body any) error {
+	var msg Message
+	if bb, ok := body.(BinaryBody); ok {
+		msg = NewBinaryMessage(to, typ, session, bb)
+	} else {
+		var err error
+		if msg, err = NewMessage(to, typ, session, body); err != nil {
+			return err
+		}
+	}
+	if err := m.Send(ctx, msg); err != nil {
+		return fmt.Errorf("transport: sending %s to %s: %w", typ, to, err)
+	}
+	return nil
 }

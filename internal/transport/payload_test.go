@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -91,7 +92,7 @@ func TestBinaryPayloadNeedsBinaryBody(t *testing.T) {
 }
 
 // TestMemNetNoAliasingAfterSend pins the zero-copy contract on the
-// in-memory transport: once Send returns, the sender may mutate the
+// in-memory transport: once SendBody returns, the sender may mutate the
 // buffers backing the body without corrupting what the receiver sees.
 func TestMemNetNoAliasingAfterSend(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -101,13 +102,15 @@ func TestMemNetNoAliasingAfterSend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mbA := NewMailbox(epA)
+	defer mbA.Close() //nolint:errcheck
 	epB, err := net.Endpoint("B")
 	if err != nil {
 		t.Fatal(err)
 	}
 	packed := []byte{10, 20, 30, 40}
 	body := &testBody{Origin: "A", Packed: packed}
-	if err := SendBody(ctx, epA, "B", "t", "s", body); err != nil {
+	if err := mbA.SendBody(ctx, "B", "t", "s", body); err != nil {
 		t.Fatal(err)
 	}
 	for i := range packed {
@@ -123,5 +126,75 @@ func TestMemNetNoAliasingAfterSend(t *testing.T) {
 	}
 	if !bytes.Equal(out.Packed, []byte{10, 20, 30, 40}) {
 		t.Fatalf("receiver saw mutated buffer: % x", out.Packed)
+	}
+}
+
+// jsonBody is a body with no binary encoding, so it travels as JSON.
+type jsonBody struct {
+	Origin string `json:"origin"`
+	Packed []byte `json:"packed,omitempty"`
+}
+
+// TestMailboxSendBodyCodecs sends a binary body and a JSON body over
+// both transports. Each decodes with Unmarshal into a target of its own
+// codec, and is refused by a target of the other codec.
+func TestMailboxSendBodyCodecs(t *testing.T) {
+	networks := map[string]func() Network{
+		"mem": func() Network { return NewMemNetwork() },
+		"tcp": func() Network {
+			return NewTCPNetwork(map[string]string{"A": "127.0.0.1:0", "B": "127.0.0.1:0"})
+		},
+	}
+	bodies := []struct {
+		name string
+		body any
+		// own and other make decode targets of the body's codec and of
+		// the other one.
+		own, other func() any
+	}{
+		{"binary", &testBody{Origin: "A", Packed: []byte{1, 2, 3}},
+			func() any { return new(testBody) }, func() any { return new(jsonBody) }},
+		{"json", &jsonBody{Origin: "A", Packed: []byte{1, 2, 3}},
+			func() any { return new(jsonBody) }, func() any { return new(testBody) }},
+	}
+	for netName, newNet := range networks {
+		t.Run(netName, func(t *testing.T) {
+			ctx := testCtx(t)
+			net := newNet()
+			epA, err := net.Endpoint("A")
+			if err != nil {
+				t.Fatal(err)
+			}
+			mbA := NewMailbox(epA)
+			defer mbA.Close() //nolint:errcheck
+			epB, err := net.Endpoint("B")
+			if err != nil {
+				t.Fatal(err)
+			}
+			mbB := NewMailbox(epB)
+			defer mbB.Close() //nolint:errcheck
+			for _, tc := range bodies {
+				if err := mbA.SendBody(ctx, "B", "t", tc.name, tc.body); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				got, err := mbB.Expect(ctx, "t", tc.name)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				if got.From != "A" {
+					t.Fatalf("%s: from %q, want A", tc.name, got.From)
+				}
+				own, other := tc.own(), tc.other()
+				if err := Unmarshal(got.Payload, own); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				if !reflect.DeepEqual(own, tc.body) {
+					t.Fatalf("%s: decoded %+v, sent %+v", tc.name, own, tc.body)
+				}
+				if err := Unmarshal(got.Payload, other); err == nil {
+					t.Fatalf("%s: decoded into %T, a target of the other codec", tc.name, other)
+				}
+			}
+		})
 	}
 }

@@ -113,8 +113,9 @@ func TestMemNetworkClosedEndpoint(t *testing.T) {
 
 func TestMemNetworkDropFn(t *testing.T) {
 	ctx := testCtx(t)
-	net := NewMemNetwork(WithDropFn(func(m Message) bool { return m.Type == "lossy" }))
+	net := NewMemNetwork()
 	defer net.Close() //nolint:errcheck
+	net.SetDropFn(func(m Message) bool { return m.Type == "lossy" })
 	a, err := net.Endpoint("A")
 	if err != nil {
 		t.Fatal(err)

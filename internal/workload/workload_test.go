@@ -15,8 +15,8 @@ func TestECommerceSchema(t *testing.T) {
 	if len(s.Attrs) != 7 {
 		t.Fatalf("attrs = %d, want 7", len(s.Attrs))
 	}
-	if s.UndefinedCount() != 3 {
-		t.Fatalf("undefined = %d, want 3", s.UndefinedCount())
+	if len(s.Undefined) != 3 {
+		t.Fatalf("undefined = %d, want 3", len(s.Undefined))
 	}
 	if !s.Undefined["C2"] || s.Undefined["id"] {
 		t.Fatal("undefined set wrong")

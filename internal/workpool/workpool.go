@@ -101,12 +101,6 @@ func (p *Pool) worker() {
 	}
 }
 
-// Busy reports the number of workers currently executing a batch.
-func (p *Pool) Busy() int { return int(p.busy.Load()) }
-
-// Workers reports the pool size.
-func (p *Pool) Workers() int { return p.workers }
-
 // Map runs fn(i) for every i in [0, n), preserving nothing about
 // execution order but guaranteeing all calls complete (or stop early
 // on the first error) before Map returns. The caller's goroutine works

@@ -75,9 +75,6 @@ func TestSharedMap(t *testing.T) {
 	if got := sum.Load(); got != 50*49/2 {
 		t.Fatalf("sum = %d, want %d", got, 50*49/2)
 	}
-	if Shared.Workers() < 1 {
-		t.Fatalf("shared pool has %d workers", Shared.Workers())
-	}
 }
 
 func BenchmarkMap(b *testing.B) {

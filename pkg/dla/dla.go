@@ -199,9 +199,8 @@ type SessionConfig struct {
 	// OutboxPath, when set, spools writes to dead nodes on disk and
 	// replays them when the peer recovers. Requires Health.
 	OutboxPath string
-	// Health, when set, starts the client-side failure detector as part
-	// of Connect — before any traffic, satisfying the ordering contract
-	// of cluster.ClientConfig.
+	// Health, when set, runs the client-side failure detector from
+	// Connect until the session closes.
 	Health *HealthConfig
 }
 

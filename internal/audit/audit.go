@@ -143,9 +143,7 @@ type execBody struct {
 	Coordinator   string     `json:"coordinator"`
 	// Querier is the auditor node the coordinator is serving, so
 	// executors can attribute the secondary information they disclose
-	// to the right leak ledger. Wire-compatible in both directions:
-	// legacy coordinators omit it (executors then skip ledger entries)
-	// and legacy executors ignore it.
+	// to the right leak ledger. Executors drop an exec without one.
 	Querier  string        `json:"querier,omitempty"`
 	AggKind  AggKind       `json:"agg_kind,omitempty"`
 	AggAttr  logmodel.Attr `json:"agg_attr,omitempty"`

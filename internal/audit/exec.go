@@ -306,7 +306,11 @@ func recordResultDisclosures(querier, session, self string, res *resultBody) {
 	}
 }
 
-// handleExec is one node's participation in a distributed plan.
+// handleExec is one node's participation in a distributed plan. Only a
+// partition node coordinating a query it admitted dispatches plans, so
+// an exec is dropped unless its sender is a partition node naming
+// itself coordinator on behalf of a querier: the final glsns go to the
+// coordinator, and a stranger must not be able to name itself one.
 func handleExec(ctx context.Context, node NodeState, msg transport.Message) {
 	ctx, cancel := context.WithTimeout(ctx, queryTimeout)
 	defer cancel()
@@ -314,6 +318,9 @@ func handleExec(ctx context.Context, node NodeState, msg transport.Message) {
 	ctx = telemetry.WithRemoteParent(ctx, msg.TraceSpan)
 	var body execBody
 	if err := transport.Unmarshal(msg.Payload, &body); err != nil {
+		return
+	}
+	if body.Coordinator != msg.From || body.Querier == "" || !smc.Contains(node.Partition().Nodes(), msg.From) {
 		return
 	}
 	if err := execute(ctx, node, msg.Session, &body); err != nil {

@@ -32,6 +32,17 @@ func openStoreOpts(t *testing.T, dir string, o storage.Options) storage.Store {
 	return st
 }
 
+// journalWrite journals entries the way a node mutation does: encode,
+// stage, commit.
+func journalWrite(j *storeJournal, entries ...walEntry) error {
+	recs, err := j.encode(entries)
+	if err != nil {
+		return err
+	}
+	j.stage(recs)
+	return j.commit()
+}
+
 // durableCluster starts a cluster whose nodes journal to per-node
 // segment stores under root.
 func durableCluster(t *testing.T, root string) (*testCluster, context.CancelFunc) {
@@ -285,10 +296,10 @@ func TestWALRejectsCorruptJournal(t *testing.T) {
 // *storeJournal accepts every write and close without effect.
 func TestNilWALIsNoop(t *testing.T) {
 	var j *storeJournal
-	if err := j.append(walEntry{Kind: "frag"}); err != nil {
+	if err := journalWrite(j, walEntry{Kind: "frag"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.appendBatch([]walEntry{{Kind: "frag"}}); err != nil {
+	if err := journalWrite(j, stagedFragEntries(ingestFanoutThreshold)...); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -356,7 +367,7 @@ func TestRewriteOfEmptyWALInstallsSnapshot(t *testing.T) {
 	if err := j.rewrite(snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(walEntry{Kind: "delete", GLSN: 6}); err != nil {
+	if err := journalWrite(j, walEntry{Kind: "delete", GLSN: 6}); err != nil {
 		t.Fatalf("append after rewrite: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -384,7 +395,7 @@ func writeTornTestJournal(t *testing.T, dir string) ([]byte, int) {
 		{Kind: "delete", GLSN: 11},
 	}
 	for _, e := range entries {
-		if err := j.append(e); err != nil {
+		if err := journalWrite(j, e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -460,7 +471,7 @@ func TestReplayRefusesVersion1Journal(t *testing.T) {
 	// A version-1 grant entry: kind code, no ticket, ticket id "T1",
 	// glsn 5, count 1, no fragment, four absent big integers.
 	v1 := []byte{walBinMagic, 1, 2, 0, 2, 'T', '1', 5, 1, 0, 0, 0, 0, 0}
-	if err := st.Append(storage.Record{Kind: "grant", GLSN: 5, Data: v1}); err != nil {
+	if err := st.AppendBatch([]storage.Record{{Kind: "grant", GLSN: 5, Data: v1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -485,7 +496,7 @@ func TestReplayRefusesVersion2Journal(t *testing.T) {
 	// holder "u0", one op (W), and a 2-byte positive big-integer
 	// signature; then empty ticket id, glsn 0, count 0, no item.
 	v2 := []byte{walBinMagic, 2, 1, 1, 2, 'T', '1', 2, 'u', '0', 2, 2, 1, 2, 0xBE, 0xEF, 0, 0, 0, 0}
-	if err := st.Append(storage.Record{Kind: "ticket", Data: v2}); err != nil {
+	if err := st.AppendBatch([]storage.Record{{Kind: "ticket", Data: v2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -603,7 +614,7 @@ func TestRestoreToleratesDuplicateReplay(t *testing.T) {
 		{Kind: "grant", TicketID: "TDUP", GLSN: 1},  // duplicate grant
 		{Kind: "grant", TicketID: "TGONE", GLSN: 7}, // registration lost upstream
 	} {
-		if err := j.append(e); err != nil {
+		if err := journalWrite(j, e); err != nil {
 			t.Fatal(err)
 		}
 	}

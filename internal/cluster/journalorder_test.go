@@ -1,12 +1,11 @@
 package cluster
 
-// Regression tests for journal/apply ordering on the pipelined batch
-// store path. The invariant under test: once a batch's journal position
-// is STAGED (which storeFragmentBatch does while still holding n.mu,
-// right after the in-memory install), every later journal append — a
-// delete tombstone, an overwriting batch — lands AFTER the batch's
-// records, even though the batch's bytes reach the journal only in the
-// off-lock commit. Without that ordering, crash replay could apply
+// Regression tests for journal/apply ordering. The invariant under
+// test: once a mutation's records are STAGED (which Node.mutate does
+// while still holding n.mu, right after the in-memory apply), every
+// later mutation's records — a delete tombstone, an overwriting batch —
+// land AFTER them, even though the staged bytes reach the store only in
+// the off-lock commit. Without that ordering, crash replay could apply
 // delete-then-frag and resurrect a fragment whose deletion was
 // acknowledged.
 
@@ -22,7 +21,7 @@ import (
 	"confaudit/internal/transport"
 )
 
-// stagedFragEntries builds a pipelined-size batch of frag entries.
+// stagedFragEntries builds a batch of n frag entries from glsn 10 up.
 func stagedFragEntries(n int) []walEntry {
 	entries := make([]walEntry, n)
 	for i := range entries {
@@ -42,17 +41,17 @@ func TestWALStagedBatchOrdersBeforeLaterAppend(t *testing.T) {
 	dir := t.TempDir()
 	j := &storeJournal{s: openStore(t, dir)}
 	entries := stagedFragEntries(ingestFanoutThreshold)
-	staged, err := j.prepareBatch(entries)
+	recs, err := j.encode(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged.stage()
+	j.stage(recs)
 	// The conflicting mutator journals while the batch commit is still
 	// pending — unstaged, this delete would hit the disk first.
-	if err := j.append(walEntry{Kind: "delete", GLSN: 12}); err != nil {
+	if err := journalWrite(j, walEntry{Kind: "delete", GLSN: 12}); err != nil {
 		t.Fatal(err)
 	}
-	if err := staged.commit(); err != nil {
+	if err := j.commit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -81,15 +80,15 @@ func TestStoreJournalStagedBatchOrdersBeforeLaterAppend(t *testing.T) {
 	s := openStore(t, t.TempDir())
 	j := &storeJournal{s: s}
 	entries := stagedFragEntries(ingestFanoutThreshold)
-	staged, err := j.prepareBatch(entries)
+	recs, err := j.encode(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged.stage()
-	if err := j.append(walEntry{Kind: "delete", GLSN: 12}); err != nil {
+	j.stage(recs)
+	if err := journalWrite(j, walEntry{Kind: "delete", GLSN: 12}); err != nil {
 		t.Fatal(err)
 	}
-	if err := staged.commit(); err != nil {
+	if err := j.commit(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -129,15 +128,15 @@ func fsyncFailingJournal(t *testing.T) *storeJournal {
 // than letting memory silently run ahead of the journal.
 func TestWALStagedCommitFailurePoisons(t *testing.T) {
 	j := fsyncFailingJournal(t)
-	staged, err := j.prepareBatch(stagedFragEntries(ingestFanoutThreshold))
+	recs, err := j.encode(stagedFragEntries(ingestFanoutThreshold))
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged.stage()
-	if err := staged.commit(); err == nil {
+	j.stage(recs)
+	if err := j.commit(); err == nil {
 		t.Fatal("commit with a failed fsync succeeded")
 	}
-	if err := j.append(walEntry{Kind: "delete", GLSN: 12}); !errors.Is(err, storage.ErrFailed) {
+	if err := journalWrite(j, walEntry{Kind: "delete", GLSN: 12}); !errors.Is(err, storage.ErrFailed) {
 		t.Fatalf("append after failed staged commit = %v; want poisoned journal (storage.ErrFailed)", err)
 	}
 }
@@ -160,13 +159,13 @@ func countPoisonEvents() int {
 // the cause ahead of the symptoms, and that it is recorded once.
 func TestWALPoisonRecordsFlightEvent(t *testing.T) {
 	j := fsyncFailingJournal(t)
-	staged, err := j.prepareBatch(stagedFragEntries(ingestFanoutThreshold))
+	recs, err := j.encode(stagedFragEntries(ingestFanoutThreshold))
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged.stage()
+	j.stage(recs)
 	before := countPoisonEvents()
-	if err := staged.commit(); err == nil {
+	if err := j.commit(); err == nil {
 		t.Fatal("commit with a failed fsync succeeded")
 	}
 	// The event must already be retained here, before any later write
@@ -174,7 +173,7 @@ func TestWALPoisonRecordsFlightEvent(t *testing.T) {
 	if got := countPoisonEvents(); got != before+1 {
 		t.Fatalf("poison events after failed commit = %d, want %d: event must precede the first refused write", got, before+1)
 	}
-	if err := j.append(walEntry{Kind: "delete", GLSN: 12}); !errors.Is(err, storage.ErrFailed) {
+	if err := journalWrite(j, walEntry{Kind: "delete", GLSN: 12}); !errors.Is(err, storage.ErrFailed) {
 		t.Fatalf("append after poisoning = %v; want storage.ErrFailed", err)
 	}
 	if got := countPoisonEvents(); got != before+1 {
@@ -199,16 +198,16 @@ func (f *failingStore) AppendBatch(recs []storage.Record) error {
 func TestStoreJournalStagedCommitFailurePoisons(t *testing.T) {
 	fs := &failingStore{Store: openStore(t, t.TempDir()), fail: true}
 	j := &storeJournal{s: fs}
-	staged, err := j.prepareBatch(stagedFragEntries(ingestFanoutThreshold))
+	recs, err := j.encode(stagedFragEntries(ingestFanoutThreshold))
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged.stage()
-	if err := staged.commit(); err == nil {
+	j.stage(recs)
+	if err := j.commit(); err == nil {
 		t.Fatal("commit over a failing store succeeded")
 	}
 	fs.fail = false
-	if err := j.append(walEntry{Kind: "delete", GLSN: 12}); err == nil {
+	if err := journalWrite(j, walEntry{Kind: "delete", GLSN: 12}); err == nil {
 		t.Fatal("append after failed staged commit succeeded; journal must stay poisoned")
 	}
 	if err := j.Close(); err != nil {

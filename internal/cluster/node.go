@@ -147,14 +147,6 @@ type Node struct {
 
 	// journal is nil on a memory-only node; its methods then do nothing.
 	journal *storeJournal
-	// compactMu fences journal compaction off from the pipelined batch
-	// store path. Batched stores stage their journal records under n.mu
-	// but write them (group commit) after releasing it, so a compaction
-	// snapshot taken under n.mu alone could rewrite the journal while a
-	// staged batch's commit was still in flight — losing acknowledged
-	// mutations on the next restart. Stores take the read side across
-	// stage and commit; CompactStorage takes the write side before n.mu.
-	compactMu sync.RWMutex
 	// quarantined names the glsn extents recovery refused to serve
 	// (crc/accumulator mismatches), prefixed with this node's ID. The
 	// audit layer folds them into PartialResultError so a degraded
@@ -472,27 +464,38 @@ func (n *Node) applyStatement(stmt []byte) error {
 // applyGrantRange grants [first, first+count) to the ticket, appends it
 // to the grant log and journals one entry for it. Of a partially
 // applied range (a commit landing after the sync that covered it) only
-// the new tail is granted, logged and journaled.
+// the new tail is granted, logged and journaled: the entry encodes
+// before the state lock, so a head found applied under it sends the
+// tail round again.
 func (n *Node) applyGrantRange(first logmodel.GLSN, count int, ticketID string) error {
 	end := first + logmodel.GLSN(count)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if end <= n.nextGLSN {
-		return nil // already applied
-	}
-	if first > n.nextGLSN {
-		return fmt.Errorf("%w: statement %s, local state at %s", errGLSNGap, first, n.nextGLSN)
-	}
-	r := grantRange{First: n.nextGLSN, Count: int(end - n.nextGLSN), TicketID: ticketID}
-	for g := r.First; g < end; g++ {
-		if err := n.acl.Grant(ticketID, g); err != nil {
+	for {
+		r := grantRange{First: first, Count: int(end - first), TicketID: ticketID}
+		retry := false
+		err := n.mutate([]walEntry{{Kind: "grant", TicketID: ticketID, GLSN: r.First, Count: r.Count}}, func() (bool, error) {
+			switch {
+			case end <= n.nextGLSN:
+				return false, nil // already applied
+			case first > n.nextGLSN:
+				return false, fmt.Errorf("%w: statement %s, local state at %s", errGLSNGap, first, n.nextGLSN)
+			case first < n.nextGLSN:
+				first, retry = n.nextGLSN, true
+				return false, nil
+			}
+			for g := first; g < end; g++ {
+				if err := n.acl.Grant(ticketID, g); err != nil {
+					return false, err
+				}
+			}
+			n.nextGLSN = end
+			n.grantLog = append(n.grantLog, r)
+			telemetry.M.Gauge(telemetry.GaugeGLSNReserved).Max(int64(end - 1))
+			return true, nil
+		})
+		if err != nil || !retry {
 			return err
 		}
 	}
-	n.nextGLSN = end
-	n.grantLog = append(n.grantLog, r)
-	telemetry.M.Gauge(telemetry.GaugeGLSNReserved).Max(int64(end - 1))
-	return n.journal.append(walEntry{Kind: "grant", TicketID: ticketID, GLSN: r.First, Count: r.Count})
 }
 
 // --- ticket registration ---
@@ -535,16 +538,14 @@ type ackBody struct {
 	Overloaded bool `json:"overloaded,omitempty"`
 }
 
-// registerTicket admits and journals a ticket; the node lock serializes
-// the journal append against CompactStorage.
+// registerTicket admits and journals a ticket.
 func (n *Node) registerTicket(body *ticketRegisterBody) error {
-	n.mu.Lock()
-	if err := n.acl.Register(body.Ticket.ticket()); err != nil {
-		n.mu.Unlock()
-		return err
-	}
-	err := n.journal.append(walEntry{Kind: "ticket", Ticket: &body.Ticket})
-	n.mu.Unlock()
+	err := n.mutate([]walEntry{{Kind: "ticket", Ticket: &body.Ticket}}, func() (bool, error) {
+		if err := n.acl.Register(body.Ticket.ticket()); err != nil {
+			return false, err
+		}
+		return true, nil
+	})
 	n.stateChanged() // wake voters waiting on the ticket to appear
 	return err
 }
@@ -766,33 +767,13 @@ func (n *Node) storeWhenGranted(ctx context.Context, body *storeBatchBody) error
 }
 
 // storeFragmentBatch validates every item, then installs them all under
-// one state-lock acquisition and journals them in one group commit. It is
+// one state-lock acquisition and journals them as one group commit. It is
 // all-or-nothing up front: any invalid item refuses the whole batch
 // before state changes, so a client never has to puzzle out a partial
 // ack. Only fragments for glsns the cluster granted to this ticket are
-// accepted, which keeps a writer from overwriting foreign records.
-//
-// Large batches on a durable node pipeline the journal against the
-// install in three phases: the records are encoded (CRC, workpool
-// fan-out) before any lock, their journal position is STAGED while
-// still holding n.mu after the in-memory install, and the group commit
-// (write, flush, fsync) runs after n.mu is released — so the disk write
-// of one batch overlaps the next batch's install instead of
-// serializing the whole node. Staging under n.mu is what makes this
-// crash-safe against concurrent mutators: any deleteFragment or
-// overwriting batch that applies after the batch also journals after
-// it (every journal write path drains staged records first), so replay
-// order matches apply order for every GLSN and a replayed "frag"
-// record can never resurrect a fragment whose later delete was
-// acknowledged. The ack waits for the commit, so a crash between
-// install and commit loses only unacknowledged work, and replaying a
-// journaled batch over an already-installed one is idempotent
-// (applyWALEntry tolerates duplicates). A commit failure poisons the
-// journal: the batch is nacked but already installed, and a poisoned
-// journal refusing every later mutation is the only honest way to keep
-// that divergence from persisting silently. Compaction is fenced out by
-// compactMu so the snapshot rewrite can never drop a staged commit
-// still in flight.
+// accepted, which keeps a writer from overwriting foreign records. The
+// group's commit runs off the state lock (see mutate), so one batch's
+// disk write overlaps the next batch's install.
 func (n *Node) storeFragmentBatch(body *storeBatchBody) error {
 	if len(body.Items) == 0 {
 		return errors.New("cluster: empty store batch")
@@ -822,35 +803,13 @@ func (n *Node) storeFragmentBatch(body *storeBatchBody) error {
 		// through the same storeLocked.
 		entries[i] = walEntry{Kind: "frag", Item: item}
 	}
-	pipeline := n.journal != nil && len(body.Items) >= ingestFanoutThreshold
-	var staged *storeStagedBatch
-	if pipeline {
-		telemetry.M.Counter(telemetry.CtrIngestFanout).Add(1)
-		// Encode off every lock; an encode error refuses the batch
-		// before any state changes.
-		var err error
-		if staged, err = n.journal.prepareBatch(entries); err != nil {
-			return err
+	return n.mutate(entries, func() (bool, error) {
+		for i := range body.Items {
+			n.storeLocked(&body.Items[i])
 		}
-		n.compactMu.RLock()
-	}
-	n.mu.Lock()
-	for i := range body.Items {
-		n.storeLocked(&body.Items[i])
-	}
-	telemetry.M.Counter(telemetry.CtrWitnessUpdates).Add(int64(len(body.Items)))
-	if !pipeline {
-		defer n.mu.Unlock()
-		return n.journal.appendBatch(entries)
-	}
-	// Reserve the batch's journal position before releasing the state
-	// lock: a conflicting mutation that applies after this point also
-	// journals after it.
-	staged.stage()
-	n.mu.Unlock()
-	err := staged.commit()
-	n.compactMu.RUnlock()
-	return err
+		telemetry.M.Counter(telemetry.CtrWitnessUpdates).Add(int64(len(body.Items)))
+		return true, nil
+	})
 }
 
 // storeLocked installs one validated item as a fresh heldRecord, with
@@ -947,12 +906,12 @@ func (n *Node) deleteFragment(ticketID string, g logmodel.GLSN) error {
 	if err := n.acl.Authorize(ticketID, ticket.OpDelete, g); err != nil {
 		return err
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.removeLocked(g) {
-		return fmt.Errorf("%w: %s", ErrUnknownGLSN, g)
-	}
-	return n.journal.append(walEntry{Kind: "delete", GLSN: g})
+	return n.mutate([]walEntry{{Kind: "delete", GLSN: g}}, func() (bool, error) {
+		if !n.removeLocked(g) {
+			return false, fmt.Errorf("%w: %s", ErrUnknownGLSN, g)
+		}
+		return true, nil
+	})
 }
 
 // --- store access for sibling subsystems (integrity, audit) ---

@@ -55,10 +55,10 @@ type storeJournal struct {
 
 	mu sync.Mutex
 	// pending holds record groups staged under the node state lock but
-	// not yet appended to the store; every write path drains it first so
-	// store order matches apply order (see storeStagedBatch).
+	// not yet appended to the store; commit and rewrite drain it in
+	// order, so store order matches apply order.
 	pending [][]storage.Record
-	// failed poisons the journal after a staged commit could not reach
+	// failed poisons the journal after a staged group could not reach
 	// the store: memory is ahead of the journal and every later
 	// mutation is refused.
 	failed error
@@ -80,14 +80,18 @@ func entryRecord(e *walEntry) (storage.Record, error) {
 	return storage.Record{Kind: e.Kind, GLSN: g, Data: data}, nil
 }
 
-// encodeStoreRecords converts a batch, fanning the per-entry encode over
-// the shared worker pool for large groups. Encoding happens before the
-// journal lock, which is what lets the group commit overlap the
-// in-memory apply on the batched store path.
-func encodeStoreRecords(entries []walEntry) ([]storage.Record, error) {
+// encode converts a mutation's entries to journal records, before any
+// lock: a group of ingestFanoutThreshold or more entries (a durable
+// store batch) fans the per-entry encode over the shared worker pool.
+// A memory-only node's nil journal encodes nothing.
+func (j *storeJournal) encode(entries []walEntry) ([]storage.Record, error) {
+	if j == nil {
+		return nil, nil
+	}
 	defer telemetry.M.Histogram(telemetry.HistWALEncode).Since(time.Now())
 	recs := make([]storage.Record, len(entries))
 	if len(entries) >= ingestFanoutThreshold {
+		telemetry.M.Counter(telemetry.CtrIngestFanout).Add(1)
 		if err := workpool.Map(len(entries), func(i int) error {
 			var err error
 			recs[i], err = entryRecord(&entries[i])
@@ -126,88 +130,33 @@ func (j *storeJournal) drainLocked() error {
 	return nil
 }
 
-// append journals one entry. Errors are returned so callers can refuse
-// the mutation rather than diverge from disk.
-func (j *storeJournal) append(e walEntry) error {
-	if j == nil {
-		return nil
+// stage reserves the records' position in the journal: every group
+// staged later reaches the store after them. Memory-only, so it runs
+// under the node state lock, which makes journal order apply order. The
+// stage histogram is dominated by journal-lock contention — a
+// committing group holding j.mu is what a slow stage means.
+func (j *storeJournal) stage(recs []storage.Record) {
+	if j == nil || len(recs) == 0 {
+		return
 	}
-	rec, err := entryRecord(&e)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.failed != nil {
-		return j.failed
-	}
-	if err := j.drainLocked(); err != nil {
-		return err
-	}
-	return j.s.Append(rec)
-}
-
-// appendBatch journals several entries as one group commit.
-func (j *storeJournal) appendBatch(entries []walEntry) error {
-	if j == nil {
-		return nil
-	}
-	recs, err := encodeStoreRecords(entries)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.failed != nil {
-		return j.failed
-	}
-	if err := j.drainLocked(); err != nil {
-		return err
-	}
-	return j.s.AppendBatch(recs)
-}
-
-// storeStagedBatch is a prepared group commit whose journal position is
-// reserved by stage (memory-only, under the node state lock) and whose
-// records reach the store in commit. A commit failure poisons the
-// journal: the batch was already applied in memory, so a node that
-// cannot journal it must refuse every later mutation rather than
-// silently serve state its journal will never replay.
-type storeStagedBatch struct {
-	j    *storeJournal
-	recs []storage.Record
-}
-
-// prepareBatch encodes a non-empty batch off every lock. The returned
-// batch is staged under the node state lock (fixing the records'
-// journal position relative to every later append) and committed
-// off-lock. An encode error surfaces here, before the caller has
-// mutated any state. This is how the pipelined store path keeps
-// on-disk record order identical to in-memory apply order for every
-// glsn.
-func (j *storeJournal) prepareBatch(entries []walEntry) (*storeStagedBatch, error) {
-	recs, err := encodeStoreRecords(entries)
-	if err != nil {
-		return nil, err
-	}
-	return &storeStagedBatch{j: j, recs: recs}, nil
-}
-
-// stage reserves the batch's position in the journal. Memory-only: safe
-// to call under the node state lock. The stage histogram is dominated by
-// journal-lock contention — a committing batch holding j.mu is what a
-// slow stage means.
-func (b *storeStagedBatch) stage() {
 	defer telemetry.M.Histogram(telemetry.HistWALStage).Since(time.Now())
-	b.j.mu.Lock()
-	b.j.pending = append(b.j.pending, b.recs)
-	b.j.mu.Unlock()
+	j.mu.Lock()
+	if j.failed == nil { // a poisoned journal refuses the commit anyway
+		j.pending = append(j.pending, recs)
+	}
+	j.mu.Unlock()
 }
 
-// commit drains the staged queue through this batch into the store,
-// which writes and fsyncs it per its sync policy.
-func (b *storeStagedBatch) commit() error {
-	j := b.j
+// commit drains the staged queue into the store, which writes and
+// fsyncs each group per its sync policy. It runs off the node state
+// lock; once it returns nil, every group staged before the call is
+// durable. A poisoned journal refuses: memory is ahead of it, and every
+// later mutation must fail rather than serve state replay will never
+// rebuild.
+func (j *storeJournal) commit() error {
+	if j == nil {
+		return nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.failed != nil {
@@ -275,18 +224,42 @@ func replayStore(s storage.Store, fn func(walEntry) error) error {
 	})
 }
 
+// mutate is the one route by which a node mutation reaches its journal.
+// The entries encode before any lock. apply runs under n.mu and reports
+// whether it changed state; only then are the records staged, still
+// under n.mu, so journal order is apply order by construction. The
+// commit (write and fsync) runs after n.mu is released, and mutate
+// returns only once it has: callers ack, reply and wake waiters after
+// that, so a crash between apply and commit loses only unacknowledged
+// work. An apply error stages nothing.
+func (n *Node) mutate(entries []walEntry, apply func() (bool, error)) error {
+	recs, err := n.journal.encode(entries)
+	if err != nil {
+		return err
+	}
+	n.mu.Lock()
+	changed, err := apply()
+	if changed && err == nil {
+		n.journal.stage(recs)
+	}
+	n.mu.Unlock()
+	if !changed || err != nil {
+		return err
+	}
+	return n.journal.commit()
+}
+
 // CompactStorage rewrites the journal as a snapshot of the node's
 // current state, discarding superseded entries (overwritten fragments,
-// delete tombstones). It holds the compaction fence and the node's
-// state lock across snapshot and swap, so no mutation — including a
-// pipelined batch append running off the state lock — can land in the
-// discarded journal.
+// delete tombstones). It holds the node's state lock across snapshot
+// and rewrite, and rewrite drains the staged queue before it compacts.
+// A mutation stages under that lock, so a group staged before the
+// snapshot is already in it and reaches the store before the snapshot
+// replaces it, and one staged after it lands behind the snapshot.
 func (n *Node) CompactStorage() error {
 	if n.journal == nil {
 		return nil
 	}
-	n.compactMu.Lock()
-	defer n.compactMu.Unlock()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ids := n.acl.TicketIDs()

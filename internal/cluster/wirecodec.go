@@ -394,9 +394,8 @@ func decodeBatchItem(src []byte, it *batchItem) error {
 }
 
 // ingestFanoutThreshold is the batch size at which the node-side store
-// path fans item work over the shared worker pool and pipelines the
-// journal group commit against the in-memory apply. Below it the serial
-// loop is cheaper than the pool handoff.
+// path fans item decode and journal encode over the shared worker pool.
+// Below it the serial loop is cheaper than the pool handoff.
 const ingestFanoutThreshold = 8
 
 func (b *storeBatchBody) BinarySize() int {

@@ -714,9 +714,6 @@ func (d *Disk) fail(err error) error {
 	return d.failed
 }
 
-// Append journals one record.
-func (d *Disk) Append(rec Record) error { return d.AppendBatch([]Record{rec}) }
-
 // AppendBatch journals records with one write and (per policy) one
 // fsync — the group commit. The whole batch is a single Write call, so
 // a crash mid-batch leaves a torn tail that recovery truncates; none of

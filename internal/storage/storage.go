@@ -41,13 +41,11 @@ type Record struct {
 
 // Store is the node-facing storage engine surface.
 type Store interface {
-	// Append journals one record. A nil return is a durability promise
-	// per the backend's sync policy: callers may acknowledge the
-	// mutation to clients.
-	Append(rec Record) error
-	// AppendBatch journals several records with one flush/fsync — the
-	// group commit behind the batched write path. All-or-nothing up to
-	// a crash: a torn tail is detected and truncated on reopen.
+	// AppendBatch journals records with one flush/fsync — the group
+	// commit every node mutation rides. A nil return is a durability
+	// promise per the backend's sync policy: callers may acknowledge the
+	// mutation to clients. All-or-nothing up to a crash: a torn tail is
+	// detected and truncated on reopen.
 	AppendBatch(recs []Record) error
 	// Replay streams every live record in append order: the compaction
 	// snapshot first, then everything journaled after it. Records in

@@ -88,7 +88,7 @@ func TestDiskRoundTripAcrossReopen(t *testing.T) {
 	}
 	const n = 60 // enough to force several rotations at 512-byte segments
 	for g := uint64(1); g <= n; g++ {
-		if err := s.Append(rec(g)); err != nil {
+		if err := s.AppendBatch([]Record{rec(g)}); err != nil {
 			t.Fatalf("Append %d: %v", g, err)
 		}
 	}
@@ -150,12 +150,12 @@ func TestDiskTornTailTruncated(t *testing.T) {
 	inj := faultfs.NewInjector(nil)
 	s := mustOpen(t, diskOpts(dir), inj)
 	for g := uint64(1); g <= 10; g++ {
-		if err := s.Append(rec(g)); err != nil {
+		if err := s.AppendBatch([]Record{rec(g)}); err != nil {
 			t.Fatalf("Append %d: %v", g, err)
 		}
 	}
 	inj.ArmCrash(1, 0.4) // next write persists 40% then power-off
-	err := s.Append(rec(11))
+	err := s.AppendBatch([]Record{rec(11)})
 	if err == nil {
 		t.Fatal("append across a crash point succeeded")
 	}
@@ -171,7 +171,7 @@ func TestDiskTornTailTruncated(t *testing.T) {
 		t.Fatalf("torn tail must truncate, not quarantine: %+v", q)
 	}
 	// The store keeps working after truncation.
-	if err := s2.Append(rec(11)); err != nil {
+	if err := s2.AppendBatch([]Record{rec(11)}); err != nil {
 		t.Fatalf("append after torn-tail recovery: %v", err)
 	}
 }
@@ -182,14 +182,14 @@ func TestDiskFailedFsyncPoisons(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.NewInjector(nil)
 	s := mustOpen(t, diskOpts(dir), inj)
-	if err := s.Append(rec(1)); err != nil {
+	if err := s.AppendBatch([]Record{rec(1)}); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 	inj.ArmFsyncFailure(1)
-	if err := s.Append(rec(2)); err == nil {
+	if err := s.AppendBatch([]Record{rec(2)}); err == nil {
 		t.Fatal("append with failed fsync succeeded")
 	}
-	if err := s.Append(rec(3)); !errors.Is(err, ErrFailed) {
+	if err := s.AppendBatch([]Record{rec(3)}); !errors.Is(err, ErrFailed) {
 		t.Fatalf("append after failure = %v, want ErrFailed", err)
 	}
 	if st := s.Status(); st.Failed == "" {
@@ -200,7 +200,7 @@ func TestDiskFailedFsyncPoisons(t *testing.T) {
 	// Reopen recovers whatever was durable; the store is usable again.
 	s2 := mustOpen(t, diskOpts(dir), nil)
 	defer s2.Close() //nolint:errcheck
-	if err := s2.Append(rec(2)); err != nil {
+	if err := s2.AppendBatch([]Record{rec(2)}); err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
 }
@@ -213,7 +213,7 @@ func TestDiskBitFlipQuarantines(t *testing.T) {
 	s := mustOpen(t, diskOpts(dir), nil)
 	const n = 60
 	for g := uint64(1); g <= n; g++ {
-		if err := s.Append(rec(g)); err != nil {
+		if err := s.AppendBatch([]Record{rec(g)}); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -275,7 +275,7 @@ func TestDiskQuarantineExtentSurvivesRestarts(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, diskOpts(dir), nil)
 	for g := uint64(1); g <= 60; g++ {
-		if err := s.Append(rec(g)); err != nil {
+		if err := s.AppendBatch([]Record{rec(g)}); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -324,7 +324,7 @@ func TestDiskCompactBoundsReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, diskOpts(dir), nil)
 	for g := uint64(1); g <= 50; g++ {
-		if err := s.Append(rec(g)); err != nil {
+		if err := s.AppendBatch([]Record{rec(g)}); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -337,7 +337,7 @@ func TestDiskCompactBoundsReplay(t *testing.T) {
 		t.Fatalf("Compact: %v", err)
 	}
 	for g := uint64(51); g <= 55; g++ {
-		if err := s.Append(rec(g)); err != nil {
+		if err := s.AppendBatch([]Record{rec(g)}); err != nil {
 			t.Fatalf("Append after compact: %v", err)
 		}
 	}
@@ -376,7 +376,7 @@ func TestDiskCorruptCheckpointFallsBack(t *testing.T) {
 	s := mustOpen(t, diskOpts(dir), nil)
 	const n = 40
 	for g := uint64(1); g <= n; g++ {
-		if err := s.Append(rec(g)); err != nil {
+		if err := s.AppendBatch([]Record{rec(g)}); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -411,7 +411,7 @@ func TestDiskCompactionCrashWindows(t *testing.T) {
 		dir := t.TempDir()
 		s := mustOpen(t, diskOpts(dir), nil)
 		for g := uint64(1); g <= 20; g++ {
-			if err := s.Append(rec(g)); err != nil {
+			if err := s.AppendBatch([]Record{rec(g)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -437,7 +437,7 @@ func TestDiskCompactionCrashWindows(t *testing.T) {
 		dir := t.TempDir()
 		s := mustOpen(t, diskOpts(dir), nil)
 		for g := uint64(1); g <= 20; g++ {
-			if err := s.Append(rec(g)); err != nil {
+			if err := s.AppendBatch([]Record{rec(g)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -470,7 +470,7 @@ func TestDiskSyncPolicies(t *testing.T) {
 	always := diskOpts(t.TempDir())
 	s := mustOpen(t, always, nil)
 	for g := uint64(1); g <= 5; g++ {
-		if err := s.Append(rec(g)); err != nil {
+		if err := s.AppendBatch([]Record{rec(g)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -484,7 +484,7 @@ func TestDiskSyncPolicies(t *testing.T) {
 	never.SegmentBytes = 1 << 20 // no rotation
 	s2 := mustOpen(t, never, nil)
 	for g := uint64(1); g <= 5; g++ {
-		if err := s2.Append(rec(g)); err != nil {
+		if err := s2.AppendBatch([]Record{rec(g)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -506,11 +506,11 @@ func TestInjectorShortWrite(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.NewInjector(nil)
 	s := mustOpen(t, diskOpts(dir), inj)
-	if err := s.Append(rec(1)); err != nil {
+	if err := s.AppendBatch([]Record{rec(1)}); err != nil {
 		t.Fatal(err)
 	}
 	inj.ArmShortWrite(1)
-	if err := s.Append(rec(2)); !errors.Is(err, faultfs.ErrInjected) && !errors.Is(err, ErrFailed) {
+	if err := s.AppendBatch([]Record{rec(2)}); !errors.Is(err, faultfs.ErrInjected) && !errors.Is(err, ErrFailed) {
 		t.Fatalf("short write surfaced as %v", err)
 	}
 	if inj.Crashed() {
@@ -520,7 +520,7 @@ func TestInjectorShortWrite(t *testing.T) {
 		t.Fatalf("LastFault = %q", inj.LastFault())
 	}
 	// The store is poisoned (it cannot know how much hit the disk)...
-	if err := s.Append(rec(3)); !errors.Is(err, ErrFailed) {
+	if err := s.AppendBatch([]Record{rec(3)}); !errors.Is(err, ErrFailed) {
 		t.Fatalf("append after short write = %v, want ErrFailed", err)
 	}
 	s.Close() //nolint:errcheck
@@ -568,7 +568,7 @@ func tornFixture(t *testing.T, dir string) (string, []byte, []int) {
 	s := mustOpen(t, o, nil)
 	ends := []int{headerSize}
 	for g := uint64(1); g <= 4; g++ {
-		if err := s.Append(rec(g)); err != nil {
+		if err := s.AppendBatch([]Record{rec(g)}); err != nil {
 			t.Fatal(err)
 		}
 		ends = append(ends, ends[len(ends)-1]+len(appendFrame(nil, rec(g))))
@@ -601,7 +601,7 @@ func reopenCut(t *testing.T, dir, path string, data []byte) []Record {
 	if q := s.Status().Quarantined; len(q) != 0 {
 		t.Fatalf("%d-byte cut quarantined %+v; a torn tail must truncate", len(data), q)
 	}
-	if err := s.Append(rec(99)); err != nil {
+	if err := s.AppendBatch([]Record{rec(99)}); err != nil {
 		t.Fatalf("append after %d-byte cut: %v", len(data), err)
 	}
 	return got

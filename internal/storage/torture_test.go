@@ -84,7 +84,7 @@ func TestTortureCrashLoop(t *testing.T) {
 		}
 		for n := 0; n < 30; n++ {
 			g := next
-			err := s.Append(Record{Kind: "frag", GLSN: g, Data: []byte(fmt.Sprintf("payload-%08d", g))})
+			err := s.AppendBatch([]Record{{Kind: "frag", GLSN: g, Data: []byte(fmt.Sprintf("payload-%08d", g))}})
 			if err == nil {
 				acked[g] = true
 				next++

@@ -409,11 +409,10 @@ const (
 	// transport) — sizes only, Definition 1 secondary information.
 	CtrCodecBytesSent = "transport.codec_bytes_sent"
 
-	// Binary ingest plane. ingest_fanout_batches counts node-side store
-	// batches whose decode/encode work fanned over the shared worker pool
-	// with the journal group commit pipelined against the in-memory
-	// apply; binary_records counts binary journal records encoded for
-	// the segment store. Sizes and counts only —
+	// Binary ingest plane. ingest_fanout_batches counts durable
+	// node-side store batches whose journal encode fanned over the shared
+	// worker pool; binary_records counts binary journal records encoded
+	// for the segment store. Sizes and counts only —
 	// Definition 1 secondary information.
 	CtrIngestFanout     = "cluster.ingest_fanout_batches"
 	CtrWALBinaryRecords = "wal.binary_records"

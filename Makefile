@@ -13,11 +13,11 @@ all: build vet test
 # static checks (vet always, staticcheck when installed), the
 # observability smokes (cluster trace + leak ledger, ingest pipeline),
 # the build-tagged fault-schedule and crash-recovery torture suites
-# (tier-1 never compiles them), the full race-enabled test suite
-# (uncached, so a flaky test cannot hide behind a cached pass), and the
-# journal tests again at GOMAXPROCS 1, 2 and 8, where their interleavings
-# differ most.
-check: bench-smoke bench-module vet staticcheck obs-smoke obs-ingest-smoke chaos crash-torture
+# (tier-1 never compiles them), every example program, the full
+# race-enabled test suite (uncached, so a flaky test cannot hide behind
+# a cached pass), and the journal tests again at GOMAXPROCS 1, 2 and 8,
+# where their interleavings differ most.
+check: bench-smoke bench-module vet staticcheck obs-smoke obs-ingest-smoke chaos crash-torture examples
 	$(GO) test -race -count=1 ./...
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Journal|WAL|Compact|Replay|Staged|Pipelined' ./internal/cluster/
 
@@ -100,6 +100,7 @@ examples:
 	$(GO) run ./examples/ecommerce-audit
 	$(GO) run ./examples/intrusion-detection
 	$(GO) run ./examples/membership
+	$(GO) run ./examples/streaming
 
 # Every fuzz target in the tree for 10s each, found with go test -list
 # (which prints a package's matching names, then its "ok <pkg>" line);

@@ -507,7 +507,7 @@ func (s *benchStore) Fragment(logmodel.GLSN) (logmodel.Fragment, bool) { return 
 func (s *benchStore) Digest(logmodel.GLSN) (*big.Int, bool)            { return s.digest, true }
 
 func benchIntegrity(b *testing.B, nodes int) {
-	boot, err := cluster.NewBootstrap(rand.Reader, mustPart(b, nodes), mathx.Oakley768, cluster.BootstrapOptions{})
+	boot, err := cluster.NewBootstrap(rand.Reader, mustPart(b, nodes), mathx.Oakley768)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestParseValueKinds(t *testing.T) {
 }
 
 func newTestBootstrap(ex *logmodel.PaperExample) (*cluster.Bootstrap, error) {
-	return cluster.NewBootstrap(rand.Reader, ex.Partition, mathx.Oakley768, cluster.BootstrapOptions{})
+	return cluster.NewBootstrap(rand.Reader, ex.Partition, mathx.Oakley768)
 }
 
 func TestCmdIssueEndToEnd(t *testing.T) {

@@ -18,8 +18,9 @@
 //		store. -data makes the node durable: it journals to the
 //		crash-safe segment store in that directory, tuned by -sync
 //		and the segment flags. The -ingest-* flags bound ingest
-//		admission (token-bucket rate and inflight bytes); refused
-//		stores answer ERR_OVERLOADED and streaming writers back off.
+//		admission (token-bucket rate and inflight bytes); a refused
+//		store is acked as overloaded and the writer backs off and
+//		retries.
 //		With -pprof, an HTTP server exposes
 //		net/http/pprof profiles, expvar counters, and the
 //		/debug/dla/storage and /debug/dla/ingest status endpoints for
@@ -112,7 +113,7 @@ func provision(args []string) error {
 		return err
 	}
 	log.Printf("generating keys for %d nodes (Ed25519 node and issuer keys, accumulator 512)...", len(part.Nodes()))
-	boot, err := cluster.NewBootstrap(rand.Reader, part, group, cluster.BootstrapOptions{})
+	boot, err := cluster.NewBootstrap(rand.Reader, part, group)
 	if err != nil {
 		return err
 	}

@@ -3,8 +3,9 @@
 // count, bytes, or linger time), several batches pipeline through the
 // quorum machinery at once, and each record's Ack future resolves with
 // its glsn. The cluster is deployed with ingest admission bounds, so an
-// overloaded node sheds load with ErrOverloaded and the appender
-// absorbs it as backpressure instead of queueing unboundedly.
+// overloaded node refuses a batch and the appender backs off and
+// retries it: overload becomes backpressure instead of an unbounded
+// queue.
 package main
 
 import (
@@ -35,8 +36,8 @@ func run() error {
 		return err
 	}
 	// Admission bounds: each node admits at most 50k records/sec and
-	// 4 MiB of store payload in flight; beyond that it refuses with
-	// ErrOverloaded and the appender backs off.
+	// 4 MiB of store payload in flight; beyond that it refuses a batch
+	// and the appender backs off.
 	cl, err := dla.Deploy(dla.ClusterOptions{
 		Partition: part,
 		Admission: dla.AdmissionConfig{RecordsPerSec: 50_000, MaxInflightBytes: 4 << 20},
@@ -53,13 +54,12 @@ func run() error {
 	defer producer.Close() //nolint:errcheck
 
 	// The appender: up to 64-record batches, sealed after 2ms linger at
-	// the latest, four batches in the pipeline; overload blocks (the
-	// default) rather than dropping.
+	// the latest, four batches in the pipeline; a refused batch is
+	// retried, so overload blocks Append rather than dropping records.
 	ap, err := producer.Appender(ctx, dla.AppendOptions{
 		MaxBatchRecords: 64,
 		Linger:          2 * time.Millisecond,
 		MaxInflight:     4,
-		OnOverload:      dla.OverloadBlock,
 	})
 	if err != nil {
 		return err

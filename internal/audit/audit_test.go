@@ -39,7 +39,7 @@ func sharedBootstrap(t testing.TB) *cluster.Bootstrap {
 			bootErr = err
 			return
 		}
-		bootVal, bootErr = cluster.NewBootstrap(rand.Reader, ex.Partition, mathx.Oakley768, cluster.BootstrapOptions{})
+		bootVal, bootErr = cluster.NewBootstrap(rand.Reader, ex.Partition, mathx.Oakley768)
 	})
 	if bootErr != nil {
 		t.Fatalf("bootstrap: %v", bootErr)

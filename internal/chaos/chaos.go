@@ -96,7 +96,7 @@ func New(rng io.Reader, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	boot, err := cluster.NewBootstrap(rng, part, mathx.Oakley768, cluster.BootstrapOptions{})
+	boot, err := cluster.NewBootstrap(rng, part, mathx.Oakley768)
 	if err != nil {
 		return nil, err
 	}

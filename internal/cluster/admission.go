@@ -10,9 +10,9 @@ import (
 
 // ErrOverloaded is the typed refusal of the node's ingest admission
 // boundary: the store was not attempted because the node is over its
-// configured rate or inflight-bytes budget. The client-side Appender
-// converts it into backpressure (block and retry, or drop, per
-// AppendOptions.OnOverload). Wrap-checked with errors.Is.
+// configured rate or inflight-bytes budget. The node acks it with
+// ackBody.Overloaded, and the writer's store round backs off and
+// retries, which the Appender turns into backpressure.
 var ErrOverloaded = errors.New("cluster: node overloaded, ingest admission refused")
 
 // errExceedsCapacity refuses a store no amount of waiting could admit:
@@ -20,11 +20,6 @@ var ErrOverloaded = errors.New("cluster: node overloaded, ingest admission refus
 // inflight cap. Unlike ErrOverloaded it is permanent, so the node acks it
 // as a plain refusal and the writer fails instead of backing off forever.
 var errExceedsCapacity = errors.New("cluster: batch exceeds ingest admission capacity")
-
-// overloadedMarker is the ack error-class string carried on the wire so
-// a client can recover the typed error without string-matching free
-// prose. It deliberately looks like a protocol constant, not a message.
-const overloadedMarker = "ERR_OVERLOADED"
 
 // AdmissionConfig bounds a node's ingest admission: a token-bucket rate
 // limit on records and a cap on store bytes concurrently being

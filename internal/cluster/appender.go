@@ -13,48 +13,32 @@ import (
 // ErrAppenderClosed is returned by Append after Close has begun.
 var ErrAppenderClosed = errors.New("cluster: appender closed")
 
-// OverloadPolicy selects how the Appender reacts when a node's ingest
-// admission boundary refuses a batch with ErrOverloaded.
-type OverloadPolicy int
-
+// Store-round constants. A staged batch seals once its estimated
+// payload reaches maxBatchBytes, far under the transport's 16 MiB frame
+// limit. A per-node send or ack wait that fails transiently is resent up
+// to maxStoreRetries times; the wait before a resend starts at
+// storeRetryBackoff and doubles per attempt up to 250ms. An admission
+// refusal backs off the same way, without bound: only the context
+// stops it.
 const (
-	// OverloadBlock (the default) retries the refused node with
-	// exponential backoff until it admits the batch or the appender's
-	// context ends — backpressure propagates to Append callers through
-	// the bounded inflight window.
-	OverloadBlock OverloadPolicy = iota
-	// OverloadDrop fails the batch's acks with ErrOverloaded instead of
-	// retrying: the records' glsns are burned (reserved, never stored
-	// everywhere) and the caller decides whether to re-append.
-	OverloadDrop
+	maxBatchBytes     = 256 << 10
+	maxStoreRetries   = 8
+	storeRetryBackoff = 2 * time.Millisecond
 )
 
 // AppendOptions tune an Appender. The zero value gives a small,
 // low-latency configuration; raise the batch bounds for firehose
-// ingest. Client.LogBatch stores under the zero value's retry policy.
+// ingest. Client.LogBatch stores under the zero value's AckTimeout.
 type AppendOptions struct {
 	// MaxBatchRecords seals a staged batch at this many records
 	// (default 128, capped at the sequencer's per-round maximum).
 	MaxBatchRecords int
-	// MaxBatchBytes seals a staged batch when its estimated payload
-	// exceeds this (default 256 KiB).
-	MaxBatchBytes int
 	// Linger seals a non-empty staged batch after this much time even
 	// if underfull, bounding per-record latency (default 2ms).
 	Linger time.Duration
 	// MaxInflight bounds the sealed-but-unacked batches in the pipeline;
 	// Append blocks once the window is full (default 4).
 	MaxInflight int
-	// OnOverload selects the backpressure policy for admission refusals.
-	OnOverload OverloadPolicy
-	// RetryBackoff is the initial backoff before resending a refused or
-	// transiently failed per-node batch; doubles per attempt up to 250ms
-	// (default 2ms).
-	RetryBackoff time.Duration
-	// MaxRetries bounds resends after transient transport or ack-timeout
-	// failures (default 8). Overload refusals under OverloadBlock retry
-	// without bound; only the context stops them.
-	MaxRetries int
 	// AckTimeout bounds one store round-trip attempt (default 10s).
 	AckTimeout time.Duration
 }
@@ -66,20 +50,11 @@ func (o AppendOptions) withDefaults() AppendOptions {
 	if o.MaxBatchRecords > maxGLSNBatch {
 		o.MaxBatchRecords = maxGLSNBatch
 	}
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 256 << 10
-	}
 	if o.Linger <= 0 {
 		o.Linger = 2 * time.Millisecond
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 4
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 2 * time.Millisecond
-	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 8
 	}
 	if o.AckTimeout <= 0 {
 		o.AckTimeout = 10 * time.Second
@@ -139,8 +114,9 @@ type stagedBatch struct {
 // batches reserve their glsn range in seal order (so glsns are monotone
 // in append order) and then run their per-node store rounds
 // concurrently, up to MaxInflight batches in the pipeline. Each record
-// gets an Ack future resolving to its glsn. Admission refusals
-// (ErrOverloaded) turn into backpressure per the OnOverload policy.
+// gets an Ack future resolving to its glsn. An admission refusal
+// (ErrOverloaded) is backed off and retried, so it turns into
+// backpressure on Append through the bounded inflight window.
 //
 // Append, Flush, and Close are safe for concurrent use. Close drains:
 // every staged record's ack resolves — with a glsn or an error — before
@@ -223,7 +199,7 @@ func (a *Appender) Append(ctx context.Context, values map[logmodel.Attr]logmodel
 	switch {
 	case len(a.cur) >= a.opts.MaxBatchRecords:
 		a.sealLocked(telemetry.CtrIngestFlushSize)
-	case a.curBytes >= a.opts.MaxBatchBytes:
+	case a.curBytes >= maxBatchBytes:
 		a.sealLocked(telemetry.CtrIngestFlushBytes)
 	case len(a.cur) == 1:
 		// First record of a fresh batch arms the linger timer.

@@ -140,7 +140,7 @@ func TestAppenderFlush(t *testing.T) {
 }
 
 // TestAppenderOverloadBlock injects admission refusals (a bucket much
-// smaller than the run) under the blocking policy: every record must
+// smaller than the run): every record must
 // still ack — backpressure, not loss — and the nodes must actually have
 // refused along the way, or the test proved nothing.
 func TestAppenderOverloadBlock(t *testing.T) {
@@ -153,8 +153,6 @@ func TestAppenderOverloadBlock(t *testing.T) {
 	ap, err := c.NewAppender(ctx, AppendOptions{
 		MaxBatchRecords: 16,
 		Linger:          time.Millisecond,
-		RetryBackoff:    time.Millisecond,
-		OnOverload:      OverloadBlock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,70 +181,6 @@ func TestAppenderOverloadBlock(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("no admission refusals recorded; overload was never exercised")
 	}
-}
-
-// TestAppenderOverloadDropAtMostOnce runs the drop policy against a
-// refusing cluster: refused batches fail their acks with the typed
-// ErrOverloaded, and at-most-once-per-glsn holds — every acked glsn is
-// unique and reads back with exactly the appended content.
-func TestAppenderOverloadDropAtMostOnce(t *testing.T) {
-	tc := startClusterWithAdmission(t, AdmissionConfig{RecordsPerSec: 200, Burst: 24})
-	ctx := testCtx(t)
-	c := tc.client(t, "ap-od", "TAPD", ticket.OpWrite, ticket.OpRead)
-	if err := c.RegisterTicket(ctx); err != nil {
-		t.Fatal(err)
-	}
-	ap, err := c.NewAppender(ctx, AppendOptions{
-		MaxBatchRecords: 8,
-		Linger:          time.Millisecond,
-		OnOverload:      OverloadDrop,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 96
-	acks := make([]*Ack, 0, n)
-	for i := 0; i < n; i++ {
-		ack, err := ap.Append(ctx, appendRecord(i))
-		if err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-		acks = append(acks, ack)
-	}
-	if err := ap.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[logmodel.GLSN]int)
-	ok, dropped := 0, 0
-	for i, ack := range acks {
-		g, err := ack.GLSN()
-		if err != nil {
-			if !errors.Is(err, ErrOverloaded) {
-				t.Fatalf("ack %d failed with %v, want ErrOverloaded", i, err)
-			}
-			dropped++
-			continue
-		}
-		if prev, dup := seen[g]; dup {
-			t.Fatalf("glsn %s acked for records %d and %d: at-most-once violated", g, prev, i)
-		}
-		seen[g] = i
-		ok++
-		rec, err := c.Read(ctx, g)
-		if err != nil {
-			t.Fatalf("acked record %d unreadable at %s: %v", i, g, err)
-		}
-		if rec.Values["C1"].I != int64(i) {
-			t.Fatalf("acked record %d reads back %v", i, rec.Values)
-		}
-	}
-	if dropped == 0 {
-		t.Fatal("no ack failed with ErrOverloaded; drop policy was never exercised")
-	}
-	if ok == 0 {
-		t.Fatal("every ack dropped; admission admitted nothing")
-	}
-	t.Logf("acked %d, dropped %d", ok, dropped)
 }
 
 // TestAppenderCloseDrains pins the Close contract under -race: records

@@ -38,27 +38,17 @@ type Bootstrap struct {
 	FirstGLSN logmodel.GLSN
 }
 
-// BootstrapOptions tune provisioning.
-type BootstrapOptions struct {
-	// AccBits is the accumulator modulus size (default 512).
-	AccBits int
-	// FirstGLSN seeds the sequencer (default 0x139aef78, the paper's
-	// first example glsn).
-	FirstGLSN logmodel.GLSN
-}
+// Provisioning constants: the accumulator modulus size, and the glsn
+// the sequencer starts from (the paper's first example glsn).
+const (
+	accBits   = 512
+	firstGLSN = logmodel.GLSN(0x139aef78)
+)
 
 // NewBootstrap provisions a cluster over the partition's node roster.
-func NewBootstrap(rng io.Reader, part *logmodel.Partition, group *mathx.Group, opts BootstrapOptions) (*Bootstrap, error) {
+func NewBootstrap(rng io.Reader, part *logmodel.Partition, group *mathx.Group) (*Bootstrap, error) {
 	if part == nil || group == nil {
 		return nil, fmt.Errorf("cluster: nil partition or group")
-	}
-	accBits := opts.AccBits
-	if accBits == 0 {
-		accBits = 512
-	}
-	first := opts.FirstGLSN
-	if first == 0 {
-		first = 0x139aef78
 	}
 	acc, err := accumulator.GenerateParams(rng, accBits)
 	if err != nil {
@@ -77,7 +67,7 @@ func NewBootstrap(rng io.Reader, part *logmodel.Partition, group *mathx.Group, o
 		IssuerPub: iss.Public(),
 		Signers:   make(map[string]ed25519.PrivateKey),
 		PeerKeys:  make(map[string]ed25519.PublicKey),
-		FirstGLSN: first,
+		FirstGLSN: firstGLSN,
 	}
 	for _, node := range b.Roster {
 		pub, priv, err := ed25519.GenerateKey(rng)

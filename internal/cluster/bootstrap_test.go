@@ -19,7 +19,7 @@ func BenchmarkNewBootstrap(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewBootstrap(rand.Reader, ex.Partition, mathx.Oakley768, BootstrapOptions{}); err != nil {
+		if _, err := NewBootstrap(rand.Reader, ex.Partition, mathx.Oakley768); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -389,10 +389,9 @@ func (c *Client) storeRange(ctx context.Context, first logmodel.GLSN, records []
 // ReplayOutbox resends verbatim. It is the write path's only store-ack
 // wait, and it absorbs admission refusals and transient failures:
 //
-//   - ErrOverloaded + OverloadBlock: exponential backoff, retry without
-//     bound (the context is the only stop);
-//   - ErrOverloaded + OverloadDrop: return ErrOverloaded;
-//   - transient send/ack failures: retry up to opts.MaxRetries, each
+//   - ErrOverloaded: exponential backoff, retry without bound (the
+//     context is the only stop);
+//   - transient send/ack failures: retry up to maxStoreRetries, each
 //     ack wait bounded by opts.AckTimeout; with spool set and an outbox
 //     enabled, spool the message instead (eventual delivery). Replay
 //     clears spool: its message is already spooled;
@@ -405,7 +404,7 @@ func (c *Client) storeRange(ctx context.Context, first logmodel.GLSN, records []
 func (c *Client) deliverStore(ctx context.Context, msg transport.Message, first logmodel.GLSN, count int, opts AppendOptions, spool bool) error {
 	node := msg.To
 	spool = spool && c.outbox != nil
-	backoff := opts.RetryBackoff
+	backoff := storeRetryBackoff
 	transient := 0
 	resend := func(outcome string) {
 		telemetry.F.Record(telemetry.FlightEvent{
@@ -426,7 +425,7 @@ func (c *Client) deliverStore(ctx context.Context, msg transport.Message, first 
 			if spool {
 				return c.spool(msg, first)
 			}
-			if transient++; transient > opts.MaxRetries {
+			if transient++; transient > maxStoreRetries {
 				return err
 			}
 			resend(telemetry.ErrClass(err))
@@ -442,7 +441,7 @@ func (c *Client) deliverStore(ctx context.Context, msg transport.Message, first 
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			if transient++; transient > opts.MaxRetries {
+			if transient++; transient > maxStoreRetries {
 				return fmt.Errorf("cluster: awaiting batch ack: %w", err)
 			}
 			resend(telemetry.ErrClass(err))
@@ -462,9 +461,6 @@ func (c *Client) deliverStore(ctx context.Context, msg transport.Message, first 
 		case ack.OK:
 			return nil
 		case ack.Overloaded:
-			if opts.OnOverload == OverloadDrop {
-				return ErrOverloaded
-			}
 			telemetry.M.Counter(telemetry.CtrIngestRetries).Add(1)
 			resend("overloaded")
 			if err := sleepBackoff(ctx, &backoff); err != nil {

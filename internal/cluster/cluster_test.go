@@ -39,7 +39,7 @@ func sharedBootstrap(t testing.TB) *Bootstrap {
 			bootErr = err
 			return
 		}
-		bootVal, bootErr = NewBootstrap(rand.Reader, ex.Partition, mathx.Oakley768, BootstrapOptions{})
+		bootVal, bootErr = NewBootstrap(rand.Reader, ex.Partition, mathx.Oakley768)
 	})
 	if bootErr != nil {
 		t.Fatalf("bootstrap: %v", bootErr)

@@ -706,9 +706,8 @@ func (n *Node) handleStoreBatch(ctx context.Context, msg transport.Message) {
 		ack = ackBody{Error: err.Error()}
 	} else if err := n.adm.admit(len(body.Items), bytes); errors.Is(err, ErrOverloaded) {
 		// Shed at the door: no grant wait, no lock, no journal touch. The
-		// writer retries with backoff or fails its acks with
-		// ErrOverloaded, per its policy.
-		ack = ackBody{Error: overloadedMarker, Overloaded: true}
+		// writer backs off and retries.
+		ack = ackBody{Overloaded: true}
 		telemetry.F.Record(telemetry.FlightEvent{Kind: telemetry.FlightOverload, Node: n.id, Peer: msg.From, Count: len(body.Items)})
 	} else if err != nil {
 		ack = ackBody{Error: err.Error()}

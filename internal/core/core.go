@@ -14,7 +14,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sync"
 
@@ -155,10 +154,6 @@ func (c *Client) Close() error {
 type Options struct {
 	// Partition is the attribute partition; required.
 	Partition *logmodel.Partition
-	// Group is the commutative-crypto group (default mathx.Oakley768).
-	Group *mathx.Group
-	// Bootstrap tunes the accumulator size and the first glsn.
-	Bootstrap cluster.BootstrapOptions
 	// Material optionally reuses existing provisioning material (keys,
 	// accumulator parameters, issuer) instead of generating fresh keys.
 	// Required when redeploying over a DataDir written by an earlier
@@ -174,8 +169,6 @@ type Options struct {
 	// Admission bounds every node's ingest admission (token-bucket rate
 	// + inflight bytes); the zero value admits everything.
 	Admission cluster.AdmissionConfig
-	// Rand is the entropy source (default crypto/rand).
-	Rand io.Reader
 }
 
 // Deployment is a running DLA cluster.
@@ -186,25 +179,18 @@ type Deployment struct {
 	nodes  map[string]*RunningNode
 }
 
-// Deploy provisions keys and parameters and starts every DLA node. If
-// a node fails to start, the nodes already started are stopped and an
-// owned network is closed before the error is returned.
+// Deploy provisions keys and parameters (the Oakley768 group, entropy
+// from crypto/rand) unless opts.Material supplies them, and starts every
+// DLA node. If a node fails to start, the nodes already started are
+// stopped and an owned network is closed before the error is returned.
 func Deploy(opts Options) (*Deployment, error) {
 	if opts.Partition == nil {
 		return nil, errors.New("core: nil partition")
 	}
-	group := opts.Group
-	if group == nil {
-		group = mathx.Oakley768
-	}
-	rng := opts.Rand
-	if rng == nil {
-		rng = rand.Reader
-	}
 	boot := opts.Material
 	if boot == nil {
 		var err error
-		if boot, err = cluster.NewBootstrap(rng, opts.Partition, group, opts.Bootstrap); err != nil {
+		if boot, err = cluster.NewBootstrap(rand.Reader, opts.Partition, mathx.Oakley768); err != nil {
 			return nil, fmt.Errorf("core: bootstrap: %w", err)
 		}
 	}

@@ -41,7 +41,7 @@ func paperMaterial(t *testing.T) (*logmodel.PaperExample, *cluster.Bootstrap) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot, err := cluster.NewBootstrap(rand.Reader, ex.Partition, mathx.Oakley768, cluster.BootstrapOptions{})
+	boot, err := cluster.NewBootstrap(rand.Reader, ex.Partition, mathx.Oakley768)
 	if err != nil {
 		t.Fatal(err)
 	}

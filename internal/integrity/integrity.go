@@ -43,8 +43,9 @@ var (
 	ErrNoDigest = errors.New("integrity: no stored digest")
 	// ErrFragmentMissing indicates a ring node without the fragment.
 	ErrFragmentMissing = errors.New("integrity: fragment missing on a node")
-	// ErrNoWitness indicates a record stored without a membership
-	// witness (a pre-witness writer), so only circulation can verify it.
+	// ErrNoWitness indicates that a store keeps no membership witness
+	// for the record (it is no WitnessStore, or it does not hold the
+	// glsn), so the local check cannot decide and circulation must.
 	ErrNoWitness = errors.New("integrity: no stored witness")
 )
 
@@ -55,12 +56,13 @@ type Store interface {
 	Digest(g logmodel.GLSN) (*big.Int, bool)
 }
 
-// WitnessStore is the optional extension a store implements when the
-// writer shipped per-node membership witnesses at log time. With a
-// witness, a node verifies its fragment against the record digest in
-// one local exponentiation — no ring traffic — and a whole-record check
-// becomes one parallel attest round instead of a sequential
-// circulation.
+// WitnessStore is the extension a store implements to keep the
+// per-node membership witnesses writers ship at log time. A cluster
+// node refuses any stored item without its witness exponent, so it
+// holds a witness for every record it holds. With a witness, a node
+// verifies its fragment against the record digest in one local
+// exponentiation — no ring traffic — and a whole-record check becomes
+// one parallel attest round instead of a sequential circulation.
 type WitnessStore interface {
 	Witness(g logmodel.GLSN) (*big.Int, bool)
 }
@@ -164,8 +166,8 @@ func serveAttest(ctx context.Context, mb *transport.Mailbox, params *accumulator
 
 // CheckLocal verifies this node's fragment against its stored witness
 // and the record digest — one exponentiation, no messages. It returns
-// ErrNoWitness when the record predates witness-shipping writers (only
-// circulation can verify those).
+// ErrNoWitness when the store keeps no witness for g; a failed local
+// check makes the attest round unclean, and Check then circulates.
 func CheckLocal(params *accumulator.Params, store Store, g logmodel.GLSN) error {
 	ws, ok := store.(WitnessStore)
 	if !ok {
@@ -232,12 +234,13 @@ func checkAttest(ctx context.Context, mb *transport.Mailbox, ring []string, para
 	return clean
 }
 
-// Check verifies one glsn against the stored digest. Witness-backed
-// records take the attest fast path (one parallel round, each node
-// verifying locally); records without witnesses — and any attest round
-// that does not come back unanimously clean — fall back to circulating
-// the accumulator around the ring. The caller's node must be a ring
-// member running Serve (for other initiators' checks).
+// Check verifies one glsn against the stored digest. It first runs the
+// attest round (one parallel round, each node verifying locally against
+// its witness). Circulating the accumulator around the ring is the
+// authoritative fallback: it runs whenever the attest round does not
+// come back unanimously clean — a node without the fragment or its
+// witness, a tampered fragment, a lost reply. The caller's node must be
+// a ring member running Serve (for other initiators' checks).
 func Check(ctx context.Context, mb *transport.Mailbox, ring []string, params *accumulator.Params, store Store, g logmodel.GLSN) error {
 	if ws, ok := store.(WitnessStore); ok {
 		if _, ok := ws.Witness(g); ok && checkAttest(ctx, mb, ring, params, store, g) {

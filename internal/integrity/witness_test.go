@@ -220,9 +220,8 @@ func TestCheckWitnessDetectsLocalTamper(t *testing.T) {
 }
 
 // TestCheckWitnessFallsBackWithoutPeerWitness: a record whose witness
-// is missing on one peer (pre-witness writer, or a replayed legacy WAL)
-// still verifies — the attest round comes back non-unanimous and the
-// check falls back to circulation.
+// is missing on one peer still verifies — the attest round comes back
+// non-unanimous and the check falls back to circulation.
 func TestCheckWitnessFallsBackWithoutPeerWitness(t *testing.T) {
 	ex, err := logmodel.NewPaperExample()
 	if err != nil {

@@ -3,7 +3,6 @@ package compare
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/big"
 
 	"confaudit/internal/smc"
@@ -37,8 +36,6 @@ type BatchConfig struct {
 	MaxAbs *big.Int
 	// Session disambiguates concurrent runs.
 	Session string
-	// Rand is the entropy source; nil means crypto/rand.
-	Rand io.Reader
 }
 
 func (c *BatchConfig) validate() error {
@@ -96,7 +93,7 @@ func BatchCompare(ctx context.Context, mb *transport.Mailbox, cfg BatchConfig, k
 	}
 	// Joint strictly monotone transform over the integers.
 	bound := new(big.Int).Lsh(cfg.MaxAbs, 64)
-	a, b, err := jointSecret(ctx, mb, cfg.Rand, bound, []string{peer}, cfg.Session)
+	a, b, err := jointSecret(ctx, mb, bound, []string{peer}, cfg.Session)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,6 @@ package compare
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/big"
 	"sort"
 
@@ -56,8 +55,6 @@ type EqualityConfig struct {
 	TTP string
 	// Session disambiguates concurrent runs.
 	Session string
-	// Rand is the entropy source; nil means crypto/rand.
-	Rand io.Reader
 }
 
 func (c *EqualityConfig) validate() error {
@@ -109,7 +106,7 @@ func Equal(ctx context.Context, mb *transport.Mailbox, cfg EqualityConfig, value
 		return false, fmt.Errorf("%w: %q is not a holder", smc.ErrProtocol, self)
 	}
 
-	a, b, err := jointSecret(ctx, mb, cfg.Rand, cfg.P, []string{peer}, cfg.Session)
+	a, b, err := jointSecret(ctx, mb, cfg.P, []string{peer}, cfg.Session)
 	if err != nil {
 		return false, err
 	}
@@ -176,8 +173,6 @@ type RankConfig struct {
 	MaxValue *big.Int
 	// Session disambiguates concurrent runs.
 	Session string
-	// Rand is the entropy source; nil means crypto/rand.
-	Rand io.Reader
 }
 
 func (c *RankConfig) validate() error {
@@ -228,7 +223,7 @@ func Rank(ctx context.Context, mb *transport.Mailbox, cfg RankConfig, value *big
 	// transform W = a·x + b over the integers is strictly increasing
 	// because a ≥ 1.
 	bound := new(big.Int).Lsh(cfg.MaxValue, 64)
-	a, b, err := jointSecret(ctx, mb, cfg.Rand, bound, peers, cfg.Session)
+	a, b, err := jointSecret(ctx, mb, bound, peers, cfg.Session)
 	if err != nil {
 		return nil, err
 	}
@@ -313,12 +308,12 @@ func ServeRank(ctx context.Context, mb *transport.Mailbox, cfg RankConfig) error
 // contributions: every party broadcasts a random pair; the sums are the
 // transform. a is forced into [1, bound) so the transform is injective
 // (and monotone in the integer variant).
-func jointSecret(ctx context.Context, mb *transport.Mailbox, rng io.Reader, bound *big.Int, peers []string, session string) (a, b *big.Int, err error) {
-	myA, err := mathx.RandScalar(rng, bound)
+func jointSecret(ctx context.Context, mb *transport.Mailbox, bound *big.Int, peers []string, session string) (a, b *big.Int, err error) {
+	myA, err := mathx.RandScalar(nil, bound)
 	if err != nil {
 		return nil, nil, fmt.Errorf("compare: sampling a: %w", err)
 	}
-	myB, err := mathx.RandScalar(rng, bound)
+	myB, err := mathx.RandScalar(nil, bound)
 	if err != nil {
 		return nil, nil, fmt.Errorf("compare: sampling b: %w", err)
 	}

@@ -47,8 +47,6 @@ type Config struct {
 	Evaluator string
 	// Session disambiguates concurrent runs.
 	Session string
-	// Rand is the entropy source; nil means crypto/rand.
-	Rand io.Reader
 }
 
 func (c *Config) validate() error {
@@ -137,18 +135,18 @@ func xorLabels(a, b label) label {
 // every wire's labels as l1 = l0 ⊕ R, so XOR gates need no table — the
 // evaluator just XORs the active labels. Only AND gates pay for
 // encrypted rows, which is the standard cost model for garbled circuits.
-func garble(rng io.Reader, c *circuit.Circuit) (labels [][2]label, tables []gateTable, err error) {
+func garble(c *circuit.Circuit) (labels [][2]label, tables []gateTable, err error) {
 	labels = make([][2]label, c.NWires)
 	// Global offset with color bit 1, so the two labels of every wire
 	// carry distinct point-and-permute colors.
 	var offset label
-	if _, err := io.ReadFull(rng, offset[:]); err != nil {
+	if _, err := io.ReadFull(rand.Reader, offset[:]); err != nil {
 		return nil, nil, fmt.Errorf("garbled: sampling offset: %w", err)
 	}
 	offset[labelSize-1] |= 1
 	freshPair := func() ([2]label, error) {
 		var pair [2]label
-		if _, err := io.ReadFull(rng, pair[0][:]); err != nil {
+		if _, err := io.ReadFull(rand.Reader, pair[0][:]); err != nil {
 			return pair, fmt.Errorf("garbled: sampling label: %w", err)
 		}
 		pair[1] = xorLabels(pair[0], offset)
@@ -205,11 +203,7 @@ func Garble(ctx context.Context, mb *transport.Mailbox, cfg Config, c *circuit.C
 	if len(input) != c.NIn1 {
 		return nil, fmt.Errorf("%w: got %d bits, circuit wants %d", circuit.ErrBadInput, len(input), c.NIn1)
 	}
-	rng := cfg.Rand
-	if rng == nil {
-		rng = rand.Reader
-	}
-	labels, tables, err := garble(rng, c)
+	labels, tables, err := garble(c)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +219,6 @@ func Garble(ctx context.Context, mb *transport.Mailbox, cfg Config, c *circuit.C
 		Sender:   cfg.Garbler,
 		Receiver: cfg.Evaluator,
 		Session:  cfg.Session + "/in2",
-		Rand:     rng,
 	}
 	if err := ot.Send(ctx, mb, otCfg, pairs); err != nil {
 		return nil, fmt.Errorf("garbled: transferring evaluator labels: %w", err)
@@ -278,16 +271,11 @@ func Evaluate(ctx context.Context, mb *transport.Mailbox, cfg Config, c *circuit
 	if len(input) != c.NIn2 {
 		return nil, fmt.Errorf("%w: got %d bits, circuit wants %d", circuit.ErrBadInput, len(input), c.NIn2)
 	}
-	rng := cfg.Rand
-	if rng == nil {
-		rng = rand.Reader
-	}
 	otCfg := ot.Config{
 		Group:    cfg.Group,
 		Sender:   cfg.Garbler,
 		Receiver: cfg.Evaluator,
 		Session:  cfg.Session + "/in2",
-		Rand:     rng,
 	}
 	myLabels, err := ot.Receive(ctx, mb, otCfg, input)
 	if err != nil {

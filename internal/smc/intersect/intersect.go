@@ -49,11 +49,6 @@ type Config struct {
 	// Receivers must be ring members (they need their own encrypted sets
 	// to map the result to plaintext).
 	Receivers []string
-	// Observers optionally names nodes outside the ring that receive
-	// every fully-encrypted set and therefore learn only the
-	// intersection SIZE — the "secure computation of the size of set
-	// intersection" the paper cites from [20]. Observers call Observe.
-	Observers []string
 	// Session disambiguates concurrent runs.
 	Session string
 }
@@ -93,18 +88,13 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 		return nil, err
 	}
 
-	// Publish the fully-encrypted set to every receiver and observer.
+	// Publish the fully-encrypted set to every receiver.
 	myFinalBody, err := smc.NewRelayWire(self, 0, myFinal, 0, 1)
 	if err != nil {
 		return nil, err
 	}
 	for _, r := range cfg.Receivers {
 		if err := mb.SendBody(ctx, r, msgFinal, cfg.Session, &myFinalBody); err != nil {
-			return nil, err
-		}
-	}
-	for _, o := range cfg.Observers {
-		if err := mb.SendBody(ctx, o, msgFinal, cfg.Session, &myFinalBody); err != nil {
 			return nil, err
 		}
 	}
@@ -128,25 +118,6 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 		}
 	}
 	return res, nil
-}
-
-// Observe runs the observer role: collect every party's fully-encrypted
-// set and return the intersection cardinality. The observer learns set
-// sizes and the match count — Definition 1's permitted secondary
-// information — but no plaintext elements, since it holds no decryption
-// keys and no raw data to align positions against.
-func Observe(ctx context.Context, mb *transport.Mailbox, cfg Config) (int, error) {
-	if err := smc.ValidateRun(cfg.Group, cfg.Ring, cfg.Receivers, cfg.Session); err != nil {
-		return 0, err
-	}
-	if !smc.Contains(cfg.Observers, mb.ID()) {
-		return 0, fmt.Errorf("%w: %q is not an observer", smc.ErrProtocol, mb.ID())
-	}
-	finals := make(map[string][][]byte, len(cfg.Ring))
-	if err := awaitFinals(ctx, mb, &cfg, finals); err != nil {
-		return 0, err
-	}
-	return len(intersectAll(cfg.Ring, finals)), nil
 }
 
 // awaitFinals adds published fully-encrypted sets to finals until it

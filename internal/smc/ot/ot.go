@@ -26,7 +26,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/big"
 
 	"confaudit/internal/mathx"
@@ -50,8 +49,6 @@ type Config struct {
 	Receiver string
 	// Session disambiguates concurrent runs.
 	Session string
-	// Rand is the entropy source; nil means crypto/rand.
-	Rand io.Reader
 }
 
 func (c *Config) validate() error {
@@ -128,7 +125,7 @@ func Send(ctx context.Context, mb *transport.Mailbox, cfg Config, pairs [][2][]b
 	}
 	grp := cfg.Group
 	g := generator(grp)
-	s, err := mathx.RandScalar(cfg.Rand, grp.Q)
+	s, err := mathx.RandScalar(nil, grp.Q)
 	if err != nil {
 		return fmt.Errorf("ot: sampling c exponent: %w", err)
 	}
@@ -172,7 +169,7 @@ func Send(ctx context.Context, mb *transport.Mailbox, cfg Config, pairs [][2][]b
 		pk1.Mod(pk1, grp.P)
 
 		for branch, pk := range []*big.Int{pk0, pk1} {
-			r, err := mathx.RandScalar(cfg.Rand, grp.Q)
+			r, err := mathx.RandScalar(nil, grp.Q)
 			if err != nil {
 				return fmt.Errorf("ot: sampling r: %w", err)
 			}
@@ -222,7 +219,7 @@ func Receive(ctx context.Context, mb *transport.Mailbox, cfg Config, choices []b
 	pk0s := make([]string, len(choices))
 	tmp := new(big.Int)
 	for i, b := range choices {
-		x, err := mathx.RandScalar(cfg.Rand, grp.Q)
+		x, err := mathx.RandScalar(nil, grp.Q)
 		if err != nil {
 			return nil, fmt.Errorf("ot: sampling x: %w", err)
 		}

@@ -16,7 +16,6 @@ package sum
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/big"
 
 	"confaudit/internal/crypto/shamir"
@@ -49,8 +48,6 @@ type Config struct {
 	Weights []*big.Int
 	// Session disambiguates concurrent runs.
 	Session string
-	// Rand is the entropy source; nil means crypto/rand.
-	Rand io.Reader
 }
 
 func (c *Config) validate() error {
@@ -107,7 +104,7 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, value *big.Int)
 	xs := shamir.DefaultAbscissae(n)
 
 	// Deal shares of the local value to every party (including self).
-	shares, err := shamir.SplitAt(cfg.Rand, cfg.P, value, cfg.K, xs)
+	shares, err := shamir.SplitAt(nil, cfg.P, value, cfg.K, xs)
 	if err != nil {
 		return nil, fmt.Errorf("sum: splitting local value: %w", err)
 	}

@@ -76,19 +76,23 @@ type querierLedger struct {
 	alarmed    bool
 	entries    []LedgerEntry
 	entryIndex map[string]int // session -> entries index
+	evicted    int            // entries rolled off past maxEntriesPerQuerier
 }
 
 // QuerierView is a querier's exported ledger.
 type QuerierView struct {
-	Querier      string        `json:"querier"`
-	Queries      int64         `json:"queries"`
-	MeanCAud     float64       `json:"mean_c_auditing"`
-	MeanCQuery   float64       `json:"mean_c_query"`
-	Leakage      float64       `json:"leakage"`
-	Budget       float64       `json:"budget,omitempty"`
-	Alarmed      bool          `json:"alarmed,omitempty"`
-	Entries      []LedgerEntry `json:"entries,omitempty"`
-	EntriesDropX int           `json:"entries_evicted,omitempty"`
+	Querier    string        `json:"querier"`
+	Queries    int64         `json:"queries"`
+	MeanCAud   float64       `json:"mean_c_auditing"`
+	MeanCQuery float64       `json:"mean_c_query"`
+	Leakage    float64       `json:"leakage"`
+	Budget     float64       `json:"budget,omitempty"`
+	Alarmed    bool          `json:"alarmed,omitempty"`
+	Entries    []LedgerEntry `json:"entries,omitempty"`
+	// EntriesEvicted counts the oldest entries dropped to keep Entries
+	// within its per-querier bound; the cumulative counters still
+	// include them.
+	EntriesEvicted int `json:"entries_evicted,omitempty"`
 }
 
 // LedgerSnapshot is the full exported ledger.
@@ -117,12 +121,11 @@ type Ledger struct {
 	queriers      map[string]*querierLedger
 	order         []string // FIFO eviction, mirroring the tracer
 	defaultBudget float64
-	evictedPerQ   map[string]int
 }
 
 // NewLedger creates an empty ledger with no default budget.
 func NewLedger() *Ledger {
-	return &Ledger{queriers: make(map[string]*querierLedger), evictedPerQ: make(map[string]int)}
+	return &Ledger{queriers: make(map[string]*querierLedger)}
 }
 
 // L is the process-wide default ledger, mirroring M and T.
@@ -167,6 +170,7 @@ func (q *querierLedger) entry(session string) *LedgerEntry {
 		for s, i := range q.entryIndex {
 			q.entryIndex[s] = i - 1
 		}
+		q.evicted++
 	}
 	q.entries = append(q.entries, LedgerEntry{Session: session})
 	q.entryIndex[session] = len(q.entries) - 1
@@ -233,12 +237,13 @@ func (l *Ledger) Snapshot() LedgerSnapshot {
 	for _, querier := range l.order {
 		q := l.queriers[querier]
 		v := QuerierView{
-			Querier: querier,
-			Queries: q.queries,
-			Leakage: q.leakage,
-			Budget:  l.defaultBudget,
-			Alarmed: q.alarmed,
-			Entries: append([]LedgerEntry(nil), q.entries...),
+			Querier:        querier,
+			Queries:        q.queries,
+			Leakage:        q.leakage,
+			Budget:         l.defaultBudget,
+			Alarmed:        q.alarmed,
+			Entries:        append([]LedgerEntry(nil), q.entries...),
+			EntriesEvicted: q.evicted,
 		}
 		if q.queries > 0 {
 			v.MeanCAud = q.sumCAud / float64(q.queries)
@@ -292,6 +297,7 @@ func MergeLedgers(snaps []LedgerSnapshot) LedgerSnapshot {
 		order    []string
 		budget   float64
 		alarmed  bool
+		evicted  int
 	}
 	accs := make(map[string]*qacc)
 	var queriers []string
@@ -307,6 +313,9 @@ func MergeLedgers(snaps []LedgerSnapshot) LedgerSnapshot {
 				a.budget = q.Budget
 			}
 			a.alarmed = a.alarmed || q.Alarmed
+			// Nodes evict independently; each count is a lower bound
+			// on what the merged view is missing.
+			a.evicted = max(a.evicted, q.EntriesEvicted)
 			for _, e := range q.Entries {
 				m := a.sessions[e.Session]
 				if m == nil {
@@ -330,7 +339,7 @@ func MergeLedgers(snaps []LedgerSnapshot) LedgerSnapshot {
 	var sumCQuery float64
 	for _, querier := range queriers {
 		a := accs[querier]
-		v := QuerierView{Querier: querier, Budget: a.budget, Alarmed: a.alarmed}
+		v := QuerierView{Querier: querier, Budget: a.budget, Alarmed: a.alarmed, EntriesEvicted: a.evicted}
 		for _, s := range a.order {
 			e := a.sessions[s]
 			v.Entries = append(v.Entries, *e)

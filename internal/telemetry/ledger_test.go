@@ -137,6 +137,28 @@ func TestLedgerFIFOEviction(t *testing.T) {
 	t.Fatal("session q/5 missing")
 }
 
+// TestLedgerCountsEvictedEntries records more sessions for one querier
+// than its entry bound holds: the snapshot must report how many of the
+// oldest entries rolled off, and a merged cluster view must keep that
+// count.
+func TestLedgerCountsEvictedEntries(t *testing.T) {
+	l := NewLedger()
+	for i := 0; i < 300; i++ {
+		l.RecordQuery("u", "q/"+itoa(int64(i)), 1, 1)
+	}
+	q := l.Snapshot().Queriers[0]
+	if q.EntriesEvicted != 44 {
+		t.Fatalf("entries evicted = %d, want 44 (300 recorded, %d kept)", q.EntriesEvicted, maxEntriesPerQuerier)
+	}
+	if len(q.Entries)+q.EntriesEvicted != int(q.Queries) {
+		t.Fatalf("%d kept + %d evicted != %d recorded", len(q.Entries), q.EntriesEvicted, q.Queries)
+	}
+	merged := MergeLedgers([]LedgerSnapshot{l.Snapshot(), NewLedger().Snapshot()})
+	if got := merged.Queriers[0].EntriesEvicted; got != 44 {
+		t.Fatalf("merged entries evicted = %d, want 44", got)
+	}
+}
+
 func TestMergeLedgers(t *testing.T) {
 	// Coordinator fragment: scores, result-count disclosure.
 	coord := NewLedger()

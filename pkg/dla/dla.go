@@ -16,9 +16,10 @@
 // hand should use Session.LogBatch (one glsn reservation and one store
 // round per node for the whole slice). Callers ingesting a continuous
 // stream should open a Session.Appender, which batches concurrent
-// Appends client-side, pipelines several batches through the quorum
-// machinery, and converts node overload (ErrOverloaded) into
-// backpressure:
+// Appends client-side and pipelines several batches through the quorum
+// machinery. A node over its ingest admission budget refuses a batch;
+// the Appender backs off and retries it, so the refusal reaches callers
+// only as backpressure, an Append that blocks:
 //
 //	ap, _ := s.Appender(ctx, dla.AppendOptions{})
 //	ack, _ := ap.Append(ctx, map[dla.Attr]dla.Value{"id": dla.String("U1")})
@@ -78,13 +79,11 @@ type (
 	// Appender is the streaming write path; open one with
 	// Session.Appender.
 	Appender = cluster.Appender
-	// AppendOptions tune an Appender (batch bounds, linger, inflight
-	// window, overload policy).
+	// AppendOptions tune an Appender (batch size, linger, inflight
+	// window, ack timeout).
 	AppendOptions = cluster.AppendOptions
 	// Ack is the per-record future an Appender.Append returns.
 	Ack = cluster.Ack
-	// OverloadPolicy selects block-or-drop behavior under ErrOverloaded.
-	OverloadPolicy = cluster.OverloadPolicy
 	// AdmissionConfig bounds a node's ingest admission; set on
 	// ClusterOptions.Admission.
 	AdmissionConfig = cluster.AdmissionConfig
@@ -92,17 +91,6 @@ type (
 	// inflight bytes, rejection counts).
 	AdmissionStatus = cluster.AdmissionStatus
 )
-
-// Backpressure policies for AppendOptions.OnOverload.
-const (
-	OverloadBlock = cluster.OverloadBlock
-	OverloadDrop  = cluster.OverloadDrop
-)
-
-// ErrOverloaded is a node's typed ingest-admission refusal; the
-// Appender converts it into backpressure per AppendOptions.OnOverload.
-// Wrap-checked with errors.Is.
-var ErrOverloaded = cluster.ErrOverloaded
 
 // ErrAppenderClosed is returned by Appender.Append after Close began.
 var ErrAppenderClosed = cluster.ErrAppenderClosed
@@ -146,8 +134,8 @@ type ClusterOptions struct {
 	DataDir string
 	// Admission bounds every node's ingest admission (token-bucket
 	// records/sec + inflight payload bytes). The zero value admits
-	// everything; with bounds set, overloaded nodes refuse stores with
-	// ErrOverloaded instead of queueing unboundedly.
+	// everything; with bounds set, an overloaded node refuses a store
+	// instead of queueing it, and the writer backs off and retries.
 	Admission AdmissionConfig
 }
 
@@ -243,8 +231,8 @@ func (s *Session) Log(ctx context.Context, values map[Attr]Value) (GLSN, error) 
 // hand. For continuous streams, use Appender.
 //
 // The store round is the Appender's, run with the zero AppendOptions.
-// A node that refuses the batch with ErrOverloaded is retried after a
-// backoff of 2ms, doubling to at most 250ms, until ctx ends. A failed
+// A batch a node refuses while over its admission budget is retried
+// after a backoff of 2ms, doubling to at most 250ms, until ctx ends. A failed
 // send or an ack missing for 10s is resent up to 8 times. Every resend
 // reuses the reserved glsns, so it overwrites with identical content
 // and never duplicates a record. Any other refusal fails the call,
@@ -258,9 +246,10 @@ func (s *Session) LogBatch(ctx context.Context, records []map[Attr]Value) ([]GLS
 // Appender opens the streaming write path: concurrent Appends batch
 // client-side (sealed by count, bytes, or linger time), batches
 // pipeline through the quorum machinery up to AppendOptions.MaxInflight
-// deep, and each record's Ack future resolves with its glsn. Node
-// overload becomes backpressure per AppendOptions.OnOverload. The
-// context bounds the appender's lifetime; Close drains it.
+// deep, and each record's Ack future resolves with its glsn. A node's
+// admission refusal is backed off and retried, so overload becomes
+// backpressure on Append. The context bounds the appender's lifetime;
+// Close drains it.
 func (s *Session) Appender(ctx context.Context, opts AppendOptions) (*Appender, error) {
 	return s.c.NewAppender(ctx, opts)
 }
@@ -297,10 +286,6 @@ func (s *Session) CheckTransaction(ctx context.Context, tidAttr Attr, tidValue s
 // Health reports the failure detector's view of the cluster, or nil
 // when the session was connected without a HealthConfig.
 func (s *Session) Health() HealthView { return s.c.HealthView() }
-
-// Client exposes the underlying cluster client for advanced use
-// (outbox inspection, deletes). Application code should not need it.
-func (s *Session) Client() *cluster.Client { return s.c.Client }
 
 // Close stops the health detector, flushes the outbox, and releases
 // the session's endpoint.

@@ -64,11 +64,6 @@ type surfaceDecl struct {
 // its own declaration. Matching is by name, so a name shared with
 // another symbol can hide an unused one, but a reported name is unused.
 func TestNoTestOnlyExports(t *testing.T) {
-	root, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
 	var decls []surfaceDecl
 	type ref struct {
 		file string
@@ -79,36 +74,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	for _, m := range interfaceMethods {
 		ifaceMethods[m] = true
 	}
-	parsed := 0
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path) // path is under root by construction
-		rel = filepath.ToSlash(rel)
-		if d.IsDir() {
-			if rel == "." {
-				return nil
-			}
-			// Hidden and testdata directories hold no module code. A
-			// nested go.mod starts another module; bench/ is the one
-			// that calls into this one.
-			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && rel != "bench" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		parsed++
+	walkModule(t, func(rel string, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:
@@ -124,7 +90,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		})
 		dir := filepath.ToSlash(filepath.Dir(rel))
 		if !strings.HasPrefix(dir, "internal/") && !strings.HasPrefix(dir, "pkg/") {
-			return nil
+			return
 		}
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
@@ -153,14 +119,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 				}
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed < 50 {
-		t.Fatalf("parsed only %d files under %s; the walk did not reach the module", parsed, root)
-	}
 	var unused []string
 	declared := make(map[string]bool)
 	for _, d := range decls {
@@ -193,6 +152,58 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// walkModule parses every non-test Go file of the module and of
+// bench/ (the other module that calls into this one) and hands each to
+// fn with its slash-separated path relative to the module root. It
+// fails the test if the walk reaches too few files to be the module.
+func walkModule(t *testing.T, fn func(rel string, f *ast.File)) {
+	t.Helper()
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	parsed := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path) // path is under root by construction
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel == "." {
+				return nil
+			}
+			// Hidden and testdata directories hold no module code. A
+			// nested go.mod starts another module; bench/ is the one
+			// that calls into this one.
+			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && rel != "bench" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		parsed++
+		fn(rel, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parsed < 50 {
+		t.Fatalf("parsed only %d files under %s; the walk did not reach the module", parsed, root)
+	}
+}
+
 // recvName is the type name of a method receiver, without pointer or
 // type parameters.
 func recvName(expr ast.Expr) string {
@@ -215,6 +226,176 @@ func recvName(expr ast.Expr) string {
 func allowedSurfaceDir(dir string) bool {
 	for k := range surfaceAllowed {
 		if strings.HasSuffix(k, "/") && strings.HasPrefix(dir+"/", k) {
+			return true
+		}
+	}
+	return false
+}
+
+// optionAllowed are the exported option fields no non-test code writes
+// that stay anyway, each with its reason. A key ending in "/" names a
+// directory; "<dir>.<Type>" names every field of that type; otherwise
+// the key is "<dir>.<Type>.<Field>".
+var optionAllowed = map[string]string{
+	"internal/chaos/": "the fault-schedule suites behind the chaos and torture build tags",
+	"internal/cluster.AppendOptions.AckTimeout": "the tagged ack-loss suite shortens the store ack wait until the ack wait is reworked (ROADMAP B(a))",
+	"internal/resilience.DetectorConfig":        "tests compress failure detection to milliseconds; production takes the defaults (ROADMAP finding)",
+	"internal/resilience.Policy":                "tests compress retry timing to milliseconds; production takes the defaults (ROADMAP finding)",
+	"internal/cluster.ClientConfig.Signer":      "writer provenance (DESIGN row 29)",
+	"internal/smc/sum.Config.Weights":           "the section 3.5 weighted sum",
+}
+
+// optionField is one exported field of an option struct.
+type optionField struct {
+	key, typ, name, file string
+}
+
+// isOptionType reports whether an exported struct type name is an
+// option type: a *Config, an *Options, or a Policy.
+func isOptionType(name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || name == "Policy"
+}
+
+// TestEveryOptionIsSet parses every non-test Go file of the module and
+// of bench/, and fails on any exported field of an exported *Config,
+// *Options or Policy struct in internal/ or pkg/ that no file writes
+// outside the field's own file. A write is a key in a composite literal
+// of the type (matched by the literal's type name, so a facade alias
+// counts), a key in a literal whose type is elided, an unkeyed literal
+// of the type, or an assignment, increment or address-of through a
+// selector of the field's name. Selectors are matched by name alone, so
+// the guard can miss an unset field; it reports a set one only if every
+// write takes another form, such as decoding into the struct.
+func TestEveryOptionIsSet(t *testing.T) {
+	var fields []optionField
+	litKeys := make(map[string]map[string][]string) // type -> field -> files
+	selWrites := make(map[string][]string)          // field -> files
+	addLit := func(typ, field, file string) {
+		if litKeys[typ] == nil {
+			litKeys[typ] = make(map[string][]string)
+		}
+		litKeys[typ][field] = append(litKeys[typ][field], file)
+	}
+	walkModule(t, func(rel string, f *ast.File) {
+		selWrite := func(e ast.Expr) {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				selWrites[sel.Sel.Name] = append(selWrites[sel.Sel.Name], rel)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				typ := litTypeName(n.Type)
+				if n.Type != nil && typ == "" {
+					return true // a slice, map or array literal
+				}
+				if typ == "" {
+					typ = "*" // elided type: the key may belong to any option type
+				}
+				for _, elt := range n.Elts {
+					kv, ok := elt.(*ast.KeyValueExpr)
+					if !ok {
+						addLit(typ, "*", rel) // unkeyed: every field is written
+						break
+					}
+					if key, ok := kv.Key.(*ast.Ident); ok {
+						addLit(typ, key.Name, rel)
+					}
+				}
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, lhs := range n.Lhs {
+						selWrite(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				selWrite(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					selWrite(n.X)
+				}
+			}
+			return true
+		})
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		if !strings.HasPrefix(dir, "internal/") && !strings.HasPrefix(dir, "pkg/") {
+			return
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !ts.Name.IsExported() || !isOptionType(ts.Name.Name) {
+					continue
+				}
+				for _, fl := range st.Fields.List {
+					for _, name := range fl.Names {
+						if name.IsExported() {
+							key := dir + "." + ts.Name.Name + "." + name.Name
+							fields = append(fields, optionField{key, ts.Name.Name, name.Name, rel})
+						}
+					}
+				}
+			}
+		}
+	})
+	elsewhere := func(files []string, own string) bool {
+		for _, f := range files {
+			if f != own {
+				return true
+			}
+		}
+		return false
+	}
+	declared := make(map[string]bool)
+	var unset []string
+	for _, fd := range fields {
+		declared[fd.key] = true
+		declared[strings.TrimSuffix(fd.key, "."+fd.name)] = true
+		if optionAllowed[fd.key] != "" || optionAllowed[strings.TrimSuffix(fd.key, "."+fd.name)] != "" || allowedOptionDir(fd.file) {
+			continue
+		}
+		if elsewhere(litKeys[fd.typ][fd.name], fd.file) || elsewhere(litKeys[fd.typ]["*"], fd.file) ||
+			elsewhere(litKeys["*"][fd.name], fd.file) || elsewhere(selWrites[fd.name], fd.file) {
+			continue
+		}
+		unset = append(unset, fd.file+": "+fd.typ+"."+fd.name)
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s is an option no program sets; make it a constant, or allowlist it with a reason in optionAllowed", u)
+	}
+	for k := range optionAllowed {
+		if !strings.HasSuffix(k, "/") && !declared[k] {
+			t.Errorf("optionAllowed names %s, which is no longer declared", k)
+		}
+	}
+}
+
+// litTypeName is the type name of a composite literal, without package
+// qualifier or type arguments; "" for an elided type or a literal of a
+// slice, map or array type.
+func litTypeName(expr ast.Expr) string {
+	switch e := expr.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	case *ast.IndexExpr:
+		return litTypeName(e.X)
+	case *ast.IndexListExpr:
+		return litTypeName(e.X)
+	}
+	return ""
+}
+
+func allowedOptionDir(file string) bool {
+	for k := range optionAllowed {
+		if strings.HasSuffix(k, "/") && strings.HasPrefix(file, k) {
 			return true
 		}
 	}

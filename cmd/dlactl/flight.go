@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"net/url"
 	"os"
 	"sort"
@@ -47,10 +46,15 @@ func cmdFlight(args []string) error {
 func fetchClusterFlight(w io.Writer, targets []string, cutoff time.Time, asJSON bool) error {
 	var events []telemetry.FlightEvent
 	var dropped uint64
+	// With a cutoff the nodes filter server-side.
+	query := ""
+	if !cutoff.IsZero() {
+		query = "?since=" + url.QueryEscape(cutoff.Format(time.RFC3339Nano))
+	}
 	ok := 0
 	for _, a := range targets {
-		snap, err := fetchOneFlight("http://"+a, cutoff)
-		if err != nil {
+		var snap telemetry.FlightSnapshot
+		if err := getJSON("http://"+a+"/debug/dla/flight"+query, &snap); err != nil {
 			log.Printf("warning: %s: %v", a, err)
 			continue
 		}
@@ -74,28 +78,6 @@ func fetchClusterFlight(w io.Writer, targets []string, cutoff time.Time, asJSON 
 	}
 	_, err := io.WriteString(w, formatFlightEvents(events, dropped))
 	return err
-}
-
-// fetchOneFlight pulls one node's /debug/dla/flight snapshot,
-// filtering server-side when a cutoff is set.
-func fetchOneFlight(baseURL string, cutoff time.Time) (telemetry.FlightSnapshot, error) {
-	u := baseURL + "/debug/dla/flight"
-	if !cutoff.IsZero() {
-		u += "?since=" + url.QueryEscape(cutoff.Format(time.RFC3339Nano))
-	}
-	resp, err := http.Get(u)
-	if err != nil {
-		return telemetry.FlightSnapshot{}, err
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		return telemetry.FlightSnapshot{}, fmt.Errorf("flight endpoint: %s", resp.Status)
-	}
-	var snap telemetry.FlightSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return telemetry.FlightSnapshot{}, fmt.Errorf("decoding flight snapshot: %w", err)
-	}
-	return snap, nil
 }
 
 // formatFlightEvents renders the merged incident timeline, oldest

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"os"
 	"strings"
 
@@ -42,8 +41,8 @@ func cmdIngest(args []string) error {
 func fetchIngestStatus(w io.Writer, targets []string, asJSON bool) error {
 	ok := 0
 	for _, a := range targets {
-		st, err := fetchOneIngestStatus("http://" + a)
-		if err != nil {
+		var st cluster.AdmissionStatus
+		if err := getJSON("http://"+a+"/debug/dla/ingest", &st); err != nil {
 			log.Printf("warning: %s: %v", a, err)
 			continue
 		}
@@ -64,22 +63,6 @@ func fetchIngestStatus(w io.Writer, targets []string, asJSON bool) error {
 		return fmt.Errorf("no node returned ingest status")
 	}
 	return nil
-}
-
-func fetchOneIngestStatus(baseURL string) (cluster.AdmissionStatus, error) {
-	resp, err := http.Get(baseURL + "/debug/dla/ingest")
-	if err != nil {
-		return cluster.AdmissionStatus{}, err
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		return cluster.AdmissionStatus{}, fmt.Errorf("ingest endpoint: %s", resp.Status)
-	}
-	var st cluster.AdmissionStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return cluster.AdmissionStatus{}, fmt.Errorf("decoding ingest status: %w", err)
-	}
-	return st, nil
 }
 
 // formatIngestStatus renders one node's admission boundary for the

@@ -23,6 +23,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -406,22 +407,36 @@ func fetchTrace(w io.Writer, baseURL, session string) error {
 
 // fetchTraceView pulls one node's trace fragment for a session.
 func fetchTraceView(baseURL, session string) (telemetry.TraceView, error) {
-	resp, err := http.Get(baseURL + "/debug/dla/trace/" + session)
+	var view telemetry.TraceView
+	err := getJSON(baseURL+"/debug/dla/trace/"+session, &view)
+	if errors.Is(err, errNotFound) {
+		return view, fmt.Errorf("no trace for session %q (run `dlactl trace` for the stored sessions)", session)
+	}
+	return view, err
+}
+
+// errNotFound marks a 404 from a debug endpoint.
+var errNotFound = errors.New("404 Not Found")
+
+// getJSON GETs url and decodes its JSON body into v. Any status but
+// 200 is an error, wrapping errNotFound for a 404.
+func getJSON(url string, v any) error {
+	resp, err := http.Get(url)
 	if err != nil {
-		return telemetry.TraceView{}, err
+		return err
 	}
 	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode == http.StatusNotFound {
-		return telemetry.TraceView{}, fmt.Errorf("no trace for session %q (run `dlactl trace` for the stored sessions)", session)
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusNotFound:
+		return fmt.Errorf("GET %s: %w", url, errNotFound)
+	default:
+		return fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return telemetry.TraceView{}, fmt.Errorf("trace endpoint: %s", resp.Status)
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("decoding %s: %w", url, err)
 	}
-	var view telemetry.TraceView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		return telemetry.TraceView{}, fmt.Errorf("decoding trace: %w", err)
-	}
-	return view, nil
+	return nil
 }
 
 // fetchClusterTrace fans out to every node's debug port, merges the
@@ -469,16 +484,9 @@ func cmdLeaks(args []string) error {
 func fetchClusterLeaks(w io.Writer, targets []string, asJSON bool) error {
 	var snaps []telemetry.LedgerSnapshot
 	for _, a := range targets {
-		resp, err := http.Get("http://" + a + "/debug/dla/leaks")
-		if err != nil {
-			log.Printf("warning: %s: %v", a, err)
-			continue
-		}
 		var snap telemetry.LedgerSnapshot
-		decErr := json.NewDecoder(resp.Body).Decode(&snap)
-		resp.Body.Close() //nolint:errcheck
-		if decErr != nil {
-			log.Printf("warning: %s: decoding ledger: %v", a, decErr)
+		if err := getJSON("http://"+a+"/debug/dla/leaks", &snap); err != nil {
+			log.Printf("warning: %s: %v", a, err)
 			continue
 		}
 		snaps = append(snaps, snap)

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -149,17 +148,12 @@ func TestObsIngestSmoke(t *testing.T) {
 	}
 
 	// The event is reachable over the raw endpoint...
-	resp, err := http.Get("http://" + targets[0] + "/debug/dla/flight")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close() //nolint:errcheck
-	if err != nil {
+	var flightBody json.RawMessage
+	if err := getJSON("http://"+targets[0]+"/debug/dla/flight", &flightBody); err != nil {
 		t.Fatal(err)
 	}
 	var fsnap telemetry.FlightSnapshot
-	if err := json.Unmarshal(body, &fsnap); err != nil {
+	if err := json.Unmarshal(flightBody, &fsnap); err != nil {
 		t.Fatalf("/debug/dla/flight is not a FlightSnapshot: %v", err)
 	}
 	if len(fsnap.Events) < 1 {
@@ -202,11 +196,13 @@ func TestObsIngestSmoke(t *testing.T) {
 	}
 
 	// Redaction sweep: nothing an operator reads — the flight JSON, the
-	// rendered flight timeline, the top table, the prom exposition —
-	// may carry record content.
-	var promBuf strings.Builder
-	telemetry.WritePrometheus(&promBuf, snap)
-	for i, surface := range []string{string(body), flightText, topText, promBuf.String()} {
+	// rendered flight timeline, the top table, the served metrics
+	// snapshot top reads — may carry record content.
+	var metricsBody json.RawMessage
+	if err := getJSON("http://"+targets[0]+"/debug/dla/metrics", &metricsBody); err != nil {
+		t.Fatal(err)
+	}
+	for i, surface := range []string{string(flightBody), flightText, topText, string(metricsBody)} {
 		for _, leak := range []string{obsSecretUser, obsSecretProto, "zzsecret", "ingest#"} {
 			if strings.Contains(surface, leak) {
 				t.Errorf("ingest observability surface %d leaks %q:\n%.2000s", i, leak, surface)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"os"
 	"strings"
 
@@ -40,8 +39,8 @@ func cmdStorage(args []string) error {
 func fetchStorageStatus(w io.Writer, targets []string, asJSON bool) error {
 	ok := 0
 	for _, a := range targets {
-		st, err := fetchOneStorageStatus("http://" + a)
-		if err != nil {
+		var st storage.Status
+		if err := getJSON("http://"+a+"/debug/dla/storage", &st); err != nil {
 			log.Printf("warning: %s: %v", a, err)
 			continue
 		}
@@ -62,22 +61,6 @@ func fetchStorageStatus(w io.Writer, targets []string, asJSON bool) error {
 		return fmt.Errorf("no node returned storage status")
 	}
 	return nil
-}
-
-func fetchOneStorageStatus(baseURL string) (storage.Status, error) {
-	resp, err := http.Get(baseURL + "/debug/dla/storage")
-	if err != nil {
-		return storage.Status{}, err
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		return storage.Status{}, fmt.Errorf("storage endpoint: %s", resp.Status)
-	}
-	var st storage.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return storage.Status{}, fmt.Errorf("decoding storage status: %w", err)
-	}
-	return st, nil
 }
 
 // formatStorageStatus renders one node's Status for the terminal.

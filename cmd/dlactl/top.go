@@ -6,7 +6,6 @@ import (
 	"io"
 	"log"
 	"math"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -15,12 +14,12 @@ import (
 )
 
 // cmdTop is the cluster's live ingest-health view: it polls
-// /debug/dla/prom on every -addrs target and renders one refreshing
-// row per node — ingest rate (from successive scrapes), fsync
+// /debug/dla/metrics on every -addrs target and renders one refreshing
+// row per node — ingest rate (from successive snapshots), fsync
 // p50/p99, the reserved/durable watermark lag, admission headroom,
-// breaker trips, and flight-event counts. Everything shown is parsed
-// back out of the zero-plaintext exposition; dlactl adds no channel
-// of its own.
+// breaker trips, and flight-event counts. Everything shown is read
+// from the zero-plaintext metrics snapshot; dlactl adds no channel of
+// its own.
 func cmdTop(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:6060", "dlad -pprof address serving /debug/dla")
@@ -50,31 +49,19 @@ func cmdTop(args []string) error {
 	return nil
 }
 
-// topSample is one node's scrape plus when it was taken, kept between
-// frames so counters can be turned into rates.
+// topSample is one node's metrics snapshot plus when it was taken,
+// kept between frames so counters can be turned into rates.
 type topSample struct {
-	scrape *telemetry.PromScrape
-	at     time.Time
+	snap telemetry.MetricsSnapshot
+	at   time.Time
 }
 
-// Exposition names of the metrics the table reads, derived from the
-// telemetry constants so a rename cannot silently blank a column.
-var (
-	promStoreRecords = telemetry.PromName(telemetry.CtrStoreRecords)
-	promFsync        = telemetry.PromName(telemetry.HistWALFsync)
-	promReserved     = telemetry.PromName(telemetry.GaugeGLSNReserved)
-	promDurable      = telemetry.PromName(telemetry.GaugeGLSNDurable)
-	promAcked        = telemetry.PromName(telemetry.GaugeGLSNAcked)
-	promTokens       = telemetry.PromName(telemetry.GaugeAdmissionTokens)
-	promInflightB    = telemetry.PromName(telemetry.GaugeAdmissionBytes)
-	promTrips        = telemetry.PromName(telemetry.CtrBreakerTrips)
-	promFlight       = telemetry.PromName(telemetry.CtrFlightEvents)
-)
-
-// topFrame scrapes every target once and renders one table. It
-// returns the scrapes so the next frame can compute rates; prev may
-// be nil (first frame shows "-" rates). Unreachable nodes are warned
-// about and skipped; the frame fails only if no node answered.
+// topFrame polls every target once and renders one table. It returns
+// the snapshots so the next frame can compute rates; prev may be nil
+// (first frame shows "-" rates). A node whose record counter went
+// backwards since prev (it restarted) also shows "-". Unreachable
+// nodes are warned about and skipped; the frame fails only if no node
+// answered.
 func topFrame(w io.Writer, targets []string, prev map[string]topSample) (map[string]topSample, error) {
 	cur := make(map[string]topSample, len(targets))
 	var b strings.Builder
@@ -82,34 +69,36 @@ func topFrame(w io.Writer, targets []string, prev map[string]topSample) (map[str
 		"NODE", "REC/S", "P50FS(ms)", "P99FS(ms)", "RESV", "DURB", "LAG", "ACKD", "TOKENS", "BRK", "FLT")
 	ok := 0
 	for _, a := range targets {
-		scrape, err := fetchPromScrape("http://" + a)
+		var snap telemetry.MetricsSnapshot
+		err := getJSON("http://"+a+"/debug/dla/metrics", &snap)
 		now := time.Now()
 		if err != nil {
 			log.Printf("warning: %s: %v", a, err)
 			continue
 		}
 		ok++
-		cur[a] = topSample{scrape: scrape, at: now}
+		cur[a] = topSample{snap: snap, at: now}
 		rate := "-"
 		if p, found := prev[a]; found {
-			if dt := now.Sub(p.at).Seconds(); dt > 0 {
-				rate = fmt.Sprintf("%.0f", (scrape.Counter(promStoreRecords)-p.scrape.Counter(promStoreRecords))/dt)
+			delta := snap.Counters[telemetry.CtrStoreRecords] - p.snap.Counters[telemetry.CtrStoreRecords]
+			if dt := now.Sub(p.at).Seconds(); dt > 0 && delta >= 0 {
+				rate = fmt.Sprintf("%.0f", float64(delta)/dt)
 			}
 		}
-		reserved := scrape.Gauges[promReserved]
-		durable := scrape.Gauges[promDurable]
+		reserved := snap.Gauges[telemetry.GaugeGLSNReserved]
+		durable := snap.Gauges[telemetry.GaugeGLSNDurable]
 		tokens := "-"
-		if v, found := scrape.Gauges[promTokens]; found {
-			tokens = fmt.Sprintf("%.0f", v)
-			if ib, found := scrape.Gauges[promInflightB]; found && ib > 0 {
-				tokens += fmt.Sprintf("/%.0fB", ib)
+		if v, found := snap.Gauges[telemetry.GaugeAdmissionTokens]; found {
+			tokens = fmt.Sprintf("%d", v)
+			if ib := snap.Gauges[telemetry.GaugeAdmissionBytes]; ib > 0 {
+				tokens += fmt.Sprintf("/%dB", ib)
 			}
 		}
-		fmt.Fprintf(&b, "%-21s %8s %9s %9s %8.0f %8.0f %6.0f %6.0f %8s %4.0f %4.0f\n",
-			a, rate,
-			fmtQuantile(scrape, promFsync, 0.5), fmtQuantile(scrape, promFsync, 0.99),
-			reserved, durable, reserved-durable, scrape.Gauges[promAcked],
-			tokens, scrape.Counter(promTrips), scrape.Counter(promFlight))
+		fsync := snap.Histograms[telemetry.HistWALFsync]
+		fmt.Fprintf(&b, "%-21s %8s %9s %9s %8d %8d %6d %6d %8s %4d %4d\n",
+			a, rate, fmtQuantile(fsync, 0.5), fmtQuantile(fsync, 0.99),
+			reserved, durable, reserved-durable, snap.Gauges[telemetry.GaugeGLSNAcked],
+			tokens, snap.Counters[telemetry.CtrBreakerTrips], snap.Counters[telemetry.CtrFlightEvents])
 	}
 	if ok == 0 {
 		return nil, fmt.Errorf("no node returned metrics")
@@ -120,23 +109,10 @@ func topFrame(w io.Writer, targets []string, prev map[string]topSample) (map[str
 
 // fmtQuantile renders a bucket-estimated quantile in ms, "-" when the
 // histogram is absent or empty.
-func fmtQuantile(s *telemetry.PromScrape, hist string, q float64) string {
-	v := s.Quantile(hist, q)
+func fmtQuantile(h telemetry.HistogramSnapshot, q float64) string {
+	v := h.Quantile(q)
 	if math.IsNaN(v) {
 		return "-"
 	}
 	return fmt.Sprintf("%.3g", v)
-}
-
-// fetchPromScrape pulls and parses one node's /debug/dla/prom.
-func fetchPromScrape(baseURL string) (*telemetry.PromScrape, error) {
-	resp, err := http.Get(baseURL + "/debug/dla/prom")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("prom endpoint: %s", resp.Status)
-	}
-	return telemetry.ParsePrometheus(resp.Body)
 }

@@ -21,17 +21,17 @@
 //		admission (token-bucket rate and inflight bytes); a refused
 //		store is acked as overloaded and the writer backs off and
 //		retries.
-//		With -pprof, an HTTP server exposes
-//		net/http/pprof profiles, expvar counters, and the
+//		With -pprof, an HTTP server exposes net/http/pprof
+//		profiles, the /debug/dla telemetry endpoints (metrics,
+//		traces, leak ledger, flight recorder; all JSON), and the
 //		/debug/dla/storage and /debug/dla/ingest status endpoints for
-//		live diagnosis (`dlactl storage|ingest status`).
+//		live diagnosis (`dlactl top`, `dlactl storage|ingest status`).
 package main
 
 import (
 	"context"
 	"crypto/rand"
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -151,7 +151,7 @@ func run(args []string) error {
 		segBytes   = fs.Int64("segment-bytes", 0, "seal the active segment at this size (0 = 4MiB)")
 		cpEvery    = fs.Int("checkpoint-every", 0, "checkpoint after this many sealed segments (0 = 4)")
 		compactAt  = fs.Int("compact-segments", 0, "sealed-segment count that triggers compaction (0 = 8)")
-		pprof      = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (empty = disabled)")
+		pprof      = fs.String("pprof", "", "serve net/http/pprof and /debug/dla on this address (empty = disabled)")
 		leakBudget = fs.Float64("leak-budget", 0, "default per-querier leak budget (sum of 1-C_query); 0 disables the alarm")
 		ingestRPS  = fs.Float64("ingest-rate", 0, "ingest admission: records/sec token-bucket refill (0 = unbounded)")
 		ingestBst  = fs.Int("ingest-burst", 0, "ingest admission: token-bucket capacity in records (0 = one second's refill)")
@@ -220,7 +220,6 @@ func run(args []string) error {
 		log.Printf("WARNING: recovered degraded; quarantined extents: %v", q)
 	}
 	if *pprof != "" {
-		expvar.NewString("dlad_node").Set(*id)
 		telemetry.Mount(http.DefaultServeMux)
 		// Live storage-engine status (backend, segments, checkpoint,
 		// recovery work, quarantine) next to the telemetry endpoints.
@@ -238,7 +237,7 @@ func run(args []string) error {
 			enc.SetIndent("", "  ")
 			enc.Encode(node.AdmissionStatus()) //nolint:errcheck
 		})
-		srv := &http.Server{Addr: *pprof} // DefaultServeMux: pprof + expvar + /debug/dla
+		srv := &http.Server{Addr: *pprof} // DefaultServeMux: pprof + /debug/dla
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				log.Printf("pprof server: %v", err)
@@ -248,7 +247,7 @@ func run(args []string) error {
 			<-ctx.Done()
 			srv.Close() //nolint:errcheck
 		}()
-		log.Printf("pprof/expvar on http://%s/debug/pprof/, telemetry on /debug/dla/", *pprof)
+		log.Printf("pprof on http://%s/debug/pprof/, telemetry on /debug/dla/", *pprof)
 	}
 	log.Printf("node %s serving on %s (roster %v)", *id, common.Addresses[*id], boot.Roster)
 	<-ctx.Done()

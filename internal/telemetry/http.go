@@ -2,10 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -15,12 +13,11 @@ import (
 //	GET /debug/dla/trace/<session>  -> TraceView JSON (404 if unknown)
 //	GET /debug/dla/trace/           -> stored session keys, one per line
 //	GET /debug/dla/leaks            -> LedgerSnapshot JSON (per-querier ledgers)
-//	GET /debug/dla/conf             -> ConfSnapshot JSON (rolling C_DLA)
-//	GET /debug/dla/prom             -> Prometheus text exposition
 //	GET /debug/dla/flight           -> FlightSnapshot JSON (?since=RFC3339)
 //
-// The handlers serve only snapshot types, so the zero-plaintext
-// guarantee of the recording schema carries through to the wire.
+// Each value is served once, as JSON, and the handlers serve only
+// snapshot types, so the zero-plaintext guarantee of the recording
+// schema carries through to the wire.
 
 // MetricsHandler serves the default registry as JSON.
 func MetricsHandler() http.Handler {
@@ -58,24 +55,6 @@ func LeaksHandler() http.Handler {
 	})
 }
 
-// ConfHandler serves the rolling confidentiality summary (C_DLA and
-// per-querier mean C_query) as JSON.
-func ConfHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, L.Conf())
-	})
-}
-
-// PromHandler serves the metrics snapshot and the ledger's
-// confidentiality gauges in the Prometheus text exposition format.
-func PromHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WritePrometheus(w, M.Snapshot())
-		WritePrometheusConf(w, L.Conf())
-	})
-}
-
 // FlightHandler serves the default flight recorder as JSON. An
 // optional since query parameter (RFC 3339, fractional seconds
 // allowed) restricts the snapshot to events recorded after it.
@@ -93,27 +72,12 @@ func FlightHandler() http.Handler {
 	})
 }
 
-// Mount registers the /debug/dla/* endpoints on mux and publishes the
-// metrics snapshot as the expvar "dla_metrics", so plain expvar
-// consumers see the same numbers as /debug/dla/metrics.
+// Mount registers the /debug/dla/* endpoints on mux.
 func Mount(mux *http.ServeMux) {
 	mux.Handle("/debug/dla/metrics", MetricsHandler())
 	mux.Handle("/debug/dla/trace/", TraceHandler("/debug/dla/trace/"))
 	mux.Handle("/debug/dla/leaks", LeaksHandler())
-	mux.Handle("/debug/dla/conf", ConfHandler())
-	mux.Handle("/debug/dla/prom", PromHandler())
 	mux.Handle("/debug/dla/flight", FlightHandler())
-	publishExpvar()
-}
-
-var expvarOnce sync.Once
-
-// publishExpvar registers the expvar exactly once per process
-// (expvar.Publish panics on duplicates).
-func publishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("dla_metrics", expvar.Func(func() any { return M.Snapshot() }))
-	})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -15,8 +15,7 @@ import (
 // records the concrete secondary information it discloses while
 // executing (set cardinalities, result counts, intersection sizes,
 // glsn-range extents), and operators read the accumulated per-querier
-// ledgers plus a rolling C_DLA estimate from /debug/dla/leaks and
-// /debug/dla/conf.
+// ledgers plus a rolling C_DLA estimate from /debug/dla/leaks.
 //
 // Redaction contract. A ledger entry holds node and querier IDs,
 // session keys, fixed kind strings, and numbers — exactly the
@@ -102,17 +101,6 @@ type LedgerSnapshot struct {
 	// query the ledger has recorded.
 	CDLA    float64 `json:"c_dla"`
 	Queries int64   `json:"queries"`
-}
-
-// ConfSnapshot is the compact confidentiality summary served at
-// /debug/dla/conf: the rolling C_DLA and per-querier means without the
-// per-query entries.
-type ConfSnapshot struct {
-	CDLA     float64            `json:"c_dla"`
-	Queries  int64              `json:"queries"`
-	MeanCAud float64            `json:"mean_c_auditing"`
-	PerQuery map[string]float64 `json:"mean_c_query_by_querier,omitempty"`
-	Alarms   int64              `json:"leak_alarms"`
 }
 
 // Ledger stores bounded per-querier confidentiality ledgers.
@@ -256,24 +244,6 @@ func (l *Ledger) Snapshot() LedgerSnapshot {
 	sort.Slice(out.Queriers, func(i, j int) bool { return out.Queriers[i].Querier < out.Queriers[j].Querier })
 	if out.Queries > 0 {
 		out.CDLA = sumCQuery / float64(out.Queries)
-	}
-	return out
-}
-
-// Conf exports the compact confidentiality summary.
-func (l *Ledger) Conf() ConfSnapshot {
-	snap := l.Snapshot()
-	out := ConfSnapshot{CDLA: snap.CDLA, Queries: snap.Queries, Alarms: M.Counter(CtrLeakAlarms).Value()}
-	var sumAud float64
-	if len(snap.Queriers) > 0 {
-		out.PerQuery = make(map[string]float64, len(snap.Queriers))
-	}
-	for _, q := range snap.Queriers {
-		sumAud += q.MeanCAud * float64(q.Queries)
-		out.PerQuery[q.Querier] = q.MeanCQuery
-	}
-	if snap.Queries > 0 {
-		out.MeanCAud = sumAud / float64(snap.Queries)
 	}
 	return out
 }

@@ -28,6 +28,9 @@
 package telemetry
 
 import (
+	"math"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -204,6 +207,57 @@ func formatBound(b float64) string {
 	}
 	// Sub-millisecond bounds render in microseconds (0.25 -> 250us).
 	return itoa(int64(b*1000)) + "us"
+}
+
+// parseBound is formatBound's inverse: it reads a bucket key
+// ("le_250us", "le_5ms", "le_inf") back into its upper bound in ms.
+func parseBound(key string) float64 {
+	s := strings.TrimPrefix(key, "le_")
+	switch {
+	case s == "inf":
+		return math.Inf(1)
+	case strings.HasSuffix(s, "us"):
+		n, _ := strconv.ParseFloat(strings.TrimSuffix(s, "us"), 64)
+		return n / 1000
+	default:
+		n, _ := strconv.ParseFloat(strings.TrimSuffix(s, "ms"), 64)
+		return n
+	}
+}
+
+// Quantile estimates the q-quantile (0 < q ≤ 1) in milliseconds as the
+// upper bound of the bucket the quantile falls in — the usual coarse
+// bucket estimate. A quantile landing in the +Inf bucket returns the
+// last non-empty finite bound (the tail exceeded the range); an empty
+// histogram returns NaN.
+func (s HistogramSnapshot) Quantile(q float64) float64 {
+	type bucket struct {
+		le float64
+		n  int64
+	}
+	buckets := make([]bucket, 0, len(s.Buckets))
+	var total int64
+	for k, n := range s.Buckets {
+		buckets = append(buckets, bucket{parseBound(k), n})
+		total += n
+	}
+	if total == 0 {
+		return math.NaN()
+	}
+	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
+	rank := q * float64(total)
+	lastFinite, cum := math.NaN(), int64(0)
+	for _, b := range buckets {
+		cum += b.n
+		if math.IsInf(b.le, 1) {
+			break // only the +Inf bucket is left: report the tail's floor
+		}
+		lastFinite = b.le
+		if float64(cum) >= rank {
+			return b.le
+		}
+	}
+	return lastFinite
 }
 
 func itoa(n int64) string {

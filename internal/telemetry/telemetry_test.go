@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -31,6 +32,29 @@ func TestCounterAndHistogram(t *testing.T) {
 	}
 	if h.Buckets["le_2500us"] != 1 || h.Buckets["le_50ms"] != 1 {
 		t.Fatalf("unexpected buckets: %v", h.Buckets)
+	}
+}
+
+// TestHistogramQuantile checks the bucket estimate `dlactl top` shows
+// for fsync p50/p99, on the µs-scale ladder the fsync histogram uses.
+func TestHistogramQuantile(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram(HistWALFsync)
+	h.Observe(30 * time.Microsecond)  // le_50us
+	h.Observe(700 * time.Microsecond) // le_1ms
+	h.Observe(800 * time.Millisecond) // le_1000ms, the ladder's top finite bound
+	h.Observe(2 * time.Second)        // +Inf
+	s := r.Snapshot()
+	// The p50 sample sits in the 1ms bucket; the p99 sample lies past
+	// every finite bound and reports the last non-empty one.
+	if q := s.Histograms[HistWALFsync].Quantile(0.5); q != 1 {
+		t.Errorf("p50 = %v ms, want 1", q)
+	}
+	if q := s.Histograms[HistWALFsync].Quantile(0.99); q != 1000 {
+		t.Errorf("p99 = %v ms, want last finite bound 1000", q)
+	}
+	if q := s.Histograms["no.such.histogram"].Quantile(0.5); !math.IsNaN(q) {
+		t.Errorf("quantile of absent histogram = %v, want NaN", q)
 	}
 }
 
@@ -195,5 +219,18 @@ func TestHTTPEndpoints(t *testing.T) {
 	resp.Body.Close() //nolint:errcheck
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown session status %d, want 404", resp.StatusCode)
+	}
+
+	// Every value is served once, as JSON: no text exposition and no
+	// second projection of the ledger.
+	for _, path := range []string{"/debug/dla/prom", "/debug/dla/conf"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() //nolint:errcheck
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }

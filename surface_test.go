@@ -238,7 +238,7 @@ func allowedSurfaceDir(dir string) bool {
 // the key is "<dir>.<Type>.<Field>".
 var optionAllowed = map[string]string{
 	"internal/chaos/": "the fault-schedule suites behind the chaos and torture build tags",
-	"internal/cluster.AppendOptions.AckTimeout": "the tagged ack-loss suite shortens the store ack wait until the ack wait is reworked (ROADMAP B(a))",
+	"internal/cluster.AppendOptions.AckTimeout": "the tier-1 ack-loss suite shortens the store ack wait until the ack wait is reworked (ROADMAP B(a))",
 	"internal/resilience.DetectorConfig":        "tests compress failure detection to milliseconds; production takes the defaults (ROADMAP finding)",
 	"internal/resilience.Policy":                "tests compress retry timing to milliseconds; production takes the defaults (ROADMAP finding)",
 	"internal/cluster.ClientConfig.Signer":      "writer provenance (DESIGN row 29)",

@@ -47,7 +47,6 @@ import (
 	"confaudit/internal/core"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/mathx"
-	"confaudit/internal/resilience"
 	"confaudit/internal/storage"
 	"confaudit/internal/telemetry"
 	"confaudit/internal/transport"
@@ -205,10 +204,7 @@ func run(args []string) error {
 	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	// Retrying sends with a per-peer circuit breaker: transient TCP
-	// failures are retried with backoff, and a down peer fails fast
-	// instead of stalling every protocol round on dial timeouts.
-	rn, err := core.StartNode(resilience.Wrap(ep, resilience.Policy{}), cfg, store, nil)
+	rn, err := core.StartNode(ep, cfg, store, nil)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,9 @@
 // Package chaos is a deterministic fault-injection harness for the DLA
 // cluster. It starts every roster node through core.StartNode — storage,
-// audit, and integrity services, all speaking through retrying
-// endpoints — over a MemNetwork configured with a seeded drop rate and
-// latency jitter, and scripts node crashes and restarts mid-workload.
+// audit, and integrity services on bare endpoints, exactly as dlad and
+// core.Deploy attach them — over a MemNetwork configured with a seeded
+// drop rate and latency jitter, and scripts node crashes and restarts
+// mid-workload.
 // Nodes journal to per-node segment stores so a restarted node recovers
 // the state it held at the crash.
 //
@@ -54,9 +55,6 @@ type Options struct {
 	// Admission bounds every node's ingest admission (token-bucket rate
 	// + inflight bytes); the zero value admits everything.
 	Admission cluster.AdmissionConfig
-	// Policy is the retry/circuit-breaker policy wrapped around every
-	// endpoint.
-	Policy resilience.Policy
 	// Disk tunes each node's segment store (Backend and Dir are filled
 	// per node).
 	Disk storage.Options
@@ -127,8 +125,8 @@ func (c *Cluster) StartAll() error {
 }
 
 // StartNode boots (or, after a Crash, reboots) one roster node through
-// core.StartNode: a retrying endpoint, a segment store under DataRoot,
-// and the storage, audit, and integrity services.
+// core.StartNode: an endpoint on the chaos network, a segment store
+// under DataRoot, and the storage, audit, and integrity services.
 func (c *Cluster) StartNode(id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -154,7 +152,7 @@ func (c *Cluster) StartNode(id string) error {
 			fsys = c.opts.NewFS(id)
 		}
 	}
-	n, err := core.StartNode(resilience.Wrap(ep, c.opts.Policy), cfg, store, fsys)
+	n, err := core.StartNode(ep, cfg, store, fsys)
 	if err != nil {
 		return err
 	}
@@ -215,9 +213,9 @@ func (c *Cluster) StopAll() {
 }
 
 // NewClient attaches an application client through core.Connect under a
-// fresh, registered ticket, with a retrying endpoint, a durable outbox
-// under DataRoot, and a running failure detector (so fragments for dead
-// nodes spool and replay). StopAll closes it.
+// fresh, registered ticket, with a durable outbox under DataRoot and a
+// running failure detector (so fragments for dead nodes spool and
+// replay). StopAll closes it.
 func (c *Cluster) NewClient(ctx context.Context, clientID, ticketID string, ops ...ticket.Op) (*core.Client, error) {
 	ep, err := c.Net.Endpoint(clientID)
 	if err != nil {
@@ -227,7 +225,7 @@ func (c *Cluster) NewClient(ctx context.Context, clientID, ticketID string, ops 
 	if c.opts.DataRoot != "" {
 		cfg.OutboxPath = filepath.Join(c.opts.DataRoot, clientID+".outbox")
 	}
-	cl, err := core.Connect(ctx, resilience.Wrap(ep, c.opts.Policy), c.Boot, cfg, ticketID, ops...)
+	cl, err := core.Connect(ctx, ep, c.Boot, cfg, ticketID, ops...)
 	if err != nil {
 		return nil, err
 	}

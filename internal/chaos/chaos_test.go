@@ -20,8 +20,8 @@ import (
 	"confaudit/internal/workload"
 )
 
-// fastOptions tunes detection and retries for test time scales while
-// keeping the fault pattern deterministic in the seed.
+// fastOptions tunes detection for test time scales while keeping the
+// fault pattern deterministic in the seed.
 func fastOptions(t *testing.T, seed int64, dropRate float64) Options {
 	t.Helper()
 	return Options{
@@ -35,27 +35,6 @@ func fastOptions(t *testing.T, seed int64, dropRate float64) Options {
 			SuspectAfter: 60 * time.Millisecond,
 			DeadAfter:    120 * time.Millisecond,
 		},
-		Policy: resilience.Policy{
-			MaxAttempts:      4,
-			BaseDelay:        2 * time.Millisecond,
-			MaxDelay:         20 * time.Millisecond,
-			SendTimeout:      2 * time.Second,
-			FailureThreshold: 6,
-			OpenFor:          75 * time.Millisecond,
-			Seed:             seed,
-		},
-	}
-}
-
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -117,7 +96,7 @@ func TestChaosCrashedNodeDegradedAuditAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	amb := transport.NewMailbox(resilience.Wrap(aep, fastOptions(t, 43, 0).Policy))
+	amb := transport.NewMailbox(aep)
 	t.Cleanup(func() { amb.Close() }) //nolint:errcheck
 	auditor := audit.NewAuditor(amb, "P0", "T1")
 

@@ -69,7 +69,7 @@ func TestTortureClusterCrashLoop(t *testing.T) {
 	defer cancel()
 
 	pool := &injectorPool{current: make(map[string]*faultfs.Injector)}
-	// Fast detector/retry settings on the fastOptions pattern from the
+	// Fast detector settings on the fastOptions pattern from the
 	// chaos suite (not shared: that helper lives behind the chaos tag).
 	opts := Options{
 		Nodes:    3,
@@ -80,15 +80,6 @@ func TestTortureClusterCrashLoop(t *testing.T) {
 			Interval:     15 * time.Millisecond,
 			SuspectAfter: 60 * time.Millisecond,
 			DeadAfter:    120 * time.Millisecond,
-		},
-		Policy: resilience.Policy{
-			MaxAttempts:      4,
-			BaseDelay:        2 * time.Millisecond,
-			MaxDelay:         20 * time.Millisecond,
-			SendTimeout:      2 * time.Second,
-			FailureThreshold: 6,
-			OpenFor:          75 * time.Millisecond,
-			Seed:             seed,
 		},
 	}
 	opts.Disk = storage.Options{
@@ -245,7 +236,7 @@ func TestTortureClusterCrashLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	amb := transport.NewMailbox(resilience.Wrap(aep, opts.Policy))
+	amb := transport.NewMailbox(aep)
 	t.Cleanup(func() { amb.Close() }) //nolint:errcheck
 	auditor := audit.NewAuditor(amb, target, "T1")
 	_, qerr := auditor.Query(ctx, "*")

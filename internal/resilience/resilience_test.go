@@ -2,10 +2,8 @@ package resilience
 
 import (
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,145 +15,6 @@ func testCtx(t *testing.T) context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	t.Cleanup(cancel)
 	return ctx
-}
-
-// --- breaker ---
-
-// breakerState reads the breaker's recorded position.
-func breakerState(b *Breaker) BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
-func TestBreakerOpensAfterThreshold(t *testing.T) {
-	b := NewPeerBreaker("B", 3, 50*time.Millisecond)
-	for i := 0; i < 3; i++ {
-		if !b.Allow() {
-			t.Fatalf("closed breaker refused send %d", i)
-		}
-		b.Failure()
-	}
-	if breakerState(b) != BreakerOpen {
-		t.Fatalf("state after threshold failures = %v, want open", breakerState(b))
-	}
-	if b.Allow() {
-		t.Fatal("open breaker admitted a send inside the cool-down")
-	}
-}
-
-func TestBreakerHalfOpenProbe(t *testing.T) {
-	b := NewPeerBreaker("B", 1, 10*time.Millisecond)
-	b.Allow()
-	b.Failure() // opens
-	time.Sleep(20 * time.Millisecond)
-	if !b.Allow() {
-		t.Fatal("breaker refused the half-open probe after cool-down")
-	}
-	// Only one probe is admitted while it is in flight.
-	if b.Allow() {
-		t.Fatal("breaker admitted a second concurrent probe")
-	}
-	b.Failure() // probe failed: re-open
-	if b.Allow() {
-		t.Fatal("breaker admitted a send right after a failed probe")
-	}
-	time.Sleep(20 * time.Millisecond)
-	if !b.Allow() {
-		t.Fatal("breaker refused the second probe")
-	}
-	b.Success()
-	if breakerState(b) != BreakerClosed {
-		t.Fatalf("state after successful probe = %v, want closed", breakerState(b))
-	}
-	if !b.Allow() {
-		t.Fatal("closed breaker refused a send")
-	}
-}
-
-// --- reliable endpoint ---
-
-func TestReliableSendRetriesTransientLoss(t *testing.T) {
-	ctx := testCtx(t)
-	var drops atomic.Int32
-	net := transport.NewMemNetwork()
-	net.SetDropFn(func(m transport.Message) bool {
-		// Drop the first two attempts of application traffic.
-		return m.Type == "app" && drops.Add(1) <= 2
-	})
-	a, err := net.Endpoint("A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := net.Endpoint("B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := Wrap(a, Policy{BaseDelay: time.Millisecond, Seed: 1})
-	if err := rel.Send(ctx, transport.Message{To: "B", Type: "app", Session: "s"}); err != nil {
-		t.Fatalf("send through transient loss: %v", err)
-	}
-	got, err := b.Recv(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != "app" || got.From != "A" {
-		t.Fatalf("delivered %+v", got)
-	}
-	if n := drops.Load(); n != 3 {
-		t.Fatalf("attempts = %d, want 3 (two dropped, one through)", n)
-	}
-}
-
-func TestReliableSendFailsFastWhenCircuitOpen(t *testing.T) {
-	ctx := testCtx(t)
-	net := transport.NewMemNetwork()
-	net.SetDropFn(func(m transport.Message) bool {
-		return true // peer unreachable
-	})
-	a, err := net.Endpoint("A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Endpoint("B"); err != nil {
-		t.Fatal(err)
-	}
-	rel := Wrap(a, Policy{
-		MaxAttempts:      2,
-		BaseDelay:        time.Millisecond,
-		FailureThreshold: 2,
-		OpenFor:          time.Minute,
-		Seed:             1,
-	})
-	if err := rel.Send(ctx, transport.Message{To: "B", Type: "app"}); err == nil {
-		t.Fatal("send to unreachable peer succeeded")
-	}
-	start := time.Now()
-	err = rel.Send(ctx, transport.Message{To: "B", Type: "app"})
-	if !errors.Is(err, ErrPeerDown) {
-		t.Fatalf("open-circuit send error = %v, want ErrPeerDown", err)
-	}
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("open-circuit send took %v, want fast failure", d)
-	}
-}
-
-func TestReliableSendNoRetryOnUnknownNode(t *testing.T) {
-	ctx := testCtx(t)
-	net := transport.NewMemNetwork()
-	a, err := net.Endpoint("A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := Wrap(a, Policy{BaseDelay: 50 * time.Millisecond, Seed: 1})
-	start := time.Now()
-	err = rel.Send(ctx, transport.Message{To: "nobody", Type: "app"})
-	if !errors.Is(err, transport.ErrUnknownNode) {
-		t.Fatalf("error = %v, want ErrUnknownNode", err)
-	}
-	if d := time.Since(start); d > 40*time.Millisecond {
-		t.Fatalf("permanent error retried for %v", d)
-	}
 }
 
 // --- detector ---

@@ -2,6 +2,9 @@ package transport
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -33,6 +36,9 @@ type Mailbox struct {
 	typeWaits map[string][]chan Message
 	err       error
 
+	brMu     sync.Mutex
+	breakers map[string]*breaker
+
 	closeOnce sync.Once
 	done      chan struct{}
 	pumped    sync.WaitGroup
@@ -51,6 +57,7 @@ func NewMailbox(ep Endpoint) *Mailbox {
 		queues:    make(map[mailKey][]Message),
 		waits:     make(map[mailKey][]chan Message),
 		typeWaits: make(map[string][]chan Message),
+		breakers:  make(map[string]*breaker),
 		done:      make(chan struct{}),
 	}
 	m.pumped.Add(1)
@@ -61,12 +68,52 @@ func NewMailbox(ep Endpoint) *Mailbox {
 // ID returns the underlying endpoint's node ID.
 func (m *Mailbox) ID() string { return m.ep.ID() }
 
-// Send forwards to the underlying endpoint. Successful sends are
-// counted per protocol message type (type and payload size only — the
-// payload itself is never inspected). When the context carries an
-// active telemetry span, its trace reference is stamped into the
-// envelope so the receiver's spans stitch under it in a cluster-wide
-// trace — identifiers only, per the zero-plaintext contract.
+// The send policy. Every message leaves through Mailbox.Send, so these
+// bound, retry and fast-fail every send in the module.
+const (
+	// attemptTimeout caps one attempt, so a send with no context
+	// deadline cannot block on a stalled peer forever.
+	attemptTimeout = 2 * time.Second
+	// maxAttempts bounds the tries per lost send, the first included.
+	maxAttempts = 4
+	// retryDelay is the backoff before the first retry; it doubles per
+	// retry up to maxRetryDelay. Each wait adds up to half its own
+	// length of random jitter so retry storms from many senders
+	// decorrelate.
+	retryDelay    = 20 * time.Millisecond
+	maxRetryDelay = time.Second
+	// breakerThreshold stalled sends in a row open a peer's circuit;
+	// an open circuit refuses sends for breakerOpenFor, then admits a
+	// half-open probe.
+	breakerThreshold = 5
+	breakerOpenFor   = time.Second
+)
+
+// errPeerDown reports a send refused because the peer's circuit is
+// open: its recent sends stalled and the cool-down has not elapsed.
+var errPeerDown = errors.New("transport: peer circuit open")
+
+// Send delivers msg to msg.To. Each attempt runs under ctx and
+// attemptTimeout, and its failure decides what follows:
+//
+//   - an absent peer (ErrUnknownNode, ErrClosed: our endpoint closed,
+//     the destination closed, or a refused dial) fails at once;
+//   - a stall (the attempt deadline expired while ctx is live) fails
+//     at once and counts toward the peer's circuit breaker; while the
+//     circuit is open, sends to the peer fail fast with errPeerDown;
+//   - any other failure is loss, retried up to maxAttempts with capped
+//     exponential backoff and jitter.
+//
+// Retries reuse the original (type, session) pair, so a duplicate
+// delivery lands in the queue the first copy would have used; every
+// protocol treats duplicates within a session as idempotent.
+//
+// Successful sends are counted per protocol message type (type and
+// payload size only — the payload itself is never inspected). When the
+// context carries an active telemetry span, its trace reference is
+// stamped into the envelope so the receiver's spans stitch under it in
+// a cluster-wide trace — identifiers only, per the zero-plaintext
+// contract.
 func (m *Mailbox) Send(ctx context.Context, msg Message) error {
 	if msg.TraceSession == "" && msg.TraceSpan == "" {
 		msg.TraceSession, msg.TraceSpan = telemetry.SpanRef(ctx)
@@ -75,11 +122,55 @@ func (m *Mailbox) Send(ctx context.Context, msg Message) error {
 	if body, ok := msg.pendingBody(); ok {
 		n = payloadHdrLen + body.BinarySize()
 	}
-	err := m.ep.Send(ctx, msg)
-	if err == nil {
-		telemetry.SentTo(msg.Type, n)
+	br := m.breaker(msg.To)
+	if !br.allow() {
+		telemetry.M.Counter(telemetry.CtrBreakerDenied).Add(1)
+		return fmt.Errorf("%w: %q", errPeerDown, msg.To)
 	}
-	return err
+	delay := retryDelay
+	for attempt := 1; ; attempt++ {
+		actx, cancel := context.WithTimeout(ctx, attemptTimeout)
+		err := m.ep.Send(actx, msg)
+		stalled := actx.Err() != nil && ctx.Err() == nil
+		cancel()
+		switch {
+		case err == nil:
+			br.success()
+			telemetry.SentTo(msg.Type, n)
+			return nil
+		case stalled:
+			br.failure()
+			return fmt.Errorf("transport: send to %q stalled: %w", msg.To, err)
+		case ctx.Err() != nil || errors.Is(err, ErrUnknownNode) || errors.Is(err, ErrClosed):
+			br.release()
+			return err
+		case attempt == maxAttempts:
+			br.release()
+			return fmt.Errorf("transport: send to %q failed after %d attempts: %w", msg.To, attempt, err)
+		}
+		telemetry.M.Counter(telemetry.CtrRetries).Add(1)
+		timer := time.NewTimer(delay + rand.N(delay/2))
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			timer.Stop()
+			br.release()
+			return ctx.Err()
+		}
+		delay = min(2*delay, maxRetryDelay)
+	}
+}
+
+// breaker returns the circuit breaker guarding sends to peer.
+func (m *Mailbox) breaker(peer string) *breaker {
+	m.brMu.Lock()
+	defer m.brMu.Unlock()
+	br, ok := m.breakers[peer]
+	if !ok {
+		br = newBreaker(peer, breakerThreshold, breakerOpenFor)
+		m.breakers[peer] = br
+	}
+	return br
 }
 
 func (m *Mailbox) pump() {

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"syscall"
 
 	"confaudit/internal/telemetry"
 )
@@ -223,6 +225,10 @@ func (e *tcpEndpoint) dial(ctx context.Context, to string) (*sendConn, bool, err
 
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
+	if errors.Is(err, syscall.ECONNREFUSED) {
+		// Nothing listens at addr: TCP's closed destination.
+		return nil, false, fmt.Errorf("transport: dialing %q at %s: %w: %w", to, addr, ErrClosed, err)
+	}
 	if err != nil {
 		return nil, false, fmt.Errorf("transport: dialing %q at %s: %w", to, addr, err)
 	}

@@ -14,7 +14,9 @@
 //
 // Protocols built on top use Mailbox, which demultiplexes incoming
 // messages by (type, session) so that independent protocol rounds can
-// interleave on one endpoint without stealing each other's messages.
+// interleave on one endpoint without stealing each other's messages,
+// and whose Send is the one send path: it bounds, retries and
+// fast-fails every send (see Mailbox.Send).
 package transport
 
 import (

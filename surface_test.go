@@ -240,7 +240,6 @@ var optionAllowed = map[string]string{
 	"internal/chaos/": "the fault-schedule suites behind the chaos and torture build tags",
 	"internal/cluster.AppendOptions.AckTimeout": "the tier-1 ack-loss suite shortens the store ack wait until the ack wait is reworked (ROADMAP B(a))",
 	"internal/resilience.DetectorConfig":        "tests compress failure detection to milliseconds; production takes the defaults (ROADMAP finding)",
-	"internal/resilience.Policy":                "tests compress retry timing to milliseconds; production takes the defaults (ROADMAP finding)",
 	"internal/cluster.ClientConfig.Signer":      "writer provenance (DESIGN row 29)",
 	"internal/smc/sum.Config.Weights":           "the section 3.5 weighted sum",
 }

@@ -217,7 +217,6 @@ func (c *Client) ReplayOutbox(ctx context.Context, peer string) (int, error) {
 // binary payload bytes: replay resends them verbatim under the original
 // message type and awaits the node's single MsgLogAck.
 func (c *Client) spool(msg transport.Message, g logmodel.GLSN) error {
-	msg.EncodePayload()
 	_, err := c.outbox.Append(resilience.OutboxEntry{
 		To:      msg.To,
 		Type:    msg.Type,
@@ -365,8 +364,11 @@ func (c *Client) storeRange(ctx context.Context, first logmodel.GLSN, records []
 		wg.Add(1)
 		go func(node string, items []batchItem) {
 			defer wg.Done()
-			msg := transport.NewBinaryMessage(node, MsgLogStoreBatch, "", &storeBatchBody{TicketID: c.tk.ID, Items: items})
-			if err := c.deliverStore(ctx, msg, first, len(items), opts, true); err != nil {
+			msg, err := transport.NewMessage(node, MsgLogStoreBatch, "", &storeBatchBody{TicketID: c.tk.ID, Items: items})
+			if err == nil {
+				err = c.deliverStore(ctx, msg, first, len(items), opts, true)
+			}
+			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = fmt.Errorf("cluster: storing batch on %s: %w", node, err)

@@ -207,7 +207,10 @@ func TestStoreRejectsForeignGLSN(t *testing.T) {
 	// honest ticket.
 	node := tc.boot.Partition.Owner("id")
 	item := batchItem{Fragment: logmodel.Fragment{GLSN: g, Values: map[logmodel.Attr]logmodel.Value{"id": logmodel.String("FORGED")}}}
-	msg := transport.NewBinaryMessage(node, MsgLogStoreBatch, "", &storeBatchBody{TicketID: attacker.tk.ID, Items: []batchItem{item}})
+	msg, err := transport.NewMessage(node, MsgLogStoreBatch, "", &storeBatchBody{TicketID: attacker.tk.ID, Items: []batchItem{item}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	err = attacker.deliverStore(ctx, msg, g, 1, AppendOptions{}.withDefaults(), false)
 	if err == nil {
 		t.Fatal("store under a foreign glsn accepted")
@@ -242,7 +245,10 @@ func TestStoreRefusesItemWithoutExponents(t *testing.T) {
 		"no digest exponent":  {Fragment: frags[node], WitnessExp: wits[node]},
 		"no witness exponent": {Fragment: frags[node], DigestExp: dexp},
 	} {
-		msg := transport.NewBinaryMessage(node, MsgLogStoreBatch, "", &storeBatchBody{TicketID: c.tk.ID, Items: []batchItem{item}})
+		msg, err := transport.NewMessage(node, MsgLogStoreBatch, "", &storeBatchBody{TicketID: c.tk.ID, Items: []batchItem{item}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := c.deliverStore(ctx, msg, g, 1, AppendOptions{}.withDefaults(), false); err == nil {
 			t.Fatalf("%s: store accepted", name)
 		}

@@ -12,6 +12,7 @@ import (
 	"confaudit/internal/storage"
 	"confaudit/internal/telemetry"
 	"confaudit/internal/ticket"
+	"confaudit/internal/wire"
 	"confaudit/internal/workpool"
 )
 
@@ -66,9 +67,11 @@ type storeJournal struct {
 
 // entryRecord converts one walEntry to its storage Record.
 func entryRecord(e *walEntry) (storage.Record, error) {
-	data := make([]byte, 0, 2+walEntrySize(e))
-	data = append(data, walBinMagic, walBinVersion)
-	data, err := appendWALEntry(data, e)
+	var err error
+	data := wire.Encode(func(dst []byte) []byte {
+		dst, err = appendWALEntry(append(dst, walBinMagic, walBinVersion), e)
+		return dst
+	})
 	if err != nil {
 		return storage.Record{}, fmt.Errorf("cluster: encoding journal entry: %w", err)
 	}

@@ -3,14 +3,12 @@ package cluster
 import (
 	"crypto/ed25519"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
-	"math/big"
-	"math/bits"
 	"sort"
 
 	"confaudit/internal/logmodel"
+	"confaudit/internal/wire"
 	"confaudit/internal/workpool"
 )
 
@@ -19,284 +17,91 @@ import (
 // Every write crosses the same bodies: the glsn range request and
 // response (MsgGLSNRange), the agreement round bodies behind it, the
 // one store message (storeBatchBody, MsgLogStoreBatch) and its ack.
-// Each implements transport.BinaryBody with a compact uvarint encoding,
-// so accumulator big-integers travel as raw bytes rather than decimal
-// text and the bodies ride the zero-copy pooled-frame path on every
-// transport. A journal "frag" entry (appendWALEntry) carries its store
-// item in the item encoding itself, so a store item has one encoding on
-// the wire and on disk. The bodies keep their JSON tags only as the
-// reference encoding the differential fuzz tests compare against.
+// Each implements transport.BinaryBody as a sequence of internal/wire
+// primitives, so accumulator big-integers travel as raw bytes rather
+// than decimal text. A journal "frag" entry (appendWALEntry) carries
+// its store item in the item encoding itself, so a store item has one
+// encoding on the wire and on disk. The bodies keep their JSON tags
+// only as the reference encoding the differential fuzz tests compare
+// against.
 //
-// Layout conventions (all integers uvarint unless noted):
+// Layout of the cluster's own shapes, over the wire primitives:
 //
-//   - strings and byte runs: len ‖ bytes. Optional byte runs (where
-//     JSON distinguishes null from empty) use flag 0 for nil, else
-//     len+1 ‖ bytes.
-//   - big integers: tag 0 for nil, 1 for zero/positive, 2 for
-//     negative; then len ‖ absolute-value bytes.
 //   - signatures (votes, tickets, provenance): an optional byte run
 //     that is either absent or exactly one Ed25519 signature (64
 //     bytes); any other length is refused at decode.
 //   - attribute values: kind ‖ len(S) ‖ S ‖ zigzag(I) ‖ bits(F).
-//   - fragments: glsn ‖ len(node) ‖ node ‖ values flag (0 nil, else
-//     count+1) ‖ { len(attr) ‖ attr ‖ value }* with attributes sorted,
-//     so encoding is deterministic across runs.
-//   - store batches: each item is length-prefixed, so the node-side
-//     decoder can slice the item run serially and decode the items
-//     themselves in parallel over the shared worker pool.
+//   - fragments: glsn ‖ len(node) ‖ node ‖ optional count ‖
+//     { len(attr) ‖ attr ‖ value }* with attributes sorted, so encoding
+//     is deterministic across runs.
+//   - store batches: each item is length-prefixed (wire.AppendPrefixed),
+//     so the node-side decoder can slice the item run serially and
+//     decode the items themselves in parallel over the shared worker
+//     pool.
 //
 // Only sizes and counts are visible in the framing — the secondary
 // information Definition 1 permits; attribute values and ciphertext
 // appear exactly as opaque runs.
 //
-// Decoding is canonical: an overlong varint, a big integer with a
-// leading zero byte or a negative zero, and fragment attributes out of
-// order or repeated are refused, so every accepted encoding is the one
-// the encoder writes.
-
-// errBadWire reports a hostile or truncated binary cluster body.
-var errBadWire = errors.New("cluster: bad wire encoding")
-
-// uvarintLen is the encoded size of v.
-func uvarintLen(v uint64) int {
-	return (bits.Len64(v|1) + 6) / 7
-}
+// Decoding is canonical: on top of the wire decoder's own refusals,
+// fragment attributes out of order or repeated are refused, so every
+// accepted encoding is the one the encoder writes. Every refusal wraps
+// wire.ErrMalformed.
 
 // zigzag maps signed to unsigned so small negatives stay small.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// --- size helpers ---
-
-func sizeString(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
-
-// sizeOptBytes sizes a nil-distinguishing byte run.
-func sizeOptBytes(b []byte) int {
-	if b == nil {
-		return 1
-	}
-	return uvarintLen(uint64(len(b))+1) + len(b)
-}
-
-func sizeBig(v *big.Int) int {
-	if v == nil {
-		return 1
-	}
-	n := (v.BitLen() + 7) / 8
-	return 1 + uvarintLen(uint64(n)) + n
-}
-
-func sizeValue(v logmodel.Value) int {
-	return uvarintLen(uint64(v.Kind)) + sizeString(v.S) +
-		uvarintLen(zigzag(v.I)) + uvarintLen(math.Float64bits(v.F))
-}
-
-func sizeFragment(f *logmodel.Fragment) int {
-	n := uvarintLen(uint64(f.GLSN)) + sizeString(f.Node)
-	if f.Values == nil {
-		return n + 1
-	}
-	n += uvarintLen(uint64(len(f.Values)) + 1)
-	for a, v := range f.Values {
-		n += sizeString(string(a)) + sizeValue(v)
-	}
-	return n
-}
-
-// --- append helpers ---
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendOptBytes(dst, b []byte) []byte {
-	if b == nil {
-		return append(dst, 0)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(b))+1)
-	return append(dst, b...)
-}
-
-func appendBig(dst []byte, v *big.Int) []byte {
-	if v == nil {
-		return append(dst, 0)
-	}
-	tag := byte(1)
-	if v.Sign() < 0 {
-		tag = 2
-	}
-	dst = append(dst, tag)
-	b := v.Bytes()
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
 func appendValue(dst []byte, v logmodel.Value) []byte {
 	dst = binary.AppendUvarint(dst, uint64(v.Kind))
-	dst = appendString(dst, v.S)
+	dst = wire.AppendRun(dst, v.S)
 	dst = binary.AppendUvarint(dst, zigzag(v.I))
 	return binary.AppendUvarint(dst, math.Float64bits(v.F))
 }
 
 func appendFragment(dst []byte, f *logmodel.Fragment) []byte {
 	dst = binary.AppendUvarint(dst, uint64(f.GLSN))
-	dst = appendString(dst, f.Node)
-	if f.Values == nil {
-		return append(dst, 0)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(f.Values))+1)
+	dst = wire.AppendRun(dst, f.Node)
+	dst = wire.AppendOptCount(dst, len(f.Values), f.Values != nil)
 	attrs := make([]logmodel.Attr, 0, len(f.Values))
 	for a := range f.Values {
 		attrs = append(attrs, a)
 	}
 	sort.Slice(attrs, func(i, j int) bool { return attrs[i] < attrs[j] })
 	for _, a := range attrs {
-		dst = appendString(dst, string(a))
+		dst = wire.AppendRun(dst, string(a))
 		dst = appendValue(dst, f.Values[a])
 	}
 	return dst
 }
 
-// --- decoder ---
-
-// wireDec is a bounds-checked cursor over one binary body. Every
-// accessor copies what it hands out (directly or via string/big.Int
-// construction), because the source buffer is a recycled frame.
-type wireDec struct{ rest []byte }
-
-func (d *wireDec) num() (uint64, error) {
-	v, sz := binary.Uvarint(d.rest)
-	if sz <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint", errBadWire)
+// decodeSig decodes an optional Ed25519 signature, refusing any present
+// run that is not exactly one signature long.
+func decodeSig(d *wire.Dec) ([]byte, error) {
+	sig, err := d.OptBytes()
+	if err == nil && sig != nil && len(sig) != ed25519.SignatureSize {
+		return nil, fmt.Errorf("%w: signature of %d bytes, want %d", wire.ErrMalformed, len(sig), ed25519.SignatureSize)
 	}
-	if sz != uvarintLen(v) {
-		return 0, fmt.Errorf("%w: overlong varint", errBadWire)
-	}
-	d.rest = d.rest[sz:]
-	return v, nil
+	return sig, err
 }
 
-// small rejects counts and lengths wider than 32 bits: everything the
-// codec frames is bounded by the frame it arrived in, so anything
-// larger is a hostile encoding.
-func (d *wireDec) small() (int, error) {
-	v, err := d.num()
-	if err != nil {
-		return 0, err
-	}
-	// math.MaxInt32, not 1<<31: admitting exactly 2^31 would wrap the
-	// int conversion negative on 32-bit platforms and reach a slice
-	// expression with a negative index.
-	if v > math.MaxInt32 {
-		return 0, fmt.Errorf("%w: field %d out of range", errBadWire, v)
-	}
-	return int(v), nil
-}
-
-func (d *wireDec) take(n int) ([]byte, error) {
-	if n > len(d.rest) {
-		return nil, fmt.Errorf("%w: run of %d bytes exceeds remaining %d", errBadWire, n, len(d.rest))
-	}
-	b := d.rest[:n]
-	d.rest = d.rest[n:]
-	return b, nil
-}
-
-func (d *wireDec) str() (string, error) {
-	n, err := d.small()
-	if err != nil {
-		return "", err
-	}
-	b, err := d.take(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func (d *wireDec) optBytes() ([]byte, error) {
-	n, err := d.small()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	b, err := d.take(n - 1)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), b...), nil
-}
-
-// sig decodes an optional Ed25519 signature, refusing any present run
-// that is not exactly one signature long.
-func (d *wireDec) sig() ([]byte, error) {
-	n, err := d.small()
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	if n-1 != ed25519.SignatureSize {
-		return nil, fmt.Errorf("%w: signature of %d bytes, want %d", errBadWire, n-1, ed25519.SignatureSize)
-	}
-	b, err := d.take(ed25519.SignatureSize)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), b...), nil
-}
-
-func (d *wireDec) big() (*big.Int, error) {
-	tag, err := d.take(1)
-	if err != nil {
-		return nil, err
-	}
-	switch tag[0] {
-	case 0:
-		return nil, nil
-	case 1, 2:
-	default:
-		return nil, fmt.Errorf("%w: big-int tag %d", errBadWire, tag[0])
-	}
-	n, err := d.small()
-	if err != nil {
-		return nil, err
-	}
-	b, err := d.take(n)
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 && b[0] == 0 {
-		return nil, fmt.Errorf("%w: big integer with a leading zero byte", errBadWire)
-	}
-	if n == 0 && tag[0] == 2 {
-		return nil, fmt.Errorf("%w: negative zero", errBadWire)
-	}
-	v := new(big.Int).SetBytes(b)
-	if tag[0] == 2 {
-		v.Neg(v)
-	}
-	return v, nil
-}
-
-func (d *wireDec) value() (logmodel.Value, error) {
+func decodeValue(d *wire.Dec) (logmodel.Value, error) {
 	var v logmodel.Value
-	k, err := d.small()
+	k, err := d.Small()
 	if err != nil {
 		return v, err
 	}
 	v.Kind = logmodel.Kind(k)
-	if v.S, err = d.str(); err != nil {
+	if v.S, err = d.Str(); err != nil {
 		return v, err
 	}
-	i, err := d.num()
+	i, err := d.Num()
 	if err != nil {
 		return v, err
 	}
 	v.I = unzigzag(i)
-	f, err := d.num()
+	f, err := d.Num()
 	if err != nil {
 		return v, err
 	}
@@ -304,40 +109,32 @@ func (d *wireDec) value() (logmodel.Value, error) {
 	return v, nil
 }
 
-func (d *wireDec) fragment() (logmodel.Fragment, error) {
+func decodeFragment(d *wire.Dec) (logmodel.Fragment, error) {
 	var f logmodel.Fragment
-	g, err := d.num()
+	g, err := d.Num()
 	if err != nil {
 		return f, err
 	}
 	f.GLSN = logmodel.GLSN(g)
-	if f.Node, err = d.str(); err != nil {
+	if f.Node, err = d.Str(); err != nil {
 		return f, err
 	}
-	flag, err := d.small()
-	if err != nil {
+	count, present, err := d.OptCount()
+	if err != nil || !present {
 		return f, err
-	}
-	if flag == 0 {
-		return f, nil
-	}
-	count := flag - 1
-	if count > len(d.rest) {
-		// Every value costs at least one byte.
-		return f, fmt.Errorf("%w: fragment claims %d values in %d bytes", errBadWire, count, len(d.rest))
 	}
 	f.Values = make(map[logmodel.Attr]logmodel.Value, count)
 	prev := ""
 	for i := 0; i < count; i++ {
-		a, err := d.str()
+		a, err := d.Str()
 		if err != nil {
 			return f, err
 		}
 		if i > 0 && a <= prev {
-			return f, fmt.Errorf("%w: fragment attributes out of order", errBadWire)
+			return f, fmt.Errorf("%w: fragment attributes out of order", wire.ErrMalformed)
 		}
 		prev = a
-		v, err := d.value()
+		v, err := decodeValue(d)
 		if err != nil {
 			return f, err
 		}
@@ -346,51 +143,38 @@ func (d *wireDec) fragment() (logmodel.Fragment, error) {
 	return f, nil
 }
 
-// done refuses trailing bytes after a complete body.
-func (d *wireDec) done() error {
-	if len(d.rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", errBadWire, len(d.rest))
-	}
-	return nil
-}
-
 // --- batchItem / storeBatchBody ---
-
-func sizeBatchItem(it *batchItem) int {
-	return sizeFragment(&it.Fragment) + sizeBig(it.DigestExp) +
-		sizeOptBytes(it.Provenance) + sizeBig(it.WitnessExp)
-}
 
 func appendBatchItem(dst []byte, it *batchItem) []byte {
 	dst = appendFragment(dst, &it.Fragment)
-	dst = appendBig(dst, it.DigestExp)
-	dst = appendOptBytes(dst, it.Provenance)
-	return appendBig(dst, it.WitnessExp)
+	dst = wire.AppendBig(dst, it.DigestExp)
+	dst = wire.AppendOptBytes(dst, it.Provenance)
+	return wire.AppendBig(dst, it.WitnessExp)
 }
 
-// item decodes one store item at the cursor: a store body's item run
-// and the tail of a journal "frag" entry alike.
-func (d *wireDec) item(it *batchItem) error {
+// decodeItem decodes one store item at the cursor: a store body's item
+// run and the tail of a journal "frag" entry alike.
+func decodeItem(d *wire.Dec, it *batchItem) error {
 	var err error
-	if it.Fragment, err = d.fragment(); err != nil {
+	if it.Fragment, err = decodeFragment(d); err != nil {
 		return err
 	}
-	if it.DigestExp, err = d.big(); err != nil {
+	if it.DigestExp, err = d.Big(); err != nil {
 		return err
 	}
-	if it.Provenance, err = d.sig(); err != nil {
+	if it.Provenance, err = decodeSig(d); err != nil {
 		return err
 	}
-	it.WitnessExp, err = d.big()
+	it.WitnessExp, err = d.Big()
 	return err
 }
 
 func decodeBatchItem(src []byte, it *batchItem) error {
-	d := wireDec{rest: src}
-	if err := d.item(it); err != nil {
+	d := wire.NewDec(src)
+	if err := decodeItem(&d, it); err != nil {
 		return err
 	}
-	return d.done()
+	return d.Done()
 }
 
 // ingestFanoutThreshold is the batch size at which the node-side store
@@ -398,67 +182,43 @@ func decodeBatchItem(src []byte, it *batchItem) error {
 // Below it the serial loop is cheaper than the pool handoff.
 const ingestFanoutThreshold = 8
 
-func (b *storeBatchBody) BinarySize() int {
-	n := sizeString(b.TicketID)
-	if b.Items == nil {
-		return n + 1
-	}
-	n += uvarintLen(uint64(len(b.Items)) + 1)
-	for i := range b.Items {
-		sz := sizeBatchItem(&b.Items[i])
-		n += uvarintLen(uint64(sz)) + sz
-	}
-	return n
-}
-
 func (b *storeBatchBody) AppendBinary(dst []byte) []byte {
-	dst = appendString(dst, b.TicketID)
-	if b.Items == nil {
-		return append(dst, 0)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(b.Items))+1)
+	dst = wire.AppendRun(dst, b.TicketID)
+	dst = wire.AppendOptCount(dst, len(b.Items), b.Items != nil)
 	for i := range b.Items {
-		it := &b.Items[i]
-		dst = binary.AppendUvarint(dst, uint64(sizeBatchItem(it)))
-		dst = appendBatchItem(dst, it)
+		dst = wire.AppendPrefixed(dst, func(dst []byte) []byte {
+			return appendBatchItem(dst, &b.Items[i])
+		})
 	}
 	return dst
 }
 
 func (b *storeBatchBody) DecodeBinary(src []byte) error {
-	d := wireDec{rest: src}
+	d := wire.NewDec(src)
 	var err error
-	if b.TicketID, err = d.str(); err != nil {
+	if b.TicketID, err = d.Str(); err != nil {
 		return err
 	}
-	flag, err := d.small()
+	// Each item costs at least its one-byte length prefix.
+	count, present, err := d.OptCount()
 	if err != nil {
 		return err
 	}
 	b.Items = nil
-	if flag == 0 {
-		return d.done()
-	}
-	count := flag - 1
-	if count > len(d.rest) {
-		// Each item costs at least its one-byte length prefix.
-		return fmt.Errorf("%w: batch claims %d items in %d bytes", errBadWire, count, len(d.rest))
+	if !present {
+		return d.Done()
 	}
 	// Slice the item runs serially (a cheap varint scan), then decode
 	// the items themselves — fragment maps, big-integer exponents — in
 	// parallel over the shared pool. Each item run is decoded into its
 	// own slot, and every decode copies out of the recycled frame.
 	runs := make([][]byte, count)
-	for i := 0; i < count; i++ {
-		n, err := d.small()
-		if err != nil {
-			return err
-		}
-		if runs[i], err = d.take(n); err != nil {
+	for i := range runs {
+		if runs[i], err = d.Run(); err != nil {
 			return err
 		}
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
 	}
 	b.Items = make([]batchItem, count)
@@ -477,10 +237,6 @@ func (b *storeBatchBody) DecodeBinary(src []byte) error {
 
 // --- ackBody ---
 
-func (b *ackBody) BinarySize() int {
-	return 1 + sizeString(b.Error)
-}
-
 func (b *ackBody) AppendBinary(dst []byte) []byte {
 	var flags byte
 	if b.OK {
@@ -490,167 +246,131 @@ func (b *ackBody) AppendBinary(dst []byte) []byte {
 		flags |= 2
 	}
 	dst = append(dst, flags)
-	return appendString(dst, b.Error)
+	return wire.AppendRun(dst, b.Error)
 }
 
 func (b *ackBody) DecodeBinary(src []byte) error {
-	d := wireDec{rest: src}
-	flags, err := d.take(1)
+	d := wire.NewDec(src)
+	flags, err := d.Take(1)
 	if err != nil {
 		return err
 	}
 	if flags[0]&^3 != 0 {
-		return fmt.Errorf("%w: ack flags %#x", errBadWire, flags[0])
+		return fmt.Errorf("%w: ack flags %#x", wire.ErrMalformed, flags[0])
 	}
 	b.OK = flags[0]&1 != 0
 	b.Overloaded = flags[0]&2 != 0
-	if b.Error, err = d.str(); err != nil {
+	if b.Error, err = d.Str(); err != nil {
 		return err
 	}
-	return d.done()
+	return d.Done()
 }
 
 // --- glsn round bodies ---
 
-func (b *glsnRangeReqBody) BinarySize() int {
-	return sizeString(b.TicketID) + uvarintLen(uint64(b.Count))
-}
-
 func (b *glsnRangeReqBody) AppendBinary(dst []byte) []byte {
-	dst = appendString(dst, b.TicketID)
+	dst = wire.AppendRun(dst, b.TicketID)
 	return binary.AppendUvarint(dst, uint64(b.Count))
 }
 
 func (b *glsnRangeReqBody) DecodeBinary(src []byte) error {
-	d := wireDec{rest: src}
+	d := wire.NewDec(src)
 	var err error
-	if b.TicketID, err = d.str(); err != nil {
+	if b.TicketID, err = d.Str(); err != nil {
 		return err
 	}
-	if b.Count, err = d.small(); err != nil {
+	if b.Count, err = d.Small(); err != nil {
 		return err
 	}
-	return d.done()
-}
-
-func (b *glsnRangeRespBody) BinarySize() int {
-	return uvarintLen(uint64(b.First)) + uvarintLen(uint64(b.Count)) + sizeString(b.Error)
+	return d.Done()
 }
 
 func (b *glsnRangeRespBody) AppendBinary(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(b.First))
 	dst = binary.AppendUvarint(dst, uint64(b.Count))
-	return appendString(dst, b.Error)
+	return wire.AppendRun(dst, b.Error)
 }
 
 func (b *glsnRangeRespBody) DecodeBinary(src []byte) error {
-	d := wireDec{rest: src}
-	first, err := d.num()
+	d := wire.NewDec(src)
+	first, err := d.Num()
 	if err != nil {
 		return err
 	}
 	b.First = logmodel.GLSN(first)
-	if b.Count, err = d.small(); err != nil {
+	if b.Count, err = d.Small(); err != nil {
 		return err
 	}
-	if b.Error, err = d.str(); err != nil {
+	if b.Error, err = d.Str(); err != nil {
 		return err
 	}
-	return d.done()
+	return d.Done()
 }
 
 // --- agreement (quorum) round bodies ---
 
-func (b *agreeReqBody) BinarySize() int { return sizeOptBytes(b.Statement) }
-
 func (b *agreeReqBody) AppendBinary(dst []byte) []byte {
-	return appendOptBytes(dst, b.Statement)
+	return wire.AppendOptBytes(dst, b.Statement)
 }
 
 func (b *agreeReqBody) DecodeBinary(src []byte) error {
-	d := wireDec{rest: src}
+	d := wire.NewDec(src)
 	var err error
-	if b.Statement, err = d.optBytes(); err != nil {
+	if b.Statement, err = d.OptBytes(); err != nil {
 		return err
 	}
-	return d.done()
-}
-
-func (b *agreeVoteBody) BinarySize() int {
-	return sizeOptBytes(b.Sig) + sizeString(b.Refused)
+	return d.Done()
 }
 
 func (b *agreeVoteBody) AppendBinary(dst []byte) []byte {
-	dst = appendOptBytes(dst, b.Sig)
-	return appendString(dst, b.Refused)
+	dst = wire.AppendOptBytes(dst, b.Sig)
+	return wire.AppendRun(dst, b.Refused)
 }
 
 func (b *agreeVoteBody) DecodeBinary(src []byte) error {
-	d := wireDec{rest: src}
+	d := wire.NewDec(src)
 	var err error
-	if b.Sig, err = d.sig(); err != nil {
+	if b.Sig, err = decodeSig(&d); err != nil {
 		return err
 	}
-	if b.Refused, err = d.str(); err != nil {
+	if b.Refused, err = d.Str(); err != nil {
 		return err
 	}
-	return d.done()
-}
-
-func sizeCertificate(c *Certificate) int {
-	n := sizeOptBytes(c.Statement)
-	if c.Votes == nil {
-		return n + 1
-	}
-	n += uvarintLen(uint64(len(c.Votes)) + 1)
-	for node, sig := range c.Votes {
-		n += sizeString(node) + sizeOptBytes(sig)
-	}
-	return n
+	return d.Done()
 }
 
 func appendCertificate(dst []byte, c *Certificate) []byte {
-	dst = appendOptBytes(dst, c.Statement)
-	if c.Votes == nil {
-		return append(dst, 0)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(c.Votes))+1)
+	dst = wire.AppendOptBytes(dst, c.Statement)
+	dst = wire.AppendOptCount(dst, len(c.Votes), c.Votes != nil)
 	nodes := make([]string, 0, len(c.Votes))
 	for node := range c.Votes {
 		nodes = append(nodes, node)
 	}
 	sort.Strings(nodes)
 	for _, node := range nodes {
-		dst = appendString(dst, node)
-		dst = appendOptBytes(dst, c.Votes[node])
+		dst = wire.AppendRun(dst, node)
+		dst = wire.AppendOptBytes(dst, c.Votes[node])
 	}
 	return dst
 }
 
-func decodeCertificate(d *wireDec, c *Certificate) error {
+func decodeCertificate(d *wire.Dec, c *Certificate) error {
 	var err error
-	if c.Statement, err = d.optBytes(); err != nil {
+	if c.Statement, err = d.OptBytes(); err != nil {
 		return err
 	}
-	flag, err := d.small()
-	if err != nil {
-		return err
-	}
+	count, present, err := d.OptCount()
 	c.Votes = nil
-	if flag == 0 {
-		return nil
-	}
-	count := flag - 1
-	if count > len(d.rest) {
-		return fmt.Errorf("%w: certificate claims %d votes in %d bytes", errBadWire, count, len(d.rest))
+	if err != nil || !present {
+		return err
 	}
 	c.Votes = make(map[string][]byte, count)
 	for i := 0; i < count; i++ {
-		node, err := d.str()
+		node, err := d.Str()
 		if err != nil {
 			return err
 		}
-		sig, err := d.sig()
+		sig, err := decodeSig(d)
 		if err != nil {
 			return err
 		}
@@ -659,18 +379,16 @@ func decodeCertificate(d *wireDec, c *Certificate) error {
 	return nil
 }
 
-func (b *agreeCommitBody) BinarySize() int { return sizeCertificate(&b.Cert) }
-
 func (b *agreeCommitBody) AppendBinary(dst []byte) []byte {
 	return appendCertificate(dst, &b.Cert)
 }
 
 func (b *agreeCommitBody) DecodeBinary(src []byte) error {
-	d := wireDec{rest: src}
+	d := wire.NewDec(src)
 	if err := decodeCertificate(&d, &b.Cert); err != nil {
 		return err
 	}
-	return d.done()
+	return d.Done()
 }
 
 // --- walEntry (journal record payload, see storejournal.go) ---
@@ -682,79 +400,41 @@ var walKindCode = map[string]byte{"ticket": 1, "grant": 2, "frag": 3, "delete": 
 
 var walKindName = [5]string{"", "ticket", "grant", "frag", "delete"}
 
-func sizeWireTicket(t *wireTicket) int {
-	n := sizeString(t.ID) + sizeString(t.Holder)
-	if t.Ops == nil {
-		n++
-	} else {
-		n += uvarintLen(uint64(len(t.Ops)) + 1)
-		for _, o := range t.Ops {
-			n += uvarintLen(uint64(o))
-		}
-	}
-	return n + sizeOptBytes(t.Sig)
-}
-
 func appendWireTicket(dst []byte, t *wireTicket) []byte {
-	dst = appendString(dst, t.ID)
-	dst = appendString(dst, t.Holder)
-	if t.Ops == nil {
-		dst = append(dst, 0)
-	} else {
-		dst = binary.AppendUvarint(dst, uint64(len(t.Ops))+1)
-		for _, o := range t.Ops {
-			dst = binary.AppendUvarint(dst, uint64(o))
-		}
+	dst = wire.AppendRun(dst, t.ID)
+	dst = wire.AppendRun(dst, t.Holder)
+	dst = wire.AppendOptCount(dst, len(t.Ops), t.Ops != nil)
+	for _, o := range t.Ops {
+		dst = binary.AppendUvarint(dst, uint64(o))
 	}
-	return appendOptBytes(dst, t.Sig)
+	return wire.AppendOptBytes(dst, t.Sig)
 }
 
-func decodeWireTicket(d *wireDec) (*wireTicket, error) {
+func decodeWireTicket(d *wire.Dec) (*wireTicket, error) {
 	var t wireTicket
 	var err error
-	if t.ID, err = d.str(); err != nil {
+	if t.ID, err = d.Str(); err != nil {
 		return nil, err
 	}
-	if t.Holder, err = d.str(); err != nil {
+	if t.Holder, err = d.Str(); err != nil {
 		return nil, err
 	}
-	flag, err := d.small()
+	count, present, err := d.OptCount()
 	if err != nil {
 		return nil, err
 	}
-	if flag > 0 {
-		count := flag - 1
-		if count > len(d.rest) {
-			return nil, fmt.Errorf("%w: ticket claims %d ops in %d bytes", errBadWire, count, len(d.rest))
-		}
+	if present {
 		t.Ops = make([]int, count)
 		for i := range t.Ops {
-			if t.Ops[i], err = d.small(); err != nil {
+			if t.Ops[i], err = d.Small(); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if t.Sig, err = d.sig(); err != nil {
+	if t.Sig, err = decodeSig(d); err != nil {
 		return nil, err
 	}
 	return &t, nil
-}
-
-// walEntrySize is the exact encoded payload size of one journal entry.
-func walEntrySize(e *walEntry) int {
-	n := 1 // kind code
-	n++    // ticket presence flag
-	if e.Ticket != nil {
-		n += sizeWireTicket(e.Ticket)
-	}
-	n += sizeString(e.TicketID)
-	n += uvarintLen(uint64(e.GLSN))
-	n += uvarintLen(uint64(e.Count))
-	n++ // item presence flag
-	if e.Item != nil {
-		n += sizeBatchItem(e.Item)
-	}
-	return n
 }
 
 // appendWALEntry appends the binary payload of one journal entry, in
@@ -772,7 +452,7 @@ func appendWALEntry(dst []byte, e *walEntry) ([]byte, error) {
 		dst = append(dst, 1)
 		dst = appendWireTicket(dst, e.Ticket)
 	}
-	dst = appendString(dst, e.TicketID)
+	dst = wire.AppendRun(dst, e.TicketID)
 	dst = binary.AppendUvarint(dst, uint64(e.GLSN))
 	dst = binary.AppendUvarint(dst, uint64(e.Count))
 	if e.Item == nil {
@@ -785,16 +465,16 @@ func appendWALEntry(dst []byte, e *walEntry) ([]byte, error) {
 // decodeWALEntry decodes one binary journal payload.
 func decodeWALEntry(src []byte) (walEntry, error) {
 	var e walEntry
-	d := wireDec{rest: src}
-	code, err := d.take(1)
+	d := wire.NewDec(src)
+	code, err := d.Take(1)
 	if err != nil {
 		return e, err
 	}
 	if code[0] == 0 || int(code[0]) >= len(walKindName) {
-		return e, fmt.Errorf("%w: WAL kind code %d", errBadWire, code[0])
+		return e, fmt.Errorf("%w: WAL kind code %d", wire.ErrMalformed, code[0])
 	}
 	e.Kind = walKindName[code[0]]
-	flag, err := d.take(1)
+	flag, err := d.Take(1)
 	if err != nil {
 		return e, err
 	}
@@ -803,29 +483,29 @@ func decodeWALEntry(src []byte) (walEntry, error) {
 			return e, err
 		}
 	} else if flag[0] != 0 {
-		return e, fmt.Errorf("%w: ticket flag %d", errBadWire, flag[0])
+		return e, fmt.Errorf("%w: ticket flag %d", wire.ErrMalformed, flag[0])
 	}
-	if e.TicketID, err = d.str(); err != nil {
+	if e.TicketID, err = d.Str(); err != nil {
 		return e, err
 	}
-	g, err := d.num()
+	g, err := d.Num()
 	if err != nil {
 		return e, err
 	}
 	e.GLSN = logmodel.GLSN(g)
-	if e.Count, err = d.small(); err != nil {
+	if e.Count, err = d.Small(); err != nil {
 		return e, err
 	}
-	if flag, err = d.take(1); err != nil {
+	if flag, err = d.Take(1); err != nil {
 		return e, err
 	}
 	if flag[0] == 1 {
 		e.Item = new(batchItem)
-		if err := d.item(e.Item); err != nil {
+		if err := decodeItem(&d, e.Item); err != nil {
 			return e, err
 		}
 	} else if flag[0] != 0 {
-		return e, fmt.Errorf("%w: item flag %d", errBadWire, flag[0])
+		return e, fmt.Errorf("%w: item flag %d", wire.ErrMalformed, flag[0])
 	}
-	return e, d.done()
+	return e, d.Done()
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"crypto/ed25519"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -12,6 +11,7 @@ import (
 	"testing"
 
 	"confaudit/internal/logmodel"
+	"confaudit/internal/wire"
 )
 
 // fuzzStr coerces fuzz input to valid UTF-8: encoding/json replaces
@@ -58,15 +58,11 @@ func testSig(b byte) []byte { return bytes.Repeat([]byte{b}, ed25519.SignatureSi
 // must re-encode bit-exactly (the codec is deterministic). rt points at
 // a zero value of the body's type for each decode.
 func checkBinaryJSONAgree[T interface {
-	BinarySize() int
 	AppendBinary([]byte) []byte
 	DecodeBinary([]byte) error
 }](t *testing.T, body T, newT func() T) {
 	t.Helper()
-	enc := body.AppendBinary(make([]byte, 0, body.BinarySize()))
-	if len(enc) != body.BinarySize() {
-		t.Fatalf("AppendBinary wrote %d bytes, BinarySize says %d", len(enc), body.BinarySize())
-	}
+	enc := body.AppendBinary(nil)
 	bgot := newT()
 	if err := bgot.DecodeBinary(enc); err != nil {
 		t.Fatalf("decoding own encoding: %v", err)
@@ -128,8 +124,8 @@ func FuzzStoreBodyRoundTrip(f *testing.F) {
 		body := storeBatchBody{TicketID: ticketID, Items: []batchItem{item}}
 		if sigOK(item.Provenance) {
 			checkBinaryJSONAgree(t, &body, func() *storeBatchBody { return &storeBatchBody{} })
-		} else if err := new(storeBatchBody).DecodeBinary(body.AppendBinary(nil)); !errors.Is(err, errBadWire) {
-			t.Fatalf("%d-byte provenance signature: decode err = %v, want errBadWire", len(item.Provenance), err)
+		} else if err := new(storeBatchBody).DecodeBinary(body.AppendBinary(nil)); !errors.Is(err, wire.ErrMalformed) {
+			t.Fatalf("%d-byte provenance signature: decode err = %v, want wire.ErrMalformed", len(item.Provenance), err)
 		}
 		var junk storeBatchBody
 		junk.DecodeBinary(raw) //nolint:errcheck // must not panic; errors are fine
@@ -227,12 +223,9 @@ func FuzzWALEntryRoundTrip(f *testing.F) {
 				e.Item.Fragment.Values = map[logmodel.Attr]logmodel.Value{logmodel.Attr(attr): logmodel.Int(i)}
 			}
 		}
-		enc, err := appendWALEntry(make([]byte, 0, walEntrySize(&e)), &e)
+		enc, err := appendWALEntry(nil, &e)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if len(enc) != walEntrySize(&e) {
-			t.Fatalf("wrote %d bytes, size says %d", len(enc), walEntrySize(&e))
 		}
 		if junk, err := decodeWALEntry(raw); err == nil {
 			if re, _ := appendWALEntry(nil, &junk); !bytes.Equal(raw, re) {
@@ -241,8 +234,8 @@ func FuzzWALEntryRoundTrip(f *testing.F) {
 		}
 		got, err := decodeWALEntry(enc)
 		if !sigOK(fuzzSig(prov)) && (e.Ticket != nil || e.Item != nil) {
-			if !errors.Is(err, errBadWire) {
-				t.Fatalf("%d-byte signature: decode err = %v, want errBadWire", len(prov), err)
+			if !errors.Is(err, wire.ErrMalformed) {
+				t.Fatalf("%d-byte signature: decode err = %v, want wire.ErrMalformed", len(prov), err)
 			}
 			return
 		}
@@ -290,12 +283,9 @@ func TestWALEntryBinaryRoundTrip(t *testing.T) {
 		{Kind: "delete", GLSN: 7},
 	}
 	for i, e := range entries {
-		payload, err := appendWALEntry(make([]byte, 0, walEntrySize(&e)), &e)
+		payload, err := appendWALEntry(nil, &e)
 		if err != nil {
 			t.Fatalf("entry %d: %v", i, err)
-		}
-		if len(payload) != walEntrySize(&e) {
-			t.Fatalf("entry %d: wrote %d bytes, size says %d", i, len(payload), walEntrySize(&e))
 		}
 		got, err := decodeWALEntry(payload)
 		if err != nil {
@@ -378,48 +368,31 @@ func TestWireDecodeRejectsHostileEncodings(t *testing.T) {
 
 // TestWireDecodeRefusesMisSizedSignatures pins the signature boundary in
 // every decoder that carries one — votes, certificates, tickets and
-// provenance: a run of 63 or 65 bytes is refused with errBadWire, so a
-// short signature never reaches ed25519 or a quorum count.
+// provenance: a run of 63 or 65 bytes is refused with
+// wire.ErrMalformed, so a short signature never reaches ed25519 or a
+// quorum count.
 func TestWireDecodeRefusesMisSizedSignatures(t *testing.T) {
 	for _, n := range []int{0, 1, ed25519.SignatureSize - 1, ed25519.SignatureSize + 1} {
 		sig := make([]byte, n)
 		vote := agreeVoteBody{Sig: sig}
-		if err := new(agreeVoteBody).DecodeBinary(vote.AppendBinary(nil)); !errors.Is(err, errBadWire) {
-			t.Errorf("%d-byte vote: err = %v, want errBadWire", n, err)
+		if err := new(agreeVoteBody).DecodeBinary(vote.AppendBinary(nil)); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%d-byte vote: err = %v, want wire.ErrMalformed", n, err)
 		}
 		commit := agreeCommitBody{Cert: Certificate{Statement: []byte("s"), Votes: map[string][]byte{"P0": testSig(1), "P1": sig}}}
-		if err := new(agreeCommitBody).DecodeBinary(commit.AppendBinary(nil)); !errors.Is(err, errBadWire) {
-			t.Errorf("%d-byte certificate vote: err = %v, want errBadWire", n, err)
+		if err := new(agreeCommitBody).DecodeBinary(commit.AppendBinary(nil)); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%d-byte certificate vote: err = %v, want wire.ErrMalformed", n, err)
 		}
 		tk := walEntry{Kind: "ticket", Ticket: &wireTicket{ID: "T1", Holder: "u0", Ops: []int{1}, Sig: sig}}
 		enc, err := appendWALEntry(nil, &tk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := decodeWALEntry(enc); !errors.Is(err, errBadWire) {
-			t.Errorf("%d-byte ticket signature: err = %v, want errBadWire", n, err)
+		if _, err := decodeWALEntry(enc); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%d-byte ticket signature: err = %v, want wire.ErrMalformed", n, err)
 		}
 		it := batchItem{Fragment: logmodel.Fragment{GLSN: 1, Node: "P0"}, DigestExp: big.NewInt(5), Provenance: sig}
-		if err := decodeBatchItem(appendBatchItem(nil, &it), new(batchItem)); !errors.Is(err, errBadWire) {
-			t.Errorf("%d-byte provenance: err = %v, want errBadWire", n, err)
+		if err := decodeBatchItem(appendBatchItem(nil, &it), new(batchItem)); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%d-byte provenance: err = %v, want wire.ErrMalformed", n, err)
 		}
-	}
-}
-
-// TestWireDecSmallBoundary pins the 32-bit guard: exactly 2^31 must be
-// rejected — on a 32-bit platform int(1<<31) wraps negative, and a
-// hostile length that survives small() reaches a slice expression.
-func TestWireDecSmallBoundary(t *testing.T) {
-	enc := func(v uint64) *wireDec {
-		return &wireDec{rest: binary.AppendUvarint(nil, v)}
-	}
-	if _, err := enc(1 << 31).small(); err == nil {
-		t.Fatal("small() admitted 2^31; int conversion wraps negative on 32-bit platforms")
-	}
-	if _, err := enc(1<<31 + 1).small(); err == nil {
-		t.Fatal("small() admitted 2^31+1")
-	}
-	if n, err := enc(math.MaxInt32).small(); err != nil || n != math.MaxInt32 {
-		t.Fatalf("small() rejected MaxInt32: n=%d err=%v", n, err)
 	}
 }

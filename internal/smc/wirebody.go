@@ -3,8 +3,8 @@ package smc
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"math/bits"
+
+	"confaudit/internal/wire"
 )
 
 // The relay body shared by the ring protocols.
@@ -19,11 +19,11 @@ import (
 //
 //	len(Origin) ‖ Origin ‖ Hops ‖ Seq ‖ Total ‖ BlockLen ‖ len(Packed) ‖ Packed
 //
-// The packed run rides the wire raw: no per-element framing, and on the
-// TCP path it is appended straight into the envelope codec's pooled
-// frame buffer (BinarySize is exact, so the frame length prefix can be
-// written first). Only sizes and counts are visible in the framing, the
-// secondary information Definition 1 permits.
+// The packed run rides the wire raw, with no per-element framing. The
+// fields are internal/wire primitives, so the decoder is canonical:
+// every body it accepts re-encodes to exactly its input. Only sizes and
+// counts are visible in the framing, the secondary information
+// Definition 1 permits.
 
 // RelayWire is one relayed block batch: chunk Seq of Total of Origin's
 // set, after Hops encryption layers. Bodies that are not part of a
@@ -51,110 +51,53 @@ func (w *RelayWire) Unpack() ([][]byte, error) {
 	return UnpackBlocks(w.Packed, w.BlockLen)
 }
 
-// uvarintLen is the encoded size of v.
-func uvarintLen(v uint64) int {
-	return (bits.Len64(v|1) + 6) / 7
-}
-
-// BinarySize returns the exact encoded size in bytes.
-func (w *RelayWire) BinarySize() int {
-	n := uvarintLen(uint64(len(w.Origin))) + len(w.Origin)
-	n += uvarintLen(uint64(w.Hops))
-	n += uvarintLen(uint64(w.Seq))
-	n += uvarintLen(uint64(w.Total))
-	n += uvarintLen(uint64(w.BlockLen))
-	n += uvarintLen(uint64(len(w.Packed))) + len(w.Packed)
-	return n
-}
-
 // AppendBinary appends the encoding to dst and returns the extended
-// slice. It appends exactly BinarySize bytes and retains nothing.
+// slice. It retains nothing.
 func (w *RelayWire) AppendBinary(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(w.Origin)))
-	dst = append(dst, w.Origin...)
+	dst = wire.AppendRun(dst, w.Origin)
 	dst = binary.AppendUvarint(dst, uint64(w.Hops))
 	dst = binary.AppendUvarint(dst, uint64(w.Seq))
 	dst = binary.AppendUvarint(dst, uint64(w.Total))
 	dst = binary.AppendUvarint(dst, uint64(w.BlockLen))
-	dst = binary.AppendUvarint(dst, uint64(len(w.Packed)))
-	return append(dst, w.Packed...)
+	return wire.AppendRun(dst, w.Packed)
 }
 
 // DecodeBinary decodes an encoding produced by AppendBinary into w,
 // copying everything it keeps — the source buffer may be recycled by
 // the transport after the call. A body that is not at least one chunk,
 // or whose packed run does not split into BlockLen-wide blocks, is
-// refused.
+// refused. Every refusal wraps both ErrBadWireValue and
+// wire.ErrMalformed.
 func (w *RelayWire) DecodeBinary(src []byte) error {
-	rest := src
-	num := func() (uint64, error) {
-		v, sz := binary.Uvarint(rest)
-		if sz <= 0 {
-			return 0, fmt.Errorf("%w: truncated relay wire body", ErrBadWireValue)
-		}
-		// One encoding per body: an overlong uvarint would decode to a
-		// body that re-encodes to different bytes.
-		if sz != uvarintLen(v) {
-			return 0, fmt.Errorf("%w: non-minimal uvarint in relay wire body", ErrBadWireValue)
-		}
-		rest = rest[sz:]
-		return v, nil
+	if err := w.decode(src); err != nil {
+		return fmt.Errorf("%w: relay wire body: %w", ErrBadWireValue, err)
 	}
-	run := func() ([]byte, error) {
-		n, err := num()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(rest)) {
-			return nil, fmt.Errorf("%w: relay wire run of %d bytes exceeds remaining %d", ErrBadWireValue, n, len(rest))
-		}
-		b := rest[:n]
-		rest = rest[n:]
-		return b, nil
-	}
-	small := func() (int, error) {
-		v, err := num()
-		if err != nil {
-			return 0, err
-		}
-		// Counts and widths are bounded by the frame they arrived in;
-		// anything past MaxInt32 is a hostile encoding (and 2^31 would
-		// wrap negative in a 32-bit int).
-		if v > math.MaxInt32 {
-			return 0, fmt.Errorf("%w: relay wire field %d out of range", ErrBadWireValue, v)
-		}
-		return int(v), nil
-	}
+	return nil
+}
 
-	origin, err := run()
+func (w *RelayWire) decode(src []byte) error {
+	d := wire.NewDec(src)
+	var err error
+	if w.Origin, err = d.Str(); err != nil {
+		return err
+	}
+	for _, f := range []*int{&w.Hops, &w.Seq, &w.Total, &w.BlockLen} {
+		if *f, err = d.Small(); err != nil {
+			return err
+		}
+	}
+	packed, err := d.Run()
 	if err != nil {
 		return err
 	}
-	w.Origin = string(origin)
-	if w.Hops, err = small(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
-	}
-	if w.Seq, err = small(); err != nil {
-		return err
-	}
-	if w.Total, err = small(); err != nil {
-		return err
-	}
-	if w.BlockLen, err = small(); err != nil {
-		return err
-	}
-	packed, err := run()
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after relay wire body", ErrBadWireValue, len(rest))
 	}
 	if w.Total < 1 {
-		return fmt.Errorf("%w: relay wire body of %d chunks", ErrBadWireValue, w.Total)
+		return fmt.Errorf("%w: %d chunks", wire.ErrMalformed, w.Total)
 	}
 	if len(packed) > 0 && (w.BlockLen == 0 || len(packed)%w.BlockLen != 0) {
-		return fmt.Errorf("%w: packed run of %d bytes is not a multiple of block width %d", ErrBadWireValue, len(packed), w.BlockLen)
+		return fmt.Errorf("%w: packed run of %d bytes is not a multiple of block width %d", wire.ErrMalformed, len(packed), w.BlockLen)
 	}
 	w.Packed = nil
 	if len(packed) > 0 {

@@ -22,6 +22,7 @@ import (
 	"confaudit/internal/crypto/accumulator"
 	"confaudit/internal/storage/faultfs"
 	"confaudit/internal/telemetry"
+	"confaudit/internal/wire"
 )
 
 // On-disk layout. Each segment is an append-only file:
@@ -662,11 +663,9 @@ func frameBound(rec *Record) int {
 func appendFrame(buf []byte, rec Record) []byte {
 	start := len(buf)
 	buf = append(buf, make([]byte, 8)...)
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Kind)))
-	buf = append(buf, rec.Kind...)
+	buf = wire.AppendRun(buf, rec.Kind)
 	buf = binary.AppendUvarint(buf, rec.GLSN)
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Data)))
-	buf = append(buf, rec.Data...)
+	buf = wire.AppendRun(buf, rec.Data)
 	payload := buf[start+8:]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
@@ -677,23 +676,20 @@ func appendFrame(buf []byte, rec Record) []byte {
 // payload.
 func decodePayload(payload []byte) (Record, error) {
 	var rec Record
-	kl, n := binary.Uvarint(payload)
-	if n <= 0 || kl > uint64(len(payload)-n) {
-		return rec, errors.New("bad kind length")
+	d := wire.NewDec(payload)
+	var err error
+	if rec.Kind, err = d.Str(); err != nil {
+		return rec, fmt.Errorf("kind: %w", err)
 	}
-	rec.Kind = string(payload[n : n+int(kl)])
-	rest := payload[n+int(kl):]
-	g, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return rec, errors.New("bad glsn")
+	if rec.GLSN, err = d.Num(); err != nil {
+		return rec, fmt.Errorf("glsn: %w", err)
 	}
-	rec.GLSN = g
-	rest = rest[n:]
-	dl, n := binary.Uvarint(rest)
-	if n <= 0 || dl != uint64(len(rest)-n) {
-		return rec, errors.New("bad data length")
+	if rec.Data, err = d.Run(); err == nil {
+		err = d.Done()
 	}
-	rec.Data = rest[n:]
+	if err != nil {
+		return rec, fmt.Errorf("data: %w", err)
+	}
 	return rec, nil
 }
 

@@ -1,9 +1,10 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
+
+	"confaudit/internal/wire"
 )
 
 // Binary envelope codec.
@@ -32,28 +33,17 @@ func envelopeFields(msg *Message) [7]*string {
 }
 
 // appendBinaryMessage appends the binary encoding of msg to dst.
-//
-// A message still carrying a deferred binary body (payload.go) has it
-// encoded DIRECTLY into dst — the zero-copy path: the exact payload
-// length is known up front from BinarySize, so the length prefix is
-// written first and the packed blocks land straight in the pooled frame
-// buffer.
 func appendBinaryMessage(dst []byte, msg *Message) []byte {
 	dst = append(dst, binMagic, frameVersion)
 	for _, f := range envelopeFields(msg) {
-		dst = binary.AppendUvarint(dst, uint64(len(*f)))
-		dst = append(dst, *f...)
+		dst = wire.AppendRun(dst, *f)
 	}
-	if body, ok := msg.pendingBody(); ok {
-		dst = binary.AppendUvarint(dst, uint64(payloadHdrLen+body.BinarySize()))
-		return appendBinaryPayload(dst, body)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(msg.Payload)))
-	dst = append(dst, msg.Payload...)
-	return dst
+	return wire.AppendRun(dst, msg.Payload)
 }
 
-// decodeBinaryMessage parses a binary frame body.
+// decodeBinaryMessage parses a binary frame body. Like every wire
+// decoder it is canonical: it accepts only the bytes
+// appendBinaryMessage writes.
 func decodeBinaryMessage(body []byte) (Message, error) {
 	if len(body) < 2 || body[0] != binMagic {
 		return Message{}, fmt.Errorf("transport: not a binary frame")
@@ -61,33 +51,23 @@ func decodeBinaryMessage(body []byte) (Message, error) {
 	if body[1] != frameVersion {
 		return Message{}, fmt.Errorf("transport: unsupported binary frame version %d", body[1])
 	}
-	rest := body[2:]
-	next := func() ([]byte, error) {
-		n, sz := binary.Uvarint(rest)
-		if sz <= 0 || n > uint64(len(rest)-sz) {
-			return nil, fmt.Errorf("transport: truncated binary frame")
-		}
-		f := rest[sz : sz+int(n)]
-		rest = rest[sz+int(n):]
-		return f, nil
-	}
+	d := wire.NewDec(body[2:])
 	var msg Message
-	for _, dst := range envelopeFields(&msg) {
-		f, err := next()
-		if err != nil {
-			return Message{}, err
+	var err error
+	for _, f := range envelopeFields(&msg) {
+		if *f, err = d.Str(); err != nil {
+			return Message{}, fmt.Errorf("transport: decoding binary frame: %w", err)
 		}
-		*dst = string(f)
 	}
-	payload, err := next()
+	payload, err := d.Run()
+	if err == nil {
+		err = d.Done()
+	}
 	if err != nil {
-		return Message{}, err
+		return Message{}, fmt.Errorf("transport: decoding binary frame: %w", err)
 	}
 	if len(payload) > 0 {
 		msg.Payload = append([]byte(nil), payload...)
-	}
-	if len(rest) != 0 {
-		return Message{}, fmt.Errorf("transport: %d trailing bytes after binary frame", len(rest))
 	}
 	return msg, nil
 }

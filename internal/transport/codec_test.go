@@ -45,6 +45,9 @@ func TestBinaryEnvelopeRejectsMalformed(t *testing.T) {
 		"truncated":      good[:len(good)-1],
 		"trailing bytes": append(append([]byte{}, good...), 0x00),
 		"length overrun": {binMagic, frameVersion, 0xFF},
+		// From's length 1 as the overlong varint 0x81 0x00: it would
+		// decode to a message that re-encodes one byte shorter.
+		"overlong length": append([]byte{binMagic, frameVersion, 0x81, 0x00}, good[3:]...),
 	}
 	for name, body := range cases {
 		if _, err := decodeBinaryMessage(body); err == nil {
@@ -53,13 +56,12 @@ func TestBinaryEnvelopeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestBinaryFrameWireRoundTrip frames a deferred binary body through
-// the socket codec: the body is appended straight into the frame, and
-// the receiver decodes it from the payload.
+// TestBinaryFrameWireRoundTrip frames a binary body through the socket
+// codec, and the receiver decodes it from the payload.
 func TestBinaryFrameWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	msg := NewBinaryMessage("B", "t", "s", &testBody{Origin: "A", Packed: []byte("raw \x00 bytes")})
+	msg := newTestMessage(t, &testBody{Origin: "A", Packed: []byte("raw \x00 bytes")})
 	msg.From, msg.TraceSession, msg.TraceSpan = "A", "s", "A:3"
 	if err := writeFrame(bw, &msg); err != nil {
 		t.Fatal(err)
@@ -77,12 +79,12 @@ func TestBinaryFrameWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryFrameTooLargeOnWrite refuses a deferred body whose encoding
-// would exceed the frame bound.
+// TestBinaryFrameTooLargeOnWrite refuses a body whose encoding would
+// exceed the frame bound.
 func TestBinaryFrameTooLargeOnWrite(t *testing.T) {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	msg := NewBinaryMessage("B", "t", "s", &bigBody{n: maxFrame + 1})
+	msg := newTestMessage(t, &bigBody{n: maxFrame + 1})
 	if err := writeFrame(bw, &msg); err == nil {
 		t.Fatal("oversized binary frame written")
 	}
@@ -94,13 +96,13 @@ func TestBinaryFrameTooLargeOnWrite(t *testing.T) {
 // bigBody is a BinaryBody of n zero bytes.
 type bigBody struct{ n int }
 
-func (b *bigBody) BinarySize() int                { return b.n }
 func (b *bigBody) AppendBinary(dst []byte) []byte { return append(dst, make([]byte, b.n)...) }
 func (b *bigBody) DecodeBinary([]byte) error      { return nil }
 
 // FuzzEnvelopeRoundTrip fuzzes both directions of the binary codec:
-// arbitrary envelopes must round-trip bit-exactly, and arbitrary bytes
-// must never panic the decoder.
+// arbitrary envelopes must round-trip bit-exactly, arbitrary bytes must
+// never panic the decoder, and any bytes it accepts must re-encode to
+// exactly themselves: the codec admits one encoding per envelope.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
 	f.Add("A", "B", "intersect.relay", "s1", "127.0.0.1:9", "s1", "A:1", []byte(`{"x":1}`), []byte{})
 	f.Add("", "", "", "", "", "", "", []byte(nil), []byte{binMagic, frameVersion})
@@ -115,7 +117,10 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		if !sameEnvelope(got, want) {
 			t.Fatalf("round trip %+v != %+v", got, want)
 		}
-		// Decoder must not panic on arbitrary input; errors are fine.
-		decodeBinaryMessage(raw) //nolint:errcheck
+		if junk, err := decodeBinaryMessage(raw); err == nil {
+			if re := appendBinaryMessage(nil, &junk); !bytes.Equal(raw, re) {
+				t.Fatalf("accepted %x, which re-encodes as %x", raw, re)
+			}
+		}
 	})
 }

@@ -118,10 +118,6 @@ func (m *Mailbox) Send(ctx context.Context, msg Message) error {
 	if msg.TraceSession == "" && msg.TraceSpan == "" {
 		msg.TraceSession, msg.TraceSpan = telemetry.SpanRef(ctx)
 	}
-	n := len(msg.Payload)
-	if body, ok := msg.pendingBody(); ok {
-		n = payloadHdrLen + body.BinarySize()
-	}
 	br := m.breaker(msg.To)
 	if !br.allow() {
 		telemetry.M.Counter(telemetry.CtrBreakerDenied).Add(1)
@@ -136,7 +132,7 @@ func (m *Mailbox) Send(ctx context.Context, msg Message) error {
 		switch {
 		case err == nil:
 			br.success()
-			telemetry.SentTo(msg.Type, n)
+			telemetry.SentTo(msg.Type, len(msg.Payload))
 			return nil
 		case stalled:
 			br.failure()

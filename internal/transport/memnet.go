@@ -224,11 +224,6 @@ func (e *memEndpoint) Send(ctx context.Context, msg Message) error {
 		return ErrClosed
 	}
 	msg.From = e.id
-	// In-process receivers are by construction this build: a deferred
-	// body is materialized as a binary payload into a fresh buffer the
-	// sender never sees again, so callers may reuse the body's backing
-	// storage as soon as Send returns.
-	msg.EncodePayload()
 	return e.net.deliver(ctx, msg)
 }
 

@@ -4,34 +4,31 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+
+	"confaudit/internal/wire"
 )
 
 // Binary payload codec.
 //
 // A protocol body that implements BinaryBody rides the wire in a
-// compact binary payload encoding on every transport. On TCP it is
-// appended STRAIGHT into the envelope codec's pooled frame buffer, so a
-// packed relay block goes from smc.PackBlocks to the socket without an
-// intermediate payload allocation or copy; the in-memory network and
-// the client outbox materialize it with EncodePayload.
+// compact binary payload encoding on every transport; every other body
+// travels as a JSON payload. NewMessage encodes the body once, when
+// the message is built, so a message carries its bytes from then on:
+// the TCP frame, the in-memory network and the client outbox spool all
+// see the same Payload.
 //
-// Every body without a BinaryBody travels as a JSON payload. The choice
-// is made per message type, never per peer: Mailbox.SendBody picks the
-// codec from the body's type, and Unmarshal from the target's type and
-// refuses the other one. Binary payloads open with payloadMagic, which
-// no JSON value starts with. After SendBody returns the caller may
-// freely reuse the buffers backing the body: every encode path copies
-// into memory the sender does not retain (the aliasing regression test
-// pins this).
+// The choice is made per message type, never per peer: NewMessage
+// picks the codec from the body's type, and Unmarshal from the
+// target's type and refuses the other one. Binary payloads open with
+// payloadMagic, which no JSON value starts with. The payload is a
+// fresh slice nothing else holds, so after NewMessage returns the
+// caller may freely reuse the buffers backing the body (the aliasing
+// regression test pins this).
 
 // BinaryBody is implemented by protocol bodies with a compact binary
-// payload encoding. AppendBinary must append
-// exactly BinarySize bytes and must not retain dst; DecodeBinary must
+// payload encoding. AppendBinary must not retain dst; DecodeBinary must
 // copy what it keeps, since the source buffer is recycled.
 type BinaryBody interface {
-	// BinarySize returns the exact encoded size in bytes, excluding the
-	// payload codec header.
-	BinarySize() int
 	// AppendBinary appends the encoding to dst and returns the extended
 	// slice.
 	AppendBinary(dst []byte) []byte
@@ -48,36 +45,21 @@ const (
 	payloadHdrLen = 2
 )
 
-// NewBinaryMessage builds a message whose payload encoding is deferred
-// to the transport, which appends it straight into its frame buffer.
-// The body must not be mutated until Send returns.
-func NewBinaryMessage(to, typ, session string, body BinaryBody) Message {
-	return Message{To: to, Type: typ, Session: session, body: body}
-}
-
-// appendBinaryPayload appends the payload codec header and body
-// encoding to dst.
-func appendBinaryPayload(dst []byte, body BinaryBody) []byte {
-	dst = append(dst, payloadMagic, payloadVersion)
-	return body.AppendBinary(dst)
-}
-
-// EncodePayload materializes a deferred body into Payload as a binary
-// payload (used by the in-process transport and by callers that store
-// the bytes, such as the outbox spool). No-op when no body is pending.
-func (m *Message) EncodePayload() {
-	if m.body == nil {
-		return
+// NewMessage builds a message carrying body's encoding: the binary
+// payload codec for a BinaryBody, JSON for anything else.
+func NewMessage(to, typ, session string, body any) (Message, error) {
+	var payload []byte
+	if bb, ok := body.(BinaryBody); ok {
+		payload = wire.Encode(func(dst []byte) []byte {
+			return bb.AppendBinary(append(dst, payloadMagic, payloadVersion))
+		})
+	} else {
+		var err error
+		if payload, err = Marshal(body); err != nil {
+			return Message{}, err
+		}
 	}
-	buf := make([]byte, 0, payloadHdrLen+m.body.BinarySize())
-	m.Payload = appendBinaryPayload(buf, m.body)
-	m.body = nil
-}
-
-// pendingBody reports whether the message still carries an un-encoded
-// body (and its encoded size, for frame sizing).
-func (m *Message) pendingBody() (BinaryBody, bool) {
-	return m.body, m.body != nil
+	return Message{To: to, Type: typ, Session: session, Payload: payload}, nil
 }
 
 // IsBinaryPayload reports whether a payload uses the binary payload
@@ -113,18 +95,11 @@ func Unmarshal(payload []byte, v any) error {
 }
 
 // SendBody sends body to a peer as one message of type typ in session,
-// picking the codec the way Unmarshal does on the receiving side: a
-// BinaryBody defers its binary payload encoding to the transport (the
-// zero-copy frame path on TCP), and any other body travels as JSON.
+// encoded by NewMessage.
 func (m *Mailbox) SendBody(ctx context.Context, to, typ, session string, body any) error {
-	var msg Message
-	if bb, ok := body.(BinaryBody); ok {
-		msg = NewBinaryMessage(to, typ, session, bb)
-	} else {
-		var err error
-		if msg, err = NewMessage(to, typ, session, body); err != nil {
-			return err
-		}
+	msg, err := NewMessage(to, typ, session, body)
+	if err != nil {
+		return err
 	}
 	if err := m.Send(ctx, msg); err != nil {
 		return fmt.Errorf("transport: sending %s to %s: %w", typ, to, err)

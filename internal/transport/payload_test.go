@@ -17,8 +17,6 @@ type testBody struct {
 	Packed []byte `json:"packed,omitempty"`
 }
 
-func (b *testBody) BinarySize() int { return 1 + len(b.Origin) + 1 + len(b.Packed) }
-
 func (b *testBody) AppendBinary(dst []byte) []byte {
 	dst = append(dst, byte(len(b.Origin)))
 	dst = append(dst, b.Origin...)
@@ -46,15 +44,21 @@ func (b *testBody) DecodeBinary(src []byte) error {
 	return nil
 }
 
+// newTestMessage builds a message to B carrying body.
+func newTestMessage(t *testing.T, body any) Message {
+	t.Helper()
+	msg, err := NewMessage("B", "t", "s", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msg
+}
+
 func TestBinaryPayloadRoundTrip(t *testing.T) {
 	in := &testBody{Origin: "N1", Packed: []byte{1, 2, 3, 4}}
-	msg := NewBinaryMessage("B", "t", "s", in)
-	msg.EncodePayload()
+	msg := newTestMessage(t, in)
 	if !IsBinaryPayload(msg.Payload) {
 		t.Fatalf("payload not binary: % x", msg.Payload)
-	}
-	if want := payloadHdrLen + in.BinarySize(); len(msg.Payload) != want {
-		t.Fatalf("payload %d bytes, BinarySize promised %d", len(msg.Payload), want)
 	}
 	var out testBody
 	if err := Unmarshal(msg.Payload, &out); err != nil {
@@ -66,8 +70,7 @@ func TestBinaryPayloadRoundTrip(t *testing.T) {
 }
 
 func TestBinaryPayloadVersionRejected(t *testing.T) {
-	msg := NewBinaryMessage("B", "t", "s", &testBody{Origin: "x"})
-	msg.EncodePayload()
+	msg := newTestMessage(t, &testBody{Origin: "x"})
 	msg.Payload[1] = payloadVersion + 1
 	var out testBody
 	if err := Unmarshal(msg.Payload, &out); err == nil || !strings.Contains(err.Error(), "version") {
@@ -76,8 +79,7 @@ func TestBinaryPayloadVersionRejected(t *testing.T) {
 }
 
 func TestBinaryPayloadNeedsBinaryBody(t *testing.T) {
-	msg := NewBinaryMessage("B", "t", "s", &testBody{Origin: "x"})
-	msg.EncodePayload()
+	msg := newTestMessage(t, &testBody{Origin: "x"})
 	var plain struct {
 		Origin string `json:"origin"`
 	}

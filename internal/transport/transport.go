@@ -63,11 +63,6 @@ type Message struct {
 	// or record content).
 	TraceSession string `json:"trace_session,omitempty"`
 	TraceSpan    string `json:"trace_span,omitempty"`
-
-	// body is a protocol body whose binary payload encoding is deferred
-	// to the transport (see payload.go). Unexported: every path that
-	// stores or copies Payload must materialize it via EncodePayload.
-	body BinaryBody
 }
 
 // Endpoint is one node's attachment to the network.
@@ -90,20 +85,11 @@ type Network interface {
 	Endpoint(id string) (Endpoint, error)
 }
 
-// Marshal encodes a protocol body into a message payload.
+// Marshal encodes a protocol body into a JSON message payload.
 func Marshal(v any) ([]byte, error) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("transport: encoding payload: %w", err)
 	}
 	return b, nil
-}
-
-// NewMessage builds a message with an encoded payload.
-func NewMessage(to, typ, session string, body any) (Message, error) {
-	payload, err := Marshal(body)
-	if err != nil {
-		return Message{}, err
-	}
-	return Message{To: to, Type: typ, Session: session, Payload: payload}, nil
 }

@@ -15,6 +15,7 @@
 package commutative
 
 import (
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -46,8 +47,25 @@ type PHKey struct {
 // encryption exponent is drawn coprime to p-1 so the inverse exponent
 // exists (d = e^-1 mod p-1).
 func NewPHKey(rng io.Reader, g *mathx.Group) (*PHKey, error) {
+	return newKey(g, func(pm1 *big.Int) (*big.Int, error) { return mathx.RandCoprime(rng, pm1) })
+}
+
+// NewSessionKey samples the key one ring-protocol session uses: fresh
+// from crypto/rand, with a short encryption exponent
+// (mathx.Group.ShortExpBits) and a full-width decryption exponent.
+// Every session draws its own and never reuses it. Use NewPHKey with
+// an explicit reader for deterministic full-width keys.
+func NewSessionKey(g *mathx.Group) (*PHKey, error) {
+	return newKey(g, func(pm1 *big.Int) (*big.Int, error) {
+		return mathx.RandCoprimeBits(rand.Reader, pm1, g.ShortExpBits())
+	})
+}
+
+// newKey draws e coprime to p-1 with sample and pairs it with its
+// inverse d = e^-1 mod p-1.
+func newKey(g *mathx.Group, sample func(pm1 *big.Int) (*big.Int, error)) (*PHKey, error) {
 	pm1 := new(big.Int).Sub(g.P, big.NewInt(1))
-	e, err := mathx.RandCoprime(rng, pm1)
+	e, err := sample(pm1)
 	if err != nil {
 		return nil, fmt.Errorf("commutative: sampling exponent: %w", err)
 	}

@@ -94,6 +94,55 @@ func TestPHDecryptAnyOrder(t *testing.T) {
 	}
 }
 
+// TestSessionKeyRoundTripAndCommute checks that session keys are full
+// citizens of the cipher: two draws differ, the encryption exponent is
+// ShortExpBits wide, encrypt/decrypt invert, and encryptions under two
+// session keys commute (eq. 6).
+func TestSessionKeyRoundTripAndCommute(t *testing.T) {
+	g := mathx.Oakley768
+	k1, err := NewSessionKey(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2, err := NewSessionKey(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k1.e.Cmp(k2.e) == 0 {
+		t.Fatal("two session keys drew the same exponent")
+	}
+	if want := g.ShortExpBits(); k1.e.BitLen() != want {
+		t.Fatalf("session exponent has %d bits, want %d", k1.e.BitLen(), want)
+	}
+	m := k1.EncodeElement([]byte("paper-element-e"))
+	c1, err := k1.Encrypt(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := k1.Decrypt(c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(p1) != string(m) {
+		t.Fatal("session key decrypt does not invert encrypt")
+	}
+	c12, err := k2.Encrypt(c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := k2.Encrypt(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c21, err := k1.Encrypt(c2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(c12) != string(c21) {
+		t.Fatal("session keys do not commute")
+	}
+}
+
 // TestPHCompose checks that a composed key encrypts like its two keys
 // applied in turn and strips both layers in one decryption.
 func TestPHCompose(t *testing.T) {
@@ -308,7 +357,7 @@ func TestEncryptBlocksParallelLargeBatch(t *testing.T) {
 
 // BenchmarkPHFirstHop768 is one first-hop block with its table hot:
 // the cost a node pays to encrypt an encoding it has encrypted before,
-// under a fresh pooled key each time.
+// under a fresh session key each time.
 func BenchmarkPHFirstHop768(b *testing.B) {
 	g := mathx.Oakley768
 	keys := shortKeys(b, g, 8)
@@ -325,7 +374,7 @@ func BenchmarkPHFirstHop768(b *testing.B) {
 	}
 }
 
-// BenchmarkPHRelay768 is one relayed block under a pooled key: a fresh
+// BenchmarkPHRelay768 is one relayed block under a session key: a fresh
 // ciphertext from another party, which no table can serve.
 func BenchmarkPHRelay768(b *testing.B) {
 	g := mathx.Oakley768

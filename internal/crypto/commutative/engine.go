@@ -27,7 +27,7 @@ import (
 // A base gets its table on first sight (about one plain
 // exponentiation's work) and keeps it for the life of the process;
 // once a group's tables fill tableBudget, bases without a table fall
-// back to big.Int.Exp. Tables cover exactly the pooled exponent width
+// back to big.Int.Exp. Tables cover exactly the session exponent width
 // (Group.ShortExpBits), so a full-width key (NewPHKey with a reader)
 // builds none and always takes the plain path.
 
@@ -95,8 +95,8 @@ func (c *baseCache) table(block []byte, m *big.Int) *mathx.FixedBase {
 // of a ring, before any other party has touched them — preserving
 // order. It is EncryptBlocks plus the group's fixed-base cache: the
 // ciphertexts are byte-identical, only the machine work differs.
-// Counts batches a table served on crypto.montgomery_batches and
-// per-block outcomes on crypto.fixedbase_hits / fixedbase_misses.
+// Counts per-block outcomes on crypto.fixedbase_hits /
+// fixedbase_misses.
 func (k *PHKey) EncryptFirstHop(blocks [][]byte) ([][]byte, error) {
 	c := cacheFor(k.group)
 	covered := k.e.BitLen() <= c.expBits
@@ -118,9 +118,6 @@ func (k *PHKey) EncryptFirstHop(blocks [][]byte) ([][]byte, error) {
 		return nil, err
 	}
 	served := hits.Load()
-	if served > 0 {
-		telemetry.M.Counter(telemetry.CtrMontgomeryBatches).Add(1)
-	}
 	telemetry.M.Counter(telemetry.CtrFixedBaseHits).Add(served)
 	telemetry.M.Counter(telemetry.CtrFixedBaseMisses).Add(int64(len(blocks)) - served)
 	return out, nil

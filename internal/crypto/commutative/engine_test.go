@@ -14,7 +14,7 @@ import (
 	"confaudit/internal/workpool"
 )
 
-// testKey returns a deterministic full-width key and a pooled
+// testKeys returns a deterministic full-width key and a session
 // short-exponent key over the group.
 func testKeys(t *testing.T, g *mathx.Group) []*PHKey {
 	t.Helper()
@@ -75,7 +75,7 @@ func cacheStats(g *mathx.Group) (tables, size int) {
 
 // TestEncryptBlocksMatchesSerial pins both batch entry points to the
 // serial loop byte for byte, for worker counts 1, 4, and GOMAXPROCS,
-// for both full-width and pooled short-exponent keys. Run under -race
+// for both full-width and short-exponent session keys. Run under -race
 // by the pre-merge gate.
 func TestEncryptBlocksMatchesSerial(t *testing.T) {
 	defer func(p *workpool.Pool) { pool = p }(pool)
@@ -124,7 +124,7 @@ func TestEncryptBlocksMatchesSerial(t *testing.T) {
 // TestFixedBaseTableMatchesPlainExp pins the first-hop entry point to
 // plain Exp: encryptions of a block must be identical on the 1st
 // sighting (table just built), the 2nd (first reuse), and the 20th
-// (table hot), under three independent pooled keys. A full-width key
+// (table hot), under three independent session keys. A full-width key
 // must fall back to plain Exp and build no table.
 func TestFixedBaseTableMatchesPlainExp(t *testing.T) {
 	resetFixedBaseCaches()
@@ -165,35 +165,35 @@ func TestFixedBaseTableMatchesPlainExp(t *testing.T) {
 	}
 }
 
-// TestFirstHopCounters pins the registry view of the cache: a pooled
-// key's batch is table-served (one montgomery batch, every block a
-// hit), a full-width key's batch is all misses and no montgomery batch.
+// TestFirstHopCounters pins the registry view of the cache: a session
+// key's batch is table-served (every block a hit), a full-width key's
+// batch is all misses.
 func TestFirstHopCounters(t *testing.T) {
 	resetFixedBaseCaches()
 	defer resetFixedBaseCaches()
 	g := mathx.Oakley768
-	counters := func() (batches, hits, misses int64) {
+	counters := func() (hits, misses int64) {
 		c := telemetry.M.Snapshot().Counters
-		return c[telemetry.CtrMontgomeryBatches], c[telemetry.CtrFixedBaseHits], c[telemetry.CtrFixedBaseMisses]
+		return c[telemetry.CtrFixedBaseHits], c[telemetry.CtrFixedBaseMisses]
 	}
 	keys := testKeys(t, g)
 	wide, short := keys[0], keys[1]
 	blocks := testBlocks(short, 6)
 
-	b0, h0, m0 := counters()
+	h0, m0 := counters()
 	if _, err := short.EncryptFirstHop(blocks); err != nil {
 		t.Fatal(err)
 	}
-	b1, h1, m1 := counters()
-	if b1-b0 != 1 || h1-h0 != int64(len(blocks)) || m1 != m0 {
-		t.Fatalf("pooled key: batches +%d hits +%d misses +%d, want +1 +%d +0", b1-b0, h1-h0, m1-m0, len(blocks))
+	h1, m1 := counters()
+	if h1-h0 != int64(len(blocks)) || m1 != m0 {
+		t.Fatalf("session key: hits +%d misses +%d, want +%d +0", h1-h0, m1-m0, len(blocks))
 	}
 	if _, err := wide.EncryptFirstHop(blocks); err != nil {
 		t.Fatal(err)
 	}
-	b2, h2, m2 := counters()
-	if b2 != b1 || h2 != h1 || m2-m1 != int64(len(blocks)) {
-		t.Fatalf("full-width key: batches +%d hits +%d misses +%d, want +0 +0 +%d", b2-b1, h2-h1, m2-m1, len(blocks))
+	h2, m2 := counters()
+	if h2 != h1 || m2-m1 != int64(len(blocks)) {
+		t.Fatalf("full-width key: hits +%d misses +%d, want +0 +%d", h2-h1, m2-m1, len(blocks))
 	}
 }
 

@@ -317,7 +317,7 @@ func (r *Report) Clean() bool { return len(r.Corrupted) == 0 && len(r.Errors) ==
 // flight at once. Per-check sessions are collision-free (checkSeq), so
 // overlapping circulations interleave safely on the ring; the bound
 // keeps a large sweep from flooding peers' mailboxes.
-var checkAllParallelism = 8
+const checkAllParallelism = 8
 
 // CheckAll sweeps the given glsns, keeping several circulations in
 // flight so ring latency overlaps. Mismatches are collected rather than

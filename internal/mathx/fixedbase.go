@@ -22,17 +22,12 @@ import (
 // query, and folding the agreed accumulator base X0 at the start of
 // every integrity circulation.
 //
-// Division of labor with the Montgomery engine: for odd moduli (every
-// DLA group prime and accumulator modulus) the table is CONSTRUCTED
-// in the Montgomery domain — 4 REDC squarings per digit instead of a
-// big.Int.Exp (with its own context setup) per entry — and then
-// converted out, one cheap REDC-by-one per entry. Entries are STORED
-// and EVALUATED in canonical form with the big.Int Mul+QuoRem fold:
-// math/big's assembly multiply kernels beat the portable word-level
-// CIOS kernel at evaluation time (measured ~20% on the reference box),
-// so the in-domain fold is a construction-only tool. Results are
-// bit-identical to big.Int.Exp either way, pinned by the differential
-// tests.
+// Construction is one math/big squaring chain for every modulus, odd
+// or even: T[i+1] = T[i]^16 as four Mul+QuoRem steps with the
+// receivers reused, so a table costs four squarings per digit and no
+// per-entry Exp context. Entries are stored and evaluated in canonical
+// form with the same Mul+QuoRem fold, so results are bit-identical to
+// big.Int.Exp, pinned by the differential tests and FuzzFixedBaseVsBig.
 type FixedBase struct {
 	mod *big.Int
 	// words holds every entry back to back, n words each: entry i,
@@ -55,32 +50,15 @@ func NewFixedBase(base, mod *big.Int, maxExpBits int) *FixedBase {
 	digits := (maxExpBits + fixedBaseWindow - 1) / fixedBaseWindow
 	n := len(mod.Bits())
 	fb := &FixedBase{mod: mod, words: make([]big.Word, digits*n), n: n, digits: digits}
-	if mg, err := NewMontgomery(mod); err == nil {
-		// Build in-domain — 4 squarings per digit — then exit each
-		// entry to canonical form for the evaluation fold.
-		t := make([]uint64, mg.k+2)
-		cur := make([]uint64, mg.k)
-		out := make([]uint64, mg.k)
-		natSetBig(out, new(big.Int).Mod(base, mod))
-		mg.enter(cur, out, t)
-		for i := 0; i < digits; i++ {
-			mg.montMulOne(out, cur, t)
-			natPutWords(fb.entryWords(i), out)
-			if i < digits-1 {
-				for s := 0; s < fixedBaseWindow; s++ {
-					mg.montMul(cur, cur, cur, t)
-				}
-			}
-		}
-		return fb
-	}
-	// Even modulus: REDC refuses service; chain big.Int squarings.
-	sixteen := big.NewInt(1 << fixedBaseWindow)
-	cur := new(big.Int).Mod(base, mod)
+	var cur, prod, q big.Int
+	cur.Mod(base, mod)
 	for i := 0; i < digits; i++ {
 		copy(fb.entryWords(i), cur.Bits())
 		if i < digits-1 {
-			cur.Exp(cur, sixteen, mod)
+			for s := 0; s < fixedBaseWindow; s++ {
+				prod.Mul(&cur, &cur)
+				q.QuoRem(&prod, mod, &cur)
+			}
 		}
 	}
 	return fb

@@ -101,14 +101,37 @@ func BenchmarkExpFixedBase144(b *testing.B) { benchExp(b, 144, true) }
 func BenchmarkExpPlain768(b *testing.B)     { benchExp(b, 768, false) }
 func BenchmarkExpFixedBase768(b *testing.B) { benchExp(b, 768, true) }
 
-// BenchmarkFixedBaseBuild144 is the one-time cost of a table covering
-// 144-bit exponents on the 768-bit group: what a base pays on its first
-// sighting before the evaluation itself.
-func BenchmarkFixedBaseBuild144(b *testing.B) {
-	g := Oakley768
-	base, _ := rand.Int(rand.Reader, g.P)
-	for i := 0; i < b.N; i++ {
-		NewFixedBase(base, g.P, 144)
+// BenchmarkFixedBaseBuild is the one-time cost of a table at every
+// size the code builds: a first-hop table covering ShortExpBits on the
+// 768- and 1024-bit groups, the accumulator's X0 table at 256 bits and
+// its wide 2048-bit table on a 512-bit N, and the wide table on a
+// 2048-bit N. An odd random modulus of the same width stands in for
+// each N.
+func BenchmarkFixedBaseBuild(b *testing.B) {
+	rng := mrand.New(mrand.NewSource(1))
+	oddModulus := func(bits int) *big.Int {
+		n := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
+		n.SetBit(n, bits-1, 1)
+		return n.SetBit(n, 0, 1)
+	}
+	n512, n2048 := oddModulus(512), oddModulus(2048)
+	for _, c := range []struct {
+		name string
+		mod  *big.Int
+		bits int
+	}{
+		{"768/144", Oakley768.P, 144},
+		{"1024/160", Oakley1024.P, 160},
+		{"N512/256", n512, 256},
+		{"N512/2048", n512, 2048},
+		{"N2048/2048", n2048, 2048},
+	} {
+		base := new(big.Int).Rand(rng, c.mod)
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				NewFixedBase(base, c.mod, c.bits)
+			}
+		})
 	}
 }
 
@@ -128,8 +151,101 @@ func benchExp(b *testing.B, bits int, fixed bool) {
 	}
 }
 
-// TestFixedBaseEvenModulus pins the big.Int construction path kept for
-// even moduli, where the Montgomery engine refuses service.
+// TestMontgomeryExpMatchesBig pins the one squaring chain that builds
+// every table: a table over each modulus — tiny, 64-bit, the four
+// groups, an odd composite, and even ones — must evaluate every
+// exponent edge case to big.Int.Exp's residue. The name is kept from
+// the Montgomery kernel that once built the odd-modulus tables.
+func TestMontgomeryExpMatchesBig(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(7))
+	moduli := []*big.Int{
+		big.NewInt(3),
+		big.NewInt(65537),
+		new(big.Int).SetUint64(0xFFFFFFFFFFFFFFC5), // largest 64-bit prime
+		Oakley768.P,
+		Oakley1024.P,
+		MODP1536.P,
+		MODP2048.P,
+		new(big.Int).Mul(big.NewInt(3037000493), big.NewInt(2147483647)), // odd composite
+		big.NewInt(10),      // even
+		big.NewInt(1 << 20), // even, a power of two
+	}
+	for _, mod := range moduli {
+		order := new(big.Int).Sub(mod, big.NewInt(1))
+		exponents := []*big.Int{
+			big.NewInt(0),
+			big.NewInt(1),
+			big.NewInt(2),
+			big.NewInt(16),
+			big.NewInt(65537),
+			order,                                  // group order edge
+			new(big.Int).Add(order, big.NewInt(1)), // wraps the order
+			new(big.Int).Lsh(big.NewInt(1), 255),   // single high bit
+		}
+		for i := 0; i < 6; i++ {
+			e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 256))
+			exponents = append(exponents, e)
+		}
+		width := 0
+		for _, e := range exponents {
+			width = max(width, e.BitLen())
+		}
+		bases := []*big.Int{
+			big.NewInt(0),
+			big.NewInt(1),
+			big.NewInt(2),
+			new(big.Int).Sub(mod, big.NewInt(1)),
+			new(big.Int).Add(mod, big.NewInt(5)), // out of range: reduced
+		}
+		for i := 0; i < 4; i++ {
+			b := new(big.Int).Rand(rng, mod)
+			bases = append(bases, b)
+		}
+		for _, base := range bases {
+			fb := NewFixedBase(base, mod, width)
+			for _, e := range exponents {
+				got := fb.Exp(e)
+				want := new(big.Int).Exp(base, e, mod)
+				if got == nil || got.Cmp(want) != 0 {
+					t.Fatalf("mod %d bits: %v^%v: got %v want %v",
+						mod.BitLen(), base, e, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzFixedBaseVsBig is the differential fuzzer for table builds:
+// random moduli in the DLA range (768–2048 bits, derived from the fuzz
+// input, odd or even as drawn), random bases, and exponents covering
+// the 0/1/order edge cases. A table must agree with big.Int.Exp on
+// every one.
+func FuzzFixedBaseVsBig(f *testing.F) {
+	f.Add(int64(1), []byte{2}, []byte{3}, uint(0))
+	f.Add(int64(2), []byte{0xFF, 0x01}, []byte{0}, uint(1))
+	f.Add(int64(3), []byte{7, 7, 7}, []byte{1}, uint(2))
+	f.Add(int64(4), []byte{}, []byte{0xAB, 0xCD}, uint(3))
+	f.Add(int64(5), []byte{0x80}, []byte{0x10, 0x00}, uint(9))
+	f.Fuzz(func(t *testing.T, seed int64, baseBytes, expBytes []byte, sel uint) {
+		rng := mrand.New(mrand.NewSource(seed))
+		bits := 768 + int(sel%5)*320 // 768, 1088, 1408, 1728, 2048
+		mod := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
+		mod.SetBit(mod, bits-1, 1) // full width
+		base := new(big.Int).SetBytes(baseBytes)
+		e := new(big.Int).SetBytes(expBytes)
+		order := new(big.Int).Sub(mod, big.NewInt(1))
+		fb := NewFixedBase(base, mod, max(e.BitLen(), order.BitLen()))
+		for _, exp := range []*big.Int{e, big.NewInt(0), big.NewInt(1), order} {
+			if got, want := fb.Exp(exp), new(big.Int).Exp(base, exp, mod); got == nil || got.Cmp(want) != 0 {
+				t.Fatalf("mod %d bits, e %d bits: got %v want %v",
+					mod.BitLen(), exp.BitLen(), got, want)
+			}
+		}
+	})
+}
+
+// TestFixedBaseEvenModulus pins an even modulus, which takes the same
+// squaring chain as an odd one.
 func TestFixedBaseEvenModulus(t *testing.T) {
 	m := big.NewInt(1 << 20) // even
 	fb := NewFixedBase(big.NewInt(7), m, 64)

@@ -116,8 +116,8 @@ func StandardGroup(bits int) (*Group, error) {
 // Bits reports the bit length of the modulus.
 func (g *Group) Bits() int { return g.P.BitLen() }
 
-// ShortExpBits returns the bit length of pooled encryption exponents
-// for the group. Recovering a short exponent from M and M^e mod p costs
+// ShortExpBits returns the bit length of the encryption exponent of a
+// session key (commutative.NewSessionKey) for the group. Recovering a short exponent from M and M^e mod p costs
 // ~2^(bits/2) group operations (Pollard lambda over the exponent
 // interval), so the schedule sizes exponents at twice the modulus's
 // index-calculus strength — the same matching rule RFC 7919 applies to
@@ -223,8 +223,8 @@ func RandCoprime(rng io.Reader, n *big.Int) (*big.Int, error) {
 // RandCoprimeBits returns a random integer of exactly the given bit
 // length that is coprime to n. Short exponents keep modular
 // exponentiation cheap while the inverse (computed over the full
-// modulus) stays full width; see the commutative key pool for the
-// security argument.
+// modulus) stays full width; see Group.ShortExpBits for the security
+// argument.
 func RandCoprimeBits(rng io.Reader, n *big.Int, bits int) (*big.Int, error) {
 	if rng == nil {
 		rng = rand.Reader

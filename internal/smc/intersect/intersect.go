@@ -75,7 +75,7 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 	sp, ctx := telemetry.StartSpan(ctx, cfg.Session, self, "smc.intersect.run")
 	sp.SetCount(len(localSet))
 	defer func() { sp.End(err) }()
-	key, err := commutative.SharedPool.Key(cfg.Group)
+	key, err := commutative.NewSessionKey(cfg.Group)
 	if err != nil {
 		return nil, fmt.Errorf("intersect: generating key: %w", err)
 	}

@@ -118,7 +118,7 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 	sp, ctx := telemetry.StartSpan(ctx, cfg.Session, self, "smc.union.run")
 	sp.SetCount(len(localSet))
 	defer func() { sp.End(err) }()
-	key, err := commutative.SharedPool.Key(cfg.Group)
+	key, err := commutative.NewSessionKey(cfg.Group)
 	if err != nil {
 		return nil, fmt.Errorf("union: generating key: %w", err)
 	}
@@ -203,7 +203,7 @@ func (p *party) collect(ctx context.Context, own, myFinal [][]byte) ([][]byte, e
 	// layer it applied), and encryption is deterministic, so it could
 	// match them against a bare batch. Sorting the blinded blocks erases
 	// contribution order.
-	blind, err := commutative.SharedPool.Key(p.cfg.Group)
+	blind, err := commutative.NewSessionKey(p.cfg.Group)
 	if err != nil {
 		return nil, fmt.Errorf("union: generating blinding key: %w", err)
 	}

@@ -154,13 +154,6 @@ func (f *Flight) SnapshotSince(t time.Time) FlightSnapshot {
 	return s
 }
 
-// Len reports the number of retained events.
-func (f *Flight) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n
-}
-
 // Reset drops every event and the drop count (tests).
 func (f *Flight) Reset() {
 	f.mu.Lock()

@@ -551,21 +551,18 @@ const (
 	GaugeAdmissionBytes  = "ingest.inflight_bytes"
 	GaugeAdmissionTokens = "ingest.admission_tokens"
 
-	// Montgomery crypto engine and overlapped relay. montgomery_batches
-	// counts first-hop block batches a fixed-base table (built with
-	// Montgomery squaring chains) served at least one block of;
-	// fixedbase_hits and fixedbase_misses count first-hop blocks served
-	// from a table and blocks that fell back to big.Int.Exp, so the hit
-	// rate is hits/(hits+misses); overlap_stalls counts relay sends
-	// that had to wait on the crypto producer (crypto time not hidden
-	// by network time); witness_updates counts witness-exponent
-	// installs on the fragment write path.
+	// Fixed-base tables and overlapped relay. fixedbase_hits and
+	// fixedbase_misses count first-hop blocks served from a table and
+	// blocks that fell back to big.Int.Exp, so the hit rate is
+	// hits/(hits+misses); overlap_stalls counts relay sends that had to
+	// wait on the crypto producer (crypto time not hidden by network
+	// time); witness_updates counts witness-exponent installs on the
+	// fragment write path.
 	// All are counts only — Definition 1 secondary information.
-	CtrMontgomeryBatches = "crypto.montgomery_batches"
-	CtrFixedBaseHits     = "crypto.fixedbase_hits"
-	CtrFixedBaseMisses   = "crypto.fixedbase_misses"
-	CtrOverlapStalls     = "smc.overlap_stalls"
-	CtrWitnessUpdates    = "integrity.witness_updates"
+	CtrFixedBaseHits   = "crypto.fixedbase_hits"
+	CtrFixedBaseMisses = "crypto.fixedbase_misses"
+	CtrOverlapStalls   = "smc.overlap_stalls"
+	CtrWitnessUpdates  = "integrity.witness_updates"
 )
 
 // SentTo records one outbound message of the given protocol type and

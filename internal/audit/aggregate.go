@@ -7,34 +7,38 @@ import (
 	"confaudit/internal/logmodel"
 )
 
-// fragmentReader is the narrow store surface aggregation needs.
-type fragmentReader interface {
-	Fragment(logmodel.GLSN) (logmodel.Fragment, bool)
+// fragmentVisitor is the store surface every fragment scan runs
+// through. VisitFragments calls fn with the values of each fragment
+// held among glsns, or of every fragment held when glsns is nil, in
+// ascending glsn order; fn must not keep the values map, which the
+// visitor may reuse. An error from fn ends the scan and is returned.
+type fragmentVisitor interface {
+	VisitFragments(glsns []logmodel.GLSN, fn func(logmodel.GLSN, map[logmodel.Attr]logmodel.Value) error) error
 }
 
 // computeAggregate folds an aggregate over the named attribute of the
 // matched records, on the attribute's owner node. Only the final scalar
 // leaves the node — the confidential-statistics flow of the paper's
 // secret-counting reference [7].
-func computeAggregate(node fragmentReader, kind AggKind, attr logmodel.Attr, glsns []string) (float64, error) {
+func computeAggregate(node fragmentVisitor, kind AggKind, attr logmodel.Attr, glsns []string) (float64, error) {
 	var (
 		sum   float64
 		count int
 		maxV  = math.Inf(-1)
 		minV  = math.Inf(1)
 	)
+	gs := make([]logmodel.GLSN, 0, len(glsns)) // non-nil: visit only these
 	for _, s := range glsns {
 		g, err := logmodel.ParseGLSN(s)
 		if err != nil {
 			return 0, err
 		}
-		frag, ok := node.Fragment(g)
+		gs = append(gs, g)
+	}
+	err := node.VisitFragments(gs, func(_ logmodel.GLSN, values map[logmodel.Attr]logmodel.Value) error {
+		v, ok := values[attr]
 		if !ok {
-			continue
-		}
-		v, ok := frag.Values[attr]
-		if !ok {
-			continue
+			return nil
 		}
 		var f float64
 		switch v.Kind {
@@ -46,9 +50,9 @@ func computeAggregate(node fragmentReader, kind AggKind, attr logmodel.Attr, gls
 			// Counting does not need a numeric value.
 			if kind == AggCount {
 				count++
-				continue
+				return nil
 			}
-			return 0, fmt.Errorf("audit: aggregate %q over non-numeric attribute %q", kind, attr)
+			return fmt.Errorf("audit: aggregate %q over non-numeric attribute %q", kind, attr)
 		}
 		count++
 		sum += f
@@ -58,6 +62,10 @@ func computeAggregate(node fragmentReader, kind AggKind, attr logmodel.Attr, gls
 		if f < minV {
 			minV = f
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	switch kind {
 	case AggCount:

@@ -1,17 +1,32 @@
 package audit
 
 import (
+	"slices"
 	"testing"
 
 	"confaudit/internal/logmodel"
 )
 
-// fragMap is a minimal fragmentReader for unit tests.
+// fragMap is a minimal fragmentVisitor for unit tests.
 type fragMap map[logmodel.GLSN]logmodel.Fragment
 
-func (m fragMap) Fragment(g logmodel.GLSN) (logmodel.Fragment, bool) {
-	f, ok := m[g]
-	return f, ok
+func (m fragMap) VisitFragments(glsns []logmodel.GLSN, fn func(logmodel.GLSN, map[logmodel.Attr]logmodel.Value) error) error {
+	if glsns == nil {
+		for g := range m {
+			glsns = append(glsns, g)
+		}
+	} else {
+		glsns = slices.Clone(glsns)
+	}
+	slices.Sort(glsns)
+	for _, g := range glsns {
+		if f, ok := m[g]; ok {
+			if err := fn(g, f.Values); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func TestComputeAggregateUnit(t *testing.T) {

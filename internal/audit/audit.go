@@ -103,7 +103,7 @@ type NodeState interface {
 	Group() *mathx.Group
 	Mailbox() *transport.Mailbox
 	GLSNs() []logmodel.GLSN
-	Fragment(logmodel.GLSN) (logmodel.Fragment, bool)
+	fragmentVisitor
 	TicketAllows(ticketID string, op ticket.Op) error
 	// Sign certifies audit results under the node's cluster key.
 	Sign(data []byte) []byte

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -85,18 +86,29 @@ func (c *Centralized) Aggregate(criteria string, kind AggKind, attr logmodel.Att
 	return computeAggregate(centralizedState{c}, kind, attr, strs)
 }
 
-// centralizedState adapts Centralized to the fragment-reading surface
+// centralizedState adapts Centralized to the fragment-visiting surface
 // aggregation needs.
 type centralizedState struct{ c *Centralized }
 
-var _ fragmentReader = centralizedState{}
+var _ fragmentVisitor = centralizedState{}
 
-func (s centralizedState) Fragment(g logmodel.GLSN) (logmodel.Fragment, bool) {
+func (s centralizedState) VisitFragments(glsns []logmodel.GLSN, fn func(logmodel.GLSN, map[logmodel.Attr]logmodel.Value) error) error {
 	s.c.mu.RLock()
 	defer s.c.mu.RUnlock()
-	rec, ok := s.c.records[g]
-	if !ok {
-		return logmodel.Fragment{}, false
+	if glsns == nil {
+		for g := range s.c.records {
+			glsns = append(glsns, g)
+		}
+	} else {
+		glsns = slices.Clone(glsns)
 	}
-	return logmodel.Fragment{GLSN: g, Node: "centralized", Values: rec.Values}, true
+	slices.Sort(glsns)
+	for _, g := range glsns {
+		if rec, ok := s.c.records[g]; ok {
+			if err := fn(g, rec.Values); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

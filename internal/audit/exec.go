@@ -610,17 +610,12 @@ func executePlan(ctx context.Context, node NodeState, session string, plan *wire
 			return nil, false, err
 		}
 		elems := make([][]byte, 0)
-		for _, g := range node.GLSNs() {
-			frag, ok := node.Fragment(g)
-			if !ok {
-				continue
+		node.VisitFragments(nil, func(g logmodel.GLSN, values map[logmodel.Attr]logmodel.Value) error { //nolint:errcheck // fn never fails
+			if v, ok := values[myAttr]; ok {
+				elems = append(elems, []byte(g.String()+"|"+v.Render()))
 			}
-			v, ok := frag.Values[myAttr]
-			if !ok {
-				continue
-			}
-			elems = append(elems, []byte(g.String()+"|"+v.Render()))
-		}
+			return nil
+		})
 		cfg := intersect.Config{
 			Group:     node.Group(),
 			Ring:      plan.Nodes,
@@ -714,20 +709,20 @@ func executeCrossCmp(ctx context.Context, node NodeState, session string, plan *
 	// free intersection. glsn lists are "aggregated information" the
 	// relaxed model permits to flow between the two holders.
 	mine := make(map[string]*big.Int)
-	for _, g := range node.GLSNs() {
-		frag, ok := node.Fragment(g)
+	err = node.VisitFragments(nil, func(g logmodel.GLSN, values map[logmodel.Attr]logmodel.Value) error {
+		v, ok := values[myAttr]
 		if !ok {
-			continue
-		}
-		v, ok := frag.Values[myAttr]
-		if !ok {
-			continue
+			return nil
 		}
 		enc, err := orderedInt(v)
 		if err != nil {
-			return nil, false, fmt.Errorf("attribute %q: %w", myAttr, err)
+			return fmt.Errorf("attribute %q: %w", myAttr, err)
 		}
 		mine[g.String()] = enc
+		return nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
 	myKeys := make([]string, 0, len(mine))
 	for k := range mine {
@@ -863,18 +858,18 @@ func evalClauseLocal(node NodeState, clause query.Clause) (map[string]struct{}, 
 			return set, nil
 		}
 	}
-	for _, g := range node.GLSNs() {
-		frag, ok := node.Fragment(g)
-		if !ok {
-			continue
-		}
-		match, err := clause.Eval(frag.Values)
+	err := node.VisitFragments(nil, func(g logmodel.GLSN, values map[logmodel.Attr]logmodel.Value) error {
+		match, err := clause.Eval(values)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if match {
 			set[g.String()] = struct{}{}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return set, nil
 }

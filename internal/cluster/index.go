@@ -1,9 +1,9 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
-	"strconv"
 
 	"confaudit/internal/logmodel"
 )
@@ -32,84 +32,87 @@ type attrIndex struct {
 	byKey    map[string]map[logmodel.GLSN]struct{}
 }
 
-// indexKey renders the class-tagged hash key for a value. ok is false
-// for values no key can represent faithfully (NaN).
-func indexKey(v logmodel.Value) (key string, isString, ok bool) {
-	switch v.Kind {
+// appendIndexKey appends the class-tagged hash key for a value to dst.
+// ok is false for values no key can represent faithfully (NaN).
+func appendIndexKey(dst []byte, v rawValue) (key []byte, isString, ok bool) {
+	switch v.kind {
 	case logmodel.KindString:
-		return "s\x00" + v.S, true, true
+		return append(append(dst, 's', 0), v.s...), true, true
 	case logmodel.KindInt:
-		return numericKey(float64(v.I)), false, true
+		return appendNumericKey(dst, float64(v.i)), false, true
 	case logmodel.KindFloat:
-		if math.IsNaN(v.F) {
-			return "", false, false
+		if math.IsNaN(v.f) {
+			return dst, false, false
 		}
-		return numericKey(v.F), false, true
+		return appendNumericKey(dst, v.f), false, true
 	default:
-		return "", false, false
+		return dst, false, false
 	}
 }
 
-// numericKey maps a float64 to a key such that two numerics get the
-// same key iff logmodel.Compare calls them equal. -0 normalizes to 0.
-func numericKey(f float64) string {
+// appendNumericKey appends a float64's key, its bits, such that two
+// numerics get the same key iff logmodel.Compare calls them equal. -0
+// normalizes to 0.
+func appendNumericKey(dst []byte, f float64) []byte {
 	if f == 0 {
 		f = 0 // collapse -0.0 and +0.0
 	}
-	return "n\x00" + strconv.FormatFloat(f, 'b', -1, 64)
+	return binary.BigEndian.AppendUint64(append(dst, 'n', 0), math.Float64bits(f))
 }
 
-// indexAdd registers a fragment's values. Caller holds n.mu.
-func (n *Node) indexAdd(frag logmodel.Fragment) {
-	for attr, v := range frag.Values {
-		ix := n.idx[attr]
+// indexAdd registers a held item's values. Caller holds n.mu.
+func (n *Node) indexAdd(v *itemView) {
+	var buf [32]byte
+	eachValue(v.run, func(attr []byte, val rawValue) {
+		ix := n.idx[logmodel.Attr(attr)]
 		if ix == nil {
 			ix = &attrIndex{byKey: make(map[string]map[logmodel.GLSN]struct{})}
-			n.idx[attr] = ix
+			n.idx[logmodel.Attr(attr)] = ix
 		}
-		key, isString, ok := indexKey(v)
+		key, isString, ok := appendIndexKey(buf[:0], val)
 		if !ok {
 			ix.nans++
-			continue
+			return
 		}
 		if isString {
 			ix.strings++
 		} else {
 			ix.numerics++
 		}
-		set := ix.byKey[key]
+		set := ix.byKey[string(key)]
 		if set == nil {
 			set = make(map[logmodel.GLSN]struct{})
-			ix.byKey[key] = set
+			ix.byKey[string(key)] = set
 		}
-		set[frag.GLSN] = struct{}{}
-	}
+		set[v.glsn] = struct{}{}
+	})
 }
 
-// indexRemove unregisters a fragment's values. Caller holds n.mu.
-func (n *Node) indexRemove(frag logmodel.Fragment) {
-	for attr, v := range frag.Values {
-		ix := n.idx[attr]
+// indexRemove unregisters a held item's values. Caller holds n.mu.
+func (n *Node) indexRemove(v *itemView) {
+	var buf [32]byte
+	eachValue(v.run, func(attr []byte, val rawValue) {
+		ix := n.idx[logmodel.Attr(attr)]
 		if ix == nil {
-			continue
+			return
 		}
-		key, isString, ok := indexKey(v)
+		key, isString, ok := appendIndexKey(buf[:0], val)
 		if !ok {
 			ix.nans--
-			continue
+			return
 		}
 		if isString {
 			ix.strings--
 		} else {
 			ix.numerics--
 		}
-		if set := ix.byKey[key]; set != nil {
-			delete(set, frag.GLSN)
+		if set := ix.byKey[string(key)]; set != nil {
+			delete(set, v.glsn)
 			if len(set) == 0 {
-				delete(ix.byKey, key)
+				delete(ix.byKey, string(key))
 			}
 		}
-	}
+	})
 }
 
 // IndexLookup returns the glsns whose fragment stores exactly v for the
@@ -132,14 +135,14 @@ func (n *Node) IndexLookup(attr logmodel.Attr, v logmodel.Value) ([]logmodel.GLS
 	if ix.nans > 0 {
 		return nil, false // stored NaN compares equal to every numeric
 	}
-	key, isString, ok := indexKey(v)
+	key, isString, ok := appendIndexKey(nil, rawValue{kind: v.Kind, s: []byte(v.S), i: v.I, f: v.F})
 	if !ok {
 		return nil, false // NaN constant
 	}
 	if isString && ix.numerics > 0 || !isString && ix.strings > 0 {
 		return nil, false // cross-class comparison errors under Compare
 	}
-	set := ix.byKey[key]
+	set := ix.byKey[string(key)]
 	out := make([]logmodel.GLSN, 0, len(set))
 	for g := range set {
 		out = append(out, g)

@@ -65,7 +65,11 @@ func TestStagedBatchSurvivesCompactionBeforeCommit(t *testing.T) {
 	}
 	node.mu.Lock()
 	for i := range entries {
-		node.storeLocked(entries[i].Item)
+		v, err := viewItem(appendBatchItem(nil, entries[i].Item))
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.storeLocked(&v)
 	}
 	node.journal.stage(recs)
 	node.mu.Unlock()
@@ -86,7 +90,7 @@ func TestStagedBatchSurvivesCompactionBeforeCommit(t *testing.T) {
 	frags := make(map[logmodel.GLSN]int)
 	for _, e := range journalEntries(t, dir) {
 		if e.Kind == "frag" {
-			frags[e.Item.Fragment.GLSN]++
+			frags[e.Item.glsn()]++
 		}
 	}
 	restarted := openDurableNode(t, "P0", dir)

@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"crypto/ed25519"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -637,9 +640,11 @@ func ProvenanceStatement(g logmodel.GLSN, digest *big.Int) []byte {
 }
 
 // batchItem is one record's slice of a store batch: this node's
-// fragment and the record's accumulator material. It is the node's unit
-// of record state: the writer ships it, the node holds it (heldRecord),
-// journals it and replays it, all in one codec (appendBatchItem).
+// fragment and the record's accumulator material. A writer builds it
+// from its fields; a node only ever reads one it decoded, whose raw run
+// is all it carries. That run is the node's unit of record state: the
+// node holds it (heldRecord), journals it and replays it as the bytes
+// the writer's encoding (appendBatchItem) produced.
 type batchItem struct {
 	Fragment logmodel.Fragment `json:"fragment"`
 	// DigestExp is the record digest's exponent, the product of every
@@ -655,16 +660,35 @@ type batchItem struct {
 	// node materialize X0^wexp once and then verify its slice with one
 	// exponentiation instead of a ring circulation.
 	WitnessExp *big.Int `json:"wexp,omitempty"`
+	// raw is the item's encoding when it was decoded from one, checked
+	// by viewItem; its other fields are then unset.
+	raw []byte
 }
 
-// heldRecord is what a node holds for one glsn: the item it installed
-// plus the two group elements materialized lazily from the item's
-// exponents (nil until first asked for). An (over)write installs a fresh
-// heldRecord, so a cached element never outlives its content.
+// glsn returns the item's glsn, read from its run when it has one.
+func (it *batchItem) glsn() logmodel.GLSN {
+	if it.raw == nil {
+		return it.Fragment.GLSN
+	}
+	g, _ := binary.Uvarint(it.raw) // viewItem checked the run
+	return logmodel.GLSN(g)
+}
+
+// heldRecord is what a node holds for one glsn: the item's run, which
+// is never modified, plus the two group elements materialized lazily
+// from its exponents (nil until first asked for). Every reader decodes
+// what it needs from raw. An (over)write installs a fresh heldRecord,
+// so a cached element never outlives its content.
 type heldRecord struct {
-	item    batchItem
-	digest  *big.Int // X0^item.DigestExp
-	witness *big.Int // X0^item.WitnessExp
+	raw     []byte
+	digest  *big.Int // X0^dexp
+	witness *big.Int // X0^wexp
+}
+
+// view locates the fields of the held run.
+func (r *heldRecord) view() itemView {
+	v, _ := viewItem(r.raw) // checked when it was installed
+	return v
 }
 
 // storeBatchBody is the body of MsgLogStoreBatch, the one store
@@ -722,7 +746,7 @@ func (n *Node) handleStoreBatch(ctx context.Context, msg transport.Message) {
 		telemetry.M.Counter(telemetry.CtrStoreRecords).Add(int64(len(body.Items)))
 		maxGLSN := int64(0)
 		for i := range body.Items {
-			if g := int64(body.Items[i].Fragment.GLSN); g > maxGLSN {
+			if g := int64(body.Items[i].glsn()); g > maxGLSN {
 				maxGLSN = g
 			}
 		}
@@ -765,14 +789,15 @@ func (n *Node) storeWhenGranted(ctx context.Context, body *storeBatchBody) error
 	}
 }
 
-// storeFragmentBatch validates every item, then installs them all under
-// one state-lock acquisition and journals them as one group commit. It is
-// all-or-nothing up front: any invalid item refuses the whole batch
-// before state changes, so a client never has to puzzle out a partial
-// ack. Only fragments for glsns the cluster granted to this ticket are
-// accepted, which keeps a writer from overwriting foreign records. The
-// group's commit runs off the state lock (see mutate), so one batch's
-// disk write overlaps the next batch's install.
+// storeFragmentBatch validates every item of a decoded batch, then
+// installs them all under one state-lock acquisition and journals them
+// as one group commit. It is all-or-nothing up front: any invalid item
+// refuses the whole batch before state changes, so a client never has
+// to puzzle out a partial ack. Only fragments for glsns the cluster
+// granted to this ticket are accepted, which keeps a writer from
+// overwriting foreign records. The group's commit runs off the state
+// lock (see mutate), so one batch's disk write overlaps the next
+// batch's install.
 func (n *Node) storeFragmentBatch(body *storeBatchBody) error {
 	if len(body.Items) == 0 {
 		return errors.New("cluster: empty store batch")
@@ -781,50 +806,63 @@ func (n *Node) storeFragmentBatch(body *storeBatchBody) error {
 	for _, a := range n.part.NodeAttrs(n.id) {
 		allowed[a] = struct{}{}
 	}
+	views := make([]itemView, len(body.Items))
 	entries := make([]walEntry, len(body.Items))
 	for i := range body.Items {
-		item := &body.Items[i]
-		if err := n.acl.Authorize(body.TicketID, ticket.OpWrite, item.Fragment.GLSN); err != nil {
+		v, err := viewItem(body.Items[i].raw)
+		if err != nil {
+			return fmt.Errorf("cluster: store item %d: %w", i, err)
+		}
+		if err := n.acl.Authorize(body.TicketID, ticket.OpWrite, v.glsn); err != nil {
 			return err
 		}
-		if !n.acl.HasGrant(body.TicketID, item.Fragment.GLSN) {
-			return fmt.Errorf("%w: %s for ticket %q", ErrGLSNNotAssigned, item.Fragment.GLSN, body.TicketID)
+		if !n.acl.HasGrant(body.TicketID, v.glsn) {
+			return fmt.Errorf("%w: %s for ticket %q", ErrGLSNNotAssigned, v.glsn, body.TicketID)
 		}
-		for a := range item.Fragment.Values {
-			if _, ok := allowed[a]; !ok {
-				return fmt.Errorf("cluster: fragment carries attribute %q outside A_%s", a, n.id)
+		var outside []byte
+		eachValue(v.run, func(a []byte, _ rawValue) {
+			if _, ok := allowed[logmodel.Attr(a)]; !ok && outside == nil {
+				outside = a
 			}
+		})
+		if outside != nil {
+			return fmt.Errorf("cluster: fragment carries attribute %q outside A_%s", outside, n.id)
 		}
-		if item.DigestExp == nil || item.WitnessExp == nil {
-			return fmt.Errorf("cluster: store item %s lacks its digest or witness exponent", item.Fragment.GLSN)
+		if !v.hasExponents() {
+			return fmt.Errorf("cluster: store item %s lacks its digest or witness exponent", v.glsn)
 		}
+		views[i] = v
 		// The journal carries the item as shipped; replay installs it
 		// through the same storeLocked.
-		entries[i] = walEntry{Kind: "frag", Item: item}
+		entries[i] = walEntry{Kind: "frag", Item: &body.Items[i]}
 	}
 	return n.mutate(entries, func() (bool, error) {
-		for i := range body.Items {
-			n.storeLocked(&body.Items[i])
+		for i := range views {
+			n.storeLocked(&views[i])
 		}
-		telemetry.M.Counter(telemetry.CtrWitnessUpdates).Add(int64(len(body.Items)))
+		telemetry.M.Counter(telemetry.CtrWitnessUpdates).Add(int64(len(views)))
 		return true, nil
 	})
 }
 
-// storeLocked installs one validated item as a fresh heldRecord, with
-// the fragment stamped with this node's ID, and maintains the attribute
-// indexes. It is the node's only install: the live store path and
-// journal replay both call it. Caller holds n.mu (replay runs before
-// the node is shared).
-func (n *Node) storeLocked(item *batchItem) {
-	rec := &heldRecord{item: *item}
-	rec.item.Fragment.Node = n.id
-	g := rec.item.Fragment.GLSN
-	if old, ok := n.recs[g]; ok {
-		n.indexRemove(old.item.Fragment)
+// storeLocked installs one checked item as a fresh heldRecord and
+// maintains the attribute indexes. The record is the item's run itself
+// when its fragment already names this node, as Split makes it;
+// otherwise the run is re-encoded once with this node's ID stamped. It
+// is the node's only install: the live store path and journal replay
+// both call it. Caller holds n.mu (replay runs before the node is
+// shared).
+func (n *Node) storeLocked(v *itemView) {
+	raw := v.run
+	if string(v.node) != n.id {
+		raw = v.stamped(n.id)
 	}
-	n.recs[g] = rec
-	n.indexAdd(rec.item.Fragment)
+	if old, ok := n.recs[v.glsn]; ok {
+		ov := old.view()
+		n.indexRemove(&ov)
+	}
+	n.recs[v.glsn] = &heldRecord{raw: raw}
+	n.indexAdd(v)
 }
 
 // removeLocked drops a record and its index entries, reporting whether
@@ -835,7 +873,8 @@ func (n *Node) removeLocked(g logmodel.GLSN) bool {
 	if !ok {
 		return false
 	}
-	n.indexRemove(rec.item.Fragment)
+	v := rec.view()
+	n.indexRemove(&v)
 	delete(n.recs, g)
 	return true
 }
@@ -915,75 +954,139 @@ func (n *Node) deleteFragment(ticketID string, g logmodel.GLSN) error {
 
 // --- store access for sibling subsystems (integrity, audit) ---
 
-// Fragment returns the stored fragment for a glsn.
+// Fragment returns the stored fragment for a glsn, decoded from the
+// held record.
 func (n *Node) Fragment(g logmodel.GLSN) (logmodel.Fragment, bool) {
 	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if rec, ok := n.recs[g]; ok {
-		return rec.item.Fragment, true
+	rec, ok := n.recs[g]
+	n.mu.RUnlock()
+	if !ok {
+		return logmodel.Fragment{}, false
 	}
-	return logmodel.Fragment{}, false
+	v := rec.view()
+	return v.fragment(), true
+}
+
+// VisitFragments calls fn with the values of each fragment the node
+// holds among glsns, or of every fragment it holds when glsns is nil,
+// in ascending glsn order. The values map is reused from call to call:
+// fn must not keep it. The held records are collected under the read
+// lock and decoded outside it, so a scan never holds up a writer; a
+// record overwritten or deleted meanwhile is visited as it was when
+// collected. An error from fn ends the scan and is returned.
+func (n *Node) VisitFragments(glsns []logmodel.GLSN, fn func(logmodel.GLSN, map[logmodel.Attr]logmodel.Value) error) error {
+	type held struct {
+		g   logmodel.GLSN
+		raw []byte
+	}
+	n.mu.RLock()
+	var recs []held
+	if glsns == nil {
+		recs = make([]held, 0, len(n.recs))
+		for g, rec := range n.recs {
+			recs = append(recs, held{g, rec.raw})
+		}
+	} else {
+		recs = make([]held, 0, len(glsns))
+		for _, g := range glsns {
+			if rec, ok := n.recs[g]; ok {
+				recs = append(recs, held{g, rec.raw})
+			}
+		}
+	}
+	n.mu.RUnlock()
+	slices.SortFunc(recs, func(a, b held) int { return cmp.Compare(a.g, b.g) })
+	values := make(map[logmodel.Attr]logmodel.Value)
+	// Attribute names repeat across fragments: intern them rather than
+	// allocate a key per value.
+	names := make(map[string]logmodel.Attr)
+	for _, h := range recs {
+		clear(values)
+		eachValue(h.raw, func(a []byte, val rawValue) {
+			name, ok := names[string(a)]
+			if !ok {
+				name = logmodel.Attr(a)
+				names[string(name)] = name
+			}
+			values[name] = val.value()
+		})
+		if err := fn(h.g, values); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Digest returns the record digest for a glsn: the group element
 // X0^dexp of the writer-shipped digest exponent, materialized on first
 // use (see materialize).
-func (n *Node) Digest(g logmodel.GLSN) (*big.Int, bool) {
-	return n.materialize(g, func(r *heldRecord) (*big.Int, **big.Int) {
-		return r.item.DigestExp, &r.digest
-	})
-}
+func (n *Node) Digest(g logmodel.GLSN) (*big.Int, bool) { return n.materialize(g, false) }
 
 // Witness returns this node's membership witness for a glsn — the group
 // element X0^wexp of the writer-shipped witness exponent, materialized
 // on first use (see materialize). Integrity checks then verify the local
 // fragment against the record digest without circulating the ring.
-func (n *Node) Witness(g logmodel.GLSN) (*big.Int, bool) {
-	return n.materialize(g, func(r *heldRecord) (*big.Int, **big.Int) {
-		return r.item.WitnessExp, &r.witness
-	})
-}
+func (n *Node) Witness(g logmodel.GLSN) (*big.Int, bool) { return n.materialize(g, true) }
 
-// materialize returns X0^e for the exponent e that field picks out of
-// g's held record, with the cache slot it memoizes the element in. The
-// first call pays one fixed-base exponentiation outside the state lock;
-// the element is cached only if g still holds the same record, so an
-// overwrite or delete in between drops it with the old content.
-func (n *Node) materialize(g logmodel.GLSN, field func(*heldRecord) (*big.Int, **big.Int)) (*big.Int, bool) {
-	var exp, elem *big.Int
+// materialize returns X0^e for g's digest exponent, or its witness
+// exponent when witness is set, and memoizes the element in the held
+// record. The first call decodes e from the record and pays one
+// fixed-base exponentiation outside the state lock; the element is
+// cached only if g still holds the same record, so an overwrite or
+// delete in between drops it with the old content.
+func (n *Node) materialize(g logmodel.GLSN, witness bool) (*big.Int, bool) {
+	slot := func(r *heldRecord) **big.Int {
+		if witness {
+			return &r.witness
+		}
+		return &r.digest
+	}
 	n.mu.RLock()
 	rec, ok := n.recs[g]
+	var elem *big.Int
 	if ok {
-		var cache **big.Int
-		exp, cache = field(rec)
-		elem = *cache
+		elem = *slot(rec)
 	}
 	n.mu.RUnlock()
+	if !ok {
+		return nil, false
+	}
 	if elem != nil {
 		return elem, true
 	}
+	v := rec.view()
+	enc := v.dexp
+	if witness {
+		enc = v.wexp
+	}
+	exp := bigOf(enc)
 	if exp == nil {
 		return nil, false
 	}
 	elem = n.accParams.PowX0(exp)
 	n.mu.Lock()
 	if n.recs[g] == rec {
-		_, cache := field(rec)
-		*cache = elem
+		*slot(rec) = elem
 	}
 	n.mu.Unlock()
 	return elem, true
 }
 
 // Provenance returns the writer's non-repudiation signature for a glsn,
-// when the writer supplied one.
+// when the writer supplied one. The signature is a slice of the held
+// record, which is never modified; callers must not modify it either.
 func (n *Node) Provenance(g logmodel.GLSN) ([]byte, bool) {
 	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if rec, ok := n.recs[g]; ok && rec.item.Provenance != nil {
-		return rec.item.Provenance, true
+	rec, ok := n.recs[g]
+	n.mu.RUnlock()
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	v := rec.view()
+	if v.prov == nil {
+		return nil, false
+	}
+	return v.prov[:len(v.prov):len(v.prov)], true
 }
 
 // VerifyProvenance checks a writer's non-repudiation signature: the
@@ -1019,22 +1122,28 @@ func (n *Node) GLSNs() []logmodel.GLSN {
 
 // TamperFragment overwrites a stored fragment's attribute value without
 // any authorization — a test-only hook simulating a compromised node
-// (paper §4.1). The record's digest and witness are left as they were.
-// It returns false if the glsn or attribute is absent.
-func (n *Node) TamperFragment(g logmodel.GLSN, attr logmodel.Attr, v logmodel.Value) bool {
+// (paper §4.1). It installs a fresh record re-encoded with the new
+// value; the record's exponents, and the digest and witness elements
+// already materialized from them, are left as they were. It returns
+// false if the glsn or attribute is absent.
+func (n *Node) TamperFragment(g logmodel.GLSN, attr logmodel.Attr, val logmodel.Value) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	rec, ok := n.recs[g]
 	if !ok {
 		return false
 	}
-	frag := rec.item.Fragment
+	v := rec.view()
+	frag := v.fragment()
 	if _, ok := frag.Values[attr]; !ok {
 		return false
 	}
-	n.indexRemove(frag)
-	frag.Values[attr] = v
-	n.indexAdd(frag)
+	frag.Values[attr] = val
+	item := batchItem{Fragment: frag, DigestExp: bigOf(v.dexp), Provenance: v.prov, WitnessExp: bigOf(v.wexp)}
+	tampered, _ := viewItem(appendBatchItem(nil, &item)) // the encoder's own output
+	n.indexRemove(&v)
+	n.recs[g] = &heldRecord{raw: tampered.run, digest: rec.digest, witness: rec.witness}
+	n.indexAdd(&tampered)
 	return true
 }
 

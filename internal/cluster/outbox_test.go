@@ -103,9 +103,9 @@ func TestOutboxSpoolReplaysBinaryStoreBatch(t *testing.T) {
 			t.Fatalf("glsn %s: id = %v, want %v", g, frag.Values["id"], want)
 		}
 		node.mu.RLock()
-		exp := node.recs[g].item.DigestExp
+		v := node.recs[g].view()
 		node.mu.RUnlock()
-		if exp == nil {
+		if exp := bigOf(v.dexp); exp == nil {
 			t.Fatalf("glsn %s: digest exponent missing after replay", g)
 		}
 		got, ok := node.Digest(g)

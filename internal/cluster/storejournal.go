@@ -31,7 +31,8 @@ type walEntry struct {
 	GLSN     logmodel.GLSN `json:"glsn,omitempty"`
 	Count    int           `json:"count,omitempty"` // grant range size; 0/absent means 1
 	// Item is the store item a "frag" entry installs, in the wire
-	// codec's item encoding; replay hands it to storeLocked as is.
+	// codec's item encoding. A replayed entry's item is the run it was
+	// journaled as, and replay installs that run.
 	Item *batchItem `json:"item,omitempty"`
 }
 
@@ -78,10 +79,15 @@ func entryRecord(e *walEntry) (storage.Record, error) {
 	telemetry.M.Counter(telemetry.CtrWALBinaryRecords).Add(1)
 	g := uint64(e.GLSN)
 	if e.Item != nil {
-		g = uint64(e.Item.Fragment.GLSN)
+		g = uint64(e.Item.glsn())
 	}
 	return storage.Record{Kind: e.Kind, GLSN: g, Data: data}, nil
 }
+
+// ingestFanoutThreshold is the group size at which encode fans the
+// per-entry encode over the shared worker pool. Below it the serial
+// loop is cheaper than the pool handoff.
+const ingestFanoutThreshold = 8
 
 // encode converts a mutation's entries to journal records, before any
 // lock: a group of ingestFanoutThreshold or more entries (a durable
@@ -254,11 +260,13 @@ func (n *Node) mutate(entries []walEntry, apply func() (bool, error)) error {
 
 // CompactStorage rewrites the journal as a snapshot of the node's
 // current state, discarding superseded entries (overwritten fragments,
-// delete tombstones). It holds the node's state lock across snapshot
-// and rewrite, and rewrite drains the staged queue before it compacts.
-// A mutation stages under that lock, so a group staged before the
-// snapshot is already in it and reaches the store before the snapshot
-// replaces it, and one staged after it lands behind the snapshot.
+// delete tombstones); each fragment is written as the bytes the node
+// holds, without decoding them. It holds the node's state lock across
+// snapshot and rewrite, and rewrite drains the staged queue before it
+// compacts. A mutation stages under that lock, so a group staged
+// before the snapshot is already in it and reaches the store before the
+// snapshot replaces it, and one staged after it lands behind the
+// snapshot.
 func (n *Node) CompactStorage() error {
 	if n.journal == nil {
 		return nil
@@ -276,7 +284,7 @@ func (n *Node) CompactStorage() error {
 		entries = append(entries, walEntry{Kind: "grant", TicketID: r.TicketID, GLSN: r.First, Count: r.Count})
 	}
 	for _, rec := range n.recs {
-		entries = append(entries, walEntry{Kind: "frag", Item: &rec.item})
+		entries = append(entries, walEntry{Kind: "frag", Item: &batchItem{raw: rec.raw}})
 	}
 	return n.journal.rewrite(entries)
 }
@@ -325,7 +333,11 @@ func (n *Node) applyWALEntry(e walEntry) error {
 		if e.Item == nil {
 			return errors.New("cluster: journal frag entry without store item")
 		}
-		n.storeLocked(e.Item)
+		v, err := viewItem(e.Item.raw)
+		if err != nil {
+			return fmt.Errorf("cluster: replaying store item: %w", err)
+		}
+		n.storeLocked(&v)
 	case "delete":
 		n.removeLocked(e.GLSN)
 	default:

@@ -1,15 +1,16 @@
 package cluster
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/big"
 	"sort"
 
 	"confaudit/internal/logmodel"
 	"confaudit/internal/wire"
-	"confaudit/internal/workpool"
 )
 
 // Binary payload encodings for the write-path protocol bodies.
@@ -35,9 +36,8 @@ import (
 //     { len(attr) ‖ attr ‖ value }* with attributes sorted, so encoding
 //     is deterministic across runs.
 //   - store batches: each item is length-prefixed (wire.AppendPrefixed),
-//     so the node-side decoder can slice the item run serially and
-//     decode the items themselves in parallel over the shared worker
-//     pool.
+//     so the receiving node can slice out each item's run, check it in
+//     place (viewItem) and keep it, undecoded, as the record it holds.
 //
 // Only sizes and counts are visible in the framing — the secondary
 // information Definition 1 permits; attribute values and ciphertext
@@ -45,8 +45,9 @@ import (
 //
 // Decoding is canonical: on top of the wire decoder's own refusals,
 // fragment attributes out of order or repeated are refused, so every
-// accepted encoding is the one the encoder writes. Every refusal wraps
-// wire.ErrMalformed.
+// accepted encoding is the one the encoder writes. That is what lets a
+// node keep an item's bytes in place of its decoded fields. Every
+// refusal wraps wire.ErrMalformed.
 
 // zigzag maps signed to unsigned so small negatives stay small.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
@@ -76,111 +77,183 @@ func appendFragment(dst []byte, f *logmodel.Fragment) []byte {
 	return dst
 }
 
-// decodeSig decodes an optional Ed25519 signature, refusing any present
-// run that is not exactly one signature long.
-func decodeSig(d *wire.Dec) ([]byte, error) {
-	sig, err := d.OptBytes()
+// sigRun decodes an optional Ed25519 signature as a slice of the
+// source, refusing any present run that is not exactly one signature
+// long.
+func sigRun(d *wire.Dec) ([]byte, error) {
+	sig, err := d.OptRun()
 	if err == nil && sig != nil && len(sig) != ed25519.SignatureSize {
 		return nil, fmt.Errorf("%w: signature of %d bytes, want %d", wire.ErrMalformed, len(sig), ed25519.SignatureSize)
 	}
 	return sig, err
 }
 
-func decodeValue(d *wire.Dec) (logmodel.Value, error) {
-	var v logmodel.Value
-	k, err := d.Small()
-	if err != nil {
-		return v, err
+// decodeSig decodes an optional Ed25519 signature into a fresh slice.
+func decodeSig(d *wire.Dec) ([]byte, error) {
+	sig, err := sigRun(d)
+	if sig == nil || err != nil {
+		return nil, err
 	}
-	v.Kind = logmodel.Kind(k)
-	if v.S, err = d.Str(); err != nil {
-		return v, err
-	}
-	i, err := d.Num()
-	if err != nil {
-		return v, err
-	}
-	v.I = unzigzag(i)
-	f, err := d.Num()
-	if err != nil {
-		return v, err
-	}
-	v.F = math.Float64frombits(f)
-	return v, nil
+	return bytes.Clone(sig), nil
 }
 
-func decodeFragment(d *wire.Dec) (logmodel.Fragment, error) {
-	var f logmodel.Fragment
-	g, err := d.Num()
-	if err != nil {
-		return f, err
-	}
-	f.GLSN = logmodel.GLSN(g)
-	if f.Node, err = d.Str(); err != nil {
-		return f, err
-	}
+// rawValue is an attribute value read in place: s, its string field,
+// is a slice of the encoding it was read from.
+type rawValue struct {
+	kind logmodel.Kind
+	s    []byte
+	i    int64
+	f    float64
+}
+
+func (r rawValue) value() logmodel.Value {
+	return logmodel.Value{Kind: r.kind, S: string(r.s), I: r.i, F: r.f}
+}
+
+// walkValues reads a fragment's optional value count and its attribute
+// and value pairs at the cursor, refusing attributes out of order or
+// repeated, and hands each pair to fn in place (fn may be nil).
+func walkValues(d *wire.Dec, fn func(attr []byte, v rawValue)) error {
 	count, present, err := d.OptCount()
 	if err != nil || !present {
-		return f, err
+		return err
 	}
-	f.Values = make(map[logmodel.Attr]logmodel.Value, count)
-	prev := ""
-	for i := 0; i < count; i++ {
-		a, err := d.Str()
+	var prev []byte
+	for n := 0; n < count; n++ {
+		a, err := d.Run()
 		if err != nil {
-			return f, err
+			return err
 		}
-		if i > 0 && a <= prev {
-			return f, fmt.Errorf("%w: fragment attributes out of order", wire.ErrMalformed)
+		if n > 0 && bytes.Compare(a, prev) <= 0 {
+			return fmt.Errorf("%w: fragment attributes out of order", wire.ErrMalformed)
 		}
 		prev = a
-		v, err := decodeValue(d)
+		var v rawValue
+		k, err := d.Small()
 		if err != nil {
-			return f, err
+			return err
 		}
-		f.Values[logmodel.Attr(a)] = v
+		v.kind = logmodel.Kind(k)
+		if v.s, err = d.Run(); err != nil {
+			return err
+		}
+		i, err := d.Num()
+		if err != nil {
+			return err
+		}
+		v.i = unzigzag(i)
+		f, err := d.Num()
+		if err != nil {
+			return err
+		}
+		v.f = math.Float64frombits(f)
+		if fn != nil {
+			fn(a, v)
+		}
 	}
-	return f, nil
+	return nil
 }
 
 // --- batchItem / storeBatchBody ---
 
+// appendBatchItem appends a store item's encoding: the run it was
+// decoded from when it has one, else the encoding of its fields.
 func appendBatchItem(dst []byte, it *batchItem) []byte {
+	if it.raw != nil {
+		return append(dst, it.raw...)
+	}
 	dst = appendFragment(dst, &it.Fragment)
 	dst = wire.AppendBig(dst, it.DigestExp)
 	dst = wire.AppendOptBytes(dst, it.Provenance)
 	return wire.AppendBig(dst, it.WitnessExp)
 }
 
-// decodeItem decodes one store item at the cursor: a store body's item
-// run and the tail of a journal "frag" entry alike.
-func decodeItem(d *wire.Dec, it *batchItem) error {
-	var err error
-	if it.Fragment, err = decodeFragment(d); err != nil {
-		return err
-	}
-	if it.DigestExp, err = d.Big(); err != nil {
-		return err
-	}
-	if it.Provenance, err = decodeSig(d); err != nil {
-		return err
-	}
-	it.WitnessExp, err = d.Big()
-	return err
+// itemView is one store item read in place from its run: the glsn
+// decoded, every other field a slice of the run. viewItem is the one
+// item decoder: it refuses every non-canonical encoding and allocates
+// nothing, so a node checks, indexes and holds an item as the bytes it
+// arrived in, and decodes a field only when a reader asks for it.
+type itemView struct {
+	run  []byte
+	glsn logmodel.GLSN
+	node []byte
+	// tail is the rest of the run after the node ID: the fragment's
+	// value count and pairs, then the exponents and the provenance
+	// signature.
+	tail       []byte
+	dexp, wexp []byte // each exponent's wire encoding (bigOf)
+	prov       []byte // the provenance signature; nil when absent
 }
 
-func decodeBatchItem(src []byte, it *batchItem) error {
-	d := wire.NewDec(src)
-	if err := decodeItem(&d, it); err != nil {
-		return err
+// viewItem checks one item run end to end and locates its fields.
+func viewItem(run []byte) (itemView, error) {
+	v := itemView{run: run}
+	d := wire.NewDec(run)
+	g, err := d.Num()
+	if err != nil {
+		return v, err
 	}
-	return d.Done()
+	v.glsn = logmodel.GLSN(g)
+	if v.node, err = d.Run(); err != nil {
+		return v, err
+	}
+	v.tail = d.Rest()
+	if err := walkValues(&d, nil); err != nil {
+		return v, err
+	}
+	if v.dexp, err = d.BigRun(); err != nil {
+		return v, err
+	}
+	if v.prov, err = sigRun(&d); err != nil {
+		return v, err
+	}
+	if v.wexp, err = d.BigRun(); err != nil {
+		return v, err
+	}
+	return v, d.Done()
 }
 
-// ingestFanoutThreshold is the batch size at which the node-side store
-// path fans item decode and journal encode over the shared worker pool.
-// Below it the serial loop is cheaper than the pool handoff.
-const ingestFanoutThreshold = 8
+// eachValue hands fn each attribute and value of a checked item run's
+// fragment, in attribute order, reading the run no further than its
+// values.
+func eachValue(run []byte, fn func(attr []byte, val rawValue)) {
+	// viewItem checked the run, so none of these reads fails.
+	d := wire.NewDec(run)
+	_, _ = d.Num() // glsn
+	_, _ = d.Run() // node
+	_ = walkValues(&d, fn)
+}
+
+// fragment decodes the item's fragment.
+func (v *itemView) fragment() logmodel.Fragment {
+	f := logmodel.Fragment{GLSN: v.glsn, Node: string(v.node)}
+	d := wire.NewDec(v.tail)
+	if count, present, _ := d.OptCount(); present {
+		f.Values = make(map[logmodel.Attr]logmodel.Value, count)
+		eachValue(v.run, func(a []byte, val rawValue) { f.Values[logmodel.Attr(a)] = val.value() })
+	}
+	return f
+}
+
+// hasExponents reports whether the item carries both exponents: an
+// absent one encodes as the lone tag 0.
+func (v *itemView) hasExponents() bool { return v.dexp[0] != 0 && v.wexp[0] != 0 }
+
+// stamped returns the item's run re-encoded with node as the
+// fragment's node ID.
+func (v *itemView) stamped(node string) []byte {
+	dst := make([]byte, 0, len(v.run)-len(v.node)+len(node)+binary.MaxVarintLen64)
+	dst = binary.AppendUvarint(dst, uint64(v.glsn))
+	dst = wire.AppendRun(dst, node)
+	return append(dst, v.tail...)
+}
+
+// bigOf decodes an exponent encoding that viewItem located.
+func bigOf(enc []byte) *big.Int {
+	d := wire.NewDec(enc)
+	x, _ := d.Big() // viewItem checked the encoding
+	return x
+}
 
 func (b *storeBatchBody) AppendBinary(dst []byte) []byte {
 	dst = wire.AppendRun(dst, b.TicketID)
@@ -193,6 +266,9 @@ func (b *storeBatchBody) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
+// DecodeBinary checks every item run with viewItem and keeps each as
+// its item's raw run, copied out of the recycled frame. That copy is
+// the only one: a node installs the run as the record it holds.
 func (b *storeBatchBody) DecodeBinary(src []byte) error {
 	d := wire.NewDec(src)
 	var err error
@@ -208,13 +284,13 @@ func (b *storeBatchBody) DecodeBinary(src []byte) error {
 	if !present {
 		return d.Done()
 	}
-	// Slice the item runs serially (a cheap varint scan), then decode
-	// the items themselves — fragment maps, big-integer exponents — in
-	// parallel over the shared pool. Each item run is decoded into its
-	// own slot, and every decode copies out of the recycled frame.
+	// Slice and check every item run before allocating items for them.
 	runs := make([][]byte, count)
 	for i := range runs {
 		if runs[i], err = d.Run(); err != nil {
+			return err
+		}
+		if _, err := viewItem(runs[i]); err != nil {
 			return err
 		}
 	}
@@ -222,15 +298,8 @@ func (b *storeBatchBody) DecodeBinary(src []byte) error {
 		return err
 	}
 	b.Items = make([]batchItem, count)
-	if count >= ingestFanoutThreshold {
-		return workpool.Map(count, func(i int) error {
-			return decodeBatchItem(runs[i], &b.Items[i])
-		})
-	}
-	for i := range runs {
-		if err := decodeBatchItem(runs[i], &b.Items[i]); err != nil {
-			return err
-		}
+	for i, run := range runs {
+		b.Items[i].raw = bytes.Clone(run)
 	}
 	return nil
 }
@@ -462,7 +531,8 @@ func appendWALEntry(dst []byte, e *walEntry) ([]byte, error) {
 	return appendBatchItem(dst, e.Item), nil
 }
 
-// decodeWALEntry decodes one binary journal payload.
+// decodeWALEntry decodes one binary journal payload. A "frag" entry's
+// item keeps its run as a slice of src.
 func decodeWALEntry(src []byte) (walEntry, error) {
 	var e walEntry
 	d := wire.NewDec(src)
@@ -499,13 +569,19 @@ func decodeWALEntry(src []byte) (walEntry, error) {
 	if flag, err = d.Take(1); err != nil {
 		return e, err
 	}
-	if flag[0] == 1 {
-		e.Item = new(batchItem)
-		if err := decodeItem(&d, e.Item); err != nil {
+	switch flag[0] {
+	case 0:
+		return e, d.Done()
+	case 1:
+		// The item runs to the end of the entry, and the entry keeps it
+		// as a slice of src.
+		run := d.Rest()
+		if _, err := viewItem(run); err != nil {
 			return e, err
 		}
-	} else if flag[0] != 0 {
+		e.Item = &batchItem{raw: run}
+		return e, nil
+	default:
 		return e, fmt.Errorf("%w: item flag %d", wire.ErrMalformed, flag[0])
 	}
-	return e, d.Done()
 }

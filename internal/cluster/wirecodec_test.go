@@ -51,6 +51,43 @@ func sigOK(sig []byte) bool { return sig == nil || len(sig) == ed25519.Signature
 // testSig is a well-formed 64-byte signature run for codec tests.
 func testSig(b byte) []byte { return bytes.Repeat([]byte{b}, ed25519.SignatureSize) }
 
+// decodeBatchItem decodes an item run into its fields through viewItem,
+// the node's one item reader: the reference the codec tests hold the
+// encoder to.
+func decodeBatchItem(src []byte, it *batchItem) error {
+	v, err := viewItem(src)
+	if err != nil {
+		return err
+	}
+	*it = batchItem{Fragment: v.fragment(), DigestExp: bigOf(v.dexp), Provenance: bytes.Clone(v.prov), WitnessExp: bigOf(v.wexp)}
+	return nil
+}
+
+// fields returns the item decoded into its fields when it carries a raw
+// run, else the item itself. A decoded item re-encodes as its run, so
+// the codec tests re-encode its fields instead: that is what pins the
+// decoder as canonical.
+func fields(t testing.TB, it *batchItem) *batchItem {
+	t.Helper()
+	if it == nil || it.raw == nil {
+		return it
+	}
+	var out batchItem
+	if err := decodeBatchItem(it.raw, &out); err != nil {
+		t.Fatalf("decoding a checked item run: %v", err)
+	}
+	return &out
+}
+
+// expandItems replaces every item of a decoded store batch with its
+// fields (see fields).
+func expandItems(t testing.TB, b *storeBatchBody) {
+	t.Helper()
+	for i := range b.Items {
+		b.Items[i] = *fields(t, &b.Items[i])
+	}
+}
+
 // checkBinaryJSONAgree round-trips body through the binary codec and,
 // when the body is JSON-representable, through encoding/json, and
 // requires the two decoded results to be identical — the codecs must
@@ -66,6 +103,9 @@ func checkBinaryJSONAgree[T interface {
 	bgot := newT()
 	if err := bgot.DecodeBinary(enc); err != nil {
 		t.Fatalf("decoding own encoding: %v", err)
+	}
+	if b, ok := any(bgot).(*storeBatchBody); ok {
+		expandItems(t, b)
 	}
 	if enc2 := bgot.AppendBinary(nil); !bytes.Equal(enc, enc2) {
 		t.Fatalf("re-encode differs:\n %x\n %x", enc, enc2)
@@ -130,13 +170,18 @@ func FuzzStoreBodyRoundTrip(f *testing.F) {
 		var junk storeBatchBody
 		junk.DecodeBinary(raw) //nolint:errcheck // must not panic; errors are fine
 		var junkItem batchItem
-		decodeBatchItem(raw, &junkItem) //nolint:errcheck // must not panic; errors are fine
+		if decodeBatchItem(raw, &junkItem) == nil {
+			if re := appendBatchItem(nil, &junkItem); !bytes.Equal(raw, re) {
+				t.Fatalf("accepted item %x, which re-encodes as %x", raw, re)
+			}
+		}
 	})
 }
 
 // FuzzStoreBatchBodyRoundTrip differentially fuzzes the batched store
-// body, including batches past ingestFanoutThreshold so the parallel
-// item decode path is exercised against the serial JSON path.
+// body against the JSON path, with batches of up to 23 items, and
+// requires every raw batch the decoder accepts to re-encode from its
+// decoded fields to exactly its own bytes.
 func FuzzStoreBatchBodyRoundTrip(f *testing.F) {
 	f.Add("T1", uint8(3), []byte{0x01, 0x02}, false, []byte(nil))
 	f.Add("", uint8(0), []byte(nil), true, []byte{0xB7})
@@ -174,8 +219,15 @@ func FuzzStoreBatchBodyRoundTrip(f *testing.F) {
 			}
 		}
 		checkBinaryJSONAgree(t, &body, func() *storeBatchBody { return &storeBatchBody{} })
+		// A node holds every item as the run it arrived in, so a run
+		// must be the one encoding of what it decodes to.
 		var junk storeBatchBody
-		junk.DecodeBinary(raw) //nolint:errcheck // must not panic; errors are fine
+		if junk.DecodeBinary(raw) == nil {
+			expandItems(t, &junk)
+			if re := junk.AppendBinary(nil); !bytes.Equal(raw, re) {
+				t.Fatalf("accepted batch %x, which re-encodes as %x", raw, re)
+			}
+		}
 	})
 }
 
@@ -228,6 +280,7 @@ func FuzzWALEntryRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		if junk, err := decodeWALEntry(raw); err == nil {
+			junk.Item = fields(t, junk.Item)
 			if re, _ := appendWALEntry(nil, &junk); !bytes.Equal(raw, re) {
 				t.Fatalf("accepted %x, which re-encodes as %x", raw, re)
 			}
@@ -242,6 +295,7 @@ func FuzzWALEntryRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoding own encoding: %v", err)
 		}
+		got.Item = fields(t, got.Item)
 		if re, _ := appendWALEntry(nil, &got); !bytes.Equal(enc, re) {
 			t.Fatalf("re-encode differs:\n %x\n %x", enc, re)
 		}
@@ -291,6 +345,7 @@ func TestWALEntryBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("entry %d: decode: %v", i, err)
 		}
+		got.Item = fields(t, got.Item)
 		want, _ := json.Marshal(e)
 		have, _ := json.Marshal(got)
 		if !bytes.Equal(want, have) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 )
 
@@ -151,9 +152,9 @@ func (o *Outbox) Len() int {
 	return len(o.entries)
 }
 
-// Remove deletes an acknowledged entry and rewrites the spool
-// atomically so a crash never resurrects it.
-func (o *Outbox) Remove(seq uint64) error {
+// Remove deletes acknowledged entries and rewrites the spool
+// atomically, once for all of them, so a crash never resurrects one.
+func (o *Outbox) Remove(seqs ...uint64) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed {
@@ -161,7 +162,7 @@ func (o *Outbox) Remove(seq uint64) error {
 	}
 	kept := o.entries[:0]
 	for _, e := range o.entries {
-		if e.Seq != seq {
+		if !slices.Contains(seqs, e.Seq) {
 			kept = append(kept, e)
 		}
 	}

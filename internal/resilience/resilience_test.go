@@ -162,6 +162,22 @@ func TestOutboxAppendLoadRemove(t *testing.T) {
 	if s3 <= s2 {
 		t.Fatalf("sequence reused after rewrite: %d after %d", s3, s2)
 	}
+	// One Remove takes several entries out in one rewrite, and a new
+	// process does not see them again.
+	if err := o2.Remove(s2, s3); err != nil {
+		t.Fatal(err)
+	}
+	if err := o2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	o3, err := OpenOutbox(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o3.Close() //nolint:errcheck
+	if o3.Len() != 0 {
+		t.Fatalf("after removing %d and %d: %d entries reloaded", s2, s3, o3.Len())
+	}
 }
 
 func TestOutboxToleratesTornFinalAppend(t *testing.T) {

@@ -110,10 +110,10 @@ func Encode(fn func([]byte) []byte) []byte {
 
 // --- decoder ---
 
-// Dec is a bounds-checked cursor over one encoding. Run and Take hand
-// out slices of the source; every other accessor copies what it
-// returns, so a caller decoding from a recycled buffer keeps nothing
-// of it unless it asks for a run.
+// Dec is a bounds-checked cursor over one encoding. Run, Take, OptRun,
+// BigRun and Rest hand out slices of the source; every other accessor
+// copies what it returns, so a caller decoding from a recycled buffer
+// keeps nothing of it unless it asks for a slice.
 type Dec struct{ rest []byte }
 
 // NewDec starts a cursor at the front of src.
@@ -122,6 +122,11 @@ func NewDec(src []byte) Dec { return Dec{rest: src} }
 // Num decodes a varint, refusing an overlong one: a minimal encoding
 // never ends in a zero byte after its first.
 func (d *Dec) Num() (uint64, error) {
+	if len(d.rest) > 0 && d.rest[0] < 0x80 { // one byte: most lengths and tags
+		v := d.rest[0]
+		d.rest = d.rest[1:]
+		return uint64(v), nil
+	}
 	v, sz := binary.Uvarint(d.rest)
 	if sz <= 0 {
 		return 0, fmt.Errorf("%w: truncated or oversized varint", ErrMalformed)
@@ -175,15 +180,21 @@ func (d *Dec) Str() (string, error) {
 	return string(b), err
 }
 
-// OptBytes decodes an optional byte run into a fresh slice; an empty
-// present run decodes to an empty, non-nil slice.
-func (d *Dec) OptBytes() ([]byte, error) {
+// OptRun decodes an optional byte run as a slice of the source: nil
+// when absent, an empty, non-nil slice for an empty present run.
+func (d *Dec) OptRun() ([]byte, error) {
 	n, err := d.Small()
 	if err != nil || n == 0 {
 		return nil, err
 	}
-	b, err := d.Take(n - 1)
-	if err != nil {
+	return d.Take(n - 1)
+}
+
+// OptBytes decodes an optional byte run into a fresh slice; an empty
+// present run decodes to an empty, non-nil slice.
+func (d *Dec) OptBytes() ([]byte, error) {
+	b, err := d.OptRun()
+	if b == nil || err != nil {
 		return nil, err
 	}
 	return append(make([]byte, 0, len(b)), b...), nil
@@ -205,33 +216,56 @@ func (d *Dec) OptCount() (n int, present bool, err error) {
 
 // Big decodes a signed big integer, or nil.
 func (d *Dec) Big() (*big.Int, error) {
-	tag, err := d.Take(1)
-	if err != nil {
+	tag, mag, err := d.bigParts()
+	if err != nil || tag == 0 {
 		return nil, err
 	}
-	switch tag[0] {
-	case 0:
-		return nil, nil
-	case 1, 2:
-	default:
-		return nil, fmt.Errorf("%w: big-int tag %d", ErrMalformed, tag[0])
-	}
-	b, err := d.Run()
-	if err != nil {
-		return nil, err
-	}
-	if len(b) > 0 && b[0] == 0 {
-		return nil, fmt.Errorf("%w: big integer with a leading zero byte", ErrMalformed)
-	}
-	if len(b) == 0 && tag[0] == 2 {
-		return nil, fmt.Errorf("%w: negative zero", ErrMalformed)
-	}
-	v := new(big.Int).SetBytes(b)
-	if tag[0] == 2 {
+	v := new(big.Int).SetBytes(mag)
+	if tag == 2 {
 		v.Neg(v)
 	}
 	return v, nil
 }
+
+// BigRun checks a big integer as Big does, without decoding it, and
+// returns its whole encoding (tag, length and magnitude) as a slice of
+// the source, for a later NewDec(run).Big().
+func (d *Dec) BigRun() ([]byte, error) {
+	start := d.rest
+	if _, _, err := d.bigParts(); err != nil {
+		return nil, err
+	}
+	return start[:len(start)-len(d.rest)], nil
+}
+
+// bigParts decodes a big integer's sign tag and its magnitude, as a
+// slice of the source, refusing every non-canonical form.
+func (d *Dec) bigParts() (tag byte, mag []byte, err error) {
+	t, err := d.Take(1)
+	if err != nil {
+		return 0, nil, err
+	}
+	switch t[0] {
+	case 0:
+		return 0, nil, nil
+	case 1, 2:
+	default:
+		return 0, nil, fmt.Errorf("%w: big-int tag %d", ErrMalformed, t[0])
+	}
+	if mag, err = d.Run(); err != nil {
+		return 0, nil, err
+	}
+	if len(mag) > 0 && mag[0] == 0 {
+		return 0, nil, fmt.Errorf("%w: big integer with a leading zero byte", ErrMalformed)
+	}
+	if len(mag) == 0 && t[0] == 2 {
+		return 0, nil, fmt.Errorf("%w: negative zero", ErrMalformed)
+	}
+	return t[0], mag, nil
+}
+
+// Rest returns the bytes not yet decoded, as a slice of the source.
+func (d *Dec) Rest() []byte { return d.rest }
 
 // Done refuses trailing bytes after a complete encoding.
 func (d *Dec) Done() error {

@@ -21,6 +21,8 @@ func TestDecRefusesMalformed(t *testing.T) {
 	optBytes := func(d *Dec) error { _, err := d.OptBytes(); return err }
 	optCount := func(d *Dec) error { _, _, err := d.OptCount(); return err }
 	bigInt := func(d *Dec) error { _, err := d.Big(); return err }
+	bigRun := func(d *Dec) error { _, err := d.BigRun(); return err }
+	optRun := func(d *Dec) error { _, err := d.OptRun(); return err }
 	done := func(d *Dec) error { return d.Done() }
 	for _, tc := range []struct {
 		name string
@@ -38,12 +40,17 @@ func TestDecRefusesMalformed(t *testing.T) {
 		{"truncated run", []byte{0x03, 'a', 'b'}, run},
 		{"run of 2^31", uv(1 << 31), run},
 		{"truncated optional bytes", []byte{0x03, 'a'}, optBytes},
+		{"truncated optional run", []byte{0x03, 'a'}, optRun},
 		{"count past the bytes left", []byte{0x04, 0x00, 0x00}, optCount},
 		{"missing big-int tag", nil, bigInt},
 		{"unknown big-int tag", []byte{0x03, 0x01, 0x05}, bigInt},
 		{"truncated big integer", []byte{0x01, 0x02, 0x05}, bigInt},
 		{"big integer with a leading zero", []byte{0x01, 0x02, 0x00, 0x05}, bigInt},
 		{"negative zero", []byte{0x02, 0x00}, bigInt},
+		{"unknown big-int tag, unread", []byte{0x03, 0x01, 0x05}, bigRun},
+		{"truncated big integer, unread", []byte{0x01, 0x02, 0x05}, bigRun},
+		{"leading zero, unread", []byte{0x01, 0x02, 0x00, 0x05}, bigRun},
+		{"negative zero, unread", []byte{0x02, 0x00}, bigRun},
 		{"trailing bytes", []byte{0x00}, done},
 	} {
 		d := NewDec(tc.src)
@@ -97,6 +104,7 @@ func TestRoundTrip(t *testing.T) {
 	if n != 1<<40 || s != "origin" || len(r) != 0 {
 		t.Fatalf("num %d, str %q, run %x", n, s, r)
 	}
+	opt := d // a second cursor reads the same three runs in place
 	absent, err := d.OptBytes()
 	must(err)
 	empty, err := d.OptBytes()
@@ -105,6 +113,16 @@ func TestRoundTrip(t *testing.T) {
 	must(err)
 	if absent != nil || empty == nil || len(empty) != 0 || !bytes.Equal(full, []byte{7, 8}) {
 		t.Fatalf("optional bytes %v, %v, %v", absent, empty, full)
+	}
+	for _, want := range [][]byte{nil, {}, {7, 8}} {
+		got, err := opt.OptRun()
+		must(err)
+		if (got == nil) != (want == nil) || !bytes.Equal(got, want) {
+			t.Fatalf("optional run %v, want %v", got, want)
+		}
+	}
+	if len(opt.Rest()) != len(d.Rest()) {
+		t.Fatalf("OptRun left %d bytes, OptBytes %d", len(opt.Rest()), len(d.Rest()))
 	}
 	if _, present, err := d.OptCount(); err != nil || present {
 		t.Fatalf("absent count: present %v, err %v", present, err)
@@ -118,8 +136,16 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []*big.Int{nil, big.NewInt(0), big.NewInt(300), neg} {
-		got, err := d.Big()
+		// BigRun hands out exactly the encoding Big then decodes.
+		run, err := d.BigRun()
 		must(err)
+		if !bytes.Equal(run, AppendBig(nil, want)) {
+			t.Fatalf("big run %x, want the encoding of %v", run, want)
+		}
+		rd := NewDec(run)
+		got, err := rd.Big()
+		must(err)
+		must(rd.Done())
 		if (got == nil) != (want == nil) || (got != nil && got.Cmp(want) != 0) {
 			t.Fatalf("big %v, want %v", got, want)
 		}

@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -407,16 +408,47 @@ func TestReplayHeldRecordsAcrossCompaction(t *testing.T) {
 	diffSnapshots(t, "replayed", live, held(tc2))
 }
 
-// BenchmarkInstallStoreBatch decodes one node's 128-item store batch
-// from its payload and installs it, as handleStoreBatch does once the
-// grant is in place. The batch carries real exponents and a generated
-// record of the paper schema per item. Between iterations, off the
-// clock, the batch's records are removed again, so every iteration
-// installs fresh records as an ingest stream does.
-func BenchmarkInstallStoreBatch(b *testing.B) {
+// storeBatchMessage builds node's store batch for n generated records
+// of the paper schema at glsns first.., with real exponents, as the
+// message a writer sends.
+func storeBatchMessage(tb testing.TB, boot *Bootstrap, ticketID, node string, first logmodel.GLSN, n int) transport.Message {
+	tb.Helper()
+	body := storeBatchBody{TicketID: ticketID}
+	nodes := boot.Partition.Nodes()
+	self := slices.Index(nodes, node)
+	for i, values := range workload.New(1).Transactions(boot.Partition.Schema(), n, 16) {
+		frags := boot.Partition.Split(logmodel.Record{GLSN: first + logmodel.GLSN(i), Values: values})
+		canon := make([][]byte, 0, len(frags))
+		for _, id := range nodes {
+			canon = append(canon, frags[id].Canonical())
+		}
+		wexps, dexp := boot.AccParams.WitnessExponents(canon)
+		body.Items = append(body.Items, batchItem{Fragment: frags[node], DigestExp: dexp, WitnessExp: wexps[self]})
+	}
+	msg, err := transport.NewMessage(node, MsgLogStoreBatch, "", &body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return msg
+}
+
+// storeBatch is storeBatchMessage's body as the node decodes it.
+func storeBatch(tb testing.TB, boot *Bootstrap, ticketID, node string, first logmodel.GLSN, n int) *storeBatchBody {
+	tb.Helper()
+	var body storeBatchBody
+	if err := transport.Unmarshal(storeBatchMessage(tb, boot, ticketID, node, first, n).Payload, &body); err != nil {
+		tb.Fatal(err)
+	}
+	return &body
+}
+
+// benchNode is a memory-only node P1 with a registered write ticket
+// and a grant of n glsns, returned with the first of them.
+func benchNode(b *testing.B, n int) (*Node, string, logmodel.GLSN) {
+	b.Helper()
 	boot := sharedBootstrap(b)
 	net := transport.NewMemNetwork()
-	defer net.Close() //nolint:errcheck
+	b.Cleanup(func() { net.Close() }) //nolint:errcheck
 	ep, err := net.Endpoint("P1")
 	if err != nil {
 		b.Fatal(err)
@@ -432,27 +464,23 @@ func BenchmarkInstallStoreBatch(b *testing.B) {
 	if err := node.registerTicket(&ticketRegisterBody{Ticket: ToWire(tk)}); err != nil {
 		b.Fatal(err)
 	}
-	const items = 128
 	first := node.nextGLSN
-	if err := node.applyGrantRange(first, items, tk.ID); err != nil {
+	if err := node.applyGrantRange(first, n, tk.ID); err != nil {
 		b.Fatal(err)
 	}
-	body := storeBatchBody{TicketID: tk.ID}
-	for i, values := range workload.New(1).Transactions(boot.Partition.Schema(), items, 16) {
-		frags := boot.Partition.Split(logmodel.Record{GLSN: first + logmodel.GLSN(i), Values: values})
-		canon := make([][]byte, 0, len(frags))
-		nodes := boot.Partition.Nodes()
-		for _, id := range nodes {
-			canon = append(canon, frags[id].Canonical())
-		}
-		wexps, dexp := boot.AccParams.WitnessExponents(canon)
-		self := slices.Index(nodes, "P1")
-		body.Items = append(body.Items, batchItem{Fragment: frags["P1"], DigestExp: dexp, WitnessExp: wexps[self]})
-	}
-	msg, err := transport.NewMessage("P1", MsgLogStoreBatch, "", &body)
-	if err != nil {
-		b.Fatal(err)
-	}
+	return node, tk.ID, first
+}
+
+// BenchmarkInstallStoreBatch decodes one node's 128-item store batch
+// from its payload and installs it, as handleStoreBatch does once the
+// grant is in place. The batch carries real exponents and a generated
+// record of the paper schema per item. Between iterations, off the
+// clock, the batch's records are removed again, so every iteration
+// installs fresh records as an ingest stream does.
+func BenchmarkInstallStoreBatch(b *testing.B) {
+	const items = 128
+	node, ticketID, first := benchNode(b, items)
+	msg := storeBatchMessage(b, sharedBootstrap(b), ticketID, "P1", first, items)
 	install := func() {
 		var got storeBatchBody
 		if err := transport.Unmarshal(msg.Payload, &got); err != nil {
@@ -469,9 +497,66 @@ func BenchmarkInstallStoreBatch(b *testing.B) {
 		b.StopTimer()
 		node.mu.Lock()
 		for g := first; g < first+items; g++ {
-			node.removeLocked(g)
+			node.frags.remove(g)
 		}
 		node.mu.Unlock()
 		b.StartTimer()
+	}
+}
+
+// loadedBenchNode is benchNode holding n generated records, returned
+// with their glsns.
+func loadedBenchNode(b *testing.B, n int) (*Node, []logmodel.GLSN) {
+	b.Helper()
+	node, ticketID, first := benchNode(b, n)
+	if err := node.storeFragmentBatch(storeBatch(b, sharedBootstrap(b), ticketID, "P1", first, n)); err != nil {
+		b.Fatal(err)
+	}
+	return node, node.GLSNs()
+}
+
+// BenchmarkIndexLookup answers equality lookups against a node holding
+// 4096 generated records: each iteration looks up the value one held
+// record stores for each of the node's attributes, so unique keys and
+// keys shared by many records are both asked for, as audit equality
+// predicates ask for them.
+func BenchmarkIndexLookup(b *testing.B) {
+	node, gs := loadedBenchNode(b, 4096)
+	type probe struct {
+		attr logmodel.Attr
+		v    logmodel.Value
+	}
+	var probes []probe
+	for _, g := range gs {
+		frag, _ := node.Fragment(g)
+		for a, v := range frag.Values {
+			probes = append(probes, probe{a, v})
+		}
+	}
+	slices.SortFunc(probes, func(x, y probe) int { return strings.Compare(string(x.attr), string(y.attr)) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := probes[i%len(probes)]
+		if _, ok := node.IndexLookup(p.attr, p.v); !ok {
+			b.Fatalf("lookup of %s declined", p.attr)
+		}
+	}
+}
+
+// BenchmarkVisitFragments scans every fragment of a node holding 4096
+// generated records, as an audit clause's scan path does.
+func BenchmarkVisitFragments(b *testing.B) {
+	node, gs := loadedBenchNode(b, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seen := 0
+		if err := node.VisitFragments(nil, func(logmodel.GLSN, map[logmodel.Attr]logmodel.Value) error {
+			seen++
+			return nil
+		}); err != nil || seen != len(gs) {
+			b.Fatalf("visited %d of %d (%v)", seen, len(gs), err)
+		}
 	}
 }

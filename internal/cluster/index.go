@@ -3,15 +3,16 @@ package cluster
 import (
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 
 	"confaudit/internal/logmodel"
 )
 
-// Attribute value indexes: per attribute, a hash map from an indexed
-// value key to the set of glsns whose fragment stores that value. The
-// audit engine consults them through IndexLookup to answer equality
-// predicates without scanning every fragment.
+// Attribute value indexes: per attribute, a map from an indexed value
+// key to the sorted run of glsns whose fragment stores that value. They
+// are the fragstore's third part. The audit engine consults them
+// through IndexLookup to answer equality predicates without scanning
+// every fragment.
 //
 // The index must agree bit-for-bit with logmodel.Compare, which has
 // three behaviours a naive value→string key would get wrong:
@@ -29,7 +30,12 @@ type attrIndex struct {
 	strings  int // fragments storing a string value for the attribute
 	numerics int // fragments storing an int or float value
 	nans     int // fragments storing a float NaN (poisons the index)
-	byKey    map[string]map[logmodel.GLSN]struct{}
+	// keys maps a value key to its glsn run in runs. A run lives in a
+	// slice rather than in the map so that growing it never re-stores
+	// (and re-allocates) its key; an emptied run's slot goes on free.
+	keys map[string]int32
+	runs [][]logmodel.GLSN // each ascending
+	free []int32
 }
 
 // appendIndexKey appends the class-tagged hash key for a value to dst.
@@ -60,14 +66,15 @@ func appendNumericKey(dst []byte, f float64) []byte {
 	return binary.BigEndian.AppendUint64(append(dst, 'n', 0), math.Float64bits(f))
 }
 
-// indexAdd registers a held item's values. Caller holds n.mu.
-func (n *Node) indexAdd(v *itemView) {
+// indexAdd registers the values of g's run. Ascending installs append
+// to each run; any other insert binary-searches.
+func (s *fragstore) indexAdd(g logmodel.GLSN, run []byte) {
 	var buf [32]byte
-	eachValue(v.run, func(attr []byte, val rawValue) {
-		ix := n.idx[logmodel.Attr(attr)]
+	eachValue(run, func(attr []byte, val rawValue) {
+		ix := s.idx[logmodel.Attr(attr)]
 		if ix == nil {
-			ix = &attrIndex{byKey: make(map[string]map[logmodel.GLSN]struct{})}
-			n.idx[logmodel.Attr(attr)] = ix
+			ix = &attrIndex{keys: make(map[string]int32)}
+			s.idx[logmodel.Attr(attr)] = ix
 		}
 		key, isString, ok := appendIndexKey(buf[:0], val)
 		if !ok {
@@ -79,76 +86,103 @@ func (n *Node) indexAdd(v *itemView) {
 		} else {
 			ix.numerics++
 		}
-		set := ix.byKey[string(key)]
-		if set == nil {
-			set = make(map[logmodel.GLSN]struct{})
-			ix.byKey[string(key)] = set
+		r, ok := ix.keys[string(key)]
+		if !ok {
+			if k := len(ix.free); k > 0 {
+				r, ix.free = ix.free[k-1], ix.free[:k-1]
+			} else {
+				r = int32(len(ix.runs))
+				ix.runs = append(ix.runs, nil)
+			}
+			ix.keys[string(key)] = r
 		}
-		set[v.glsn] = struct{}{}
+		gs := ix.runs[r]
+		if n := len(gs); n == 0 || gs[n-1] < g {
+			ix.runs[r] = append(gs, g)
+		} else if i, found := slices.BinarySearch(gs, g); !found {
+			ix.runs[r] = slices.Insert(gs, i, g)
+		}
 	})
 }
 
-// indexRemove unregisters a held item's values. Caller holds n.mu.
-func (n *Node) indexRemove(v *itemView) {
+// indexRemove unregisters the values of g's run.
+func (s *fragstore) indexRemove(g logmodel.GLSN, run []byte) {
 	var buf [32]byte
-	eachValue(v.run, func(attr []byte, val rawValue) {
-		ix := n.idx[logmodel.Attr(attr)]
+	eachValue(run, func(attr []byte, val rawValue) {
+		ix := s.idx[logmodel.Attr(attr)]
 		if ix == nil {
 			return
 		}
 		key, isString, ok := appendIndexKey(buf[:0], val)
-		if !ok {
+		switch {
+		case !ok:
 			ix.nans--
-			return
-		}
-		if isString {
+		case isString:
 			ix.strings--
-		} else {
+		default:
 			ix.numerics--
 		}
-		if set := ix.byKey[string(key)]; set != nil {
-			delete(set, v.glsn)
-			if len(set) == 0 {
-				delete(ix.byKey, string(key))
-			}
+		if ix.strings+ix.numerics+ix.nans == 0 {
+			delete(s.idx, logmodel.Attr(attr)) // no held fragment stores attr
+			return
 		}
+		r, found := ix.keys[string(key)]
+		if !ok || !found {
+			return
+		}
+		gs := ix.runs[r]
+		if i, found := slices.BinarySearch(gs, g); found {
+			gs = slices.Delete(gs, i, i+1)
+		}
+		if len(gs) > 0 {
+			ix.runs[r] = gs
+			return
+		}
+		delete(ix.keys, string(key))
+		ix.runs[r] = nil
+		ix.free = append(ix.free, r)
 	})
 }
 
 // IndexLookup returns the glsns whose fragment stores exactly v for the
-// attribute, sorted ascending. ok is false when the index cannot answer
-// faithfully — disabled, NaN anywhere in the comparison, or a constant
-// whose class differs from some stored value's class (the scan path
-// then reproduces Compare's cross-class error semantics).
+// attribute, sorted ascending, in a slice the caller owns. ok is false
+// when the index cannot answer faithfully — disabled, NaN anywhere in
+// the comparison, or a constant whose class differs from some stored
+// value's class (the scan path then reproduces Compare's cross-class
+// error semantics).
 func (n *Node) IndexLookup(attr logmodel.Attr, v logmodel.Value) ([]logmodel.GLSN, bool) {
 	if n.idxOff.Load() {
 		return nil, false
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	ix := n.idx[attr]
+	return n.frags.lookup(attr, v)
+}
+
+// lookup answers IndexLookup from the store's index.
+func (s *fragstore) lookup(attr logmodel.Attr, v logmodel.Value) ([]logmodel.GLSN, bool) {
+	ix := s.idx[attr]
 	if ix == nil {
-		// No fragment stores the attribute: a scan would find every
+		// No held fragment stores the attribute: a scan would find every
 		// fragment missing it, which Pred.Eval treats as a clean false.
 		return nil, true
 	}
 	if ix.nans > 0 {
 		return nil, false // stored NaN compares equal to every numeric
 	}
-	key, isString, ok := appendIndexKey(nil, rawValue{kind: v.Kind, s: []byte(v.S), i: v.I, f: v.F})
+	var buf [64]byte
+	key, isString, ok := appendIndexKey(buf[:0], rawValue{kind: v.Kind, s: []byte(v.S), i: v.I, f: v.F})
 	if !ok {
 		return nil, false // NaN constant
 	}
 	if isString && ix.numerics > 0 || !isString && ix.strings > 0 {
 		return nil, false // cross-class comparison errors under Compare
 	}
-	set := ix.byKey[string(key)]
-	out := make([]logmodel.GLSN, 0, len(set))
-	for g := range set {
-		out = append(out, g)
+	r, ok := ix.keys[string(key)]
+	if !ok {
+		return nil, true
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, true
+	return slices.Clone(ix.runs[r]), true
 }
 
 // SetIndexDisabled forces IndexLookup to decline, sending every audit

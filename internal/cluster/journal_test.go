@@ -77,7 +77,7 @@ func durableClusterOpts(t *testing.T, root string, o storage.Options) (*testClus
 		net.Close() //nolint:errcheck
 		for _, n := range tc.nodes {
 			n.Wait()
-			n.CloseStorage() //nolint:errcheck
+			n.Close() //nolint:errcheck
 		}
 	}
 }
@@ -283,7 +283,7 @@ func TestWALRejectsCorruptJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer node.CloseStorage() //nolint:errcheck
+	defer node.Close() //nolint:errcheck
 	if q := node.QuarantinedExtents(); len(q) != 1 || !strings.HasPrefix(q[0], "P0: ") {
 		t.Fatalf("corrupt segment quarantined as %v, want one extent named for P0", q)
 	}
@@ -636,7 +636,7 @@ func TestRestoreToleratesDuplicateReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore with duplicates failed: %v", err)
 	}
-	defer node.CloseStorage() //nolint:errcheck
+	defer node.Close() //nolint:errcheck
 	if node.nextGLSN <= 7 {
 		t.Fatalf("sequencer at %v; the skipped grant's glsn must still advance it past 7", node.nextGLSN)
 	}

@@ -158,6 +158,10 @@ func countPoisonEvents() int {
 // the node has refused a single later write — so the recorder shows
 // the cause ahead of the symptoms, and that it is recorded once.
 func TestWALPoisonRecordsFlightEvent(t *testing.T) {
+	// The recorder is a bounded ring shared by the whole test binary:
+	// once earlier tests fill it, the event this commit records evicts
+	// another and the count cannot rise. Start from an empty ring.
+	telemetry.F.Reset()
 	j := fsyncFailingJournal(t)
 	recs, err := j.encode(stagedFragEntries(ingestFanoutThreshold))
 	if err != nil {

@@ -69,7 +69,7 @@ func TestStagedBatchSurvivesCompactionBeforeCommit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node.storeLocked(&v)
+		node.frags.install(&v, node.id)
 	}
 	node.journal.stage(recs)
 	node.mu.Unlock()
@@ -83,7 +83,7 @@ func TestStagedBatchSurvivesCompactionBeforeCommit(t *testing.T) {
 	if err := node.deleteFragment("TSTG", victim); err != nil {
 		t.Fatal(err)
 	}
-	if err := node.CloseStorage(); err != nil {
+	if err := node.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -94,7 +94,7 @@ func TestStagedBatchSurvivesCompactionBeforeCommit(t *testing.T) {
 		}
 	}
 	restarted := openDurableNode(t, "P0", dir)
-	defer restarted.CloseStorage() //nolint:errcheck
+	defer restarted.Close() //nolint:errcheck
 	held := restarted.GLSNs()
 	for _, e := range entries {
 		g := e.Item.Fragment.GLSN
@@ -267,7 +267,7 @@ func TestGrantOverlapJournalsOnlyTail(t *testing.T) {
 	if !slices.Equal(node.grantLog, want) || node.nextGLSN != base+5 {
 		t.Fatalf("grant log %v at %s, want %v at %s", node.grantLog, node.nextGLSN, want, base+5)
 	}
-	if err := node.CloseStorage(); err != nil {
+	if err := node.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var journaled []grantRange
@@ -280,7 +280,7 @@ func TestGrantOverlapJournalsOnlyTail(t *testing.T) {
 		t.Fatalf("journaled grants %v, want %v", journaled, want)
 	}
 	restarted := openDurableNode(t, "P0", dir)
-	defer restarted.CloseStorage() //nolint:errcheck
+	defer restarted.Close() //nolint:errcheck
 	if !slices.Equal(restarted.grantLog, want) {
 		t.Fatalf("replayed grant log %v, want %v", restarted.grantLog, want)
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/big"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -76,7 +75,7 @@ type Config struct {
 	// Storage, when set, makes the node durable: every mutation is
 	// journaled through the store (the crash-safe segment store) and
 	// replayed on restart. The node takes ownership and closes it in
-	// CloseStorage. The store must already be opened (and thereby
+	// Close. The store must already be opened (and thereby
 	// recovered): New replays it into memory and surfaces any
 	// quarantined extents via QuarantinedExtents. Without it the node
 	// keeps its state in memory only.
@@ -130,14 +129,13 @@ type Node struct {
 	mb        *transport.Mailbox
 
 	mu       sync.RWMutex
-	recs     map[logmodel.GLSN]*heldRecord
+	frags    *fragstore
 	acl      *ticket.AccessTable
 	nextGLSN logmodel.GLSN
 	// grantLog holds every applied grant range in glsn order: the
 	// leader answers catch-up from it without touching the access
 	// table, and compaction snapshots it.
 	grantLog []grantRange
-	idx      map[logmodel.Attr]*attrIndex
 	idxOff   atomic.Bool // test hook: force audit scans
 	seqMu    sync.Mutex  // serializes leader sequencer rounds
 	syncMu   sync.Mutex  // serializes follower catch-up (syncFromLeader)
@@ -187,10 +185,9 @@ func New(cfg Config, mb *transport.Mailbox) (*Node, error) {
 		peerKeys:  cfg.PeerKeys,
 		accParams: cfg.AccParams,
 		mb:        mb,
-		recs:      make(map[logmodel.GLSN]*heldRecord),
+		frags:     newFragstore(),
 		acl:       acl,
 		nextGLSN:  first,
-		idx:       make(map[logmodel.Attr]*attrIndex),
 		notifyCh:  make(chan struct{}),
 	}
 	if cfg.Storage != nil {
@@ -213,9 +210,17 @@ func New(cfg Config, mb *transport.Mailbox) (*Node, error) {
 	return n, nil
 }
 
-// CloseStorage flushes and closes the node's journal (no-op without
-// durable storage). Call after the node's server loops have stopped.
-func (n *Node) CloseStorage() error { return n.journal.Close() }
+// Close lets go of the node's records and closes its journal (a no-op
+// without durable storage), returning the journal's error. Call after
+// the node's server loops have stopped. The node then holds nothing: a
+// read reports not-found, and the store's memory is free to collect
+// even while the Node itself stays reachable.
+func (n *Node) Close() error {
+	n.mu.Lock()
+	n.frags = newFragstore()
+	n.mu.Unlock()
+	return n.journal.Close()
+}
 
 // QuarantinedExtents names the glsn extents this node's recovery
 // refused to serve, each prefixed with the node ID. Empty on a healthy
@@ -233,7 +238,7 @@ func (n *Node) StorageStatus() storage.Status {
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return storage.Status{Backend: storage.BackendMemory, Records: int64(len(n.recs))}
+	return storage.Status{Backend: storage.BackendMemory, Records: int64(n.frags.len())}
 }
 
 // ID returns the node's cluster identity.
@@ -643,7 +648,7 @@ func ProvenanceStatement(g logmodel.GLSN, digest *big.Int) []byte {
 // fragment and the record's accumulator material. A writer builds it
 // from its fields; a node only ever reads one it decoded, whose raw run
 // is all it carries. That run is the node's unit of record state: the
-// node holds it (heldRecord), journals it and replays it as the bytes
+// node holds it (fragstore), journals it and replays it as the bytes
 // the writer's encoding (appendBatchItem) produced.
 type batchItem struct {
 	Fragment logmodel.Fragment `json:"fragment"`
@@ -674,20 +679,10 @@ func (it *batchItem) glsn() logmodel.GLSN {
 	return logmodel.GLSN(g)
 }
 
-// heldRecord is what a node holds for one glsn: the item's run, which
-// is never modified, plus the two group elements materialized lazily
-// from its exponents (nil until first asked for). Every reader decodes
-// what it needs from raw. An (over)write installs a fresh heldRecord,
-// so a cached element never outlives its content.
-type heldRecord struct {
-	raw     []byte
-	digest  *big.Int // X0^dexp
-	witness *big.Int // X0^wexp
-}
-
-// view locates the fields of the held run.
-func (r *heldRecord) view() itemView {
-	v, _ := viewItem(r.raw) // checked when it was installed
+// heldView locates the fields of a held run, which viewItem checked
+// when it was installed.
+func heldView(run []byte) itemView {
+	v, _ := viewItem(run)
 	return v
 }
 
@@ -838,45 +833,11 @@ func (n *Node) storeFragmentBatch(body *storeBatchBody) error {
 	}
 	return n.mutate(entries, func() (bool, error) {
 		for i := range views {
-			n.storeLocked(&views[i])
+			n.frags.install(&views[i], n.id)
 		}
 		telemetry.M.Counter(telemetry.CtrWitnessUpdates).Add(int64(len(views)))
 		return true, nil
 	})
-}
-
-// storeLocked installs one checked item as a fresh heldRecord and
-// maintains the attribute indexes. The record is the item's run itself
-// when its fragment already names this node, as Split makes it;
-// otherwise the run is re-encoded once with this node's ID stamped. It
-// is the node's only install: the live store path and journal replay
-// both call it. Caller holds n.mu (replay runs before the node is
-// shared).
-func (n *Node) storeLocked(v *itemView) {
-	raw := v.run
-	if string(v.node) != n.id {
-		raw = v.stamped(n.id)
-	}
-	if old, ok := n.recs[v.glsn]; ok {
-		ov := old.view()
-		n.indexRemove(&ov)
-	}
-	n.recs[v.glsn] = &heldRecord{raw: raw}
-	n.indexAdd(v)
-}
-
-// removeLocked drops a record and its index entries, reporting whether
-// it was present. It is the node's only remove, shared by
-// deleteFragment and journal replay. Caller holds n.mu.
-func (n *Node) removeLocked(g logmodel.GLSN) bool {
-	rec, ok := n.recs[g]
-	if !ok {
-		return false
-	}
-	v := rec.view()
-	n.indexRemove(&v)
-	delete(n.recs, g)
-	return true
 }
 
 // --- fragment reads ---
@@ -945,7 +906,7 @@ func (n *Node) deleteFragment(ticketID string, g logmodel.GLSN) error {
 		return err
 	}
 	return n.mutate([]walEntry{{Kind: "delete", GLSN: g}}, func() (bool, error) {
-		if !n.removeLocked(g) {
+		if !n.frags.remove(g) {
 			return false, fmt.Errorf("%w: %s", ErrUnknownGLSN, g)
 		}
 		return true, nil
@@ -955,54 +916,56 @@ func (n *Node) deleteFragment(ticketID string, g logmodel.GLSN) error {
 // --- store access for sibling subsystems (integrity, audit) ---
 
 // Fragment returns the stored fragment for a glsn, decoded from the
-// held record.
+// held run.
 func (n *Node) Fragment(g logmodel.GLSN) (logmodel.Fragment, bool) {
 	n.mu.RLock()
-	rec, ok := n.recs[g]
+	run, ok := n.frags.get(g)
 	n.mu.RUnlock()
 	if !ok {
 		return logmodel.Fragment{}, false
 	}
-	v := rec.view()
+	v := heldView(run)
 	return v.fragment(), true
 }
 
 // VisitFragments calls fn with the values of each fragment the node
 // holds among glsns, or of every fragment it holds when glsns is nil,
 // in ascending glsn order. The values map is reused from call to call:
-// fn must not keep it. The held records are collected under the read
-// lock and decoded outside it, so a scan never holds up a writer; a
-// record overwritten or deleted meanwhile is visited as it was when
-// collected. An error from fn ends the scan and is returned.
+// fn must not keep it. The held runs are collected under the read lock
+// and decoded outside it, so a scan never holds up a writer; a record
+// overwritten or deleted meanwhile is visited as it was when collected
+// (its run is never modified, and its arena chunk never reused). An
+// error from fn ends the scan and is returned.
 func (n *Node) VisitFragments(glsns []logmodel.GLSN, fn func(logmodel.GLSN, map[logmodel.Attr]logmodel.Value) error) error {
 	type held struct {
 		g   logmodel.GLSN
-		raw []byte
+		run []byte
 	}
 	n.mu.RLock()
 	var recs []held
 	if glsns == nil {
-		recs = make([]held, 0, len(n.recs))
-		for g, rec := range n.recs {
-			recs = append(recs, held{g, rec.raw})
-		}
+		recs = make([]held, 0, n.frags.len())
+		n.frags.each(func(g logmodel.GLSN, run []byte) { recs = append(recs, held{g, run}) })
 	} else {
 		recs = make([]held, 0, len(glsns))
 		for _, g := range glsns {
-			if rec, ok := n.recs[g]; ok {
-				recs = append(recs, held{g, rec.raw})
+			if run, ok := n.frags.get(g); ok {
+				recs = append(recs, held{g, run})
 			}
 		}
 	}
 	n.mu.RUnlock()
-	slices.SortFunc(recs, func(a, b held) int { return cmp.Compare(a.g, b.g) })
+	if glsns != nil {
+		// The table walks in glsn order; a caller's list may not.
+		slices.SortFunc(recs, func(a, b held) int { return cmp.Compare(a.g, b.g) })
+	}
 	values := make(map[logmodel.Attr]logmodel.Value)
 	// Attribute names repeat across fragments: intern them rather than
 	// allocate a key per value.
 	names := make(map[string]logmodel.Attr)
 	for _, h := range recs {
 		clear(values)
-		eachValue(h.raw, func(a []byte, val rawValue) {
+		eachValue(h.run, func(a []byte, val rawValue) {
 			name, ok := names[string(a)]
 			if !ok {
 				name = logmodel.Attr(a)
@@ -1029,23 +992,17 @@ func (n *Node) Digest(g logmodel.GLSN) (*big.Int, bool) { return n.materialize(g
 func (n *Node) Witness(g logmodel.GLSN) (*big.Int, bool) { return n.materialize(g, true) }
 
 // materialize returns X0^e for g's digest exponent, or its witness
-// exponent when witness is set, and memoizes the element in the held
-// record. The first call decodes e from the record and pays one
+// exponent when witness is set, and memoizes the element in the store's
+// side map. The first call decodes e from the held run and pays one
 // fixed-base exponentiation outside the state lock; the element is
-// cached only if g still holds the same record, so an overwrite or
-// delete in between drops it with the old content.
+// cached only if g still holds the same run (fragstore.cacheElem), so
+// an overwrite or delete in between drops it with the old content.
 func (n *Node) materialize(g logmodel.GLSN, witness bool) (*big.Int, bool) {
-	slot := func(r *heldRecord) **big.Int {
-		if witness {
-			return &r.witness
-		}
-		return &r.digest
-	}
 	n.mu.RLock()
-	rec, ok := n.recs[g]
+	run, ok := n.frags.get(g)
 	var elem *big.Int
 	if ok {
-		elem = *slot(rec)
+		elem = n.frags.elem(g, witness)
 	}
 	n.mu.RUnlock()
 	if !ok {
@@ -1054,7 +1011,7 @@ func (n *Node) materialize(g logmodel.GLSN, witness bool) (*big.Int, bool) {
 	if elem != nil {
 		return elem, true
 	}
-	v := rec.view()
+	v := heldView(run)
 	enc := v.dexp
 	if witness {
 		enc = v.wexp
@@ -1065,24 +1022,22 @@ func (n *Node) materialize(g logmodel.GLSN, witness bool) (*big.Int, bool) {
 	}
 	elem = n.accParams.PowX0(exp)
 	n.mu.Lock()
-	if n.recs[g] == rec {
-		*slot(rec) = elem
-	}
+	n.frags.cacheElem(g, run, witness, elem)
 	n.mu.Unlock()
 	return elem, true
 }
 
 // Provenance returns the writer's non-repudiation signature for a glsn,
 // when the writer supplied one. The signature is a slice of the held
-// record, which is never modified; callers must not modify it either.
+// run, which is never modified; callers must not modify it either.
 func (n *Node) Provenance(g logmodel.GLSN) ([]byte, bool) {
 	n.mu.RLock()
-	rec, ok := n.recs[g]
+	run, ok := n.frags.get(g)
 	n.mu.RUnlock()
 	if !ok {
 		return nil, false
 	}
-	v := rec.view()
+	v := heldView(run)
 	if v.prov == nil {
 		return nil, false
 	}
@@ -1112,38 +1067,32 @@ func (n *Node) VerifyProvenance(g logmodel.GLSN, writer ed25519.PublicKey) error
 func (n *Node) GLSNs() []logmodel.GLSN {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	out := make([]logmodel.GLSN, 0, len(n.recs))
-	for g := range n.recs {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]logmodel.GLSN, 0, n.frags.len())
+	n.frags.each(func(g logmodel.GLSN, _ []byte) { out = append(out, g) })
 	return out
 }
 
 // TamperFragment overwrites a stored fragment's attribute value without
 // any authorization — a test-only hook simulating a compromised node
-// (paper §4.1). It installs a fresh record re-encoded with the new
-// value; the record's exponents, and the digest and witness elements
-// already materialized from them, are left as they were. It returns
-// false if the glsn or attribute is absent.
+// (paper §4.1). It holds a fresh run re-encoded with the new value; the
+// record's exponents, and the digest and witness elements already
+// materialized from them, are left as they were. It returns false if
+// the glsn or attribute is absent.
 func (n *Node) TamperFragment(g logmodel.GLSN, attr logmodel.Attr, val logmodel.Value) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	rec, ok := n.recs[g]
+	run, ok := n.frags.get(g)
 	if !ok {
 		return false
 	}
-	v := rec.view()
+	v := heldView(run)
 	frag := v.fragment()
 	if _, ok := frag.Values[attr]; !ok {
 		return false
 	}
 	frag.Values[attr] = val
 	item := batchItem{Fragment: frag, DigestExp: bigOf(v.dexp), Provenance: v.prov, WitnessExp: bigOf(v.wexp)}
-	tampered, _ := viewItem(appendBatchItem(nil, &item)) // the encoder's own output
-	n.indexRemove(&v)
-	n.recs[g] = &heldRecord{raw: tampered.run, digest: rec.digest, witness: rec.witness}
-	n.indexAdd(&tampered)
+	n.frags.set(g, appendBatchItem(nil, &item))
 	return true
 }
 

@@ -103,8 +103,9 @@ func TestOutboxSpoolReplaysBinaryStoreBatch(t *testing.T) {
 			t.Fatalf("glsn %s: id = %v, want %v", g, frag.Values["id"], want)
 		}
 		node.mu.RLock()
-		v := node.recs[g].view()
+		run, _ := node.frags.get(g)
 		node.mu.RUnlock()
+		v := heldView(run)
 		if exp := bigOf(v.dexp); exp == nil {
 			t.Fatalf("glsn %s: digest exponent missing after replay", g)
 		}

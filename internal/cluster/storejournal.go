@@ -261,9 +261,10 @@ func (n *Node) mutate(entries []walEntry, apply func() (bool, error)) error {
 // CompactStorage rewrites the journal as a snapshot of the node's
 // current state, discarding superseded entries (overwritten fragments,
 // delete tombstones); each fragment is written as the bytes the node
-// holds, without decoding them. It holds the node's state lock across
-// snapshot and rewrite, and rewrite drains the staged queue before it
-// compacts. A mutation stages under that lock, so a group staged
+// holds, without decoding them, in glsn order, so an unchanged node
+// snapshots to the same bytes every time. It holds the node's state
+// lock across snapshot and rewrite, and rewrite drains the staged queue
+// before it compacts. A mutation stages under that lock, so a group staged
 // before the snapshot is already in it and reaches the store before the
 // snapshot replaces it, and one staged after it lands behind the
 // snapshot.
@@ -274,7 +275,7 @@ func (n *Node) CompactStorage() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ids := n.acl.TicketIDs()
-	entries := make([]walEntry, 0, len(ids)+len(n.grantLog)+len(n.recs))
+	entries := make([]walEntry, 0, len(ids)+len(n.grantLog)+n.frags.len())
 	for _, id := range ids {
 		tk, _ := n.acl.Ticket(id)
 		wt := ToWire(tk)
@@ -283,16 +284,17 @@ func (n *Node) CompactStorage() error {
 	for _, r := range n.grantLog {
 		entries = append(entries, walEntry{Kind: "grant", TicketID: r.TicketID, GLSN: r.First, Count: r.Count})
 	}
-	for _, rec := range n.recs {
-		entries = append(entries, walEntry{Kind: "frag", Item: &batchItem{raw: rec.raw}})
-	}
+	n.frags.each(func(_ logmodel.GLSN, run []byte) {
+		entries = append(entries, walEntry{Kind: "frag", Item: &batchItem{raw: run}})
+	})
 	return n.journal.rewrite(entries)
 }
 
 // applyWALEntry applies one journaled mutation to the node's in-memory
-// state during recovery. Fragments install and remove through
-// storeLocked and removeLocked, the helpers the live path uses, so a
-// replayed node holds exactly the state its live self held. It
+// state during recovery. Fragments install and remove through the
+// fragstore's install and remove, as on the live path, so a replayed
+// node holds exactly the state its live self held; install copies each
+// run into the store's arena, so no held run pins its journal record. It
 // tolerates duplicates: a checkpoint snapshot
 // followed by a delta that re-journals the same ticket or grant must
 // converge, not fail, because registration and grants are idempotent
@@ -337,9 +339,9 @@ func (n *Node) applyWALEntry(e walEntry) error {
 		if err != nil {
 			return fmt.Errorf("cluster: replaying store item: %w", err)
 		}
-		n.storeLocked(&v)
+		n.frags.install(&v, n.id)
 	case "delete":
-		n.removeLocked(e.GLSN)
+		n.frags.remove(e.GLSN)
 	default:
 		return fmt.Errorf("cluster: unknown journal entry kind %q", e.Kind)
 	}

@@ -267,9 +267,11 @@ func (b *storeBatchBody) AppendBinary(dst []byte) []byte {
 }
 
 // DecodeBinary checks every item run with viewItem and keeps each as
-// its item's raw run, copied out of the recycled frame. That copy is
-// the only one: a node installs the run as the record it holds.
+// its item's raw run, a slice of one copy of the recycled frame: one
+// allocation per batch. Nothing keeps that copy past the batch: a node
+// copies each run into its fragment store's arena on install.
 func (b *storeBatchBody) DecodeBinary(src []byte) error {
+	src = bytes.Clone(src)
 	d := wire.NewDec(src)
 	var err error
 	if b.TicketID, err = d.Str(); err != nil {
@@ -299,7 +301,7 @@ func (b *storeBatchBody) DecodeBinary(src []byte) error {
 	}
 	b.Items = make([]batchItem, count)
 	for i, run := range runs {
-		b.Items[i].raw = bytes.Clone(run)
+		b.Items[i].raw = run[:len(run):len(run)]
 	}
 	return nil
 }

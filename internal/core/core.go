@@ -93,7 +93,7 @@ func (n *RunningNode) Stop() error {
 	n.node.Mailbox().Close() //nolint:errcheck // closing the endpoint is what stops the loops
 	n.node.Wait()
 	n.wg.Wait()
-	return n.node.CloseStorage()
+	return n.node.Close()
 }
 
 // Client is an attached client: the cluster client under its ticket,

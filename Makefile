@@ -17,12 +17,13 @@ all: build vet test
 # race-enabled test suite (uncached, so a flaky test cannot hide behind
 # a cached pass), and the journal tests, the held-record readers racing
 # overwrites and deletes, the fragment store against its reference
-# model, and the fixed-base paths (concurrent same-base
+# model, the writer's record encoder against its field-by-field
+# reference path, and the fixed-base paths (concurrent same-base
 # table builds, the pooled fold scratch) again at GOMAXPROCS 1, 2 and 8,
 # where their interleavings differ most.
 check: bench-smoke bench-module vet staticcheck obs-smoke obs-ingest-smoke chaos crash-torture examples
 	$(GO) test -race -count=1 ./...
-	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Journal|WAL|Compact|Replay|Staged|Pipelined|Materialize|VisitFragments|Fragstore' ./internal/cluster/
+	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Journal|WAL|Compact|Replay|Staged|Pipelined|Materialize|VisitFragments|Fragstore|RecordEncoder' ./internal/cluster/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'FixedBase|FirstHop' ./internal/mathx/ ./internal/crypto/commutative/
 
 # The end-to-end benchmark harness lives in its own module under

@@ -104,7 +104,7 @@ func BenchmarkTable6AccessControl(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := logmodel.GLSN(i + 1)
-		if err := tbl.Grant("T1", g); err != nil {
+		if err := tbl.Grant("T1", g, 1); err != nil {
 			b.Fatal(err)
 		}
 		if err := tbl.Authorize("T1", ticket.OpRead, g); err != nil {

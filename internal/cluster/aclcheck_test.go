@@ -55,7 +55,7 @@ func TestACLConsistencyDetectsDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// P2 forges an extra grant locally.
-	if err := tc.nodes["P2"].AccessTable().Grant("TACLV", 0xdeadbeef); err != nil {
+	if err := tc.nodes["P2"].AccessTable().Grant("TACLV", 0xdeadbeef, 1); err != nil {
 		t.Fatal(err)
 	}
 	report, err := tc.nodes["P0"].ACLConsistencyCheck(ctx)

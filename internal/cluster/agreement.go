@@ -5,11 +5,13 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"confaudit/internal/logmodel"
@@ -50,9 +52,12 @@ func verifyStatement(pub ed25519.PublicKey, msg, sig []byte) bool {
 // Quorum returns the majority threshold for n nodes.
 func Quorum(n int) int { return n/2 + 1 }
 
-// VerifyCertificate checks that at least quorum distinct known nodes
-// signed the statement.
-func VerifyCertificate(keys map[string]ed25519.PublicKey, quorum int, cert *Certificate) error {
+// verifyCertificate checks that at least quorum distinct known nodes
+// signed the statement, as node self checks it, having sent ownVote on
+// the statement (nil if it remembers none). Ed25519 signing is
+// deterministic, so the certificate's entry under self must be ownVote
+// byte for byte, and a comparison stands in for its verify.
+func verifyCertificate(keys map[string]ed25519.PublicKey, quorum int, cert *Certificate, self string, ownVote []byte) error {
 	if cert == nil || len(cert.Statement) == 0 {
 		return fmt.Errorf("%w: empty certificate", ErrBadCertificate)
 	}
@@ -62,13 +67,49 @@ func VerifyCertificate(keys map[string]ed25519.PublicKey, quorum int, cert *Cert
 		if !known {
 			return fmt.Errorf("%w: vote from unknown node %q", ErrBadCertificate, node)
 		}
-		if !verifyStatement(pub, cert.Statement, sig) {
+		if ownVote != nil && node == self {
+			if !bytes.Equal(sig, ownVote) {
+				return fmt.Errorf("%w: vote under %q is not the one it sent", ErrBadCertificate, node)
+			}
+		} else if !verifyStatement(pub, cert.Statement, sig) {
 			return fmt.Errorf("%w: bad signature from %q", ErrBadCertificate, node)
 		}
 		valid++
 	}
 	if valid < quorum {
 		return fmt.Errorf("%w: %d of %d required votes", ErrNoQuorum, valid, quorum)
+	}
+	return nil
+}
+
+// sentVotes remembers the last votes a node sent, so that it can check
+// its own entry in a commit certificate by comparing bytes. Rounds run
+// one at a time under the leader's seqMu, so a few slots cover every
+// commit that can still be in flight; a commit whose vote has been
+// overwritten is verified in full.
+type sentVotes struct {
+	mu    sync.Mutex
+	next  int
+	slots [8]struct{ stmt, sig []byte }
+}
+
+// add remembers sig as the vote sent on stmt.
+func (v *sentVotes) add(stmt, sig []byte) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.slots[v.next].stmt, v.slots[v.next].sig = stmt, sig
+	v.next = (v.next + 1) % len(v.slots)
+}
+
+// sent returns the latest vote sent on stmt, or nil.
+func (v *sentVotes) sent(stmt []byte) []byte {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for k := 1; k <= len(v.slots); k++ {
+		s := v.slots[(v.next-k+len(v.slots))%len(v.slots)]
+		if s.sig != nil && bytes.Equal(s.stmt, stmt) {
+			return s.sig
+		}
 	}
 	return nil
 }
@@ -271,6 +312,7 @@ func (n *Node) serveAgreement(ctx context.Context) {
 			vote.Refused = err.Error()
 		} else {
 			vote.Sig = ed25519.Sign(n.signer, req.Statement)
+			n.votes.add(req.Statement, vote.Sig)
 		}
 		if err := n.mb.SendBody(ctx, msg.From, msgAgreeVote, msg.Session, &vote); err != nil {
 			continue
@@ -289,17 +331,26 @@ func (n *Node) serveCommits(ctx context.Context) {
 		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
 			continue
 		}
-		if err := VerifyCertificate(n.peerKeys, Quorum(len(n.roster)), &body.Cert); err != nil {
-			continue
-		}
-		if err := n.applyStatement(body.Cert.Statement); errors.Is(err, errGLSNGap) {
-			// Earlier commits were missed (partition, restart); pull
-			// them from the leader, then apply this statement: the
-			// leader broadcasts commits before applying them itself,
-			// so its answer may stop just short of it.
-			if n.syncFromLeader(ctx) == nil {
-				n.applyStatement(body.Cert.Statement) //nolint:errcheck // next commit retries
-			}
+		n.applyCommit(ctx, &body.Cert) //nolint:errcheck // a refused or unapplied commit is caught up by sync
+	}
+}
+
+// applyCommit checks a commit certificate, comparing the node's own
+// vote in it with the one it sent rather than verifying it again, and
+// applies its statement.
+func (n *Node) applyCommit(ctx context.Context, cert *Certificate) error {
+	if err := verifyCertificate(n.peerKeys, Quorum(len(n.roster)), cert, n.id, n.votes.sent(cert.Statement)); err != nil {
+		return err
+	}
+	err := n.applyStatement(cert.Statement)
+	if errors.Is(err, errGLSNGap) {
+		// Earlier commits were missed (partition, restart); pull
+		// them from the leader, then apply this statement: the
+		// leader broadcasts commits before applying them itself,
+		// so its answer may stop just short of it.
+		if err = n.syncFromLeader(ctx); err == nil {
+			err = n.applyStatement(cert.Statement)
 		}
 	}
+	return err
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
-	"math/big"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -35,10 +34,7 @@ type Client struct {
 	part   *logmodel.Partition
 	acc    *accumulator.Params
 	tk     *ticket.Ticket
-	// signer, when set, signs every stored record's digest so the
-	// record is non-repudiable (paper §2: "non-repudiation of
-	// transactions").
-	signer ed25519.PrivateKey
+	enc    *recordEncoder
 
 	outbox *resilience.Outbox
 	det    *resilience.Detector
@@ -112,7 +108,7 @@ func OpenClient(mb *transport.Mailbox, cfg ClientConfig) (*Client, error) {
 		part:   cfg.Partition,
 		acc:    cfg.Accumulator,
 		tk:     cfg.Ticket,
-		signer: cfg.Signer,
+		enc:    newRecordEncoder(cfg.Partition, cfg.Accumulator, cfg.Signer),
 	}
 	if cfg.OutboxPath != "" {
 		ob, err := resilience.OpenOutbox(cfg.OutboxPath)
@@ -334,55 +330,44 @@ func (c *Client) LogBatch(ctx context.Context, records []map[logmodel.Attr]logmo
 // storeRange is the write path's one store round, shared by LogBatch and
 // the Appender: it stores records under their already-granted glsns
 // [first, first+len(records)) and returns those glsns once every node
-// has acked (or spooled) its slice. Each record is split, and every node
-// is shipped the digest exponent and its own witness exponent; the node
-// materializes the group elements lazily, keeping the fixed-base
-// evaluation off the write path. Provenance signs the digest group
-// element, so only a signing writer computes it, to sign it; it still
-// ships the exponent, and every node re-derives the element from it.
-// Each node then receives one
-// MsgLogStoreBatch with all of its items, the nodes concurrently (see
-// deliverStore). Reused glsns make resends idempotent — a node that
-// already stored the items overwrites them with identical content — so
-// a lost ack never double-assigns or double-counts a record
-// (at-most-once-per-glsn).
+// has acked (or spooled) its slice. The client's recordEncoder makes
+// one pass over each record: every node is shipped its fragment, the
+// digest exponent and its own witness exponent, and materializes the
+// group elements lazily, keeping the fixed-base evaluation off the
+// write path. Provenance signs the digest group element, so only a
+// signing writer computes it, to sign it; it still ships the exponent,
+// and every node re-derives the element from it. Each node then
+// receives one MsgLogStoreBatch with all of its items, the nodes
+// concurrently (see deliverStore). Reused glsns make resends idempotent
+// — a node that already stored the items overwrites them with
+// identical content — so a lost ack never double-assigns or
+// double-counts a record (at-most-once-per-glsn).
 func (c *Client) storeRange(ctx context.Context, first logmodel.GLSN, records []map[logmodel.Attr]logmodel.Value, opts AppendOptions) ([]logmodel.GLSN, error) {
 	glsns := make([]logmodel.GLSN, len(records))
-	perNode := make(map[string][]batchItem, len(c.roster))
-	for i, values := range records {
-		g := first + logmodel.GLSN(i)
-		glsns[i] = g
-		frags := c.part.Split(logmodel.Record{GLSN: g, Values: values})
-		dexp, wits := c.witnessExponents(frags)
-		var prov []byte
-		if c.signer != nil {
-			prov = ed25519.Sign(c.signer, ProvenanceStatement(g, c.acc.PowX0(dexp)))
-		}
-		for node, frag := range frags {
-			perNode[node] = append(perNode[node], batchItem{Fragment: frag, DigestExp: dexp, Provenance: prov, WitnessExp: wits[node]})
-		}
+	for i := range glsns {
+		glsns[i] = first + logmodel.GLSN(i)
+	}
+	msgs, err := c.enc.messages(c.tk.ID, first, records)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: encoding store batch: %w", err)
 	}
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	for node, items := range perNode {
+	for _, msg := range msgs {
 		wg.Add(1)
-		go func(node string, items []batchItem) {
+		go func(msg transport.Message) {
 			defer wg.Done()
-			msg, err := transport.NewMessage(node, MsgLogStoreBatch, "", &storeBatchBody{TicketID: c.tk.ID, Items: items})
-			if err == nil {
-				err = c.deliverStore(ctx, msg, first, len(items), opts, true)
-			}
-			if err != nil {
+			if err := c.deliverStore(ctx, msg, first, len(records), opts, true); err != nil {
 				mu.Lock()
 				if firstErr == nil {
-					firstErr = fmt.Errorf("cluster: storing batch on %s: %w", node, err)
+					firstErr = fmt.Errorf("cluster: storing batch on %s: %w", msg.To, err)
 				}
 				mu.Unlock()
 			}
-		}(node, items)
+		}(msg)
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -493,27 +478,6 @@ func sleepBackoff(ctx context.Context, backoff *time.Duration) error {
 		*backoff = 250 * time.Millisecond
 	}
 	return nil
-}
-
-// witnessExponents returns a record's digest EXPONENT (∏ of all
-// fragments' hash exponents) alongside every node's membership-witness
-// exponent (∏ of the OTHER fragments' hash exponents): two
-// multiplication sweeps, no modular exponentiation. The write path ships
-// both and each node materializes the group elements lazily — the
-// fixed-base evaluation is the dominant per-record CPU cost, and most
-// records are never individually audited.
-func (c *Client) witnessExponents(frags map[string]logmodel.Fragment) (*big.Int, map[string]*big.Int) {
-	nodes := c.part.Nodes()
-	items := make([][]byte, 0, len(nodes))
-	for _, node := range nodes {
-		items = append(items, frags[node].Canonical())
-	}
-	wexps, total := c.acc.WitnessExponents(items)
-	wits := make(map[string]*big.Int, len(nodes))
-	for i, node := range nodes {
-		wits[node] = wexps[i]
-	}
-	return total, wits
 }
 
 // Delete removes the client's record from every node. Requires the

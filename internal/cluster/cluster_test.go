@@ -238,12 +238,12 @@ func TestStoreRefusesItemWithoutExponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frags := c.part.Split(logmodel.Record{GLSN: g, Values: map[logmodel.Attr]logmodel.Value{"id": logmodel.String("U1")}})
-	dexp, wits := c.witnessExponents(frags)
+	_, items := referenceItems(c.part, c.acc, nil, g, map[logmodel.Attr]logmodel.Value{"id": logmodel.String("U1")})
 	node := tc.boot.Partition.Owner("id")
+	full := items[node]
 	for name, item := range map[string]batchItem{
-		"no digest exponent":  {Fragment: frags[node], WitnessExp: wits[node]},
-		"no witness exponent": {Fragment: frags[node], DigestExp: dexp},
+		"no digest exponent":  {Fragment: full.Fragment, WitnessExp: full.WitnessExp},
+		"no witness exponent": {Fragment: full.Fragment, DigestExp: full.DigestExp},
 	} {
 		msg, err := transport.NewMessage(node, MsgLogStoreBatch, "", &storeBatchBody{TicketID: c.tk.ID, Items: []batchItem{item}})
 		if err != nil {
@@ -413,22 +413,22 @@ func TestCertificateVerification(t *testing.T) {
 		},
 	}
 	quorum := Quorum(len(boot.Roster))
-	if err := VerifyCertificate(boot.PeerKeys, quorum, cert); err != nil {
+	if err := verifyCertificate(boot.PeerKeys, quorum, cert, "", nil); err != nil {
 		t.Fatalf("valid certificate rejected: %v", err)
 	}
 	// Too few votes.
 	thin := &Certificate{Statement: stmt, Votes: map[string][]byte{boot.Roster[0]: sig0}}
-	if err := VerifyCertificate(boot.PeerKeys, quorum, thin); err == nil {
+	if err := verifyCertificate(boot.PeerKeys, quorum, thin, "", nil); err == nil {
 		t.Fatal("sub-quorum certificate accepted")
 	}
 	// Unknown voter.
 	alien := &Certificate{Statement: stmt, Votes: map[string][]byte{"mallory": sig0}}
-	if err := VerifyCertificate(boot.PeerKeys, quorum, alien); err == nil {
+	if err := verifyCertificate(boot.PeerKeys, quorum, alien, "", nil); err == nil {
 		t.Fatal("certificate with unknown voter accepted")
 	}
 	// Tampered statement.
 	bad := &Certificate{Statement: []byte("glsnrange|ffff|1|T1"), Votes: cert.Votes}
-	if err := VerifyCertificate(boot.PeerKeys, quorum, bad); err == nil {
+	if err := verifyCertificate(boot.PeerKeys, quorum, bad, "", nil); err == nil {
 		t.Fatal("certificate with mismatched statement accepted")
 	}
 	// A bit-flipped signature, and signatures one byte short and long.
@@ -443,7 +443,7 @@ func TestCertificateVerification(t *testing.T) {
 		mauled := &Certificate{Statement: stmt, Votes: map[string][]byte{
 			boot.Roster[0]: sig0, boot.Roster[1]: sig1, boot.Roster[2]: sig,
 		}}
-		if err := VerifyCertificate(boot.PeerKeys, quorum, mauled); err == nil {
+		if err := verifyCertificate(boot.PeerKeys, quorum, mauled, "", nil); err == nil {
 			t.Fatalf("certificate with a %s signature accepted", name)
 		}
 	}
@@ -454,11 +454,11 @@ func TestCertificateVerification(t *testing.T) {
 		shortKeys[id] = pk
 	}
 	shortKeys[boot.Roster[1]] = shortKeys[boot.Roster[1]][:ed25519.PublicKeySize-1]
-	if err := VerifyCertificate(shortKeys, quorum, cert); err == nil {
+	if err := verifyCertificate(shortKeys, quorum, cert, "", nil); err == nil {
 		t.Fatal("certificate verified under a 31-byte peer key")
 	}
 	// Empty.
-	if err := VerifyCertificate(boot.PeerKeys, quorum, nil); err == nil {
+	if err := verifyCertificate(boot.PeerKeys, quorum, nil, "", nil); err == nil {
 		t.Fatal("nil certificate accepted")
 	}
 	if Quorum(4) != 3 || Quorum(5) != 3 || Quorum(1) != 1 {

@@ -414,16 +414,9 @@ func TestReplayHeldRecordsAcrossCompaction(t *testing.T) {
 func storeBatchMessage(tb testing.TB, boot *Bootstrap, ticketID, node string, first logmodel.GLSN, n int) transport.Message {
 	tb.Helper()
 	body := storeBatchBody{TicketID: ticketID}
-	nodes := boot.Partition.Nodes()
-	self := slices.Index(nodes, node)
 	for i, values := range workload.New(1).Transactions(boot.Partition.Schema(), n, 16) {
-		frags := boot.Partition.Split(logmodel.Record{GLSN: first + logmodel.GLSN(i), Values: values})
-		canon := make([][]byte, 0, len(frags))
-		for _, id := range nodes {
-			canon = append(canon, frags[id].Canonical())
-		}
-		wexps, dexp := boot.AccParams.WitnessExponents(canon)
-		body.Items = append(body.Items, batchItem{Fragment: frags[node], DigestExp: dexp, WitnessExp: wexps[self]})
+		_, items := referenceItems(boot.Partition, boot.AccParams, nil, first+logmodel.GLSN(i), values)
+		body.Items = append(body.Items, items[node])
 	}
 	msg, err := transport.NewMessage(node, MsgLogStoreBatch, "", &body)
 	if err != nil {

@@ -139,6 +139,7 @@ type Node struct {
 	idxOff   atomic.Bool // test hook: force audit scans
 	seqMu    sync.Mutex  // serializes leader sequencer rounds
 	syncMu   sync.Mutex  // serializes follower catch-up (syncFromLeader)
+	votes    sentVotes   // the last votes this node sent (serveAgreement)
 
 	// notifyCh is closed and replaced whenever grant or ticket state
 	// advances, waking handlers parked on a glsn that is still in
@@ -490,10 +491,8 @@ func (n *Node) applyGrantRange(first logmodel.GLSN, count int, ticketID string) 
 				first, retry = n.nextGLSN, true
 				return false, nil
 			}
-			for g := first; g < end; g++ {
-				if err := n.acl.Grant(ticketID, g); err != nil {
-					return false, err
-				}
+			if err := n.acl.Grant(ticketID, first, int(end-first)); err != nil {
+				return false, err
 			}
 			n.nextGLSN = end
 			n.grantLog = append(n.grantLog, r)

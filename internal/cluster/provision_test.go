@@ -59,7 +59,7 @@ func TestProvisionRoundTrip(t *testing.T) {
 		Statement: []byte("statement"),
 		Votes:     map[string][]byte{"P1": ed25519.Sign(restored.Signers["P1"], []byte("statement"))},
 	}
-	if err := VerifyCertificate(boot.PeerKeys, 1, cert); err != nil {
+	if err := verifyCertificate(boot.PeerKeys, 1, cert, "", nil); err != nil {
 		t.Fatalf("restored key signature rejected: %v", err)
 	}
 	// Restored issuer mints tickets that verify under the original key.

@@ -325,10 +325,8 @@ func (n *Node) applyWALEntry(e walEntry) error {
 			// failing the whole recovery.
 			return nil
 		}
-		for g := r.First; g < r.end(); g++ {
-			if err := n.acl.Grant(r.TicketID, g); err != nil {
-				return fmt.Errorf("cluster: replaying grant: %w", err)
-			}
+		if err := n.acl.Grant(r.TicketID, r.First, r.Count); err != nil {
+			return fmt.Errorf("cluster: replaying grant: %w", err)
 		}
 		n.grantLog = append(n.grantLog, r) // ordered once replay ends (orderGrantLog)
 	case "frag":

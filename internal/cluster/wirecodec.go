@@ -61,20 +61,28 @@ func appendValue(dst []byte, v logmodel.Value) []byte {
 	return binary.AppendUvarint(dst, math.Float64bits(v.F))
 }
 
-func appendFragment(dst []byte, f *logmodel.Fragment) []byte {
-	dst = binary.AppendUvarint(dst, uint64(f.GLSN))
-	dst = wire.AppendRun(dst, f.Node)
-	dst = wire.AppendOptCount(dst, len(f.Values), f.Values != nil)
-	attrs := make([]logmodel.Attr, 0, len(f.Values))
-	for a := range f.Values {
-		attrs = append(attrs, a)
-	}
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i] < attrs[j] })
-	for _, a := range attrs {
-		dst = wire.AppendRun(dst, string(a))
-		dst = appendValue(dst, f.Values[a])
+// appendItemFragment appends a store item's fragment: the fields must
+// be sorted by attribute, and present is false only for a fragment
+// whose values are nil. The writer's encoder (recordEncoder) and
+// appendBatchItem both call it, so an item has one fragment encoding.
+func appendItemFragment(dst []byte, g logmodel.GLSN, node string, fields []logmodel.Field, present bool) []byte {
+	dst = binary.AppendUvarint(dst, uint64(g))
+	dst = wire.AppendRun(dst, node)
+	dst = wire.AppendOptCount(dst, len(fields), present)
+	for _, f := range fields {
+		dst = wire.AppendRun(dst, string(f.Attr))
+		dst = appendValue(dst, f.Value)
 	}
 	return dst
+}
+
+// appendItemTail appends what follows a store item's fragment: the
+// record's digest exponent, the optional provenance signature and the
+// node's witness exponent.
+func appendItemTail(dst []byte, dexp *big.Int, prov []byte, wexp *big.Int) []byte {
+	dst = wire.AppendBig(dst, dexp)
+	dst = wire.AppendOptBytes(dst, prov)
+	return wire.AppendBig(dst, wexp)
 }
 
 // sigRun decodes an optional Ed25519 signature as a slice of the
@@ -162,10 +170,9 @@ func appendBatchItem(dst []byte, it *batchItem) []byte {
 	if it.raw != nil {
 		return append(dst, it.raw...)
 	}
-	dst = appendFragment(dst, &it.Fragment)
-	dst = wire.AppendBig(dst, it.DigestExp)
-	dst = wire.AppendOptBytes(dst, it.Provenance)
-	return wire.AppendBig(dst, it.WitnessExp)
+	f := &it.Fragment
+	dst = appendItemFragment(dst, f.GLSN, f.Node, logmodel.SortedFields(f.Values), f.Values != nil)
+	return appendItemTail(dst, it.DigestExp, it.Provenance, it.WitnessExp)
 }
 
 // itemView is one store item read in place from its run: the glsn

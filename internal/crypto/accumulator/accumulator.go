@@ -129,9 +129,12 @@ func (p *Params) Validate() error {
 // HashItem maps arbitrary item bytes to the odd 256-bit exponent used in
 // accumulation. Odd exponents are coprime to the (even) group order's
 // power-of-two part, avoiding degenerate short cycles.
-func HashItem(data []byte) *big.Int {
+func HashItem(data []byte) *big.Int { return hashInto(new(big.Int), data) }
+
+// hashInto sets e to HashItem(data), reusing e's storage.
+func hashInto(e *big.Int, data []byte) *big.Int {
 	sum := sha256.Sum256(data)
-	e := new(big.Int).SetBytes(sum[:])
+	e.SetBytes(sum[:])
 	e.SetBit(e, 0, 1)   // force odd
 	e.SetBit(e, 255, 1) // force full width so exponents are uniformly large
 	return e

@@ -1,6 +1,9 @@
 package accumulator
 
-import "math/big"
+import (
+	"math/big"
+	"slices"
+)
 
 // Membership witnesses.
 //
@@ -28,28 +31,52 @@ import "math/big"
 // microseconds and let each holder materialize the group element
 // lazily, the first time a verification actually needs it.
 func (p *Params) WitnessExponents(items [][]byte) (wexps []*big.Int, total *big.Int) {
+	var w WitnessScratch
+	return w.Exponents(items)
+}
+
+// WitnessScratch holds the big integers WitnessExponents computes in,
+// for a caller that derives exponents record after record: kept across
+// calls, it stops allocating once its integers have grown to size. The
+// zero value is ready for use; it is not safe for concurrent use.
+type WitnessScratch struct {
+	es, prefix, suffix, wexps []*big.Int
+}
+
+// Exponents returns what WitnessExponents returns for items, computed
+// in w: the results are w's own integers, valid until the next call.
+func (w *WitnessScratch) Exponents(items [][]byte) (wexps []*big.Int, total *big.Int) {
 	n := len(items)
-	if n == 0 {
-		return nil, big.NewInt(1)
-	}
-	es := make([]*big.Int, n)
+	es := grow(&w.es, n)
 	for i, it := range items {
-		es[i] = HashItem(it)
+		hashInto(es[i], it)
 	}
 	// prefix[i] = ∏ es[:i], suffix[i] = ∏ es[i:]; wexps[i] skips es[i].
-	prefix := make([]*big.Int, n+1)
-	prefix[0] = big.NewInt(1)
+	prefix := grow(&w.prefix, n+1)
+	prefix[0].SetInt64(1)
 	for i, e := range es {
-		prefix[i+1] = new(big.Int).Mul(prefix[i], e)
+		prefix[i+1].Mul(prefix[i], e)
 	}
-	suffix := make([]*big.Int, n+1)
-	suffix[n] = big.NewInt(1)
+	suffix := grow(&w.suffix, n+1)
+	suffix[n].SetInt64(1)
 	for i := n - 1; i >= 0; i-- {
-		suffix[i] = new(big.Int).Mul(suffix[i+1], es[i])
+		suffix[i].Mul(suffix[i+1], es[i])
 	}
-	wexps = make([]*big.Int, n)
+	wexps = grow(&w.wexps, n)
 	for i := range es {
-		wexps[i] = new(big.Int).Mul(prefix[i], suffix[i+1])
+		wexps[i].Mul(prefix[i], suffix[i+1])
 	}
 	return wexps, prefix[n]
+}
+
+// grow returns the first n integers of *s, adding fresh ones as needed
+// in one allocation.
+func grow(s *[]*big.Int, n int) []*big.Int {
+	if k := n - len(*s); k > 0 {
+		*s = slices.Grow(*s, k)
+		for i, fresh := 0, make([]big.Int, k); i < k; i++ {
+			*s = append(*s, &fresh[i])
+		}
+	}
+	return (*s)[:n]
 }

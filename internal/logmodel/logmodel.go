@@ -13,8 +13,10 @@
 package logmodel
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,15 +83,24 @@ var (
 
 // Render formats the value for table output and canonical encoding.
 func (v Value) Render() string {
+	if v.Kind == KindString {
+		return v.S
+	}
+	var buf [32]byte
+	return string(v.AppendRender(buf[:0]))
+}
+
+// AppendRender appends the value's rendering (Render) to dst.
+func (v Value) AppendRender(dst []byte) []byte {
 	switch v.Kind {
 	case KindString:
-		return v.S
+		return append(dst, v.S...)
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(dst, v.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'f', -1, 64)
+		return strconv.AppendFloat(dst, v.F, 'f', -1, 64)
 	default:
-		return "<invalid>"
+		return append(dst, "<invalid>"...)
 	}
 }
 
@@ -169,15 +180,40 @@ func (r Record) Attrs() []Attr {
 // glsn|attr=value|... with attributes sorted. This is the input to the
 // one-way accumulator, so it must be stable across nodes and runs.
 func (r Record) Canonical() []byte {
-	var sb strings.Builder
-	sb.WriteString(r.GLSN.String())
-	for _, a := range r.Attrs() {
-		sb.WriteByte('|')
-		sb.WriteString(string(a))
-		sb.WriteByte('=')
-		sb.WriteString(r.Values[a].Render())
+	return AppendCanonical(nil, r.GLSN, SortedFields(r.Values))
+}
+
+// Field is one attribute's value: the unit of the canonical text and
+// of a fragment's encoding.
+type Field struct {
+	Attr  Attr
+	Value Value
+}
+
+// SortedFields returns the values as fields sorted by attribute.
+func SortedFields(vals map[Attr]Value) []Field {
+	fields := make([]Field, 0, len(vals))
+	for a, v := range vals {
+		fields = append(fields, Field{Attr: a, Value: v})
 	}
-	return []byte(sb.String())
+	slices.SortFunc(fields, func(a, b Field) int { return cmp.Compare(a.Attr, b.Attr) })
+	return fields
+}
+
+// AppendCanonical appends the canonical text of the values under glsn
+// g: g in hex, then "|attr=value" for each field, in the order given,
+// which must be sorted by attribute. It is the one renderer of the
+// accumulator's hash input: Record.Canonical, Fragment.Canonical and
+// the cluster writer's encoder all call it.
+func AppendCanonical(dst []byte, g GLSN, fields []Field) []byte {
+	dst = strconv.AppendUint(dst, uint64(g), 16)
+	for _, f := range fields {
+		dst = append(dst, '|')
+		dst = append(dst, f.Attr...)
+		dst = append(dst, '=')
+		dst = f.Value.AppendRender(dst)
+	}
+	return dst
 }
 
 // Schema is the full attribute universe I, with the subset of
@@ -231,20 +267,7 @@ type Fragment struct {
 // Canonical returns the deterministic byte encoding used for integrity
 // accumulation of a single fragment.
 func (f Fragment) Canonical() []byte {
-	var sb strings.Builder
-	sb.WriteString(f.GLSN.String())
-	attrs := make([]Attr, 0, len(f.Values))
-	for a := range f.Values {
-		attrs = append(attrs, a)
-	}
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i] < attrs[j] })
-	for _, a := range attrs {
-		sb.WriteByte('|')
-		sb.WriteString(string(a))
-		sb.WriteByte('=')
-		sb.WriteString(f.Values[a].Render())
-	}
-	return []byte(sb.String())
+	return AppendCanonical(nil, f.GLSN, SortedFields(f.Values))
 }
 
 // Partition assigns each attribute of a schema to exactly one DLA node:

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -176,8 +177,15 @@ type AccessTable struct {
 	mu      sync.RWMutex
 	issuer  ed25519.PublicKey
 	tickets map[string]*Ticket
-	grants  map[string]map[logmodel.GLSN]struct{}
+	// grants holds each registered ticket's granted glsns as sorted,
+	// disjoint ranges that do not touch: the sequencer grants contiguous
+	// ranges, in ascending glsn order, so a ticket holds at most one
+	// range per grant round rather than one entry per glsn.
+	grants map[string][]glsnRange
 }
+
+// glsnRange is the glsns [first, end).
+type glsnRange struct{ first, end logmodel.GLSN }
 
 // NewAccessTable creates an empty table verifying tickets under pub,
 // refusing a key of the wrong length.
@@ -188,7 +196,7 @@ func NewAccessTable(pub ed25519.PublicKey) (*AccessTable, error) {
 	return &AccessTable{
 		issuer:  pub,
 		tickets: make(map[string]*Ticket),
-		grants:  make(map[string]map[logmodel.GLSN]struct{}),
+		grants:  make(map[string][]glsnRange),
 	}, nil
 }
 
@@ -204,23 +212,51 @@ func (a *AccessTable) Register(t *Ticket) error {
 		return fmt.Errorf("%w: %q", ErrDuplicateTicket, t.ID)
 	}
 	a.tickets[t.ID] = t
-	a.grants[t.ID] = make(map[logmodel.GLSN]struct{})
+	a.grants[t.ID] = nil
 	return nil
 }
 
-// Grant records that glsn was assigned under the ticket, per the paper:
-// "once some glsn is assigned by DLA for user u_j with the ticket T,
-// this glsn will be added to the access table under the entry of that
-// ticket's ID".
-func (a *AccessTable) Grant(ticketID string, glsn logmodel.GLSN) error {
+// Grant records that the count glsns from first on were assigned under
+// the ticket, per the paper: "once some glsn is assigned by DLA for
+// user u_j with the ticket T, this glsn will be added to the access
+// table under the entry of that ticket's ID". Granting a glsn again is
+// a no-op. The range must end at or below the largest glsn.
+func (a *AccessTable) Grant(ticketID string, first logmodel.GLSN, count int) error {
+	end := first + logmodel.GLSN(count)
+	if count < 0 || end < first {
+		return fmt.Errorf("ticket: grant of %d glsns from %s out of range", count, first)
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	g, ok := a.grants[ticketID]
+	rs, ok := a.grants[ticketID]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTicket, ticketID)
 	}
-	g[glsn] = struct{}{}
+	if count > 0 {
+		a.grants[ticketID] = addRange(rs, glsnRange{first, end})
+	}
 	return nil
+}
+
+// addRange merges r into the sorted ranges rs.
+func addRange(rs []glsnRange, r glsnRange) []glsnRange {
+	if n := len(rs); n == 0 || rs[n-1].end < r.first {
+		return append(rs, r) // the sequencer's ascending grants
+	}
+	// rs[i:j] are the ranges r overlaps or touches.
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].end >= r.first })
+	j := sort.Search(len(rs), func(j int) bool { return rs[j].first > r.end })
+	if i < j {
+		r.first = min(r.first, rs[i].first)
+		r.end = max(r.end, rs[j-1].end)
+	}
+	return slices.Replace(rs, i, j, r)
+}
+
+// covers reports whether the sorted ranges rs hold g.
+func covers(rs []glsnRange, g logmodel.GLSN) bool {
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].end > g })
+	return i < len(rs) && rs[i].first <= g
 }
 
 // Authorize checks that the ticket exists, permits op, and (for read and
@@ -239,20 +275,19 @@ func (a *AccessTable) Authorize(ticketID string, op Op, glsn logmodel.GLSN) erro
 	if op == OpWrite {
 		return nil
 	}
-	if _, granted := a.grants[ticketID][glsn]; !granted {
+	if !covers(a.grants[ticketID], glsn) {
 		return fmt.Errorf("%w: ticket %q not granted glsn %s", ErrNotAuthorized, ticketID, glsn)
 	}
 	return nil
 }
 
 // HasGrant reports whether glsn was granted under the ticket. Unlike
-// Glsns it does not copy or sort, so hot paths can check a single grant
-// in O(1).
+// Glsns it does not copy, so hot paths can check a single grant with a
+// binary search over the ticket's ranges.
 func (a *AccessTable) HasGrant(ticketID string, glsn logmodel.GLSN) bool {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	_, ok := a.grants[ticketID][glsn]
-	return ok
+	return covers(a.grants[ticketID], glsn)
 }
 
 // Glsns returns the sorted glsns granted to a ticket, as Table 6 lists
@@ -260,12 +295,17 @@ func (a *AccessTable) HasGrant(ticketID string, glsn logmodel.GLSN) bool {
 func (a *AccessTable) Glsns(ticketID string) []logmodel.GLSN {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	g := a.grants[ticketID]
-	out := make([]logmodel.GLSN, 0, len(g))
-	for glsn := range g {
-		out = append(out, glsn)
+	rs := a.grants[ticketID]
+	n := 0
+	for _, r := range rs {
+		n += int(r.end - r.first)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]logmodel.GLSN, 0, n)
+	for _, r := range rs {
+		for g := r.first; g < r.end; g++ {
+			out = append(out, g)
+		}
+	}
 	return out
 }
 
@@ -304,13 +344,10 @@ func (a *AccessTable) ConsistencyElements() [][]byte {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		glsns := make([]logmodel.GLSN, 0, len(a.grants[id]))
-		for g := range a.grants[id] {
-			glsns = append(glsns, g)
-		}
-		sort.Slice(glsns, func(i, j int) bool { return glsns[i] < glsns[j] })
-		for _, g := range glsns {
-			out = append(out, []byte(id+"|"+g.String()))
+		for _, r := range a.grants[id] {
+			for g := r.first; g < r.end; g++ {
+				out = append(out, []byte(id+"|"+g.String()))
+			}
 		}
 	}
 	return out

@@ -1,8 +1,11 @@
 package ticket
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"errors"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -124,7 +127,7 @@ func TestAccessTableLifecycle(t *testing.T) {
 	if err := tbl.Authorize("T1", OpRead, 0x139aef78); !errors.Is(err, ErrNotAuthorized) {
 		t.Fatalf("ungranted read err = %v", err)
 	}
-	if err := tbl.Grant("T1", 0x139aef78); err != nil {
+	if err := tbl.Grant("T1", 0x139aef78, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Authorize("T1", OpRead, 0x139aef78); err != nil {
@@ -138,7 +141,7 @@ func TestAccessTableLifecycle(t *testing.T) {
 	if err := tbl.Authorize("TX", OpRead, 1); !errors.Is(err, ErrUnknownTicket) {
 		t.Fatalf("unknown ticket err = %v", err)
 	}
-	if err := tbl.Grant("TX", 1); !errors.Is(err, ErrUnknownTicket) {
+	if err := tbl.Grant("TX", 1, 1); !errors.Is(err, ErrUnknownTicket) {
 		t.Fatalf("grant unknown ticket err = %v", err)
 	}
 }
@@ -168,7 +171,7 @@ func TestGlsnsSortedAndTable6(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, g := range ex.TicketGrants[id] {
-			if err := tbl.Grant(id, g); err != nil {
+			if err := tbl.Grant(id, g, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -204,10 +207,10 @@ func TestConsistencyElements(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	for _, g := range []logmodel.GLSN{5, 3, 9} {
-		if err := a.Grant("T1", g); err != nil {
+		if err := a.Grant("T1", g, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Grant("T1", g); err != nil {
+		if err := b.Grant("T1", g, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +224,7 @@ func TestConsistencyElements(t *testing.T) {
 		}
 	}
 	// Diverge one table; elements must differ.
-	if err := b.Grant("T1", 77); err != nil {
+	if err := b.Grant("T1", 77, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.ConsistencyElements()) == len(ea) {
@@ -246,7 +249,7 @@ func TestAccessTableConcurrency(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				g := logmodel.GLSN(base*1000 + j)
-				if err := tbl.Grant("T1", g); err != nil {
+				if err := tbl.Grant("T1", g, 1); err != nil {
 					t.Errorf("Grant: %v", err)
 					return
 				}
@@ -288,5 +291,113 @@ func TestIssuerKeyLengths(t *testing.T) {
 	}
 	if err := Verify(back.Public(), tk); err != nil {
 		t.Fatalf("ticket rejected under the restored issuer's key: %v", err)
+	}
+}
+
+// TestGrantRangesAgainstModel drives the range-held grants with random
+// grants, in and out of order, overlapping, touching, repeated and
+// empty, over two tickets and glsns near 0 and near 2^62, and compares
+// every reader with a map of granted glsns per ticket: HasGrant and
+// Authorize on and around every range edge, Glsns, and
+// ConsistencyElements. The ranges themselves must stay sorted,
+// disjoint and apart.
+func TestGrantRangesAgainstModel(t *testing.T) {
+	iss := issuer(t)
+	ids := []string{"T1", "T2"}
+	for seed := uint64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 7))
+		tbl := table(t, iss.Public())
+		model := map[string]map[logmodel.GLSN]bool{}
+		for _, id := range ids {
+			tk, err := iss.Issue(id, "u-"+id, OpWrite, OpRead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.Register(tk); err != nil {
+				t.Fatal(err)
+			}
+			model[id] = map[logmodel.GLSN]bool{}
+		}
+		var probes []logmodel.GLSN
+		next := logmodel.GLSN(0)
+		for op := 0; op < 600; op++ {
+			id := ids[rng.IntN(len(ids))]
+			first := next // the sequencer's ascending grants
+			switch rng.IntN(3) {
+			case 0:
+				first = logmodel.GLSN(rng.IntN(400))
+			case 1:
+				first = 1<<62 + logmodel.GLSN(rng.IntN(400))
+			}
+			count := rng.IntN(12)
+			if rng.IntN(20) == 0 {
+				count = 100
+			}
+			next = first + logmodel.GLSN(count)
+			if err := tbl.Grant(id, first, count); err != nil {
+				t.Fatalf("seed %d: Grant(%s, %d, %d): %v", seed, id, first, count, err)
+			}
+			for g := first; g < next; g++ {
+				model[id][g] = true
+			}
+			probes = append(probes, first-1, first, next-1, next)
+
+			for _, id := range ids {
+				rs := tbl.grants[id]
+				for k := 1; k < len(rs); k++ {
+					if rs[k-1].first >= rs[k-1].end || rs[k-1].end >= rs[k].first {
+						t.Fatalf("seed %d op %d: %s ranges %v not sorted, disjoint and apart", seed, op, id, rs)
+					}
+				}
+				check := probes[len(probes)-4:]
+				if op%25 == 0 || op == 599 {
+					check = probes
+				}
+				for _, g := range check {
+					want := model[id][g]
+					if got := tbl.HasGrant(id, g); got != want {
+						t.Fatalf("seed %d op %d: HasGrant(%s, %d) = %v, want %v", seed, op, id, g, got, want)
+					}
+					if err := tbl.Authorize(id, OpRead, g); (err == nil) != want {
+						t.Fatalf("seed %d op %d: Authorize(%s, %d) = %v, want granted %v", seed, op, id, g, err, want)
+					}
+				}
+			}
+		}
+		var elems [][]byte
+		for _, id := range ids {
+			var want []logmodel.GLSN
+			for g := range model[id] {
+				want = append(want, g)
+			}
+			slices.Sort(want)
+			got := tbl.Glsns(id)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d: Glsns(%s) = %d glsns, model %d", seed, id, len(got), len(want))
+			}
+			for _, g := range want {
+				elems = append(elems, []byte(id+"|"+g.String()))
+			}
+		}
+		if got := tbl.ConsistencyElements(); !slices.EqualFunc(got, elems, bytes.Equal) {
+			t.Fatalf("seed %d: ConsistencyElements differ from the model's", seed)
+		}
+	}
+	tbl := table(t, iss.Public())
+	if got := tbl.Glsns("T1"); got == nil || len(got) != 0 {
+		t.Fatalf("Glsns of an unknown ticket = %#v, want an empty slice", got)
+	}
+	tk, err := iss.Issue("T1", "u0", OpWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Register(tk); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Grant("T1", 5, -1); err == nil {
+		t.Fatal("negative count accepted")
+	}
+	if err := tbl.Grant("T1", ^logmodel.GLSN(0), 2); err == nil {
+		t.Fatal("range past the largest glsn accepted")
 	}
 }

@@ -130,7 +130,10 @@ type agreeCommitBody struct {
 
 // propose runs the coordinator side of one agreement round: broadcast
 // the statement, gather signed votes until majority, and broadcast the
-// commit certificate. The coordinator's own signature counts.
+// commit certificate. The coordinator's own signature counts. Refusals
+// are counted per peer, not per message, so one peer cannot refuse for
+// several: the quorum arithmetic assumes distinct refusers. A peer's
+// valid signature over the statement counts whatever it sent before.
 func (n *Node) propose(ctx context.Context, session string, statement []byte) (*Certificate, error) {
 	defer telemetry.M.Histogram(telemetry.HistQuorumRound).Since(time.Now())
 	cert := &Certificate{
@@ -139,26 +142,26 @@ func (n *Node) propose(ctx context.Context, session string, statement []byte) (*
 	}
 	req := agreeReqBody{Statement: statement}
 	quorum := Quorum(len(n.roster))
-	refusals := 0
+	refused := make(map[string]bool, len(n.roster))
 	for _, peer := range n.peers() {
 		if err := n.mb.SendBody(ctx, peer, msgAgreeReq, session, &req); err != nil {
 			// An unreachable peer cannot vote; treat it as a refusal so
 			// a minority of dead nodes does not block the sequencer.
-			refusals++
+			refused[peer] = true
 		}
 	}
 	for len(cert.Votes) < quorum {
 		// Once too many peers refused, a quorum is unreachable.
-		if refusals > len(n.roster)-quorum {
-			return nil, fmt.Errorf("%w: %d refusals", ErrNoQuorum, refusals)
+		if len(refused) > len(n.roster)-quorum {
+			return nil, fmt.Errorf("%w: %d refusals", ErrNoQuorum, len(refused))
 		}
 		msg, err := n.mb.Expect(ctx, msgAgreeVote, session)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: awaiting votes: %w", err)
 		}
 		pub, known := n.peerKeys[msg.From]
-		if !known {
-			continue // ignore votes from strangers
+		if !known || msg.From == n.id {
+			continue // ignore votes from strangers and in our own name
 		}
 		// A vote that does not decode or verify (a malformed or
 		// 63-byte signature, say) cannot count: it is that peer's
@@ -166,9 +169,12 @@ func (n *Node) propose(ctx context.Context, session string, statement []byte) (*
 		var vote agreeVoteBody
 		if transport.Unmarshal(msg.Payload, &vote) != nil || vote.Refused != "" ||
 			!verifyStatement(pub, statement, vote.Sig) {
-			refusals++
+			if _, voted := cert.Votes[msg.From]; !voted {
+				refused[msg.From] = true
+			}
 			continue
 		}
+		delete(refused, msg.From)
 		cert.Votes[msg.From] = vote.Sig
 	}
 	commit := agreeCommitBody{Cert: *cert}
@@ -209,7 +215,8 @@ func (r grantRange) end() logmodel.GLSN { return r.First + logmodel.GLSN(r.Count
 // ranges, one per missed commit. It has no cap: a range encodes in ~50
 // bytes of JSON, so a response outgrows the 16 MiB TCP frame after
 // ~300k missed commits. For single-record writers (Log) that is ~300k
-// records; for Appender batches of 128, ~40M.
+// records; for an Appender at its defaults, whose glsn leases grow to
+// MaxInflight × MaxBatchRecords = 512, ~150M.
 type syncRespBody struct {
 	Ranges []grantRange `json:"ranges"`
 }

@@ -37,7 +37,9 @@ type AppendOptions struct {
 	// if underfull, bounding per-record latency (default 2ms).
 	Linger time.Duration
 	// MaxInflight bounds the sealed-but-unacked batches in the pipeline;
-	// Append blocks once the window is full (default 4).
+	// Append blocks once the window is full (default 4). The window's
+	// capacity, MaxInflight × MaxBatchRecords, also bounds the glsn
+	// lease the Appender takes from the sequencer in one round.
 	MaxInflight int
 	// AckTimeout bounds one store round-trip attempt (default 10s).
 	AckTimeout time.Duration
@@ -64,7 +66,8 @@ func (o AppendOptions) withDefaults() AppendOptions {
 
 // Ack is the per-record future an Append returns: it resolves exactly
 // once, either with the record's assigned glsn or with the error that
-// kept the record from being stored.
+// kept the record from being stored. The acks of one batch live in one
+// slab and share one done channel, since they resolve together.
 type Ack struct {
 	done chan struct{}
 	glsn logmodel.GLSN
@@ -91,31 +94,42 @@ func (a *Ack) Wait(ctx context.Context) (logmodel.GLSN, error) {
 	}
 }
 
-func (a *Ack) resolve(g logmodel.GLSN, err error) {
-	a.glsn, a.err = g, err
-	close(a.done)
-	telemetry.M.Counter(telemetry.CtrIngestAcks).Add(1)
-}
-
-// pendingRec is one staged record and its unresolved ack.
-type pendingRec struct {
-	values map[logmodel.Attr]logmodel.Value
-	ack    *Ack
-}
-
-// stagedBatch is a sealed batch on its way through the pipeline.
+// stagedBatch is one batch of records and their acks, open while
+// Append stages into it and then sealed on its way through the
+// pipeline. acks is a slab of MaxBatchRecords that never regrows,
+// because Append hands out pointers into it.
 type stagedBatch struct {
-	recs   []pendingRec
-	reason string // telemetry counter name of the seal reason
+	values []map[logmodel.Attr]logmodel.Value
+	acks   []Ack
+	done   chan struct{} // every ack's done
+	bytes  int           // estimated payload, for the byte-bound seal
+	start  time.Time     // first Append, for seal-wait
+	reason string        // telemetry counter name of the seal reason
+}
+
+// resolve settles every ack of the batch, with glsns (one per record)
+// on success or with err.
+func (bt *stagedBatch) resolve(glsns []logmodel.GLSN, err error) {
+	for i := range bt.acks {
+		if err != nil {
+			bt.acks[i].err = err
+		} else {
+			bt.acks[i].glsn = glsns[i]
+		}
+	}
+	close(bt.done)
+	telemetry.M.Counter(telemetry.CtrIngestAcks).Add(int64(len(bt.acks)))
 }
 
 // Appender is the streaming write path: Append stages records into a
 // client-side buffer sealed by count, size, or linger time; sealed
-// batches reserve their glsn range in seal order (so glsns are monotone
+// batches take their glsn range in seal order (so glsns are monotone
 // in append order) and then run their per-node store rounds
-// concurrently, up to MaxInflight batches in the pipeline. Each record
-// gets an Ack future resolving to its glsn. An admission refusal
-// (ErrOverloaded) is backed off and retried, so it turns into
+// concurrently, up to MaxInflight batches in the pipeline. The ranges
+// come from a glsn lease: one sequencer round grants a range that
+// serves the following batches with no further message (see reserve).
+// Each record gets an Ack future resolving to its glsn. An admission
+// refusal (ErrOverloaded) is backed off and retried, so it turns into
 // backpressure on Append through the bounded inflight window.
 //
 // Append, Flush, and Close are safe for concurrent use. Close drains:
@@ -128,14 +142,16 @@ type Appender struct {
 	cancel context.CancelFunc
 
 	mu          sync.Mutex
-	cur         []pendingRec
-	curBytes    int
-	curStart    time.Time // first Append of the open batch, for seal-wait
-	gen         uint64    // staging generation; invalidates stale linger timers
+	cur         *stagedBatch // open batch; nil when nothing is staged
 	queue       []*stagedBatch
 	outstanding int // sealed batches not yet fully acked
 	notifyCh    chan struct{}
 	closed      bool
+
+	// The glsn lease: [leaseNext, leaseEnd) is what is left of the last
+	// grant, which was leaseSize glsns. Only the dispatcher touches it.
+	leaseNext, leaseEnd logmodel.GLSN
+	leaseSize           int
 
 	wakeCh chan struct{} // dispatcher doorbell, capacity 1
 	wg     sync.WaitGroup
@@ -188,23 +204,30 @@ func (a *Appender) Append(ctx context.Context, values map[logmodel.Attr]logmodel
 		case <-ch:
 		}
 	}
-	ack := &Ack{done: make(chan struct{})}
-	a.cur = append(a.cur, pendingRec{values: values, ack: ack})
-	if len(a.cur) == 1 {
-		a.curStart = time.Now()
+	bt := a.cur
+	if bt == nil {
+		bt = &stagedBatch{
+			values: make([]map[logmodel.Attr]logmodel.Value, 0, a.opts.MaxBatchRecords),
+			acks:   make([]Ack, 0, a.opts.MaxBatchRecords),
+			done:   make(chan struct{}),
+			start:  time.Now(),
+		}
+		a.cur = bt
 	}
-	a.curBytes += estimateRecordBytes(values)
+	bt.values = append(bt.values, values)
+	bt.acks = append(bt.acks, Ack{done: bt.done})
+	ack := &bt.acks[len(bt.acks)-1]
+	bt.bytes += estimateRecordBytes(values)
 	telemetry.M.Counter(telemetry.CtrIngestAppends).Add(1)
-	telemetry.M.Gauge(telemetry.GaugeIngestStaged).Set(int64(len(a.cur)))
+	telemetry.M.Gauge(telemetry.GaugeIngestStaged).Set(int64(len(bt.values)))
 	switch {
-	case len(a.cur) >= a.opts.MaxBatchRecords:
+	case len(bt.values) >= a.opts.MaxBatchRecords:
 		a.sealLocked(telemetry.CtrIngestFlushSize)
-	case a.curBytes >= maxBatchBytes:
+	case bt.bytes >= maxBatchBytes:
 		a.sealLocked(telemetry.CtrIngestFlushBytes)
-	case len(a.cur) == 1:
+	case len(bt.values) == 1:
 		// First record of a fresh batch arms the linger timer.
-		gen := a.gen
-		time.AfterFunc(a.opts.Linger, func() { a.lingerSeal(gen) })
+		time.AfterFunc(a.opts.Linger, func() { a.lingerSeal(bt) })
 	}
 	a.mu.Unlock()
 	return ack, nil
@@ -220,27 +243,26 @@ func estimateRecordBytes(values map[logmodel.Attr]logmodel.Value) int {
 	return n
 }
 
-// lingerSeal seals the staged batch the timer was armed for; a stale
-// generation means the batch already sealed by count or bytes.
-func (a *Appender) lingerSeal(gen uint64) {
+// lingerSeal seals the batch the timer was armed for, unless it
+// already sealed by count or bytes.
+func (a *Appender) lingerSeal(bt *stagedBatch) {
 	a.mu.Lock()
-	if a.gen == gen && len(a.cur) > 0 {
+	if a.cur == bt {
 		a.sealLocked(telemetry.CtrIngestFlushLinger)
 	}
 	a.mu.Unlock()
 }
 
-// sealLocked moves the staged records into the dispatch queue. Caller
+// sealLocked moves the open batch into the dispatch queue. Caller
 // holds a.mu.
 func (a *Appender) sealLocked(reason string) {
-	if len(a.cur) == 0 {
+	bt := a.cur
+	if bt == nil {
 		return
 	}
-	telemetry.M.Histogram(telemetry.HistIngestSealWait).Since(a.curStart)
-	bt := &stagedBatch{recs: a.cur, reason: reason}
+	telemetry.M.Histogram(telemetry.HistIngestSealWait).Since(bt.start)
+	bt.reason = reason
 	a.cur = nil
-	a.curBytes = 0
-	a.gen++
 	a.queue = append(a.queue, bt)
 	a.outstanding++
 	telemetry.M.Gauge(telemetry.GaugeIngestStaged).Set(0)
@@ -271,11 +293,12 @@ func (a *Appender) finishBatch() {
 }
 
 // dispatch is the single ordering stage of the pipeline: it pops sealed
-// batches in seal order and reserves each one's contiguous glsn range
+// batches in seal order and gives each one its contiguous glsn range
 // before the next — so glsns are monotone in append order — then hands
 // the batch's store fan-out to its own goroutine. Store rounds from up
 // to MaxInflight batches proceed concurrently over the quorum
-// machinery; only the (cheap) range reservation is serialized.
+// machinery; only the range reservation is serialized, and most
+// batches take theirs from the lease without a message.
 func (a *Appender) dispatch() {
 	for {
 		a.mu.Lock()
@@ -305,7 +328,7 @@ func (a *Appender) dispatch() {
 		telemetry.M.Counter(bt.reason).Add(1)
 		telemetry.M.Counter(telemetry.CtrIngestBatches).Add(1)
 		reserveStart := time.Now()
-		first, err := a.c.RequestGLSNRange(a.ctx, len(bt.recs))
+		first, err := a.reserve(len(bt.values))
 		telemetry.M.Histogram(telemetry.HistIngestReserve).Since(reserveStart)
 		if err != nil {
 			a.failBatch(bt, err)
@@ -319,30 +342,47 @@ func (a *Appender) dispatch() {
 	}
 }
 
+// reserve returns the first of n glsns for the next sealed batch. A
+// batch that fits in the lease takes the lease's next n glsns with no
+// message. One that does not asks the sequencer for a new lease, and
+// the old lease's remainder is abandoned: granted, never written. The
+// first lease is exactly the first batch, so a one-batch Appender
+// wastes nothing; each later one is twice the last, capped by the
+// pipeline's capacity MaxInflight × MaxBatchRecords and the
+// sequencer's maxGLSNBatch, and never smaller than the batch.
+func (a *Appender) reserve(n int) (logmodel.GLSN, error) {
+	if a.leaseEnd-a.leaseNext < logmodel.GLSN(n) {
+		size := n
+		if a.leaseSize > 0 {
+			size = max(n, min(2*a.leaseSize, a.opts.MaxInflight*a.opts.MaxBatchRecords, maxGLSNBatch))
+		}
+		first, err := a.c.RequestGLSNRange(a.ctx, size)
+		if err != nil {
+			return 0, err
+		}
+		a.leaseNext, a.leaseEnd, a.leaseSize = first, first+logmodel.GLSN(size), size
+	}
+	first := a.leaseNext
+	a.leaseNext += logmodel.GLSN(n)
+	return first, nil
+}
+
 // failBatch resolves every ack in the batch with err.
 func (a *Appender) failBatch(bt *stagedBatch, err error) {
-	for _, r := range bt.recs {
-		r.ack.resolve(0, err)
-	}
+	bt.resolve(nil, err)
 	a.finishBatch()
 }
 
 // storeBatch runs one batch's store round (Client.storeRange) and
 // resolves its acks.
 func (a *Appender) storeBatch(bt *stagedBatch, first logmodel.GLSN) {
-	records := make([]map[logmodel.Attr]logmodel.Value, len(bt.recs))
-	for i, r := range bt.recs {
-		records[i] = r.values
-	}
-	glsns, err := a.c.storeRange(a.ctx, first, records, a.opts)
+	glsns, err := a.c.storeRange(a.ctx, first, bt.values, a.opts)
 	if err != nil {
-		telemetry.M.Counter(telemetry.CtrIngestDropped).Add(int64(len(bt.recs)))
+		telemetry.M.Counter(telemetry.CtrIngestDropped).Add(int64(len(bt.values)))
 		a.failBatch(bt, err)
 		return
 	}
-	for i, r := range bt.recs {
-		r.ack.resolve(glsns[i], nil)
-	}
+	bt.resolve(glsns, nil)
 	a.finishBatch()
 }
 
@@ -359,7 +399,7 @@ func (a *Appender) waitDrained(ctx context.Context) error {
 	for {
 		ch := a.signal()
 		a.mu.Lock()
-		drained := a.outstanding == 0 && len(a.cur) == 0
+		drained := a.outstanding == 0 && a.cur == nil
 		a.mu.Unlock()
 		if drained {
 			return nil

@@ -226,7 +226,8 @@ func TestStoreRejectsForeignGLSN(t *testing.T) {
 // TestStoreRefusesItemWithoutExponents pins the check at the door: a
 // store item missing its digest or its witness exponent refuses the
 // whole batch before any state changes, instead of being installed and
-// then failing every integrity check with ErrNoDigest.
+// then failing every integrity check with ErrNoDigest. So does an item
+// carrying an attribute outside the node's A_i.
 func TestStoreRefusesItemWithoutExponents(t *testing.T) {
 	tc := startCluster(t)
 	ctx := testCtx(t)
@@ -241,16 +242,27 @@ func TestStoreRefusesItemWithoutExponents(t *testing.T) {
 	_, items := referenceItems(c.part, c.acc, nil, g, map[logmodel.Attr]logmodel.Value{"id": logmodel.String("U1")})
 	node := tc.boot.Partition.Owner("id")
 	full := items[node]
-	for name, item := range map[string]batchItem{
-		"no digest exponent":  {Fragment: full.Fragment, WitnessExp: full.WitnessExp},
-		"no witness exponent": {Fragment: full.Fragment, DigestExp: full.DigestExp},
+	foreign := logmodel.Fragment{GLSN: g, Node: node, Values: map[logmodel.Attr]logmodel.Value{
+		"id": logmodel.String("U1"),
+		"C1": logmodel.Int(7),
+	}}
+	if tc.boot.Partition.Owner("C1") == node {
+		t.Fatal("fixture: C1 and id share a node")
+	}
+	for name, tt := range map[string]struct {
+		item batchItem
+		want string
+	}{
+		"no digest exponent":    {batchItem{Fragment: full.Fragment, WitnessExp: full.WitnessExp}, "lacks its digest or witness exponent"},
+		"no witness exponent":   {batchItem{Fragment: full.Fragment, DigestExp: full.DigestExp}, "lacks its digest or witness exponent"},
+		"attribute outside A_i": {batchItem{Fragment: foreign, DigestExp: full.DigestExp, WitnessExp: full.WitnessExp}, `attribute "C1" outside A_` + node},
 	} {
-		msg, err := transport.NewMessage(node, MsgLogStoreBatch, "", &storeBatchBody{TicketID: c.tk.ID, Items: []batchItem{item}})
+		msg, err := transport.NewMessage(node, MsgLogStoreBatch, "", &storeBatchBody{TicketID: c.tk.ID, Items: []batchItem{tt.item}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.deliverStore(ctx, msg, g, 1, AppendOptions{}.withDefaults(), false); err == nil {
-			t.Fatalf("%s: store accepted", name)
+		if err := c.deliverStore(ctx, msg, g, 1, AppendOptions{}.withDefaults(), false); err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Fatalf("%s: store = %v, want a refusal naming %q", name, err, tt.want)
 		}
 		if _, ok := tc.nodes[node].Fragment(g); ok {
 			t.Fatalf("%s: refused item installed", name)

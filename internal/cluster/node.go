@@ -122,6 +122,7 @@ type Node struct {
 	id        string
 	roster    []string
 	part      *logmodel.Partition
+	attrs     map[logmodel.Attr]struct{} // A_node, the attributes it stores
 	group     *mathx.Group
 	signer    ed25519.PrivateKey
 	peerKeys  map[string]ed25519.PublicKey
@@ -177,10 +178,15 @@ func New(cfg Config, mb *transport.Mailbox) (*Node, error) {
 	if first == 0 {
 		first = 1
 	}
+	attrs := make(map[logmodel.Attr]struct{})
+	for _, a := range cfg.Partition.NodeAttrs(cfg.ID) {
+		attrs[a] = struct{}{}
+	}
 	n := &Node{
 		id:        cfg.ID,
 		roster:    append([]string(nil), cfg.Roster...),
 		part:      cfg.Partition,
+		attrs:     attrs,
 		group:     cfg.Group,
 		signer:    cfg.Signer,
 		peerKeys:  cfg.PeerKeys,
@@ -796,10 +802,6 @@ func (n *Node) storeFragmentBatch(body *storeBatchBody) error {
 	if len(body.Items) == 0 {
 		return errors.New("cluster: empty store batch")
 	}
-	allowed := make(map[logmodel.Attr]struct{})
-	for _, a := range n.part.NodeAttrs(n.id) {
-		allowed[a] = struct{}{}
-	}
 	views := make([]itemView, len(body.Items))
 	entries := make([]walEntry, len(body.Items))
 	for i := range body.Items {
@@ -815,7 +817,7 @@ func (n *Node) storeFragmentBatch(body *storeBatchBody) error {
 		}
 		var outside []byte
 		eachValue(v.run, func(a []byte, _ rawValue) {
-			if _, ok := allowed[logmodel.Attr(a)]; !ok && outside == nil {
+			if _, ok := n.attrs[logmodel.Attr(a)]; !ok && outside == nil {
 				outside = a
 			}
 		})

@@ -246,7 +246,8 @@ func (s *Session) LogBatch(ctx context.Context, records []map[Attr]Value) ([]GLS
 // Appender opens the streaming write path: concurrent Appends batch
 // client-side (sealed by count, bytes, or linger time), batches
 // pipeline through the quorum machinery up to AppendOptions.MaxInflight
-// deep, and each record's Ack future resolves with its glsn. A node's
+// deep, most taking their glsns from a lease an earlier sequencer round
+// granted, and each record's Ack future resolves with its glsn. A node's
 // admission refusal is backed off and retried, so overload becomes
 // backpressure on Append. The context bounds the appender's lifetime;
 // Close drains it.

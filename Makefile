@@ -19,13 +19,15 @@ all: build vet test
 # overwrites and deletes, the fragment store against its reference
 # model, the writer's record encoder against its field-by-field
 # reference path, the Appender's glsn leases and shared ack slabs
-# beside concurrent writers, the sequencer's per-peer vote count, and
-# the fixed-base paths (concurrent same-base table builds, the pooled
-# fold scratch) again at GOMAXPROCS 1, 2 and 8, where their
+# beside concurrent writers, the sequencer's vote count (per peer, stale
+# votes dropped), the integrity check's local division and attest round,
+# and the fixed-base paths (concurrent same-base table builds, the
+# pooled fold scratch) again at GOMAXPROCS 1, 2 and 8, where their
 # interleavings differ most.
 check: bench-smoke bench-module vet staticcheck obs-smoke obs-ingest-smoke chaos crash-torture examples
 	$(GO) test -race -count=1 ./...
-	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Journal|WAL|Compact|Replay|Staged|Pipelined|Materialize|VisitFragments|Fragstore|RecordEncoder|Appender|Lease|Propose' ./internal/cluster/
+	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Journal|WAL|Compact|Replay|Staged|Pipelined|Materialize|VisitFragments|Fragstore|RecordEncoder|Appender|Lease|Propose|Vote' ./internal/cluster/
+	$(GO) test -race -count=3 -cpu 1,2,8 -run 'CheckLocal|Attest' ./internal/integrity/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'FixedBase|FirstHop' ./internal/mathx/ ./internal/crypto/commutative/
 
 # The end-to-end benchmark harness lives in its own module under

@@ -134,6 +134,10 @@ type agreeCommitBody struct {
 // are counted per peer, not per message, so one peer cannot refuse for
 // several: the quorum arithmetic assumes distinct refusers. A peer's
 // valid signature over the statement counts whatever it sent before.
+// A well-formed signature that does not verify over this statement is
+// dropped, not counted as a refusal: session names repeat across
+// rounds, so it may be a late vote from an earlier round, and its
+// sender still gets to vote on this one.
 func (n *Node) propose(ctx context.Context, session string, statement []byte) (*Certificate, error) {
 	defer telemetry.M.Histogram(telemetry.HistQuorumRound).Since(time.Now())
 	cert := &Certificate{
@@ -163,16 +167,18 @@ func (n *Node) propose(ctx context.Context, session string, statement []byte) (*
 		if !known || msg.From == n.id {
 			continue // ignore votes from strangers and in our own name
 		}
-		// A vote that does not decode or verify (a malformed or
-		// 63-byte signature, say) cannot count: it is that peer's
-		// refusal, so a hostile peer cannot wedge the round.
+		// A vote that does not decode (a 63-byte signature, say), that
+		// carries no signature or that refuses is that peer's refusal,
+		// so a hostile peer cannot wedge the round.
 		var vote agreeVoteBody
-		if transport.Unmarshal(msg.Payload, &vote) != nil || vote.Refused != "" ||
-			!verifyStatement(pub, statement, vote.Sig) {
+		if transport.Unmarshal(msg.Payload, &vote) != nil || vote.Sig == nil || vote.Refused != "" {
 			if _, voted := cert.Votes[msg.From]; !voted {
 				refused[msg.From] = true
 			}
 			continue
+		}
+		if !verifyStatement(pub, statement, vote.Sig) {
+			continue // stale, or signed over something else
 		}
 		delete(refused, msg.From)
 		cert.Votes[msg.From] = vote.Sig

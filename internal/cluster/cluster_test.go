@@ -5,6 +5,7 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"errors"
+	"math/big"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"confaudit/internal/mathx"
 	"confaudit/internal/ticket"
 	"confaudit/internal/transport"
+	"confaudit/internal/wire"
 )
 
 // testCluster is a running in-memory DLA cluster plus helpers.
@@ -224,10 +226,11 @@ func TestStoreRejectsForeignGLSN(t *testing.T) {
 }
 
 // TestStoreRefusesItemWithoutExponents pins the check at the door: a
-// store item missing its digest or its witness exponent refuses the
-// whole batch before any state changes, instead of being installed and
-// then failing every integrity check with ErrNoDigest. So does an item
-// carrying an attribute outside the node's A_i.
+// store item missing its digest exponent refuses the whole batch before
+// any state changes, instead of being installed and then failing every
+// integrity check with ErrNoDigest. So does an item carrying an
+// attribute outside the node's A_i, and one in the old layout that
+// ends in a witness exponent.
 func TestStoreRefusesItemWithoutExponents(t *testing.T) {
 	tc := startCluster(t)
 	ctx := testCtx(t)
@@ -253,9 +256,9 @@ func TestStoreRefusesItemWithoutExponents(t *testing.T) {
 		item batchItem
 		want string
 	}{
-		"no digest exponent":    {batchItem{Fragment: full.Fragment, WitnessExp: full.WitnessExp}, "lacks its digest or witness exponent"},
-		"no witness exponent":   {batchItem{Fragment: full.Fragment, DigestExp: full.DigestExp}, "lacks its digest or witness exponent"},
-		"attribute outside A_i": {batchItem{Fragment: foreign, DigestExp: full.DigestExp, WitnessExp: full.WitnessExp}, `attribute "C1" outside A_` + node},
+		"no digest exponent":    {batchItem{Fragment: full.Fragment}, "lacks its digest exponent"},
+		"attribute outside A_i": {batchItem{Fragment: foreign, DigestExp: full.DigestExp}, `attribute "C1" outside A_` + node},
+		"witness exponent last": {batchItem{view: itemView{run: wire.AppendBig(appendBatchItem(nil, &full), big.NewInt(7))}}, "malformed"},
 	} {
 		msg, err := transport.NewMessage(node, MsgLogStoreBatch, "", &storeBatchBody{TicketID: c.tk.ID, Items: []batchItem{tt.item}})
 		if err != nil {

@@ -10,8 +10,8 @@ import (
 
 // fragstore is everything a node holds for the glsns it stores: each
 // record's item run, the attribute index over their values (index.go),
-// and the digest and witness elements materialized from their
-// exponents. It has four parts:
+// and the digest elements materialized from their exponents. It has
+// four parts:
 //
 //   - an arena: every held run is copied into append-only chunks, so a
 //     run never pins the frame or journal record it arrived in. A
@@ -24,9 +24,10 @@ import (
 //     the span of their glsns, and every walk is in glsn order.
 //   - the attribute index: per attribute and value key, a sorted glsn
 //     run.
-//   - elems, a side map of the lazily materialized group elements. A
-//     (re)install or remove of a glsn clears its entry, so an element
-//     never outlives the content it was computed from.
+//   - elems, a side map of the lazily materialized digest elements
+//     (Node.Digest). A (re)install or remove of a glsn clears its
+//     entry, so an element never outlives the content it was computed
+//     from.
 //
 // Overwrites and removes leave dead bytes in the arena; once they
 // outweigh the live runs (and at least a chunk's worth), the live runs
@@ -38,7 +39,7 @@ type fragstore struct {
 	pages []*fragPage // ascending by key; a page holding no record is dropped
 	count int         // records held
 	arena fragArena
-	elems map[logmodel.GLSN]heldElems
+	elems map[logmodel.GLSN]*big.Int
 	idx   map[logmodel.Attr]*attrIndex
 }
 
@@ -66,16 +67,10 @@ type fragPage struct {
 	slots [pageSlots]fragSlot
 }
 
-// heldElems are the group elements materialized for one record (nil
-// until first asked for; see Node.materialize).
-type heldElems struct {
-	digest, witness *big.Int // X0^dexp, X0^wexp
-}
-
 func newFragstore() *fragstore {
 	return &fragstore{
 		arena: fragArena{cur: -1},
-		elems: make(map[logmodel.GLSN]heldElems),
+		elems: make(map[logmodel.GLSN]*big.Int),
 		idx:   make(map[logmodel.Attr]*attrIndex),
 	}
 }
@@ -175,8 +170,8 @@ func (s *fragstore) install(v *itemView, node string) {
 }
 
 // set copies run into the arena as g's record and re-indexes g. It keeps
-// g's materialized elements: install clears them, TamperFragment keeps
-// them on purpose.
+// g's materialized element: install clears it, TamperFragment keeps it
+// on purpose.
 func (s *fragstore) set(g logmodel.GLSN, run []byte) {
 	key := uint64(g) >> pageBits
 	i, ok := s.page(key)
@@ -197,7 +192,7 @@ func (s *fragstore) set(g logmodel.GLSN, run []byte) {
 	s.compactIfSparse()
 }
 
-// remove drops g's record, its index entries and its elements,
+// remove drops g's record, its index entries and its element,
 // reporting whether g was held. It is the node's only remove, shared by
 // deleteFragment and journal replay.
 func (s *fragstore) remove(g logmodel.GLSN) bool {
@@ -243,30 +238,16 @@ func (s *fragstore) compactIfSparse() {
 	}
 }
 
-// elem returns g's cached digest (or witness) element, nil when none.
-func (s *fragstore) elem(g logmodel.GLSN, witness bool) *big.Int {
-	e := s.elems[g]
-	if witness {
-		return e.witness
-	}
-	return e.digest
-}
+// elem returns g's cached digest element, nil when none.
+func (s *fragstore) elem(g logmodel.GLSN) *big.Int { return s.elems[g] }
 
-// cacheElem caches elem as g's digest (or witness) element, computed
-// from run, if g still holds that very run. Runs are never modified and
-// their bytes never reused while run is referenced, so the address
-// names one install: an overwrite, remove or compaction in between
-// leaves the element uncached.
-func (s *fragstore) cacheElem(g logmodel.GLSN, run []byte, witness bool, elem *big.Int) {
-	cur, ok := s.get(g)
-	if !ok || &cur[0] != &run[0] {
-		return
+// cacheElem caches elem as g's digest element, computed from run, if g
+// still holds that very run. Runs are never modified and their bytes
+// never reused while run is referenced, so the address names one
+// install: an overwrite, remove or compaction in between leaves the
+// element uncached.
+func (s *fragstore) cacheElem(g logmodel.GLSN, run []byte, elem *big.Int) {
+	if cur, ok := s.get(g); ok && &cur[0] == &run[0] {
+		s.elems[g] = elem
 	}
-	e := s.elems[g]
-	if witness {
-		e.witness = elem
-	} else {
-		e.digest = elem
-	}
-	s.elems[g] = e
 }

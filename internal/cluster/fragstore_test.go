@@ -86,7 +86,7 @@ type refRecord struct {
 // fragModel is the map-based reference a fragstore is checked against.
 type fragModel struct {
 	recs  map[logmodel.GLSN]refRecord
-	elems map[logmodel.GLSN]heldElems
+	elems map[logmodel.GLSN]*big.Int
 
 	mu       sync.Mutex
 	versions map[int64]map[logmodel.Attr]logmodel.Value // every version ever written
@@ -184,7 +184,7 @@ func checkFragstore(t *testing.T, seed uint64) {
 	n := &Node{id: "P1", frags: newFragstore()}
 	m := &fragModel{
 		recs:     make(map[logmodel.GLSN]refRecord),
-		elems:    make(map[logmodel.GLSN]heldElems),
+		elems:    make(map[logmodel.GLSN]*big.Int),
 		versions: make(map[int64]map[logmodel.Attr]logmodel.Value),
 	}
 	var ver int64
@@ -214,9 +214,8 @@ func checkFragstore(t *testing.T, seed uint64) {
 	}
 	item := func(g logmodel.GLSN, node string, vals map[logmodel.Attr]logmodel.Value) []byte {
 		return appendBatchItem(nil, &batchItem{
-			Fragment:   logmodel.Fragment{GLSN: g, Node: node, Values: vals},
-			DigestExp:  big.NewInt(int64(g%1000) + 2),
-			WitnessExp: big.NewInt(int64(g%1000) + 3),
+			Fragment:  logmodel.Fragment{GLSN: g, Node: node, Values: vals},
+			DigestExp: big.NewInt(int64(g%1000) + 2),
 		})
 	}
 	randGLSN := func() logmodel.GLSN {
@@ -291,9 +290,8 @@ func checkFragstore(t *testing.T, seed uint64) {
 			if ok != held || held && !bytes.Equal(run, r.run) {
 				t.Fatalf("step %d: get(%s) = %v, model holds %v", step, g, ok, held)
 			}
-			e := m.elems[g]
-			if n.frags.elem(g, false) != e.digest || n.frags.elem(g, true) != e.witness {
-				t.Fatalf("step %d: cached elements of %s differ from the model", step, g)
+			if n.frags.elem(g) != m.elems[g] {
+				t.Fatalf("step %d: cached element of %s differs from the model", step, g)
 			}
 		}
 		for _, attr := range []logmodel.Attr{"ver", "a", "n", "x", "big", "absent"} {
@@ -370,15 +368,9 @@ func checkFragstore(t *testing.T, seed uint64) {
 				break
 			}
 			run, _ := n.frags.get(g)
-			witness, elem := rng.IntN(2) == 0, big.NewInt(int64(step))
-			n.frags.cacheElem(g, run, witness, elem)
-			e := m.elems[g]
-			if witness {
-				e.witness = elem
-			} else {
-				e.digest = elem
-			}
-			m.elems[g] = e
+			elem := big.NewInt(int64(step))
+			n.frags.cacheElem(g, run, elem)
+			m.elems[g] = elem
 		case op < 99: // a stale element: g was overwritten since its run was read
 			g, ok := heldGLSN()
 			if !ok {
@@ -390,12 +382,12 @@ func checkFragstore(t *testing.T, seed uint64) {
 			n.frags.install(&v, n.id)
 			m.recs[g] = refRecord{ver: ver, run: item(g, "P1", vals)}
 			delete(m.elems, g)
-			n.frags.cacheElem(g, stale, false, big.NewInt(-1))
+			n.frags.cacheElem(g, stale, big.NewInt(-1))
 		default: // replay a compaction snapshot into a fresh store
 			fresh := &Node{id: n.id, frags: newFragstore()}
 			var journal [][]byte
 			n.frags.each(func(_ logmodel.GLSN, run []byte) {
-				rec, err := entryRecord(&walEntry{Kind: "frag", Item: &batchItem{raw: run}})
+				rec, err := entryRecord(&walEntry{Kind: "frag", Item: &batchItem{view: itemView{run: run}}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -13,20 +13,21 @@ import (
 	"testing"
 	"time"
 
+	"confaudit/internal/integrity"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/ticket"
 	"confaudit/internal/transport"
 	"confaudit/internal/workload"
 )
 
-// TestMaterializeRacesOverwriteAndDelete runs Digest and Witness on one
-// glsn from several goroutines while the writer overwrites it version by
-// version and then deletes it. Once an overwrite is acked, every answer
-// must be the new content's digest or witness (or a later version's,
-// since the next overwrite may already be landing), never an element
-// cached for older content. Once the delete is acked, none may be
-// returned. Run under -race it also checks the lock discipline of the
-// shared materialize helper.
+// TestMaterializeRacesOverwriteAndDelete runs Digest and DigestExp on
+// one glsn from several goroutines while the writer overwrites it
+// version by version and then deletes it. Once an overwrite is acked,
+// every answer must be the new content's digest or digest exponent (or
+// a later version's, since the next overwrite may already be landing),
+// never an element cached for older content. Once the delete is acked,
+// none may be returned. Run under -race it also checks the lock
+// discipline of Digest's element cache.
 func TestMaterializeRacesOverwriteAndDelete(t *testing.T) {
 	tc := startCluster(t)
 	ctx := testCtx(t)
@@ -41,23 +42,16 @@ func TestMaterializeRacesOverwriteAndDelete(t *testing.T) {
 
 	const versions = 8
 	nodes := c.part.Nodes()
-	// want[v].digest is version v's record digest; want[v].witness[i] is
-	// nodes[i]'s witness in it, both by the accumulator's definition.
+	// want[v].digest is version v's record digest by the accumulator's
+	// definition, and want[v].dexp its exponent.
 	type expected struct {
-		digest  *big.Int
-		witness []*big.Int
+		digest, dexp *big.Int
 	}
 	want := make([]expected, versions)
 	for v := range want {
 		items := recordItems(c, logmodel.Record{GLSN: g, Values: appendRecord(v)})
 		want[v].digest = c.acc.AccumulateAll(items)
-		for i := range nodes {
-			w, err := c.acc.Witness(items, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[v].witness = append(want[v].witness, w)
-		}
+		_, want[v].dexp = c.acc.WitnessExponents(items)
 	}
 	// matches reports the first version >= from whose element equals got.
 	matches := func(from int, got *big.Int, elem func(int) *big.Int) bool {
@@ -88,9 +82,9 @@ func TestMaterializeRacesOverwriteAndDelete(t *testing.T) {
 	var wg sync.WaitGroup
 	var answers atomic.Int64
 	for r := 0; r < 4; r++ {
-		for i, id := range nodes {
+		for _, id := range nodes {
 			wg.Add(1)
-			go func(r, i int, node *Node) {
+			go func(r int, node *Node) {
 				defer wg.Done()
 				for {
 					select {
@@ -106,8 +100,8 @@ func TestMaterializeRacesOverwriteAndDelete(t *testing.T) {
 						got, ok = node.Digest(g)
 						elem = func(v int) *big.Int { return want[v].digest }
 					} else {
-						got, ok = node.Witness(g)
-						elem = func(v int) *big.Int { return want[v].witness[i] }
+						got, ok = node.DigestExp(g)
+						elem = func(v int) *big.Int { return want[v].dexp }
 					}
 					answers.Add(1)
 					switch {
@@ -122,7 +116,7 @@ func TestMaterializeRacesOverwriteAndDelete(t *testing.T) {
 						return
 					}
 				}
-			}(r, i, tc.nodes[id])
+			}(r, tc.nodes[id])
 		}
 	}
 
@@ -340,7 +334,7 @@ func TestVisitFragmentsRacesOverwriteAndDelete(t *testing.T) {
 // overwrite and a delete on a durable cluster, compacts every node's
 // store from the records it holds, then overwrites and deletes again
 // on top of the snapshot. After a restart every node must hold the same
-// glsns and answer Fragment, Digest, Witness and Provenance for each
+// glsns and answer Fragment, Digest, DigestExp and Provenance for each
 // exactly as it did live.
 func TestReplayHeldRecordsAcrossCompaction(t *testing.T) {
 	root := t.TempDir()
@@ -550,6 +544,22 @@ func BenchmarkVisitFragments(b *testing.B) {
 			return nil
 		}); err != nil || seen != len(gs) {
 			b.Fatalf("visited %d of %d (%v)", seen, len(gs), err)
+		}
+	}
+}
+
+// BenchmarkCheckLocal is one node's share of an integrity attest round:
+// integrity.CheckLocal on a record the node holds, over 256 generated
+// records of the paper schema. The check reads the held fragment and
+// digest exponent and divides; it materializes no group element, so a
+// record no check has touched costs the same as any other.
+func BenchmarkCheckLocal(b *testing.B) {
+	node, gs := loadedBenchNode(b, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := integrity.CheckLocal(node, gs[i%len(gs)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,6 +15,7 @@ import (
 	"confaudit/internal/storage"
 	"confaudit/internal/ticket"
 	"confaudit/internal/transport"
+	"confaudit/internal/wire"
 )
 
 // openStore opens the segment store in dir with default options.
@@ -461,17 +464,13 @@ func TestReplayWALEmptyFile(t *testing.T) {
 	}
 }
 
-// TestReplayRefusesVersion1Journal pins the journal version: a record
-// written in version 1, whose frag entries copied the store item's
-// fields instead of carrying the item, is refused by its version number
-// rather than misread.
-func TestReplayRefusesVersion1Journal(t *testing.T) {
+// replayOne writes rec to a fresh segment store, reopens it and
+// returns what replaying it reports.
+func replayOne(t *testing.T, rec storage.Record) error {
+	t.Helper()
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	// A version-1 grant entry: kind code, no ticket, ticket id "T1",
-	// glsn 5, count 1, no fragment, four absent big integers.
-	v1 := []byte{walBinMagic, 1, 2, 0, 2, 'T', '1', 5, 1, 0, 0, 0, 0, 0}
-	if err := st.AppendBatch([]storage.Record{{Kind: "grant", GLSN: 5, Data: v1}}); err != nil {
+	if err := st.AppendBatch([]storage.Record{rec}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -479,7 +478,18 @@ func TestReplayRefusesVersion1Journal(t *testing.T) {
 	}
 	st = openStore(t, dir)
 	defer st.Close() //nolint:errcheck
-	err := replayStore(st, func(walEntry) error { return nil })
+	return replayStore(st, func(walEntry) error { return nil })
+}
+
+// TestReplayRefusesVersion1Journal pins the journal version: a record
+// written in version 1, whose frag entries copied the store item's
+// fields instead of carrying the item, is refused by its version number
+// rather than misread.
+func TestReplayRefusesVersion1Journal(t *testing.T) {
+	// A version-1 grant entry: kind code, no ticket, ticket id "T1",
+	// glsn 5, count 1, no fragment, four absent big integers.
+	v1 := []byte{walBinMagic, 1, 2, 0, 2, 'T', '1', 5, 1, 0, 0, 0, 0, 0}
+	err := replayOne(t, storage.Record{Kind: "grant", GLSN: 5, Data: v1})
 	if err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("replaying a version-1 record: err = %v, want a refusal naming version 1", err)
 	}
@@ -487,26 +497,37 @@ func TestReplayRefusesVersion1Journal(t *testing.T) {
 
 // TestReplayRefusesVersion2Journal pins the version-3 bump: a version-2
 // record carried ticket and provenance signatures as RSA big integers,
-// which the version-3 codec would misread, so replay refuses it by its
+// which a later codec would misread, so replay refuses it by its
 // version number.
 func TestReplayRefusesVersion2Journal(t *testing.T) {
-	dir := t.TempDir()
-	st := openStore(t, dir)
 	// A version-2 ticket entry: kind code 1, ticket present, id "T1",
 	// holder "u0", one op (W), and a 2-byte positive big-integer
 	// signature; then empty ticket id, glsn 0, count 0, no item.
 	v2 := []byte{walBinMagic, 2, 1, 1, 2, 'T', '1', 2, 'u', '0', 2, 2, 1, 2, 0xBE, 0xEF, 0, 0, 0, 0}
-	if err := st.AppendBatch([]storage.Record{{Kind: "ticket", Data: v2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st = openStore(t, dir)
-	defer st.Close() //nolint:errcheck
-	err := replayStore(st, func(walEntry) error { return nil })
+	err := replayOne(t, storage.Record{Kind: "ticket", Data: v2})
 	if err == nil || !strings.Contains(err.Error(), "version 2") {
 		t.Fatalf("replaying a version-2 record: err = %v, want a refusal naming version 2", err)
+	}
+}
+
+// TestReplayRefusesVersion3Journal pins the version-4 bump: a version-3
+// frag entry's store item ended in the node's witness exponent, which
+// items no longer carry, so replay refuses it by its version number.
+func TestReplayRefusesVersion3Journal(t *testing.T) {
+	// The version-3 record TestPinnedEncodings pinned for a signed frag
+	// entry at glsn 300, witness exponent -7 last.
+	v3, err := hex.DecodeString("da03030000000001ac020250310303616d7402005300026964010255310000011a5a0000000000000000000000000000000000000000000000000041abababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababab020107")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = replayOne(t, storage.Record{Kind: "frag", GLSN: 300, Data: v3})
+	if err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("replaying a version-3 record: err = %v, want a refusal naming version 3", err)
+	}
+	// Read as the current version, its item is refused as malformed.
+	v3[1] = walBinVersion
+	if err := replayOne(t, storage.Record{Kind: "frag", GLSN: 300, Data: v3}); !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("replaying a witness-exponent item as version %d: err = %v, want wire.ErrMalformed", walBinVersion, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"crypto/ed25519"
 	"errors"
 	"math"
 	"sync"
@@ -349,6 +350,40 @@ func TestProposeCountsRefusalsPerPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !leader.acl.HasGrant("TFLOOD", first) {
+		t.Fatalf("round committed but %s not granted", first)
+	}
+}
+
+// TestProposeIgnoresStaleVote pins that a round drops a well-formed
+// vote that does not verify over its statement instead of counting it
+// as its sender's refusal. Session names repeat across rounds, so such
+// a vote can be a late one from an earlier round: here P1's valid vote
+// over an earlier statement waits in the round's session, and P3 is
+// down. Counted as P1's refusal, it would make two refusals of the one
+// a four-node round can spare, and fail the round before P1's real vote
+// arrived.
+func TestProposeIgnoresStaleVote(t *testing.T) {
+	tc := startCluster(t)
+	ctx := testCtx(t)
+	c := tc.client(t, "u-stale", "TSTALE", ticket.OpWrite)
+	if err := c.RegisterTicket(ctx); err != nil {
+		t.Fatal(err)
+	}
+	leaderID, voter, dead := tc.boot.Roster[0], tc.boot.Roster[1], tc.boot.Roster[3]
+	const session = "glsnrange/1"
+	stale := agreeVoteBody{Sig: ed25519.Sign(tc.boot.Signers[voter], glsnRangeStatement(0, 1, "TSTALE"))}
+	if err := tc.nodes[voter].mb.SendBody(ctx, leaderID, msgAgreeVote, "seq/"+session, &stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.nodes[dead].mb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	leader := tc.nodes[leaderID]
+	first, err := leader.assignGLSNRange(ctx, session, "TSTALE", 1)
+	if err != nil {
+		t.Fatalf("a stale vote and one dead peer failed the round: %v", err)
+	}
+	if !leader.acl.HasGrant("TSTALE", first) {
 		t.Fatalf("round committed but %s not granted", first)
 	}
 }

@@ -665,23 +665,34 @@ type batchItem struct {
 	// the record digest (see ProvenanceStatement), making the record
 	// non-repudiable: the writer cannot later deny having logged it.
 	Provenance []byte `json:"provenance,omitempty"`
-	// WitnessExp is this node's membership-witness exponent in the digest
-	// — the product of every OTHER fragment's hash exponent — letting the
-	// node materialize X0^wexp once and then verify its slice with one
-	// exponentiation instead of a ring circulation.
-	WitnessExp *big.Int `json:"wexp,omitempty"`
-	// raw is the item's encoding when it was decoded from one, checked
-	// by viewItem; its other fields are then unset.
-	raw []byte
+	// view.run is the item's encoding when it has one, and the fields
+	// above are then unset. A decoder fills the rest of the view as
+	// viewItem checks the run; a writer that encoded the item itself
+	// sets only view.run.
+	view itemView
 }
 
 // glsn returns the item's glsn, read from its run when it has one.
 func (it *batchItem) glsn() logmodel.GLSN {
-	if it.raw == nil {
+	if it.view.run == nil {
 		return it.Fragment.GLSN
 	}
-	g, _ := binary.Uvarint(it.raw) // viewItem checked the run
+	g, _ := binary.Uvarint(it.view.run) // the writer or viewItem checked the run
 	return logmodel.GLSN(g)
+}
+
+// checkedView returns the item's view as viewItem checked it: the
+// decoder's, or, for an item no decoder viewed, one made now from its
+// encoding and kept on the item.
+func (it *batchItem) checkedView() (*itemView, error) {
+	if !it.view.viewed() {
+		v, err := viewItem(appendBatchItem(nil, it))
+		if err != nil {
+			return nil, err
+		}
+		it.view = v
+	}
+	return &it.view, nil
 }
 
 // heldView locates the fields of a held run, which viewItem checked
@@ -802,10 +813,9 @@ func (n *Node) storeFragmentBatch(body *storeBatchBody) error {
 	if len(body.Items) == 0 {
 		return errors.New("cluster: empty store batch")
 	}
-	views := make([]itemView, len(body.Items))
 	entries := make([]walEntry, len(body.Items))
 	for i := range body.Items {
-		v, err := viewItem(body.Items[i].raw)
+		v, err := body.Items[i].checkedView()
 		if err != nil {
 			return fmt.Errorf("cluster: store item %d: %w", i, err)
 		}
@@ -824,19 +834,18 @@ func (n *Node) storeFragmentBatch(body *storeBatchBody) error {
 		if outside != nil {
 			return fmt.Errorf("cluster: fragment carries attribute %q outside A_%s", outside, n.id)
 		}
-		if !v.hasExponents() {
-			return fmt.Errorf("cluster: store item %s lacks its digest or witness exponent", v.glsn)
+		if !v.hasDigestExp() {
+			return fmt.Errorf("cluster: store item %s lacks its digest exponent", v.glsn)
 		}
-		views[i] = v
 		// The journal carries the item as shipped; replay installs it
 		// through the same storeLocked.
 		entries[i] = walEntry{Kind: "frag", Item: &body.Items[i]}
 	}
 	return n.mutate(entries, func() (bool, error) {
-		for i := range views {
-			n.frags.install(&views[i], n.id)
+		for i := range body.Items {
+			n.frags.install(&body.Items[i].view, n.id)
 		}
-		telemetry.M.Counter(telemetry.CtrWitnessUpdates).Add(int64(len(views)))
+		telemetry.M.Counter(telemetry.CtrWitnessUpdates).Add(int64(len(body.Items)))
 		return true, nil
 	})
 }
@@ -982,29 +991,16 @@ func (n *Node) VisitFragments(glsns []logmodel.GLSN, fn func(logmodel.GLSN, map[
 }
 
 // Digest returns the record digest for a glsn: the group element
-// X0^dexp of the writer-shipped digest exponent, materialized on first
-// use (see materialize).
-func (n *Node) Digest(g logmodel.GLSN) (*big.Int, bool) { return n.materialize(g, false) }
-
-// Witness returns this node's membership witness for a glsn — the group
-// element X0^wexp of the writer-shipped witness exponent, materialized
-// on first use (see materialize). Integrity checks then verify the local
-// fragment against the record digest without circulating the ring.
-func (n *Node) Witness(g logmodel.GLSN) (*big.Int, bool) { return n.materialize(g, true) }
-
-// materialize returns X0^e for g's digest exponent, or its witness
-// exponent when witness is set, and memoizes the element in the store's
-// side map. The first call decodes e from the held run and pays one
-// fixed-base exponentiation outside the state lock; the element is
-// cached only if g still holds the same run (fragstore.cacheElem), so
-// an overwrite or delete in between drops it with the old content.
-func (n *Node) materialize(g logmodel.GLSN, witness bool) (*big.Int, bool) {
+// X0^dexp of the writer-shipped digest exponent, which circulation
+// compares with and provenance signs. The first call decodes dexp from
+// the held run and pays one fixed-base exponentiation outside the state
+// lock; the element is cached only if g still holds the same run
+// (fragstore.cacheElem), so an overwrite or delete in between drops it
+// with the old content.
+func (n *Node) Digest(g logmodel.GLSN) (*big.Int, bool) {
 	n.mu.RLock()
 	run, ok := n.frags.get(g)
-	var elem *big.Int
-	if ok {
-		elem = n.frags.elem(g, witness)
-	}
+	elem := n.frags.elem(g)
 	n.mu.RUnlock()
 	if !ok {
 		return nil, false
@@ -1012,20 +1008,29 @@ func (n *Node) materialize(g logmodel.GLSN, witness bool) (*big.Int, bool) {
 	if elem != nil {
 		return elem, true
 	}
-	v := heldView(run)
-	enc := v.dexp
-	if witness {
-		enc = v.wexp
-	}
-	exp := bigOf(enc)
+	exp := bigOf(heldView(run).dexp)
 	if exp == nil {
 		return nil, false
 	}
 	elem = n.accParams.PowX0(exp)
 	n.mu.Lock()
-	n.frags.cacheElem(g, run, witness, elem)
+	n.frags.cacheElem(g, run, elem)
 	n.mu.Unlock()
 	return elem, true
+}
+
+// DigestExp returns the record's digest exponent for a glsn, decoded
+// from the held run: the product of every fragment's hash exponent,
+// which the local integrity check divides by this node's own.
+func (n *Node) DigestExp(g logmodel.GLSN) (*big.Int, bool) {
+	n.mu.RLock()
+	run, ok := n.frags.get(g)
+	n.mu.RUnlock()
+	if !ok {
+		return nil, false
+	}
+	exp := bigOf(heldView(run).dexp)
+	return exp, exp != nil
 }
 
 // Provenance returns the writer's non-repudiation signature for a glsn,
@@ -1076,9 +1081,9 @@ func (n *Node) GLSNs() []logmodel.GLSN {
 // TamperFragment overwrites a stored fragment's attribute value without
 // any authorization — a test-only hook simulating a compromised node
 // (paper §4.1). It holds a fresh run re-encoded with the new value; the
-// record's exponents, and the digest and witness elements already
-// materialized from them, are left as they were. It returns false if
-// the glsn or attribute is absent.
+// record's digest exponent, and the digest element already
+// materialized from it, are left as they were. It returns false if the
+// glsn or attribute is absent.
 func (n *Node) TamperFragment(g logmodel.GLSN, attr logmodel.Attr, val logmodel.Value) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -1092,7 +1097,7 @@ func (n *Node) TamperFragment(g logmodel.GLSN, attr logmodel.Attr, val logmodel.
 		return false
 	}
 	frag.Values[attr] = val
-	item := batchItem{Fragment: frag, DigestExp: bigOf(v.dexp), Provenance: v.prov, WitnessExp: bigOf(v.wexp)}
+	item := batchItem{Fragment: frag, DigestExp: bigOf(v.dexp), Provenance: v.prov}
 	n.frags.set(g, appendBatchItem(nil, &item))
 	return true
 }

@@ -22,7 +22,6 @@ func TestPinnedEncodings(t *testing.T) {
 			}},
 			DigestExp:  new(big.Int).Lsh(big.NewInt(0x5A), 200),
 			Provenance: testSig(0xAB),
-			WitnessExp: big.NewInt(-7),
 		},
 		{Fragment: logmodel.Fragment{GLSN: 301, Node: "P2"}, DigestExp: big.NewInt(9)},
 	}}
@@ -36,8 +35,8 @@ func TestPinnedEncodings(t *testing.T) {
 		got  []byte
 		want string
 	}{
-		{"store batch", batch.AppendBinary(nil), "0254310377ac020250310303616d7402005300026964010255310000011a5a0000000000000000000000000000000000000000000000000041abababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababab0201070bad02025032000101090000"},
-		{"journal frag", rec.Data, "da03030000000001ac020250310303616d7402005300026964010255310000011a5a0000000000000000000000000000000000000000000000000041abababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababab020107"},
+		{"store batch", batch.AppendBinary(nil), "0254310374ac020250310303616d7402005300026964010255310000011a5a0000000000000000000000000000000000000000000000000041abababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababab0aad020250320001010900"},
+		{"journal frag", rec.Data, "da04030000000001ac020250310303616d7402005300026964010255310000011a5a0000000000000000000000000000000000000000000000000041abababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababab"},
 		{"relay", relay.AppendBinary(nil), "0250330201040306010203040506"},
 	} {
 		if got := hex.EncodeToString(tc.got); got != tc.want {

@@ -14,11 +14,11 @@ import (
 // round (paper §2, §4.1). From a record's values it renders every
 // node's fragment text, the accumulator hash input that the nodes'
 // integrity checks recompute with Fragment.Canonical; derives from
-// those texts the record's digest exponent and each node's witness
-// exponent; and appends each node's store item, in the item encoding,
-// to that node's batch. It builds no fragment maps, canonical strings
-// or exponent slices per record: the texts, the big integers and the
-// batches live in one round's encodeScratch, which a pool recycles.
+// those texts the record's digest exponent; and appends each node's
+// store item, in the item encoding, to that node's batch. It builds no
+// fragment maps, canonical strings or exponent slices per record: the
+// texts, the big integers and the batches live in one round's
+// encodeScratch, which a pool recycles.
 //
 // The layout is the partition's, fixed when the client opens: the node
 // order, and each node's attributes sorted, which is the order both
@@ -41,7 +41,7 @@ type encodeScratch struct {
 	canon  []byte           // the current record's texts, node after node
 	cuts   []int            // cuts[i]: the end of node i's text in canon
 	texts  [][]byte         // the texts, as slices of canon
-	wit    accumulator.WitnessScratch
+	dexp   accumulator.DigestScratch
 	bufs   [][]byte      // bufs[i]: node i's item encodings, back to back
 	offs   [][]int       // offs[i]: where each of node i's items starts, then its end
 	items  [][]batchItem // items[i]: node i's items, slices of bufs[i]
@@ -106,7 +106,7 @@ func (e *recordEncoder) encode(s *encodeScratch, first logmodel.GLSN, records []
 		offs := append(s.offs[i], len(buf))
 		items := s.items[i][:0]
 		for k := 1; k < len(offs); k++ {
-			items = append(items, batchItem{raw: buf[offs[k-1]:offs[k]:offs[k]]})
+			items = append(items, batchItem{view: itemView{run: buf[offs[k-1]:offs[k]:offs[k]]}})
 		}
 		s.offs[i], s.items[i] = offs, items
 	}
@@ -114,7 +114,8 @@ func (e *recordEncoder) encode(s *encodeScratch, first logmodel.GLSN, records []
 
 // appendRecord appends one record's item to every node's batch: each
 // node's fragment text into s.canon and its fragment encoding into its
-// buffer, then, once the texts give the exponents, the item's tail.
+// buffer, then, once the texts give the digest exponent, the item's
+// tail.
 func (e *recordEncoder) appendRecord(s *encodeScratch, g logmodel.GLSN, values map[logmodel.Attr]logmodel.Value) {
 	s.canon = s.canon[:0]
 	for i, attrs := range e.attrs {
@@ -134,12 +135,12 @@ func (e *recordEncoder) appendRecord(s *encodeScratch, g logmodel.GLSN, values m
 		s.texts[i] = s.canon[start:end]
 		start = end
 	}
-	wexps, dexp := s.wit.Exponents(s.texts)
+	dexp := s.dexp.Exponent(s.texts)
 	var prov []byte
 	if e.signer != nil {
 		prov = ed25519.Sign(e.signer, ProvenanceStatement(g, e.acc.PowX0(dexp)))
 	}
 	for i := range e.nodes {
-		s.bufs[i] = appendItemTail(s.bufs[i], dexp, prov, wexps[i])
+		s.bufs[i] = appendItemTail(s.bufs[i], dexp, prov)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"math"
+	"math/big"
 	mrand "math/rand/v2"
 	"sync"
 	"testing"
@@ -17,26 +18,25 @@ import (
 
 // referenceItems is the write path spelled out field by field, the
 // reference recordEncoder must match byte for byte: Partition.Split,
-// Fragment.Canonical for every node, Params.WitnessExponents over those
-// texts, then each node's field-form store item, encoded by
-// appendBatchItem. It returns each node's text and item.
+// Fragment.Canonical for every node, the product of those texts'
+// HashItem exponents, then each node's field-form store item, encoded
+// by appendBatchItem. It returns each node's text and item.
 func referenceItems(part *logmodel.Partition, acc *accumulator.Params, signer ed25519.PrivateKey, g logmodel.GLSN, values map[logmodel.Attr]logmodel.Value) (map[string][]byte, map[string]batchItem) {
 	frags := part.Split(logmodel.Record{GLSN: g, Values: values})
 	nodes := part.Nodes()
 	texts := make(map[string][]byte, len(nodes))
-	canon := make([][]byte, len(nodes))
-	for i, node := range nodes {
-		canon[i] = frags[node].Canonical()
-		texts[node] = canon[i]
+	dexp := big.NewInt(1)
+	for _, node := range nodes {
+		texts[node] = frags[node].Canonical()
+		dexp.Mul(dexp, accumulator.HashItem(texts[node]))
 	}
-	wexps, dexp := acc.WitnessExponents(canon)
 	var prov []byte
 	if signer != nil {
 		prov = ed25519.Sign(signer, ProvenanceStatement(g, acc.PowX0(dexp)))
 	}
 	items := make(map[string]batchItem, len(nodes))
-	for i, node := range nodes {
-		items[node] = batchItem{Fragment: frags[node], DigestExp: dexp, Provenance: prov, WitnessExp: wexps[i]}
+	for _, node := range nodes {
+		items[node] = batchItem{Fragment: frags[node], DigestExp: dexp, Provenance: prov}
 	}
 	return texts, items
 }
@@ -130,7 +130,7 @@ func checkEncoderAgainstReference(t *testing.T, e *recordEncoder, s *encodeScrat
 				t.Fatalf("node %s: %d items for %d records", node, len(s.items[i]), len(records))
 			}
 			ref := items[node]
-			got := s.items[i][k].raw
+			got := s.items[i][k].view.run
 			want := appendBatchItem(nil, &ref)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("glsn %s node %s (values %v): item\n% x\nreference\n% x", g, node, values, got, want)
@@ -139,8 +139,8 @@ func checkEncoderAgainstReference(t *testing.T, e *recordEncoder, s *encodeScrat
 			if err != nil {
 				t.Fatalf("glsn %s node %s: item does not decode: %v", g, node, err)
 			}
-			if bigOf(v.dexp).Cmp(ref.DigestExp) != 0 || bigOf(v.wexp).Cmp(ref.WitnessExp) != 0 {
-				t.Fatalf("glsn %s node %s: exponents differ from the reference", g, node)
+			if bigOf(v.dexp).Cmp(ref.DigestExp) != 0 {
+				t.Fatalf("glsn %s node %s: digest exponent differs from the reference", g, node)
 			}
 		}
 	}
@@ -190,7 +190,7 @@ func TestRecordEncoderMatchesReference(t *testing.T) {
 			for k, it := range body.Items {
 				_, items := referenceItems(fix.part, fix.acc, signer, 9+logmodel.GLSN(k), records[k])
 				ref := items[msg.To]
-				if !bytes.Equal(it.raw, appendBatchItem(nil, &ref)) {
+				if !bytes.Equal(it.view.run, appendBatchItem(nil, &ref)) {
 					t.Fatalf("node %s item %d differs from the reference", msg.To, k)
 				}
 			}
@@ -231,7 +231,7 @@ func TestRecordEncoderConcurrentRounds(t *testing.T) {
 					for k, it := range body.Items {
 						_, items := referenceItems(fix.part, fix.acc, nil, first+logmodel.GLSN(k), records[k])
 						ref := items[msg.To]
-						if !bytes.Equal(it.raw, appendBatchItem(nil, &ref)) {
+						if !bytes.Equal(it.view.run, appendBatchItem(nil, &ref)) {
 							t.Errorf("node %s item %d of a concurrent round differs from the reference", msg.To, k)
 							return
 						}

@@ -19,7 +19,7 @@ type indexProbe struct {
 
 // recordItems returns a record's fragments as the accumulator hashes
 // them, in partition node order: AccumulateAll of them is the record
-// digest by definition, and Witness(items, i) the i-th node's witness.
+// digest by definition.
 func recordItems(c *Client, rec logmodel.Record) [][]byte {
 	frags := c.part.Split(rec)
 	nodes := c.part.Nodes()
@@ -31,8 +31,8 @@ func recordItems(c *Client, rec logmodel.Record) [][]byte {
 }
 
 // stateSnapshot renders what every node answers about each glsn — its
-// fragment, digest, witness and provenance — plus the index lookup of
-// every probe.
+// fragment, digest, digest exponent and provenance — plus the index
+// lookup of every probe.
 func stateSnapshot(tc *testCluster, gs []logmodel.GLSN, probes []indexProbe) map[string]string {
 	out := make(map[string]string)
 	for id, n := range tc.nodes {
@@ -44,8 +44,8 @@ func stateSnapshot(tc *testCluster, gs []logmodel.GLSN, probes []indexProbe) map
 			if d, ok := n.Digest(g); ok {
 				out[key+"digest"] = d.String()
 			}
-			if w, ok := n.Witness(g); ok {
-				out[key+"witness"] = w.String()
+			if e, ok := n.DigestExp(g); ok {
+				out[key+"dexp"] = e.String()
 			}
 			if p, ok := n.Provenance(g); ok {
 				out[key+"prov"] = fmt.Sprintf("%x", p)
@@ -132,7 +132,6 @@ func TestReplayMatchesLiveState(t *testing.T) {
 	// state to drop.
 	for _, node := range tc.nodes {
 		node.Digest(gs[2])
-		node.Witness(gs[2])
 		node.Digest(gs[6])
 	}
 

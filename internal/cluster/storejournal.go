@@ -38,13 +38,13 @@ type walEntry struct {
 
 // A journal record's payload opens with this magic/version prefix,
 // followed by the entry's compact wire encoding from wirecodec.go. The
-// segment store frames and checksums records itself. Version 3 carries
-// a "frag" entry's store item whole, and ticket and provenance
-// signatures as 64-byte Ed25519 runs; replay refuses every other
-// version.
+// segment store frames and checksums records itself. Version 4 carries
+// a "frag" entry's store item whole, with the record's digest exponent
+// and no witness exponent, and ticket and provenance signatures as
+// 64-byte Ed25519 runs; replay refuses every other version.
 const (
 	walBinMagic   = 0xDA
-	walBinVersion = 3
+	walBinVersion = 4
 )
 
 // storeJournal is a node's journal: it carries walEntries into a
@@ -285,7 +285,7 @@ func (n *Node) CompactStorage() error {
 		entries = append(entries, walEntry{Kind: "grant", TicketID: r.TicketID, GLSN: r.First, Count: r.Count})
 	}
 	n.frags.each(func(_ logmodel.GLSN, run []byte) {
-		entries = append(entries, walEntry{Kind: "frag", Item: &batchItem{raw: run}})
+		entries = append(entries, walEntry{Kind: "frag", Item: &batchItem{view: itemView{run: run}}})
 	})
 	return n.journal.rewrite(entries)
 }
@@ -333,11 +333,11 @@ func (n *Node) applyWALEntry(e walEntry) error {
 		if e.Item == nil {
 			return errors.New("cluster: journal frag entry without store item")
 		}
-		v, err := viewItem(e.Item.raw)
+		v, err := e.Item.checkedView()
 		if err != nil {
 			return fmt.Errorf("cluster: replaying store item: %w", err)
 		}
-		n.frags.install(&v, n.id)
+		n.frags.install(v, n.id)
 	case "delete":
 		n.frags.remove(e.GLSN)
 	default:

@@ -77,12 +77,10 @@ func appendItemFragment(dst []byte, g logmodel.GLSN, node string, fields []logmo
 }
 
 // appendItemTail appends what follows a store item's fragment: the
-// record's digest exponent, the optional provenance signature and the
-// node's witness exponent.
-func appendItemTail(dst []byte, dexp *big.Int, prov []byte, wexp *big.Int) []byte {
+// record's digest exponent and the optional provenance signature.
+func appendItemTail(dst []byte, dexp *big.Int, prov []byte) []byte {
 	dst = wire.AppendBig(dst, dexp)
-	dst = wire.AppendOptBytes(dst, prov)
-	return wire.AppendBig(dst, wexp)
+	return wire.AppendOptBytes(dst, prov)
 }
 
 // sigRun decodes an optional Ed25519 signature as a slice of the
@@ -167,12 +165,12 @@ func walkValues(d *wire.Dec, fn func(attr []byte, v rawValue)) error {
 // appendBatchItem appends a store item's encoding: the run it was
 // decoded from when it has one, else the encoding of its fields.
 func appendBatchItem(dst []byte, it *batchItem) []byte {
-	if it.raw != nil {
-		return append(dst, it.raw...)
+	if it.view.run != nil {
+		return append(dst, it.view.run...)
 	}
 	f := &it.Fragment
 	dst = appendItemFragment(dst, f.GLSN, f.Node, logmodel.SortedFields(f.Values), f.Values != nil)
-	return appendItemTail(dst, it.DigestExp, it.Provenance, it.WitnessExp)
+	return appendItemTail(dst, it.DigestExp, it.Provenance)
 }
 
 // itemView is one store item read in place from its run: the glsn
@@ -185,12 +183,16 @@ type itemView struct {
 	glsn logmodel.GLSN
 	node []byte
 	// tail is the rest of the run after the node ID: the fragment's
-	// value count and pairs, then the exponents and the provenance
-	// signature.
-	tail       []byte
-	dexp, wexp []byte // each exponent's wire encoding (bigOf)
-	prov       []byte // the provenance signature; nil when absent
+	// value count and pairs, then the digest exponent and the
+	// provenance signature.
+	tail []byte
+	dexp []byte // the digest exponent's wire encoding (bigOf)
+	prov []byte // the provenance signature; nil when absent
 }
+
+// viewed reports whether viewItem made v: it sets tail for every item
+// it accepts, since a value count follows the node ID.
+func (v *itemView) viewed() bool { return v.tail != nil }
 
 // viewItem checks one item run end to end and locates its fields.
 func viewItem(run []byte) (itemView, error) {
@@ -212,9 +214,6 @@ func viewItem(run []byte) (itemView, error) {
 		return v, err
 	}
 	if v.prov, err = sigRun(&d); err != nil {
-		return v, err
-	}
-	if v.wexp, err = d.BigRun(); err != nil {
 		return v, err
 	}
 	return v, d.Done()
@@ -242,9 +241,9 @@ func (v *itemView) fragment() logmodel.Fragment {
 	return f
 }
 
-// hasExponents reports whether the item carries both exponents: an
-// absent one encodes as the lone tag 0.
-func (v *itemView) hasExponents() bool { return v.dexp[0] != 0 && v.wexp[0] != 0 }
+// hasDigestExp reports whether the item carries its digest exponent:
+// an absent one encodes as the lone tag 0.
+func (v *itemView) hasDigestExp() bool { return v.dexp[0] != 0 }
 
 // stamped returns the item's run re-encoded with node as the
 // fragment's node ID.
@@ -273,10 +272,16 @@ func (b *storeBatchBody) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
-// DecodeBinary checks every item run with viewItem and keeps each as
-// its item's raw run, a slice of one copy of the recycled frame: one
-// allocation per batch. Nothing keeps that copy past the batch: a node
-// copies each run into its fragment store's arena on install.
+// minItemBytes is the fewest bytes a store item takes in a batch: its
+// length prefix, then a one-byte glsn, node ID length, value count,
+// digest exponent tag and provenance flag.
+const minItemBytes = 6
+
+// DecodeBinary checks every item run with viewItem and keeps the view
+// on its item, so the node's install (storeFragmentBatch) reads each
+// item once. Each run is a slice of one copy of the recycled frame.
+// Nothing keeps that copy past the batch: a node copies each run into
+// its fragment store's arena on install.
 func (b *storeBatchBody) DecodeBinary(src []byte) error {
 	src = bytes.Clone(src)
 	d := wire.NewDec(src)
@@ -284,7 +289,6 @@ func (b *storeBatchBody) DecodeBinary(src []byte) error {
 	if b.TicketID, err = d.Str(); err != nil {
 		return err
 	}
-	// Each item costs at least its one-byte length prefix.
 	count, present, err := d.OptCount()
 	if err != nil {
 		return err
@@ -293,23 +297,25 @@ func (b *storeBatchBody) DecodeBinary(src []byte) error {
 	if !present {
 		return d.Done()
 	}
-	// Slice and check every item run before allocating items for them.
-	runs := make([][]byte, count)
-	for i := range runs {
-		if runs[i], err = d.Run(); err != nil {
+	// Each item takes at least minItemBytes of the body, so a count the
+	// body cannot hold is refused before items are allocated for it.
+	if count > len(d.Rest())/minItemBytes {
+		return fmt.Errorf("%w: %d store items claimed in %d bytes", wire.ErrMalformed, count, len(d.Rest()))
+	}
+	items := make([]batchItem, count)
+	for i := range items {
+		run, err := d.Run()
+		if err != nil {
 			return err
 		}
-		if _, err := viewItem(runs[i]); err != nil {
+		if items[i].view, err = viewItem(run[:len(run):len(run)]); err != nil {
 			return err
 		}
 	}
 	if err := d.Done(); err != nil {
 		return err
 	}
-	b.Items = make([]batchItem, count)
-	for i, run := range runs {
-		b.Items[i].raw = run[:len(run):len(run)]
-	}
+	b.Items = items
 	return nil
 }
 
@@ -584,11 +590,11 @@ func decodeWALEntry(src []byte) (walEntry, error) {
 	case 1:
 		// The item runs to the end of the entry, and the entry keeps it
 		// as a slice of src.
-		run := d.Rest()
-		if _, err := viewItem(run); err != nil {
+		v, err := viewItem(d.Rest())
+		if err != nil {
 			return e, err
 		}
-		e.Item = &batchItem{raw: run}
+		e.Item = &batchItem{view: v}
 		return e, nil
 	default:
 		return e, fmt.Errorf("%w: item flag %d", wire.ErrMalformed, flag[0])

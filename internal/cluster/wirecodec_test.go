@@ -59,21 +59,21 @@ func decodeBatchItem(src []byte, it *batchItem) error {
 	if err != nil {
 		return err
 	}
-	*it = batchItem{Fragment: v.fragment(), DigestExp: bigOf(v.dexp), Provenance: bytes.Clone(v.prov), WitnessExp: bigOf(v.wexp)}
+	*it = batchItem{Fragment: v.fragment(), DigestExp: bigOf(v.dexp), Provenance: bytes.Clone(v.prov)}
 	return nil
 }
 
-// fields returns the item decoded into its fields when it carries a raw
+// fields returns the item decoded into its fields when it carries a
 // run, else the item itself. A decoded item re-encodes as its run, so
 // the codec tests re-encode its fields instead: that is what pins the
 // decoder as canonical.
 func fields(t testing.TB, it *batchItem) *batchItem {
 	t.Helper()
-	if it == nil || it.raw == nil {
+	if it == nil || it.view.run == nil {
 		return it
 	}
 	var out batchItem
-	if err := decodeBatchItem(it.raw, &out); err != nil {
+	if err := decodeBatchItem(it.view.run, &out); err != nil {
 		t.Fatalf("decoding a checked item run: %v", err)
 	}
 	return &out
@@ -135,8 +135,10 @@ func checkBinaryJSONAgree[T interface {
 // value kind, NaN and ±Inf floats, nil and signed big integers, absent,
 // 64-byte and mis-sized provenance signatures — as a one-item store
 // batch: the binary path and the JSON path must decode to identical
-// bodies, a mis-sized signature must be refused, and neither the batch
-// nor the item decoder may panic on arbitrary bytes.
+// bodies, a mis-sized signature must be refused, an item followed by
+// trail bytes (as the old layout's witness exponent followed the
+// signature) must be refused, and neither the batch nor the item
+// decoder may panic on arbitrary bytes.
 func FuzzStoreBodyRoundTrip(f *testing.F) {
 	f.Add("T1", "P0", uint64(0x139aef78), false, "user", "U1", uint8(1), int64(-42), 1.5,
 		[]byte(nil), []byte{0x01}, []byte{}, uint8(0), []byte(nil))
@@ -146,13 +148,12 @@ func FuzzStoreBodyRoundTrip(f *testing.F) {
 		[]byte{}, []byte{0x7F, 0xFF}, []byte{0x01, 0x02, 0x03}, uint8(0x0F), []byte{0xB7, 0x01})
 	f.Fuzz(func(t *testing.T, ticketID, node string, glsn uint64, nilValues bool,
 		attr, s string, kind uint8, i int64, fv float64,
-		dexp, prov, wexp []byte, signs uint8, raw []byte) {
+		dexp, prov, trail []byte, signs uint8, raw []byte) {
 		ticketID, node, attr, s = fuzzStr(ticketID), fuzzStr(node), fuzzStr(attr), fuzzStr(s)
 		item := batchItem{
 			Fragment:   logmodel.Fragment{GLSN: logmodel.GLSN(glsn), Node: node},
 			DigestExp:  fuzzBig(dexp, signs&2 != 0),
 			Provenance: fuzzSig(prov),
-			WitnessExp: fuzzBig(wexp, signs&8 != 0),
 		}
 		if !nilValues {
 			item.Fragment.Values = map[logmodel.Attr]logmodel.Value{}
@@ -166,6 +167,11 @@ func FuzzStoreBodyRoundTrip(f *testing.F) {
 			checkBinaryJSONAgree(t, &body, func() *storeBatchBody { return &storeBatchBody{} })
 		} else if err := new(storeBatchBody).DecodeBinary(body.AppendBinary(nil)); !errors.Is(err, wire.ErrMalformed) {
 			t.Fatalf("%d-byte provenance signature: decode err = %v, want wire.ErrMalformed", len(item.Provenance), err)
+		}
+		if len(trail) > 0 {
+			if _, err := viewItem(append(appendBatchItem(nil, &item), trail...)); !errors.Is(err, wire.ErrMalformed) {
+				t.Fatalf("item with %d trailing bytes: err = %v, want wire.ErrMalformed", len(trail), err)
+			}
 		}
 		var junk storeBatchBody
 		junk.DecodeBinary(raw) //nolint:errcheck // must not panic; errors are fine
@@ -212,9 +218,6 @@ func FuzzStoreBatchBodyRoundTrip(f *testing.F) {
 				if b&8 != 0 {
 					it.Provenance = testSig(b)
 				}
-				if b&16 != 0 {
-					it.WitnessExp = new(big.Int).SetBytes(seed)
-				}
 				body.Items = append(body.Items, it)
 			}
 		}
@@ -235,10 +238,10 @@ func FuzzStoreBatchBodyRoundTrip(f *testing.F) {
 // with and without a ticket and a store item, with nil, zero and signed
 // big integers, and with absent, 64-byte and mis-sized signatures: every
 // entry with well-formed signatures must decode from its encoding and
-// re-encode byte-exactly, and one with a mis-sized signature must be
-// refused. Arbitrary bytes must never panic the decoder,
-// and any it accepts must re-encode to exactly those bytes: the codec
-// admits one encoding per entry.
+// re-encode byte-exactly, and one with a mis-sized signature, or a frag
+// entry whose item runs on into trail bytes, must be refused. Arbitrary
+// bytes must never panic the decoder, and any it accepts must re-encode
+// to exactly those bytes: the codec admits one encoding per entry.
 func FuzzWALEntryRoundTrip(f *testing.F) {
 	f.Add(uint8(1), "T1", uint64(0x139aef78), uint16(128), "", "", int64(0),
 		[]byte(nil), []byte(nil), []byte(nil), uint8(0), []byte(nil))
@@ -248,7 +251,7 @@ func FuzzWALEntryRoundTrip(f *testing.F) {
 		{Kind: "grant", TicketID: "T1", GLSN: 42, Count: 128},
 		{Kind: "frag", Item: &batchItem{
 			Fragment:  logmodel.Fragment{GLSN: 9, Node: "P1", Values: map[logmodel.Attr]logmodel.Value{"a": logmodel.Int(3)}},
-			DigestExp: big.NewInt(5), WitnessExp: big.NewInt(7),
+			DigestExp: big.NewInt(5),
 		}},
 	} {
 		raw, err := appendWALEntry(nil, &e)
@@ -259,7 +262,7 @@ func FuzzWALEntryRoundTrip(f *testing.F) {
 			[]byte(nil), []byte(nil), []byte(nil), uint8(0), raw)
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, ticketID string, glsn uint64, count uint16,
-		node, attr string, i int64, dexp, prov, wexp []byte, flags uint8, raw []byte) {
+		node, attr string, i int64, dexp, prov, trail []byte, flags uint8, raw []byte) {
 		e := walEntry{Kind: walKindName[1+kind%4], TicketID: ticketID, GLSN: logmodel.GLSN(glsn), Count: int(count)}
 		if flags&0x10 != 0 {
 			e.Ticket = &wireTicket{ID: ticketID, Holder: node, Ops: []int{int(count)}, Sig: fuzzSig(prov)}
@@ -269,7 +272,6 @@ func FuzzWALEntryRoundTrip(f *testing.F) {
 				Fragment:   logmodel.Fragment{GLSN: logmodel.GLSN(glsn), Node: node},
 				DigestExp:  fuzzBig(dexp, flags&1 != 0),
 				Provenance: fuzzSig(prov),
-				WitnessExp: fuzzBig(wexp, flags&2 != 0),
 			}
 			if flags&0x40 == 0 {
 				e.Item.Fragment.Values = map[logmodel.Attr]logmodel.Value{logmodel.Attr(attr): logmodel.Int(i)}
@@ -278,6 +280,11 @@ func FuzzWALEntryRoundTrip(f *testing.F) {
 		enc, err := appendWALEntry(nil, &e)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if e.Item != nil && len(trail) > 0 {
+			if _, err := decodeWALEntry(append(bytes.Clone(enc), trail...)); !errors.Is(err, wire.ErrMalformed) {
+				t.Fatalf("frag entry with %d trailing bytes: err = %v, want wire.ErrMalformed", len(trail), err)
+			}
 		}
 		if junk, err := decodeWALEntry(raw); err == nil {
 			junk.Item = fields(t, junk.Item)
@@ -332,7 +339,7 @@ func TestWALEntryBinaryRoundTrip(t *testing.T) {
 		{Kind: "frag", Item: &batchItem{Fragment: logmodel.Fragment{
 			GLSN: 9, Node: "P1",
 			Values: map[logmodel.Attr]logmodel.Value{"a": logmodel.Int(3), "b": logmodel.Float(2.5)},
-		}, DigestExp: big.NewInt(123456789), WitnessExp: big.NewInt(77)}},
+		}, DigestExp: big.NewInt(123456789)}},
 		{Kind: "frag", Item: &batchItem{Fragment: logmodel.Fragment{GLSN: 10, Node: "P2"}, DigestExp: big.NewInt(5), Provenance: testSig(9)}},
 		{Kind: "delete", GLSN: 7},
 	}
@@ -382,11 +389,25 @@ func TestWireDecodeRejectsHostileEncodings(t *testing.T) {
 	if err := bb.DecodeBinary(hostile); err == nil {
 		t.Fatal("hostile item count accepted")
 	}
+	// Three smallest items fill the body exactly; a claim of a fourth is
+	// refused by the count bound before any item is read.
+	smallest := storeBatchBody{Items: make([]batchItem, 3)}
+	enc := smallest.AppendBinary(nil)
+	if want := 2 + 3*minItemBytes; len(enc) != want {
+		t.Fatalf("three smallest items encode in %d bytes, want %d", len(enc), want)
+	}
+	if err := new(storeBatchBody).DecodeBinary(enc); err != nil {
+		t.Fatalf("three smallest items refused: %v", err)
+	}
+	enc[1]++ // the count is stored plus one: 3 becomes 4
+	if err := new(storeBatchBody).DecodeBinary(enc); err == nil || !strings.Contains(err.Error(), "4 store items claimed") {
+		t.Fatalf("a count the body cannot hold: err = %v, want the count bound's refusal", err)
+	}
 	// A big.Int with an invalid sign tag, as a store item's digest
 	// exponent after the fragment glsn 1, node "", no values.
 	frag := []byte{0x01, 0x00, 0x00}
 	var bt batchItem
-	if err := decodeBatchItem(append(append(frag, 0x09, 0x01, 0xAA), 0x00, 0x00), &bt); err == nil {
+	if err := decodeBatchItem(append(append(frag, 0x09, 0x01, 0xAA), 0x00), &bt); err == nil {
 		t.Fatal("bad big-int tag accepted")
 	}
 	if _, err := decodeWALEntry([]byte{0x09}); err == nil {
@@ -398,25 +419,28 @@ func TestWireDecodeRejectsHostileEncodings(t *testing.T) {
 	if err := rq.DecodeBinary([]byte{0x00, 0x81, 0x00}); err == nil {
 		t.Fatal("overlong varint accepted")
 	}
+	// Each case below is refused only for its one defect: the same
+	// bytes with the canonical form ("canonical") decode.
 	for name, dexp := range map[string][]byte{
+		"canonical":         {0x01, 0x01, 0x05},
 		"leading zero byte": {0x01, 0x02, 0x00, 0x05},
 		"negative zero":     {0x02, 0x00},
 	} {
 		var it batchItem
-		enc := append(append(append([]byte(nil), frag...), dexp...), 0x00, 0x00)
-		if err := decodeBatchItem(enc, &it); err == nil {
-			t.Fatalf("big integer with a %s accepted", name)
+		enc := append(append(append([]byte(nil), frag...), dexp...), 0x00) // no provenance
+		if err := decodeBatchItem(enc, &it); (err == nil) != (name == "canonical") {
+			t.Fatalf("big integer, %s: err = %v", name, err)
 		}
 	}
-	for name, attrs := range map[string]string{"out of order": "ba", "repeated": "aa"} {
+	for name, attrs := range map[string]string{"canonical": "ab", "out of order": "ba", "repeated": "aa"} {
 		enc := []byte{0x01, 0x00, 0x03} // glsn 1, node "", two values
 		for _, a := range []byte(attrs) {
 			enc = append(enc, 0x01, a, 0x00, 0x00, 0x00, 0x00)
 		}
-		enc = append(enc, 0x00, 0x00, 0x00) // no exponents, no provenance
+		enc = append(enc, 0x00, 0x00) // no digest exponent, no provenance
 		var it batchItem
-		if err := decodeBatchItem(enc, &it); err == nil {
-			t.Fatalf("fragment attributes %s accepted", name)
+		if err := decodeBatchItem(enc, &it); (err == nil) != (name == "canonical") {
+			t.Fatalf("fragment attributes, %s: err = %v", name, err)
 		}
 	}
 }

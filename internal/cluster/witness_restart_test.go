@@ -3,16 +3,17 @@ package cluster
 import (
 	"testing"
 
+	"confaudit/internal/crypto/accumulator"
+	"confaudit/internal/integrity"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/ticket"
 )
 
 // TestWitnessesSurviveSegmentRestart logs records (whose writers ship
-// per-node membership witnesses), restarts the whole cluster from the
-// segment store, and verifies every node re-pins its witnesses: each
-// restored fragment still verifies against its witness and the record
-// digest with one local exponentiation — the O(delta) restart re-pin
-// the amortized-witness design promises.
+// each record's digest exponent), restarts the whole cluster from the
+// segment store, and verifies that every node's local integrity check
+// still stands: each restored fragment's hash exponent divides the
+// restored digest exponent, whose group element is the record digest.
 func TestWitnessesSurviveSegmentRestart(t *testing.T) {
 	root := t.TempDir()
 	ctx := testCtx(t)
@@ -30,11 +31,11 @@ func TestWitnessesSurviveSegmentRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Witnesses are installed on append, before any restart.
+	// Digest exponents are installed on append, before any restart.
 	for id, node := range tc.nodes {
 		for _, g := range glsns {
-			if _, ok := node.Witness(g); !ok {
-				t.Fatalf("node %s has no witness for %s before restart", id, g)
+			if _, ok := node.DigestExp(g); !ok {
+				t.Fatalf("node %s has no digest exponent for %s before restart", id, g)
 			}
 		}
 	}
@@ -48,25 +49,29 @@ func TestWitnessesSurviveSegmentRestart(t *testing.T) {
 	boot := tc2.boot
 	for id, node := range tc2.nodes {
 		for _, g := range glsns[:2] {
-			w, ok := node.Witness(g)
+			dexp, ok := node.DigestExp(g)
 			if !ok {
-				t.Fatalf("node %s lost its witness for %s across restart", id, g)
+				t.Fatalf("node %s lost its digest exponent for %s across restart", id, g)
 			}
 			digest, ok := node.Digest(g)
-			if !ok {
-				t.Fatalf("node %s lost its digest for %s across restart", id, g)
+			if !ok || digest.Cmp(boot.AccParams.PowX0(dexp)) != 0 {
+				t.Fatalf("node %s: restored digest for %s is not X0^dexp (held %v)", id, g, ok)
 			}
 			frag, ok := node.Fragment(g)
-			if !ok {
-				t.Fatalf("node %s lost its fragment for %s across restart", id, g)
+			if !ok || !accumulator.Member(dexp, frag.Canonical()) {
+				t.Fatalf("node %s: restored fragment of %s does not divide its digest exponent (held %v)", id, g, ok)
 			}
-			if !boot.AccParams.VerifyWitness(digest, w, frag.Canonical()) {
-				t.Fatalf("node %s: restored witness for %s does not verify", id, g)
+			// The local check judges only fragments with values; the
+			// others' are empty, and circulation judges them.
+			if len(frag.Values) > 0 {
+				if err := integrity.CheckLocal(node, g); err != nil {
+					t.Fatalf("node %s: restored record %s: %v", id, g, err)
+				}
 			}
 		}
-		// The deleted record's witness stayed deleted.
-		if _, ok := node.Witness(glsns[2]); ok {
-			t.Fatalf("node %s resurrected the witness of deleted %s", id, glsns[2])
+		// The deleted record's exponent stayed deleted.
+		if _, ok := node.DigestExp(glsns[2]); ok {
+			t.Fatalf("node %s resurrected the digest exponent of deleted %s", id, glsns[2])
 		}
 	}
 }

@@ -50,10 +50,9 @@ type Params struct {
 	x0Once  sync.Once
 	x0Table *mathx.FixedBase
 
-	// x0Wide extends the table to product-of-exponents width for the
-	// witness paths: a record digest is X0^(∏ e_i) and a membership
-	// witness X0^(∏_{j≠i} e_j), so their exponents are several HashItem
-	// widths long. Built only when PowX0 first sees such an exponent.
+	// x0Wide extends the table to product-of-exponents width: a record
+	// digest is X0^(∏ e_i), so its exponent is several HashItem widths
+	// long. Built only when PowX0 first sees such an exponent.
 	x0WideOnce sync.Once
 	x0Wide     *mathx.FixedBase
 }
@@ -166,11 +165,11 @@ func (p *Params) powX0Narrow(e *big.Int) *big.Int {
 // PowX0 computes X0^e mod N for an arbitrary non-negative exponent,
 // using the cached fixed-base tables: the single-item table for
 // HashItem-width exponents, the wide table for exponent products
-// (digests and witnesses), and a general exponentiation beyond that.
-// Fixed-base evaluation replaces the |e| squarings of a general
-// exponentiation with one multiplication per radix-16 digit, which is
-// what makes shipping witness EXPONENTS (cheap big-integer products)
-// and materializing the group elements lazily a net win.
+// (digests), and a general exponentiation beyond that. Fixed-base
+// evaluation replaces the |e| squarings of a general exponentiation
+// with one multiplication per radix-16 digit, which is what makes
+// shipping a digest EXPONENT (a cheap big-integer product) and
+// materializing the group element lazily a net win.
 func (p *Params) PowX0(e *big.Int) *big.Int {
 	if r := p.powX0Narrow(e); r != nil {
 		return r
@@ -197,31 +196,4 @@ func (p *Params) AccumulateAll(items [][]byte) *big.Int {
 // Verify reports whether the digest matches the accumulation of items.
 func (p *Params) Verify(digest *big.Int, items [][]byte) bool {
 	return digest != nil && p.AccumulateAll(items).Cmp(digest) == 0
-}
-
-// Witness returns the membership witness for items[i]: the accumulation
-// of every other item. A verifier can then check
-// Accumulate(witness, items[i]) == digest without seeing the rest of the
-// set, which is how a single DLA node proves its fragment belongs to the
-// record digest.
-func (p *Params) Witness(items [][]byte, i int) (*big.Int, error) {
-	if i < 0 || i >= len(items) {
-		return nil, fmt.Errorf("accumulator: witness index %d out of range [0,%d)", i, len(items))
-	}
-	acc := new(big.Int).Set(p.X0)
-	for j, it := range items {
-		if j == i {
-			continue
-		}
-		acc = p.Accumulate(acc, it)
-	}
-	return acc, nil
-}
-
-// VerifyWitness checks a single-item membership proof.
-func (p *Params) VerifyWitness(digest, witness *big.Int, item []byte) bool {
-	if digest == nil || witness == nil {
-		return false
-	}
-	return p.Accumulate(witness, item).Cmp(digest) == 0
 }

@@ -1,21 +1,20 @@
 package accumulator
 
-import (
-	"math/big"
-	"slices"
-)
+import "math/big"
 
-// Membership witnesses.
+// Digest exponents and membership.
 //
-// A membership witness for item i is the accumulation of every OTHER
-// item: w_i = x0^(∏_{j≠i} e_j) mod n, so Accumulate(w_i, item_i)
-// reproduces the digest and a holder checks its own item with one
-// exponentiation. Witness (accumulator.go) computes w_i by that
-// definition, at n−1 exponentiations per item. WitnessExponents instead
-// derives every witness's EXPONENT, and the digest's, from big-integer
-// products alone; the cluster write path ships those exponents with
-// each fragment, and each node materializes its group elements with one
-// fixed-base PowX0 the first time a check needs them.
+// A record's digest is X0^dexp, where dexp = ∏ e_i is the product of
+// its items' hash exponents. A membership witness for item i is the
+// accumulation of every OTHER item: w_i = X0^(dexp/e_i) mod n, so
+// Accumulate(w_i, item_i) reproduces the digest. A holder that keeps
+// dexp itself needs no witness: with the group order unknown,
+// X0^((dexp/e)·e) = X0^dexp holds exactly when e divides dexp as an
+// integer, so Member's one division decides what the witness check
+// decides with two fixed-base evaluations and one exponentiation. The
+// cluster write path ships each record's dexp alone (DigestScratch) and
+// materializes X0^dexp only where a group element is needed:
+// circulation and provenance.
 
 // WitnessExponents returns each item's witness EXPONENT — the product
 // of every other item's hash exponent — plus the product of all of
@@ -25,58 +24,65 @@ import (
 //	witness_i = PowX0(wexps[i])
 //
 // and Accumulate(witness_i, items[i]) = X0^(wexps[i]·e_i) = digest.
-// Computing the exponents is pure big-integer multiplication (two
-// linear product sweeps — no modular exponentiation at all), so a
-// write path can derive and ship every node's witness material in
-// microseconds and let each holder materialize the group element
-// lazily, the first time a verification actually needs it.
+// Each witness exponent is a prefix product times a suffix product,
+// which is cheaper than dividing it out of the total.
 func (p *Params) WitnessExponents(items [][]byte) (wexps []*big.Int, total *big.Int) {
-	var w WitnessScratch
-	return w.Exponents(items)
-}
-
-// WitnessScratch holds the big integers WitnessExponents computes in,
-// for a caller that derives exponents record after record: kept across
-// calls, it stops allocating once its integers have grown to size. The
-// zero value is ready for use; it is not safe for concurrent use.
-type WitnessScratch struct {
-	es, prefix, suffix, wexps []*big.Int
-}
-
-// Exponents returns what WitnessExponents returns for items, computed
-// in w: the results are w's own integers, valid until the next call.
-func (w *WitnessScratch) Exponents(items [][]byte) (wexps []*big.Int, total *big.Int) {
 	n := len(items)
-	es := grow(&w.es, n)
+	es := make([]*big.Int, n)
 	for i, it := range items {
-		hashInto(es[i], it)
+		es[i] = HashItem(it)
 	}
-	// prefix[i] = ∏ es[:i], suffix[i] = ∏ es[i:]; wexps[i] skips es[i].
-	prefix := grow(&w.prefix, n+1)
-	prefix[0].SetInt64(1)
-	for i, e := range es {
-		prefix[i+1].Mul(prefix[i], e)
-	}
-	suffix := grow(&w.suffix, n+1)
-	suffix[n].SetInt64(1)
+	suffix := make([]*big.Int, n+1) // suffix[i] = ∏ es[i:]
+	suffix[n] = big.NewInt(1)
 	for i := n - 1; i >= 0; i-- {
-		suffix[i].Mul(suffix[i+1], es[i])
+		suffix[i] = new(big.Int).Mul(suffix[i+1], es[i])
 	}
-	wexps = grow(&w.wexps, n)
-	for i := range es {
-		wexps[i].Mul(prefix[i], suffix[i+1])
+	prefix := big.NewInt(1) // ∏ es[:i]
+	for i, e := range es {
+		wexps = append(wexps, new(big.Int).Mul(prefix, suffix[i+1]))
+		prefix = new(big.Int).Mul(prefix, e)
 	}
-	return wexps, prefix[n]
+	return wexps, suffix[0]
 }
 
-// grow returns the first n integers of *s, adding fresh ones as needed
-// in one allocation.
-func grow(s *[]*big.Int, n int) []*big.Int {
-	if k := n - len(*s); k > 0 {
-		*s = slices.Grow(*s, k)
-		for i, fresh := 0, make([]big.Int, k); i < k; i++ {
-			*s = append(*s, &fresh[i])
-		}
+// DigestScratch holds the big integers a digest exponent is computed
+// in, for a caller that derives exponents record after record: kept
+// across calls, it stops allocating once its integers have grown to
+// size. The zero value is ready for use; it is not safe for concurrent
+// use.
+type DigestScratch struct {
+	e    big.Int
+	prod [2]big.Int // the running product and the next one, in turn
+}
+
+// Exponent returns the product of items' hash exponents, the exponent
+// of their digest, computed in s: the result is s's own integer, valid
+// until the next call.
+func (s *DigestScratch) Exponent(items [][]byte) *big.Int {
+	cur, next := &s.prod[0], &s.prod[1]
+	cur.SetInt64(1)
+	for _, it := range items {
+		next.Mul(cur, hashInto(&s.e, it))
+		cur, next = next, cur
 	}
-	return (*s)[:n]
+	return cur
+}
+
+// Member reports whether item is one of the items whose hash exponents
+// multiply to the digest exponent dexp: whether H(item) divides dexp
+// exactly. It decides whether
+//
+//	Accumulate(PowX0(dexp/H(item)), item) == PowX0(dexp)
+//
+// with one division and no exponentiation. A tampered item passes only
+// if its hash exponent happens to be one of dexp's divisors: a SHA-256
+// preimage search against at most 2^Ω targets, where Ω counts dexp's
+// prime factors.
+func Member(dexp *big.Int, item []byte) bool {
+	if dexp == nil || dexp.Sign() <= 0 {
+		return false
+	}
+	var e, q, r big.Int
+	q.QuoRem(dexp, hashInto(&e, item), &r)
+	return r.Sign() == 0
 }

@@ -16,8 +16,9 @@ func witnessItems(n int) [][]byte {
 
 // TestWitnessExponentsMatchesDefinition pins the exponent-product path
 // against the group-element definition: PowX0 of each witness exponent
-// equals the per-index Witness, PowX0 of the total equals the digest,
-// and every materialized witness verifies.
+// equals the accumulation of every other item, PowX0 of the total
+// equals the digest, and every materialized witness takes its item to
+// the digest.
 func TestWitnessExponentsMatchesDefinition(t *testing.T) {
 	p := testParams(t)
 	for _, n := range []int{1, 2, 3, 4, 5, 9} {
@@ -31,15 +32,12 @@ func TestWitnessExponentsMatchesDefinition(t *testing.T) {
 			t.Fatalf("n=%d: PowX0(total) diverges from AccumulateAll", n)
 		}
 		for i := range items {
-			want, err := p.Witness(items, i)
-			if err != nil {
-				t.Fatal(err)
-			}
+			others := append(append([][]byte(nil), items[:i]...), items[i+1:]...)
 			w := p.PowX0(wexps[i])
-			if w.Cmp(want) != 0 {
+			if w.Cmp(p.AccumulateAll(others)) != 0 {
 				t.Fatalf("n=%d: materialized witness %d diverges from definition", n, i)
 			}
-			if !p.VerifyWitness(digest, w, items[i]) {
+			if p.Accumulate(w, items[i]).Cmp(digest) != 0 {
 				t.Fatalf("n=%d: materialized witness %d does not verify", n, i)
 			}
 		}
@@ -53,23 +51,52 @@ func TestWitnessExponentsMatchesDefinition(t *testing.T) {
 	}
 }
 
-// BenchmarkWitnessExponents measures the cluster write path's witness
-// derivation: exponent products for every fragment plus the fixed-base
-// digest evaluation. The whole point of shipping exponents is that this
-// costs about as much as the digest alone used to.
-func BenchmarkWitnessExponents(b *testing.B) {
+// BenchmarkDigestExponent measures the cluster write path's
+// accumulator work per record: the digest exponent of a 4-node record's
+// fragments, in reused scratch, plus its fixed-base digest evaluation.
+func BenchmarkDigestExponent(b *testing.B) {
 	p := testParams(b)
 	items := witnessItems(4) // fragments of a 4-node record
 	p.PowX0(big.NewInt(3))   // build the narrow table outside the timer
+	var s DigestScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wexps, total := p.WitnessExponents(items)
-		if len(wexps) != len(items) {
-			b.Fatal("bad witness exponent count")
-		}
-		if p.PowX0(total) == nil {
+		if p.PowX0(s.Exponent(items)) == nil {
 			b.Fatal("nil digest")
+		}
+	}
+}
+
+// BenchmarkMember measures the local integrity check's arithmetic: one
+// fragment's hash exponent divided into a 4-node record's digest
+// exponent.
+func BenchmarkMember(b *testing.B) {
+	items := witnessItems(4)
+	var s DigestScratch
+	dexp := s.Exponent(items)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !Member(dexp, items[i%len(items)]) {
+			b.Fatal("member refused")
+		}
+	}
+}
+
+// TestMember holds Member to the integer division over the same random
+// records and tamperings as TestDivisionCheckAgreesWithWitness: it
+// accepts exactly the items of the record. It refuses digest exponents
+// no writer produces.
+func TestMember(t *testing.T) {
+	eachTampering(t, func(items [][]byte, _ []*big.Int, dexp *big.Int, i int, item []byte, tampered bool) {
+		if Member(dexp, item) != inRecord(items, item) || Member(dexp, item) != divides(dexp, item) {
+			t.Fatalf("fragment %d (tampered %v): Member %v, division %v", i, tampered, Member(dexp, item), divides(dexp, item))
+		}
+	})
+	item := []byte("y000")
+	for _, dexp := range []*big.Int{nil, big.NewInt(0), new(big.Int).Neg(HashItem(item))} {
+		if Member(dexp, item) {
+			t.Fatalf("digest exponent %v accepted", dexp)
 		}
 	}
 }

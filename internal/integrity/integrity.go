@@ -26,7 +26,7 @@ import (
 
 // Message types: relays travel as MsgCirculate; the full-circle value
 // returns to the initiator as MsgResult so responder loops never consume
-// it. Witness-backed checks use MsgAttest/MsgAttestResult instead: one
+// it. The attest round uses MsgAttest/MsgAttestResult instead: one
 // parallel round trip per peer, each peer verifying its own fragment
 // locally.
 const (
@@ -43,10 +43,10 @@ var (
 	ErrNoDigest = errors.New("integrity: no stored digest")
 	// ErrFragmentMissing indicates a ring node without the fragment.
 	ErrFragmentMissing = errors.New("integrity: fragment missing on a node")
-	// ErrNoWitness indicates that a store keeps no membership witness
-	// for the record (it is no WitnessStore, or it does not hold the
-	// glsn), so the local check cannot decide and circulation must.
-	ErrNoWitness = errors.New("integrity: no stored witness")
+	// ErrNoExponent indicates that a store keeps no digest exponent for
+	// the record (it is no ExponentStore, or it does not hold the glsn),
+	// so the local check cannot decide and circulation must.
+	ErrNoExponent = errors.New("integrity: no stored digest exponent")
 )
 
 // Store is the node-local state the protocol reads: the fragment and
@@ -56,15 +56,16 @@ type Store interface {
 	Digest(g logmodel.GLSN) (*big.Int, bool)
 }
 
-// WitnessStore is the extension a store implements to keep the
-// per-node membership witnesses writers ship at log time. A cluster
-// node refuses any stored item without its witness exponent, so it
-// holds a witness for every record it holds. With a witness, a node
-// verifies its fragment against the record digest in one local
-// exponentiation — no ring traffic — and a whole-record check becomes
-// one parallel attest round instead of a sequential circulation.
-type WitnessStore interface {
-	Witness(g logmodel.GLSN) (*big.Int, bool)
+// ExponentStore is the extension a store implements to keep each
+// record's digest exponent dexp, the product of every fragment's hash
+// exponent, as writers ship it at log time. A cluster node refuses any
+// stored item without it, so it holds one for every record it holds.
+// With dexp, a node verifies its fragment against the record in one
+// integer division — no ring traffic, no exponentiation — and a
+// whole-record check becomes one parallel attest round instead of a
+// sequential circulation.
+type ExponentStore interface {
+	DigestExp(g logmodel.GLSN) (*big.Int, bool)
 }
 
 type circulateBody struct {
@@ -81,7 +82,7 @@ type circulateBody struct {
 // ring node (including check initiators) must run Serve.
 func Serve(ctx context.Context, mb *transport.Mailbox, ring []string, params *accumulator.Params, store Store) error {
 	done := make(chan error, 1)
-	go func() { done <- serveAttest(ctx, mb, params, store) }()
+	go func() { done <- serveAttest(ctx, mb, store) }()
 	err := serveCirculate(ctx, mb, ring, params, store)
 	if aerr := <-done; err == nil {
 		err = aerr
@@ -137,16 +138,16 @@ type attestBody struct {
 
 type attestResult struct {
 	GLSN logmodel.GLSN `json:"glsn"`
-	// OK reports that the responder's fragment verified against its
-	// witness and the stored digest. Any other outcome — no witness, no
-	// digest, missing fragment, mismatch — leaves OK false and sends the
-	// initiator back to authoritative circulation.
+	// OK reports that the responder's fragment verified against the
+	// stored digest exponent. Any other outcome — no exponent, missing
+	// fragment, mismatch — leaves OK false and sends the initiator back
+	// to authoritative circulation.
 	OK bool `json:"ok"`
 }
 
-// serveAttest answers witness attestation requests: verify the local
-// fragment against the local witness and digest, reply with the verdict.
-func serveAttest(ctx context.Context, mb *transport.Mailbox, params *accumulator.Params, store Store) error {
+// serveAttest answers attestation requests: verify the local fragment
+// against the local digest exponent, reply with the verdict.
+func serveAttest(ctx context.Context, mb *transport.Mailbox, store Store) error {
 	for {
 		msg, err := mb.ExpectType(ctx, MsgAttest)
 		if err != nil {
@@ -159,34 +160,41 @@ func serveAttest(ctx context.Context, mb *transport.Mailbox, params *accumulator
 		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
 			continue
 		}
-		resp := attestResult{GLSN: body.GLSN, OK: CheckLocal(params, store, body.GLSN) == nil}
+		resp := attestResult{GLSN: body.GLSN, OK: CheckLocal(store, body.GLSN) == nil}
 		mb.SendBody(ctx, body.Initiator, MsgAttestResult, msg.Session, resp) //nolint:errcheck // lost reply surfaces as initiator timeout
 	}
 }
 
-// CheckLocal verifies this node's fragment against its stored witness
-// and the record digest — one exponentiation, no messages. It returns
-// ErrNoWitness when the store keeps no witness for g; a failed local
-// check makes the attest round unclean, and Check then circulates.
-func CheckLocal(params *accumulator.Params, store Store, g logmodel.GLSN) error {
-	ws, ok := store.(WitnessStore)
+// CheckLocal verifies this node's fragment against the record's stored
+// digest exponent: the fragment's hash exponent must divide it
+// (accumulator.Member) — one division, no messages. It returns
+// ErrNoExponent when the store keeps no digest exponent for g; a failed
+// local check makes the attest round unclean, and Check then
+// circulates.
+//
+// It gives no verdict on a fragment without values. Every node's empty
+// fragment of g has the same canonical form, so whenever another
+// node's fragment of the record is empty, H(empty) divides dexp and a
+// wiped fragment would pass the division; only circulation, which
+// folds each node's fragment once, can tell the two apart.
+func CheckLocal(store Store, g logmodel.GLSN) error {
+	es, ok := store.(ExponentStore)
 	if !ok {
-		return fmt.Errorf("%w: store does not maintain witnesses", ErrNoWitness)
+		return fmt.Errorf("%w: store does not keep digest exponents", ErrNoExponent)
 	}
-	w, ok := ws.Witness(g)
+	dexp, ok := es.DigestExp(g)
 	if !ok {
-		return fmt.Errorf("%w: glsn %s", ErrNoWitness, g)
-	}
-	digest, ok := store.Digest(g)
-	if !ok {
-		return fmt.Errorf("%w: glsn %s", ErrNoDigest, g)
+		return fmt.Errorf("%w: glsn %s", ErrNoExponent, g)
 	}
 	frag, ok := store.Fragment(g)
 	if !ok {
 		return fmt.Errorf("%w: glsn %s", ErrFragmentMissing, g)
 	}
-	if !params.VerifyWitness(digest, w, frag.Canonical()) {
-		return fmt.Errorf("integrity: witness mismatch for glsn %s: fragment tampered or corrupted", g)
+	if len(frag.Values) == 0 {
+		return fmt.Errorf("integrity: fragment of glsn %s holds no values: the local check cannot tell it from another node's", g)
+	}
+	if !accumulator.Member(dexp, frag.Canonical()) {
+		return fmt.Errorf("integrity: fragment of glsn %s is not a factor of its digest: tampered or corrupted", g)
 	}
 	return nil
 }
@@ -194,17 +202,17 @@ func CheckLocal(params *accumulator.Params, store Store, g logmodel.GLSN) error 
 // checkSeq makes concurrent checks from one node collision-free.
 var checkSeq atomic.Uint64
 
-// checkAttest runs the witness fast path for one glsn: verify the local
+// checkAttest runs the attest fast path for one glsn: verify the local
 // fragment, then ask every peer to verify its own in parallel. It
 // reports clean only when the local check and every peer's attestation
-// pass; any other outcome (a peer without a witness, a mismatch, a
-// transport failure) sends the caller back to circulation, which stays
-// the authoritative verdict. The whole round is one parallel RTT, so a
-// sweep's critical path drops from n sequential fold-and-forward hops
-// per record to a single exchange.
-func checkAttest(ctx context.Context, mb *transport.Mailbox, ring []string, params *accumulator.Params, store Store, g logmodel.GLSN) bool {
+// pass; any other outcome (a store without the digest exponent, a
+// mismatch, a transport failure) sends the caller back to circulation,
+// which stays the authoritative verdict. The whole round is one
+// parallel RTT, so a sweep's critical path drops from n sequential
+// fold-and-forward hops per record to a single exchange.
+func checkAttest(ctx context.Context, mb *transport.Mailbox, ring []string, store Store, g logmodel.GLSN) bool {
 	self := mb.ID()
-	if CheckLocal(params, store, g) != nil {
+	if CheckLocal(store, g) != nil {
 		return false
 	}
 	session := "iatt/" + self + "/" + g.String() + "/" + strconv.FormatUint(checkSeq.Add(1), 10)
@@ -236,16 +244,14 @@ func checkAttest(ctx context.Context, mb *transport.Mailbox, ring []string, para
 
 // Check verifies one glsn against the stored digest. It first runs the
 // attest round (one parallel round, each node verifying locally against
-// its witness). Circulating the accumulator around the ring is the
-// authoritative fallback: it runs whenever the attest round does not
-// come back unanimously clean — a node without the fragment or its
-// witness, a tampered fragment, a lost reply. The caller's node must be
-// a ring member running Serve (for other initiators' checks).
+// its digest exponent). Circulating the accumulator around the ring is
+// the authoritative fallback: it runs whenever the attest round does
+// not come back unanimously clean — a node without the fragment or its
+// digest exponent, a tampered fragment, a lost reply. The caller's node
+// must be a ring member running Serve (for other initiators' checks).
 func Check(ctx context.Context, mb *transport.Mailbox, ring []string, params *accumulator.Params, store Store, g logmodel.GLSN) error {
-	if ws, ok := store.(WitnessStore); ok {
-		if _, ok := ws.Witness(g); ok && checkAttest(ctx, mb, ring, params, store, g) {
-			return nil
-		}
+	if checkAttest(ctx, mb, ring, store, g) {
+		return nil
 	}
 	return checkCirculate(ctx, mb, ring, params, store, g)
 }

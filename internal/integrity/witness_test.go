@@ -12,21 +12,21 @@ import (
 	"confaudit/internal/transport"
 )
 
-// witStore layers witnesses and per-method call counters over memStore,
-// so tests can prove which protocol actually ran: a circulation folds
-// Fragment on every responder, an attest round reads Witness and Digest
-// there instead.
+// witStore layers digest exponents and per-method call counters over
+// memStore, so tests can prove which protocol actually ran: a
+// circulation folds Fragment and compares Digest, an attest round
+// reads Fragment and DigestExp instead.
 type witStore struct {
 	*memStore
 	cmu       sync.Mutex
-	witnesses map[logmodel.GLSN]*big.Int
+	exps      map[logmodel.GLSN]*big.Int
 	fragCalls int
 	digCalls  int
-	witCalls  int
+	expCalls  int
 }
 
 func newWitStore() *witStore {
-	return &witStore{memStore: newMemStore(), witnesses: make(map[logmodel.GLSN]*big.Int)}
+	return &witStore{memStore: newMemStore(), exps: make(map[logmodel.GLSN]*big.Int)}
 }
 
 func (s *witStore) Fragment(g logmodel.GLSN) (logmodel.Fragment, bool) {
@@ -43,26 +43,24 @@ func (s *witStore) Digest(g logmodel.GLSN) (*big.Int, bool) {
 	return s.memStore.Digest(g)
 }
 
-func (s *witStore) Witness(g logmodel.GLSN) (*big.Int, bool) {
+func (s *witStore) DigestExp(g logmodel.GLSN) (*big.Int, bool) {
 	s.cmu.Lock()
-	s.witCalls++
-	s.cmu.Unlock()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	w, ok := s.witnesses[g]
-	return w, ok
+	defer s.cmu.Unlock()
+	s.expCalls++
+	e, ok := s.exps[g]
+	return e, ok
 }
 
 func (s *witStore) resetCounters() {
 	s.cmu.Lock()
-	s.fragCalls, s.digCalls, s.witCalls = 0, 0, 0
+	s.fragCalls, s.digCalls, s.expCalls = 0, 0, 0
 	s.cmu.Unlock()
 }
 
-func (s *witStore) counts() (frag, dig, wit int) {
+func (s *witStore) counts() (frag, dig, exp int) {
 	s.cmu.Lock()
 	defer s.cmu.Unlock()
-	return s.fragCalls, s.digCalls, s.witCalls
+	return s.fragCalls, s.digCalls, s.expCalls
 }
 
 type witRig struct {
@@ -109,10 +107,10 @@ func newWitRig(t *testing.T, n int) *witRig {
 	return w
 }
 
-// logWitnessRecord installs fragments, digest, and per-node witnesses —
-// the client write path in miniature: exponents from WitnessExponents,
-// group elements from PowX0 — and zeroes the call counters so a test
-// observes only the check it runs.
+// logWitnessRecord installs fragments, the digest and its exponent on
+// every node — the client write path in miniature: the exponent from
+// DigestScratch, the group element from PowX0 — and zeroes the call
+// counters so a test observes only the check it runs.
 func (w *witRig) logWitnessRecord(t *testing.T, ex *logmodel.PaperExample, rec logmodel.Record) {
 	t.Helper()
 	frags := ex.Partition.Split(rec)
@@ -121,16 +119,17 @@ func (w *witRig) logWitnessRecord(t *testing.T, ex *logmodel.PaperExample, rec l
 	for _, node := range nodes {
 		items = append(items, frags[node].Canonical())
 	}
-	wexps, total := w.params.WitnessExponents(items)
-	digest := w.params.PowX0(total)
-	for i, node := range nodes {
+	var scratch accumulator.DigestScratch
+	dexp := new(big.Int).Set(scratch.Exponent(items))
+	digest := w.params.PowX0(dexp)
+	for _, node := range nodes {
 		s := w.stores[node]
 		s.mu.Lock()
 		s.frags[rec.GLSN] = frags[node]
 		s.digests[rec.GLSN] = digest
 		s.mu.Unlock()
 		s.cmu.Lock()
-		s.witnesses[rec.GLSN] = w.params.PowX0(wexps[i])
+		s.exps[rec.GLSN] = dexp
 		s.cmu.Unlock()
 	}
 	for _, s := range w.stores {
@@ -139,9 +138,10 @@ func (w *witRig) logWitnessRecord(t *testing.T, ex *logmodel.PaperExample, rec l
 }
 
 // TestCheckWitnessFastPathSkipsCirculation pins the headline property:
-// a clean witness-backed check is one parallel attest round with NO ring
-// circulation. Decisively: each responder reads its fragment exactly
-// once (the local attest verify); a circulation fold would read it a
+// a clean exponent-backed check is one parallel attest round with NO
+// ring circulation. Decisively: each responder reads its fragment and
+// its digest exponent exactly once (the local attest verify) and never
+// the digest element; a circulation fold would read the fragment a
 // second time.
 func TestCheckWitnessFastPathSkipsCirculation(t *testing.T) {
 	ex, err := logmodel.NewPaperExample()
@@ -154,12 +154,12 @@ func TestCheckWitnessFastPathSkipsCirculation(t *testing.T) {
 	w.logWitnessRecord(t, ex, rec)
 
 	if err := Check(ctx, w.mbs["P0"], w.ring, w.params, w.stores["P0"], rec.GLSN); err != nil {
-		t.Fatalf("clean witness-backed record flagged: %v", err)
+		t.Fatalf("clean exponent-backed record flagged: %v", err)
 	}
 	for _, id := range w.ring[1:] {
-		frag, dig, wit := w.stores[id].counts()
-		if frag != 1 || dig != 1 || wit != 1 {
-			t.Errorf("responder %s: frag=%d dig=%d wit=%d calls, want 1/1/1 (attest only, no circulation)", id, frag, dig, wit)
+		frag, dig, exp := w.stores[id].counts()
+		if frag != 1 || dig != 0 || exp != 1 {
+			t.Errorf("responder %s: frag=%d dig=%d exp=%d calls, want 1/0/1 (attest only, no circulation)", id, frag, dig, exp)
 		}
 	}
 }
@@ -187,7 +187,7 @@ func TestCheckWitnessDetectsTamperedPeer(t *testing.T) {
 
 	err = Check(ctx, w.mbs["P0"], w.ring, w.params, w.stores["P0"], rec.GLSN)
 	if err == nil {
-		t.Fatal("tampered peer fragment not detected through witness path")
+		t.Fatal("tampered peer fragment not detected through the attest path")
 	}
 	if errors.Is(err, ErrNoDigest) || errors.Is(err, ErrFragmentMissing) {
 		t.Fatalf("wrong failure class: %v", err)
@@ -195,7 +195,7 @@ func TestCheckWitnessDetectsTamperedPeer(t *testing.T) {
 }
 
 // TestCheckWitnessDetectsLocalTamper: the initiator's own corrupted
-// fragment fails its local witness verify before any message is sent,
+// fragment fails its local division check before any message is sent,
 // and circulation confirms.
 func TestCheckWitnessDetectsLocalTamper(t *testing.T) {
 	ex, err := logmodel.NewPaperExample()
@@ -219,9 +219,9 @@ func TestCheckWitnessDetectsLocalTamper(t *testing.T) {
 	}
 }
 
-// TestCheckWitnessFallsBackWithoutPeerWitness: a record whose witness
-// is missing on one peer still verifies — the attest round comes back
-// non-unanimous and the check falls back to circulation.
+// TestCheckWitnessFallsBackWithoutPeerWitness: a record whose digest
+// exponent is missing on one peer still verifies — the attest round
+// comes back non-unanimous and the check falls back to circulation.
 func TestCheckWitnessFallsBackWithoutPeerWitness(t *testing.T) {
 	ex, err := logmodel.NewPaperExample()
 	if err != nil {
@@ -234,11 +234,11 @@ func TestCheckWitnessFallsBackWithoutPeerWitness(t *testing.T) {
 
 	s := w.stores["P2"]
 	s.cmu.Lock()
-	delete(s.witnesses, rec.GLSN)
+	delete(s.exps, rec.GLSN)
 	s.cmu.Unlock()
 
 	if err := Check(ctx, w.mbs["P0"], w.ring, w.params, w.stores["P0"], rec.GLSN); err != nil {
-		t.Fatalf("clean record failed after losing one peer witness: %v", err)
+		t.Fatalf("clean record failed after losing one peer's digest exponent: %v", err)
 	}
 	// The fallback circulated: P1 answered an attest (one fragment read)
 	// AND folded the circulation (a second).
@@ -271,7 +271,7 @@ func TestCheckWitnessMissingPeerFragment(t *testing.T) {
 }
 
 // TestCheckAllWitnessSweepNoCirculation: a whole-history sweep over
-// witness-backed records never circulates — every responder reads each
+// exponent-backed records never circulates — every responder reads each
 // fragment exactly once per record.
 func TestCheckAllWitnessSweepNoCirculation(t *testing.T) {
 	ex, err := logmodel.NewPaperExample()
@@ -305,7 +305,7 @@ func TestCheckLocal(t *testing.T) {
 	rec := ex.Records[0]
 	w.logWitnessRecord(t, ex, rec)
 
-	if err := CheckLocal(w.params, w.stores["P1"], rec.GLSN); err != nil {
+	if err := CheckLocal(w.stores["P1"], rec.GLSN); err != nil {
 		t.Fatalf("clean local check failed: %v", err)
 	}
 	// Tampering flips the verdict with no messages involved.
@@ -315,14 +315,95 @@ func TestCheckLocal(t *testing.T) {
 	frag.Values["Tid"] = logmodel.String("T0000000")
 	s.frags[rec.GLSN] = frag
 	s.mu.Unlock()
-	if err := CheckLocal(w.params, s, rec.GLSN); err == nil {
+	if err := CheckLocal(s, rec.GLSN); err == nil {
 		t.Fatal("tampered local fragment passed CheckLocal")
 	}
-	// Witness-less records and plain stores report ErrNoWitness.
-	if err := CheckLocal(w.params, s, rec.GLSN+999); !errors.Is(err, ErrNoWitness) {
-		t.Fatalf("err = %v, want ErrNoWitness", err)
+	// Records without an exponent and plain stores report ErrNoExponent.
+	if err := CheckLocal(s, rec.GLSN+999); !errors.Is(err, ErrNoExponent) {
+		t.Fatalf("err = %v, want ErrNoExponent", err)
 	}
-	if err := CheckLocal(w.params, newMemStore(), rec.GLSN); !errors.Is(err, ErrNoWitness) {
-		t.Fatalf("plain store: err = %v, want ErrNoWitness", err)
+	if err := CheckLocal(newMemStore(), rec.GLSN); !errors.Is(err, ErrNoExponent) {
+		t.Fatalf("plain store: err = %v, want ErrNoExponent", err)
+	}
+}
+
+// TestAttestRoundsInParallel has every ring node sweep the whole history
+// at once, so each node answers the other initiators' attest requests
+// while running its own local checks. Every sweep must come back clean
+// without a single circulation: each node reads each fragment once per
+// initiator (its own local check, and one attest answer for each peer).
+func TestAttestRoundsInParallel(t *testing.T) {
+	ex, err := logmodel.NewPaperExample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWitRig(t, 4)
+	ctx := testCtx(t)
+	glsns := make([]logmodel.GLSN, 0, len(ex.Records))
+	for _, rec := range ex.Records {
+		w.logWitnessRecord(t, ex, rec)
+		glsns = append(glsns, rec.GLSN)
+	}
+	var wg sync.WaitGroup
+	for _, id := range w.ring {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			if rep := CheckAll(ctx, w.mbs[id], w.ring, w.params, w.stores[id], glsns); !rep.Clean() {
+				t.Errorf("%s: sweep reported corrupted=%v errors=%v", id, rep.Corrupted, rep.Errors)
+			}
+		}(id)
+	}
+	wg.Wait()
+	for _, id := range w.ring {
+		if frag, dig, _ := w.stores[id].counts(); frag != len(w.ring)*len(glsns) || dig != 0 {
+			t.Errorf("%s read fragments %d times and digests %d times, want %d and 0 (attest rounds only)", id, frag, dig, len(w.ring)*len(glsns))
+		}
+	}
+}
+
+// TestCheckDetectsWipeBesideEmptyFragment covers the one tampering the
+// division alone cannot see. The record populates only P0's and P1's
+// attributes, so P2 and P3 hold empty fragments, and the hash of an
+// empty fragment of the glsn divides dexp. Wiping P1's values leaves
+// P1 an empty fragment whose hash divides dexp too; the local check
+// must give no verdict on it, so Check circulates and reports the
+// record corrupted from every initiator.
+func TestCheckDetectsWipeBesideEmptyFragment(t *testing.T) {
+	ex, err := logmodel.NewPaperExample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWitRig(t, 4)
+	ctx := testCtx(t)
+	rec := logmodel.Record{GLSN: 0x139aef90, Values: map[logmodel.Attr]logmodel.Value{
+		"time": logmodel.String("20:18:35/05/12/2002"),
+		"id":   logmodel.String("U1"),
+	}}
+	w.logWitnessRecord(t, ex, rec)
+
+	// Untouched, the record verifies; the empty fragments send the check
+	// to circulation rather than to a verdict of their own.
+	if err := CheckLocal(w.stores["P2"], rec.GLSN); err == nil {
+		t.Fatal("CheckLocal gave a verdict on an empty fragment")
+	}
+	if err := Check(ctx, w.mbs["P0"], w.ring, w.params, w.stores["P0"], rec.GLSN); err != nil {
+		t.Fatalf("clean record with empty fragments flagged: %v", err)
+	}
+
+	s := w.stores["P1"]
+	s.mu.Lock()
+	frag := s.frags[rec.GLSN]
+	frag.Values = map[logmodel.Attr]logmodel.Value{}
+	s.frags[rec.GLSN] = frag
+	s.mu.Unlock()
+	if dexp, _ := s.DigestExp(rec.GLSN); !accumulator.Member(dexp, frag.Canonical()) {
+		t.Fatal("the wiped fragment no longer divides dexp: the test no longer covers the case")
+	}
+	for _, id := range w.ring {
+		rep := CheckAll(ctx, w.mbs[id], w.ring, w.params, w.stores[id], []logmodel.GLSN{rec.GLSN})
+		if len(rep.Corrupted) != 1 {
+			t.Errorf("check from %s: corrupted=%v errors=%v, want the wiped record corrupted", id, rep.Corrupted, rep.Errors)
+		}
 	}
 }

@@ -17,7 +17,8 @@ all: build vet test
 # race-enabled test suite (uncached, so a flaky test cannot hide behind
 # a cached pass), and the journal tests, the held-record readers racing
 # overwrites and deletes, the fragment store against its reference
-# model, the writer's record encoder against its field-by-field
+# model, the attribute index (its Compare semantics, with the real
+# string hash and through collision chains), the writer's record encoder against its field-by-field
 # reference path, the Appender's glsn leases and shared ack slabs
 # beside concurrent writers, the sequencer's vote count (per peer, stale
 # votes dropped), the integrity check's local division and attest round,
@@ -26,7 +27,7 @@ all: build vet test
 # interleavings differ most.
 check: bench-smoke bench-module vet staticcheck obs-smoke obs-ingest-smoke chaos crash-torture examples
 	$(GO) test -race -count=1 ./...
-	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Journal|WAL|Compact|Replay|Staged|Pipelined|Materialize|VisitFragments|Fragstore|RecordEncoder|Appender|Lease|Propose|Vote' ./internal/cluster/
+	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Journal|WAL|Compact|Replay|Staged|Pipelined|Materialize|VisitFragments|Fragstore|Index|RecordEncoder|Appender|Lease|Propose|Vote' ./internal/cluster/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'CheckLocal|Attest' ./internal/integrity/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'FixedBase|FirstHop' ./internal/mathx/ ./internal/crypto/commutative/
 

@@ -22,8 +22,11 @@ import (
 //     pageSlots consecutive glsns and keyed by glsn >> pageBits, kept in
 //     ascending key order. Memory grows with the records held, not with
 //     the span of their glsns, and every walk is in glsn order.
-//   - the attribute index: per attribute and value key, a sorted glsn
-//     run.
+//   - the attribute index: per attribute of the node's sorted A_i, by
+//     slot, and per value key, a sorted glsn run (index.go). An install
+//     takes its keys from the item walk, so it reads none of the run's
+//     values again; only the run an overwrite or remove lets go of is
+//     walked, to unindex it.
 //   - elems, a side map of the lazily materialized digest elements
 //     (Node.Digest). A (re)install or remove of a glsn clears its
 //     entry, so an element never outlives the content it was computed
@@ -40,7 +43,11 @@ type fragstore struct {
 	count int         // records held
 	arena fragArena
 	elems map[logmodel.GLSN]*big.Int
-	idx   map[logmodel.Attr]*attrIndex
+	attrs []logmodel.Attr // A_node, sorted: idx[i] indexes attrs[i]
+	idx   []attrIndex
+	// hashMask narrows every string key's hash. It is all ones; a test
+	// narrows it to drive every string key through collision chains.
+	hashMask uint64
 }
 
 const (
@@ -67,11 +74,15 @@ type fragPage struct {
 	slots [pageSlots]fragSlot
 }
 
-func newFragstore() *fragstore {
+// newFragstore returns an empty store indexing the sorted attributes
+// attrs, the node's A_i.
+func newFragstore(attrs []logmodel.Attr) *fragstore {
 	return &fragstore{
-		arena: fragArena{cur: -1},
-		elems: make(map[logmodel.GLSN]*big.Int),
-		idx:   make(map[logmodel.Attr]*attrIndex),
+		arena:    fragArena{cur: -1},
+		elems:    make(map[logmodel.GLSN]*big.Int),
+		attrs:    attrs,
+		idx:      make([]attrIndex, len(attrs)),
+		hashMask: ^uint64(0),
 	}
 }
 
@@ -155,24 +166,25 @@ func (s *fragstore) each(fn func(g logmodel.GLSN, run []byte)) {
 	}
 }
 
-// install holds a checked item as its glsn's record, replacing what
-// the glsn held. The run is held as it is when its fragment already
-// names node, as Split makes it; otherwise it is re-encoded once with
-// node's ID stamped. It is the node's only install: the live store path
-// and journal replay both call it.
+// install holds an item that passed viewItem and the A_node check
+// (Node.admitItem) as its glsn's record, replacing what the glsn held,
+// and indexes it by the keys those two resolved. The run is held as it
+// is when its fragment already names node, as Split makes it; otherwise
+// it is re-encoded once with node's ID stamped. It is the node's only
+// install: the live store path and journal replay both call it.
 func (s *fragstore) install(v *itemView, node string) {
 	run := v.run
 	if string(v.node) != node {
 		run = v.stamped(node)
 	}
-	s.set(v.glsn, run)
+	s.set(v.glsn, run, v.keys)
 	delete(s.elems, v.glsn)
 }
 
-// set copies run into the arena as g's record and re-indexes g. It keeps
-// g's materialized element: install clears it, TamperFragment keeps it
-// on purpose.
-func (s *fragstore) set(g logmodel.GLSN, run []byte) {
+// set copies run into the arena as g's record and re-indexes g by keys,
+// the run's resolved index keys. It keeps g's materialized element:
+// install clears it, TamperFragment keeps it on purpose.
+func (s *fragstore) set(g logmodel.GLSN, run []byte, keys []valueKey) {
 	key := uint64(g) >> pageBits
 	i, ok := s.page(key)
 	if !ok {
@@ -188,7 +200,7 @@ func (s *fragstore) set(g logmodel.GLSN, run []byte) {
 		s.count++
 	}
 	*sl = s.arena.put(run)
-	s.indexAdd(g, s.arena.run(*sl))
+	s.indexAdd(g, keys)
 	s.compactIfSparse()
 }
 

@@ -173,15 +173,29 @@ var (
 // map-based model. Values mix ints, floats, strings, NaN, ±0 and 2^53,
 // and a few runs are large, so table pages are created and dropped and
 // the arena compacts several times.
+//
+// Each seed runs twice: once with the string keys' real hash, and once
+// with every string key hashed alike, so that each string lookup,
+// insert and removal goes through a collision chain.
 func TestFragstoreAgainstModel(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		t.Run(fmt.Sprint(seed), func(t *testing.T) { checkFragstore(t, seed) })
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { checkFragstore(t, seed, ^uint64(0)) })
+		t.Run(fmt.Sprintf("collide-%d", seed), func(t *testing.T) { checkFragstore(t, seed, 0) })
 	}
 }
 
-func checkFragstore(t *testing.T, seed uint64) {
+// fragAttrs is the A_i of checkFragstore's node: every attribute its
+// model writes, sorted.
+var fragAttrs = []logmodel.Attr{"a", "big", "n", "ver", "x"}
+
+func checkFragstore(t *testing.T, seed, hashMask uint64) {
 	rng := rand.New(rand.NewPCG(seed, 42))
-	n := &Node{id: "P1", frags: newFragstore()}
+	newStore := func() *fragstore {
+		s := newFragstore(fragAttrs)
+		s.hashMask = hashMask
+		return s
+	}
+	n := &Node{id: "P1", attrs: fragAttrs, frags: newStore()}
 	m := &fragModel{
 		recs:     make(map[logmodel.GLSN]refRecord),
 		elems:    make(map[logmodel.GLSN]*big.Int),
@@ -217,6 +231,18 @@ func checkFragstore(t *testing.T, seed uint64) {
 			Fragment:  logmodel.Fragment{GLSN: g, Node: node, Values: vals},
 			DigestExp: big.NewInt(int64(g%1000) + 2),
 		})
+	}
+	// admitted is an item as the store door passes it to install: walked
+	// by viewItem, its keys slotted by the A_node check.
+	admitted := func(run []byte) itemView {
+		v, _, err := viewItem(run, nil)
+		if err == nil {
+			err = n.admitItem(&v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
 	randGLSN := func() logmodel.GLSN {
 		return fragBases[rng.IntN(len(fragBases))] + logmodel.GLSN(rng.IntN(700))
@@ -322,10 +348,7 @@ func checkFragstore(t *testing.T, seed uint64) {
 			if rng.IntN(8) == 0 {
 				shipped = "P9"
 			}
-			v, err := viewItem(item(g, shipped, vals))
-			if err != nil {
-				t.Fatal(err)
-			}
+			v := admitted(item(g, shipped, vals))
 			n.frags.install(&v, n.id)
 			m.recs[g] = refRecord{ver: ver, run: item(g, "P1", vals)}
 			delete(m.elems, g)
@@ -378,13 +401,13 @@ func checkFragstore(t *testing.T, seed uint64) {
 			}
 			stale, _ := n.frags.get(g)
 			vals := newValues()
-			v, _ := viewItem(item(g, "P1", vals))
+			v := admitted(item(g, "P1", vals))
 			n.frags.install(&v, n.id)
 			m.recs[g] = refRecord{ver: ver, run: item(g, "P1", vals)}
 			delete(m.elems, g)
 			n.frags.cacheElem(g, stale, big.NewInt(-1))
 		default: // replay a compaction snapshot into a fresh store
-			fresh := &Node{id: n.id, frags: newFragstore()}
+			fresh := &Node{id: n.id, attrs: fragAttrs, frags: newStore()}
 			var journal [][]byte
 			n.frags.each(func(_ logmodel.GLSN, run []byte) {
 				rec, err := entryRecord(&walEntry{Kind: "frag", Item: &batchItem{view: itemView{run: run}}})
@@ -394,7 +417,7 @@ func checkFragstore(t *testing.T, seed uint64) {
 				journal = append(journal, rec.Data)
 			})
 			for _, data := range journal {
-				e, err := decodeWALEntry(data[2:])
+				e, _, err := decodeWALEntry(data[2:], nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -431,7 +431,7 @@ func storeBatch(tb testing.TB, boot *Bootstrap, ticketID, node string, first log
 
 // benchNode is a memory-only node P1 with a registered write ticket
 // and a grant of n glsns, returned with the first of them.
-func benchNode(b *testing.B, n int) (*Node, string, logmodel.GLSN) {
+func benchNode(b testing.TB, n int) (*Node, string, logmodel.GLSN) {
 	b.Helper()
 	boot := sharedBootstrap(b)
 	net := transport.NewMemNetwork()
@@ -459,11 +459,12 @@ func benchNode(b *testing.B, n int) (*Node, string, logmodel.GLSN) {
 }
 
 // BenchmarkInstallStoreBatch decodes one node's 128-item store batch
-// from its payload and installs it, as handleStoreBatch does once the
-// grant is in place. The batch carries real exponents and a generated
-// record of the paper schema per item. Between iterations, off the
-// clock, the batch's records are removed again, so every iteration
-// installs fresh records as an ingest stream does.
+// from its payload, installs it and releases the decoded batch, as
+// handleStoreBatch does once the grant is in place. The batch carries
+// real exponents and a generated record of the paper schema per item.
+// Between iterations, off the clock, the batch's records are removed
+// again, so every iteration installs fresh records as an ingest stream
+// does.
 func BenchmarkInstallStoreBatch(b *testing.B) {
 	const items = 128
 	node, ticketID, first := benchNode(b, items)
@@ -476,6 +477,7 @@ func BenchmarkInstallStoreBatch(b *testing.B) {
 		if err := node.storeFragmentBatch(&got); err != nil {
 			b.Fatal(err)
 		}
+		got.release()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

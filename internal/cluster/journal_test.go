@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"math/big"
 	"os"
 	"path/filepath"
 	"slices"
@@ -528,6 +529,51 @@ func TestReplayRefusesVersion3Journal(t *testing.T) {
 	v3[1] = walBinVersion
 	if err := replayOne(t, storage.Record{Kind: "frag", GLSN: 300, Data: v3}); !errors.Is(err, wire.ErrMalformed) {
 		t.Fatalf("replaying a witness-exponent item as version %d: err = %v, want wire.ErrMalformed", walBinVersion, err)
+	}
+}
+
+// TestReplayRefusesItemOutsideAttrs journals a store item that carries
+// an attribute outside the replaying node's A_i, as a fragment copied
+// from another node's journal would, and restarts the node on it. The
+// store door refuses such an item, and replay must too, with an error
+// naming the item's glsn, rather than install the foreign fragment.
+func TestReplayRefusesItemOutsideAttrs(t *testing.T) {
+	boot := sharedBootstrap(t)
+	owner := boot.Partition.Owner("C1")
+	node := "P0"
+	if owner == node {
+		node = "P1"
+	}
+	dir := t.TempDir()
+	j := &storeJournal{s: openStore(t, dir)}
+	const g = logmodel.GLSN(77)
+	copied := batchItem{
+		Fragment:  logmodel.Fragment{GLSN: g, Node: owner, Values: map[logmodel.Attr]logmodel.Value{"C1": logmodel.Int(5)}},
+		DigestExp: big.NewInt(6),
+	}
+	if err := journalWrite(j, walEntry{Kind: "frag", Item: &copied}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewMemNetwork()
+	defer net.Close() //nolint:errcheck
+	ep, err := net.Endpoint(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := boot.NodeConfig(node)
+	cfg.Storage = openStore(t, dir)
+	n, err := New(cfg, transport.NewMailbox(ep))
+	if err == nil {
+		_, held := n.Fragment(g)
+		n.Close() //nolint:errcheck
+		t.Fatalf("replay on %s accepted a journaled item carrying %s's attribute C1 (installed: %v)", node, owner, held)
+	}
+	cfg.Storage.Close() //nolint:errcheck
+	if msg := err.Error(); !strings.Contains(msg, g.String()) || !strings.Contains(msg, `attribute "C1" outside A_`+node) {
+		t.Fatalf("replay refusal %q names neither glsn %s nor the attribute outside A_%s", msg, g, node)
 	}
 }
 

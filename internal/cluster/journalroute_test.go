@@ -44,7 +44,9 @@ func TestStagedBatchSurvivesCompactionBeforeCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := openDurableNode(t, "P0", dir)
+	// The batch's fragments carry C1, so the node that owns C1 holds them.
+	owner := sharedBootstrap(t).Partition.Owner("C1")
+	node := openDurableNode(t, owner, dir)
 	if err := node.registerTicket(&ticketRegisterBody{Ticket: ToWire(tk)}); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,10 @@ func TestStagedBatchSurvivesCompactionBeforeCommit(t *testing.T) {
 	}
 	node.mu.Lock()
 	for i := range entries {
-		v, err := viewItem(appendBatchItem(nil, entries[i].Item))
+		v, _, err := viewItem(appendBatchItem(nil, entries[i].Item), nil)
+		if err == nil {
+			err = node.admitItem(&v)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +98,7 @@ func TestStagedBatchSurvivesCompactionBeforeCommit(t *testing.T) {
 			frags[e.Item.glsn()]++
 		}
 	}
-	restarted := openDurableNode(t, "P0", dir)
+	restarted := openDurableNode(t, owner, dir)
 	defer restarted.Close() //nolint:errcheck
 	held := restarted.GLSNs()
 	for _, e := range entries {
@@ -252,7 +257,9 @@ func TestGrantOverlapJournalsOnlyTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := openDurableNode(t, "P0", dir)
+	// The batch's fragments carry C1, so the node that owns C1 holds them.
+	owner := sharedBootstrap(t).Partition.Owner("C1")
+	node := openDurableNode(t, owner, dir)
 	if err := node.registerTicket(&ticketRegisterBody{Ticket: ToWire(tk)}); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +286,7 @@ func TestGrantOverlapJournalsOnlyTail(t *testing.T) {
 	if !slices.Equal(journaled, want) {
 		t.Fatalf("journaled grants %v, want %v", journaled, want)
 	}
-	restarted := openDurableNode(t, "P0", dir)
+	restarted := openDurableNode(t, owner, dir)
 	defer restarted.Close() //nolint:errcheck
 	if !slices.Equal(restarted.grantLog, want) {
 		t.Fatalf("replayed grant log %v, want %v", restarted.grantLog, want)

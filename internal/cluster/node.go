@@ -122,7 +122,7 @@ type Node struct {
 	id        string
 	roster    []string
 	part      *logmodel.Partition
-	attrs     map[logmodel.Attr]struct{} // A_node, the attributes it stores
+	attrs     []logmodel.Attr // A_node, the attributes it stores, sorted
 	group     *mathx.Group
 	signer    ed25519.PrivateKey
 	peerKeys  map[string]ed25519.PublicKey
@@ -178,10 +178,8 @@ func New(cfg Config, mb *transport.Mailbox) (*Node, error) {
 	if first == 0 {
 		first = 1
 	}
-	attrs := make(map[logmodel.Attr]struct{})
-	for _, a := range cfg.Partition.NodeAttrs(cfg.ID) {
-		attrs[a] = struct{}{}
-	}
+	attrs := cfg.Partition.NodeAttrs(cfg.ID)
+	slices.Sort(attrs)
 	n := &Node{
 		id:        cfg.ID,
 		roster:    append([]string(nil), cfg.Roster...),
@@ -192,7 +190,7 @@ func New(cfg Config, mb *transport.Mailbox) (*Node, error) {
 		peerKeys:  cfg.PeerKeys,
 		accParams: cfg.AccParams,
 		mb:        mb,
-		frags:     newFragstore(),
+		frags:     newFragstore(attrs),
 		acl:       acl,
 		nextGLSN:  first,
 		notifyCh:  make(chan struct{}),
@@ -224,7 +222,7 @@ func New(cfg Config, mb *transport.Mailbox) (*Node, error) {
 // even while the Node itself stays reachable.
 func (n *Node) Close() error {
 	n.mu.Lock()
-	n.frags = newFragstore()
+	n.frags = newFragstore(n.attrs)
 	n.mu.Unlock()
 	return n.journal.Close()
 }
@@ -686,7 +684,7 @@ func (it *batchItem) glsn() logmodel.GLSN {
 // encoding and kept on the item.
 func (it *batchItem) checkedView() (*itemView, error) {
 	if !it.view.viewed() {
-		v, err := viewItem(appendBatchItem(nil, it))
+		v, _, err := viewItem(appendBatchItem(nil, it), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -698,8 +696,26 @@ func (it *batchItem) checkedView() (*itemView, error) {
 // heldView locates the fields of a held run, which viewItem checked
 // when it was installed.
 func heldView(run []byte) itemView {
-	v, _ := viewItem(run)
+	v, _ := walkItem(run, nil)
 	return v
+}
+
+// admitItem is the A_node check every install passes, at the store door
+// and at journal replay. It resolves each of the item's index keys to
+// its attribute's slot in the node's sorted A_i, and refuses an item
+// carrying an attribute outside A_i. Both lists are sorted, so this is
+// one merge over them.
+func (n *Node) admitItem(v *itemView) error {
+	slot := 0
+	for i := range v.keys {
+		k := &v.keys[i]
+		var ok bool
+		if slot, ok = attrSlot(n.attrs, k.attr, slot); !ok {
+			return fmt.Errorf("cluster: fragment %s carries attribute %q outside A_%s", v.glsn, k.attr, n.id)
+		}
+		k.slot = int32(slot)
+	}
+	return nil
 }
 
 // storeBatchBody is the body of MsgLogStoreBatch, the one store
@@ -707,6 +723,8 @@ func heldView(run []byte) itemView {
 type storeBatchBody struct {
 	TicketID string      `json:"ticket_id"`
 	Items    []batchItem `json:"items"`
+	// scratch holds the decoded items; nil for a body not decoded.
+	scratch *batchScratch
 }
 
 func (n *Node) serveStoreBatch(ctx context.Context) {
@@ -732,6 +750,7 @@ func (n *Node) serveStoreBatch(ctx context.Context) {
 func (n *Node) handleStoreBatch(ctx context.Context, msg transport.Message) {
 	start := time.Now()
 	var body storeBatchBody
+	defer body.release() // after the ack: nothing reads the items then
 	ack := ackBody{OK: true}
 	bytes := int64(len(msg.Payload))
 	decodeStart := time.Now()
@@ -813,7 +832,11 @@ func (n *Node) storeFragmentBatch(body *storeBatchBody) error {
 	if len(body.Items) == 0 {
 		return errors.New("cluster: empty store batch")
 	}
-	entries := make([]walEntry, len(body.Items))
+	// A memory-only node journals nothing, so it builds no entries.
+	var entries []walEntry
+	if n.journal != nil {
+		entries = make([]walEntry, len(body.Items))
+	}
 	for i := range body.Items {
 		v, err := body.Items[i].checkedView()
 		if err != nil {
@@ -825,21 +848,17 @@ func (n *Node) storeFragmentBatch(body *storeBatchBody) error {
 		if !n.acl.HasGrant(body.TicketID, v.glsn) {
 			return fmt.Errorf("%w: %s for ticket %q", ErrGLSNNotAssigned, v.glsn, body.TicketID)
 		}
-		var outside []byte
-		eachValue(v.run, func(a []byte, _ rawValue) {
-			if _, ok := n.attrs[logmodel.Attr(a)]; !ok && outside == nil {
-				outside = a
-			}
-		})
-		if outside != nil {
-			return fmt.Errorf("cluster: fragment carries attribute %q outside A_%s", outside, n.id)
+		if err := n.admitItem(v); err != nil {
+			return err
 		}
 		if !v.hasDigestExp() {
 			return fmt.Errorf("cluster: store item %s lacks its digest exponent", v.glsn)
 		}
-		// The journal carries the item as shipped; replay installs it
-		// through the same storeLocked.
-		entries[i] = walEntry{Kind: "frag", Item: &body.Items[i]}
+		// The journal carries the item as shipped; replay admits and
+		// installs it as this batch does.
+		if entries != nil {
+			entries[i] = walEntry{Kind: "frag", Item: &body.Items[i]}
+		}
 	}
 	return n.mutate(entries, func() (bool, error) {
 		for i := range body.Items {
@@ -1098,7 +1117,11 @@ func (n *Node) TamperFragment(g logmodel.GLSN, attr logmodel.Attr, val logmodel.
 	}
 	frag.Values[attr] = val
 	item := batchItem{Fragment: frag, DigestExp: bigOf(v.dexp), Provenance: v.prov}
-	n.frags.set(g, appendBatchItem(nil, &item))
+	tv, _, err := viewItem(appendBatchItem(nil, &item), nil)
+	if err != nil || n.admitItem(&tv) != nil {
+		return false
+	}
+	n.frags.set(g, tv.run, tv.keys)
 	return true
 }
 

@@ -135,7 +135,7 @@ func checkEncoderAgainstReference(t *testing.T, e *recordEncoder, s *encodeScrat
 			if !bytes.Equal(got, want) {
 				t.Fatalf("glsn %s node %s (values %v): item\n% x\nreference\n% x", g, node, values, got, want)
 			}
-			v, err := viewItem(got)
+			v, _, err := viewItem(got, nil)
 			if err != nil {
 				t.Fatalf("glsn %s node %s: item does not decode: %v", g, node, err)
 			}

@@ -216,8 +216,11 @@ func (j *storeJournal) Close() error {
 // replayStore streams a store's surviving records back as walEntries.
 // Every payload is the magic/version prefix plus a binary entry; any
 // other payload is corruption, and one of another version is refused
-// by its number: there is no upgrade path between versions.
+// by its number: there is no upgrade path between versions. A "frag"
+// entry's index keys are reused from record to record: fn must not keep
+// them (install copies what it keeps).
 func replayStore(s storage.Store, fn func(walEntry) error) error {
+	var keys []valueKey
 	return s.Replay(func(rec storage.Record) error {
 		if len(rec.Data) < 2 || rec.Data[0] != walBinMagic {
 			return fmt.Errorf("cluster: decoding journal record (kind %q): not a binary journal entry", rec.Kind)
@@ -225,7 +228,8 @@ func replayStore(s storage.Store, fn func(walEntry) error) error {
 		if v := rec.Data[1]; v != walBinVersion {
 			return fmt.Errorf("cluster: decoding journal record (kind %q): journal version %d, this build reads only version %d", rec.Kind, v, walBinVersion)
 		}
-		e, err := decodeWALEntry(rec.Data[2:])
+		e, more, err := decodeWALEntry(rec.Data[2:], keys[:0])
+		keys = more
 		if err != nil {
 			return fmt.Errorf("cluster: decoding journal record (kind %q): %w", rec.Kind, err)
 		}
@@ -334,6 +338,9 @@ func (n *Node) applyWALEntry(e walEntry) error {
 			return errors.New("cluster: journal frag entry without store item")
 		}
 		v, err := e.Item.checkedView()
+		if err == nil {
+			err = n.admitItem(v)
+		}
 		if err != nil {
 			return fmt.Errorf("cluster: replaying store item: %w", err)
 		}

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"sort"
+	"sync"
 
 	"confaudit/internal/logmodel"
 	"confaudit/internal/wire"
@@ -175,9 +177,10 @@ func appendBatchItem(dst []byte, it *batchItem) []byte {
 
 // itemView is one store item read in place from its run: the glsn
 // decoded, every other field a slice of the run. viewItem is the one
-// item decoder: it refuses every non-canonical encoding and allocates
-// nothing, so a node checks, indexes and holds an item as the bytes it
-// arrived in, and decodes a field only when a reader asks for it.
+// item decoder: it refuses every non-canonical encoding and walks the
+// item's values once, keying each for the attribute index as it goes,
+// so a node checks, indexes and holds an item as the bytes it arrived
+// in, and decodes a field only when a reader asks for it.
 type itemView struct {
 	run  []byte
 	glsn logmodel.GLSN
@@ -188,14 +191,30 @@ type itemView struct {
 	tail []byte
 	dexp []byte // the digest exponent's wire encoding (bigOf)
 	prov []byte // the provenance signature; nil when absent
+	// keys holds one index key per value, in attribute order. Their
+	// slots are unresolved until the A_node check (Node.admitItem).
+	keys []valueKey
 }
 
 // viewed reports whether viewItem made v: it sets tail for every item
 // it accepts, since a value count follows the node ID.
 func (v *itemView) viewed() bool { return v.tail != nil }
 
-// viewItem checks one item run end to end and locates its fields.
-func viewItem(run []byte) (itemView, error) {
+// viewItem checks one item run end to end and locates its fields. It
+// appends the item's index keys to keys, returning the longer slice;
+// the view's keys are the appended ones, capped so that a later append
+// cannot reach them. A batch decoder passes one scratch slice through
+// all its items.
+func viewItem(run []byte, keys []valueKey) (itemView, []valueKey, error) {
+	first := len(keys)
+	v, err := walkItem(run, func(a []byte, val rawValue) { keys = append(keys, indexKey(a, val)) })
+	v.keys = keys[first:len(keys):len(keys)]
+	return v, keys, err
+}
+
+// walkItem is viewItem's walk: it checks the run, locates its fields
+// and hands fn, which may be nil, each attribute and value in place.
+func walkItem(run []byte, fn func(attr []byte, val rawValue)) (itemView, error) {
 	v := itemView{run: run}
 	d := wire.NewDec(run)
 	g, err := d.Num()
@@ -207,7 +226,7 @@ func viewItem(run []byte) (itemView, error) {
 		return v, err
 	}
 	v.tail = d.Rest()
-	if err := walkValues(&d, nil); err != nil {
+	if err := walkValues(&d, fn); err != nil {
 		return v, err
 	}
 	if v.dexp, err = d.BigRun(); err != nil {
@@ -277,14 +296,38 @@ func (b *storeBatchBody) AppendBinary(dst []byte) []byte {
 // digest exponent tag and provenance flag.
 const minItemBytes = 6
 
+// batchScratch is what decoding a store batch allocates: the copy of
+// the frame its item runs slice, the items, and their index keys. A
+// node hands it back once the batch is handled (storeBatchBody.release)
+// and the next batch decodes into it. Nothing the node keeps points
+// into it: install copies each run and each string key out, and the
+// journal encodes its own copy.
+type batchScratch struct {
+	frame []byte
+	items []batchItem
+	keys  []valueKey
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
 // DecodeBinary checks every item run with viewItem and keeps the view
 // on its item, so the node's install (storeFragmentBatch) reads each
-// item once. Each run is a slice of one copy of the recycled frame.
-// Nothing keeps that copy past the batch: a node copies each run into
-// its fragment store's arena on install.
+// item's values once: the views' index keys share one scratch slice.
+// Each run is a slice of one copy of the recycled frame, in scratch
+// the body holds until release.
 func (b *storeBatchBody) DecodeBinary(src []byte) error {
-	src = bytes.Clone(src)
-	d := wire.NewDec(src)
+	sc := batchScratchPool.Get().(*batchScratch)
+	sc.frame = append(sc.frame[:0], src...)
+	if err := b.decodeItems(sc); err != nil {
+		batchScratchPool.Put(sc)
+		return err
+	}
+	b.scratch = sc
+	return nil
+}
+
+func (b *storeBatchBody) decodeItems(sc *batchScratch) error {
+	d := wire.NewDec(sc.frame)
 	var err error
 	if b.TicketID, err = d.Str(); err != nil {
 		return err
@@ -302,21 +345,34 @@ func (b *storeBatchBody) DecodeBinary(src []byte) error {
 	if count > len(d.Rest())/minItemBytes {
 		return fmt.Errorf("%w: %d store items claimed in %d bytes", wire.ErrMalformed, count, len(d.Rest()))
 	}
-	items := make([]batchItem, count)
+	items := slices.Grow(sc.items[:0], count)[:count]
+	clear(items)
+	keys := sc.keys[:0]
 	for i := range items {
 		run, err := d.Run()
 		if err != nil {
 			return err
 		}
-		if items[i].view, err = viewItem(run[:len(run):len(run)]); err != nil {
+		if items[i].view, keys, err = viewItem(run[:len(run):len(run)], keys); err != nil {
 			return err
 		}
 	}
+	sc.items, sc.keys = items, keys
 	if err := d.Done(); err != nil {
 		return err
 	}
 	b.Items = items
 	return nil
+}
+
+// release hands back the scratch a decoded body's items live in, for a
+// later batch to decode into. Nothing may read the body's items after;
+// a body nobody releases leaves its scratch to the collector.
+func (b *storeBatchBody) release() {
+	if b.scratch != nil {
+		batchScratchPool.Put(b.scratch)
+		b.Items, b.scratch = nil, nil
+	}
 }
 
 // --- ackBody ---
@@ -547,56 +603,57 @@ func appendWALEntry(dst []byte, e *walEntry) ([]byte, error) {
 }
 
 // decodeWALEntry decodes one binary journal payload. A "frag" entry's
-// item keeps its run as a slice of src.
-func decodeWALEntry(src []byte) (walEntry, error) {
+// item keeps its run as a slice of src, and its index keys are appended
+// to keys (viewItem); the longer slice is returned.
+func decodeWALEntry(src []byte, keys []valueKey) (walEntry, []valueKey, error) {
 	var e walEntry
 	d := wire.NewDec(src)
 	code, err := d.Take(1)
 	if err != nil {
-		return e, err
+		return e, keys, err
 	}
 	if code[0] == 0 || int(code[0]) >= len(walKindName) {
-		return e, fmt.Errorf("%w: WAL kind code %d", wire.ErrMalformed, code[0])
+		return e, keys, fmt.Errorf("%w: WAL kind code %d", wire.ErrMalformed, code[0])
 	}
 	e.Kind = walKindName[code[0]]
 	flag, err := d.Take(1)
 	if err != nil {
-		return e, err
+		return e, keys, err
 	}
 	if flag[0] == 1 {
 		if e.Ticket, err = decodeWireTicket(&d); err != nil {
-			return e, err
+			return e, keys, err
 		}
 	} else if flag[0] != 0 {
-		return e, fmt.Errorf("%w: ticket flag %d", wire.ErrMalformed, flag[0])
+		return e, keys, fmt.Errorf("%w: ticket flag %d", wire.ErrMalformed, flag[0])
 	}
 	if e.TicketID, err = d.Str(); err != nil {
-		return e, err
+		return e, keys, err
 	}
 	g, err := d.Num()
 	if err != nil {
-		return e, err
+		return e, keys, err
 	}
 	e.GLSN = logmodel.GLSN(g)
 	if e.Count, err = d.Small(); err != nil {
-		return e, err
+		return e, keys, err
 	}
 	if flag, err = d.Take(1); err != nil {
-		return e, err
+		return e, keys, err
 	}
 	switch flag[0] {
 	case 0:
-		return e, d.Done()
+		return e, keys, d.Done()
 	case 1:
 		// The item runs to the end of the entry, and the entry keeps it
 		// as a slice of src.
-		v, err := viewItem(d.Rest())
-		if err != nil {
-			return e, err
+		var v itemView
+		if v, keys, err = viewItem(d.Rest(), keys); err != nil {
+			return e, keys, err
 		}
 		e.Item = &batchItem{view: v}
-		return e, nil
+		return e, keys, nil
 	default:
-		return e, fmt.Errorf("%w: item flag %d", wire.ErrMalformed, flag[0])
+		return e, keys, fmt.Errorf("%w: item flag %d", wire.ErrMalformed, flag[0])
 	}
 }

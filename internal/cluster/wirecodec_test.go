@@ -55,7 +55,7 @@ func testSig(b byte) []byte { return bytes.Repeat([]byte{b}, ed25519.SignatureSi
 // the node's one item reader: the reference the codec tests hold the
 // encoder to.
 func decodeBatchItem(src []byte, it *batchItem) error {
-	v, err := viewItem(src)
+	v, _, err := viewItem(src, nil)
 	if err != nil {
 		return err
 	}
@@ -169,7 +169,7 @@ func FuzzStoreBodyRoundTrip(f *testing.F) {
 			t.Fatalf("%d-byte provenance signature: decode err = %v, want wire.ErrMalformed", len(item.Provenance), err)
 		}
 		if len(trail) > 0 {
-			if _, err := viewItem(append(appendBatchItem(nil, &item), trail...)); !errors.Is(err, wire.ErrMalformed) {
+			if _, _, err := viewItem(append(appendBatchItem(nil, &item), trail...), nil); !errors.Is(err, wire.ErrMalformed) {
 				t.Fatalf("item with %d trailing bytes: err = %v, want wire.ErrMalformed", len(trail), err)
 			}
 		}
@@ -282,17 +282,17 @@ func FuzzWALEntryRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		if e.Item != nil && len(trail) > 0 {
-			if _, err := decodeWALEntry(append(bytes.Clone(enc), trail...)); !errors.Is(err, wire.ErrMalformed) {
+			if _, _, err := decodeWALEntry(append(bytes.Clone(enc), trail...), nil); !errors.Is(err, wire.ErrMalformed) {
 				t.Fatalf("frag entry with %d trailing bytes: err = %v, want wire.ErrMalformed", len(trail), err)
 			}
 		}
-		if junk, err := decodeWALEntry(raw); err == nil {
+		if junk, _, err := decodeWALEntry(raw, nil); err == nil {
 			junk.Item = fields(t, junk.Item)
 			if re, _ := appendWALEntry(nil, &junk); !bytes.Equal(raw, re) {
 				t.Fatalf("accepted %x, which re-encodes as %x", raw, re)
 			}
 		}
-		got, err := decodeWALEntry(enc)
+		got, _, err := decodeWALEntry(enc, nil)
 		if !sigOK(fuzzSig(prov)) && (e.Ticket != nil || e.Item != nil) {
 			if !errors.Is(err, wire.ErrMalformed) {
 				t.Fatalf("%d-byte signature: decode err = %v, want wire.ErrMalformed", len(prov), err)
@@ -348,7 +348,7 @@ func TestWALEntryBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("entry %d: %v", i, err)
 		}
-		got, err := decodeWALEntry(payload)
+		got, _, err := decodeWALEntry(payload, nil)
 		if err != nil {
 			t.Fatalf("entry %d: decode: %v", i, err)
 		}
@@ -410,7 +410,7 @@ func TestWireDecodeRejectsHostileEncodings(t *testing.T) {
 	if err := decodeBatchItem(append(append(frag, 0x09, 0x01, 0xAA), 0x00), &bt); err == nil {
 		t.Fatal("bad big-int tag accepted")
 	}
-	if _, err := decodeWALEntry([]byte{0x09}); err == nil {
+	if _, _, err := decodeWALEntry([]byte{0x09}, nil); err == nil {
 		t.Fatal("bad WAL kind code accepted")
 	}
 	// Non-canonical encodings of valid values: each would give one value
@@ -466,7 +466,7 @@ func TestWireDecodeRefusesMisSizedSignatures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := decodeWALEntry(enc); !errors.Is(err, wire.ErrMalformed) {
+		if _, _, err := decodeWALEntry(enc, nil); !errors.Is(err, wire.ErrMalformed) {
 			t.Errorf("%d-byte ticket signature: err = %v, want wire.ErrMalformed", n, err)
 		}
 		it := batchItem{Fragment: logmodel.Fragment{GLSN: 1, Node: "P0"}, DigestExp: big.NewInt(5), Provenance: sig}

@@ -39,6 +39,16 @@ func TestForgedFinalRejected(t *testing.T) {
 				defer mbs[id].Close() //nolint:errcheck
 			}
 
+			// Mallory's forged "final" set is queued at P1 before either
+			// party starts, so P1 always reads it ahead of P2's genuine
+			// one and must refuse it.
+			forged, err := smc.NewRelayWire(origin, 0, [][]byte{[]byte("forged-block")}, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mbs["M"].SendBody(ctx, "P1", "intersect.final", "forge", &forged); err != nil {
+				t.Fatal(err)
+			}
 			var (
 				wg    sync.WaitGroup
 				p1Err error
@@ -54,14 +64,6 @@ func TestForgedFinalRejected(t *testing.T) {
 					t.Errorf("P2: %v", err)
 				}
 			}()
-			// Mallory races a forged "final" set.
-			forged, err := smc.NewRelayWire(origin, 0, [][]byte{[]byte("forged-block")}, 0, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := mbs["M"].SendBody(ctx, "P1", "intersect.final", "forge", &forged); err != nil {
-				t.Fatal(err)
-			}
 			wg.Wait()
 			if p1Err == nil {
 				t.Fatalf("receiver accepted a final set from M claiming origin %s", origin)

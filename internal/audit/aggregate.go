@@ -20,22 +20,17 @@ type fragmentVisitor interface {
 // matched records, on the attribute's owner node. Only the final scalar
 // leaves the node — the confidential-statistics flow of the paper's
 // secret-counting reference [7].
-func computeAggregate(node fragmentVisitor, kind AggKind, attr logmodel.Attr, glsns []string) (float64, error) {
+func computeAggregate(node fragmentVisitor, kind AggKind, attr logmodel.Attr, glsns []logmodel.GLSN) (float64, error) {
 	var (
 		sum   float64
 		count int
 		maxV  = math.Inf(-1)
 		minV  = math.Inf(1)
 	)
-	gs := make([]logmodel.GLSN, 0, len(glsns)) // non-nil: visit only these
-	for _, s := range glsns {
-		g, err := logmodel.ParseGLSN(s)
-		if err != nil {
-			return 0, err
-		}
-		gs = append(gs, g)
+	if glsns == nil {
+		glsns = []logmodel.GLSN{} // non-nil: visit only these
 	}
-	err := node.VisitFragments(gs, func(_ logmodel.GLSN, values map[logmodel.Attr]logmodel.Value) error {
+	err := node.VisitFragments(glsns, func(_ logmodel.GLSN, values map[logmodel.Attr]logmodel.Value) error {
 		v, ok := values[attr]
 		if !ok {
 			return nil

@@ -35,7 +35,7 @@ func TestComputeAggregateUnit(t *testing.T) {
 		2: {GLSN: 2, Values: map[logmodel.Attr]logmodel.Value{"x": logmodel.Float(2.5)}},
 		3: {GLSN: 3, Values: map[logmodel.Attr]logmodel.Value{"y": logmodel.Int(99)}}, // no x
 	}
-	glsns := []string{"1", "2", "3"}
+	glsns := []logmodel.GLSN{1, 2, 3}
 	cases := []struct {
 		kind AggKind
 		want float64
@@ -62,7 +62,7 @@ func TestComputeAggregateEdgeCases(t *testing.T) {
 		1: {GLSN: 1, Values: map[logmodel.Attr]logmodel.Value{"s": logmodel.String("text")}},
 	}
 	// Non-numeric attribute.
-	if _, err := computeAggregate(store, AggSum, "s", []string{"1"}); err == nil {
+	if _, err := computeAggregate(store, AggSum, "s", []logmodel.GLSN{1}); err == nil {
 		t.Fatal("sum over string accepted")
 	}
 	// Empty match set: max/min error, sum/avg/count are zero.
@@ -78,16 +78,12 @@ func TestComputeAggregateEdgeCases(t *testing.T) {
 			t.Fatalf("%s over empty set = %v, %v", kind, got, err)
 		}
 	}
-	// Bad glsn string.
-	if _, err := computeAggregate(store, AggSum, "x", []string{"zz!"}); err == nil {
-		t.Fatal("bad glsn accepted")
-	}
 	// Unknown kind.
-	if _, err := computeAggregate(store, AggKind("median"), "x", []string{"1"}); err == nil {
+	if _, err := computeAggregate(store, AggKind("median"), "x", []logmodel.GLSN{1}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	// Missing records are skipped, not errors.
-	got, err := computeAggregate(store, AggCount, "s", []string{"1", "2", "3"})
+	got, err := computeAggregate(store, AggCount, "s", []logmodel.GLSN{1, 2, 3})
 	if err != nil || got != 1 {
 		t.Fatalf("count with missing records = %v, %v", got, err)
 	}

@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync/atomic"
 
@@ -151,21 +150,21 @@ type execBody struct {
 }
 
 type finalBody struct {
-	GLSNs []string    `json:"glsns,omitempty"`
-	Agg   float64     `json:"agg,omitempty"`
-	IsAgg bool        `json:"is_agg,omitempty"`
-	Cert  *ResultCert `json:"cert,omitempty"`
-	Error string      `json:"error,omitempty"`
+	GLSNs []logmodel.GLSN `json:"glsns,omitempty"`
+	Agg   float64         `json:"agg,omitempty"`
+	IsAgg bool            `json:"is_agg,omitempty"`
+	Cert  *ResultCert     `json:"cert,omitempty"`
+	Error string          `json:"error,omitempty"`
 	// Quarantined aggregates the ring nodes' quarantined storage
 	// extents; the coordinator folds it into the result.
 	Quarantined []string `json:"quarantined,omitempty"`
 }
 
 type resultBody struct {
-	GLSNs []string    `json:"glsns,omitempty"`
-	Agg   float64     `json:"agg,omitempty"`
-	Cert  *ResultCert `json:"cert,omitempty"`
-	Error string      `json:"error,omitempty"`
+	GLSNs []logmodel.GLSN `json:"glsns,omitempty"`
+	Agg   float64         `json:"agg,omitempty"`
+	Cert  *ResultCert     `json:"cert,omitempty"`
+	Error string          `json:"error,omitempty"`
 	// Unanswerable and Dead mark a degraded-mode result: the clauses
 	// that could not be evaluated and the dead nodes responsible.
 	Unanswerable []string `json:"unanswerable,omitempty"`
@@ -302,24 +301,15 @@ func (a *Auditor) QueryCertified(ctx context.Context, criteria string) ([]logmod
 	if err != nil {
 		return nil, "", nil, err
 	}
-	out := make([]logmodel.GLSN, 0, len(res.GLSNs))
-	for _, s := range res.GLSNs {
-		g, err := logmodel.ParseGLSN(s)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	if len(res.Unanswerable) > 0 || len(res.Quarantined) > 0 {
-		return out, session, res.Cert, &PartialResultError{
-			GLSNs:        out,
+		return res.GLSNs, session, res.Cert, &PartialResultError{
+			GLSNs:        res.GLSNs,
 			Unanswerable: res.Unanswerable,
 			Dead:         res.Dead,
 			Quarantined:  res.Quarantined,
 		}
 	}
-	return out, session, res.Cert, nil
+	return res.GLSNs, session, res.Cert, nil
 }
 
 // Aggregate runs an auditing criterion and returns an aggregate over the

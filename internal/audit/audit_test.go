@@ -3,6 +3,7 @@ package audit
 import (
 	"context"
 	"crypto/rand"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -23,6 +24,7 @@ type rig struct {
 	net     *transport.MemNetwork
 	nodes   map[string]*cluster.Node
 	auditor *Auditor
+	writers int // endpoints opened by log
 }
 
 var (
@@ -49,7 +51,12 @@ func sharedBootstrap(t testing.TB) *cluster.Bootstrap {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	boot := sharedBootstrap(t)
+	return newRigWith(t, sharedBootstrap(t))
+}
+
+// newRigWith is newRig over the given provisioning material.
+func newRigWith(t *testing.T, boot *cluster.Bootstrap) *rig {
+	t.Helper()
 	net := transport.NewMemNetwork()
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &rig{boot: boot, net: net, nodes: make(map[string]*cluster.Node)}
@@ -131,6 +138,36 @@ func newRig(t *testing.T) *rig {
 	}
 	r.auditor = NewAuditor(amb, boot.Roster[0], atk.ID)
 	return r
+}
+
+// log stores one more record through a fresh writer endpoint and
+// returns its glsn.
+func (r *rig) log(ctx context.Context, t *testing.T, values map[logmodel.Attr]logmodel.Value) logmodel.GLSN {
+	t.Helper()
+	r.writers++
+	id := fmt.Sprintf("writer%d", r.writers)
+	wep, err := r.net.Endpoint(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wmb := transport.NewMailbox(wep)
+	defer wmb.Close() //nolint:errcheck
+	wtk, err := r.boot.Issuer.Issue("T"+id, id, ticket.OpWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc, err := cluster.OpenClient(wmb, cluster.ClientConfig{Roster: r.boot.Roster, Partition: r.boot.Partition, Accumulator: r.boot.AccParams, Ticket: wtk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wc.RegisterTicket(ctx); err != nil {
+		t.Fatal(err)
+	}
+	g, err := wc.Log(ctx, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func testCtx(t *testing.T) context.Context {
@@ -252,30 +289,10 @@ func TestCrossEqualityPredicate(t *testing.T) {
 		t.Fatalf("got %v, want empty", got)
 	}
 
-	wep, err := r.net.Endpoint("writer2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wmb := transport.NewMailbox(wep)
-	defer wmb.Close() //nolint:errcheck
-	wtk, err := r.boot.Issuer.Issue("TW2", "writer2", ticket.OpWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc, err := cluster.OpenClient(wmb, cluster.ClientConfig{Roster: r.boot.Roster, Partition: r.boot.Partition, Accumulator: r.boot.AccParams, Ticket: wtk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wc.RegisterTicket(ctx); err != nil {
-		t.Fatal(err)
-	}
-	g, err := wc.Log(ctx, map[logmodel.Attr]logmodel.Value{
+	g := r.log(ctx, t, map[logmodel.Attr]logmodel.Value{
 		"id": logmodel.String("match"),
 		"C3": logmodel.String("match"),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err = r.auditor.Query(ctx, `id = C3`)
 	if err != nil {
 		t.Fatal(err)
@@ -302,6 +319,23 @@ func TestCrossComparisonPredicate(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("got %v, want empty", got)
 	}
+
+	// An int above a float that it is below times 10^6: both kinds
+	// must share one scale, or 50 < 10.0 holds.
+	g := r.log(ctx, t, map[logmodel.Attr]logmodel.Value{
+		"C1": logmodel.Int(50),
+		"C2": logmodel.Float(10.0),
+	})
+	got, err = r.auditor.Query(ctx, `C1 < C2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGLSNs(t, got, glsnsOf(0, 1, 2, 3, 4))
+	got, err = r.auditor.Query(ctx, `C1 > C2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGLSNs(t, got, []logmodel.GLSN{g})
 }
 
 func TestAggregates(t *testing.T) {

@@ -2,7 +2,6 @@ package audit
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"confaudit/internal/logmodel"
@@ -66,7 +65,7 @@ func (c *Centralized) Query(criteria string) ([]logmodel.GLSN, error) {
 			out = append(out, g)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -79,11 +78,7 @@ func (c *Centralized) Aggregate(criteria string, kind AggKind, attr logmodel.Att
 	if kind == AggCount {
 		return float64(len(glsns)), nil
 	}
-	strs := make([]string, len(glsns))
-	for i, g := range glsns {
-		strs[i] = g.String()
-	}
-	return computeAggregate(centralizedState{c}, kind, attr, strs)
+	return computeAggregate(centralizedState{c}, kind, attr, glsns)
 }
 
 // centralizedState adapts Centralized to the fragment-visiting surface

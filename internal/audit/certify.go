@@ -5,7 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"confaudit/internal/logmodel"
 )
@@ -33,14 +33,18 @@ type ResultCert struct {
 }
 
 // certStatement is the byte string ring nodes sign: a hash of the
-// session and the sorted glsn list.
-func certStatement(session string, glsns []string) []byte {
-	h := sha256.New()
-	h.Write([]byte("auditres|"))
-	h.Write([]byte(session))
-	h.Write([]byte{'|'})
-	h.Write([]byte(strings.Join(glsns, ",")))
-	return h.Sum(nil)
+// session and the ascending glsn list, each glsn in hex, comma-separated.
+func certStatement(session string, glsns []logmodel.GLSN) []byte {
+	b := append([]byte("auditres|"), session...)
+	b = append(b, '|')
+	for i, g := range glsns {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, uint64(g), 16)
+	}
+	sum := sha256.Sum256(b)
+	return sum[:]
 }
 
 // VerifyResult checks a certified query result: every ring node signed
@@ -50,11 +54,7 @@ func VerifyResult(keys map[string]ed25519.PublicKey, session string, glsns []log
 	if cert == nil || len(cert.Ring) == 0 {
 		return fmt.Errorf("%w: missing certificate", ErrBadResultCert)
 	}
-	strs := make([]string, len(glsns))
-	for i, g := range glsns {
-		strs[i] = g.String()
-	}
-	stmt := certStatement(session, strs)
+	stmt := certStatement(session, glsns)
 	for _, node := range cert.Ring {
 		sig, ok := cert.Sigs[node]
 		if !ok {

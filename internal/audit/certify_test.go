@@ -2,6 +2,7 @@ package audit
 
 import (
 	"crypto/ed25519"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -45,6 +46,44 @@ func TestCertifiedQuerySingleNode(t *testing.T) {
 	}
 	if err := VerifyResult(r.boot.PeerKeys, session, glsns, cert); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCertifiedQueryAcrossGLSNWidth certifies a result whose glsns
+// straddle a hex-width boundary (0xfffffffc..0x100000000). Ring nodes
+// and the auditor must list them in the same order, or no signature
+// verifies.
+func TestCertifiedQueryAcrossGLSNWidth(t *testing.T) {
+	boot := *sharedBootstrap(t)
+	boot.FirstGLSN = 0xfffffffc
+	r := newRigWith(t, &boot)
+	ctx := testCtx(t)
+	glsns, session, cert, err := r.auditor.QueryCertified(ctx, "C1 > 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGLSNs(t, glsns, []logmodel.GLSN{0xfffffffc, 0xfffffffd, 0xfffffffe, 0xffffffff, 0x100000000})
+	if err := VerifyResult(r.boot.PeerKeys, session, glsns, cert); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCertStatementPinned pins the signed statement's bytes: the glsns
+// in ascending order, in hex, comma-separated. A list of one hex width
+// signs the same statement as when the list was sorted as text, so
+// certificates issued then still verify.
+func TestCertStatementPinned(t *testing.T) {
+	for _, tc := range []struct {
+		session string
+		glsns   []logmodel.GLSN
+		want    string // sha256 of "auditres|<session>|<hex>,<hex>,..."
+	}{
+		{"q/auditor/7", glsnsOf(0, 1, 4), "8481b1b7b2e8179aa5a872669a183f6b7199e059fdeb589225299a09b689eb11"},
+		{"s", []logmodel.GLSN{0xfffffffe, 0xffffffff, 0x100000000}, "03300249a70097bf2ff18b492b90b1fa0bc5e999b39ea123746aeaf0b763f206"},
+	} {
+		if got := hex.EncodeToString(certStatement(tc.session, tc.glsns)); got != tc.want {
+			t.Errorf("certStatement(%q, %v) = %s, want %s", tc.session, tc.glsns, got, tc.want)
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,8 +32,12 @@ var errQueryFailed = fmt.Errorf("audit: query failed")
 const queryTimeout = 2 * time.Minute
 
 // cmpMaxAbs bounds the absolute value of order-encoded attributes in
-// cross comparisons.
-var cmpMaxAbs = new(big.Int).Lsh(big.NewInt(1), 62)
+// cross comparisons. Every int64 in units of microUnits is below it:
+// 2^63 · 10^6 < 2^63 · 2^20.
+var (
+	microUnits = big.NewInt(1_000_000)
+	cmpMaxAbs  = new(big.Int).Lsh(big.NewInt(1), 83)
+)
 
 // Serve runs the node-side audit service: a coordinator loop accepting
 // auditor queries and an executor loop joining distributed plans. It
@@ -257,7 +263,6 @@ func handleQuery(ctx context.Context, node NodeState, msg transport.Message) {
 		reply(resultBody{Agg: final.Agg})
 		return
 	}
-	sort.Strings(final.GLSNs)
 	reply(resultBody{GLSNs: final.GLSNs, Cert: final.Cert, Unanswerable: unanswerable, Dead: deadNodes, Quarantined: quarantined})
 }
 
@@ -283,26 +288,12 @@ func mergeQuarantine(lists ...[]string) []string {
 // the extent (max−min+1) of the matched glsn range. Counts and
 // orderings only — never record contents.
 func recordResultDisclosures(querier, session, self string, res *resultBody) {
+	gs := res.GLSNs
 	telemetry.L.RecordDisclosure(querier, session, self,
-		telemetry.DiscResultCount, "", int64(len(res.GLSNs)))
-	var lo, hi logmodel.GLSN
-	n := 0
-	for _, s := range res.GLSNs {
-		g, err := logmodel.ParseGLSN(s)
-		if err != nil {
-			continue
-		}
-		if n == 0 || g < lo {
-			lo = g
-		}
-		if n == 0 || g > hi {
-			hi = g
-		}
-		n++
-	}
-	if n > 0 {
+		telemetry.DiscResultCount, "", int64(len(gs)))
+	if len(gs) > 0 {
 		telemetry.L.RecordDisclosure(querier, session, self,
-			telemetry.DiscGLSNExtent, "", int64(hi-lo)+1)
+			telemetry.DiscGLSNExtent, "", int64(gs[len(gs)-1]-gs[0])+1)
 	}
 }
 
@@ -341,8 +332,8 @@ func execute(ctx context.Context, node NodeState, session string, body *execBody
 	esp, ctx := telemetry.StartSpan(ctx, session, self, "audit.exec")
 	defer func() { esp.End(err) }()
 
-	// results holds the glsn sets this node is responsible for.
-	var mySets []map[string]struct{}
+	// mySets holds the glsn sets this node is responsible for.
+	var mySets [][]logmodel.GLSN
 	ranPlan := false
 	for i := range body.Plans {
 		plan := &body.Plans[i]
@@ -370,30 +361,25 @@ func execute(ctx context.Context, node NodeState, session string, body *execBody
 	}
 
 	inFinalRing := smc.Contains(body.FinalRing, self)
-	var finalSet map[string]struct{}
+	var finalSet []logmodel.GLSN
 	if inFinalRing {
 		// Conjunction of this node's own subquery results. Every ring
 		// member receives the final set so it can countersign the
 		// result (trusted auditing via majority certification).
-		myInput := intersectSets(mySets)
+		myInput := intersectAll(mySets)
 		if len(body.FinalRing) > 1 {
-			elems := make([][]byte, 0, len(myInput))
-			for g := range myInput {
-				elems = append(elems, []byte(g))
-			}
 			cfg := intersect.Config{
 				Group:     node.Group(),
 				Ring:      body.FinalRing,
 				Receivers: body.FinalRing,
 				Session:   session + "/final",
 			}
-			res, err := intersect.Run(ctx, mb, cfg, elems)
+			res, err := intersect.Run(ctx, mb, cfg, ringElems(myInput))
+			if err == nil {
+				finalSet, err = plaintextSet(res.Plaintext)
+			}
 			if err != nil {
 				return fmt.Errorf("final conjunction: %w", err)
-			}
-			finalSet = make(map[string]struct{}, len(res.Plaintext))
-			for _, el := range res.Plaintext {
-				finalSet[string(el)] = struct{}{}
 			}
 			// Every ring member receives the intersection, so each one
 			// learned its size.
@@ -413,8 +399,7 @@ func execute(ctx context.Context, node NodeState, session string, body *execBody
 	var cert *ResultCert
 	var quar []string
 	if inFinalRing {
-		glsns := sortedKeys(finalSet)
-		sig := node.Sign(certStatement(session, glsns))
+		sig := node.Sign(certStatement(session, finalSet))
 		if self != body.FinalReceiver {
 			if err := mb.SendBody(ctx, body.FinalReceiver, MsgSig, session, sigBody{Sig: sig, Quarantined: quarantineOf(node)}); err != nil {
 				return err
@@ -465,21 +450,20 @@ func execute(ctx context.Context, node NodeState, session string, body *execBody
 
 	// Result delivery.
 	if self == body.FinalReceiver {
-		glsns := sortedKeys(finalSet)
 		switch {
 		case body.AggKind == AggCount:
-			return mb.SendBody(ctx, body.Coordinator, MsgFinal, session, finalBody{IsAgg: true, Agg: float64(len(glsns)), Quarantined: quar})
+			return mb.SendBody(ctx, body.Coordinator, MsgFinal, session, finalBody{IsAgg: true, Agg: float64(len(finalSet)), Quarantined: quar})
 		case body.AggKind != "":
 			if self == body.AggOwner {
-				val, err := computeAggregate(node, body.AggKind, body.AggAttr, glsns)
+				val, err := computeAggregate(node, body.AggKind, body.AggAttr, finalSet)
 				if err != nil {
 					return err
 				}
 				return mb.SendBody(ctx, body.Coordinator, MsgFinal, session, finalBody{IsAgg: true, Agg: val, Quarantined: quar})
 			}
-			return mb.SendBody(ctx, body.AggOwner, MsgAggReq, session, finalBody{GLSNs: glsns, Quarantined: quar})
+			return mb.SendBody(ctx, body.AggOwner, MsgAggReq, session, finalBody{GLSNs: finalSet, Quarantined: quar})
 		default:
-			return mb.SendBody(ctx, body.Coordinator, MsgFinal, session, finalBody{GLSNs: glsns, Cert: cert, Quarantined: quar})
+			return mb.SendBody(ctx, body.Coordinator, MsgFinal, session, finalBody{GLSNs: finalSet, Cert: cert, Quarantined: quar})
 		}
 	}
 
@@ -530,32 +514,20 @@ func planReporters(plans []wirePlan) []string {
 	return out
 }
 
-func sortedKeys(set map[string]struct{}) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // executePlan runs one subquery role. It returns the resulting glsn set
 // and whether this node is the set's responsible holder.
-func executePlan(ctx context.Context, node NodeState, session string, plan *wirePlan) (map[string]struct{}, bool, error) {
+func executePlan(ctx context.Context, node NodeState, session string, plan *wirePlan) ([]logmodel.GLSN, bool, error) {
 	self := node.ID()
 	sqSession := session + "/sq" + fmt.Sprint(plan.Index)
 	responsible := plan.responsible() == self
 
 	switch plan.Kind {
 	case kindAll:
-		set := make(map[string]struct{})
-		for _, g := range node.GLSNs() {
-			set[g.String()] = struct{}{}
-		}
+		set := node.GLSNs()
 		if len(plan.Nodes) == 1 {
 			return set, responsible, nil
 		}
-		out, err := runGLSNIntersect(ctx, node, sqSession, plan, set)
+		out, err := runIntersect(ctx, node, sqSession, plan, ringElems(set))
 		return out, responsible, err
 
 	case kindLocal:
@@ -576,36 +548,25 @@ func executePlan(ctx context.Context, node NodeState, session string, plan *wire
 		if err != nil {
 			return nil, false, err
 		}
-		elems := make([][]byte, 0, len(local))
-		for g := range local {
-			elems = append(elems, []byte(g))
-		}
 		cfg := union.Config{
 			Group:     node.Group(),
 			Ring:      plan.Nodes,
 			Receivers: []string{plan.responsible()},
 			Session:   sqSession,
 		}
-		res, err := union.Run(ctx, node.Mailbox(), cfg, elems)
-		if err != nil {
+		res, err := union.Run(ctx, node.Mailbox(), cfg, ringElems(local))
+		if err != nil || !responsible {
 			return nil, false, err
 		}
-		if !responsible {
-			return nil, false, nil
-		}
-		set := make(map[string]struct{}, len(res))
-		for _, el := range res {
-			set[string(el)] = struct{}{}
-		}
-		return set, true, nil
+		set, err := plaintextSet(res)
+		return set, true, err
 
 	case kindCrossEq:
 		clause, err := parseClause(plan.Clause)
 		if err != nil {
 			return nil, false, err
 		}
-		pred := clause.Preds[0]
-		myAttr, err := ownedAttr(node, pred)
+		myAttr, err := ownedAttr(node, clause.Preds[0])
 		if err != nil {
 			return nil, false, err
 		}
@@ -616,27 +577,8 @@ func executePlan(ctx context.Context, node NodeState, session string, plan *wire
 			}
 			return nil
 		})
-		cfg := intersect.Config{
-			Group:     node.Group(),
-			Ring:      plan.Nodes,
-			Receivers: []string{plan.responsible()},
-			Session:   sqSession,
-		}
-		res, err := intersect.Run(ctx, node.Mailbox(), cfg, elems)
-		if err != nil {
-			return nil, false, err
-		}
-		if !responsible {
-			return nil, false, nil
-		}
-		set := make(map[string]struct{}, len(res.Plaintext))
-		for _, el := range res.Plaintext {
-			s := string(el)
-			if i := strings.IndexByte(s, '|'); i > 0 {
-				set[s[:i]] = struct{}{}
-			}
-		}
-		return set, true, nil
+		set, err := runIntersect(ctx, node, sqSession, plan, shuffled(elems))
+		return set, responsible, err
 
 	case kindCrossCmp:
 		return executeCrossCmp(ctx, node, sqSession, plan)
@@ -646,13 +588,9 @@ func executePlan(ctx context.Context, node NodeState, session string, plan *wire
 	}
 }
 
-// runGLSNIntersect intersects plain glsn sets across the plan nodes (the
-// "*" criteria path).
-func runGLSNIntersect(ctx context.Context, node NodeState, session string, plan *wirePlan, local map[string]struct{}) (map[string]struct{}, error) {
-	elems := make([][]byte, 0, len(local))
-	for g := range local {
-		elems = append(elems, []byte(g))
-	}
+// runIntersect intersects ring elements across the plan nodes. The
+// responsible node gets back the glsns of the common elements.
+func runIntersect(ctx context.Context, node NodeState, session string, plan *wirePlan, elems [][]byte) ([]logmodel.GLSN, error) {
 	cfg := intersect.Config{
 		Group:     node.Group(),
 		Ring:      plan.Nodes,
@@ -660,22 +598,49 @@ func runGLSNIntersect(ctx context.Context, node NodeState, session string, plan 
 		Session:   session,
 	}
 	res, err := intersect.Run(ctx, node.Mailbox(), cfg, elems)
-	if err != nil {
+	if err != nil || plan.responsible() != node.ID() {
 		return nil, err
 	}
-	if plan.responsible() != node.ID() {
-		return nil, nil
+	return plaintextSet(res.Plaintext)
+}
+
+// ringElems renders a glsn set as ring elements, each glsn's hex text.
+func ringElems(set []logmodel.GLSN) [][]byte {
+	elems := make([][]byte, len(set))
+	for i, g := range set {
+		elems[i] = []byte(g.String())
 	}
-	set := make(map[string]struct{}, len(res.Plaintext))
-	for _, el := range res.Plaintext {
-		set[string(el)] = struct{}{}
+	return shuffled(elems)
+}
+
+// shuffled puts ring elements in a random order, in place. A ring pass
+// keeps the order it is given, and a receiver learns where each match
+// sits in every member's set: in glsn order, that would be the match's
+// rank among the member's glsns.
+func shuffled(elems [][]byte) [][]byte {
+	rand.Shuffle(len(elems), func(i, j int) { elems[i], elems[j] = elems[j], elems[i] })
+	return elems
+}
+
+// plaintextSet maps the plaintexts a ring hands back, each a glsn's hex
+// text with an optional "|value" suffix, to a glsn set.
+func plaintextSet(elems [][]byte) ([]logmodel.GLSN, error) {
+	set := make([]logmodel.GLSN, 0, len(elems))
+	for _, el := range elems {
+		hex, _, _ := strings.Cut(string(el), "|")
+		g, err := logmodel.ParseGLSN(hex)
+		if err != nil {
+			return nil, err
+		}
+		set = append(set, g)
 	}
-	return set, nil
+	slices.Sort(set)
+	return slices.Compact(set), nil
 }
 
 // executeCrossCmp evaluates attrL ⊗ attrR across two nodes via the
 // blind-TTP batch comparison.
-func executeCrossCmp(ctx context.Context, node NodeState, session string, plan *wirePlan) (map[string]struct{}, bool, error) {
+func executeCrossCmp(ctx context.Context, node NodeState, session string, plan *wirePlan) ([]logmodel.GLSN, bool, error) {
 	self := node.ID()
 	clause, err := parseClause(plan.Clause)
 	if err != nil {
@@ -705,12 +670,13 @@ func executeCrossCmp(ctx context.Context, node NodeState, session string, plan *
 		return nil, false, fmt.Errorf("%w: %s not a holder of %s", ErrUnsupported, self, pred)
 	}
 
-	// Align keys: exchange sorted glsn lists, take the common prefix-
-	// free intersection. glsn lists are "aggregated information" the
+	// Align keys: exchange ascending glsn lists and keep the glsns both
+	// hold, in one merge. glsn lists are "aggregated information" the
 	// relaxed model permits to flow between the two holders.
-	mine := make(map[string]*big.Int)
-	err = node.VisitFragments(nil, func(g logmodel.GLSN, values map[logmodel.Attr]logmodel.Value) error {
-		v, ok := values[myAttr]
+	var glsns []logmodel.GLSN
+	var values []*big.Int
+	err = node.VisitFragments(nil, func(g logmodel.GLSN, vals map[logmodel.Attr]logmodel.Value) error {
+		v, ok := vals[myAttr]
 		if !ok {
 			return nil
 		}
@@ -718,52 +684,43 @@ func executeCrossCmp(ctx context.Context, node NodeState, session string, plan *
 		if err != nil {
 			return fmt.Errorf("attribute %q: %w", myAttr, err)
 		}
-		mine[g.String()] = enc
+		glsns = append(glsns, g)
+		values = append(values, enc)
 		return nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	myKeys := make([]string, 0, len(mine))
-	for k := range mine {
-		myKeys = append(myKeys, k)
-	}
-	sort.Strings(myKeys)
-	if err := node.Mailbox().SendBody(ctx, peer, MsgKeys, session, myKeys); err != nil {
+	if err := node.Mailbox().SendBody(ctx, peer, MsgKeys, session, glsns); err != nil {
 		return nil, false, err
 	}
 	peerMsg, err := node.Mailbox().ExpectFrom(ctx, peer, MsgKeys, session)
 	if err != nil {
 		return nil, false, fmt.Errorf("awaiting key alignment: %w", err)
 	}
-	var peerKeys []string
-	if err := transport.Unmarshal(peerMsg.Payload, &peerKeys); err != nil {
+	var peerGLSNs []logmodel.GLSN
+	if err := transport.Unmarshal(peerMsg.Payload, &peerGLSNs); err != nil {
 		return nil, false, err
 	}
-	peerSet := make(map[string]struct{}, len(peerKeys))
-	for _, k := range peerKeys {
-		peerSet[k] = struct{}{}
-	}
-	common := make([]string, 0, len(myKeys))
-	values := make([]*big.Int, 0, len(myKeys))
-	for _, k := range myKeys {
-		if _, ok := peerSet[k]; ok {
-			common = append(common, k)
-			values = append(values, mine[k])
-		}
+	n := 0
+	eachCommon(glsns, peerGLSNs, func(i int) {
+		glsns[n], values[n] = glsns[i], values[i]
+		n++
+	})
+	glsns, values = glsns[:n], values[:n]
+	keys := make([]string, n)
+	for i, g := range glsns {
+		keys[i] = g.String()
 	}
 
-	signs, err := compare.BatchCompare(ctx, node.Mailbox(), cfg, common, values)
-	if err != nil {
+	signs, err := compare.BatchCompare(ctx, node.Mailbox(), cfg, keys, values)
+	if err != nil || plan.responsible() != self {
 		return nil, false, err
 	}
-	if plan.responsible() != self {
-		return nil, false, nil
-	}
-	set := make(map[string]struct{})
-	for k, sign := range signs {
-		if opSatisfied(pred.Op, sign) {
-			set[k] = struct{}{}
+	set := glsns[:0]
+	for i, g := range glsns {
+		if sign, ok := signs[keys[i]]; ok && opSatisfied(pred.Op, sign) {
+			set = append(set, g)
 		}
 	}
 	return set, true, nil
@@ -790,15 +747,21 @@ func opSatisfied(op query.Op, sign int) bool {
 }
 
 // orderedInt maps a numeric attribute value to an order-preserving
-// integer: integers map to themselves, floats are scaled by 1e6 (the
-// documented precision of cross-node float comparison). Strings support
-// only equality, which routes through kindCrossEq instead.
+// integer on one scale for both kinds: the value in units of 10^-6,
+// the documented precision of cross-node float comparison. Ints map
+// exactly; floats round to the nearest unit. Strings support only
+// equality, which routes through kindCrossEq instead.
 func orderedInt(v logmodel.Value) (*big.Int, error) {
 	switch v.Kind {
 	case logmodel.KindInt:
-		return big.NewInt(v.I), nil
+		return new(big.Int).Mul(big.NewInt(v.I), microUnits), nil
 	case logmodel.KindFloat:
-		return big.NewInt(int64(math.Round(v.F * 1e6))), nil
+		f := math.Round(v.F * 1e6)
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("%w: order comparison on non-finite value", ErrUnsupported)
+		}
+		i, _ := new(big.Float).SetFloat64(f).Int(nil)
+		return i, nil
 	default:
 		return nil, fmt.Errorf("%w: order comparison on non-numeric value", ErrUnsupported)
 	}
@@ -848,23 +811,23 @@ type AttrIndexer interface {
 // the node maintains them; everything else — range or cross-attribute
 // predicates, or value distributions the index cannot represent
 // faithfully — scans every fragment.
-func evalClauseLocal(node NodeState, clause query.Clause) (map[string]struct{}, error) {
-	set := make(map[string]struct{})
+func evalClauseLocal(node NodeState, clause query.Clause) ([]logmodel.GLSN, error) {
 	if len(clause.Preds) == 0 {
-		return set, nil
+		return nil, nil
 	}
 	if ix, ok := node.(AttrIndexer); ok {
 		if set, ok := evalClauseIndexed(ix, clause); ok {
 			return set, nil
 		}
 	}
+	var set []logmodel.GLSN
 	err := node.VisitFragments(nil, func(g logmodel.GLSN, values map[logmodel.Attr]logmodel.Value) error {
 		match, err := clause.Eval(values)
 		if err != nil {
 			return err
 		}
 		if match {
-			set[g.String()] = struct{}{}
+			set = append(set, g)
 		}
 		return nil
 	})
@@ -877,11 +840,11 @@ func evalClauseLocal(node NodeState, clause query.Clause) (map[string]struct{}, 
 // evalClauseIndexed answers a clause from attribute indexes. It applies
 // only when every predicate is an equality between one attribute and
 // one constant and every lookup is answerable; the result is then the
-// intersection of the per-predicate glsn sets. All lookups run before
+// intersection of the per-predicate glsn runs. All lookups run before
 // intersecting, so a clause with any unanswerable predicate falls back
 // as a whole — the scan reproduces error and cross-class semantics.
-func evalClauseIndexed(ix AttrIndexer, clause query.Clause) (map[string]struct{}, bool) {
-	sets := make([]map[string]struct{}, 0, len(clause.Preds))
+func evalClauseIndexed(ix AttrIndexer, clause query.Clause) ([]logmodel.GLSN, bool) {
+	runs := make([][]logmodel.GLSN, 0, len(clause.Preds))
 	for _, p := range clause.Preds {
 		if p.Op != query.OpEQ {
 			return nil, false
@@ -900,13 +863,9 @@ func evalClauseIndexed(ix AttrIndexer, clause query.Clause) (map[string]struct{}
 		if !ok {
 			return nil, false
 		}
-		set := make(map[string]struct{}, len(glsns))
-		for _, g := range glsns {
-			set[g.String()] = struct{}{}
-		}
-		sets = append(sets, set)
+		runs = append(runs, glsns)
 	}
-	return intersectSets(sets), true
+	return intersectAll(runs), true
 }
 
 // subClauseForNode keeps the predicates whose attributes this node owns.
@@ -927,23 +886,39 @@ func subClauseForNode(clause query.Clause, part *logmodel.Partition, self string
 	return out
 }
 
-// intersectSets intersects glsn sets held locally.
-func intersectSets(sets []map[string]struct{}) map[string]struct{} {
+// intersectAll intersects ascending, duplicate-free glsn sets, merging
+// each into the first set's array. No sets intersect to the empty set.
+func intersectAll(sets [][]logmodel.GLSN) []logmodel.GLSN {
 	if len(sets) == 0 {
-		return map[string]struct{}{}
+		return nil
 	}
-	out := make(map[string]struct{}, len(sets[0]))
-	for g := range sets[0] {
-		out[g] = struct{}{}
-	}
+	out := sets[0]
 	for _, s := range sets[1:] {
-		for g := range out {
-			if _, ok := s[g]; !ok {
-				delete(out, g)
-			}
-		}
+		n := 0
+		eachCommon(out, s, func(i int) {
+			out[n] = out[i]
+			n++
+		})
+		out = out[:n]
 	}
 	return out
+}
+
+// eachCommon calls keep(i) for each a[i] that b also holds, in one
+// merge of the two ascending, duplicate-free glsn lists.
+func eachCommon(a, b []logmodel.GLSN, keep func(i int)) {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			keep(i)
+			i++
+			j++
+		}
+	}
 }
 
 // ownedAttr returns the predicate attribute this node owns.

@@ -3,7 +3,7 @@ package audit
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"confaudit/internal/logmodel"
 )
@@ -57,26 +57,19 @@ func (a *Auditor) CheckTransaction(ctx context.Context, tidAttr logmodel.Attr, t
 		Records:    records,
 		Violations: make(map[string][]logmodel.GLSN, len(rules)),
 	}
-	inTxn := make(map[logmodel.GLSN]struct{}, len(records))
-	for _, g := range records {
-		inTxn[g] = struct{}{}
-	}
 	for _, rule := range rules {
 		conforming, err := a.Query(ctx, base+" AND ("+rule+")")
 		if err != nil {
 			return nil, fmt.Errorf("audit: rule %q: %w", rule, err)
 		}
-		ok := make(map[logmodel.GLSN]struct{}, len(conforming))
-		for _, g := range conforming {
-			ok[g] = struct{}{}
-		}
+		// Both lists ascend: a record violates the rule when it is
+		// missing from the conforming list.
 		var violations []logmodel.GLSN
-		for g := range inTxn {
-			if _, pass := ok[g]; !pass {
+		for _, g := range records {
+			if _, pass := slices.BinarySearch(conforming, g); !pass {
 				violations = append(violations, g)
 			}
 		}
-		sort.Slice(violations, func(i, j int) bool { return violations[i] < violations[j] })
 		report.Violations[rule] = violations
 	}
 	return report, nil

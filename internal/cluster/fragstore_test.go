@@ -417,7 +417,7 @@ func checkFragstore(t *testing.T, seed, hashMask uint64) {
 				journal = append(journal, rec.Data)
 			})
 			for _, data := range journal {
-				e, _, err := decodeWALEntry(data[2:], nil)
+				e, _, err := decodeWALEntry(data[2:], nil, new(batchItem))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -550,6 +550,22 @@ func BenchmarkVisitFragments(b *testing.B) {
 	}
 }
 
+// BenchmarkFragment reads every fragment of a node holding 4096
+// generated records one at a time through Node.Fragment, as a reader
+// of single records does.
+func BenchmarkFragment(b *testing.B) {
+	node, gs := loadedBenchNode(b, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range gs {
+			if _, ok := node.Fragment(g); !ok {
+				b.Fatalf("fragment %s missing", g)
+			}
+		}
+	}
+}
+
 // BenchmarkCheckLocal is one node's share of an integrity attest round:
 // integrity.CheckLocal on a record the node holds, over 256 generated
 // records of the paper schema. The check reads the held fragment and

@@ -349,12 +349,22 @@ func journalEntries(t *testing.T, dir string) []walEntry {
 	defer st.Close() //nolint:errcheck
 	var got []walEntry
 	if err := replayStore(st, func(e walEntry) error {
-		got = append(got, e)
+		got = append(got, kept(e))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	return got
+}
+
+// kept copies out a replayed entry's item, which replay reuses for the
+// next "frag" entry, so the entry can outlive its callback.
+func kept(e walEntry) walEntry {
+	if e.Item != nil {
+		it := *e.Item
+		e.Item = &it
+	}
+	return e
 }
 
 // TestRewriteOfEmptyWALInstallsSnapshot rewrites a journal that never
@@ -426,7 +436,7 @@ func recoverSegment(t *testing.T, data []byte) ([]walEntry, []storage.Quarantine
 	defer st.Close() //nolint:errcheck
 	var got []walEntry
 	if err := replayStore(st, func(e walEntry) error {
-		got = append(got, e)
+		got = append(got, kept(e))
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -953,8 +953,7 @@ func (n *Node) Fragment(g logmodel.GLSN) (logmodel.Fragment, bool) {
 	if !ok {
 		return logmodel.Fragment{}, false
 	}
-	v := heldView(run)
-	return v.fragment(), true
+	return fragmentOf(run), true
 }
 
 // VisitFragments calls fn with the values of each fragment the node
@@ -1111,7 +1110,7 @@ func (n *Node) TamperFragment(g logmodel.GLSN, attr logmodel.Attr, val logmodel.
 		return false
 	}
 	v := heldView(run)
-	frag := v.fragment()
+	frag := fragmentOf(run)
 	if _, ok := frag.Values[attr]; !ok {
 		return false
 	}

@@ -217,10 +217,11 @@ func (j *storeJournal) Close() error {
 // Every payload is the magic/version prefix plus a binary entry; any
 // other payload is corruption, and one of another version is refused
 // by its number: there is no upgrade path between versions. A "frag"
-// entry's index keys are reused from record to record: fn must not keep
-// them (install copies what it keeps).
+// entry's item and index keys are reused from record to record: fn must
+// not keep them (install copies what it keeps).
 func replayStore(s storage.Store, fn func(walEntry) error) error {
 	var keys []valueKey
+	var item batchItem
 	return s.Replay(func(rec storage.Record) error {
 		if len(rec.Data) < 2 || rec.Data[0] != walBinMagic {
 			return fmt.Errorf("cluster: decoding journal record (kind %q): not a binary journal entry", rec.Kind)
@@ -228,7 +229,7 @@ func replayStore(s storage.Store, fn func(walEntry) error) error {
 		if v := rec.Data[1]; v != walBinVersion {
 			return fmt.Errorf("cluster: decoding journal record (kind %q): journal version %d, this build reads only version %d", rec.Kind, v, walBinVersion)
 		}
-		e, more, err := decodeWALEntry(rec.Data[2:], keys[:0])
+		e, more, err := decodeWALEntry(rec.Data[2:], keys[:0], &item)
 		keys = more
 		if err != nil {
 			return fmt.Errorf("cluster: decoding journal record (kind %q): %w", rec.Kind, err)

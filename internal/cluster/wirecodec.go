@@ -249,13 +249,18 @@ func eachValue(run []byte, fn func(attr []byte, val rawValue)) {
 	_ = walkValues(&d, fn)
 }
 
-// fragment decodes the item's fragment.
-func (v *itemView) fragment() logmodel.Fragment {
-	f := logmodel.Fragment{GLSN: v.glsn, Node: string(v.node)}
-	d := wire.NewDec(v.tail)
-	if count, present, _ := d.OptCount(); present {
+// fragmentOf decodes the fragment of an item run that viewItem
+// checked, walking its values once and reading the run no further.
+func fragmentOf(run []byte) logmodel.Fragment {
+	// viewItem checked the run, so none of these reads fails.
+	d := wire.NewDec(run)
+	g, _ := d.Num()
+	node, _ := d.Run()
+	f := logmodel.Fragment{GLSN: logmodel.GLSN(g), Node: string(node)}
+	peek := d // walkValues reads the value count again
+	if count, present, _ := peek.OptCount(); present {
 		f.Values = make(map[logmodel.Attr]logmodel.Value, count)
-		eachValue(v.run, func(a []byte, val rawValue) { f.Values[logmodel.Attr(a)] = val.value() })
+		_ = walkValues(&d, func(a []byte, val rawValue) { f.Values[logmodel.Attr(a)] = val.value() })
 	}
 	return f
 }
@@ -603,9 +608,10 @@ func appendWALEntry(dst []byte, e *walEntry) ([]byte, error) {
 }
 
 // decodeWALEntry decodes one binary journal payload. A "frag" entry's
-// item keeps its run as a slice of src, and its index keys are appended
-// to keys (viewItem); the longer slice is returned.
-func decodeWALEntry(src []byte, keys []valueKey) (walEntry, []valueKey, error) {
+// item is *item, overwritten: it keeps its run as a slice of src, and
+// its index keys are appended to keys (viewItem); the longer slice is
+// returned.
+func decodeWALEntry(src []byte, keys []valueKey, item *batchItem) (walEntry, []valueKey, error) {
 	var e walEntry
 	d := wire.NewDec(src)
 	code, err := d.Take(1)
@@ -651,7 +657,8 @@ func decodeWALEntry(src []byte, keys []valueKey) (walEntry, []valueKey, error) {
 		if v, keys, err = viewItem(d.Rest(), keys); err != nil {
 			return e, keys, err
 		}
-		e.Item = &batchItem{view: v}
+		*item = batchItem{view: v}
+		e.Item = item
 		return e, keys, nil
 	default:
 		return e, keys, fmt.Errorf("%w: item flag %d", wire.ErrMalformed, flag[0])

@@ -79,7 +79,7 @@ func run() error {
 	}
 	fmt.Printf("regulator: total C2 volume over UDP: %.2f\n", udpVolume)
 
-	heavy, err := reg.Query(ctx, `C1 > 950.0`)
+	heavy, err := reg.Query(ctx, `C1 > 9500`)
 	if err != nil {
 		return err
 	}

@@ -8,8 +8,9 @@
 // node evaluates its subqueries:
 //
 //   - local subqueries directly over its fragment store;
-//   - cross equality predicates (attr_i = attr_j across nodes) via
-//     two-party secure set intersection over glsn|value elements;
+//   - cross equality and inequality predicates (attr_i = attr_j across
+//     nodes) via the blind-TTP batch equality of §3.2: one keyed tag
+//     per glsn, judged by a third node;
 //   - cross order predicates via the blind-TTP batch comparison of §3.3;
 //   - cross disjunctions that decompose per node via secure set union.
 //
@@ -60,7 +61,8 @@ var (
 	ErrUnsupported = errors.New("audit: unsupported criteria shape")
 	// ErrDenied indicates a ticket without query authority.
 	ErrDenied = errors.New("audit: query denied")
-	// ErrNoTTP indicates a cross comparison with no third node available.
+	// ErrNoTTP indicates a cross-node predicate with no third node
+	// available as its blind TTP.
 	ErrNoTTP = errors.New("audit: no third node available as blind TTP")
 )
 
@@ -207,15 +209,12 @@ func buildPlans(criteria string, part *logmodel.Partition) ([]wirePlan, *query.N
 			if !pred.Left.IsAttr || !pred.Right.IsAttr {
 				return nil, nil, fmt.Errorf("%w: cross predicate %s mixes scopes", ErrUnsupported, pred)
 			}
-			if pred.Op == query.OpEQ {
+			wp.Kind = kindCrossCmp
+			if pred.Op == query.OpEQ || pred.Op == query.OpNE {
 				wp.Kind = kindCrossEq
-			} else {
-				wp.Kind = kindCrossCmp
-				ttp := pickTTP(roster, sq.Nodes)
-				if ttp == "" {
-					return nil, nil, fmt.Errorf("%w: predicate %s", ErrNoTTP, pred)
-				}
-				wp.TTP = ttp
+			}
+			if wp.TTP = pickTTP(roster, sq.Nodes); wp.TTP == "" {
+				return nil, nil, fmt.Errorf("%w: predicate %s", ErrNoTTP, pred)
 			}
 		default:
 			// Every predicate must be evaluable on a single node.
@@ -247,6 +246,11 @@ func pickTTP(roster, holders []string) string {
 		}
 	}
 	return ""
+}
+
+// subSession names the plan's sub-protocol runs within query session.
+func (p *wirePlan) subSession(session string) string {
+	return session + "/sq" + strconv.Itoa(p.Index)
 }
 
 // responsible returns the node holding the result of a plan.

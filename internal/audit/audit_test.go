@@ -13,6 +13,7 @@ import (
 	"confaudit/internal/cluster"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/mathx"
+	"confaudit/internal/telemetry"
 	"confaudit/internal/ticket"
 	"confaudit/internal/transport"
 )
@@ -298,6 +299,109 @@ func TestCrossEqualityPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertGLSNs(t, got, []logmodel.GLSN{g})
+}
+
+// TestCrossEqualityKinds holds cross-node equality to logmodel.Compare:
+// an int equals a float of the same value, -0 equals 0, and a string
+// never equals a number, however alike their renderings.
+func TestCrossEqualityKinds(t *testing.T) {
+	r := newRig(t)
+	ctx := testCtx(t)
+	zero := r.log(ctx, t, map[logmodel.Attr]logmodel.Value{
+		"C1": logmodel.Int(0),
+		"C2": logmodel.Float(math.Copysign(0, -1)),
+	})
+	eighteen := r.log(ctx, t, map[logmodel.Attr]logmodel.Value{
+		"C1": logmodel.Int(18),
+		"C2": logmodel.Float(18),
+	})
+	r.log(ctx, t, map[logmodel.Attr]logmodel.Value{
+		"id": logmodel.String("50"),
+		"C3": logmodel.Int(50),
+	})
+	got, err := r.auditor.Query(ctx, `C1 = C2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGLSNs(t, got, []logmodel.GLSN{zero, eighteen})
+	got, err = r.auditor.Query(ctx, `id = C3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 0 {
+		t.Fatalf("id = C3: got %v, want empty", got)
+	}
+}
+
+// TestCrossInequalityMatchesCentralized evaluates != across nodes, on
+// strings and on numbers, and as a negated equality, against the
+// centralized evaluation of the same records.
+func TestCrossInequalityMatchesCentralized(t *testing.T) {
+	r := newRig(t)
+	ctx := testCtx(t)
+	central := NewCentralized()
+	ex, err := logmodel.NewPaperExample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range ex.Records {
+		central.Store(logmodel.Record{GLSN: glsnsOf(i)[0], Values: rec.Values})
+	}
+	for _, vals := range []map[logmodel.Attr]logmodel.Value{
+		{"id": logmodel.String("match"), "C3": logmodel.String("match"), "C1": logmodel.Int(7), "C2": logmodel.Float(7)},
+		{"id": logmodel.String("U5"), "C3": logmodel.String("U6"), "C1": logmodel.Int(7), "C2": logmodel.Float(7.5)},
+	} {
+		g := r.log(ctx, t, vals)
+		central.Store(logmodel.Record{GLSN: g, Values: vals})
+	}
+	for _, crit := range []string{`id != C3`, `NOT (id = C3)`, `C1 != C2`, `NOT (C1 = C2)`} {
+		want, err := central.Query(crit)
+		if err != nil {
+			t.Fatalf("centralized %q: %v", crit, err)
+		}
+		got, err := r.auditor.Query(ctx, crit)
+		if err != nil {
+			t.Fatalf("%q: %v", crit, err)
+		}
+		assertGLSNs(t, got, want)
+	}
+}
+
+// TestCrossPredicateLedgersTTPVerdicts checks that each cross-node
+// predicate files its blind TTP's view in the querier's ledger: one
+// verdict per glsn both holders hold, under the TTP's node ID.
+func TestCrossPredicateLedgersTTPVerdicts(t *testing.T) {
+	r := newRig(t)
+	ctx := testCtx(t)
+	// C1 (P3) and C2 (P1) are both set on the five Table 1 rows and on
+	// this record; C2 alone is set on the next, which is not aligned.
+	r.log(ctx, t, map[logmodel.Attr]logmodel.Value{"C1": logmodel.Int(1), "C2": logmodel.Float(1)})
+	r.log(ctx, t, map[logmodel.Attr]logmodel.Value{"C2": logmodel.Float(2)})
+	// Sessions repeat across rigs, and the ledger is process-wide.
+	telemetry.L.Reset()
+	for crit, plan := range map[string]planKind{`C1 = C2`: kindCrossEq, `C1 < C2`: kindCrossCmp} {
+		_, session, _, err := r.auditor.QueryCertified(ctx, crit)
+		if err != nil {
+			t.Fatalf("%q: %v", crit, err)
+		}
+		var verdicts []telemetry.Disclosure
+		for _, q := range telemetry.L.Snapshot().Queriers {
+			for _, e := range q.Entries {
+				if e.Session != session {
+					continue
+				}
+				for _, d := range e.Disclosures {
+					if d.Kind == telemetry.DiscTTPVerdicts {
+						verdicts = append(verdicts, d)
+					}
+				}
+			}
+		}
+		want := telemetry.Disclosure{Kind: telemetry.DiscTTPVerdicts, Node: "P0", Plan: string(plan), N: 6}
+		if len(verdicts) != 1 || verdicts[0] != want {
+			t.Fatalf("%q: TTP disclosures %+v, want [%+v]", crit, verdicts, want)
+		}
+	}
 }
 
 func TestCrossComparisonPredicate(t *testing.T) {

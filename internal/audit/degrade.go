@@ -53,7 +53,7 @@ func (e *PartialResultError) Error() string {
 
 // degradePlans splits plans into those executable with the given nodes
 // dead and the clauses of those that are not. Plans over the whole
-// roster ("*") shrink to the survivors; cross-comparison plans whose
+// roster ("*") shrink to the survivors; cross-node predicate plans whose
 // blind TTP died are re-pointed at a live third node; any plan whose
 // holder died is unanswerable.
 func degradePlans(plans []wirePlan, roster, dead []string) (live []wirePlan, unanswerable []string) {

@@ -22,14 +22,15 @@ import (
 // centralized baseline, then requires the same glsn list, count and
 // sum from both for every query shape the engine plans: the standard
 // query mix (local, same-node and cross-node conjunction, negation,
-// disjunction), the wildcard, a cross-node equality, an int/float
-// cross-node order comparison, a disjunction across nodes and a
-// negated cross-node conjunction.
+// disjunction), the wildcard, cross-node string equality and
+// inequality, int/float cross-node equality (plain and negated) and
+// order comparison, a disjunction across nodes and a negated
+// cross-node conjunction.
 //
 // The partition puts time, Tid, C3 on P0; id, C1, C4 on P1; protocl,
-// C2 on P2. C1 is rewritten to an int and C3 to a string that equals
-// id on every third record, so `C1 < C2` compares an int with a float
-// and `id = C3` has matches.
+// C2 on P2. The generator makes C1 an int, C2 a float and C3 a string.
+// C3 is rewritten to equal id on every third record and C2 to equal C1
+// on every fourth, so `id = C3` and `C1 = C2` have matches.
 func TestDifferentialAgainstCentralized(t *testing.T) {
 	schema, err := workload.ECommerceSchema(4)
 	if err != nil {
@@ -46,6 +47,9 @@ func TestDifferentialAgainstCentralized(t *testing.T) {
 	shapes := append(workload.QueryMix(2),
 		`*`,
 		`id = C3`,
+		`id != C3`,
+		`C1 = C2`,
+		`NOT (C1 = C2)`,
 		`C1 < C2`,
 		`id = "U1" OR protocl = "TCP"`,
 		`NOT (protocl = "UDP" AND id = "U2")`,
@@ -71,10 +75,11 @@ func TestDifferentialAgainstCentralized(t *testing.T) {
 
 			central := audit.NewCentralized()
 			for i, vals := range workload.New(seed).Transactions(schema, 30, 4) {
-				vals["C1"] = logmodel.Int(int64(vals["C1"].F))
-				vals["C3"] = logmodel.String(fmt.Sprintf("c3-%d", i))
 				if i%3 == 0 {
 					vals["C3"] = vals["id"]
+				}
+				if i%4 == 0 {
+					vals["C2"] = logmodel.Float(float64(vals["C1"].I))
 				}
 				g, err := c.Log(ctx, vals)
 				if err != nil {
@@ -87,6 +92,9 @@ func TestDifferentialAgainstCentralized(t *testing.T) {
 				want, err := central.Query(crit)
 				if err != nil {
 					t.Fatalf("centralized %q: %v", crit, err)
+				}
+				if len(want) == 0 && (crit == `id = C3` || crit == `C1 = C2`) {
+					t.Fatalf("%q matches no record", crit)
 				}
 				got, err := c.Auditor().Query(ctx, crit)
 				if err != nil {

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/big"
@@ -344,8 +345,8 @@ func execute(ctx context.Context, node NodeState, session string, body *execBody
 		// The subquery span is named by plan kind and filed under the
 		// /sqN sub-session — index and kind only, never the clause.
 		sqSp, sqCtx := telemetry.StartSpan(ctx,
-			session+"/sq"+fmt.Sprint(plan.Index), self, "audit.subquery."+string(plan.Kind))
-		set, responsible, err := executePlan(sqCtx, node, session, plan)
+			plan.subSession(session), self, "audit.subquery."+string(plan.Kind))
+		set, responsible, err := executePlan(sqCtx, node, session, body.Querier, plan)
 		sqSp.SetCount(len(set)).End(err)
 		if err != nil {
 			return fmt.Errorf("subquery %d (%s): %w", plan.Index, plan.Kind, err)
@@ -514,11 +515,12 @@ func planReporters(plans []wirePlan) []string {
 	return out
 }
 
-// executePlan runs one subquery role. It returns the resulting glsn set
-// and whether this node is the set's responsible holder.
-func executePlan(ctx context.Context, node NodeState, session string, plan *wirePlan) ([]logmodel.GLSN, bool, error) {
+// executePlan runs one subquery role of query session on behalf of
+// querier. It returns the resulting glsn set and whether this node is
+// the set's responsible holder.
+func executePlan(ctx context.Context, node NodeState, session, querier string, plan *wirePlan) ([]logmodel.GLSN, bool, error) {
 	self := node.ID()
-	sqSession := session + "/sq" + fmt.Sprint(plan.Index)
+	sqSession := plan.subSession(session)
 	responsible := plan.responsible() == self
 
 	switch plan.Kind {
@@ -527,8 +529,18 @@ func executePlan(ctx context.Context, node NodeState, session string, plan *wire
 		if len(plan.Nodes) == 1 {
 			return set, responsible, nil
 		}
-		out, err := runIntersect(ctx, node, sqSession, plan, ringElems(set))
-		return out, responsible, err
+		cfg := intersect.Config{
+			Group:     node.Group(),
+			Ring:      plan.Nodes,
+			Receivers: []string{plan.responsible()},
+			Session:   sqSession,
+		}
+		res, err := intersect.Run(ctx, node.Mailbox(), cfg, ringElems(set))
+		if err != nil || !responsible {
+			return nil, false, err
+		}
+		out, err := plaintextSet(res.Plaintext)
+		return out, true, err
 
 	case kindLocal:
 		clause, err := parseClause(plan.Clause)
@@ -561,74 +573,33 @@ func executePlan(ctx context.Context, node NodeState, session string, plan *wire
 		set, err := plaintextSet(res)
 		return set, true, err
 
-	case kindCrossEq:
-		clause, err := parseClause(plan.Clause)
-		if err != nil {
-			return nil, false, err
-		}
-		myAttr, err := ownedAttr(node, clause.Preds[0])
-		if err != nil {
-			return nil, false, err
-		}
-		elems := make([][]byte, 0)
-		node.VisitFragments(nil, func(g logmodel.GLSN, values map[logmodel.Attr]logmodel.Value) error { //nolint:errcheck // fn never fails
-			if v, ok := values[myAttr]; ok {
-				elems = append(elems, []byte(g.String()+"|"+v.Render()))
-			}
-			return nil
-		})
-		set, err := runIntersect(ctx, node, sqSession, plan, shuffled(elems))
-		return set, responsible, err
-
-	case kindCrossCmp:
-		return executeCrossCmp(ctx, node, sqSession, plan)
+	case kindCrossEq, kindCrossCmp:
+		return executeCross(ctx, node, session, querier, plan)
 
 	default:
 		return nil, false, fmt.Errorf("%w: plan kind %q", ErrUnsupported, plan.Kind)
 	}
 }
 
-// runIntersect intersects ring elements across the plan nodes. The
-// responsible node gets back the glsns of the common elements.
-func runIntersect(ctx context.Context, node NodeState, session string, plan *wirePlan, elems [][]byte) ([]logmodel.GLSN, error) {
-	cfg := intersect.Config{
-		Group:     node.Group(),
-		Ring:      plan.Nodes,
-		Receivers: []string{plan.responsible()},
-		Session:   session,
-	}
-	res, err := intersect.Run(ctx, node.Mailbox(), cfg, elems)
-	if err != nil || plan.responsible() != node.ID() {
-		return nil, err
-	}
-	return plaintextSet(res.Plaintext)
-}
-
-// ringElems renders a glsn set as ring elements, each glsn's hex text.
+// ringElems renders a glsn set as ring elements, each glsn's hex text,
+// in a random order. A ring pass keeps the order it is given, and a
+// receiver learns where each match sits in every member's set: in glsn
+// order, that would be the match's rank among the member's glsns.
 func ringElems(set []logmodel.GLSN) [][]byte {
 	elems := make([][]byte, len(set))
 	for i, g := range set {
 		elems[i] = []byte(g.String())
 	}
-	return shuffled(elems)
-}
-
-// shuffled puts ring elements in a random order, in place. A ring pass
-// keeps the order it is given, and a receiver learns where each match
-// sits in every member's set: in glsn order, that would be the match's
-// rank among the member's glsns.
-func shuffled(elems [][]byte) [][]byte {
 	rand.Shuffle(len(elems), func(i, j int) { elems[i], elems[j] = elems[j], elems[i] })
 	return elems
 }
 
 // plaintextSet maps the plaintexts a ring hands back, each a glsn's hex
-// text with an optional "|value" suffix, to a glsn set.
+// text, to a glsn set.
 func plaintextSet(elems [][]byte) ([]logmodel.GLSN, error) {
 	set := make([]logmodel.GLSN, 0, len(elems))
 	for _, el := range elems {
-		hex, _, _ := strings.Cut(string(el), "|")
-		g, err := logmodel.ParseGLSN(hex)
+		g, err := logmodel.ParseGLSN(string(el))
 		if err != nil {
 			return nil, err
 		}
@@ -638,26 +609,47 @@ func plaintextSet(elems [][]byte) ([]logmodel.GLSN, error) {
 	return slices.Compact(set), nil
 }
 
-// executeCrossCmp evaluates attrL ⊗ attrR across two nodes via the
-// blind-TTP batch comparison.
-func executeCrossCmp(ctx context.Context, node NodeState, session string, plan *wirePlan) ([]logmodel.GLSN, bool, error) {
+// executeCross evaluates attrL op attrR across the two nodes holding
+// them, through the plan's blind TTP. The holders align their glsns,
+// then = and != run the batch equality (one keyed tag per glsn) and the
+// order operators the batch comparison (one transformed value per
+// glsn). Only the responsible holder gets verdicts: it returns the
+// matching glsns and files the TTP's view, one verdict per aligned
+// glsn, in querier's ledger.
+func executeCross(ctx context.Context, node NodeState, querySession, querier string, plan *wirePlan) ([]logmodel.GLSN, bool, error) {
 	self := node.ID()
+	mb := node.Mailbox()
+	session := plan.subSession(querySession)
 	clause, err := parseClause(plan.Clause)
 	if err != nil {
 		return nil, false, err
 	}
 	pred := clause.Preds[0]
+	equality := pred.Op == query.OpEQ || pred.Op == query.OpNE
 	part := node.Partition()
 	leftOwner := part.Owner(pred.Left.Attr)
 	rightOwner := part.Owner(pred.Right.Attr)
-	cfg := compare.BatchConfig{
+	responsible := plan.responsible()
+	other := leftOwner
+	if other == responsible {
+		other = rightOwner
+	}
+	eqCfg := compare.BatchEqualConfig{
+		Holders: [2]string{responsible, other},
+		TTP:     plan.TTP,
+		Session: session + "/eq",
+	}
+	cmpCfg := compare.BatchConfig{
 		Holders: [2]string{leftOwner, rightOwner},
 		TTP:     plan.TTP,
 		MaxAbs:  cmpMaxAbs,
 		Session: session + "/cmp",
 	}
 	if self == plan.TTP {
-		return nil, false, compare.ServeBatchCompare(ctx, node.Mailbox(), cfg)
+		if equality {
+			return nil, false, compare.ServeBatchEqual(ctx, mb, eqCfg)
+		}
+		return nil, false, compare.ServeBatchCompare(ctx, mb, cmpCfg)
 	}
 	var myAttr logmodel.Attr
 	var peer string
@@ -674,27 +666,21 @@ func executeCrossCmp(ctx context.Context, node NodeState, session string, plan *
 	// hold, in one merge. glsn lists are "aggregated information" the
 	// relaxed model permits to flow between the two holders.
 	var glsns []logmodel.GLSN
-	var values []*big.Int
+	var values []logmodel.Value
 	err = node.VisitFragments(nil, func(g logmodel.GLSN, vals map[logmodel.Attr]logmodel.Value) error {
-		v, ok := vals[myAttr]
-		if !ok {
-			return nil
+		if v, ok := vals[myAttr]; ok {
+			glsns = append(glsns, g)
+			values = append(values, v)
 		}
-		enc, err := orderedInt(v)
-		if err != nil {
-			return fmt.Errorf("attribute %q: %w", myAttr, err)
-		}
-		glsns = append(glsns, g)
-		values = append(values, enc)
 		return nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	if err := node.Mailbox().SendBody(ctx, peer, MsgKeys, session, glsns); err != nil {
+	if err := mb.SendBody(ctx, peer, MsgKeys, session, glsns); err != nil {
 		return nil, false, err
 	}
-	peerMsg, err := node.Mailbox().ExpectFrom(ctx, peer, MsgKeys, session)
+	peerMsg, err := mb.ExpectFrom(ctx, peer, MsgKeys, session)
 	if err != nil {
 		return nil, false, fmt.Errorf("awaiting key alignment: %w", err)
 	}
@@ -713,26 +699,50 @@ func executeCrossCmp(ctx context.Context, node NodeState, session string, plan *
 		keys[i] = g.String()
 	}
 
-	signs, err := compare.BatchCompare(ctx, node.Mailbox(), cfg, keys, values)
-	if err != nil || plan.responsible() != self {
-		return nil, false, err
+	var match func(i int) bool
+	if equality {
+		enc := make([][]byte, n)
+		for i, v := range values {
+			if enc[i], err = equalityBytes(v); err != nil {
+				return nil, false, fmt.Errorf("attribute %q: %w", myAttr, err)
+			}
+		}
+		equal, err := compare.BatchEqual(ctx, mb, eqCfg, keys, enc)
+		if err != nil || self != responsible {
+			return nil, false, err
+		}
+		match = func(i int) bool { return equal[i] == (pred.Op == query.OpEQ) }
+	} else {
+		enc := make([]*big.Int, n)
+		for i, v := range values {
+			if enc[i], err = orderedInt(v); err != nil {
+				return nil, false, fmt.Errorf("attribute %q: %w", myAttr, err)
+			}
+		}
+		signs, err := compare.BatchCompare(ctx, mb, cmpCfg, keys, enc)
+		if err != nil || self != responsible {
+			return nil, false, err
+		}
+		match = func(i int) bool {
+			sign, ok := signs[keys[i]]
+			return ok && orderSatisfied(pred.Op, sign)
+		}
 	}
+	telemetry.L.RecordDisclosure(querier, querySession, plan.TTP,
+		telemetry.DiscTTPVerdicts, string(plan.Kind), int64(n))
 	set := glsns[:0]
 	for i, g := range glsns {
-		if sign, ok := signs[keys[i]]; ok && opSatisfied(pred.Op, sign) {
+		if match(i) {
 			set = append(set, g)
 		}
 	}
 	return set, true, nil
 }
 
-// opSatisfied maps a comparison sign (left vs right) onto the operator.
-func opSatisfied(op query.Op, sign int) bool {
+// orderSatisfied maps a comparison sign (left vs right) onto an order
+// operator.
+func orderSatisfied(op query.Op, sign int) bool {
 	switch op {
-	case query.OpEQ:
-		return sign == 0
-	case query.OpNE:
-		return sign != 0
 	case query.OpLT:
 		return sign < 0
 	case query.OpLE:
@@ -746,11 +756,28 @@ func opSatisfied(op query.Op, sign int) bool {
 	}
 }
 
+// equalityBytes is a value as its cross-node equality tag covers it: a
+// class byte, then a string's bytes or a number's canonical float64
+// bits, so two values get the same bytes iff logmodel.Compare calls
+// them equal (18 = 18.0, -0 = 0). A string never equals a number,
+// where Compare refuses the pair. NaN, which Compare calls equal to
+// every number, is refused.
+func equalityBytes(v logmodel.Value) ([]byte, error) {
+	if v.Kind == logmodel.KindString {
+		return append([]byte{'s'}, v.S...), nil
+	}
+	bits, ok := logmodel.NumericKey(v.Kind, v.I, v.F)
+	if !ok {
+		return nil, fmt.Errorf("%w: equality on NaN or an invalid value", ErrUnsupported)
+	}
+	return binary.BigEndian.AppendUint64([]byte{'n'}, bits), nil
+}
+
 // orderedInt maps a numeric attribute value to an order-preserving
 // integer on one scale for both kinds: the value in units of 10^-6,
 // the documented precision of cross-node float comparison. Ints map
 // exactly; floats round to the nearest unit. Strings support only
-// equality, which routes through kindCrossEq instead.
+// equality, which the batch equality evaluates instead.
 func orderedInt(v logmodel.Value) (*big.Int, error) {
 	switch v.Kind {
 	case logmodel.KindInt:
@@ -919,15 +946,4 @@ func eachCommon(a, b []logmodel.GLSN, keep func(i int)) {
 			j++
 		}
 	}
-}
-
-// ownedAttr returns the predicate attribute this node owns.
-func ownedAttr(node NodeState, pred query.Pred) (logmodel.Attr, error) {
-	part := node.Partition()
-	for _, a := range pred.ReferencedAttrs() {
-		if part.Owner(a) == node.ID() {
-			return a, nil
-		}
-	}
-	return "", fmt.Errorf("%w: %s owns neither side of %s", ErrUnsupported, node.ID(), pred)
 }

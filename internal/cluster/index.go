@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"hash/maphash"
-	"math"
 	"slices"
 
 	"confaudit/internal/logmodel"
@@ -90,31 +89,10 @@ func indexKey(attr []byte, v rawValue) valueKey {
 	k := valueKey{attr: attr, slot: -1}
 	if v.kind == logmodel.KindString {
 		k.class, k.str = keyStr, v.s
-	} else if bits, ok := numericKey(v.kind, v.i, v.f); ok {
+	} else if bits, ok := logmodel.NumericKey(v.kind, v.i, v.f); ok {
 		k.class, k.bits = keyNum, bits
 	}
 	return k
-}
-
-// numericKey is an int or float value's key, its canonical float64
-// bits, such that two numerics get the same key iff logmodel.Compare
-// calls them equal: -0 normalizes to 0. ok is false for NaN and for a
-// value of any other kind.
-func numericKey(kind logmodel.Kind, i int64, f float64) (bits uint64, ok bool) {
-	switch kind {
-	case logmodel.KindInt:
-		f = float64(i)
-	case logmodel.KindFloat:
-		if math.IsNaN(f) {
-			return 0, false
-		}
-	default:
-		return 0, false
-	}
-	if f == 0 {
-		f = 0 // collapse -0.0 and +0.0
-	}
-	return math.Float64bits(f), true
 }
 
 // attrSlot returns the slot of attribute a in the sorted attrs, looking
@@ -409,7 +387,7 @@ func (s *fragstore) lookup(attr logmodel.Attr, v logmodel.Value) ([]logmodel.GLS
 			return nil, true
 		}
 		r = ix.skeys[i].run
-	} else if bits, isNum := numericKey(v.Kind, v.I, v.F); isNum {
+	} else if bits, isNum := logmodel.NumericKey(v.Kind, v.I, v.F); isNum {
 		if ix.strings > 0 {
 			return nil, false // cross-class comparison errors under Compare
 		}

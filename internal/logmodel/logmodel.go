@@ -16,6 +16,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -138,6 +139,28 @@ func Compare(a, b Value) (int, error) {
 	default:
 		return 0, nil
 	}
+}
+
+// NumericKey is an int or float value's canonical float64 bits, such
+// that two numerics get the same key iff Compare calls them equal: an
+// int converts as Compare converts it, and -0 folds to 0. ok is false
+// for NaN, which Compare calls equal to every number, and for a value
+// of any other kind.
+func NumericKey(kind Kind, i int64, f float64) (bits uint64, ok bool) {
+	switch kind {
+	case KindInt:
+		f = float64(i)
+	case KindFloat:
+		if math.IsNaN(f) {
+			return 0, false
+		}
+	default:
+		return 0, false
+	}
+	if f == 0 {
+		f = 0 // collapse -0.0 and +0.0
+	}
+	return math.Float64bits(f), true
 }
 
 func (v Value) asFloat() (float64, error) {

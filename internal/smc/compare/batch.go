@@ -39,17 +39,11 @@ type BatchConfig struct {
 }
 
 func (c *BatchConfig) validate() error {
-	if c.Holders[0] == "" || c.Holders[1] == "" || c.Holders[0] == c.Holders[1] {
-		return fmt.Errorf("%w: need two distinct holders", smc.ErrProtocol)
-	}
-	if c.TTP == "" || c.TTP == c.Holders[0] || c.TTP == c.Holders[1] {
-		return fmt.Errorf("%w: TTP must be a third party", smc.ErrProtocol)
+	if err := validateBatch(c.Holders, c.TTP, c.Session); err != nil {
+		return err
 	}
 	if c.MaxAbs == nil || c.MaxAbs.Sign() <= 0 {
 		return fmt.Errorf("%w: missing value bound", smc.ErrProtocol)
-	}
-	if c.Session == "" {
-		return fmt.Errorf("%w: empty session", smc.ErrProtocol)
 	}
 	return nil
 }

@@ -12,7 +12,12 @@
 //     holds the maximum/minimum and each party's rank — never the
 //     values.
 //
-// In both protocols the joint secrets are derived by additive
+//   - Batch forms of both, over many shared keys at once: BatchCompare
+//     returns per-key order signs, and BatchEqual per-key equality
+//     from one keyed tag per key, which the TTP judges without any
+//     transform of the value it could order or relate across keys.
+//
+// In every protocol the joint secrets are derived by additive
 // contribution from every holder (each sends a random pair to the
 // others), so the TTP cannot know the transform, and no single holder
 // chooses it alone — the paper's "provision must be made to prevent the
@@ -20,7 +25,8 @@
 //
 // Leakage (permitted by Definition 1's relaxed model): the TTP learns
 // equality patterns, the order of the transformed values, and scaled
-// gaps between them; it never sees a plaintext value.
+// gaps between them (BatchEqual: one equality bit per key only); it
+// never sees a plaintext value.
 package compare
 
 import (

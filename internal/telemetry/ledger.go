@@ -47,6 +47,10 @@ const (
 	DiscIntersection = "intersection_size"
 	// DiscGLSNExtent is the span (max-min+1) of the matched glsn range.
 	DiscGLSNExtent = "glsn_extent"
+	// DiscTTPVerdicts is the number of keys a cross-node predicate's
+	// blind TTP judged: one equality bit or comparison sign per aligned
+	// glsn, filed under the TTP's node ID.
+	DiscTTPVerdicts = "ttp_verdicts"
 )
 
 // Disclosure is one unit of secondary information a query revealed.

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"strconv"
+	"strings"
 
 	"confaudit/internal/logmodel"
 )
@@ -67,8 +68,8 @@ func RoundRobinPartition(schema *logmodel.Schema, n int) (*logmodel.Partition, e
 // Transactions generates count e-commerce transaction records over the
 // schema. Values: id drawn from `users` distinct users, Tid from
 // count/3 transactions (so several records correlate per transaction),
-// protocl UDP/TCP, C1 integer volumes, C2 float amounts, further C_i
-// mixed.
+// protocl UDP/TCP, C1 integer volumes, C2 float amounts, C3 string
+// tags, and further C_k cycling through those three kinds by k.
 func (g *Gen) Transactions(schema *logmodel.Schema, count, users int) []map[logmodel.Attr]logmodel.Value {
 	if users < 1 {
 		users = 1
@@ -92,14 +93,16 @@ func (g *Gen) Transactions(schema *logmodel.Schema, count, users int) []map[logm
 			case "Tid":
 				vals[a] = logmodel.String("T" + strconv.Itoa(1100265+g.rng.IntN(tids)))
 			default:
-				// Undefined attributes alternate kinds.
-				switch len(a) % 3 {
-				case 0:
-					vals[a] = logmodel.String("blob-" + strconv.Itoa(g.rng.IntN(1000)))
+				// Undefined attributes C<k> cycle through the kinds by
+				// k: C1 int, C2 float, C3 string, C4 int, and so on.
+				k, _ := strconv.Atoi(strings.TrimPrefix(string(a), "C"))
+				switch k % 3 {
 				case 1:
 					vals[a] = logmodel.Int(int64(g.rng.IntN(10000)))
-				default:
+				case 2:
 					vals[a] = logmodel.Float(float64(g.rng.IntN(100000)) / 100.0)
+				default:
+					vals[a] = logmodel.String("blob-" + strconv.Itoa(g.rng.IntN(1000)))
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strconv"
 	"testing"
 
 	"confaudit/internal/logmodel"
@@ -104,6 +105,24 @@ func TestTransactionsShape(t *testing.T) {
 	for _, r := range one {
 		if r["id"].S != "U1" {
 			t.Fatal("users=0 should clamp to a single user")
+		}
+	}
+}
+
+// TestTransactionsKinds checks that C<k> takes its kind from k, as
+// Transactions documents: int, float, string, then round again.
+func TestTransactionsKinds(t *testing.T) {
+	s, err := ECommerceSchema(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := []logmodel.Kind{logmodel.KindString, logmodel.KindInt, logmodel.KindFloat}
+	for _, r := range New(5).Transactions(s, 10, 3) {
+		for k := 1; k <= 12; k++ {
+			a := logmodel.Attr("C" + strconv.Itoa(k))
+			if got, want := r[a].Kind, kinds[k%3]; got != want {
+				t.Fatalf("%s has kind %v, want %v", a, got, want)
+			}
 		}
 	}
 }

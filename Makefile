@@ -23,18 +23,20 @@ all: build vet test
 # beside concurrent writers, the sequencer's vote count (per peer, stale
 # votes dropped), the integrity check's local division and attest round,
 # the fixed-base paths (concurrent same-base table builds, the pooled
-# fold scratch), the audit plane's certified, cross-node and
+# fold scratch), the audit plane's certified, cross-node, union and
 # index-versus-scan queries with its differential test against the
-# centralized baseline, and the blind-TTP batch comparison and
-# equality, again at GOMAXPROCS 1, 2 and 8, where their interleavings
+# centralized baseline, the blind-TTP batch comparison and equality,
+# and secure set union (its members' views, the permuted decrypt
+# batch), again at GOMAXPROCS 1, 2 and 8, where their interleavings
 # differ most.
 check: bench-smoke bench-module vet staticcheck obs-smoke obs-ingest-smoke chaos crash-torture examples
 	$(GO) test -race -count=1 ./...
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Journal|WAL|Compact|Replay|Staged|Pipelined|Materialize|VisitFragments|Fragstore|Index|RecordEncoder|Appender|Lease|Propose|Vote' ./internal/cluster/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'CheckLocal|Attest' ./internal/integrity/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'FixedBase|FirstHop' ./internal/mathx/ ./internal/crypto/commutative/
-	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Certified|Centralized|CrossComparison|CrossEquality|IndexScan|Differential' ./internal/audit/
+	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Certified|Centralized|CrossComparison|CrossEquality|IndexScan|Differential|Union' ./internal/audit/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run Batch ./internal/smc/compare/
+	$(GO) test -race -count=3 -cpu 1,2,8 -run Union ./internal/smc/union/
 
 # The end-to-end benchmark harness lives in its own module under
 # bench/; vet it and run its smoke tests against this checkout.

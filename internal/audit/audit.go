@@ -12,7 +12,10 @@
 //     nodes) via the blind-TTP batch equality of §3.2: one keyed tag
 //     per glsn, judged by a third node;
 //   - cross order predicates via the blind-TTP batch comparison of §3.3;
-//   - cross disjunctions that decompose per node via secure set union.
+//   - cross disjunctions that decompose per node via secure set union
+//     over three or more nodes; over two, the other node sends its set
+//     straight to the responsible one, which would learn it from ∪s
+//     anyway.
 //
 // The conjunction of subquery results is then computed with secure set
 // intersection keyed by glsn (exactly as the paper prescribes), and only
@@ -40,6 +43,7 @@ const (
 	MsgQuery  = "audit.query"
 	MsgExec   = "audit.exec"
 	MsgKeys   = "audit.keys"
+	MsgUnion  = "audit.union"
 	MsgAggReq = "audit.aggreq"
 	MsgSig    = "audit.sig"
 	MsgFinal  = "audit.final"

@@ -244,6 +244,103 @@ func TestCrossNodeDisjunction(t *testing.T) {
 	assertGLSNs(t, got, glsnsOf(0, 4))
 }
 
+// TestTwoMemberUnionSkipsRing runs a disjunction over two nodes and
+// one over three. The two-member union returns the centralized answer
+// with no ∪s run: no union.* message and no ring encryption. The
+// three-member union still runs ∪s.
+func TestTwoMemberUnionSkipsRing(t *testing.T) {
+	r := newRig(t)
+	ctx := testCtx(t)
+	var (
+		mu    sync.Mutex
+		types = map[string]int{}
+	)
+	r.net.SetDropFn(func(m transport.Message) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		types[m.Type]++
+		return false
+	})
+	defer r.net.SetDropFn(nil)
+	ringWork := func() int64 {
+		var n int64
+		for _, c := range []string{telemetry.CtrRelayBytes, telemetry.CtrFixedBaseHits, telemetry.CtrFixedBaseMisses} {
+			n += telemetry.M.Counter(c).Value()
+		}
+		return n
+	}
+	unionMsgs := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 0
+		for typ, c := range types {
+			if strings.HasPrefix(typ, "union.") {
+				n += c
+			}
+		}
+		clear(types)
+		return n
+	}
+
+	// id (P1) OR C1 (P3): rows 4 and 1, 2, 4.
+	before := ringWork()
+	got, err := r.auditor.Query(ctx, `id = "U3" OR C1 > 30`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGLSNs(t, got, glsnsOf(1, 2, 4))
+	if n := unionMsgs(); n != 0 {
+		t.Errorf("two-member union sent %d union.* messages, want 0", n)
+	}
+	if d := ringWork() - before; d != 0 {
+		t.Errorf("two-member union encrypted: ring counters moved by %d, want 0", d)
+	}
+
+	// id (P1) OR C1 (P3) OR Tid (P2): rows 4, 0 and 2, 4.
+	got, err = r.auditor.Query(ctx, `id = "U3" OR C1 = 20 OR Tid = "T1100267"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGLSNs(t, got, glsnsOf(0, 2, 4))
+	if n := unionMsgs(); n == 0 {
+		t.Error("three-member union sent no union.* message; it must run ∪s")
+	}
+}
+
+// TestTwoMemberUnionLedgersMemberSet checks that the responsible member
+// of a two-member union files the size of the set it received, under
+// the sender's node ID, once per query.
+func TestTwoMemberUnionLedgersMemberSet(t *testing.T) {
+	r := newRig(t)
+	ctx := testCtx(t)
+	// Sessions repeat across rigs, and the ledger is process-wide.
+	telemetry.L.Reset()
+	for range 2 {
+		_, session, _, err := r.auditor.QueryCertified(ctx, `id = "U3" OR C1 > 30`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sets []telemetry.Disclosure
+		for _, q := range telemetry.L.Snapshot().Queriers {
+			for _, e := range q.Entries {
+				if e.Session != session {
+					continue
+				}
+				for _, d := range e.Disclosures {
+					if d.Kind == telemetry.DiscMemberSet {
+						sets = append(sets, d)
+					}
+				}
+			}
+		}
+		// P1 holds id and is responsible; P3 sent C1 > 30's three glsns.
+		want := telemetry.Disclosure{Kind: telemetry.DiscMemberSet, Node: "P3", Plan: string(kindCrossUnion), N: 3}
+		if len(sets) != 1 || sets[0] != want {
+			t.Fatalf("member-set disclosures %+v, want [%+v]", sets, want)
+		}
+	}
+}
+
 func TestNegationQuery(t *testing.T) {
 	r := newRig(t)
 	ctx := testCtx(t)

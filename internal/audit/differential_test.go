@@ -24,8 +24,9 @@ import (
 // query mix (local, same-node and cross-node conjunction, negation,
 // disjunction), the wildcard, cross-node string equality and
 // inequality, int/float cross-node equality (plain and negated) and
-// order comparison, a disjunction across nodes and a negated
-// cross-node conjunction.
+// order comparison, disjunctions across two nodes and across three
+// (the first skips ∪s, the second runs it) and a negated cross-node
+// conjunction.
 //
 // The partition puts time, Tid, C3 on P0; id, C1, C4 on P1; protocl,
 // C2 on P2. The generator makes C1 an int, C2 a float and C3 a string.
@@ -52,6 +53,7 @@ func TestDifferentialAgainstCentralized(t *testing.T) {
 		`NOT (C1 = C2)`,
 		`C1 < C2`,
 		`id = "U1" OR protocl = "TCP"`,
+		`id = "U1" OR protocl = "TCP" OR C3 = "U2"`,
 		`NOT (protocl = "UDP" AND id = "U2")`,
 	)
 	for _, seed := range []uint64{1, 2, 3} {
@@ -93,7 +95,7 @@ func TestDifferentialAgainstCentralized(t *testing.T) {
 				if err != nil {
 					t.Fatalf("centralized %q: %v", crit, err)
 				}
-				if len(want) == 0 && (crit == `id = C3` || crit == `C1 = C2`) {
+				if len(want) == 0 && (crit == `id = C3` || crit == `C1 = C2` || crit == `id = "U1" OR protocl = "TCP" OR C3 = "U2"`) {
 					t.Fatalf("%q matches no record", crit)
 				}
 				got, err := c.Auditor().Query(ctx, crit)

@@ -560,6 +560,9 @@ func executePlan(ctx context.Context, node NodeState, session, querier string, p
 		if err != nil {
 			return nil, false, err
 		}
+		if len(plan.Nodes) == 2 {
+			return unionOfTwo(ctx, node, session, querier, plan, local)
+		}
 		cfg := union.Config{
 			Group:     node.Group(),
 			Ring:      plan.Nodes,
@@ -579,6 +582,36 @@ func executePlan(ctx context.Context, node NodeState, session, querier string, p
 	default:
 		return nil, false, fmt.Errorf("%w: plan kind %q", ErrUnsupported, plan.Kind)
 	}
+}
+
+// unionOfTwo is a two-member union. ∪s hides which member holds each
+// element, but its only receiver, the responsible member, runs the
+// collector's role, which learns the other member's whole set: its
+// shared elements by matching the collected ciphertexts against its
+// own, the rest as the union minus its own set. So the other member
+// sends its set straight to the responsible member (audit.union), which
+// accepts it only from that member, files its size in querier's ledger
+// and merges it with its own set.
+func unionOfTwo(ctx context.Context, node NodeState, session, querier string, plan *wirePlan, local []logmodel.GLSN) ([]logmodel.GLSN, bool, error) {
+	mb := node.Mailbox()
+	sqSession := plan.subSession(session)
+	responsible, other := plan.Nodes[0], plan.Nodes[1]
+	if node.ID() != responsible {
+		return nil, false, mb.SendBody(ctx, responsible, MsgUnion, sqSession, local)
+	}
+	msg, err := mb.ExpectFrom(ctx, other, MsgUnion, sqSession)
+	if err != nil {
+		return nil, false, fmt.Errorf("awaiting %s's set: %w", other, err)
+	}
+	var theirs []logmodel.GLSN
+	if err := transport.Unmarshal(msg.Payload, &theirs); err != nil {
+		return nil, false, err
+	}
+	telemetry.L.RecordDisclosure(querier, session, other,
+		telemetry.DiscMemberSet, string(plan.Kind), int64(len(theirs)))
+	set := slices.Concat(local, theirs)
+	slices.Sort(set)
+	return slices.Compact(set), true, nil
 }
 
 // ringElems renders a glsn set as ring elements, each glsn's hex text,

@@ -19,13 +19,24 @@
 // plaintext exists only at the collector. The union is the collector's
 // own elements plus the decrypted foreign ones.
 //
-// Ownership hiding: because the foreign ciphertexts are decrypted as
-// one combined, blinded batch (sorted after blinding), and the union
-// goes to receivers sorted, the final plaintexts carry no trace of
-// which node contributed which item. Set sizes leak, which Definition
-// 1's relaxed model permits; non-collectors see the foreign batch size
-// |∪ \ S_collector| = |∪| − |S_collector|, and every node sees
-// |S_collector| when it relays the collector's set in the ring pass.
+// Ownership hiding is partial. The foreign ciphertexts are decrypted as
+// one blinded batch, sorted by the collector and permuted afresh by
+// every other member before it forwards, and the union goes to
+// receivers sorted. So no node but the collector learns who contributed
+// which item, beyond the ring pass's residual (each node can match its
+// successor's fully encrypted set against its own). The collector
+// learns more. It knows the plaintext behind each of its own
+// ciphertexts and which member sent each collected one, so it learns
+// which members hold each of its own elements; it applies the last
+// layer to its successor's set, so it can attribute that set too. The
+// permutations keep it from linking a decrypted foreign element to
+// the collects that carried it. With two members the collector thus
+// learns the other member's whole set: its shared elements by
+// matching, the rest as the union minus its own. Set sizes leak, which
+// Definition 1's relaxed model permits; non-collectors see the foreign
+// batch size |∪ \ S_collector| = |∪| − |S_collector|, and every node
+// sees |S_collector| when it relays the collector's set in the ring
+// pass.
 //
 // A phase message is refused with smc.ErrProtocol unless it comes from
 // the member the protocol expects: one collect from each non-collector,
@@ -41,7 +52,9 @@ package union
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
 	"fmt"
+	mrand "math/rand/v2"
 	"sort"
 	"time"
 
@@ -259,8 +272,8 @@ func (p *party) collect(ctx context.Context, own, myFinal [][]byte) ([][]byte, e
 
 // member is a non-collector's role: ship the fully encrypted own set to
 // the collector, strip this node's layer from the foreign batch coming
-// from the ring predecessor and forward it, then, as a receiver, take
-// the union from the collector.
+// from the ring predecessor and forward it in a fresh random order,
+// then, as a receiver, take the union from the collector.
 func (p *party) member(ctx context.Context, myFinal [][]byte) ([][]byte, error) {
 	collector := p.cfg.Ring[0]
 	if err := sendBatch(ctx, p.mb, collector, msgCollect, p.cfg.Session, 0, myFinal); err != nil {
@@ -276,6 +289,12 @@ func (p *party) member(ctx context.Context, myFinal [][]byte) ([][]byte, error) 
 	dec, err := p.key.DecryptBlocks(bs)
 	if err != nil {
 		return nil, fmt.Errorf("union: stripping layer: %w", err)
+	}
+	// The collector knows which members' collects carried each block it
+	// sent; a batch coming back in that order would let it link every
+	// decrypted foreign element to its owners.
+	if err := shuffleBlocks(dec); err != nil {
+		return nil, err
 	}
 	if err := sendBatch(ctx, p.mb, p.next, msgDecrypt, p.cfg.Session, hops+1, dec); err != nil {
 		return nil, err
@@ -308,6 +327,19 @@ func expectBatch(ctx context.Context, mb *transport.Mailbox, typ, session string
 		return "", 0, nil, err
 	}
 	return msg.From, body.Hops, blocks, nil
+}
+
+// shuffleBlocks permutes blocks uniformly at random, from a ChaCha8
+// stream under a fresh seed from crypto/rand.
+func shuffleBlocks(blocks [][]byte) error {
+	var seed [32]byte
+	if _, err := rand.Read(seed[:]); err != nil {
+		return fmt.Errorf("union: seeding permutation: %w", err)
+	}
+	mrand.New(mrand.NewChaCha8(seed)).Shuffle(len(blocks), func(i, j int) {
+		blocks[i], blocks[j] = blocks[j], blocks[i]
+	})
+	return nil
 }
 
 // sortBlocks puts blocks in byte order.

@@ -51,6 +51,10 @@ const (
 	// blind TTP judged: one equality bit or comparison sign per aligned
 	// glsn, filed under the TTP's node ID.
 	DiscTTPVerdicts = "ttp_verdicts"
+	// DiscMemberSet is the size of the set one member of a two-member
+	// union sent the responsible member, filed under the sender's node
+	// ID: the responsible member learns that set itself.
+	DiscMemberSet = "member_set"
 )
 
 // Disclosure is one unit of secondary information a query revealed.

@@ -21,7 +21,8 @@ all: build vet test
 # string hash and through collision chains), the writer's record encoder against its field-by-field
 # reference path, the Appender's glsn leases and shared ack slabs
 # beside concurrent writers, the sequencer's vote count (per peer, stale
-# votes dropped), the integrity check's local division and attest round,
+# votes dropped), the integrity circulation (checks from every node at
+# once, sweeps, a copied fragment, a dead peer),
 # the fixed-base paths (concurrent same-base table builds, the pooled
 # fold scratch), the audit plane's certified, cross-node, union and
 # index-versus-scan queries with its differential test against the
@@ -32,7 +33,7 @@ all: build vet test
 check: bench-smoke bench-module vet staticcheck obs-smoke obs-ingest-smoke chaos crash-torture examples
 	$(GO) test -race -count=1 ./...
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Journal|WAL|Compact|Replay|Staged|Pipelined|Materialize|VisitFragments|Fragstore|Index|RecordEncoder|Appender|Lease|Propose|Vote' ./internal/cluster/
-	$(GO) test -race -count=3 -cpu 1,2,8 -run 'CheckLocal|Attest' ./internal/integrity/
+	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Check' ./internal/integrity/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'FixedBase|FirstHop' ./internal/mathx/ ./internal/crypto/commutative/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Certified|Centralized|CrossComparison|CrossEquality|IndexScan|Differential|Union' ./internal/audit/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run Batch ./internal/smc/compare/
@@ -108,7 +109,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x -timeout 30s ./...
 
-# Regenerate every paper table and figure plus measured claims.
+# Regenerate every paper table and figure plus the eqs. 10-13 sweeps.
 tables:
 	$(GO) run ./cmd/benchtab -all
 

@@ -1,15 +1,16 @@
 // Command benchtab regenerates every table and figure of the paper
 // ("On the Confidential Auditing of Distributed Computing Systems",
 // Shen, Liu, Zhao — TAMU TR 2003-8-2 / ICDCS 2004) from the running
-// implementation, plus the measured comparisons behind the paper's
-// qualitative claims. See EXPERIMENTS.md for the index.
+// implementation, plus the confidentiality metric sweeps. The measured
+// comparisons behind the paper's qualitative claims are the root
+// package's BenchmarkClaim* benchmarks. See EXPERIMENTS.md for the
+// index.
 //
 // Usage:
 //
 //	benchtab -table all        # Tables 1-6
 //	benchtab -figure all       # Figures 1-7
 //	benchtab -metrics          # eqs. 10-13 sweeps
-//	benchtab -compare          # relaxed vs classical SMC measurements
 //	benchtab -all
 package main
 
@@ -26,15 +27,14 @@ func main() {
 		table   = flag.String("table", "", "regenerate a paper table: 1..6 or all")
 		figure  = flag.String("figure", "", "regenerate a paper figure: 1..7 or all")
 		metrics = flag.Bool("metrics", false, "sweep the confidentiality metrics (eqs. 10-13)")
-		compare = flag.Bool("compare", false, "measure relaxed vs classical SMC cost (claims C1-C3)")
 		all     = flag.Bool("all", false, "everything")
 	)
 	flag.Parse()
 
 	if *all {
-		*table, *figure, *metrics, *compare = "all", "all", true, true
+		*table, *figure, *metrics = "all", "all", true
 	}
-	if *table == "" && *figure == "" && !*metrics && !*compare {
+	if *table == "" && *figure == "" && !*metrics {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -51,11 +51,6 @@ func main() {
 	if *metrics {
 		if err := runMetrics(); err != nil {
 			log.Fatalf("metrics: %v", err)
-		}
-	}
-	if *compare {
-		if err := runCompare(); err != nil {
-			log.Fatalf("compare: %v", err)
 		}
 	}
 }

@@ -331,10 +331,9 @@ func (c *Client) LogBatch(ctx context.Context, records []map[logmodel.Attr]logmo
 // the Appender: it stores records under their already-granted glsns
 // [first, first+len(records)) and returns those glsns once every node
 // has acked (or spooled) its slice. The client's recordEncoder makes
-// one pass over each record: every node is shipped its fragment, the
-// digest exponent and its own witness exponent, and materializes the
-// group elements lazily, keeping the fixed-base evaluation off the
-// write path. Provenance signs the digest group element, so only a
+// one pass over each record: every node is shipped its fragment and the
+// record's digest exponent, and materializes the digest element
+// lazily, keeping the fixed-base evaluation off the write path. Provenance signs the digest group element, so only a
 // signing writer computes it, to sign it; it still ships the exponent,
 // and every node re-derives the element from it. Each node then
 // receives one MsgLogStoreBatch with all of its items, the nodes

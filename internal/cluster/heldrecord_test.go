@@ -13,21 +13,19 @@ import (
 	"testing"
 	"time"
 
-	"confaudit/internal/integrity"
 	"confaudit/internal/logmodel"
 	"confaudit/internal/ticket"
 	"confaudit/internal/transport"
 	"confaudit/internal/workload"
 )
 
-// TestMaterializeRacesOverwriteAndDelete runs Digest and DigestExp on
-// one glsn from several goroutines while the writer overwrites it
-// version by version and then deletes it. Once an overwrite is acked,
-// every answer must be the new content's digest or digest exponent (or
-// a later version's, since the next overwrite may already be landing),
-// never an element cached for older content. Once the delete is acked,
-// none may be returned. Run under -race it also checks the lock
-// discipline of Digest's element cache.
+// TestMaterializeRacesOverwriteAndDelete runs Digest on one glsn from
+// several goroutines while the writer overwrites it version by version
+// and then deletes it. Once an overwrite is acked, every answer must be
+// the new content's digest (or a later version's, since the next
+// overwrite may already be landing), never an element cached for older
+// content. Once the delete is acked, none may be returned. Run under
+// -race it also checks the lock discipline of Digest's element cache.
 func TestMaterializeRacesOverwriteAndDelete(t *testing.T) {
 	tc := startCluster(t)
 	ctx := testCtx(t)
@@ -42,21 +40,16 @@ func TestMaterializeRacesOverwriteAndDelete(t *testing.T) {
 
 	const versions = 8
 	nodes := c.part.Nodes()
-	// want[v].digest is version v's record digest by the accumulator's
-	// definition, and want[v].dexp its exponent.
-	type expected struct {
-		digest, dexp *big.Int
-	}
-	want := make([]expected, versions)
+	// want[v] is version v's record digest by the accumulator's
+	// definition.
+	want := make([]*big.Int, versions)
 	for v := range want {
-		items := recordItems(c, logmodel.Record{GLSN: g, Values: appendRecord(v)})
-		want[v].digest = c.acc.AccumulateAll(items)
-		_, want[v].dexp = c.acc.WitnessExponents(items)
+		want[v] = c.acc.AccumulateAll(recordItems(c, logmodel.Record{GLSN: g, Values: appendRecord(v)}))
 	}
-	// matches reports the first version >= from whose element equals got.
-	matches := func(from int, got *big.Int, elem func(int) *big.Int) bool {
+	// matches reports whether some version >= from has the digest got.
+	matches := func(from int, got *big.Int) bool {
 		for v := from; v < versions; v++ {
-			if elem(v).Cmp(got) == 0 {
+			if want[v].Cmp(got) == 0 {
 				return true
 			}
 		}
@@ -81,10 +74,10 @@ func TestMaterializeRacesOverwriteAndDelete(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var answers atomic.Int64
-	for r := 0; r < 4; r++ {
+	for range 4 {
 		for _, id := range nodes {
 			wg.Add(1)
-			go func(r int, node *Node) {
+			go func(node *Node) {
 				defer wg.Done()
 				for {
 					select {
@@ -93,16 +86,7 @@ func TestMaterializeRacesOverwriteAndDelete(t *testing.T) {
 					default:
 					}
 					from := int(acked.Load())
-					var got *big.Int
-					var ok bool
-					var elem func(int) *big.Int
-					if r%2 == 0 {
-						got, ok = node.Digest(g)
-						elem = func(v int) *big.Int { return want[v].digest }
-					} else {
-						got, ok = node.DigestExp(g)
-						elem = func(v int) *big.Int { return want[v].dexp }
-					}
+					got, ok := node.Digest(g)
 					answers.Add(1)
 					switch {
 					case from == versions && ok:
@@ -111,12 +95,12 @@ func TestMaterializeRacesOverwriteAndDelete(t *testing.T) {
 					case from < versions && !ok && !deleting.Load():
 						t.Errorf("%s: no answer for %s at acked version %d", node.id, g, from)
 						return
-					case ok && !matches(from, got, elem):
+					case ok && !matches(from, got):
 						t.Errorf("%s: answer for %s matches no version >= acked %d", node.id, g, from)
 						return
 					}
 				}
-			}(r, tc.nodes[id])
+			}(tc.nodes[id])
 		}
 	}
 
@@ -334,7 +318,7 @@ func TestVisitFragmentsRacesOverwriteAndDelete(t *testing.T) {
 // overwrite and a delete on a durable cluster, compacts every node's
 // store from the records it holds, then overwrites and deletes again
 // on top of the snapshot. After a restart every node must hold the same
-// glsns and answer Fragment, Digest, DigestExp and Provenance for each
+// glsns and answer Fragment, Digest and Provenance for each
 // exactly as it did live.
 func TestReplayHeldRecordsAcrossCompaction(t *testing.T) {
 	root := t.TempDir()
@@ -562,22 +546,6 @@ func BenchmarkFragment(b *testing.B) {
 			if _, ok := node.Fragment(g); !ok {
 				b.Fatalf("fragment %s missing", g)
 			}
-		}
-	}
-}
-
-// BenchmarkCheckLocal is one node's share of an integrity attest round:
-// integrity.CheckLocal on a record the node holds, over 256 generated
-// records of the paper schema. The check reads the held fragment and
-// digest exponent and divides; it materializes no group element, so a
-// record no check has touched costs the same as any other.
-func BenchmarkCheckLocal(b *testing.B) {
-	node, gs := loadedBenchNode(b, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := integrity.CheckLocal(node, gs[i%len(gs)]); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -1037,20 +1037,6 @@ func (n *Node) Digest(g logmodel.GLSN) (*big.Int, bool) {
 	return elem, true
 }
 
-// DigestExp returns the record's digest exponent for a glsn, decoded
-// from the held run: the product of every fragment's hash exponent,
-// which the local integrity check divides by this node's own.
-func (n *Node) DigestExp(g logmodel.GLSN) (*big.Int, bool) {
-	n.mu.RLock()
-	run, ok := n.frags.get(g)
-	n.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	exp := bigOf(heldView(run).dexp)
-	return exp, exp != nil
-}
-
 // Provenance returns the writer's non-repudiation signature for a glsn,
 // when the writer supplied one. The signature is a slice of the held
 // run, which is never modified; callers must not modify it either.

@@ -31,8 +31,8 @@ func recordItems(c *Client, rec logmodel.Record) [][]byte {
 }
 
 // stateSnapshot renders what every node answers about each glsn — its
-// fragment, digest, digest exponent and provenance — plus the index
-// lookup of every probe.
+// fragment, digest (X0 to the held digest exponent) and provenance —
+// plus the index lookup of every probe.
 func stateSnapshot(tc *testCluster, gs []logmodel.GLSN, probes []indexProbe) map[string]string {
 	out := make(map[string]string)
 	for id, n := range tc.nodes {
@@ -43,9 +43,6 @@ func stateSnapshot(tc *testCluster, gs []logmodel.GLSN, probes []indexProbe) map
 			}
 			if d, ok := n.Digest(g); ok {
 				out[key+"digest"] = d.String()
-			}
-			if e, ok := n.DigestExp(g); ok {
-				out[key+"dexp"] = e.String()
 			}
 			if p, ok := n.Provenance(g); ok {
 				out[key+"prov"] = fmt.Sprintf("%x", p)

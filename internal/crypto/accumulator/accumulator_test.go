@@ -118,19 +118,18 @@ func TestHashItemProperties(t *testing.T) {
 
 // TestWitness checks membership witnesses, the accumulation of every
 // other item: each one's materialized element takes its own item to the
-// digest and refuses a forged one, and Member agrees from the digest
-// exponent alone.
+// digest and refuses a forged one.
 func TestWitness(t *testing.T) {
 	p := testParams(t)
 	items := [][]byte{[]byte("log0"), []byte("log1"), []byte("log2"), []byte("log3")}
 	digest := p.AccumulateAll(items)
-	wexps, dexp := p.WitnessExponents(items)
+	wexps, _ := p.WitnessExponents(items)
 	for i, it := range items {
 		w := p.PowX0(wexps[i])
-		if p.Accumulate(w, it).Cmp(digest) != 0 || !Member(dexp, it) {
+		if p.Accumulate(w, it).Cmp(digest) != 0 {
 			t.Fatalf("witness for item %d rejected", i)
 		}
-		if p.Accumulate(w, []byte("forged")).Cmp(digest) == 0 || Member(dexp, []byte("forged")) {
+		if p.Accumulate(w, []byte("forged")).Cmp(digest) == 0 {
 			t.Fatalf("witness for item %d accepted a forged item", i)
 		}
 	}

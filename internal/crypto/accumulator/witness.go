@@ -2,19 +2,15 @@ package accumulator
 
 import "math/big"
 
-// Digest exponents and membership.
+// Digest exponents and witnesses.
 //
 // A record's digest is X0^dexp, where dexp = ∏ e_i is the product of
 // its items' hash exponents. A membership witness for item i is the
 // accumulation of every OTHER item: w_i = X0^(dexp/e_i) mod n, so
-// Accumulate(w_i, item_i) reproduces the digest. A holder that keeps
-// dexp itself needs no witness: with the group order unknown,
-// X0^((dexp/e)·e) = X0^dexp holds exactly when e divides dexp as an
-// integer, so Member's one division decides what the witness check
-// decides with two fixed-base evaluations and one exponentiation. The
-// cluster write path ships each record's dexp alone (DigestScratch) and
-// materializes X0^dexp only where a group element is needed:
-// circulation and provenance.
+// Accumulate(w_i, item_i) reproduces the digest. The cluster write path
+// ships each record's dexp alone (DigestScratch) and materializes
+// X0^dexp only where a group element is needed: circulation and
+// provenance.
 
 // WitnessExponents returns each item's witness EXPONENT — the product
 // of every other item's hash exponent — plus the product of all of
@@ -66,23 +62,4 @@ func (s *DigestScratch) Exponent(items [][]byte) *big.Int {
 		cur, next = next, cur
 	}
 	return cur
-}
-
-// Member reports whether item is one of the items whose hash exponents
-// multiply to the digest exponent dexp: whether H(item) divides dexp
-// exactly. It decides whether
-//
-//	Accumulate(PowX0(dexp/H(item)), item) == PowX0(dexp)
-//
-// with one division and no exponentiation. A tampered item passes only
-// if its hash exponent happens to be one of dexp's divisors: a SHA-256
-// preimage search against at most 2^Ω targets, where Ω counts dexp's
-// prime factors.
-func Member(dexp *big.Int, item []byte) bool {
-	if dexp == nil || dexp.Sign() <= 0 {
-		return false
-	}
-	var e, q, r big.Int
-	q.QuoRem(dexp, hashInto(&e, item), &r)
-	return r.Sign() == 0
 }

@@ -67,36 +67,3 @@ func BenchmarkDigestExponent(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkMember measures the local integrity check's arithmetic: one
-// fragment's hash exponent divided into a 4-node record's digest
-// exponent.
-func BenchmarkMember(b *testing.B) {
-	items := witnessItems(4)
-	var s DigestScratch
-	dexp := s.Exponent(items)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if !Member(dexp, items[i%len(items)]) {
-			b.Fatal("member refused")
-		}
-	}
-}
-
-// TestMember holds Member to the integer division over the same random
-// records and tamperings as TestDivisionCheckAgreesWithWitness: it
-// accepts exactly the items of the record. It refuses digest exponents
-// no writer produces.
-func TestMember(t *testing.T) {
-	eachTampering(t, func(items [][]byte, _ []*big.Int, dexp *big.Int, i int, item []byte, tampered bool) {
-		if Member(dexp, item) != inRecord(items, item) || Member(dexp, item) != divides(dexp, item) {
-			t.Fatalf("fragment %d (tampered %v): Member %v, division %v", i, tampered, Member(dexp, item), divides(dexp, item))
-		}
-	})
-	item := []byte("y000")
-	for _, dexp := range []*big.Int{nil, big.NewInt(0), new(big.Int).Neg(HashItem(item))} {
-		if Member(dexp, item) {
-			t.Fatalf("digest exponent %v accepted", dexp)
-		}
-	}
-}

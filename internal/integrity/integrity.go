@@ -26,14 +26,10 @@ import (
 
 // Message types: relays travel as MsgCirculate; the full-circle value
 // returns to the initiator as MsgResult so responder loops never consume
-// it. The attest round uses MsgAttest/MsgAttestResult instead: one
-// parallel round trip per peer, each peer verifying its own fragment
-// locally.
+// it.
 const (
-	MsgCirculate    = "integrity.circulate"
-	MsgResult       = "integrity.result"
-	MsgAttest       = "integrity.attest"
-	MsgAttestResult = "integrity.attest_result"
+	MsgCirculate = "integrity.circulate"
+	MsgResult    = "integrity.result"
 )
 
 // Errors reported by integrity checking.
@@ -43,10 +39,10 @@ var (
 	ErrNoDigest = errors.New("integrity: no stored digest")
 	// ErrFragmentMissing indicates a ring node without the fragment.
 	ErrFragmentMissing = errors.New("integrity: fragment missing on a node")
-	// ErrNoExponent indicates that a store keeps no digest exponent for
-	// the record (it is no ExponentStore, or it does not hold the glsn),
-	// so the local check cannot decide and circulation must.
-	ErrNoExponent = errors.New("integrity: no stored digest exponent")
+	// ErrDigestMismatch is the one verdict: a circulation that visited
+	// every ring node returned a value other than the stored digest, so
+	// some fragment differs from the record as written.
+	ErrDigestMismatch = errors.New("integrity: digest mismatch: record tampered or corrupted")
 )
 
 // Store is the node-local state the protocol reads: the fragment and
@@ -54,18 +50,6 @@ var (
 type Store interface {
 	Fragment(g logmodel.GLSN) (logmodel.Fragment, bool)
 	Digest(g logmodel.GLSN) (*big.Int, bool)
-}
-
-// ExponentStore is the extension a store implements to keep each
-// record's digest exponent dexp, the product of every fragment's hash
-// exponent, as writers ship it at log time. A cluster node refuses any
-// stored item without it, so it holds one for every record it holds.
-// With dexp, a node verifies its fragment against the record in one
-// integer division — no ring traffic, no exponentiation — and a
-// whole-record check becomes one parallel attest round instead of a
-// sequential circulation.
-type ExponentStore interface {
-	DigestExp(g logmodel.GLSN) (*big.Int, bool)
 }
 
 type circulateBody struct {
@@ -77,22 +61,11 @@ type circulateBody struct {
 	Missing string `json:"missing,omitempty"`
 }
 
-// Serve runs the responder loops — circulation relay and witness
-// attestation — until ctx is cancelled or the mailbox closes. Every
-// ring node (including check initiators) must run Serve.
+// Serve relays circulations until ctx is cancelled or the mailbox
+// closes: it folds the local fragment into each incoming partial
+// accumulation and forwards it along the ring. Every ring node
+// (including check initiators) must run Serve.
 func Serve(ctx context.Context, mb *transport.Mailbox, ring []string, params *accumulator.Params, store Store) error {
-	done := make(chan error, 1)
-	go func() { done <- serveAttest(ctx, mb, store) }()
-	err := serveCirculate(ctx, mb, ring, params, store)
-	if aerr := <-done; err == nil {
-		err = aerr
-	}
-	return err
-}
-
-// serveCirculate folds the local fragment into incoming partial
-// accumulations and forwards them along the ring.
-func serveCirculate(ctx context.Context, mb *transport.Mailbox, ring []string, params *accumulator.Params, store Store) error {
 	self := mb.ID()
 	next, err := smc.NextInRing(ring, self)
 	if err != nil {
@@ -131,135 +104,18 @@ func serveCirculate(ctx context.Context, mb *transport.Mailbox, ring []string, p
 	}
 }
 
-type attestBody struct {
-	GLSN      logmodel.GLSN `json:"glsn"`
-	Initiator string        `json:"initiator"`
-}
-
-type attestResult struct {
-	GLSN logmodel.GLSN `json:"glsn"`
-	// OK reports that the responder's fragment verified against the
-	// stored digest exponent. Any other outcome — no exponent, missing
-	// fragment, mismatch — leaves OK false and sends the initiator back
-	// to authoritative circulation.
-	OK bool `json:"ok"`
-}
-
-// serveAttest answers attestation requests: verify the local fragment
-// against the local digest exponent, reply with the verdict.
-func serveAttest(ctx context.Context, mb *transport.Mailbox, store Store) error {
-	for {
-		msg, err := mb.ExpectType(ctx, MsgAttest)
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, transport.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		var body attestBody
-		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
-			continue
-		}
-		resp := attestResult{GLSN: body.GLSN, OK: CheckLocal(store, body.GLSN) == nil}
-		mb.SendBody(ctx, body.Initiator, MsgAttestResult, msg.Session, resp) //nolint:errcheck // lost reply surfaces as initiator timeout
-	}
-}
-
-// CheckLocal verifies this node's fragment against the record's stored
-// digest exponent: the fragment's hash exponent must divide it
-// (accumulator.Member) — one division, no messages. It returns
-// ErrNoExponent when the store keeps no digest exponent for g; a failed
-// local check makes the attest round unclean, and Check then
-// circulates.
-//
-// It gives no verdict on a fragment without values. Every node's empty
-// fragment of g has the same canonical form, so whenever another
-// node's fragment of the record is empty, H(empty) divides dexp and a
-// wiped fragment would pass the division; only circulation, which
-// folds each node's fragment once, can tell the two apart.
-func CheckLocal(store Store, g logmodel.GLSN) error {
-	es, ok := store.(ExponentStore)
-	if !ok {
-		return fmt.Errorf("%w: store does not keep digest exponents", ErrNoExponent)
-	}
-	dexp, ok := es.DigestExp(g)
-	if !ok {
-		return fmt.Errorf("%w: glsn %s", ErrNoExponent, g)
-	}
-	frag, ok := store.Fragment(g)
-	if !ok {
-		return fmt.Errorf("%w: glsn %s", ErrFragmentMissing, g)
-	}
-	if len(frag.Values) == 0 {
-		return fmt.Errorf("integrity: fragment of glsn %s holds no values: the local check cannot tell it from another node's", g)
-	}
-	if !accumulator.Member(dexp, frag.Canonical()) {
-		return fmt.Errorf("integrity: fragment of glsn %s is not a factor of its digest: tampered or corrupted", g)
-	}
-	return nil
-}
-
 // checkSeq makes concurrent checks from one node collision-free.
 var checkSeq atomic.Uint64
 
-// checkAttest runs the attest fast path for one glsn: verify the local
-// fragment, then ask every peer to verify its own in parallel. It
-// reports clean only when the local check and every peer's attestation
-// pass; any other outcome (a store without the digest exponent, a
-// mismatch, a transport failure) sends the caller back to circulation,
-// which stays the authoritative verdict. The whole round is one
-// parallel RTT, so a sweep's critical path drops from n sequential
-// fold-and-forward hops per record to a single exchange.
-func checkAttest(ctx context.Context, mb *transport.Mailbox, ring []string, store Store, g logmodel.GLSN) bool {
-	self := mb.ID()
-	if CheckLocal(store, g) != nil {
-		return false
-	}
-	session := "iatt/" + self + "/" + g.String() + "/" + strconv.FormatUint(checkSeq.Add(1), 10)
-	sent := 0
-	for _, node := range ring {
-		if node == self {
-			continue
-		}
-		if mb.SendBody(ctx, node, MsgAttest, session, attestBody{GLSN: g, Initiator: self}) != nil {
-			break
-		}
-		sent++
-	}
-	clean := sent == len(ring)-1
-	// Collect every reply that was solicited, even after a failure, so
-	// stray results do not linger in the mailbox.
-	for i := 0; i < sent; i++ {
-		res, err := mb.Expect(ctx, MsgAttestResult, session)
-		if err != nil {
-			return false
-		}
-		var r attestResult
-		if err := transport.Unmarshal(res.Payload, &r); err != nil || r.GLSN != g || !r.OK {
-			clean = false
-		}
-	}
-	return clean
-}
-
-// Check verifies one glsn against the stored digest. It first runs the
-// attest round (one parallel round, each node verifying locally against
-// its digest exponent). Circulating the accumulator around the ring is
-// the authoritative fallback: it runs whenever the attest round does
-// not come back unanimously clean — a node without the fragment or its
-// digest exponent, a tampered fragment, a lost reply. The caller's node
-// must be a ring member running Serve (for other initiators' checks).
+// Check verifies one glsn against the stored digest: it circulates the
+// accumulator around the ring, each node folding in its own fragment
+// (the initiator's before the first hop), and compares the value that
+// returns with the stored digest. Only a completed circulation gives a
+// verdict, wrapped in ErrDigestMismatch; every other failure (no
+// digest, a missing fragment, a circle cut short, a transport error)
+// says nothing about the record. The caller's node must be a ring
+// member running Serve (for other initiators' checks).
 func Check(ctx context.Context, mb *transport.Mailbox, ring []string, params *accumulator.Params, store Store, g logmodel.GLSN) error {
-	if checkAttest(ctx, mb, ring, store, g) {
-		return nil
-	}
-	return checkCirculate(ctx, mb, ring, params, store, g)
-}
-
-// checkCirculate circulates the accumulator for one glsn around the
-// ring and compares the result with the stored digest; the initiator's
-// own fragment is folded in locally before the first hop.
-func checkCirculate(ctx context.Context, mb *transport.Mailbox, ring []string, params *accumulator.Params, store Store, g logmodel.GLSN) error {
 	self := mb.ID()
 	next, err := smc.NextInRing(ring, self)
 	if err != nil {
@@ -296,11 +152,14 @@ func checkCirculate(ctx context.Context, mb *transport.Mailbox, ring []string, p
 	if final.Missing != "" {
 		return fmt.Errorf("%w: glsn %s on %s", ErrFragmentMissing, g, final.Missing)
 	}
+	// A circle cut short folded only some nodes' fragments, so its value
+	// cannot be held against the digest: it is a relay fault, not a
+	// verdict on the record (an honest ring never returns early).
 	if final.Hops != len(ring) {
 		return fmt.Errorf("integrity: circulation returned after %d of %d hops", final.Hops, len(ring))
 	}
 	if final.Value == nil || final.Value.Cmp(want) != 0 {
-		return fmt.Errorf("integrity: digest mismatch for glsn %s: record tampered or corrupted", g)
+		return fmt.Errorf("%w: glsn %s", ErrDigestMismatch, g)
 	}
 	return nil
 }
@@ -309,10 +168,11 @@ func checkCirculate(ctx context.Context, mb *transport.Mailbox, ring []string, p
 type Report struct {
 	// Checked counts records examined.
 	Checked int
-	// Corrupted lists glsns whose circulation did not match the digest.
+	// Corrupted lists glsns whose completed circulation did not match
+	// the digest (ErrDigestMismatch).
 	Corrupted []logmodel.GLSN
-	// Errors maps glsns to non-verdict failures (missing fragments,
-	// transport errors).
+	// Errors maps glsns to every other failure: no digest, missing
+	// fragments, a circle cut short, transport errors and timeouts.
 	Errors map[logmodel.GLSN]error
 }
 
@@ -326,8 +186,9 @@ func (r *Report) Clean() bool { return len(r.Corrupted) == 0 && len(r.Errors) ==
 const checkAllParallelism = 8
 
 // CheckAll sweeps the given glsns, keeping several circulations in
-// flight so ring latency overlaps. Mismatches are collected rather than
-// aborting the sweep; the report lists corrupted glsns in input order.
+// flight so ring latency overlaps. Failures are collected rather than
+// aborting the sweep; the report lists corrupted glsns in input order,
+// and a dead or unreachable peer shows in Errors, never in Corrupted.
 func CheckAll(ctx context.Context, mb *transport.Mailbox, ring []string, params *accumulator.Params, store Store, glsns []logmodel.GLSN) *Report {
 	rep := &Report{Checked: len(glsns), Errors: make(map[logmodel.GLSN]error)}
 	errs := make([]error, len(glsns))
@@ -346,10 +207,10 @@ func CheckAll(ctx context.Context, mb *transport.Mailbox, ring []string, params 
 	for i, g := range glsns {
 		switch err := errs[i]; {
 		case err == nil:
-		case errors.Is(err, ErrNoDigest) || errors.Is(err, ErrFragmentMissing):
-			rep.Errors[g] = err
-		default:
+		case errors.Is(err, ErrDigestMismatch):
 			rep.Corrupted = append(rep.Corrupted, g)
+		default:
+			rep.Errors[g] = err
 		}
 	}
 	return rep

@@ -557,9 +557,9 @@ const (
 	// hits/(hits+misses); overlap_stalls counts relay sends that had to
 	// wait on the crypto producer (crypto time not hidden by network
 	// time); witness_updates counts store items installed with their
-	// digest exponent, the material of the local integrity check, on
-	// the fragment write path (the name predates items dropping the
-	// witness exponent).
+	// digest exponent, from which circulation and provenance derive the
+	// record digest, on the fragment write path (the name predates items
+	// dropping the witness exponent).
 	// All are counts only — Definition 1 secondary information.
 	CtrFixedBaseHits   = "crypto.fixedbase_hits"
 	CtrFixedBaseMisses = "crypto.fixedbase_misses"

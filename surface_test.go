@@ -38,6 +38,10 @@ var surfaceAllowed = map[string]string{
 	"internal/smc/circuit.Adder":              "the section 3.3 garbled-comparison baseline BenchmarkGarbledLessThan32 measures",
 	"internal/smc/circuit.BitsToUint64":       "the section 3.3 garbled-comparison baseline BenchmarkGarbledLessThan32 measures",
 	"internal/smc/circuit.Circuit.CountAND":   "the section 3.3 garbled-comparison baseline BenchmarkGarbledLessThan32 measures",
+	"internal/smc/circuit.Equality":           "the classical baseline of claim C1 that BenchmarkClaimC1GarbledEquality measures",
+	"internal/smc/circuit.Uint64ToBits":       "the classical baseline of claim C1 that BenchmarkClaimC1GarbledEquality measures",
+	"internal/smc/garbled.Garble":             "the classical baseline of claim C1 that BenchmarkClaimC1GarbledEquality measures",
+	"internal/smc/garbled.Evaluate":           "the classical baseline of claim C1 that BenchmarkClaimC1GarbledEquality measures",
 }
 
 // interfaceMethods are method names a type declares to satisfy a
@@ -242,6 +246,7 @@ var optionAllowed = map[string]string{
 	"internal/resilience.DetectorConfig":        "tests compress failure detection to milliseconds; production takes the defaults (ROADMAP finding)",
 	"internal/cluster.ClientConfig.Signer":      "writer provenance (DESIGN row 29)",
 	"internal/smc/sum.Config.Weights":           "the section 3.5 weighted sum",
+	"internal/smc/garbled.Config":               "the classical baseline of claim C1 that BenchmarkClaimC1GarbledEquality runs",
 }
 
 // optionField is one exported field of an option struct.

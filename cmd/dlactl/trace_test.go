@@ -40,7 +40,9 @@ func TestTraceRendersConjunctionQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	matches, session, _, err := s.QueryCertified(ctx, `protocl = "UDP" AND id = "U1"`)
+	// A conjunction over all four nodes leaves no third node as blind
+	// TTP, so its final conjunction runs the ring relay.
+	matches, session, _, err := s.QueryCertified(ctx, `protocl = "UDP" AND id = "U1" AND Tid = "T1100265" AND time > "20:00"`)
 	if err != nil {
 		t.Fatal(err)
 	}

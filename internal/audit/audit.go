@@ -17,8 +17,10 @@
 //     straight to the responsible one, which would learn it from ∪s
 //     anyway.
 //
-// The conjunction of subquery results is then computed with secure set
-// intersection keyed by glsn (exactly as the paper prescribes), and only
+// The conjunction of subquery results is then computed keyed by glsn:
+// through a blind TTP outside the responsible nodes, one keyed tag per
+// glsn (compare.Intersect), or with the paper's secure set intersection
+// when those nodes are the whole roster and no third node is left. Only
 // the final glsn list reaches the auditor. No DLA node learns another
 // node's attribute values, and the auditor sees no raw fragments unless
 // separately authorized per glsn.
@@ -145,7 +147,10 @@ type execBody struct {
 	Plans         []wirePlan `json:"plans"`
 	FinalRing     []string   `json:"final_ring"`
 	FinalReceiver string     `json:"final_receiver"`
-	Coordinator   string     `json:"coordinator"`
+	// FinalTTP is the blind TTP of the final conjunction, a live node
+	// outside FinalRing; empty when FinalRing runs ∩s instead.
+	FinalTTP    string `json:"final_ttp,omitempty"`
+	Coordinator string `json:"coordinator"`
 	// Querier is the auditor node the coordinator is serving, so
 	// executors can attribute the secondary information they disclose
 	// to the right leak ledger. Executors drop an exec without one.

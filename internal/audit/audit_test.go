@@ -177,6 +177,50 @@ func testCtx(t *testing.T) context.Context {
 	return ctx
 }
 
+// tapTypes counts every message type the rig's network carries until
+// the returned function is called; it returns the counts so far and
+// clears them.
+func tapTypes(r *rig) func() map[string]int {
+	var (
+		mu    sync.Mutex
+		types = map[string]int{}
+	)
+	r.net.SetDropFn(func(m transport.Message) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		types[m.Type]++
+		return false
+	})
+	return func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		out := types
+		types = map[string]int{}
+		return out
+	}
+}
+
+// ringWork sums the counters a ring pass moves: relayed bytes and
+// first-hop encryptions.
+func ringWork() int64 {
+	var n int64
+	for _, c := range []string{telemetry.CtrRelayBytes, telemetry.CtrFixedBaseHits, telemetry.CtrFixedBaseMisses} {
+		n += telemetry.M.Counter(c).Value()
+	}
+	return n
+}
+
+// prefixed sums the counts of the types that start with prefix.
+func prefixed(types map[string]int, prefix string) int {
+	n := 0
+	for typ, c := range types {
+		if strings.HasPrefix(typ, prefix) {
+			n += c
+		}
+	}
+	return n
+}
+
 // glsnsOf maps 0-based Table 1 row indices to glsn values as assigned
 // (sequential from 0x139aef78).
 func glsnsOf(rows ...int) []logmodel.GLSN {
@@ -251,36 +295,8 @@ func TestCrossNodeDisjunction(t *testing.T) {
 func TestTwoMemberUnionSkipsRing(t *testing.T) {
 	r := newRig(t)
 	ctx := testCtx(t)
-	var (
-		mu    sync.Mutex
-		types = map[string]int{}
-	)
-	r.net.SetDropFn(func(m transport.Message) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		types[m.Type]++
-		return false
-	})
+	types := tapTypes(r)
 	defer r.net.SetDropFn(nil)
-	ringWork := func() int64 {
-		var n int64
-		for _, c := range []string{telemetry.CtrRelayBytes, telemetry.CtrFixedBaseHits, telemetry.CtrFixedBaseMisses} {
-			n += telemetry.M.Counter(c).Value()
-		}
-		return n
-	}
-	unionMsgs := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		n := 0
-		for typ, c := range types {
-			if strings.HasPrefix(typ, "union.") {
-				n += c
-			}
-		}
-		clear(types)
-		return n
-	}
 
 	// id (P1) OR C1 (P3): rows 4 and 1, 2, 4.
 	before := ringWork()
@@ -289,7 +305,7 @@ func TestTwoMemberUnionSkipsRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertGLSNs(t, got, glsnsOf(1, 2, 4))
-	if n := unionMsgs(); n != 0 {
+	if n := prefixed(types(), "union."); n != 0 {
 		t.Errorf("two-member union sent %d union.* messages, want 0", n)
 	}
 	if d := ringWork() - before; d != 0 {
@@ -302,7 +318,7 @@ func TestTwoMemberUnionSkipsRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertGLSNs(t, got, glsnsOf(0, 2, 4))
-	if n := unionMsgs(); n == 0 {
+	if prefixed(types(), "union.") == 0 {
 		t.Error("three-member union sent no union.* message; it must run ∪s")
 	}
 }

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"confaudit/internal/logmodel"
@@ -61,12 +62,7 @@ func degradePlans(plans []wirePlan, roster, dead []string) (live []wirePlan, una
 	for _, d := range dead {
 		deadSet[d] = struct{}{}
 	}
-	liveRoster := make([]string, 0, len(roster))
-	for _, n := range roster {
-		if _, ok := deadSet[n]; !ok {
-			liveRoster = append(liveRoster, n)
-		}
-	}
+	survivors := liveRoster(roster, dead)
 	for _, p := range plans {
 		if p.Kind == kindAll {
 			// "*" intersects every node's glsn set; survivors still hold
@@ -101,7 +97,7 @@ func degradePlans(plans []wirePlan, roster, dead []string) (live []wirePlan, una
 		}
 		if p.TTP != "" {
 			if _, ok := deadSet[p.TTP]; ok {
-				ttp := pickTTP(liveRoster, p.Nodes)
+				ttp := pickTTP(survivors, p.Nodes)
 				if ttp == "" {
 					unanswerable = append(unanswerable, p.Clause)
 					continue
@@ -112,4 +108,9 @@ func degradePlans(plans []wirePlan, roster, dead []string) (live []wirePlan, una
 		live = append(live, p)
 	}
 	return live, unanswerable
+}
+
+// liveRoster is roster without the dead nodes, in roster order.
+func liveRoster(roster, dead []string) []string {
+	return slices.DeleteFunc(slices.Clone(roster), func(n string) bool { return slices.Contains(dead, n) })
 }

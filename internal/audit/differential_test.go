@@ -25,8 +25,9 @@ import (
 // disjunction), the wildcard, cross-node string equality and
 // inequality, int/float cross-node equality (plain and negated) and
 // order comparison, disjunctions across two nodes and across three
-// (the first skips ∪s, the second runs it) and a negated cross-node
-// conjunction.
+// (the first skips ∪s, the second runs it), a negated cross-node
+// conjunction, and both paths of the final conjunction: over two nodes
+// it goes through the third as blind TTP, over all three it runs ∩s.
 //
 // The partition puts time, Tid, C3 on P0; id, C1, C4 on P1; protocl,
 // C2 on P2. The generator makes C1 an int, C2 a float and C3 a string.
@@ -55,7 +56,18 @@ func TestDifferentialAgainstCentralized(t *testing.T) {
 		`id = "U1" OR protocl = "TCP"`,
 		`id = "U1" OR protocl = "TCP" OR C3 = "U2"`,
 		`NOT (protocl = "UDP" AND id = "U2")`,
+		`protocl = "UDP" AND C1 < 5000 AND Tid > "T"`,
 	)
+	// Shapes that must match some record under every seed: the ones
+	// whose rewrites or constants are chosen to match, a two-node
+	// conjunction (P1, P2) and the three-node one.
+	nonEmpty := []string{
+		`id = C3`,
+		`C1 = C2`,
+		`id = "U1" OR protocl = "TCP" OR C3 = "U2"`,
+		`C1 >= 0 AND protocl = "UDP"`,
+		`protocl = "UDP" AND C1 < 5000 AND Tid > "T"`,
+	}
 	for _, seed := range []uint64{1, 2, 3} {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -95,7 +107,7 @@ func TestDifferentialAgainstCentralized(t *testing.T) {
 				if err != nil {
 					t.Fatalf("centralized %q: %v", crit, err)
 				}
-				if len(want) == 0 && (crit == `id = C3` || crit == `C1 = C2` || crit == `id = "U1" OR protocl = "TCP" OR C3 = "U2"`) {
+				if len(want) == 0 && slices.Contains(nonEmpty, crit) {
 					t.Fatalf("%q matches no record", crit)
 				}
 				got, err := c.Auditor().Query(ctx, crit)

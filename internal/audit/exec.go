@@ -197,6 +197,11 @@ func handleQuery(ctx context.Context, node NodeState, msg transport.Message) {
 	}
 	sort.Strings(exec.FinalRing)
 	exec.FinalReceiver = exec.FinalRing[0]
+	if len(exec.FinalRing) > 1 {
+		// The conjunction runs through a live node outside the ring; a
+		// ring that is the whole live roster has none and runs ∩s.
+		exec.FinalTTP = pickTTP(liveRoster(part.Nodes(), deadNodes), exec.FinalRing)
+	}
 
 	// Dispatch to every involved node.
 	involved := make(map[string]struct{})
@@ -205,8 +210,10 @@ func handleQuery(ctx context.Context, node NodeState, msg transport.Message) {
 			involved[n] = struct{}{}
 		}
 	}
-	if exec.AggOwner != "" {
-		involved[exec.AggOwner] = struct{}{}
+	for _, n := range []string{exec.AggOwner, exec.FinalTTP} {
+		if n != "" {
+			involved[n] = struct{}{}
+		}
 	}
 	// Dispatch concurrently: one slow or unreachable node must not delay
 	// the others' plan start. The channel is buffered to the fan-out so
@@ -367,28 +374,29 @@ func execute(ctx context.Context, node NodeState, session string, body *execBody
 		// Conjunction of this node's own subquery results. Every ring
 		// member receives the final set so it can countersign the
 		// result (trusted auditing via majority certification).
-		myInput := intersectAll(mySets)
+		finalSet = intersectAll(mySets)
 		if len(body.FinalRing) > 1 {
-			cfg := intersect.Config{
-				Group:     node.Group(),
-				Ring:      body.FinalRing,
-				Receivers: body.FinalRing,
-				Session:   session + "/final",
-			}
-			res, err := intersect.Run(ctx, mb, cfg, ringElems(myInput))
-			if err == nil {
-				finalSet, err = plaintextSet(res.Plaintext)
-			}
-			if err != nil {
+			if finalSet, err = finalConjunction(ctx, node, session, body, finalSet); err != nil {
 				return fmt.Errorf("final conjunction: %w", err)
 			}
 			// Every ring member receives the intersection, so each one
 			// learned its size.
 			telemetry.L.RecordDisclosure(body.Querier, session, self,
 				telemetry.DiscIntersection, "", int64(len(finalSet)))
-		} else {
-			finalSet = myInput
 		}
+	} else if self == body.FinalTTP {
+		sizes, common, err := compare.ServeIntersect(ctx, mb, finalTTPConfig(session, body))
+		if err != nil {
+			return fmt.Errorf("final conjunction: %w", err)
+		}
+		// The TTP saw each member's set size and how many tags all
+		// members share, never a glsn.
+		for i, m := range body.FinalRing {
+			telemetry.L.RecordDisclosure(body.Querier, session, m,
+				telemetry.DiscTTPOverlap, "", int64(sizes[i]))
+		}
+		telemetry.L.RecordDisclosure(body.Querier, session, self,
+			telemetry.DiscTTPOverlap, "", int64(common))
 	}
 
 	// Result certification: every ring node signs the digest of the
@@ -492,6 +500,48 @@ func execute(ctx context.Context, node NodeState, session string, body *execBody
 		})
 	}
 	return nil
+}
+
+// finalConjunction intersects a final ring member's set, mine, with
+// every other member's. With a TTP each member submits one keyed tag
+// per glsn, over its 8-byte big-endian encoding, and maps the TTP's
+// positions back into mine alone, so no member can be handed a glsn it
+// does not hold. A ring that is the whole live roster runs ∩s.
+func finalConjunction(ctx context.Context, node NodeState, session string, body *execBody, mine []logmodel.GLSN) ([]logmodel.GLSN, error) {
+	mb := node.Mailbox()
+	if body.FinalTTP == "" {
+		cfg := intersect.Config{
+			Group:     node.Group(),
+			Ring:      body.FinalRing,
+			Receivers: body.FinalRing,
+			Session:   session + "/final",
+		}
+		res, err := intersect.Run(ctx, mb, cfg, ringElems(mine))
+		if err != nil {
+			return nil, err
+		}
+		return plaintextSet(res.Plaintext)
+	}
+	slab := make([]byte, 0, 8*len(mine))
+	elems := make([][]byte, len(mine))
+	for i, g := range mine {
+		slab = binary.BigEndian.AppendUint64(slab, uint64(g))
+		elems[i] = slab[len(slab)-8:]
+	}
+	common, err := compare.Intersect(ctx, mb, finalTTPConfig(session, body), elems)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]logmodel.GLSN, len(common))
+	for n, i := range common {
+		out[n] = mine[i]
+	}
+	return out, nil
+}
+
+// finalTTPConfig is the final conjunction's run through body.FinalTTP.
+func finalTTPConfig(session string, body *execBody) compare.IntersectConfig {
+	return compare.IntersectConfig{Members: body.FinalRing, TTP: body.FinalTTP, Session: session + "/final"}
 }
 
 // planReporters is the union of every plan's involved nodes — the set

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"confaudit/internal/crypto/accumulator"
 	"confaudit/internal/logmodel"
@@ -24,6 +25,22 @@ const (
 type checkRequestBody struct {
 	// GLSNs limits the sweep; empty means every stored record.
 	GLSNs []string `json:"glsns,omitempty"`
+	// BudgetMS is how long the requester waits for the report, in
+	// milliseconds; the node stops the sweep when it runs out. Zero
+	// means the requester named no deadline, and sweepTimeout applies.
+	BudgetMS int64 `json:"budget_ms,omitempty"`
+}
+
+// sweepTimeout bounds a remote sweep whose requester named no deadline:
+// a dead peer must not hold the sweep's circulations forever.
+const sweepTimeout = 2 * time.Minute
+
+// budget is how long the node may spend on the request's sweep.
+func (r *checkRequestBody) budget() time.Duration {
+	if r.BudgetMS > 0 {
+		return time.Duration(r.BudgetMS) * time.Millisecond
+	}
+	return sweepTimeout
 }
 
 type checkReportBody struct {
@@ -56,6 +73,8 @@ func ServeRequests(ctx context.Context, mb *transport.Mailbox, ring []string, pa
 			if err := transport.Unmarshal(msg.Payload, &req); err != nil {
 				resp.Error = err.Error()
 			} else {
+				sweepCtx, cancel := context.WithTimeout(ctx, req.budget())
+				defer cancel()
 				glsns, err := parseGLSNs(req.GLSNs)
 				if err != nil {
 					resp.Error = err.Error()
@@ -63,7 +82,7 @@ func ServeRequests(ctx context.Context, mb *transport.Mailbox, ring []string, pa
 					if len(glsns) == 0 {
 						glsns = list()
 					}
-					rep := CheckAll(ctx, mb, ring, params, store, glsns)
+					rep := CheckAll(sweepCtx, mb, ring, params, store, glsns)
 					resp.Checked = rep.Checked
 					for _, g := range rep.Corrupted {
 						resp.Corrupted = append(resp.Corrupted, g.String())
@@ -97,6 +116,10 @@ func parseGLSNs(in []string) ([]logmodel.GLSN, error) {
 // and returns its report.
 func RequestCheck(ctx context.Context, mb *transport.Mailbox, node, session string, glsns []logmodel.GLSN) (*Report, error) {
 	req := checkRequestBody{}
+	if deadline, ok := ctx.Deadline(); ok {
+		// At least 1 ms: zero would read as no deadline at all.
+		req.BudgetMS = max(time.Until(deadline).Milliseconds(), 1)
+	}
 	for _, g := range glsns {
 		req.GLSNs = append(req.GLSNs, g.String())
 	}

@@ -1,9 +1,12 @@
 package integrity
 
 import (
+	"bytes"
 	"context"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"confaudit/internal/logmodel"
 	"confaudit/internal/transport"
@@ -104,5 +107,54 @@ func TestRemoteCheckSubset(t *testing.T) {
 	}
 	if rep.Checked != 2 {
 		t.Fatalf("checked %d, want 2", rep.Checked)
+	}
+}
+
+// checkGoroutines counts the goroutines running a sweep or one of its
+// circulations, and returns their stacks.
+func checkGoroutines() (int, string) {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var n int
+	var out bytes.Buffer
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("integrity.Check")) {
+			n++
+			out.Write(g)
+			out.WriteString("\n\n")
+		}
+	}
+	return n, out.String()
+}
+
+// TestRemoteCheckStopsWithRequester sends a sweep request with a 300 ms
+// deadline while P2 is down, so no circulation can complete. The
+// serving node must stop the sweep when its requester stops waiting,
+// although its own serving context is still live.
+func TestRemoteCheckStopsWithRequester(t *testing.T) {
+	ex, err := logmodel.NewPaperExample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, client := newRemoteRig(t)
+	for _, rec := range ex.Records {
+		r.logRecord(t, ex, rec)
+	}
+	r.mbs["P2"].Close() //nolint:errcheck
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	// The report may beat the requester's deadline; it then files every
+	// record under Errors, as a dead peer, never as corrupted.
+	if rep, err := RequestCheck(ctx, client, r.ring[0], "rc-dead", nil); err == nil && (len(rep.Corrupted) > 0 || len(rep.Errors) != len(ex.Records)) {
+		t.Fatalf("check with P2 down reported %+v", rep)
+	}
+	for stop := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+		n, stacks := checkGoroutines()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(stop) {
+			t.Fatalf("%d check goroutines still running 1 s after the requester's deadline:\n%s", n, stacks)
+		}
 	}
 }

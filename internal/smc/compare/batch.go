@@ -39,7 +39,7 @@ type BatchConfig struct {
 }
 
 func (c *BatchConfig) validate() error {
-	if err := validateBatch(c.Holders, c.TTP, c.Session); err != nil {
+	if err := validateBatch(c.Holders[:], c.TTP, c.Session); err != nil {
 		return err
 	}
 	if c.MaxAbs == nil || c.MaxAbs.Sign() <= 0 {

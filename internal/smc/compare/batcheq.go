@@ -47,15 +47,16 @@ type BatchEqualConfig struct {
 }
 
 func (c *BatchEqualConfig) validate() error {
-	return validateBatch(c.Holders, c.TTP, c.Session)
+	return validateBatch(c.Holders[:], c.TTP, c.Session)
 }
 
-// validateBatch checks the parties and session every batch run shares.
-func validateBatch(holders [2]string, ttp, session string) error {
-	if holders[0] == "" || holders[1] == "" || holders[0] == holders[1] {
-		return fmt.Errorf("%w: need two distinct holders", smc.ErrProtocol)
+// validateBatch checks the parties and session every batch run shares:
+// two or more distinct holders, a TTP that is none of them, a session.
+func validateBatch(holders []string, ttp, session string) error {
+	if err := smc.ValidateRing(holders, 2); err != nil {
+		return err
 	}
-	if ttp == "" || ttp == holders[0] || ttp == holders[1] {
+	if ttp == "" || smc.Contains(holders, ttp) {
 		return fmt.Errorf("%w: TTP must be a third party", smc.ErrProtocol)
 	}
 	if session == "" {

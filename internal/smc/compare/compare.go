@@ -17,6 +17,10 @@
 //     from one keyed tag per key, which the TTP judges without any
 //     transform of the value it could order or relate across keys.
 //
+//   - Batch intersection among k set holders: Intersect returns every
+//     member the elements all k sets share, from one keyed tag per
+//     element, which the TTP matches across the k submissions.
+//
 // In every protocol the joint secrets are derived by additive
 // contribution from every holder (each sends a random pair to the
 // others), so the TTP cannot know the transform, and no single holder
@@ -25,7 +29,8 @@
 //
 // Leakage (permitted by Definition 1's relaxed model): the TTP learns
 // equality patterns, the order of the transformed values, and scaled
-// gaps between them (BatchEqual: one equality bit per key only); it
+// gaps between them (BatchEqual: one equality bit per key only;
+// Intersect: each set's size and which tags recur across sets); it
 // never sees a plaintext value.
 package compare
 

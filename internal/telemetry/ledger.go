@@ -55,6 +55,11 @@ const (
 	// union sent the responsible member, filed under the sender's node
 	// ID: the responsible member learns that set itself.
 	DiscMemberSet = "member_set"
+	// DiscTTPOverlap is what a final conjunction's blind TTP sees: one
+	// entry per member, filed under that member's node ID, with the
+	// number of tags it submitted (its set size), and one under the
+	// TTP's node ID with the number of tags all members submitted.
+	DiscTTPOverlap = "ttp_overlap"
 )
 
 // Disclosure is one unit of secondary information a query revealed.

@@ -83,6 +83,16 @@ func TestRedactionFullQuery(t *testing.T) {
 	if len(matches) != 1 {
 		t.Fatalf("conjunction matched %d records, want 1", len(matches))
 	}
+	// The two-node conjunction above goes through N2 as blind TTP; one
+	// over all three nodes has no third node left and runs the ring
+	// relay, whose counters the sweep below reads.
+	matches, err = s.Query(ctx, fmt.Sprintf("user = %q AND proto = %q AND ratio > 1000", secretUser, secretProto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(matches) != 1 {
+		t.Fatalf("three-node conjunction matched %d records, want 1", len(matches))
+	}
 
 	// Touch the worker-pool gauge so its name is on the surface even on
 	// machines where the shared pool never spawns a worker (GOMAXPROCS

@@ -23,13 +23,14 @@ all: build vet test
 # beside concurrent writers, the sequencer's vote count (per peer, stale
 # votes dropped), the integrity circulation (checks from every node at
 # once, sweeps, a copied fragment, a dead peer, a remote sweep whose
-# requester stops waiting),
+# requester stops waiting or whose report must beat its deadline),
 # the fixed-base paths (concurrent same-base table builds, the pooled
 # fold scratch), the audit plane's certified, cross-node, union and
 # index-versus-scan queries with its differential test against the
-# centralized baseline, its conjunctions through a blind TTP (rigged
-# TTPs included), the blind-TTP batch comparison, equality and
-# intersection, and secure set union (its members' views, the permuted decrypt
+# centralized baseline, its cross-node predicates (what their TTP and
+# holders see, the binding of each tag to its glsn, the ledger) and
+# conjunctions through a blind TTP (rigged TTPs included), the
+# blind-TTP batch comparison and intersection, and secure set union (its members' views, the permuted decrypt
 # batch), again at GOMAXPROCS 1, 2 and 8, where their interleavings
 # differ most.
 check: bench-smoke bench-module vet staticcheck obs-smoke obs-ingest-smoke chaos crash-torture examples
@@ -37,7 +38,7 @@ check: bench-smoke bench-module vet staticcheck obs-smoke obs-ingest-smoke chaos
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Journal|WAL|Compact|Replay|Staged|Pipelined|Materialize|VisitFragments|Fragstore|Index|RecordEncoder|Appender|Lease|Propose|Vote' ./internal/cluster/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Check' ./internal/integrity/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'FixedBase|FirstHop' ./internal/mathx/ ./internal/crypto/commutative/
-	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Certified|Centralized|CrossComparison|CrossEquality|IndexScan|Differential|Union|Conj|Final|TTP' ./internal/audit/
+	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Certified|Centralized|Cross|IndexScan|Differential|Union|Conj|Final|TTP' ./internal/audit/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Batch|Intersect' ./internal/smc/compare/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run Union ./internal/smc/union/
 

@@ -9,8 +9,9 @@
 //
 //   - local subqueries directly over its fragment store;
 //   - cross equality and inequality predicates (attr_i = attr_j across
-//     nodes) via the blind-TTP batch equality of §3.2: one keyed tag
-//     per glsn, judged by a third node;
+//     nodes), §3.2's =s, via a batch intersection through a blind TTP
+//     (compare.Intersect): one keyed tag per glsn and value, matched
+//     by a third node that sees no glsn;
 //   - cross order predicates via the blind-TTP batch comparison of §3.3;
 //   - cross disjunctions that decompose per node via secure set union
 //     over three or more nodes; over two, the other node sends its set

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -481,8 +482,11 @@ func TestCrossInequalityMatchesCentralized(t *testing.T) {
 }
 
 // TestCrossPredicateLedgersTTPVerdicts checks that each cross-node
-// predicate files its blind TTP's view in the querier's ledger: one
-// verdict per glsn both holders hold, under the TTP's node ID.
+// predicate files its blind TTP's view in the querier's ledger. An
+// order predicate's TTP judged one sign per glsn both holders hold,
+// filed as ttp_verdicts under the TTP's node ID. An equality's TTP
+// matched keyed tags, filed as ttp_overlap: each holder's number of
+// aligned glsns under the holder's ID, the match count under the TTP's.
 func TestCrossPredicateLedgersTTPVerdicts(t *testing.T) {
 	r := newRig(t)
 	ctx := testCtx(t)
@@ -492,7 +496,47 @@ func TestCrossPredicateLedgersTTPVerdicts(t *testing.T) {
 	r.log(ctx, t, map[logmodel.Attr]logmodel.Value{"C2": logmodel.Float(2)})
 	// Sessions repeat across rigs, and the ledger is process-wide.
 	telemetry.L.Reset()
-	for crit, plan := range map[string]planKind{`C1 = C2`: kindCrossEq, `C1 < C2`: kindCrossCmp} {
+
+	_, session, _, err := r.auditor.QueryCertified(ctx, `C1 = C2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ttpView := func() []telemetry.Disclosure {
+		var out []telemetry.Disclosure
+		for _, q := range telemetry.L.Snapshot().Queriers {
+			for _, e := range q.Entries {
+				if e.Session != session {
+					continue
+				}
+				for _, d := range e.Disclosures {
+					if d.Kind == telemetry.DiscTTPVerdicts || d.Kind == telemetry.DiscTTPOverlap {
+						out = append(out, d)
+					}
+				}
+			}
+		}
+		slices.SortFunc(out, func(a, b telemetry.Disclosure) int { return strings.Compare(a.Node, b.Node) })
+		return out
+	}
+	// Only the 1 = 1.0 record matches.
+	want := []telemetry.Disclosure{
+		{Kind: telemetry.DiscTTPOverlap, Node: "P0", Plan: string(kindCrossEq), N: 1},
+		{Kind: telemetry.DiscTTPOverlap, Node: "P1", Plan: string(kindCrossEq), N: 6},
+		{Kind: telemetry.DiscTTPOverlap, Node: "P3", Plan: string(kindCrossEq), N: 6},
+	}
+	// The TTP files its view after it sends the verdict, so the result
+	// can reach the auditor first.
+	for stop := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		got := ttpView()
+		if slices.Equal(got, want) {
+			break
+		}
+		if len(got) > len(want) || time.Now().After(stop) {
+			t.Fatalf("C1 = C2: TTP disclosures %+v, want %+v", got, want)
+		}
+	}
+
+	for crit, plan := range map[string]planKind{`C1 < C2`: kindCrossCmp} {
 		_, session, _, err := r.auditor.QueryCertified(ctx, crit)
 		if err != nil {
 			t.Fatalf("%q: %v", crit, err)

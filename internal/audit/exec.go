@@ -385,18 +385,9 @@ func execute(ctx context.Context, node NodeState, session string, body *execBody
 				telemetry.DiscIntersection, "", int64(len(finalSet)))
 		}
 	} else if self == body.FinalTTP {
-		sizes, common, err := compare.ServeIntersect(ctx, mb, finalTTPConfig(session, body))
-		if err != nil {
+		if err := serveTTP(ctx, node, session, body.Querier, "", finalTTPConfig(session, body)); err != nil {
 			return fmt.Errorf("final conjunction: %w", err)
 		}
-		// The TTP saw each member's set size and how many tags all
-		// members share, never a glsn.
-		for i, m := range body.FinalRing {
-			telemetry.L.RecordDisclosure(body.Querier, session, m,
-				telemetry.DiscTTPOverlap, "", int64(sizes[i]))
-		}
-		telemetry.L.RecordDisclosure(body.Querier, session, self,
-			telemetry.DiscTTPOverlap, "", int64(common))
 	}
 
 	// Result certification: every ring node signs the digest of the
@@ -541,7 +532,28 @@ func finalConjunction(ctx context.Context, node NodeState, session string, body 
 
 // finalTTPConfig is the final conjunction's run through body.FinalTTP.
 func finalTTPConfig(session string, body *execBody) compare.IntersectConfig {
-	return compare.IntersectConfig{Members: body.FinalRing, TTP: body.FinalTTP, Session: session + "/final"}
+	return compare.IntersectConfig{
+		Members:   body.FinalRing,
+		Receivers: body.FinalRing,
+		TTP:       body.FinalTTP,
+		Session:   session + "/final",
+	}
+}
+
+// serveTTP runs this node's blind-TTP side of one compare.Intersect
+// run and files what it saw in querier's ledger under plan: each
+// member's set size under the member's ID and the common count under
+// its own, never an element.
+func serveTTP(ctx context.Context, node NodeState, session, querier, plan string, cfg compare.IntersectConfig) error {
+	sizes, common, err := compare.ServeIntersect(ctx, node.Mailbox(), cfg)
+	if err != nil {
+		return err
+	}
+	for i, m := range cfg.Members {
+		telemetry.L.RecordDisclosure(querier, session, m, telemetry.DiscTTPOverlap, plan, int64(sizes[i]))
+	}
+	telemetry.L.RecordDisclosure(querier, session, node.ID(), telemetry.DiscTTPOverlap, plan, int64(common))
+	return nil
 }
 
 // planReporters is the union of every plan's involved nodes — the set
@@ -694,11 +706,13 @@ func plaintextSet(elems [][]byte) ([]logmodel.GLSN, error) {
 
 // executeCross evaluates attrL op attrR across the two nodes holding
 // them, through the plan's blind TTP. The holders align their glsns,
-// then = and != run the batch equality (one keyed tag per glsn) and the
-// order operators the batch comparison (one transformed value per
-// glsn). Only the responsible holder gets verdicts: it returns the
-// matching glsns and files the TTP's view, one verdict per aligned
-// glsn, in querier's ledger.
+// then = and != intersect their (glsn, value) pairs through the TTP
+// (compare.Intersect, one keyed tag per pair) and the order operators
+// run the batch comparison (one transformed value per glsn). Only the
+// responsible holder gets verdicts, and it returns the matching glsns.
+// The TTP's view goes in querier's ledger: the TTP files an
+// equality's, the responsible holder a comparison's (one sign per
+// aligned glsn).
 func executeCross(ctx context.Context, node NodeState, querySession, querier string, plan *wirePlan) ([]logmodel.GLSN, bool, error) {
 	self := node.ID()
 	mb := node.Mailbox()
@@ -717,20 +731,22 @@ func executeCross(ctx context.Context, node NodeState, querySession, querier str
 	if other == responsible {
 		other = rightOwner
 	}
-	eqCfg := compare.BatchEqualConfig{
-		Holders: [2]string{responsible, other},
-		TTP:     plan.TTP,
-		Session: session + "/eq",
+	holders := []string{responsible, other}
+	eqCfg := compare.IntersectConfig{
+		Members:   holders,
+		Receivers: holders[:1],
+		TTP:       plan.TTP,
+		Session:   session + "/eq",
 	}
 	cmpCfg := compare.BatchConfig{
-		Holders: [2]string{leftOwner, rightOwner},
+		Holders: [2]string(holders),
 		TTP:     plan.TTP,
 		MaxAbs:  cmpMaxAbs,
 		Session: session + "/cmp",
 	}
 	if self == plan.TTP {
 		if equality {
-			return nil, false, compare.ServeBatchEqual(ctx, mb, eqCfg)
+			return nil, false, serveTTP(ctx, node, querySession, querier, string(plan.Kind), eqCfg)
 		}
 		return nil, false, compare.ServeBatchCompare(ctx, mb, cmpCfg)
 	}
@@ -777,27 +793,34 @@ func executeCross(ctx context.Context, node NodeState, querySession, querier str
 		n++
 	})
 	glsns, values = glsns[:n], values[:n]
-	keys := make([]string, n)
-	for i, g := range glsns {
-		keys[i] = g.String()
-	}
 
 	var match func(i int) bool
 	if equality {
-		enc := make([][]byte, n)
+		// One element per aligned glsn: its 8 big-endian bytes, then the
+		// value's equality bytes. The glsn's fixed width keeps the
+		// elements prefix-free, so a tag binds its glsn and two glsns'
+		// elements never match.
+		elems := make([][]byte, n)
 		for i, v := range values {
-			if enc[i], err = equalityBytes(v); err != nil {
+			el := binary.BigEndian.AppendUint64(make([]byte, 0, 8+1+8), uint64(glsns[i]))
+			if elems[i], err = appendEquality(el, v); err != nil {
 				return nil, false, fmt.Errorf("attribute %q: %w", myAttr, err)
 			}
 		}
-		equal, err := compare.BatchEqual(ctx, mb, eqCfg, keys, enc)
+		common, err := compare.Intersect(ctx, mb, eqCfg, elems)
 		if err != nil || self != responsible {
 			return nil, false, err
 		}
+		equal := make([]bool, n)
+		for _, i := range common {
+			equal[i] = true
+		}
 		match = func(i int) bool { return equal[i] == (pred.Op == query.OpEQ) }
 	} else {
+		keys := make([]string, n)
 		enc := make([]*big.Int, n)
 		for i, v := range values {
+			keys[i] = glsns[i].String()
 			if enc[i], err = orderedInt(v); err != nil {
 				return nil, false, fmt.Errorf("attribute %q: %w", myAttr, err)
 			}
@@ -806,13 +829,18 @@ func executeCross(ctx context.Context, node NodeState, querySession, querier str
 		if err != nil || self != responsible {
 			return nil, false, err
 		}
+		telemetry.L.RecordDisclosure(querier, querySession, plan.TTP,
+			telemetry.DiscTTPVerdicts, string(plan.Kind), int64(n))
 		match = func(i int) bool {
+			// A sign is responsible vs other: negate it when the
+			// responsible holder owns the right operand.
 			sign, ok := signs[keys[i]]
+			if responsible == rightOwner {
+				sign = -sign
+			}
 			return ok && orderSatisfied(pred.Op, sign)
 		}
 	}
-	telemetry.L.RecordDisclosure(querier, querySession, plan.TTP,
-		telemetry.DiscTTPVerdicts, string(plan.Kind), int64(n))
 	set := glsns[:0]
 	for i, g := range glsns {
 		if match(i) {
@@ -839,28 +867,28 @@ func orderSatisfied(op query.Op, sign int) bool {
 	}
 }
 
-// equalityBytes is a value as its cross-node equality tag covers it: a
-// class byte, then a string's bytes or a number's canonical float64
-// bits, so two values get the same bytes iff logmodel.Compare calls
-// them equal (18 = 18.0, -0 = 0). A string never equals a number,
-// where Compare refuses the pair. NaN, which Compare calls equal to
-// every number, is refused.
-func equalityBytes(v logmodel.Value) ([]byte, error) {
+// appendEquality appends a value as its cross-node equality tag covers
+// it to dst: a class byte, then a string's bytes or a number's
+// canonical float64 bits, so two values get the same bytes iff
+// logmodel.Compare calls them equal (18 = 18.0, -0 = 0). A string never
+// equals a number, where Compare refuses the pair. NaN, which Compare
+// calls equal to every number, is refused.
+func appendEquality(dst []byte, v logmodel.Value) ([]byte, error) {
 	if v.Kind == logmodel.KindString {
-		return append([]byte{'s'}, v.S...), nil
+		return append(append(dst, 's'), v.S...), nil
 	}
 	bits, ok := logmodel.NumericKey(v.Kind, v.I, v.F)
 	if !ok {
 		return nil, fmt.Errorf("%w: equality on NaN or an invalid value", ErrUnsupported)
 	}
-	return binary.BigEndian.AppendUint64([]byte{'n'}, bits), nil
+	return binary.BigEndian.AppendUint64(append(dst, 'n'), bits), nil
 }
 
 // orderedInt maps a numeric attribute value to an order-preserving
 // integer on one scale for both kinds: the value in units of 10^-6,
 // the documented precision of cross-node float comparison. Ints map
 // exactly; floats round to the nearest unit. Strings support only
-// equality, which the batch equality evaluates instead.
+// equality, which the intersection through the TTP evaluates instead.
 func orderedInt(v logmodel.Value) (*big.Int, error) {
 	switch v.Kind {
 	case logmodel.KindInt:

@@ -16,8 +16,9 @@ import (
 	"confaudit/internal/transport"
 )
 
-// The final conjunction's messages through its blind TTP, as the rigged
-// TTP below reads and writes them.
+// The messages of a compare.Intersect run through a blind TTP, as the
+// rigged final-conjunction TTP below and the cross-node equality tests
+// read and write them.
 const (
 	msgFinalSubmit  = "compare.intersect.submit"
 	msgFinalVerdict = "compare.intersect.verdict"

@@ -25,15 +25,21 @@ const (
 type checkRequestBody struct {
 	// GLSNs limits the sweep; empty means every stored record.
 	GLSNs []string `json:"glsns,omitempty"`
-	// BudgetMS is how long the requester waits for the report, in
-	// milliseconds; the node stops the sweep when it runs out. Zero
-	// means the requester named no deadline, and sweepTimeout applies.
+	// BudgetMS is how long the node may sweep, in milliseconds: a
+	// share of the requester's wait for the report (sweepShare). The
+	// node stops the sweep when it runs out. Zero means the requester
+	// named no deadline, and sweepTimeout applies.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
 }
 
 // sweepTimeout bounds a remote sweep whose requester named no deadline:
 // a dead peer must not hold the sweep's circulations forever.
 const sweepTimeout = 2 * time.Minute
+
+// sweepShare is the share of its remaining wait a requester grants the
+// node's sweep. The rest is kept for the report's way back, so a sweep
+// that runs out of time, as with a dead peer, still reports in time.
+const sweepShare = 0.75
 
 // budget is how long the node may spend on the request's sweep.
 func (r *checkRequestBody) budget() time.Duration {
@@ -118,7 +124,8 @@ func RequestCheck(ctx context.Context, mb *transport.Mailbox, node, session stri
 	req := checkRequestBody{}
 	if deadline, ok := ctx.Deadline(); ok {
 		// At least 1 ms: zero would read as no deadline at all.
-		req.BudgetMS = max(time.Until(deadline).Milliseconds(), 1)
+		budget := time.Duration(float64(time.Until(deadline)) * sweepShare)
+		req.BudgetMS = max(budget.Milliseconds(), 1)
 	}
 	for _, g := range glsns {
 		req.GLSNs = append(req.GLSNs, g.String())

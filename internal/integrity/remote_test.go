@@ -3,6 +3,7 @@ package integrity
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -155,6 +156,34 @@ func TestRemoteCheckStopsWithRequester(t *testing.T) {
 		}
 		if time.Now().After(stop) {
 			t.Fatalf("%d check goroutines still running 1 s after the requester's deadline:\n%s", n, stacks)
+		}
+	}
+}
+
+// TestRemoteCheckReportBeatsDeadline sends sweep requests with a 300 ms
+// deadline while P2 is down, so no circulation can complete. The node
+// must stop the sweep early enough for its report to reach the
+// requester in time: every request gets a report, with every record
+// under Errors, as a dead peer, and none under Corrupted.
+func TestRemoteCheckReportBeatsDeadline(t *testing.T) {
+	ex, err := logmodel.NewPaperExample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, client := newRemoteRig(t)
+	for _, rec := range ex.Records {
+		r.logRecord(t, ex, rec)
+	}
+	r.mbs["P2"].Close() //nolint:errcheck
+	for i := range 10 {
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		rep, err := RequestCheck(ctx, client, r.ring[0], fmt.Sprintf("rc-deadline-%d", i), nil)
+		cancel()
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if len(rep.Corrupted) > 0 || len(rep.Errors) != len(ex.Records) {
+			t.Fatalf("request %d: check with P2 down reported %+v", i, rep)
 		}
 	}
 }

@@ -15,9 +15,9 @@ import (
 // of the two values for every key without revealing the values. Both
 // holders apply the same jointly-derived strictly monotone transform
 // W = a·x + b and submit the transformed vectors to a blind TTP, which
-// returns only the per-key comparison signs. This is the §3.3 machinery
-// applied per audit record, and is what evaluates cross-node auditing
-// predicates like salary_P1 > price_P2.
+// returns only the per-key comparison signs, to Holders[0] alone. This
+// is the §3.3 machinery applied per audit record, and is what
+// evaluates cross-node auditing predicates like salary_P1 > price_P2.
 
 // Message types on the wire.
 const (
@@ -28,7 +28,8 @@ const (
 // BatchConfig describes one batch-comparison run.
 type BatchConfig struct {
 	// Holders are the two nodes with per-key private values; the
-	// comparison sign is holder[0] vs holder[1].
+	// comparison sign is holder[0] vs holder[1], and only Holders[0]
+	// receives it.
 	Holders [2]string
 	// TTP is the blind comparison node, distinct from both holders.
 	TTP string
@@ -61,8 +62,9 @@ type batchVerdictBody struct {
 
 // BatchCompare executes a holder's role: keys and values are parallel
 // slices (keys must be identical, in identical order, on both holders —
-// the audit layer aligns them beforehand). Returns sign(holder0[k] -
-// holder1[k]) for every key.
+// the audit layer aligns them beforehand). Holders[0] gets back
+// sign(holder0[k] - holder1[k]) for every key; Holders[1] returns nil
+// once its values are submitted.
 func BatchCompare(ctx context.Context, mb *transport.Mailbox, cfg BatchConfig, keys []string, values []*big.Int) (map[string]int, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -103,7 +105,10 @@ func BatchCompare(ctx context.Context, mb *transport.Mailbox, cfg BatchConfig, k
 	if err := mb.SendBody(ctx, cfg.TTP, msgSubmitBatch, cfg.Session, batchSubmitBody{Keys: keys, Ws: ws}); err != nil {
 		return nil, err
 	}
-	msg, err := mb.Expect(ctx, msgVerdictBatch, cfg.Session)
+	if self != cfg.Holders[0] {
+		return nil, nil
+	}
+	msg, err := mb.ExpectFrom(ctx, cfg.TTP, msgVerdictBatch, cfg.Session)
 	if err != nil {
 		return nil, fmt.Errorf("compare: awaiting batch verdict: %w", err)
 	}
@@ -121,7 +126,8 @@ func BatchCompare(ctx context.Context, mb *transport.Mailbox, cfg BatchConfig, k
 	return out, nil
 }
 
-// ServeBatchCompare executes the TTP role for one batch run.
+// ServeBatchCompare executes the TTP role for one batch run: it sends
+// the per-key signs to Holders[0] only.
 func ServeBatchCompare(ctx context.Context, mb *transport.Mailbox, cfg BatchConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -166,10 +172,5 @@ func ServeBatchCompare(ctx context.Context, mb *transport.Mailbox, cfg BatchConf
 	}); err != nil {
 		return err
 	}
-	for _, h := range cfg.Holders {
-		if err := mb.SendBody(ctx, h, msgVerdictBatch, cfg.Session, verdict); err != nil {
-			return err
-		}
-	}
-	return nil
+	return mb.SendBody(ctx, cfg.Holders[0], msgVerdictBatch, cfg.Session, verdict)
 }

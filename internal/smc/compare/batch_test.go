@@ -54,10 +54,15 @@ func runBatch(t *testing.T, session string, keys []string, va, vb []*big.Int) ma
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
-	for k := range results["A"] {
-		if results["A"][k] != results["B"][k] {
-			t.Fatalf("holders disagree on key %s", k)
-		}
+	// Only Holders[0] learns the signs: B returns none, and no verdict
+	// is waiting for it.
+	if results["B"] != nil {
+		t.Fatalf("Holders[1] got signs %v, want none", results["B"])
+	}
+	wait, cancelWait := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancelWait()
+	if msg, err := mbs["B"].Expect(wait, msgVerdictBatch, session); err == nil {
+		t.Fatalf("Holders[1] received a verdict from %s", msg.From)
 	}
 	return results["A"]
 }

@@ -12,14 +12,16 @@
 //     holds the maximum/minimum and each party's rank — never the
 //     values.
 //
-//   - Batch forms of both, over many shared keys at once: BatchCompare
-//     returns per-key order signs, and BatchEqual per-key equality
-//     from one keyed tag per key, which the TTP judges without any
-//     transform of the value it could order or relate across keys.
+//   - Batch comparison over many shared keys at once: BatchCompare
+//     returns per-key order signs to one holder.
 //
-//   - Batch intersection among k set holders: Intersect returns every
-//     member the elements all k sets share, from one keyed tag per
-//     element, which the TTP matches across the k submissions.
+//   - Batch intersection among k set holders: Intersect returns its
+//     receivers the elements all k sets share, from one keyed tag per
+//     element, which the TTP matches across the k submissions. Batch
+//     equality is an intersection too: two holders each submit one
+//     element per shared key, the key's fixed-width bytes followed by
+//     the value's, so the common elements are the keys whose values
+//     are equal, and a tag never relates two keys.
 //
 // In every protocol the joint secrets are derived by additive
 // contribution from every holder (each sends a random pair to the
@@ -29,9 +31,8 @@
 //
 // Leakage (permitted by Definition 1's relaxed model): the TTP learns
 // equality patterns, the order of the transformed values, and scaled
-// gaps between them (BatchEqual: one equality bit per key only;
-// Intersect: each set's size and which tags recur across sets); it
-// never sees a plaintext value.
+// gaps between them (Intersect: each set's size and which tags recur
+// across sets); it never sees a plaintext value.
 package compare
 
 import (

@@ -5,6 +5,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"fmt"
+	"math/big"
 	"math/rand/v2"
 	"slices"
 
@@ -14,22 +15,25 @@ import (
 
 // Batch intersection: §3.1's ∩s computed by a blind TTP instead of a
 // commutative-encryption ring. k members each hold a set (in the DLA
-// system, the glsns matching a node's subqueries) and all need the
-// elements common to every set. The members derive a joint secret the
-// TTP never sees and each submits one keyed tag per element,
-// HMAC-SHA256 over the element, in an order of its own choosing at
-// random. The TTP finds the tags that occur in all k submissions and
-// sends each member the positions of those tags in that member's own
-// submission; the member maps them back to its elements.
+// system, the glsns matching a node's subqueries, or a holder's
+// (glsn, value) pairs for a cross-node equality) and the receivers
+// among them need the elements common to every set. The members derive
+// a joint secret the TTP never sees and each submits one keyed tag per
+// element, HMAC-SHA256 over the element, in an order of its own
+// choosing at random. The TTP finds the tags that occur in all k
+// submissions and sends each receiver the positions of those tags in
+// that receiver's own submission; the receiver maps them back to its
+// elements. A member that is no receiver gets nothing back.
 //
-// Views. A member learns the intersection and nothing about the other
+// Views. A receiver learns the intersection and nothing about the other
 // members' elements outside it: its verdict is as long as the result.
-// The TTP learns each set's size and which tags recur across
-// submissions (the overlap structure), never an element; a fresh key
-// per run keeps tags from linking across runs. A TTP that lies can only
-// make a member drop its own elements or keep ones that are not common:
-// each member maps positions into its own set alone, so what members
-// agree on is always a subset of the true intersection.
+// Any other member learns nothing. The TTP learns each set's size and
+// which tags recur across submissions (the overlap structure), never an
+// element; a fresh key per run keeps tags from linking across runs. A
+// TTP that lies can only make a receiver drop its own elements or keep
+// ones that are not common: each receiver maps positions into its own
+// set alone, so what receivers agree on is always a subset of the true
+// intersection.
 
 // Message types on the wire.
 const (
@@ -37,10 +41,19 @@ const (
 	msgVerdictIntersect = "compare.intersect.verdict"
 )
 
+// TagSize is the width of one submitted tag, in bytes.
+const TagSize = sha256.Size
+
+// eqSecretBound bounds each member's contribution to the joint tag key.
+var eqSecretBound = new(big.Int).Lsh(big.NewInt(1), 256)
+
 // IntersectConfig describes one batch-intersection run.
 type IntersectConfig struct {
-	// Members are the set holders; every member receives the result.
+	// Members are the set holders.
 	Members []string
+	// Receivers are the members that receive the result: a non-empty
+	// subset of Members.
+	Receivers []string
 	// TTP is the blind node that matches tags, distinct from every
 	// member.
 	TTP string
@@ -49,7 +62,33 @@ type IntersectConfig struct {
 }
 
 func (c *IntersectConfig) validate() error {
-	return validateBatch(c.Members, c.TTP, c.Session)
+	if err := validateBatch(c.Members, c.TTP, c.Session); err != nil {
+		return err
+	}
+	if len(c.Receivers) == 0 {
+		return fmt.Errorf("%w: no receivers", smc.ErrProtocol)
+	}
+	for _, r := range c.Receivers {
+		if !smc.Contains(c.Members, r) {
+			return fmt.Errorf("%w: receiver %q is not a member", smc.ErrProtocol, r)
+		}
+	}
+	return nil
+}
+
+// validateBatch checks the parties and session every batch run shares:
+// two or more distinct holders, a TTP that is none of them, a session.
+func validateBatch(holders []string, ttp, session string) error {
+	if err := smc.ValidateRing(holders, 2); err != nil {
+		return err
+	}
+	if ttp == "" || smc.Contains(holders, ttp) {
+		return fmt.Errorf("%w: TTP must be a third party", smc.ErrProtocol)
+	}
+	if session == "" {
+		return fmt.Errorf("%w: empty session", smc.ErrProtocol)
+	}
+	return nil
 }
 
 type intersectSubmitBody struct {
@@ -67,8 +106,9 @@ type intersectVerdictBody struct {
 
 // Intersect executes a member's role. elems is the member's set, one
 // canonical byte string per element with no duplicates; two members'
-// elements match iff their bytes are equal. It returns the indexes, in
-// ascending order, of the elements of elems that every member holds.
+// elements match iff their bytes are equal. A receiver gets back the
+// indexes, in ascending order, of the elements of elems that every
+// member holds; any other member returns nil once it has submitted.
 func Intersect(ctx context.Context, mb *transport.Mailbox, cfg IntersectConfig, elems [][]byte) ([]int, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -104,6 +144,9 @@ func Intersect(ctx context.Context, mb *transport.Mailbox, cfg IntersectConfig, 
 	if err := mb.SendBody(ctx, cfg.TTP, msgSubmitIntersect, cfg.Session, body); err != nil {
 		return nil, err
 	}
+	if !smc.Contains(cfg.Receivers, self) {
+		return nil, nil
+	}
 	msg, err := mb.ExpectFrom(ctx, cfg.TTP, msgVerdictIntersect, cfg.Session)
 	if err != nil {
 		return nil, fmt.Errorf("compare: awaiting intersection verdict: %w", err)
@@ -127,8 +170,8 @@ func Intersect(ctx context.Context, mb *transport.Mailbox, cfg IntersectConfig, 
 // it takes exactly one submission from every member, refusing a
 // non-member, a second submission, a member count other than its own,
 // a tag that is not TagSize wide and a tag submitted twice, then sends
-// each member the positions of its tags that all members submitted. It
-// returns what the TTP saw: each member's set size, in cfg.Members
+// each receiver the positions of its tags that all members submitted.
+// It returns what the TTP saw: each member's set size, in cfg.Members
 // order, and the size of the intersection.
 func ServeIntersect(ctx context.Context, mb *transport.Mailbox, cfg IntersectConfig) (sizes []int, common int, err error) {
 	if err := cfg.validate(); err != nil {
@@ -174,16 +217,17 @@ func ServeIntersect(ctx context.Context, mb *transport.Mailbox, cfg IntersectCon
 	}
 	sizes = make([]int, k)
 	for i, m := range cfg.Members {
-		tags := subs[m]
-		sizes[i] = len(tags)
+		sizes[i] = len(subs[m])
+	}
+	for _, r := range cfg.Receivers {
 		var verdict intersectVerdictBody
-		for j, tag := range tags {
+		for j, tag := range subs[r] {
 			if tally[[TagSize]byte(tag)].n == k {
 				verdict.Common = append(verdict.Common, j)
 			}
 		}
 		common = len(verdict.Common)
-		if err := mb.SendBody(ctx, m, msgVerdictIntersect, cfg.Session, verdict); err != nil {
+		if err := mb.SendBody(ctx, r, msgVerdictIntersect, cfg.Session, verdict); err != nil {
 			return nil, 0, err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -13,7 +14,20 @@ import (
 	"confaudit/internal/transport"
 )
 
-var isCfg = IntersectConfig{Members: []string{"A", "B", "C"}, TTP: "TTP", Session: "is"}
+var isCfg = IntersectConfig{
+	Members:   []string{"A", "B", "C"},
+	Receivers: []string{"A", "B", "C"},
+	TTP:       "TTP",
+	Session:   "is",
+}
+
+func byteVals(vs ...string) [][]byte {
+	out := make([][]byte, len(vs))
+	for i, v := range vs {
+		out[i] = []byte(v)
+	}
+	return out
+}
 
 // runIntersect runs every member of cfg and the TTP over mbs and
 // returns each member's result indexes and the TTP's view.
@@ -178,6 +192,53 @@ func TestIntersectViews(t *testing.T) {
 	}
 }
 
+// TestIntersectReceivers runs an intersection whose only receiver is
+// A: A gets the common elements, while B and C return nil and no
+// verdict is addressed to them. The TTP's view is unchanged.
+func TestIntersectReceivers(t *testing.T) {
+	net := transport.NewMemNetwork()
+	defer net.Close() //nolint:errcheck
+	var (
+		mu       sync.Mutex
+		verdicts = map[string]int{}
+	)
+	net.SetDropFn(func(m transport.Message) bool {
+		if m.Type == msgVerdictIntersect {
+			mu.Lock()
+			verdicts[m.To]++
+			mu.Unlock()
+		}
+		return false
+	})
+	mbs := mailboxes(t, net, "A", "B", "C", "TTP")
+	cfg := isCfg
+	cfg.Receivers = []string{"A"}
+	sets := map[string][][]byte{
+		"A": byteVals("g1", "g2", "g3"),
+		"B": byteVals("g3", "g1"),
+		"C": byteVals("g1", "g3", "g4"),
+	}
+	res, sizes, common := runIntersect(t, mbs, cfg, sets)
+	got := picked(sets["A"], res["A"])
+	slices.Sort(got)
+	if want := []string{"g1", "g3"}; !slices.Equal(got, want) {
+		t.Fatalf("A: intersection %q, want %q", got, want)
+	}
+	for _, m := range []string{"B", "C"} {
+		if res[m] != nil {
+			t.Fatalf("non-receiver %s got %v, want nil", m, res[m])
+		}
+	}
+	if !slices.Equal(sizes, []int{3, 2, 3}) || common != 2 {
+		t.Fatalf("TTP saw sizes %v and %d common, want [3 2 3] and 2", sizes, common)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := map[string]int{"A": 1}; !maps.Equal(verdicts, want) {
+		t.Fatalf("verdicts sent %v, want %v", verdicts, want)
+	}
+}
+
 // TestServeIntersectRefuses feeds the TTP hand-made submissions: each
 // is refused as a protocol violation, and no verdict is sent.
 func TestServeIntersectRefuses(t *testing.T) {
@@ -232,7 +293,7 @@ func TestServeIntersectRefuses(t *testing.T) {
 // names a position twice, out of order or past the member's
 // submission: the member refuses it rather than map it.
 func TestIntersectRefusesBadVerdict(t *testing.T) {
-	cfg := IntersectConfig{Members: []string{"A", "B"}, TTP: "TTP", Session: "bad"}
+	cfg := IntersectConfig{Members: []string{"A", "B"}, Receivers: []string{"A"}, TTP: "TTP", Session: "bad"}
 	for name, common := range map[string][]int{
 		"past the end": {3},
 		"negative":     {-1},
@@ -268,18 +329,102 @@ func TestIntersectValidation(t *testing.T) {
 	if _, err := Intersect(ctx, mbs["M"], isCfg, nil); !errors.Is(err, smc.ErrProtocol) {
 		t.Fatalf("non-member: err = %v", err)
 	}
+	ab := []string{"A", "B"}
 	for name, bad := range map[string]IntersectConfig{
-		"one member":         {Members: []string{"A"}, TTP: "TTP", Session: "s"},
-		"TTP is a member":    {Members: []string{"A", "B"}, TTP: "B", Session: "s"},
-		"one member twice":   {Members: []string{"A", "A"}, TTP: "TTP", Session: "s"},
-		"empty member":       {Members: []string{"A", ""}, TTP: "TTP", Session: "s"},
-		"empty session":      {Members: []string{"A", "B"}, TTP: "TTP"},
-		"no TTP":             {Members: []string{"A", "B"}, Session: "s"},
-		"TTP among three":    {Members: []string{"A", "B", "C"}, TTP: "C", Session: "s"},
-		"duplicate of three": {Members: []string{"A", "B", "B"}, TTP: "TTP", Session: "s"},
+		"one member":          {Members: []string{"A"}, Receivers: []string{"A"}, TTP: "TTP", Session: "s"},
+		"TTP is a member":     {Members: ab, Receivers: ab, TTP: "B", Session: "s"},
+		"one member twice":    {Members: []string{"A", "A"}, Receivers: []string{"A"}, TTP: "TTP", Session: "s"},
+		"empty member":        {Members: []string{"A", ""}, Receivers: []string{"A"}, TTP: "TTP", Session: "s"},
+		"empty session":       {Members: ab, Receivers: ab, TTP: "TTP"},
+		"no TTP":              {Members: ab, Receivers: ab, Session: "s"},
+		"TTP among three":     {Members: []string{"A", "B", "C"}, Receivers: ab, TTP: "C", Session: "s"},
+		"duplicate of three":  {Members: []string{"A", "B", "B"}, Receivers: ab, TTP: "TTP", Session: "s"},
+		"no receivers":        {Members: ab, TTP: "TTP", Session: "s"},
+		"non-member receiver": {Members: ab, Receivers: []string{"A", "C"}, TTP: "TTP", Session: "s"},
 	} {
 		if _, err := Intersect(ctx, mbs["A"], bad, nil); !errors.Is(err, smc.ErrProtocol) {
 			t.Fatalf("%s: member err = %v", name, err)
+		}
+		if _, _, err := ServeIntersect(ctx, mbs["A"], bad); !errors.Is(err, smc.ErrProtocol) {
+			t.Fatalf("%s: TTP err = %v", name, err)
+		}
+	}
+}
+
+// eqCfg is the intersection that a cross-node equality runs: the two
+// holders of the compared attributes submit one keyed tag per glsn, and
+// only the first holder learns which tags matched.
+var eqCfg = IntersectConfig{
+	Members:   []string{"A", "B"},
+	Receivers: []string{"A"},
+	TTP:       "TTP",
+	Session:   "eq",
+}
+
+// TestServeBatchEqualRefuses feeds the TTP of a two-holder equality
+// batch hand-made submissions: a submission from a node that holds
+// neither attribute, or a tag of the wrong width, is refused as a
+// protocol violation, and the receiving holder gets no verdict.
+func TestServeBatchEqualRefuses(t *testing.T) {
+	tag := bytes.Repeat([]byte{7}, TagSize)
+	sub := func(tags ...[]byte) intersectSubmitBody {
+		return intersectSubmitBody{Members: len(eqCfg.Members), Tags: tags}
+	}
+	type submission struct {
+		from string
+		body intersectSubmitBody
+	}
+	cases := []struct {
+		name string
+		subs []submission
+	}{
+		{"non-holder", []submission{{"A", sub(tag)}, {"M", sub(tag)}}},
+		{"tag width", []submission{{"A", sub(tag)}, {"B", sub(tag[:TagSize-1])}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			net := transport.NewMemNetwork()
+			defer net.Close() //nolint:errcheck
+			mbs := mailboxes(t, net, "A", "B", "TTP", "M")
+			for _, s := range tc.subs {
+				if err := mbs[s.from].SendBody(ctx, "TTP", msgSubmitIntersect, eqCfg.Session, s.body); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, err := ServeIntersect(ctx, mbs["TTP"], eqCfg)
+			if !errors.Is(err, smc.ErrProtocol) {
+				t.Fatalf("err = %v, want %v", err, smc.ErrProtocol)
+			}
+			wait, cancelWait := context.WithTimeout(ctx, 20*time.Millisecond)
+			defer cancelWait()
+			if _, err := mbs["A"].Expect(wait, msgVerdictIntersect, eqCfg.Session); err == nil {
+				t.Fatal("a refused run sent a verdict")
+			}
+		})
+	}
+}
+
+// TestBatchEqualValidation checks that both holders and the TTP refuse
+// a malformed two-holder equality configuration, and that a node
+// holding neither attribute cannot join one.
+func TestBatchEqualValidation(t *testing.T) {
+	ctx := context.Background()
+	net := transport.NewMemNetwork()
+	defer net.Close() //nolint:errcheck
+	mbs := mailboxes(t, net, "A", "M")
+	if _, err := Intersect(ctx, mbs["M"], eqCfg, nil); !errors.Is(err, smc.ErrProtocol) {
+		t.Fatalf("non-holder: err = %v", err)
+	}
+	for name, bad := range map[string]IntersectConfig{
+		"TTP is a holder":     {Members: eqCfg.Members, Receivers: eqCfg.Receivers, TTP: "A", Session: "s"},
+		"one holder twice":    {Members: []string{"A", "A"}, Receivers: eqCfg.Receivers, TTP: "TTP", Session: "s"},
+		"empty session":       {Members: eqCfg.Members, Receivers: eqCfg.Receivers, TTP: "TTP"},
+		"non-holder receiver": {Members: eqCfg.Members, Receivers: []string{"M"}, TTP: "TTP", Session: "s"},
+	} {
+		if _, err := Intersect(ctx, mbs["A"], bad, nil); !errors.Is(err, smc.ErrProtocol) {
+			t.Fatalf("%s: holder err = %v", name, err)
 		}
 		if _, _, err := ServeIntersect(ctx, mbs["A"], bad); !errors.Is(err, smc.ErrProtocol) {
 			t.Fatalf("%s: TTP err = %v", name, err)

@@ -47,18 +47,20 @@ const (
 	DiscIntersection = "intersection_size"
 	// DiscGLSNExtent is the span (max-min+1) of the matched glsn range.
 	DiscGLSNExtent = "glsn_extent"
-	// DiscTTPVerdicts is the number of keys a cross-node predicate's
-	// blind TTP judged: one equality bit or comparison sign per aligned
+	// DiscTTPVerdicts is the number of keys a cross-node order
+	// predicate's blind TTP judged: one comparison sign per aligned
 	// glsn, filed under the TTP's node ID.
 	DiscTTPVerdicts = "ttp_verdicts"
 	// DiscMemberSet is the size of the set one member of a two-member
 	// union sent the responsible member, filed under the sender's node
 	// ID: the responsible member learns that set itself.
 	DiscMemberSet = "member_set"
-	// DiscTTPOverlap is what a final conjunction's blind TTP sees: one
-	// entry per member, filed under that member's node ID, with the
-	// number of tags it submitted (its set size), and one under the
-	// TTP's node ID with the number of tags all members submitted.
+	// DiscTTPOverlap is what a blind TTP matching keyed tags sees, for a
+	// final conjunction (no plan) or a cross-node equality (plan
+	// cross-eq): one entry per member, filed under that member's node
+	// ID, with the number of tags it submitted (its set size), and one
+	// under the TTP's node ID with the number of tags all members
+	// submitted.
 	DiscTTPOverlap = "ttp_overlap"
 )
 

@@ -30,7 +30,9 @@ all: build vet test
 # centralized baseline, its cross-node predicates (what their TTP and
 # holders see, the binding of each tag to its glsn, the ledger) and
 # conjunctions through a blind TTP (rigged TTPs included), the
-# blind-TTP batch comparison and intersection, and secure set union (its members' views, the permuted decrypt
+# blind-TTP batch comparison and intersection (the TTP's refusals, a
+# holder's refusal of a bad verdict or seed, a JSON body from an older
+# node), and secure set union (its members' views, the permuted decrypt
 # batch), again at GOMAXPROCS 1, 2 and 8, where their interleavings
 # differ most.
 check: bench-smoke bench-module vet staticcheck obs-smoke obs-ingest-smoke chaos crash-torture examples
@@ -39,7 +41,7 @@ check: bench-smoke bench-module vet staticcheck obs-smoke obs-ingest-smoke chaos
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Check' ./internal/integrity/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'FixedBase|FirstHop' ./internal/mathx/ ./internal/crypto/commutative/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Certified|Centralized|Cross|IndexScan|Differential|Union|Conj|Final|TTP' ./internal/audit/
-	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Batch|Intersect' ./internal/smc/compare/
+	$(GO) test -race -count=3 -cpu 1,2,8 -run 'Batch|Intersect|JSON' ./internal/smc/compare/
 	$(GO) test -race -count=3 -cpu 1,2,8 -run Union ./internal/smc/union/
 
 # The end-to-end benchmark harness lives in its own module under

@@ -2,15 +2,20 @@ package audit
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"confaudit/internal/logmodel"
+	"confaudit/internal/smc/compare"
 	"confaudit/internal/transport"
+	"confaudit/internal/wire"
 )
 
 // tapAll records every message the rig's network carries until the
@@ -77,10 +82,52 @@ func carriesGLSN(payload []byte, g logmodel.GLSN) string {
 	return ""
 }
 
+// tagSubmission is a compare.intersect.submit body as the wire carries
+// it: the member count, then every tag, compare.TagSize bytes each, in
+// one packed run.
+type tagSubmission struct {
+	members int
+	tags    [][]byte
+}
+
+func (s *tagSubmission) AppendBinary(dst []byte) []byte {
+	return wire.AppendRun(binary.AppendUvarint(dst, uint64(s.members)), bytes.Join(s.tags, nil))
+}
+
+func (s *tagSubmission) DecodeBinary(src []byte) error {
+	d := wire.NewDec(src)
+	members, err := d.Small()
+	if err != nil {
+		return err
+	}
+	run, err := d.Run()
+	if err != nil {
+		return err
+	}
+	s.members, s.tags = members, nil
+	for ; len(run) >= compare.TagSize; run = run[compare.TagSize:] {
+		s.tags = append(s.tags, bytes.Clone(run[:compare.TagSize]))
+	}
+	return d.Done()
+}
+
+// positionList is a compare.intersect.verdict body as the wire carries
+// it: ascending positions.
+type positionList []int
+
+func (l *positionList) AppendBinary(dst []byte) []byte { return wire.AppendAscending(dst, *l) }
+
+func (l *positionList) DecodeBinary(src []byte) error {
+	d := wire.NewDec(src)
+	list, err := wire.Ascending[int](&d, math.MaxInt32)
+	*l = list
+	return err
+}
+
 // TestCrossEqualityTTPSeesNoGLSN taps the network while cross-node =
 // and != run: no message of the predicate's run that reaches its blind
-// TTP carries a glsn, in any form, and the holder that is not
-// responsible hears nothing from the TTP.
+// TTP carries a glsn, in any form, the holder that is not responsible
+// hears nothing from the TTP, and every message of the run is binary.
 func TestCrossEqualityTTPSeesNoGLSN(t *testing.T) {
 	r := newRig(t)
 	ctx := testCtx(t)
@@ -108,6 +155,9 @@ func TestCrossEqualityTTPSeesNoGLSN(t *testing.T) {
 		assertGLSNs(t, got, tc.want)
 		toTTP := 0
 		for _, m := range ofRun(tap(), session) {
+			if !transport.IsBinaryPayload(m.Payload) {
+				t.Errorf("%q: %s from %s is not binary", tc.crit, m.Type, m.From)
+			}
 			if m.From == plan.TTP && m.To == other {
 				t.Errorf("%q: TTP %s sent non-responsible holder %s a %s", tc.crit, plan.TTP, other, m.Type)
 			}
@@ -149,14 +199,12 @@ func TestCrossEqualityBindsGLSN(t *testing.T) {
 		if m.Type != msgFinalSubmit || m.To != plan.TTP {
 			continue
 		}
-		var sub struct {
-			Tags [][]byte `json:"tags"`
-		}
-		if err := json.Unmarshal(m.Payload, &sub); err != nil {
+		var sub tagSubmission
+		if err := transport.Unmarshal(m.Payload, &sub); err != nil {
 			t.Fatal(err)
 		}
 		tags[m.From] = map[string]bool{}
-		for _, tag := range sub.Tags {
+		for _, tag := range sub.tags {
 			tags[m.From][string(tag)] = true
 		}
 	}
@@ -196,4 +244,104 @@ func TestCrossComparisonVerdictToResponsibleOnly(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCrossComparisonTTPSeesNoGLSN taps the network while cross-node
+// order predicates run, with the responsible holder owning either
+// operand: no message of the predicate's run that reaches its blind
+// TTP carries a glsn, in any form. The holders submit transformed
+// values by position and one digest of their aligned glsn list. Every
+// message of the run is binary.
+func TestCrossComparisonTTPSeesNoGLSN(t *testing.T) {
+	r := newRig(t)
+	ctx := testCtx(t)
+	all := glsnsOf(0, 1, 2, 3, 4)
+	tap := tapAll(r)
+	defer r.net.SetDropFn(nil)
+	// C1 (P3) is below C2 (P1) on every Table 1 row.
+	for _, crit := range []string{`C1 < C2`, `C2 > C1`} {
+		plan := crossPlan(t, r, crit)
+		tap()
+		got, session, _, err := r.auditor.QueryCertified(ctx, crit)
+		if err != nil {
+			t.Fatalf("%q: %v", crit, err)
+		}
+		assertGLSNs(t, got, all)
+		toTTP := 0
+		for _, m := range ofRun(tap(), session) {
+			if !transport.IsBinaryPayload(m.Payload) {
+				t.Errorf("%q: %s from %s is not binary", crit, m.Type, m.From)
+			}
+			if m.To != plan.TTP {
+				continue
+			}
+			toTTP++
+			for _, g := range all {
+				if form := carriesGLSN(m.Payload, g); form != "" {
+					t.Errorf("%q: %s from %s to TTP %s carries glsn %s in %s", crit, m.Type, m.From, plan.TTP, g, form)
+				}
+			}
+		}
+		if toTTP == 0 {
+			t.Fatalf("%q: tap saw no message to TTP %s", crit, plan.TTP)
+		}
+	}
+}
+
+// TestCrossPreBinaryKeysFail stands in for a holder from before the
+// binary bodies, which sends its glsn list for the key alignment as
+// JSON: the cross query fails with an error rather than return a wrong
+// answer, and a later query with both holders current is right again.
+func TestCrossPreBinaryKeysFail(t *testing.T) {
+	r := newRig(t)
+	ctx := testCtx(t)
+	for _, crit := range []string{`C1 < C2`, `C1 = C2`} {
+		old := crossPlan(t, r, crit).Nodes[1]
+		r.net.SetDropFn(func(m transport.Message) bool {
+			if m.Type != MsgKeys || m.From != old || !transport.IsBinaryPayload(m.Payload) {
+				return false
+			}
+			var list glsnList
+			if err := transport.Unmarshal(m.Payload, &list); err != nil {
+				t.Error(err)
+			}
+			// The JSON list goes from a goroutine of its own, since this
+			// call sits inside the binary one's send.
+			go r.nodes[old].Mailbox().SendBody(context.Background(), m.To, MsgKeys, m.Session, []logmodel.GLSN(list)) //nolint:errcheck
+			return true
+		})
+		if got, _, _, err := r.auditor.QueryCertified(ctx, crit); err == nil || !strings.Contains(err.Error(), "non-binary payload") {
+			t.Fatalf("%q with a JSON key list returned %v, %v", crit, got, err)
+		}
+		r.net.SetDropFn(nil)
+	}
+	got, _, _, err := r.auditor.QueryCertified(ctx, `C1 < C2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGLSNs(t, got, glsnsOf(0, 1, 2, 3, 4))
+}
+
+// FuzzGLSNListRoundTrip feeds the audit.keys decoder, which a peer
+// holder's bytes reach, arbitrary input. It must never panic, every
+// list it accepts is strictly ascending, and every accepted body
+// re-encodes to exactly the input. The checked-in corpus holds lists
+// the encoder writes and ones the decoder refuses: a count past the
+// bytes left, a repeated glsn, a descending one, a gap past 2^64.
+func FuzzGLSNListRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src []byte) {
+		var l glsnList
+		if err := l.DecodeBinary(src); err != nil {
+			if !errors.Is(err, wire.ErrMalformed) {
+				t.Fatalf("refusal %v is not wire.ErrMalformed", err)
+			}
+			return
+		}
+		if !slices.IsSorted(l) || len(slices.Compact(slices.Clone(l))) != len(l) {
+			t.Fatalf("accepted a list not strictly ascending: %v", l)
+		}
+		if enc := l.AppendBinary(nil); !bytes.Equal(enc, src) {
+			t.Fatalf("accepted % x, re-encoded as % x", src, enc)
+		}
+	})
 }

@@ -23,6 +23,7 @@ import (
 	"confaudit/internal/telemetry"
 	"confaudit/internal/ticket"
 	"confaudit/internal/transport"
+	"confaudit/internal/wire"
 )
 
 // errQueryFailed classifies replies that carry only a rendered error
@@ -776,14 +777,15 @@ func executeCross(ctx context.Context, node NodeState, querySession, querier str
 	if err != nil {
 		return nil, false, err
 	}
-	if err := mb.SendBody(ctx, peer, MsgKeys, session, glsns); err != nil {
+	mine := glsnList(glsns)
+	if err := mb.SendBody(ctx, peer, MsgKeys, session, &mine); err != nil {
 		return nil, false, err
 	}
 	peerMsg, err := mb.ExpectFrom(ctx, peer, MsgKeys, session)
 	if err != nil {
 		return nil, false, fmt.Errorf("awaiting key alignment: %w", err)
 	}
-	var peerGLSNs []logmodel.GLSN
+	var peerGLSNs glsnList
 	if err := transport.Unmarshal(peerMsg.Payload, &peerGLSNs); err != nil {
 		return nil, false, err
 	}
@@ -834,11 +836,11 @@ func executeCross(ctx context.Context, node NodeState, querySession, querier str
 		match = func(i int) bool {
 			// A sign is responsible vs other: negate it when the
 			// responsible holder owns the right operand.
-			sign, ok := signs[keys[i]]
+			sign := signs[i]
 			if responsible == rightOwner {
 				sign = -sign
 			}
-			return ok && orderSatisfied(pred.Op, sign)
+			return orderSatisfied(pred.Op, sign)
 		}
 	}
 	set := glsns[:0]
@@ -1040,6 +1042,25 @@ func intersectAll(sets [][]logmodel.GLSN) []logmodel.GLSN {
 		out = out[:n]
 	}
 	return out
+}
+
+// glsnList is the audit.keys body: a holder's glsns, strictly
+// ascending, as wire.AppendAscending writes them, so an aligned list
+// costs a byte or two per glsn.
+type glsnList []logmodel.GLSN
+
+func (l *glsnList) AppendBinary(dst []byte) []byte { return wire.AppendAscending(dst, *l) }
+
+// DecodeBinary refuses a list that is not strictly ascending, which
+// the alignment merge needs.
+func (l *glsnList) DecodeBinary(src []byte) error {
+	d := wire.NewDec(src)
+	list, err := wire.Ascending[logmodel.GLSN](&d, math.MaxUint64)
+	if err == nil {
+		err = d.Done()
+	}
+	*l = list
+	return err
 }
 
 // eachCommon calls keep(i) for each a[i] that b also holds, in one

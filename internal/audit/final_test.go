@@ -2,7 +2,6 @@ package audit
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"slices"
 	"strings"
@@ -143,30 +142,26 @@ func rigFinalTTP(t *testing.T, r *rig, target string, forge func(common []int, s
 	r.net.SetDropFn(func(m transport.Message) bool {
 		switch {
 		case m.Type == msgFinalSubmit && m.From == target:
-			var sub struct {
-				Tags [][]byte `json:"tags"`
-			}
-			if err := json.Unmarshal(m.Payload, &sub); err != nil {
+			var sub tagSubmission
+			if err := transport.Unmarshal(m.Payload, &sub); err != nil {
 				t.Error(err)
 			}
 			mu.Lock()
-			submitted = len(sub.Tags)
+			submitted = len(sub.tags)
 			mu.Unlock()
 		case m.Type == msgFinalVerdict && m.To == target && forged.CompareAndSwap(false, true):
-			var v struct {
-				Common []int `json:"common"`
-			}
-			if err := json.Unmarshal(m.Payload, &v); err != nil {
+			var v positionList
+			if err := transport.Unmarshal(m.Payload, &v); err != nil {
 				t.Error(err)
 			}
 			mu.Lock()
-			lie := forge(v.Common, submitted)
+			lie := positionList(forge(v, submitted))
 			mu.Unlock()
 			// This call sits inside P0's send of the true verdict, so the
 			// lie is delivered first from a goroutine of its own.
 			done := make(chan error, 1)
 			go func() {
-				done <- ttp.SendBody(context.Background(), target, msgFinalVerdict, m.Session, map[string][]int{"common": lie})
+				done <- ttp.SendBody(context.Background(), target, msgFinalVerdict, m.Session, &lie)
 			}()
 			if err := <-done; err != nil {
 				t.Error(err)

@@ -1,13 +1,17 @@
 package compare
 
 import (
+	"bytes"
 	"context"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math/big"
 
 	"confaudit/internal/smc"
 	"confaudit/internal/transport"
-	"confaudit/internal/workpool"
 )
 
 // Batch comparison: two holders each hold a value per shared key (in
@@ -15,7 +19,7 @@ import (
 // of the two values for every key without revealing the values. Both
 // holders apply the same jointly-derived strictly monotone transform
 // W = a·x + b and submit the transformed vectors to a blind TTP, which
-// returns only the per-key comparison signs, to Holders[0] alone. This
+// returns only the comparison signs by position, to Holders[0] alone. This
 // is the §3.3 machinery applied per audit record, and is what
 // evaluates cross-node auditing predicates like salary_P1 > price_P2.
 
@@ -49,23 +53,47 @@ func (c *BatchConfig) validate() error {
 	return nil
 }
 
-type batchSubmitBody struct {
-	Keys []string `json:"keys"`
-	Ws   []string `json:"ws"`
+// digestSize is the width of a submission's key-list digest.
+const digestSize = sha256.Size
+
+// batchWidth returns the offset that makes every transformed value of
+// a run with bound maxAbs positive, and the width in bytes that holds
+// every offset value. Each holder's seed contributions lie in
+// [1, bound) with bound = maxAbs·2^64, so a and b lie below 2·bound and
+// |a·x + b| < 2·bound·(maxAbs+1) = off: a·x + b + off lies in
+// (0, 2·off), one bit wider than off.
+func batchWidth(maxAbs *big.Int) (off *big.Int, width int) {
+	off = new(big.Int).Add(maxAbs, big.NewInt(1))
+	off.Mul(off, maxAbs)
+	off.Lsh(off, 65)
+	return off, (off.BitLen() + 8) / 8
 }
 
-type batchVerdictBody struct {
-	// Signs[i] is -1, 0, or +1: holder0's value vs holder1's for Keys[i].
-	Keys  []string `json:"keys"`
-	Signs []int    `json:"signs"`
+// alignDigest is the HMAC-SHA256, under the run's joint key, of a key
+// list, each key length-prefixed: two holders' digests are equal iff
+// they submit the same keys in the same order, and the TTP, which does
+// not know the key, can neither read a key from a digest nor confirm a
+// guessed list.
+func alignDigest(key []byte, keys []string) (sum [digestSize]byte) {
+	mac := hmac.New(sha256.New, key)
+	var hdr []byte
+	for _, k := range keys {
+		hdr = binary.AppendUvarint(hdr[:0], uint64(len(k)))
+		mac.Write(hdr)         //nolint:errcheck // hash writes never fail
+		io.WriteString(mac, k) //nolint:errcheck // hash writes never fail
+	}
+	mac.Sum(sum[:0])
+	return sum
 }
 
 // BatchCompare executes a holder's role: keys and values are parallel
 // slices (keys must be identical, in identical order, on both holders —
 // the audit layer aligns them beforehand). Holders[0] gets back
-// sign(holder0[k] - holder1[k]) for every key; Holders[1] returns nil
-// once its values are submitted.
-func BatchCompare(ctx context.Context, mb *transport.Mailbox, cfg BatchConfig, keys []string, values []*big.Int) (map[string]int, error) {
+// sign(holder0[i] - holder1[i]), -1, 0 or +1, for every position i;
+// Holders[1] returns nil once its values are submitted. No key leaves
+// the holder: the TTP gets a digest of the list, and refuses a run
+// whose two digests differ.
+func BatchCompare(ctx context.Context, mb *transport.Mailbox, cfg BatchConfig, keys []string, values []*big.Int) ([]int, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -89,20 +117,19 @@ func BatchCompare(ctx context.Context, mb *transport.Mailbox, cfg BatchConfig, k
 	}
 	// Joint strictly monotone transform over the integers.
 	bound := new(big.Int).Lsh(cfg.MaxAbs, 64)
-	a, b, err := jointSecret(ctx, mb, bound, []string{peer}, cfg.Session)
+	a, b, key, err := jointSecret(ctx, mb, bound, []string{peer}, cfg.Session)
 	if err != nil {
 		return nil, err
 	}
-	ws := make([]string, len(values))
-	if err := workpool.Map(len(values), func(i int) error {
-		w := new(big.Int).Mul(a, values[i])
-		w.Add(w, b)
-		ws[i] = smc.EncodeBig(w)
-		return nil
-	}); err != nil {
-		return nil, err
+	off, width := batchWidth(cfg.MaxAbs)
+	b.Add(b, off)
+	n := len(values)
+	body := &batchSubmitBody{N: n, Digest: alignDigest(key, keys), Run: make([]byte, n*width)}
+	w := new(big.Int)
+	for i, v := range values {
+		w.Mul(a, v).Add(w, b).FillBytes(body.Run[i*width : (i+1)*width])
 	}
-	if err := mb.SendBody(ctx, cfg.TTP, msgSubmitBatch, cfg.Session, batchSubmitBody{Keys: keys, Ws: ws}); err != nil {
+	if err := mb.SendBody(ctx, cfg.TTP, msgSubmitBatch, cfg.Session, body); err != nil {
 		return nil, err
 	}
 	if self != cfg.Holders[0] {
@@ -116,23 +143,28 @@ func BatchCompare(ctx context.Context, mb *transport.Mailbox, cfg BatchConfig, k
 	if err := transport.Unmarshal(msg.Payload, &verdict); err != nil {
 		return nil, err
 	}
-	if len(verdict.Keys) != len(verdict.Signs) {
-		return nil, fmt.Errorf("%w: malformed verdict", smc.ErrProtocol)
+	if len(verdict.Signs) != n {
+		return nil, fmt.Errorf("%w: %d signs for %d values", smc.ErrProtocol, len(verdict.Signs), n)
 	}
-	out := make(map[string]int, len(verdict.Keys))
-	for i, k := range verdict.Keys {
-		out[k] = verdict.Signs[i]
+	signs := make([]int, n)
+	for i, s := range verdict.Signs {
+		signs[i] = int(s) - 1
 	}
-	return out, nil
+	return signs, nil
 }
 
-// ServeBatchCompare executes the TTP role for one batch run: it sends
-// the per-key signs to Holders[0] only.
+// ServeBatchCompare executes the TTP role for one batch run: it takes
+// exactly one submission from each holder, refusing a non-holder, a
+// second submission, a value run that is not n values of the run's
+// width, unequal counts and unequal key digests, then sends the signs
+// by position to Holders[0] only. It compares the offset values as
+// fixed-width big-endian bytes, so it decodes no integer.
 func ServeBatchCompare(ctx context.Context, mb *transport.Mailbox, cfg BatchConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	subs := make(map[string]batchSubmitBody, 2)
+	_, width := batchWidth(cfg.MaxAbs)
+	subs := make(map[string]*batchSubmitBody, 2)
 	for len(subs) < 2 {
 		msg, err := mb.Expect(ctx, msgSubmitBatch, cfg.Session)
 		if err != nil {
@@ -141,36 +173,29 @@ func ServeBatchCompare(ctx context.Context, mb *transport.Mailbox, cfg BatchConf
 		if msg.From != cfg.Holders[0] && msg.From != cfg.Holders[1] {
 			return fmt.Errorf("%w: submission from non-holder %q", smc.ErrProtocol, msg.From)
 		}
-		var body batchSubmitBody
-		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
+		if _, dup := subs[msg.From]; dup {
+			return fmt.Errorf("%w: second submission from %s", smc.ErrProtocol, msg.From)
+		}
+		body := new(batchSubmitBody)
+		if err := transport.Unmarshal(msg.Payload, body); err != nil {
 			return err
+		}
+		if len(body.Run) != body.N*width {
+			return fmt.Errorf("%w: %s submitted %d bytes for %d values of %d", smc.ErrProtocol, msg.From, len(body.Run), body.N, width)
 		}
 		subs[msg.From] = body
 	}
 	s0, s1 := subs[cfg.Holders[0]], subs[cfg.Holders[1]]
-	if len(s0.Keys) != len(s1.Keys) {
-		return fmt.Errorf("%w: holders submitted %d and %d keys", smc.ErrProtocol, len(s0.Keys), len(s1.Keys))
+	if s0.N != s1.N {
+		return fmt.Errorf("%w: holders submitted %d and %d values", smc.ErrProtocol, s0.N, s1.N)
 	}
-	if len(s0.Ws) != len(s0.Keys) || len(s1.Ws) != len(s1.Keys) {
-		return fmt.Errorf("%w: submission width mismatch", smc.ErrProtocol)
+	if s0.Digest != s1.Digest {
+		return fmt.Errorf("%w: key order mismatch", smc.ErrProtocol)
 	}
-	verdict := batchVerdictBody{Keys: s0.Keys, Signs: make([]int, len(s0.Keys))}
-	if err := workpool.Map(len(s0.Keys), func(i int) error {
-		if s0.Keys[i] != s1.Keys[i] {
-			return fmt.Errorf("%w: key order mismatch at %d", smc.ErrProtocol, i)
-		}
-		w0, err := smc.DecodeBig(s0.Ws[i])
-		if err != nil {
-			return err
-		}
-		w1, err := smc.DecodeBig(s1.Ws[i])
-		if err != nil {
-			return err
-		}
-		verdict.Signs[i] = w0.Cmp(w1)
-		return nil
-	}); err != nil {
-		return err
+	verdict := &batchVerdictBody{Signs: make([]byte, s0.N)}
+	for i := range verdict.Signs {
+		lo, hi := i*width, (i+1)*width
+		verdict.Signs[i] = byte(bytes.Compare(s0.Run[lo:hi], s1.Run[lo:hi]) + 1)
 	}
 	return mb.SendBody(ctx, cfg.Holders[0], msgVerdictBatch, cfg.Session, verdict)
 }

@@ -13,7 +13,8 @@
 //     values.
 //
 //   - Batch comparison over many shared keys at once: BatchCompare
-//     returns per-key order signs to one holder.
+//     returns the order signs, by position, to one holder; the TTP sees
+//     no key, only a keyed digest of each holder's key list.
 //
 //   - Batch intersection among k set holders: Intersect returns its
 //     receivers the elements all k sets share, from one keyed tag per
@@ -23,11 +24,12 @@
 //     the value's, so the common elements are the keys whose values
 //     are equal, and a tag never relates two keys.
 //
-// In every protocol the joint secrets are derived by additive
-// contribution from every holder (each sends a random pair to the
-// others), so the TTP cannot know the transform, and no single holder
-// chooses it alone — the paper's "provision must be made to prevent the
-// TTP from ... colluding with the nodes submitting the inquiry".
+// In every protocol the joint secrets are derived by contribution from
+// every holder (each sends the others a random pair and random key
+// bytes), so the TTP cannot know the transform or the key, and no
+// single holder chooses them alone — the paper's "provision must be
+// made to prevent the TTP from ... colluding with the nodes submitting
+// the inquiry".
 //
 // Leakage (permitted by Definition 1's relaxed model): the TTP learns
 // equality patterns, the order of the transformed values, and scaled
@@ -37,6 +39,8 @@ package compare
 
 import (
 	"context"
+	"crypto/rand"
+	"crypto/subtle"
 	"fmt"
 	"math/big"
 	"sort"
@@ -85,19 +89,6 @@ func (c *EqualityConfig) validate() error {
 	return nil
 }
 
-type seedBody struct {
-	A string `json:"a"`
-	B string `json:"b"`
-}
-
-type submitBody struct {
-	W string `json:"w"`
-}
-
-type eqVerdictBody struct {
-	Equal bool `json:"equal"`
-}
-
 // Equal executes a holder's role: derive the joint (a, b), submit the
 // transformed value, await the verdict.
 func Equal(ctx context.Context, mb *transport.Mailbox, cfg EqualityConfig, value *big.Int) (bool, error) {
@@ -118,7 +109,7 @@ func Equal(ctx context.Context, mb *transport.Mailbox, cfg EqualityConfig, value
 		return false, fmt.Errorf("%w: %q is not a holder", smc.ErrProtocol, self)
 	}
 
-	a, b, err := jointSecret(ctx, mb, cfg.P, []string{peer}, cfg.Session)
+	a, b, _, err := jointSecret(ctx, mb, cfg.P, []string{peer}, cfg.Session)
 	if err != nil {
 		return false, err
 	}
@@ -126,7 +117,7 @@ func Equal(ctx context.Context, mb *transport.Mailbox, cfg EqualityConfig, value
 	w := new(big.Int).Mul(a, value)
 	w.Add(w, b)
 	w.Mod(w, cfg.P)
-	if err := mb.SendBody(ctx, cfg.TTP, msgSubmitEq, cfg.Session, submitBody{W: smc.EncodeBig(w)}); err != nil {
+	if err := mb.SendBody(ctx, cfg.TTP, msgSubmitEq, cfg.Session, &submitBody{W: w}); err != nil {
 		return false, err
 	}
 	msg, err := mb.Expect(ctx, msgVerdictEq, cfg.Session)
@@ -159,13 +150,9 @@ func ServeEqual(ctx context.Context, mb *transport.Mailbox, cfg EqualityConfig) 
 		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
 			return err
 		}
-		w, err := smc.DecodeBig(body.W)
-		if err != nil {
-			return err
-		}
-		ws[msg.From] = w
+		ws[msg.From] = body.W
 	}
-	verdict := eqVerdictBody{Equal: ws[cfg.Holders[0]].Cmp(ws[cfg.Holders[1]]) == 0}
+	verdict := &eqVerdictBody{Equal: ws[cfg.Holders[0]].Cmp(ws[cfg.Holders[1]]) == 0}
 	for _, h := range cfg.Holders {
 		if err := mb.SendBody(ctx, h, msgVerdictEq, cfg.Session, verdict); err != nil {
 			return err
@@ -206,11 +193,11 @@ func (c *RankConfig) validate() error {
 // RankResult is the verdict every holder receives.
 type RankResult struct {
 	// MaxHolder and MinHolder name the nodes with the extreme values.
-	MaxHolder string `json:"max_holder"`
-	MinHolder string `json:"min_holder"`
+	MaxHolder string
+	MinHolder string
 	// Rank maps holder ID to its 1-based rank in descending order
 	// (rank 1 = maximum). Ties share the lower rank number.
-	Rank map[string]int `json:"rank"`
+	Rank map[string]int
 }
 
 // Rank executes a holder's role in Max/Min/Rank.
@@ -235,24 +222,35 @@ func Rank(ctx context.Context, mb *transport.Mailbox, cfg RankConfig, value *big
 	// transform W = a·x + b over the integers is strictly increasing
 	// because a ≥ 1.
 	bound := new(big.Int).Lsh(cfg.MaxValue, 64)
-	a, b, err := jointSecret(ctx, mb, bound, peers, cfg.Session)
+	a, b, _, err := jointSecret(ctx, mb, bound, peers, cfg.Session)
 	if err != nil {
 		return nil, err
 	}
 	w := new(big.Int).Mul(a, value)
 	w.Add(w, b)
-	if err := mb.SendBody(ctx, cfg.TTP, msgSubmitRk, cfg.Session, submitBody{W: smc.EncodeBig(w)}); err != nil {
+	if err := mb.SendBody(ctx, cfg.TTP, msgSubmitRk, cfg.Session, &submitBody{W: w}); err != nil {
 		return nil, err
 	}
 	msg, err := mb.Expect(ctx, msgVerdictRk, cfg.Session)
 	if err != nil {
 		return nil, fmt.Errorf("compare: awaiting rank verdict: %w", err)
 	}
-	var res RankResult
-	if err := transport.Unmarshal(msg.Payload, &res); err != nil {
+	var verdict rankVerdictBody
+	if err := transport.Unmarshal(msg.Payload, &verdict); err != nil {
 		return nil, err
 	}
-	return &res, nil
+	if len(verdict.Ranks) != len(cfg.Holders) {
+		return nil, fmt.Errorf("%w: %d ranks for %d holders", smc.ErrProtocol, len(verdict.Ranks), len(cfg.Holders))
+	}
+	res := &RankResult{
+		MaxHolder: cfg.Holders[verdict.Max],
+		MinHolder: cfg.Holders[verdict.Min],
+		Rank:      make(map[string]int, len(cfg.Holders)),
+	}
+	for i, h := range cfg.Holders {
+		res.Rank[h] = verdict.Ranks[i]
+	}
+	return res, nil
 }
 
 // ServeRank executes the TTP's role: collect transformed values from
@@ -275,36 +273,28 @@ func ServeRank(ctx context.Context, mb *transport.Mailbox, cfg RankConfig) error
 		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
 			return err
 		}
-		w, err := smc.DecodeBig(body.W)
-		if err != nil {
-			return err
-		}
-		ws[msg.From] = w
+		ws[msg.From] = body.W
 	}
-	type hw struct {
-		holder string
-		w      *big.Int
+	// order holds holder positions, by value descending (rank 1 is the
+	// maximum), ties by holder ID.
+	order := make([]int, len(cfg.Holders))
+	for i := range order {
+		order[i] = i
 	}
-	order := make([]hw, 0, len(ws))
-	for h, w := range ws {
-		order = append(order, hw{holder: h, w: w})
-	}
+	w := func(i int) *big.Int { return ws[cfg.Holders[i]] }
 	sort.Slice(order, func(i, j int) bool {
-		c := order[i].w.Cmp(order[j].w)
-		if c != 0 {
-			return c > 0 // descending: rank 1 is the maximum
+		if c := w(order[i]).Cmp(w(order[j])); c != 0 {
+			return c > 0
 		}
-		return order[i].holder < order[j].holder
+		return cfg.Holders[order[i]] < cfg.Holders[order[j]]
 	})
-	res := RankResult{Rank: make(map[string]int, len(order))}
-	res.MaxHolder = order[0].holder
-	res.MinHolder = order[len(order)-1].holder
+	res := &rankVerdictBody{Ranks: make([]int, len(order)), Max: order[0], Min: order[len(order)-1]}
 	rank := 0
-	for i, e := range order {
-		if i == 0 || e.w.Cmp(order[i-1].w) != 0 {
+	for i, h := range order {
+		if i == 0 || w(h).Cmp(w(order[i-1])) != 0 {
 			rank = i + 1
 		}
-		res.Rank[e.holder] = rank
+		res.Ranks[h] = rank
 	}
 	// Ties at the top/bottom: the canonical extreme is the tied holder
 	// with the smallest ID, which the sort already guarantees.
@@ -316,47 +306,59 @@ func ServeRank(ctx context.Context, mb *transport.Mailbox, cfg RankConfig) error
 	return nil
 }
 
-// jointSecret derives shared (a, b) among self and peers by additive
-// contributions: every party broadcasts a random pair; the sums are the
-// transform. a is forced into [1, bound) so the transform is injective
-// (and monotone in the integer variant).
-func jointSecret(ctx context.Context, mb *transport.Mailbox, bound *big.Int, peers []string, session string) (a, b *big.Int, err error) {
-	myA, err := mathx.RandScalar(nil, bound)
-	if err != nil {
-		return nil, nil, fmt.Errorf("compare: sampling a: %w", err)
+// jointSecret derives shared (a, b) and a shared key among self and
+// peers by contribution: every party sends the others a random pair in
+// [1, bound) and keySize random bytes; a and b are the sums of the
+// pairs, so a ≥ 1 makes the transform injective (and monotone in the
+// integer variant), and the key is the XOR of the byte strings. A run
+// that needs only the key passes a nil bound and gets nil a and b. A
+// contribution out of range is refused.
+func jointSecret(ctx context.Context, mb *transport.Mailbox, bound *big.Int, peers []string, session string) (a, b *big.Int, key []byte, err error) {
+	var mine seedBody
+	if bound != nil {
+		if mine.A, err = mathx.RandScalar(nil, bound); err != nil {
+			return nil, nil, nil, fmt.Errorf("compare: sampling a: %w", err)
+		}
+		if mine.B, err = mathx.RandScalar(nil, bound); err != nil {
+			return nil, nil, nil, fmt.Errorf("compare: sampling b: %w", err)
+		}
+		a, b = new(big.Int).Set(mine.A), new(big.Int).Set(mine.B)
 	}
-	myB, err := mathx.RandScalar(nil, bound)
-	if err != nil {
-		return nil, nil, fmt.Errorf("compare: sampling b: %w", err)
+	if _, err := rand.Read(mine.K[:]); err != nil {
+		return nil, nil, nil, fmt.Errorf("compare: sampling key: %w", err)
 	}
-	body := seedBody{A: smc.EncodeBig(myA), B: smc.EncodeBig(myB)}
 	for _, p := range peers {
-		if err := mb.SendBody(ctx, p, msgSeed, session, body); err != nil {
-			return nil, nil, err
+		if err := mb.SendBody(ctx, p, msgSeed, session, &mine); err != nil {
+			return nil, nil, nil, err
 		}
 	}
-	a = new(big.Int).Set(myA)
-	b = new(big.Int).Set(myB)
+	key = mine.K[:]
 	for range peers {
 		msg, err := mb.Expect(ctx, msgSeed, session)
 		if err != nil {
-			return nil, nil, fmt.Errorf("compare: awaiting seed: %w", err)
+			return nil, nil, nil, fmt.Errorf("compare: awaiting seed: %w", err)
 		}
 		var sb seedBody
 		if err := transport.Unmarshal(msg.Payload, &sb); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		pa, err := smc.DecodeBig(sb.A)
-		if err != nil {
-			return nil, nil, err
+		if !inRange(sb.A, bound) || !inRange(sb.B, bound) {
+			return nil, nil, nil, fmt.Errorf("%w: seed from %s out of range", smc.ErrProtocol, msg.From)
 		}
-		pb, err := smc.DecodeBig(sb.B)
-		if err != nil {
-			return nil, nil, err
+		if bound != nil {
+			a.Add(a, sb.A)
+			b.Add(b, sb.B)
 		}
-		a.Add(a, pa)
-		b.Add(b, pb)
+		subtle.XORBytes(key, key, sb.K[:])
 	}
-	// a stays ≥ 1 because every contribution is ≥ 1 (RandScalar range).
-	return a, b, nil
+	return a, b, key, nil
+}
+
+// inRange reports whether a seed contribution lies in [1, bound), or is
+// absent where bound is.
+func inRange(v, bound *big.Int) bool {
+	if bound == nil || v == nil {
+		return bound == nil && v == nil
+	}
+	return v.Sign() > 0 && v.Cmp(bound) < 0
 }

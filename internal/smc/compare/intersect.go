@@ -5,7 +5,6 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"fmt"
-	"math/big"
 	"math/rand/v2"
 	"slices"
 
@@ -43,9 +42,6 @@ const (
 
 // TagSize is the width of one submitted tag, in bytes.
 const TagSize = sha256.Size
-
-// eqSecretBound bounds each member's contribution to the joint tag key.
-var eqSecretBound = new(big.Int).Lsh(big.NewInt(1), 256)
 
 // IntersectConfig describes one batch-intersection run.
 type IntersectConfig struct {
@@ -91,19 +87,6 @@ func validateBatch(holders []string, ttp, session string) error {
 	return nil
 }
 
-type intersectSubmitBody struct {
-	// Members is the member count the submitter runs with; the TTP
-	// refuses a submission that disagrees with its own.
-	Members int      `json:"members"`
-	Tags    [][]byte `json:"tags"`
-}
-
-type intersectVerdictBody struct {
-	// Common lists, ascending, the positions in the member's submission
-	// whose tags every member submitted.
-	Common []int `json:"common"`
-}
-
 // Intersect executes a member's role. elems is the member's set, one
 // canonical byte string per element with no duplicates; two members'
 // elements match iff their bytes are equal. A receiver gets back the
@@ -123,24 +106,21 @@ func Intersect(ctx context.Context, mb *transport.Mailbox, cfg IntersectConfig, 
 			peers = append(peers, m)
 		}
 	}
-	// a is the tag key; b, the transform's offset elsewhere, goes unused.
-	a, _, err := jointSecret(ctx, mb, eqSecretBound, peers, cfg.Session)
+	// The joint key is the tag key; the run needs no transform.
+	_, _, key, err := jointSecret(ctx, mb, nil, peers, cfg.Session)
 	if err != nil {
 		return nil, err
 	}
 	// Submission position j carries elems[perm[j]], so the TTP sees the
 	// set in no order of the member's.
 	perm := rand.Perm(len(elems))
-	mac := hmac.New(sha256.New, a.Bytes())
-	slab := make([]byte, 0, len(elems)*TagSize)
-	tags := make([][]byte, len(elems))
-	for j, i := range perm {
+	mac := hmac.New(sha256.New, key)
+	body := &intersectSubmitBody{Members: len(cfg.Members), Tags: make([]byte, 0, len(elems)*TagSize)}
+	for _, i := range perm {
 		mac.Reset()
 		mac.Write(elems[i]) //nolint:errcheck // hash writes never fail
-		slab = mac.Sum(slab)
-		tags[j] = slab[len(slab)-TagSize:]
+		body.Tags = mac.Sum(body.Tags)
 	}
-	body := intersectSubmitBody{Members: len(cfg.Members), Tags: tags}
 	if err := mb.SendBody(ctx, cfg.TTP, msgSubmitIntersect, cfg.Session, body); err != nil {
 		return nil, err
 	}
@@ -157,8 +137,9 @@ func Intersect(ctx context.Context, mb *transport.Mailbox, cfg IntersectConfig, 
 	}
 	out := make([]int, len(verdict.Common))
 	for n, j := range verdict.Common {
-		if j < 0 || j >= len(perm) || (n > 0 && j <= verdict.Common[n-1]) {
-			return nil, fmt.Errorf("%w: verdict position %d is out of order or range", smc.ErrProtocol, j)
+		// The decoder refused a list that is not strictly ascending.
+		if j >= len(perm) {
+			return nil, fmt.Errorf("%w: verdict position %d is out of range", smc.ErrProtocol, j)
 		}
 		out[n] = perm[j]
 	}
@@ -169,8 +150,9 @@ func Intersect(ctx context.Context, mb *transport.Mailbox, cfg IntersectConfig, 
 // ServeIntersect executes the TTP role for one batch-intersection run:
 // it takes exactly one submission from every member, refusing a
 // non-member, a second submission, a member count other than its own,
-// a tag that is not TagSize wide and a tag submitted twice, then sends
-// each receiver the positions of its tags that all members submitted.
+// a tag run that is not whole TagSize-wide tags (at decoding) and a tag
+// submitted twice, then sends each receiver the positions of its tags
+// that all members submitted.
 // It returns what the TTP saw: each member's set size, in cfg.Members
 // order, and the size of the intersection.
 func ServeIntersect(ctx context.Context, mb *transport.Mailbox, cfg IntersectConfig) (sizes []int, common int, err error) {
@@ -178,7 +160,7 @@ func ServeIntersect(ctx context.Context, mb *transport.Mailbox, cfg IntersectCon
 		return nil, 0, err
 	}
 	k := len(cfg.Members)
-	subs := make(map[string][][]byte, k)
+	subs := make(map[string][]byte, k)
 	// seen counts, per tag, the submissions holding it; last is the
 	// index of the latest one, which catches a tag submitted twice.
 	type seen struct{ n, last int }
@@ -202,11 +184,8 @@ func ServeIntersect(ctx context.Context, mb *transport.Mailbox, cfg IntersectCon
 			return nil, 0, fmt.Errorf("%w: %s runs with %d members, want %d", smc.ErrProtocol, msg.From, body.Members, k)
 		}
 		idx := len(subs) + 1
-		for i, tag := range body.Tags {
-			if len(tag) != TagSize {
-				return nil, 0, fmt.Errorf("%w: %s submitted a %d-byte tag at %d", smc.ErrProtocol, msg.From, len(tag), i)
-			}
-			t := [TagSize]byte(tag)
+		for off := 0; off < len(body.Tags); off += TagSize {
+			t := [TagSize]byte(body.Tags[off:])
 			s := tally[t]
 			if s.last == idx {
 				return nil, 0, fmt.Errorf("%w: %s submitted one tag twice", smc.ErrProtocol, msg.From)
@@ -217,12 +196,12 @@ func ServeIntersect(ctx context.Context, mb *transport.Mailbox, cfg IntersectCon
 	}
 	sizes = make([]int, k)
 	for i, m := range cfg.Members {
-		sizes[i] = len(subs[m])
+		sizes[i] = len(subs[m]) / TagSize
 	}
 	for _, r := range cfg.Receivers {
-		var verdict intersectVerdictBody
-		for j, tag := range subs[r] {
-			if tally[[TagSize]byte(tag)].n == k {
+		verdict := new(intersectVerdictBody)
+		for j := range len(subs[r]) / TagSize {
+			if tally[[TagSize]byte(subs[r][j*TagSize:])].n == k {
 				verdict.Common = append(verdict.Common, j)
 			}
 		}

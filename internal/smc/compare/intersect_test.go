@@ -176,14 +176,12 @@ func TestIntersectViews(t *testing.T) {
 	defer mu.Unlock()
 	for _, m := range isCfg.Members {
 		sub := submits[m]
-		if sub.Members != len(isCfg.Members) || len(sub.Tags) != len(sets[m]) {
-			t.Fatalf("%s submitted %d tags for %d members, want %d for %d", m, len(sub.Tags), sub.Members, len(sets[m]), len(isCfg.Members))
+		if n := len(sub.Tags) / TagSize; sub.Members != len(isCfg.Members) || n != len(sets[m]) {
+			t.Fatalf("%s submitted %d tags for %d members, want %d for %d", m, n, sub.Members, len(sets[m]), len(isCfg.Members))
 		}
-		for _, tag := range sub.Tags {
-			for _, el := range sets[m] {
-				if bytes.Contains(tag, el) {
-					t.Fatalf("%s's tag carries element %q", m, el)
-				}
+		for _, el := range sets[m] {
+			if bytes.Contains(sub.Tags, el) {
+				t.Fatalf("%s's tags carry element %q", m, el)
 			}
 		}
 		if n := len(verdicts[m].Common); n != 2 {
@@ -243,14 +241,14 @@ func TestIntersectReceivers(t *testing.T) {
 // is refused as a protocol violation, and no verdict is sent.
 func TestServeIntersectRefuses(t *testing.T) {
 	tag := func(b byte) []byte { return bytes.Repeat([]byte{b}, TagSize) }
-	sub := func(tags ...[]byte) intersectSubmitBody {
-		return intersectSubmitBody{Members: len(isCfg.Members), Tags: tags}
+	sub := func(tags ...[]byte) *intersectSubmitBody {
+		return &intersectSubmitBody{Members: len(isCfg.Members), Tags: bytes.Join(tags, nil)}
 	}
 	wrongK := sub(tag(1))
 	wrongK.Members = 2
 	type submission struct {
 		from string
-		body intersectSubmitBody
+		body *intersectSubmitBody
 	}
 	cases := []struct {
 		name string
@@ -307,10 +305,10 @@ func TestIntersectRefusesBadVerdict(t *testing.T) {
 			defer net.Close() //nolint:errcheck
 			mbs := mailboxes(t, net, "A", "B", "TTP")
 			// B's seed lets A derive the key; the TTP answers A at once.
-			if err := mbs["B"].SendBody(ctx, "A", msgSeed, cfg.Session, seedBody{A: "1", B: "1"}); err != nil {
+			if err := mbs["B"].SendBody(ctx, "A", msgSeed, cfg.Session, &seedBody{}); err != nil {
 				t.Fatal(err)
 			}
-			if err := mbs["TTP"].SendBody(ctx, "A", msgVerdictIntersect, cfg.Session, intersectVerdictBody{Common: common}); err != nil {
+			if err := mbs["TTP"].SendBody(ctx, "A", msgVerdictIntersect, cfg.Session, &intersectVerdictBody{Common: common}); err != nil {
 				t.Fatal(err)
 			}
 			_, err := Intersect(ctx, mbs["A"], cfg, byteVals("g1", "g2", "g3"))
@@ -367,12 +365,12 @@ var eqCfg = IntersectConfig{
 // protocol violation, and the receiving holder gets no verdict.
 func TestServeBatchEqualRefuses(t *testing.T) {
 	tag := bytes.Repeat([]byte{7}, TagSize)
-	sub := func(tags ...[]byte) intersectSubmitBody {
-		return intersectSubmitBody{Members: len(eqCfg.Members), Tags: tags}
+	sub := func(tags ...[]byte) *intersectSubmitBody {
+		return &intersectSubmitBody{Members: len(eqCfg.Members), Tags: bytes.Join(tags, nil)}
 	}
 	type submission struct {
 		from string
-		body intersectSubmitBody
+		body *intersectSubmitBody
 	}
 	cases := []struct {
 		name string

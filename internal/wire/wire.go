@@ -14,6 +14,8 @@
 //     for nil, else count+1.
 //   - a big integer: tag 0 for nil, 1 for zero or positive, 2 for
 //     negative; then len ‖ big-endian magnitude bytes.
+//   - a strictly ascending list of non-negative integers: count ‖
+//     first element ‖ each later element's gap to the one before it.
 //
 // Decoding is canonical: an overlong varint, a big integer with a
 // leading zero byte, a negative zero and trailing bytes are refused, so
@@ -73,6 +75,20 @@ func AppendBig(dst []byte, v *big.Int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(n))
 	dst = append(dst, make([]byte, n)...)
 	v.FillBytes(dst[len(dst)-n:])
+	return dst
+}
+
+// AppendAscending appends a strictly ascending list of non-negative
+// integers as its count, its first element and then each element's gap
+// to the one before it, so a list of nearby values costs a byte or two
+// per element.
+func AppendAscending[T ~int | ~uint64](dst []byte, xs []T) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(xs)))
+	var prev uint64
+	for _, x := range xs {
+		dst = binary.AppendUvarint(dst, uint64(x)-prev)
+		prev = uint64(x)
+	}
 	return dst
 }
 
@@ -212,6 +228,47 @@ func (d *Dec) OptCount() (n int, present bool, err error) {
 		return 0, false, fmt.Errorf("%w: %d elements claimed in %d bytes", ErrMalformed, n, len(d.rest))
 	}
 	return n, true, nil
+}
+
+// Count decodes a list count. Every element costs at least one byte,
+// so a count past the bytes left is refused before the caller
+// allocates for it.
+func (d *Dec) Count() (int, error) {
+	n, err := d.Small()
+	if err != nil {
+		return 0, err
+	}
+	if n > len(d.rest) {
+		return 0, fmt.Errorf("%w: %d elements claimed in %d bytes", ErrMalformed, n, len(d.rest))
+	}
+	return n, nil
+}
+
+// Ascending decodes a list AppendAscending wrote, refusing an element
+// above max and a list that is not strictly ascending: a zero gap after
+// the first element, or a gap that wraps past 2^64.
+func Ascending[T ~int | ~uint64](d *Dec, max uint64) ([]T, error) {
+	n, err := d.Count()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, n)
+	var prev uint64
+	for i := range out {
+		gap, err := d.Num()
+		if err != nil {
+			return nil, err
+		}
+		x := prev + gap
+		if i > 0 && (gap == 0 || x < prev) {
+			return nil, fmt.Errorf("%w: list not strictly ascending at %d", ErrMalformed, i)
+		}
+		if x > max {
+			return nil, fmt.Errorf("%w: element %d above %d", ErrMalformed, x, max)
+		}
+		out[i], prev = T(x), x
+	}
+	return out, nil
 }
 
 // Big decodes a signed big integer, or nil.

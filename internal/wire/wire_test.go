@@ -20,6 +20,9 @@ func TestDecRefusesMalformed(t *testing.T) {
 	run := func(d *Dec) error { _, err := d.Run(); return err }
 	optBytes := func(d *Dec) error { _, err := d.OptBytes(); return err }
 	optCount := func(d *Dec) error { _, _, err := d.OptCount(); return err }
+	count := func(d *Dec) error { _, err := d.Count(); return err }
+	ints := func(d *Dec) error { _, err := Ascending[int](d, math.MaxInt32); return err }
+	u64s := func(d *Dec) error { _, err := Ascending[uint64](d, math.MaxUint64); return err }
 	bigInt := func(d *Dec) error { _, err := d.Big(); return err }
 	bigRun := func(d *Dec) error { _, err := d.BigRun(); return err }
 	optRun := func(d *Dec) error { _, err := d.OptRun(); return err }
@@ -42,6 +45,13 @@ func TestDecRefusesMalformed(t *testing.T) {
 		{"truncated optional bytes", []byte{0x03, 'a'}, optBytes},
 		{"truncated optional run", []byte{0x03, 'a'}, optRun},
 		{"count past the bytes left", []byte{0x04, 0x00, 0x00}, optCount},
+		{"list count past the bytes left", []byte{0x03, 0x00, 0x00}, count},
+		{"ascending count past the bytes left", []byte{0x03, 0x00, 0x01}, ints},
+		{"repeated element", []byte{0x02, 0x05, 0x00}, ints},
+		{"descending element", append([]byte{0x02, 0x05}, uv(math.MaxUint64)...), ints},
+		{"element past max", append([]byte{0x01}, uv(1<<31)...), ints},
+		{"truncated list", []byte{0x02, 0x05}, ints},
+		{"gap wrapping past 2^64", append([]byte{0x02, 0x05}, uv(math.MaxUint64-4)...), u64s},
 		{"missing big-int tag", nil, bigInt},
 		{"unknown big-int tag", []byte{0x03, 0x01, 0x05}, bigInt},
 		{"truncated big integer", []byte{0x01, 0x02, 0x05}, bigInt},
@@ -151,6 +161,28 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 	must(d.Done())
+}
+
+// TestAscendingRoundTrip encodes strictly ascending lists, including
+// ones reaching the top of their element range, and decodes them back.
+func TestAscendingRoundTrip(t *testing.T) {
+	for _, want := range [][]uint64{nil, {0}, {0, 1, 2}, {7, 300, 1 << 40}, {1, math.MaxUint64}} {
+		enc := AppendAscending(nil, want)
+		d := NewDec(enc)
+		got, err := Ascending[uint64](&d, math.MaxUint64)
+		if err != nil || d.Done() != nil || len(got) != len(want) {
+			t.Fatalf("%v: decoded %v, %v", want, got, err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%v: decoded %v", want, got)
+			}
+		}
+	}
+	d := NewDec(AppendAscending(nil, []int{0, math.MaxInt32}))
+	if got, err := Ascending[int](&d, math.MaxInt32); err != nil || got[1] != math.MaxInt32 {
+		t.Fatalf("int list up to MaxInt32: %v, %v", got, err)
+	}
 }
 
 // TestAppendPrefixed checks that AppendPrefixed writes exactly what a
